@@ -1,0 +1,9 @@
+"""Make ``benchmarks.e2e`` and ``repro`` importable from any working directory."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[3]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
