@@ -24,8 +24,9 @@ behaviors, each mapped to the paper:
   applies the update and pushes the new value (and global out-degree)
   back (§3.4, "updates that are sent to their replicas").
 * **Elasticity** — on a directory update the Agent re-evaluates the
-  owner of every resident edge and forwards misplaced ones; a leaving
-  Agent drains completely, waits, then disconnects (§3.4.3).
+  owner of the resident edges the update can have moved (all of them
+  when the ring changed) and forwards misplaced ones; a leaving Agent
+  drains completely, waits, then disconnects (§3.4.3).
 
 Compute is vectorized per superstep (numpy over the shard's edge
 arrays) and *simulated time* is charged per operation through the
@@ -41,7 +42,7 @@ import numpy as np
 from repro import kernels
 from repro.cluster.config import ClusterConfig
 from repro.cluster.dataplane import RoundBuffers, combine_pairs
-from repro.cluster.directory import DirectoryState
+from repro.cluster.directory import DirectoryState, bind_placement
 from repro.cluster.edgestore import (
     DirtyLog,
     EdgeStore,
@@ -282,7 +283,8 @@ class Agent(Entity):
 
         # Directory view.  ``placer`` is the persistent PlacementCache,
         # rebound to a fresh EdgePlacer on every adopted broadcast; its
-        # memos survive broadcasts whose epoch token is unchanged.
+        # memos (and ``ring``) survive broadcasts that leave the tokens
+        # they depend on unchanged.
         self.dstate: Optional[DirectoryState] = None
         self.ring: Optional[ConsistentHashRing] = None
         self.placer: Optional[PlacementCache] = None
@@ -460,43 +462,61 @@ class Agent(Entity):
         self._adopt_state(state)
 
     def _adopt_state(self, state: DirectoryState) -> None:
-        if self.dstate is not None and state.weights != self.dstate.weights:
+        previous = self.dstate
+        if previous is not None and state.weights != previous.weights:
             # A re-weight landed (planner adoption or heterogeneous
             # join): the ring below shifts arcs, and _migrate_misplaced
             # re-homes whatever this agent no longer owns.
             self.metrics.rebalance_adoptions += 1
+        before = self._placement_cache.placer
         self.dstate = state
         self._pending_state = None
-        self.ring = ConsistentHashRing(
-            state.agent_ids(),
-            virtual_factor=self.config.virtual_factor,
-            hash_fn=self.config.hash_fn,
-            seed=self.config.seed,
-            weights=state.weights,
-        )
-        self.placer = self._placement_cache.bind(
-            state.epoch_token,
-            EdgePlacer(
-                self.ring,
-                state.sketch,
-                replication_threshold=self.config.replication_threshold,
-                hash_fn=self.config.hash_fn,
-                split_gate=state.split_vertices,
-            ),
-        )
+        self.placer = bind_placement(self._placement_cache, state, self.config)
+        self.ring = self.placer.ring
         # Membership decides the leaving state: a just-joined agent may
         # see one last broadcast predating its join (it is simply not a
         # member *yet*), while a departing agent is never re-added.
         self.leaving = self.agent_id not in state.agents
-        self._migrate_misplaced()
-        # Degrees may have crossed the split threshold between sketch
-        # flushes; every new global sketch warrants a fresh look at the
-        # vertices resident here.
-        self._recheck_splits()
+        self._migrate_misplaced(self._moved_keys(previous, before))
+        if previous is None or state.epoch_token != previous.epoch_token:
+            # Degrees may have crossed the split threshold between
+            # sketch flushes; every new global sketch warrants a fresh
+            # look at the vertices resident here.
+            self._recheck_splits()
         if self._pre_state_buffer:
             buffered, self._pre_state_buffer = self._pre_state_buffer, []
             for payload, count_in_sketch in buffered:
                 self._on_edge_update(payload, count_in_sketch)
+
+    def _moved_keys(
+        self, previous: Optional[DirectoryState], before: Optional[EdgePlacer]
+    ) -> Optional[np.ndarray]:
+        """Keyed vertices whose resident rows the just-adopted state can
+        have re-homed; ``None`` means any of them.
+
+        Every resident row was placed under ``previous`` (rows only
+        enter through a placement check against the adopted state, and
+        each adoption re-homes what it moved), so what has to be looked
+        at again is the difference between the two states: nothing for
+        a batch-clock tick, and while the ring stands, only the
+        registered split vertices whose replication factor changed
+        (``before`` is the placer ``previous`` was bound to).  A first
+        adoption — which follows a restore from checkpoint + WAL — and
+        any ring or term change leave no such bound.
+        """
+        state = self.dstate
+        if (
+            previous is None
+            or state.ring_epoch is None
+            or state.ring_epoch != previous.ring_epoch
+        ):
+            return None
+        if state.epoch_token == previous.epoch_token:
+            return np.empty(0, dtype=np.int64)
+        registry = state.split_vertices | previous.split_vertices
+        gate = np.fromiter(registry, dtype=np.int64, count=len(registry))
+        gate.sort()
+        return gate[before.replication_factor(gate) != self.placer.replication_factor(gate)]
 
     def _recheck_splits(self) -> None:
         hosted = np.union1d(self.out_store.unique_keys, self.in_store.unique_keys)
@@ -529,38 +549,42 @@ class Agent(Entity):
         order = np.lexsort((vals, rep_keys))
         return rep_keys, vals[order]
 
-    def _migrate_misplaced(self) -> None:
-        """Re-evaluate every resident edge's owner; forward the rest.
+    def _migrate_misplaced(self, moved: Optional[np.ndarray]) -> None:
+        """Re-home the resident edges whose owner changed.
 
-        The paper's straightforward approach: recompute the correct
-        destination for all current edges, remove and forward any that
-        no longer belong here (§3.4.3).
+        The paper's straightforward approach recomputes the correct
+        destination for all current edges and forwards any that no
+        longer belong here (§3.4.3); the modelled cluster is charged
+        for exactly that pass.  This process only resolves what the
+        adoption can have moved (``moved``, see :meth:`_moved_keys`),
+        once per distinct keyed vertex where the key alone decides.
         """
         if self.placer is None or len(self.ring) == 0:
             return
         costs = self.config.costs
         total_edges = self.n_out_edges + self.n_in_edges
         self.charge(costs.elga_migrate_check * total_edges)
-        for role, store in (("out", self.out_store), ("in", self.in_store)):
-            keys, others = self._store_arrays(store)
-            if len(keys) == 0:
-                continue
-            if role == "out":
-                owners = self.placer.owner_of_edges(keys, others)
-                us, vs = keys, others
-            else:
-                owners = self.placer.owner_of_edges(keys, others)
-                us, vs = others, keys
+        stores = (("out", self.out_store), ("in", self.in_store))
+        if moved is not None and len(moved) == 0:
+            self.metrics.migrate_rechecks_skipped += 1
+            stores = ()
+        for role, store in stores:
+            rows, owners = self._resident_owners(store, moved)
+            self.metrics.migrate_rows_rechecked += len(owners)
             wrong = owners != self.agent_id
             if not wrong.any():
                 continue
+            keys, others = store.arrays()
+            wrong_rows = np.flatnonzero(wrong) if rows is None else rows[wrong]
+            wrong_k = keys[wrong_rows]
+            wrong_o = others[wrong_rows]
+            if role == "out":
+                moving_u, moving_v = wrong_k, wrong_o
+            else:
+                moving_u, moving_v = wrong_o, wrong_k
             moving_owner = owners[wrong]
-            moving_u = us[wrong].copy()
-            moving_v = vs[wrong].copy()
-            wrong_k = keys[wrong].copy()
-            wrong_o = others[wrong].copy()
-            self.charge(costs.elga_migrate_op * int(wrong.sum()))
-            self.metrics.edges_migrated += int(wrong.sum())
+            self.charge(costs.elga_migrate_op * len(wrong_rows))
+            self.metrics.edges_migrated += len(wrong_rows)
             # Remove locally, one vectorized pass over the store.  The
             # WAL removal is NOT logged here: it enters the ledger per
             # destination batch below and hits the log only when that
@@ -618,6 +642,30 @@ class Agent(Entity):
         self._prune_stores()
         self._prune_departed_state()
         self._maybe_finish_leaving()
+
+    def _resident_owners(
+        self, store: EdgeStore, moved: Optional[np.ndarray]
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """(row indices, current owner of each) for the rows of
+        ``store`` keyed by a vertex in ``moved``; every row (indices
+        ``None``) when ``moved`` is ``None``.
+
+        A vertex that is not split keeps all its rows with its ring
+        owner, so the full pass resolves owners per distinct key and
+        repeats them over each key's segment; only rows of split
+        vertices are resolved edge by edge.
+        """
+        keys, others = store.arrays()
+        if moved is not None:
+            rows = store.rows_keyed_by(moved)
+            return rows, self.placer.owner_of_edges(keys[rows], others[rows])
+        distinct = store.unique_keys
+        owners = np.repeat(self.placer.ring_owners(distinct), store.key_counts)
+        split = distinct[self.placer.replication_factor(distinct) > 1]
+        if len(split):
+            rows = store.rows_keyed_by(split)
+            owners[rows] = self.placer.owner_of_edges(keys[rows], others[rows])
+        return None, owners
 
     def _prune_departed_state(self) -> None:
         """Drop algorithm state for vertices that migrated away.
@@ -832,8 +880,6 @@ class Agent(Entity):
         rows = np.nonzero(mine)[0]
         app_k, app_o, app_a = self._apply_rows(store, own[rows], other[rows], actions[rows])
         n_applied = len(app_k)
-        inserts = app_k[app_a > 0]
-        removes = app_k[app_a < 0]
         self.charge(costs.elga_ingest_op * max(n_applied, 1))
         self.metrics.updates_applied += n_applied
 
@@ -843,12 +889,15 @@ class Agent(Entity):
             # run (and survive crashes — they are re-derived from the
             # WAL's sketched suffix at restore).
             self._dirty_log.append_batch(role, app_k, app_o, app_a)
-            if len(inserts):
-                self.sketch_delta.add(inserts)
-            if len(removes):
-                self.sketch_delta.remove(removes)
+            # One sketch update per distinct endpoint, weighted by its
+            # rows: the same table as a per-row walk, hashed once per
+            # endpoint instead of once per row.
+            inserted, n_inserted = np.unique(app_k[app_a > 0], return_counts=True)
+            removed, n_removed = np.unique(app_k[app_a < 0], return_counts=True)
+            self.sketch_delta.add(inserted, n_inserted)
+            self.sketch_delta.remove(removed, n_removed)
             self._delta_count += n_applied
-            self._check_split_threshold(np.unique(inserts))
+            self._check_split_threshold(inserted)
             if self._delta_count >= self.config.sketch_flush_every:
                 self.flush_sketch()
 
@@ -1016,7 +1065,7 @@ class Agent(Entity):
         threshold so the directory can registry-broadcast them."""
         if len(vertices) == 0 or self.dstate is None:
             return
-        est = self.dstate.sketch.query(vertices) + self.sketch_delta.query(vertices)
+        est = self.dstate.sketch.query(vertices, plus=self.sketch_delta)
         crossing = vertices[est >= self.config.replication_threshold]
         fresh = [
             int(v)

@@ -38,12 +38,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.counters import PerfCounters
 from repro.cluster.config import ClusterConfig
-from repro.cluster.directory import DirectoryState
-from repro.hashing.ring import ConsistentHashRing
+from repro.cluster.directory import DirectoryState, bind_placement
 from repro.net.message import Message, PacketType
 from repro.net.sockets import PushSocket, ReqRepSocket
 from repro.partition.cache import PlacementCache
-from repro.partition.placer import EdgePlacer
 from repro.serving import LatencyRecorder, ResultCache
 from repro.sim.entity import Entity
 
@@ -194,23 +192,7 @@ class ClientProxy(Entity):
             return
         previous = self.dstate
         self.dstate = state
-        ring = ConsistentHashRing(
-            state.agent_ids(),
-            virtual_factor=self.config.virtual_factor,
-            hash_fn=self.config.hash_fn,
-            seed=self.config.seed,
-            weights=state.weights,
-        )
-        self.placer = self._placement_cache.bind(
-            state.epoch_token,
-            EdgePlacer(
-                ring,
-                state.sketch,
-                replication_threshold=self.config.replication_threshold,
-                hash_fn=self.config.hash_fn,
-                split_gate=state.split_vertices,
-            ),
-        )
+        self.placer = bind_placement(self._placement_cache, state, self.config)
         if previous is not None:
             self._failover_pending(state)
             if self.cache is not None and (

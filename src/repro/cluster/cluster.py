@@ -14,10 +14,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.bench.counters import PerfCounters
 from repro.cluster.agent import Agent
 from repro.cluster.client import ClientProxy
 from repro.cluster.config import ClusterConfig
 from repro.cluster.directory import Directory, DirectoryMaster
+from repro.cluster.metrics import combine_metrics
 from repro.cluster.recovery import RecoveryStore
 from repro.cluster.streamer import Streamer
 from repro.graph.stream import EdgeBatch
@@ -82,6 +84,11 @@ class ElGACluster:
 
         self.agents: Dict[int, Agent] = {}
         self._departing: List[Agent] = []
+        # Counters of agents that are gone for good (drained and
+        # detached, or crashed).  Totals read straight off the cluster
+        # add these in, so they stay monotone across a scale-down.
+        self.retired_metrics: Dict[str, int] = {}
+        self.retired_perf = PerfCounters()
         self._next_agent_id = 0
         self._next_streamer_id = 0
         self._next_client_id = 0
@@ -279,6 +286,27 @@ class ElGACluster:
         if settle:
             self.settle()
 
+    def _retire(self, agent: Agent) -> None:
+        """Fold a gone agent's counters into the retired accumulators."""
+        agent._sync_placement_metrics()
+        self.retired_metrics = combine_metrics(
+            [self.retired_metrics, agent.metrics.snapshot()]
+        )
+        self.retired_perf.merge(agent.perf)
+
+    def departing_agents(self) -> List[Agent]:
+        """Graceful leavers still attached to the fabric (draining or
+        in their grace period); the ones that have since detached are
+        retired first."""
+        attached = []
+        for agent in self._departing:
+            if self.network.is_attached(agent.address):
+                attached.append(agent)
+            else:
+                self._retire(agent)
+        self._departing = attached
+        return attached
+
     def crash_agent(self, agent_id: Optional[int] = None) -> int:
         """Abruptly kill one Agent (no drain, no goodbye — §fault model).
 
@@ -299,6 +327,7 @@ class ElGACluster:
         agent.crashed = True
         self.network.detach_abrupt(agent.address)
         self._crashed[agent_id] = agent
+        self._retire(agent)
         self.recovery_log.append(
             {"event": "crash", "agent_id": agent_id, "time": round(self.kernel.now, 9)}
         )
@@ -532,10 +561,7 @@ class ElGACluster:
         only disconnects once its edges have drained *and* every
         migrate batch is acknowledged, so an attached leaver means
         migration traffic may still be in flight."""
-        self._departing = [
-            a for a in self._departing if self.network.is_attached(a.address)
-        ]
-        if self._departing:
+        if self.departing_agents():
             return False
         fence = self.lead.state.fence
         for agent in self.agents.values():

@@ -21,6 +21,17 @@ cites:
 
 The absolute values are order-of-magnitude estimates for the paper's
 2.1 GHz Xeon E5-2683v4; EXPERIMENTS.md compares shapes, not absolutes.
+
+Charges follow the modelled cluster, not this process.  When the Python
+here stops redoing work the paper's implementation does — an adoption
+that re-examines only the rows a directory change can have moved — the
+charge stays what the paper's straightforward pass costs
+(``elga_migrate_check`` × resident edges on every adoption).  A wall
+clock optimisation may therefore only move simulated time where the
+model itself says the work got cheaper: a placement lookup answered by
+a memo is charged ``elga_lookup_cached`` instead of the full
+``placement_lookup_cost``, so an optimisation that keeps memos alive
+longer must show *more* hits than before, never fewer.
 """
 
 from __future__ import annotations

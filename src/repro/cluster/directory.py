@@ -33,8 +33,11 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
+from repro.hashing.ring import ConsistentHashRing
 from repro.net.message import Message, PacketType
 from repro.net.sockets import PubSubSocket, ReqRepSocket
+from repro.partition.cache import PlacementCache
+from repro.partition.placer import EdgePlacer
 from repro.sim.entity import Entity
 from repro.sketch.countmin import CountMinSketch
 
@@ -77,11 +80,12 @@ class DirectoryState:
         # Capacity weights (§3.4.2 heterogeneous extension): scale each
         # agent's virtual-position count on every participant's ring.
         self.weights = dict(weights or {})
-        # Placement epoch: (membership version, sketch version, split
-        # registry size).  Placement is a pure function of this token's
-        # underlying state, so participants' placement caches invalidate
-        # exactly when it changes — a batch-clock-only broadcast bumps
-        # ``version`` but not the epoch, and caches survive it.
+        # Placement epoch: (term, membership version, sketch version,
+        # split registry size).  Placement is a pure function of this
+        # token's underlying state, so participants' placement caches
+        # invalidate exactly when it changes — a batch-clock-only
+        # broadcast bumps ``version`` but not the epoch, and caches
+        # survive it.  The first two fields are the ring's own epoch.
         self.epoch = epoch
 
     @property
@@ -94,6 +98,14 @@ class DirectoryState:
         if self.epoch is not None:
             return self.epoch
         return ("v", self.version)
+
+    @property
+    def ring_epoch(self) -> Optional[tuple]:
+        """What the consistent-hash ring depends on: (term, membership
+        version) — joins, leaves, evictions and re-weights bump it,
+        sketch flushes and split registrations do not.  ``None`` for
+        states built without an explicit epoch (rebuild every time)."""
+        return None if self.epoch is None else self.epoch[:2]
 
     @property
     def nbytes(self) -> int:
@@ -124,6 +136,38 @@ class DirectoryState:
             f"DirectoryState(t{self.term}/v{self.version}, batch={self.batch_id}, "
             f"P={len(self.agents)}, split={len(self.split_vertices)})"
         )
+
+
+def bind_placement(
+    cache: PlacementCache, state: DirectoryState, config: ClusterConfig
+) -> PlacementCache:
+    """Point a participant's ``cache`` at ``state`` (every Agent,
+    Streamer and ClientProxy adopts broadcasts through here).
+
+    The ring object is rebuilt only when the state's ring epoch moved:
+    a sketch flush, split registration or batch-clock tick reuses the
+    participant's ring and, through :meth:`PlacementCache.bind`, the
+    vertex → ring-owner memo that goes with it.
+    """
+    ring_epoch = state.ring_epoch
+    if cache.placer is not None and ring_epoch is not None and ring_epoch == cache.ring_epoch:
+        ring = cache.placer.ring
+    else:
+        ring = ConsistentHashRing(
+            state.agent_ids(),
+            virtual_factor=config.virtual_factor,
+            hash_fn=config.hash_fn,
+            seed=config.seed,
+            weights=state.weights,
+        )
+    placer = EdgePlacer(
+        ring,
+        state.sketch,
+        replication_threshold=config.replication_threshold,
+        hash_fn=config.hash_fn,
+        split_gate=state.split_vertices,
+    )
+    return cache.bind(state.epoch_token, placer, ring_epoch=ring_epoch)
 
 
 class DirectoryMaster(Entity):

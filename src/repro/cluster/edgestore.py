@@ -47,6 +47,13 @@ def _as_i64(arr) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(arr), dtype=np.int64)
 
 
+def _as_records(keys: np.ndarray, others: np.ndarray) -> np.ndarray:
+    rec = np.empty(len(keys), dtype=_PAIR_DT)
+    rec["k"] = keys
+    rec["o"] = others
+    return rec
+
+
 def _pack_pairs(keys: np.ndarray, others: np.ndarray) -> np.ndarray:
     """A 1-D representation of (key, other) pairs whose scalar order
     equals (key asc, other asc): a packed int64 when both columns fit
@@ -57,11 +64,30 @@ def _pack_pairs(keys: np.ndarray, others: np.ndarray) -> np.ndarray:
         or keys.max(initial=0) >= _PACK_LIMIT
         or others.max(initial=0) >= _PACK_LIMIT
     ):
-        rec = np.empty(len(keys), dtype=_PAIR_DT)
-        rec["k"] = keys
-        rec["o"] = others
-        return rec
+        return _as_records(keys, others)
     return (keys << np.int64(31)) | others
+
+
+def _unpack_pairs(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`_pack_pairs`: contiguous (keys, others)."""
+    if packed.dtype == _PAIR_DT:
+        return np.ascontiguousarray(packed["k"]), np.ascontiguousarray(packed["o"])
+    return packed >> np.int64(31), packed & (_PACK_LIMIT - 1)
+
+
+def _found(column: np.ndarray, at: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether ``column[at] == query``, for ``at`` from a left
+    ``searchsorted`` of ``query`` against the sorted ``column``."""
+    if len(column) == 0:
+        return np.zeros(len(query), dtype=bool)
+    return column[np.minimum(at, len(column) - 1)] == query
+
+
+def _splice(old_rows: np.ndarray, slots: np.ndarray, base: np.ndarray, added: np.ndarray):
+    out = np.empty(len(old_rows), dtype=base.dtype)
+    out[slots] = added
+    out[old_rows] = base
+    return out
 
 
 def _ro(view: np.ndarray) -> np.ndarray:
@@ -78,7 +104,7 @@ class EdgeStore:
     no rows (matching the old dicts, which deleted emptied sets).
     """
 
-    __slots__ = ("_keys", "_others", "_version", "_unique_keys", "_starts")
+    __slots__ = ("_keys", "_others", "_version", "_unique_keys", "_starts", "_packed")
 
     def __init__(self, keys: Optional[np.ndarray] = None, others: Optional[np.ndarray] = None):
         self._keys = _EMPTY_I64 if keys is None else _as_i64(keys)
@@ -86,6 +112,7 @@ class EdgeStore:
         self._version = 0
         self._unique_keys: Optional[np.ndarray] = None
         self._starts: Optional[np.ndarray] = None
+        self._packed: Optional[np.ndarray] = None
 
     # -- construction / conversion -------------------------------------
 
@@ -144,6 +171,20 @@ class EdgeStore:
     def unique_keys(self) -> np.ndarray:
         """Sorted distinct keyed vertices (read-only view)."""
         return _ro(self._index()[0])
+
+    @property
+    def key_counts(self) -> np.ndarray:
+        """Rows per distinct key, aligned with :attr:`unique_keys`."""
+        return np.diff(self._index()[1], append=len(self._keys))
+
+    def rows_keyed_by(self, vertices: np.ndarray) -> np.ndarray:
+        """Ascending row indices of every edge keyed by one of the
+        (sorted, distinct) ``vertices``."""
+        vertices = _as_i64(vertices)
+        lo = np.searchsorted(self._keys, vertices, side="left")
+        counts = np.searchsorted(self._keys, vertices, side="right") - lo
+        before = np.cumsum(counts) - counts
+        return np.repeat(lo - before, counts) + np.arange(int(counts.sum()))
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """The sorted adjacency of ``vertex`` (read-only view; empty if
@@ -223,31 +264,35 @@ class EdgeStore:
 
     # -- mutation -------------------------------------------------------
 
-    def _set(self, keys: np.ndarray, others: np.ndarray) -> None:
+    def _set(
+        self, keys: np.ndarray, others: np.ndarray, packed: Optional[np.ndarray] = None
+    ) -> None:
         self._keys = keys
         self._others = others
         self._version += 1
         self._unique_keys = None
         self._starts = None
+        self._packed = packed
+
+    def _columns(self, keys: np.ndarray, others: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(store pairs, query pairs) as sorted-comparable 1-D columns
+        in one packing regime (see :func:`_pack_pairs`).  The store's
+        column is cached per version; only a wide or negative id on
+        either side pays the structured-dtype form."""
+        if self._packed is None:
+            self._packed = _pack_pairs(self._keys, self._others)
+        store, query = self._packed, _pack_pairs(keys, others)
+        if store.dtype != query.dtype:
+            if query.dtype == _PAIR_DT:
+                store = _as_records(self._keys, self._others)
+            else:
+                query = _as_records(keys, others)
+        return store, query
 
     def contains_pairs(self, keys: np.ndarray, others: np.ndarray) -> np.ndarray:
         """Vectorized membership test for (key, other) pairs."""
-        keys = _as_i64(keys)
-        others = _as_i64(others)
-        if len(self._keys) == 0 or len(keys) == 0:
-            return np.zeros(len(keys), dtype=bool)
-        store = _pack_pairs(self._keys, self._others)
-        query = _pack_pairs(keys, others)
-        if store.dtype != query.dtype:  # mixed packing regimes
-            rec = np.empty(len(self._keys), dtype=_PAIR_DT)
-            rec["k"], rec["o"] = self._keys, self._others
-            store = rec
-            rec = np.empty(len(keys), dtype=_PAIR_DT)
-            rec["k"], rec["o"] = keys, others
-            query = rec
-        pos = np.searchsorted(store, query)
-        pos_c = np.minimum(pos, len(store) - 1)
-        return store[pos_c] == query
+        store, query = self._columns(_as_i64(keys), _as_i64(others))
+        return _found(store, np.searchsorted(store, query), query)
 
     def apply(
         self, keys: np.ndarray, others: np.ndarray, actions: np.ndarray
@@ -260,87 +305,66 @@ class EdgeStore:
         row-by-row walk would.  A batch that both inserts and removes
         the same pair is the one case routed through the sequential
         fallback, preserving strict batch order.
+
+        Only the batch is sorted: one ``searchsorted`` against the
+        store's packed column finds where each pair is or belongs, and
+        the new columns are spliced together in a single O(S + b) pass.
         """
         keys = _as_i64(keys)
         others = _as_i64(others)
         actions = np.asarray(actions)
         if len(keys) == 0:
             return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
+        store, batch = self._columns(keys, others)
         ins = actions > 0
-        if ins.any() and not ins.all():
-            inserted = set(zip(keys[ins].tolist(), others[ins].tolist()))
-            removed = set(zip(keys[~ins].tolist(), others[~ins].tolist()))
-            if inserted & removed:
-                return self._apply_sequential(keys, others, actions)
-
-        eff_k: List[np.ndarray] = []
-        eff_o: List[np.ndarray] = []
-        eff_a: List[np.ndarray] = []
-        add_k = add_o = None
-        if ins.any():
-            ik, io = self._dedup_lex(keys[ins], others[ins])
-            fresh = ~self.contains_pairs(ik, io)
-            add_k, add_o = ik[fresh], io[fresh]
-            if len(add_k):
-                eff_k.append(add_k)
-                eff_o.append(add_o)
-                eff_a.append(np.ones(len(add_k), dtype=np.int64))
-        keep = None
-        if (~ins).any():
-            rk, ro = self._dedup_lex(keys[~ins], others[~ins])
-            present = self.contains_pairs(rk, ro)
-            rk, ro = rk[present], ro[present]
-            if len(rk):
-                keep = ~self.contains_pairs_mask(rk, ro)
-                eff_k.append(rk)
-                eff_o.append(ro)
-                eff_a.append(np.full(len(rk), -1, dtype=np.int64))
-        if add_k is not None and len(add_k) or keep is not None:
-            base_k = self._keys if keep is None else self._keys[keep]
-            base_o = self._others if keep is None else self._others[keep]
-            if add_k is not None and len(add_k):
-                new_k = np.concatenate([base_k, add_k])
-                new_o = np.concatenate([base_o, add_o])
-                order = np.lexsort((new_o, new_k))
-                self._set(new_k[order], new_o[order])
-            else:
-                self._set(base_k.copy(), base_o.copy())
-        if not eff_k:
-            return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
+        adds = np.unique(batch[ins])
+        dels = np.unique(batch[~ins])
+        if len(adds) and len(dels) and _found(dels, np.searchsorted(dels, adds), adds).any():
+            return self._apply_sequential(keys, others, actions)
+        add_at = np.searchsorted(store, adds)
+        fresh = ~_found(store, add_at, adds)
+        adds, add_at = adds[fresh], add_at[fresh]
+        del_at = np.searchsorted(store, dels)
+        present = _found(store, del_at, dels)
+        dels, del_at = dels[present], del_at[present]
+        add_k, add_o = _unpack_pairs(adds)
+        del_k, del_o = _unpack_pairs(dels)
+        if len(adds) or len(dels):
+            self._merge(store, adds, add_k, add_o, add_at, del_at)
         return (
-            np.concatenate(eff_k),
-            np.concatenate(eff_o),
-            np.concatenate(eff_a),
+            np.concatenate([add_k, del_k]),
+            np.concatenate([add_o, del_o]),
+            np.concatenate(
+                [np.ones(len(adds), dtype=np.int64), np.full(len(dels), -1, dtype=np.int64)]
+            ),
         )
 
-    def contains_pairs_mask(self, keys: np.ndarray, others: np.ndarray) -> np.ndarray:
-        """Row mask over the store: True where the store row equals one
-        of the (sorted, deduped) query pairs."""
-        if len(self._keys) == 0 or len(keys) == 0:
-            return np.zeros(len(self._keys), dtype=bool)
-        store = _pack_pairs(self._keys, self._others)
-        query = _pack_pairs(_as_i64(keys), _as_i64(others))
-        if store.dtype != query.dtype:
-            rec = np.empty(len(self._keys), dtype=_PAIR_DT)
-            rec["k"], rec["o"] = self._keys, self._others
-            store = rec
-            rec = np.empty(len(keys), dtype=_PAIR_DT)
-            rec["k"], rec["o"] = _as_i64(keys), _as_i64(others)
-            query = rec
-        pos = np.searchsorted(query, store)
-        pos_c = np.minimum(pos, len(query) - 1)
-        return query[pos_c] == store
-
-    @staticmethod
-    def _dedup_lex(keys: np.ndarray, others: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        order = np.lexsort((others, keys))
-        k, o = keys[order], others[order]
-        if len(k) > 1:
-            first = np.empty(len(k), dtype=bool)
-            first[0] = True
-            np.logical_or(k[1:] != k[:-1], o[1:] != o[:-1], out=first[1:])
-            k, o = k[first], o[first]
-        return k, o
+    def _merge(
+        self,
+        store: np.ndarray,
+        adds: np.ndarray,
+        add_k: np.ndarray,
+        add_o: np.ndarray,
+        add_at: np.ndarray,
+        del_at: np.ndarray,
+    ) -> None:
+        """Drop rows ``del_at`` and insert the sorted, absent pairs
+        ``adds`` before rows ``add_at`` (both row indices into the
+        current columns) — masks and scatters, no re-sort."""
+        keys, others = self._keys, self._others
+        if len(del_at):
+            keep = np.ones(len(store), dtype=bool)
+            keep[del_at] = False
+            keys, others, store = keys[keep], others[keep], store[keep]
+            add_at = add_at - np.searchsorted(del_at, add_at)
+        if len(adds):
+            slots = add_at + np.arange(len(adds))
+            old_rows = np.ones(len(store) + len(adds), dtype=bool)
+            old_rows[slots] = False
+            keys = _splice(old_rows, slots, keys, add_k)
+            others = _splice(old_rows, slots, others, add_o)
+            store = _splice(old_rows, slots, store, adds)
+        self._set(keys, others, store)
 
     def _apply_sequential(
         self, keys: np.ndarray, others: np.ndarray, actions: np.ndarray
@@ -376,12 +400,13 @@ class EdgeStore:
         """Drop the given pairs (all assumed present); returns count."""
         if len(keys) == 0:
             return 0
-        rk, ro = self._dedup_lex(_as_i64(keys), _as_i64(others))
-        mask = self.contains_pairs_mask(rk, ro)
-        removed = int(mask.sum())
-        if removed:
-            self._set(self._keys[~mask], self._others[~mask])
-        return removed
+        store, query = self._columns(_as_i64(keys), _as_i64(others))
+        query = np.unique(query)
+        at = np.searchsorted(store, query)
+        at = at[_found(store, at, query)]
+        if len(at):
+            self._merge(store, query[:0], _EMPTY_I64, _EMPTY_I64, at[:0], at)
+        return len(at)
 
 
 class ValueColumn:

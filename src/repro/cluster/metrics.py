@@ -24,6 +24,12 @@ class AgentMetrics:
     queries_served: int = 0        # client queries answered
     edges_migrated: int = 0        # edges sent away on rebalance
     rebalance_adoptions: int = 0   # directory states adopted with changed weights
+    # Post-adoption migration check: resident rows whose owner was
+    # re-resolved, and adoptions that could not have moved any row
+    # (rows re-examined ÷ rows resident per broadcast is the cost of an
+    # adoption relative to the paper's full pass).
+    migrate_rows_rechecked: int = 0
+    migrate_rechecks_skipped: int = 0
     supersteps: int = 0
     replica_syncs: int = 0
     # Data-plane fast path: raw (dst, val) pairs the sender-side

@@ -20,13 +20,11 @@ import numpy as np
 
 from repro.bench.counters import PerfCounters
 from repro.cluster.config import ClusterConfig
-from repro.cluster.directory import DirectoryState
+from repro.cluster.directory import DirectoryState, bind_placement
 from repro.graph.stream import EdgeBatch
-from repro.hashing.ring import ConsistentHashRing
 from repro.net.message import Message, PacketType
 from repro.net.sockets import PushSocket
 from repro.partition.cache import PlacementCache
-from repro.partition.placer import EdgePlacer
 from repro.sim.entity import Entity
 
 
@@ -76,23 +74,7 @@ class Streamer(Entity):
         if self.dstate is not None and state.version <= self.dstate.version:
             return
         self.dstate = state
-        ring = ConsistentHashRing(
-            state.agent_ids(),
-            virtual_factor=self.config.virtual_factor,
-            hash_fn=self.config.hash_fn,
-            seed=self.config.seed,
-            weights=state.weights,
-        )
-        self.placer = self._placement_cache.bind(
-            state.epoch_token,
-            EdgePlacer(
-                ring,
-                state.sketch,
-                replication_threshold=self.config.replication_threshold,
-                hash_fn=self.config.hash_fn,
-                split_gate=state.split_vertices,
-            ),
-        )
+        self.placer = bind_placement(self._placement_cache, state, self.config)
 
     # ------------------------------------------------------------------
 

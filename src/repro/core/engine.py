@@ -81,6 +81,10 @@ class ElGA:
         # The log prefix every known program has consumed is trimmed.
         self._batch_log: List[dict] = []
         self._batch_base = 0
+        # ((store id, version) per store, the stores, |V|) behind
+        # ``global_n`` when there is no reference mirror: recounted only
+        # after a store changed.
+        self._global_n_cache: Optional[tuple] = None
         self._program_meta: Dict[str, dict] = {}
         self.ingest_reports: List[dict] = []
         self._active_controller: Optional[SyncRunController] = None
@@ -143,7 +147,7 @@ class ElGA:
             self.cluster.settle()
         self._batch_log.append(
             {
-                "touched": {int(v) for v in batch.touched_vertices},
+                "touched": batch.touched_vertices,
                 "deletions": bool((batch.actions == REMOVE).any()),
             }
         )
@@ -155,11 +159,19 @@ class ElGA:
         """Number of vertices currently in the graph."""
         if self.reference is not None:
             return self.reference.num_vertices
-        seen: Set[int] = set()
-        for agent in sorted_agents(self.cluster.agents):
-            seen.update(agent.out_store)
-            seen.update(agent.in_store)
-        return len(seen)
+        stores = [
+            store
+            for agent in sorted_agents(self.cluster.agents)
+            for store in (agent.out_store, agent.in_store)
+        ]
+        # The cache keeps the stores alive, so their ids stay theirs.
+        key = [(id(store), store.version) for store in stores]
+        cached = self._global_n_cache
+        if cached is None or cached[0] != key:
+            keyed = [store.unique_keys for store in stores]
+            n = len(np.unique(np.concatenate(keyed))) if keyed else 0
+            cached = self._global_n_cache = (key, stores, n)
+        return cached[2]
 
     @property
     def global_m(self) -> int:
@@ -178,11 +190,12 @@ class ElGA:
         mark = self._program_meta.get(name, {}).get("watermark", self._batch_base)
         return self._batch_log[max(0, mark - self._batch_base):]
 
-    def _pending_touched(self, name: str) -> Set[int]:
-        touched: Set[int] = set()
-        for entry in self._pending_batches(name):
-            touched |= entry["touched"]
-        return touched
+    def _pending_touched(self, name: str) -> np.ndarray:
+        """Sorted distinct vertices touched since ``name``'s last run."""
+        touched = [entry["touched"] for entry in self._pending_batches(name)]
+        if not touched:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate(touched))
 
     def _resolve_strategy(self, program: VertexProgram, activate) -> str:
         """Pick how an ``incremental=True`` run actually executes.
@@ -218,8 +231,11 @@ class ElGA:
             # since the fixpoint: per-agent dirty logs and baselines
             # may have moved under the program; play it safe.
             return "dense"
-        split = set(self.cluster.lead.state.split_vertices)
-        if split and (self._pending_touched(program.name) & split):
+        split = self.cluster.lead.state.split_vertices
+        if split and np.isin(
+            self._pending_touched(program.name),
+            np.fromiter(split, dtype=np.int64, count=len(split)),
+        ).any():
             # Split vertices scatter via replica choreography whose
             # local degrees delta seeding cannot reconstruct.
             return "dense"
@@ -311,9 +327,7 @@ class ElGA:
             ):
                 # Legacy warm-start semantics for programs without a
                 # delta protocol: activate the touched frontier.
-                activate = np.array(
-                    sorted(self._pending_touched(program.name)), dtype=np.int64
-                )
+                activate = self._pending_touched(program.name)
         self._run_counter += 1
         spec = RunSpec(
             run_id=self._run_counter,
@@ -810,15 +824,19 @@ class ElGA:
         Sums every participant's (agents, streamers, clients)
         :class:`~repro.bench.counters.PerfCounters` — cache hit/miss
         totals, epoch invalidations, vectorized-batch sizes — into one
-        fresh ``PerfCounters`` for the bench runner and tests.
+        fresh ``PerfCounters`` for the bench runner and tests.  Agents
+        that left or crashed stay counted (``cluster.retired_perf``),
+        so the totals never step backwards across a scale-down.
         """
         from repro.bench.counters import aggregate_counters
 
-        participants = list(sorted_agents(self.cluster.agents))
-        participants += list(self.cluster.streamers)
-        participants += list(self.cluster.clients)
+        cluster = self.cluster
+        participants = cluster.departing_agents() + sorted_agents(cluster.agents)
+        participants += list(cluster.streamers)
+        participants += list(cluster.clients)
         return aggregate_counters(
-            p.perf for p in participants if getattr(p, "perf", None) is not None
+            [cluster.retired_perf]
+            + [p.perf for p in participants if getattr(p, "perf", None) is not None]
         )
 
     def validate_against_reference(self) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -75,11 +75,17 @@ def _format_value(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def agent_metric_families(per_agent: Dict[int, dict]) -> List[MetricFamily]:
+def agent_metric_families(
+    per_agent: Dict[int, dict], retired: Optional[Dict[str, int]] = None
+) -> List[MetricFamily]:
     """Families from per-agent metric snapshots (one family per counter,
     one labeled sample per agent), matching ``combine_metrics`` totals
-    by construction (Prometheus sums label values)."""
-    keys = sorted({key for snap in per_agent.values() for key in snap})
+    by construction (Prometheus sums label values).  ``retired`` holds
+    the summed counters of agents that left or crashed; it is exposed
+    as one more sample (``agent="retired"``), so a family's sum never
+    steps backwards when membership shrinks."""
+    snapshots = list(per_agent.values()) + ([retired] if retired else [])
+    keys = sorted({key for snap in snapshots for key in snap})
     families = []
     for key in keys:
         fam = MetricFamily(
@@ -89,6 +95,8 @@ def agent_metric_families(per_agent: Dict[int, dict]) -> List[MetricFamily]:
         )
         for agent_id in sorted(per_agent):
             fam.add({"agent": str(agent_id)}, per_agent[agent_id].get(key, 0))
+        if retired:
+            fam.add({"agent": "retired"}, retired.get(key, 0))
         families.append(fam)
     return families
 
@@ -215,7 +223,10 @@ def engine_families(engine) -> List[MetricFamily]:
             "elga_sim_seconds", "gauge", "Current simulated time."
         ).add({}, cluster.kernel.now),
     ]
-    families += agent_metric_families(per_agent)
+    # collect_metrics() settled the simulator, so every leaver that
+    # finished draining has detached and is counted as retired.
+    cluster.departing_agents()
+    families += agent_metric_families(per_agent, cluster.retired_metrics)
     families += network_families(cluster.network.stats)
     if cluster.clients:
         families += serving_families(cluster.clients)

@@ -3,22 +3,28 @@
 Placement is a pure function of the directory broadcast state (ring
 membership + degree sketch + split registry), so between directory
 epochs every sketch query and ring search is recomputable-but-redundant
-work.  :class:`PlacementCache` memoizes, per epoch token:
+work.  What a lookup depends on comes in two grades, and
+:class:`PlacementCache` keeps one memo tier per grade:
 
-* per-vertex replication factors and (for non-split vertices, the
-  overwhelmingly common case) the single owning Agent;
-* replica sets of split vertices;
-* recently-resolved *edge* owners for split vertices, keyed by the
-  packed ``(own, other)`` pair, since a split vertex's owner depends on
-  both endpoints.
+* the **ring tier** — vertex → first-level ring owner.  It depends on
+  membership and weights only, so it is keyed by the *ring epoch*
+  (term, membership version) and outlives every sketch flush and
+  split registration.  It answers every vertex the split registry does
+  not let replicate, i.e. almost all of them;
+* the **split tier** — replication factors and replica sets of the
+  registered split vertices, and recently-resolved *edge* owners for
+  them, keyed by the packed ``(own, other)`` pair (a split vertex's
+  owner depends on both endpoints).  It also depends on the sketch and
+  the registry, so it is keyed by the full epoch token; when that
+  moves under a standing ring, the entries of vertices whose
+  replication factor did not change are kept.
 
-The epoch token is carried in every
-:class:`~repro.cluster.directory.DirectoryState` broadcast (membership
-version ⊕ sketch flush ⊕ split-registry version), so participants
-invalidate exactly when placement can change and never otherwise.  A
-cache bound to a fresh :class:`~repro.partition.placer.EdgePlacer` with
-an unchanged epoch keeps its memos — this is what lets routing survive
-batch-clock-only broadcasts.
+Both tokens are carried in every
+:class:`~repro.cluster.directory.DirectoryState` broadcast, so
+participants invalidate exactly what can have changed and nothing else.
+A cache bound to a fresh :class:`~repro.partition.placer.EdgePlacer`
+with an unchanged epoch keeps all its memos — this is what lets routing
+survive batch-clock-only broadcasts.
 
 The cache is a drop-in stand-in for the placer: it implements the same
 lookup API and delegates anything else (``ring``, ``sketch``, …) to the
@@ -28,16 +34,16 @@ code changes at call sites.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.bench.counters import PerfCounters
-from repro.hashing.hashes import as_u64_keys
 from repro.partition.placer import EdgePlacer
 
 _U32_LIMIT = np.int64(1) << np.int64(32)
 _SHIFT32 = np.uint64(32)
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 class PlacementCache:
@@ -49,7 +55,7 @@ class PlacementCache:
         Optional shared :class:`~repro.bench.counters.PerfCounters`;
         a private one is created otherwise.
     max_vertices, max_edges:
-        Memo capacity bounds.  The vertex memo stops admitting new
+        Memo capacity bounds.  The vertex memos stop admitting new
         entries when full; the edge memo restarts from the latest batch
         (split edges are few, so either limit is rarely reached).
 
@@ -77,45 +83,90 @@ class PlacementCache:
         self.max_vertices = int(max_vertices)
         self.max_edges = int(max_edges)
         self._epoch = None
+        self._ring_epoch = None
         self._placer: Optional[EdgePlacer] = None
         # Per-call hit/miss split, read by the cost-charging layer.
         self.last_hits = 0
         self.last_misses = 0
-        self._reset_memos()
+        self._reset_ring_tier()
+        self._reset_split_tier()
 
     # -- binding -----------------------------------------------------------
 
     @property
     def epoch(self):
-        """The directory epoch the memos are valid for."""
+        """The directory epoch the split tier is valid for."""
         return self._epoch
+
+    @property
+    def ring_epoch(self):
+        """The ring epoch the ring tier (and the ring itself) is valid for."""
+        return self._ring_epoch
 
     @property
     def placer(self) -> Optional[EdgePlacer]:
         """The wrapped (uncached) placer."""
         return self._placer
 
-    def bind(self, epoch, placer: EdgePlacer) -> "PlacementCache":
+    def bind(self, epoch, placer: EdgePlacer, ring_epoch=None) -> "PlacementCache":
         """Point the cache at ``placer``, valid for ``epoch``.
 
-        Memos survive a rebind with an unchanged epoch (the broadcast
-        that carried it changed nothing placement-relevant — e.g. a
-        batch-clock bump).  ``epoch=None`` always invalidates: safe for
-        states that do not carry a token.
+        ``ring_epoch`` names the part of ``epoch`` the ring depends on;
+        a caller that does not tell the two apart gets both tiers
+        invalidated together.  Memos survive a rebind with an unchanged
+        token (the broadcast that carried it changed nothing they depend
+        on — a batch-clock bump for both tiers, a sketch flush for the
+        ring tier); a changed ``epoch`` under an unchanged ring drops
+        only the split-tier entries of vertices whose replication factor
+        moved.  ``None`` always invalidates: safe for states that do not
+        carry a token.
         """
-        if self._placer is not None and (epoch is None or epoch != self._epoch):
-            self.counters.add("placement_epoch_invalidations")
-            self._reset_memos()
+        if ring_epoch is None:
+            ring_epoch = epoch
+        if self._placer is not None:
+            if ring_epoch is None or ring_epoch != self._ring_epoch:
+                self.counters.add("placement_epoch_invalidations")
+                self._reset_ring_tier()
+                self._reset_split_tier()
+            elif epoch != self._epoch:
+                self.counters.add("placement_epoch_invalidations")
+                self._revalidate_split_tier(placer)
         self._epoch = epoch
+        self._ring_epoch = ring_epoch
         self._placer = placer
         return self
 
-    def _reset_memos(self) -> None:
-        self._v_ids = np.empty(0, dtype=np.int64)
-        self._v_k = np.empty(0, dtype=np.int64)
-        self._v_owner = np.empty(0, dtype=np.int64)  # -1 where k > 1
+    def _revalidate_split_tier(self, placer: EdgePlacer) -> None:
+        """The sketch or the registry moved under a standing ring: an
+        edge of a split vertex changes owner only if that vertex's
+        replication factor did, so re-derive the (few) memoized factors
+        and forget exactly the vertices that moved."""
+        self._replica_sets = {}
+        if self._k_ids.size == 0:
+            return
+        same = placer.replication_factor(self._k_ids) == self._k
+        if same.all():
+            return
+        moved = self._k_ids[~same]
+        self._k_ids = self._k_ids[same]
+        self._k = self._k[same]
+        self._k_owner = self._k_owner[same]
+        if self._e_keys.size:
+            keep = ~np.isin((self._e_keys >> _SHIFT32).astype(np.int64), moved)
+            self._e_keys = self._e_keys[keep]
+            self._e_owner = self._e_owner[keep]
+
+    def _reset_ring_tier(self) -> None:
+        self._r_ids = _EMPTY_I64
+        self._r_owner = _EMPTY_I64
+        self._r_scalar: Dict[int, int] = {}
+
+    def _reset_split_tier(self) -> None:
+        self._k_ids = _EMPTY_I64
+        self._k = _EMPTY_I64
+        self._k_owner = _EMPTY_I64  # ring owner where k == 1, else -1
         self._e_keys = np.empty(0, dtype=np.uint64)
-        self._e_owner = np.empty(0, dtype=np.int64)
+        self._e_owner = _EMPTY_I64
         self._replica_sets: Dict[int, List[int]] = {}
 
     def _require_placer(self) -> EdgePlacer:
@@ -128,9 +179,10 @@ class PlacementCache:
     def owner_of_edges(self, own_vertices, other_vertices) -> np.ndarray:
         """Cached, vectorized :meth:`EdgePlacer.owner_of_edges`.
 
-        Resolves what it can from the memos (vertex owners for k == 1
-        rows, packed edge keys for split rows) and delegates only the
-        misses to the wrapped placer, learning their results.
+        Rows owned by a vertex the registry does not let replicate are
+        answered by the ring tier, the rest by the split tier.  Only
+        misses reach the wrapped placer, once per distinct vertex, and
+        their results are learned.
         """
         placer = self._require_placer()
         own = np.atleast_1d(np.asarray(own_vertices, dtype=np.int64))
@@ -141,74 +193,62 @@ class PlacementCache:
         if n == 0:
             self.last_hits = self.last_misses = 0
             return np.empty(0, dtype=np.int64)
-        owners = np.empty(n, dtype=np.int64)
-        resolved = np.zeros(n, dtype=bool)
-        vhit = np.zeros(n, dtype=bool)
-        k_row = np.zeros(n, dtype=np.int64)
-        if self._v_ids.size:
-            pos = np.searchsorted(self._v_ids, own)
-            pos_c = np.minimum(pos, self._v_ids.size - 1)
-            vhit = self._v_ids[pos_c] == own
-            k_row[vhit] = self._v_k[pos_c[vhit]]
-            plain = vhit & (k_row == 1)
-            owners[plain] = self._v_owner[pos_c[plain]]
-            resolved |= plain
-        split_rows = vhit & (k_row > 1)
-        if split_rows.any() and self._e_keys.size:
-            packable = _packable(own, other)
-            rows = np.flatnonzero(split_rows & packable)
-            if rows.size:
-                keys = _pack(own[rows], other[rows])
-                epos = np.searchsorted(self._e_keys, keys)
-                epos_c = np.minimum(epos, self._e_keys.size - 1)
-                ehit = self._e_keys[epos_c] == keys
-                owners[rows[ehit]] = self._e_owner[epos_c[ehit]]
-                resolved[rows[ehit]] = True
-        miss = ~resolved
-        n_miss = int(miss.sum())
-        self.last_hits = n - n_miss
-        self.last_misses = n_miss
+        gated = placer.gated(own)
+        if not gated.any():
+            owners, hit = self._ring_lookup(own)
+        elif gated.all():
+            owners, hit = self._split_lookup(own, other)
+        else:
+            plain = ~gated
+            owners = np.empty(n, dtype=np.int64)
+            hit = np.empty(n, dtype=bool)
+            owners[plain], hit[plain] = self._ring_lookup(own[plain])
+            owners[gated], hit[gated] = self._split_lookup(own[gated], other[gated])
+        self.last_hits = int(np.count_nonzero(hit))
+        self.last_misses = n - self.last_hits
         self.counters.add("placement_cache_hits", self.last_hits)
-        self.counters.add("placement_cache_misses", n_miss)
-        if n_miss:
-            sub_own = own[miss]
-            sub_other = other[miss]
-            sub_owners = placer.owner_of_edges(sub_own, sub_other)
-            owners[miss] = sub_owners
-            self._learn(sub_own, sub_other, sub_owners, vhit[miss], k_row[miss])
+        self.counters.add("placement_cache_misses", self.last_misses)
         return owners
+
+    def ring_owners(self, vertices) -> np.ndarray:
+        """Cached :meth:`EdgePlacer.ring_owners`: where each vertex's
+        edges live while it is not split."""
+        verts = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
+        return self._ring_lookup(verts)[0]
 
     def replication_factor(self, vertices) -> np.ndarray:
         """Cached :meth:`EdgePlacer.replication_factor` (k >= 1)."""
         placer = self._require_placer()
         verts = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
-        if verts.size == 0:
-            return placer.replication_factor(verts)
-        k = np.empty(verts.size, dtype=np.int64)
-        hit = np.zeros(verts.size, dtype=bool)
-        if self._v_ids.size:
-            pos = np.searchsorted(self._v_ids, verts)
-            pos_c = np.minimum(pos, self._v_ids.size - 1)
-            hit = self._v_ids[pos_c] == verts
-            k[hit] = self._v_k[pos_c[hit]]
-        miss = ~hit
-        if miss.any():
-            k[miss] = placer.replication_factor(verts[miss])
-            self._learn_vertices(verts[miss], k[miss])
+        k = np.ones(verts.size, dtype=np.int64)
+        gated = placer.gated(verts)
+        if gated.any():
+            k[gated] = self._candidates(verts[gated])[0]
         return k
 
     def replica_set(self, vertex: int) -> List[int]:
         """Cached :meth:`EdgePlacer.replica_set`.
 
-        The memo honours the ``max_vertices`` bound like the vertex
-        memo does: once full it stops admitting (serving-plane proxies
-        probe this per query, and an unbounded per-vertex dict would
-        grow with the key population rather than the working set).
+        A vertex outside the registry has one replica, its ring owner,
+        and that memo lives in the ring tier.  Both memos honour the
+        ``max_vertices`` bound: once full they stop admitting
+        (serving-plane proxies probe this per query, and an unbounded
+        per-vertex dict would grow with the key population rather than
+        the working set).
         """
         v = int(vertex)
+        placer = self._require_placer()
+        gate = placer.split_gate
+        if gate is not None and v not in gate:
+            owner = self._r_scalar.get(v)
+            if owner is None:
+                owner = placer.primary_of(v)
+                if len(self._r_scalar) < self.max_vertices:
+                    self._r_scalar[v] = owner
+            return [owner]
         reps = self._replica_sets.get(v)
         if reps is None:
-            reps = self._require_placer().replica_set(v)
+            reps = placer.replica_set(v)
             if len(self._replica_sets) < self.max_vertices:
                 self._replica_sets[v] = reps
         return list(reps)
@@ -236,61 +276,83 @@ class PlacementCache:
             raise AttributeError(name)
         return getattr(placer, name)
 
-    # -- learning ----------------------------------------------------------
+    # -- the two tiers -------------------------------------------------------
 
-    def _learn(
-        self,
-        own: np.ndarray,
-        other: np.ndarray,
-        owners: np.ndarray,
-        vertex_known: np.ndarray,
-        k_known: np.ndarray,
-    ) -> None:
-        """Absorb the results of a delegated miss batch into the memos."""
+    def _ring_lookup(self, verts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(ring owners, served-from-memo mask) for ``verts``."""
+        pos, hit = _probe(self._r_ids, verts)
+        self.counters.add("placement_ring_memo_hits", int(np.count_nonzero(hit)))
+        if hit.all():
+            return self._r_owner[pos], hit
+        owners = np.empty(verts.size, dtype=np.int64)
+        owners[hit] = self._r_owner[pos[hit]]
+        miss = ~hit
+        fresh, inverse = np.unique(verts[miss], return_inverse=True)
+        fresh_owner = self._require_placer().ring_owners(fresh)
+        owners[miss] = fresh_owner[inverse]
+        if self._r_ids.size + fresh.size <= self.max_vertices:
+            at = np.searchsorted(self._r_ids, fresh)
+            self._r_ids = np.insert(self._r_ids, at, fresh)
+            self._r_owner = np.insert(self._r_owner, at, fresh_owner)
+        return owners, hit
+
+    def _candidates(
+        self, verts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(replication factor, ring owner where the factor is 1,
+        served-from-memo mask) for vertices the registry lets replicate."""
+        pos, known = _probe(self._k_ids, verts)
+        if known.all():
+            return self._k[pos], self._k_owner[pos], known
         placer = self._require_placer()
-        k_row = k_known.copy()
-        unknown = ~vertex_known
-        if unknown.any():
-            uniq, first = np.unique(own[unknown], return_index=True)
-            k_uniq = np.asarray(placer.replication_factor(uniq), dtype=np.int64)
-            # For non-split vertices the row owner IS the vertex owner.
-            owner_uniq = np.where(k_uniq == 1, owners[unknown][first], -1)
-            self._insert_vertices(uniq, k_uniq, owner_uniq)
-            k_row[unknown] = k_uniq[np.searchsorted(uniq, own[unknown])]
-        split = k_row > 1
-        if split.any():
-            packable = _packable(own, other)
-            rows = split & packable
-            if rows.any():
-                self._insert_edges(_pack(own[rows], other[rows]), owners[rows])
+        k = np.empty(verts.size, dtype=np.int64)
+        owner = np.empty(verts.size, dtype=np.int64)
+        k[known] = self._k[pos[known]]
+        owner[known] = self._k_owner[pos[known]]
+        unknown = ~known
+        fresh, inverse = np.unique(verts[unknown], return_inverse=True)
+        fresh_k = placer.replication_factor(fresh)
+        fresh_owner = np.where(fresh_k == 1, placer.ring_owners(fresh), -1)
+        k[unknown] = fresh_k[inverse]
+        owner[unknown] = fresh_owner[inverse]
+        if self._k_ids.size + fresh.size <= self.max_vertices:
+            at = np.searchsorted(self._k_ids, fresh)
+            self._k_ids = np.insert(self._k_ids, at, fresh)
+            self._k = np.insert(self._k, at, fresh_k)
+            self._k_owner = np.insert(self._k_owner, at, fresh_owner)
+        return k, owner, known
 
-    def _learn_vertices(self, verts: np.ndarray, k: np.ndarray) -> None:
-        """Memoize replication factors (and owners for k == 1) learned
-        outside :meth:`owner_of_edges`."""
-        placer = self._require_placer()
-        uniq, first = np.unique(verts, return_index=True)
-        k_uniq = np.asarray(k, dtype=np.int64)[first]
-        owner_uniq = np.full(uniq.size, -1, dtype=np.int64)
-        plain = k_uniq == 1
-        if plain.any():
-            hashes = np.asarray(placer.hash_fn(as_u64_keys(uniq[plain])))
-            owner_uniq[plain] = placer.ring.lookup_hash(hashes)
-        self._insert_vertices(uniq, k_uniq, owner_uniq)
+    def _split_lookup(
+        self, own: np.ndarray, other: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(owners, served-from-memo mask) for rows whose owning vertex
+        the registry lets replicate."""
+        k, owners, hit = self._candidates(own)
+        split = np.flatnonzero(k > 1)
+        if split.size:
+            owners[split], memo_hit = self._split_owners(own[split], other[split])
+            hit[split] &= memo_hit
+        return owners, hit
 
-    def _insert_vertices(
-        self, ids: np.ndarray, k: np.ndarray, owner: np.ndarray
-    ) -> None:
-        if self._v_ids.size:
-            pos = np.minimum(np.searchsorted(self._v_ids, ids), self._v_ids.size - 1)
-            fresh = self._v_ids[pos] != ids
-            ids, k, owner = ids[fresh], k[fresh], owner[fresh]
-        if ids.size == 0 or self._v_ids.size + ids.size > self.max_vertices:
-            return
-        merged = np.concatenate([self._v_ids, ids])
-        order = np.argsort(merged, kind="stable")
-        self._v_ids = merged[order]
-        self._v_k = np.concatenate([self._v_k, k])[order]
-        self._v_owner = np.concatenate([self._v_owner, owner])[order]
+    def _split_owners(
+        self, own: np.ndarray, other: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(owners, served-from-memo mask) for edges of split vertices."""
+        owners = np.empty(own.size, dtype=np.int64)
+        hit = np.zeros(own.size, dtype=bool)
+        packable = _packable(own, other)
+        if self._e_keys.size and packable.any():
+            rows = np.flatnonzero(packable)
+            pos, found = _probe(self._e_keys, _pack(own[rows], other[rows]))
+            owners[rows[found]] = self._e_owner[pos[found]]
+            hit[rows[found]] = True
+        if not hit.all():
+            miss = ~hit
+            owners[miss] = self._require_placer().owner_of_edges(own[miss], other[miss])
+            learn = miss & packable
+            if learn.any():
+                self._insert_edges(_pack(own[learn], other[learn]), owners[learn])
+        return owners, hit
 
     def _insert_edges(self, keys: np.ndarray, owners: np.ndarray) -> None:
         merged_keys = np.concatenate([self._e_keys, keys])
@@ -304,6 +366,14 @@ class PlacementCache:
                 return
         self._e_keys = uniq
         self._e_owner = merged_owners[first]
+
+
+def _probe(ids: np.ndarray, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(clamped positions, found mask) of ``query`` in sorted ``ids``."""
+    if ids.size == 0:
+        return np.zeros(query.size, dtype=np.int64), np.zeros(query.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(ids, query), ids.size - 1)
+    return pos, ids[pos] == query
 
 
 def _packable(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 To find the Agent owning an edge, a participant:
 
-1. queries the CountMinSketch for the owning vertex's estimated degree
-   (a biased estimate — may exceed the degree, never underestimates);
+1. if the owning vertex is in the directory's split registry, queries
+   the CountMinSketch for its estimated degree (a biased estimate — may
+   exceed the degree, never underestimates); every other vertex has
+   ``k = 1`` and skips the sketch;
 2. derives the replication factor ``k = 1 + est // threshold`` (how many
    Agents share that vertex's edges), capped at the cluster size;
 3. applies the first consistent hash — the vertex's position on the
@@ -94,20 +96,34 @@ class EdgePlacer:
 
     # -- replication ---------------------------------------------------------
 
+    def gated(self, vertices: np.ndarray) -> np.ndarray:
+        """Which of ``vertices`` may replicate at all: the registered
+        split vertices, or every vertex when there is no registry."""
+        gate = self._gate_array
+        if gate is None:
+            return np.ones(len(vertices), dtype=bool)
+        if len(gate) == 0:
+            return np.zeros(len(vertices), dtype=bool)
+        at = np.minimum(np.searchsorted(gate, vertices), len(gate) - 1)
+        return gate[at] == vertices
+
     def replication_factor(self, vertices) -> np.ndarray:
         """Number of Agents sharing each vertex's edges (k >= 1).
 
         Derived from the sketch's (over-)estimate, so a vertex may be
         split slightly before its true degree crosses the threshold —
-        the safe direction — but never later.
+        the safe direction — but never later.  The gate comes first:
+        only vertices that may replicate reach the sketch (once each);
+        everything else is ``k = 1`` without a hash.
         """
         vertices_arr = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
-        est = np.atleast_1d(self.sketch.query(vertices_arr))
-        k = 1 + est // self.replication_threshold
-        k = np.minimum(k, len(self.ring)).astype(np.int64)
-        if self._gate_array is not None and len(vertices_arr):
-            gated = np.isin(vertices_arr, self._gate_array, assume_unique=False)
-            k = np.where(gated, k, 1)
+        k = np.ones(len(vertices_arr), dtype=np.int64)
+        gated = self.gated(vertices_arr)
+        if gated.any():
+            candidates, inverse = np.unique(vertices_arr[gated], return_inverse=True)
+            est = np.atleast_1d(self.sketch.query(candidates))
+            k_candidates = np.minimum(1 + est // self.replication_threshold, len(self.ring))
+            k[gated] = k_candidates[inverse]
         return k
 
     def replica_set(self, vertex: int) -> List[int]:
@@ -131,6 +147,14 @@ class EdgePlacer:
     def primary_of(self, vertex: int) -> int:
         """The first replica — coordinator for split-vertex aggregation."""
         return self.ring.successors(int(vertex), 1)[0]
+
+    def ring_owners(self, vertices) -> np.ndarray:
+        """First-level owner of each vertex (:meth:`primary_of`,
+        vectorized): where all of a ``k = 1`` vertex's edges live."""
+        verts = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
+        if verts.size == 0:
+            return np.empty(0, dtype=np.int64)
+        return self.ring.lookup_hash(np.asarray(self.hash_fn(as_u64_keys(verts))))
 
     # -- edge placement ----------------------------------------------------------
 

@@ -20,7 +20,7 @@ graph layer enforces.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -130,19 +130,27 @@ class CountMinSketch:
         counts_arr = np.asarray(counts)
         self.add(keys, -counts_arr)
 
-    def query(self, keys):
+    def query(self, keys, plus: Optional["CountMinSketch"] = None):
         """Point estimates (min across rows); never underestimates.
+
+        With ``plus`` — a compatible sketch, e.g. a delta not yet merged
+        into this one — the result is this estimate plus that sketch's,
+        with the keys hashed once for both tables.
 
         Returns a scalar for scalar input, else an int64 array.
         """
+        if plus is not None and not self.compatible_with(plus):
+            raise ValueError("cannot combine sketches with different dimensions or seeds")
         scalar = np.ndim(keys) == 0
         keys_arr = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
         if keys_arr.size == 0:
             return np.empty(0, dtype=np.int64)
         idx = self._indices(keys_arr)
         rows = np.arange(self.depth)[:, None]
-        estimates = self.table[rows, idx].min(axis=0)
-        return int(estimates[0]) if scalar else estimates.astype(np.int64)
+        estimates = self.table[rows, idx].min(axis=0).astype(np.int64)
+        if plus is not None:
+            estimates += plus.table[rows, idx].min(axis=0).astype(np.int64)
+        return int(estimates[0]) if scalar else estimates
 
     # -- merging / serialization ---------------------------------------------------
 

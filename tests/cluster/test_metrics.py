@@ -84,3 +84,55 @@ def test_combine_covers_every_dataclass_field():
     total = combine_metrics([a.snapshot(), b.snapshot()])
     assert set(total) == {f.name for f in fields(AgentMetrics)}
     assert all(v == 3 for v in total.values())
+
+
+def _exposed_total(elga, metric):
+    """Sum of one agent counter over every sample of the exposition."""
+    from repro.obs.prom import engine_families
+
+    (family,) = [f for f in engine_families(elga) if f.name == f"elga_{metric}_total"]
+    return sum(value for _, value in family.samples)
+
+
+def test_counters_do_not_leave_with_departing_agents():
+    """A scale-down used to take the leavers' counters with them:
+    summed over the live agents, ``edges_migrated`` read *negative*
+    across a 24 -> 16 ``scale_to`` although every leaver had just
+    migrated its whole shard.  Departed and crashed agents fold into the
+    cluster's retired accumulators, which every reader that does not go
+    through ``collect_metrics`` adds in."""
+    elga = ElGA(nodes=2, agents_per_node=3, seed=15)
+    rng = np.random.default_rng(15)
+    elga.ingest_edges(rng.integers(0, 200, 600), rng.integers(200, 400, 600))
+    migrated = [_exposed_total(elga, "edges_migrated")]
+    applied = [_exposed_total(elga, "updates_applied")]
+    hits = [elga.placement_counters().counts["placement_cache_hits"]]
+    for target in (9, 4, 2, 5):
+        elga.scale_to(target)
+        migrated.append(_exposed_total(elga, "edges_migrated"))
+        applied.append(_exposed_total(elga, "updates_applied"))
+        hits.append(elga.placement_counters().counts["placement_cache_hits"])
+    assert migrated == sorted(migrated) and migrated[-1] > migrated[0]
+    assert applied == sorted(applied)
+    assert hits == sorted(hits)
+    # The scale-downs moved at least every edge the leavers held.
+    assert migrated[2] - migrated[1] > 0 and migrated[3] - migrated[2] > 0
+    cluster = elga.cluster
+    live = combine_metrics(a.metrics.snapshot() for a in cluster.agents.values())
+    assert cluster.retired_metrics["edges_migrated"] > 0
+    assert (
+        live["edges_migrated"] + cluster.retired_metrics["edges_migrated"] == migrated[-1]
+    )
+    assert 'elga_edges_migrated_total{agent="retired"}' in elga.prometheus_text()
+
+
+def test_crashed_agent_counters_are_retired():
+    elga = ElGA(nodes=2, agents_per_node=2, seed=16)
+    elga.ingest_edges(np.arange(40), (np.arange(40) + 1) % 40)
+    victim = elga.cluster.agents[1]
+    applied = victim.metrics.updates_applied
+    assert applied > 0
+    elga.cluster.crash_agent(1)
+    assert elga.cluster.retired_metrics["updates_applied"] == applied
+    counts = elga.cluster.retired_perf.counts
+    assert counts["placement_cache_misses"] == victim.perf.counts["placement_cache_misses"]

@@ -1,6 +1,7 @@
 """Epoch token propagation and the agents' placement fast path."""
 
 import numpy as np
+import pytest
 
 from repro.core import ElGA
 
@@ -79,3 +80,68 @@ def test_metrics_report_includes_cache_counters():
     total_misses = sum(m.get("placement_cache_misses", 0) for m in store.values())
     assert total_misses > 0
     assert total_hits >= 0
+
+
+# ---------------------------------------------------------------------------
+# what an adoption re-examines, and what it rebuilds
+# ---------------------------------------------------------------------------
+
+
+def recheck_counts(elga):
+    return {
+        aid: (a.metrics.migrate_rows_rechecked, a.metrics.migrate_rechecks_skipped)
+        for aid, a in elga.cluster.agents.items()
+    }
+
+
+def test_batch_clock_tick_rechecks_nothing_and_is_still_charged():
+    elga = build()
+    cluster = elga.cluster
+    rings = {aid: a.ring for aid, a in cluster.agents.items()}
+    before = recheck_counts(elga)
+    charged = {aid: a.charged_seconds for aid, a in cluster.agents.items()}
+    cluster.lead.advance_batch_clock()
+    cluster.settle()
+    for aid, agent in cluster.agents.items():
+        rows, skipped = before[aid]
+        assert recheck_counts(elga)[aid] == (rows, skipped + 1)
+        assert agent.ring is rings[aid]
+        # The modelled cluster still pays the paper's full pass.
+        expected = cluster.config.costs.elga_migrate_check * agent.total_edges
+        assert expected > 0
+        assert agent.charged_seconds - charged[aid] == pytest.approx(expected)
+
+
+def test_sketch_flush_keeps_the_ring_and_its_memo():
+    elga = build()
+    cluster = elga.cluster
+    rings = {aid: a.ring for aid, a in cluster.agents.items()}
+    streamer_ring = cluster.streamers[0].placer.ring
+    epochs = {aid: a.dstate.epoch for aid, a in cluster.agents.items()}
+    rng = np.random.default_rng(3)
+    elga.ingest_edges(rng.integers(0, 300, 200), rng.integers(300, 600, 200))
+    hits = elga.placement_counters().counts["placement_ring_memo_hits"]
+    for aid, agent in cluster.agents.items():
+        assert agent.dstate.epoch != epochs[aid], "the flush must have bumped the epoch"
+        assert agent.dstate.ring_epoch == epochs[aid][:2]
+        assert agent.ring is rings[aid]
+    assert cluster.streamers[0].placer.ring is streamer_ring
+    # Re-ingesting known vertices after the flush is answered by the memo.
+    elga.ingest_edges(rng.integers(0, 300, 200), rng.integers(300, 600, 200))
+    assert elga.placement_counters().counts["placement_ring_memo_hits"] > hits
+
+
+def test_membership_change_rechecks_every_resident_row_once():
+    elga = build()
+    cluster = elga.cluster
+    survivors = dict(cluster.agents)
+    rings = {aid: a.ring for aid, a in survivors.items()}
+    before = recheck_counts(elga)
+    resident = {aid: a.total_edges for aid, a in survivors.items()}
+    cluster.add_agent()  # one join, one broadcast
+    for aid, agent in survivors.items():
+        assert agent.ring is not rings[aid]
+        rows, skipped = recheck_counts(elga)[aid]
+        assert rows - before[aid][0] == resident[aid]
+        assert skipped == before[aid][1]
+    assert elga.validate_against_reference()

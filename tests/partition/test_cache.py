@@ -128,3 +128,85 @@ def test_edge_memo_capacity_restarts_from_newest():
     # Overflowing the memo must never change answers.
     b = cache.owner_of_edges(own, other)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# two tiers: the ring memo outlives sketch epochs, the split memo does not
+# ---------------------------------------------------------------------------
+
+
+def gated_placer(ring, hot, hot_rows, members=8, threshold=20):
+    sketch = CountMinSketch(width=256, depth=4)
+    sketch.add(np.full(hot_rows, hot, dtype=np.int64))
+    return EdgePlacer(ring, sketch, replication_threshold=threshold, split_gate=frozenset([hot]))
+
+
+def test_ring_tier_survives_a_sketch_only_epoch():
+    counters = PerfCounters()
+    ring = ConsistentHashRing(list(range(8)), virtual_factor=16, seed=1)
+    cache = PlacementCache(counters=counters)
+    cache.bind((0, 1, 0, 1), gated_placer(ring, hot=7, hot_rows=100), ring_epoch=(0, 1))
+    own, other = edges(hot=7)
+    first = cache.owner_of_edges(own, other)
+    ring_hits = counters.counts["placement_ring_memo_hits"]
+    # A flush that leaves the hub's replication factor where it was
+    # (100 -> 105 rows, threshold 20: k = 6 both times).
+    after = gated_placer(ring, hot=7, hot_rows=105)
+    cache.bind((0, 1, 1, 1), after, ring_epoch=(0, 1))
+    assert np.array_equal(cache.owner_of_edges(own, other), first)
+    assert cache.last_misses == 0
+    unsplit = int((own != 7).sum())
+    assert counters.counts["placement_ring_memo_hits"] == ring_hits + unsplit
+    assert counters.counts["placement_epoch_invalidations"] == 1
+
+
+def test_split_tier_drops_the_vertices_whose_factor_moved():
+    ring = ConsistentHashRing(list(range(8)), virtual_factor=16, seed=1)
+    cache = PlacementCache()
+    cache.bind((0, 1, 0, 1), gated_placer(ring, hot=7, hot_rows=40), ring_epoch=(0, 1))
+    own, other = edges(hot=7)
+    cache.owner_of_edges(own, other)
+    # 40 -> 100 rows: k goes 3 -> 6, every edge of the hub is suspect.
+    after = gated_placer(ring, hot=7, hot_rows=100)
+    cache.bind((0, 1, 1, 1), after, ring_epoch=(0, 1))
+    got = cache.owner_of_edges(own, other)
+    assert np.array_equal(got, after.owner_of_edges(own, other))
+    assert cache.last_misses == int((own == 7).sum())
+    assert cache.replica_set(7) == after.replica_set(7)
+
+
+@pytest.mark.parametrize(
+    "epoch",
+    [(0, 2, 0, 1), (1, 1, 0, 1)],
+    ids=["membership-or-weight", "term"],
+)
+def test_both_tiers_drop_when_the_ring_epoch_moves(epoch):
+    ring = ConsistentHashRing(list(range(8)), virtual_factor=16, seed=1)
+    cache = PlacementCache()
+    cache.bind((0, 1, 0, 1), gated_placer(ring, hot=7, hot_rows=100), ring_epoch=(0, 1))
+    own, other = edges(hot=7)
+    cache.owner_of_edges(own, other)
+    cache.replica_set(3), cache.replica_set(7)
+    moved = ConsistentHashRing(
+        list(range(8)), virtual_factor=16, seed=1, weights={2: 2.0}
+    )
+    after = gated_placer(moved, hot=7, hot_rows=100)
+    cache.bind(epoch, after, ring_epoch=epoch[:2])
+    assert np.array_equal(cache.owner_of_edges(own, other), after.owner_of_edges(own, other))
+    assert cache.last_hits == 0
+    assert cache.replica_set(3) == after.replica_set(3)
+    assert cache.replica_set(7) == after.replica_set(7)
+
+
+def test_unregistered_vertex_never_reaches_the_sketch():
+    class Untouchable(CountMinSketch):
+        def query(self, keys, plus=None):
+            raise AssertionError("the gate must come before the sketch")
+
+    ring = ConsistentHashRing(list(range(8)), virtual_factor=16, seed=1)
+    placer = EdgePlacer(ring, Untouchable(256, 4), replication_threshold=20, split_gate=frozenset())
+    own, other = edges()
+    assert (placer.replication_factor(own) == 1).all()
+    cache = PlacementCache().bind((0, 1, 0, 0), placer, ring_epoch=(0, 1))
+    assert np.array_equal(cache.owner_of_edges(own, other), placer.ring_owners(own))
+    assert cache.replica_set(5) == [placer.primary_of(5)]

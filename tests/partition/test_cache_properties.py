@@ -1,10 +1,15 @@
 """Property: cached placement is bit-identical to uncached placement
 across arbitrary directory churn.
 
-Drives the same churn the directory produces — joins, leaves, sketch
-flushes, split-registry growth, and batch-clock-only broadcasts (which
-leave the epoch unchanged) — against one long-lived PlacementCache,
+Drives the same churn the directory produces — joins, leaves,
+re-weights, term changes, sketch flushes, split-registry growth, and
+batch-clock-only broadcasts (which leave the epoch unchanged) — against
+one long-lived PlacementCache bound the way participants bind it (full
+epoch + ring epoch, ring object reused while the ring epoch stands),
 comparing every lookup (cold and warm) to a freshly built EdgePlacer.
+Along the way the two memo tiers must drop exactly when their token
+moves: the ring tier answers every unsplit row straight after a sketch
+flush or a split registration, and nothing after a ring change.
 """
 
 import numpy as np
@@ -19,6 +24,8 @@ ops = st.lists(
     st.one_of(
         st.tuples(st.just("join"), st.integers(min_value=0, max_value=30)),
         st.tuples(st.just("leave"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("weight"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("term"), st.just(0)),
         st.tuples(st.just("sketch"), st.integers(min_value=0, max_value=200)),
         st.tuples(st.just("split"), st.integers(min_value=0, max_value=200)),
         st.tuples(st.just("clock"), st.just(0)),
@@ -35,36 +42,61 @@ def test_cached_placement_identical_under_churn(ops, seed):
     own = rng.integers(0, 200, size=120).astype(np.int64)
     other = rng.integers(0, 200, size=120).astype(np.int64)
 
-    members = {0, 1}
+    members = {0: 1.0, 1: 1.0}
     sketch = CountMinSketch(width=128, depth=4)
     split = set()
-    membership_version = sketch_version = 0
+    term = membership_version = sketch_version = 0
     cache = PlacementCache()
 
-    def check():
-        epoch = (membership_version, sketch_version, len(split))
-        placer = EdgePlacer(
-            ConsistentHashRing(sorted(members), virtual_factor=8, seed=2),
-            sketch,
-            replication_threshold=15,
-            split_gate=frozenset(split),
+    def fresh_ring():
+        return ConsistentHashRing(sorted(members), virtual_factor=8, seed=2, weights=members)
+
+    def check(ring_stands):
+        epoch = (term, membership_version, sketch_version, len(split))
+        ring = cache.placer.ring if ring_stands else fresh_ring()
+        gate = frozenset(split)
+        cache.bind(
+            epoch,
+            EdgePlacer(ring, sketch.copy(), replication_threshold=15, split_gate=gate),
+            ring_epoch=epoch[:2],
         )
-        cache.bind(epoch, placer)
-        expected = placer.owner_of_edges(own, other)
+        uncached = EdgePlacer(fresh_ring(), sketch, replication_threshold=15, split_gate=gate)
+        expected = uncached.owner_of_edges(own, other)
         assert np.array_equal(cache.owner_of_edges(own, other), expected)  # cold-ish
+        if ring_stands:
+            # Whatever else moved, the ring tier still answers for every
+            # vertex outside the registry (ring_owners below taught it all).
+            assert cache.last_hits >= int((~uncached.gated(own)).sum())
+        else:
+            assert cache.last_hits == 0
         assert np.array_equal(cache.owner_of_edges(own, other), expected)  # warm
         assert cache.last_misses == 0
+        assert np.array_equal(cache.ring_owners(own), uncached.ring_owners(own))
+        assert np.array_equal(
+            cache.replication_factor(own), uncached.replication_factor(own)
+        )
 
-    check()
+    check(ring_stands=False)
     for op, arg in ops:
+        ring_stands = True
         if op == "join":
             if arg not in members:
-                members.add(arg)
+                members[arg] = 1.0
                 membership_version += 1
+                ring_stands = False
         elif op == "leave":
             if arg in members and len(members) > 1:
-                members.remove(arg)
+                del members[arg]
                 membership_version += 1
+                ring_stands = False
+        elif op == "weight":
+            if arg in members:
+                members[arg] = 3.0 - members[arg]  # 1.0 <-> 2.0
+                membership_version += 1
+                ring_stands = False
+        elif op == "term":
+            term += 1
+            ring_stands = False
         elif op == "sketch":
             sketch.add(np.full(20, arg, dtype=np.int64))
             sketch_version += 1
@@ -74,4 +106,4 @@ def test_cached_placement_identical_under_churn(ops, seed):
             sketch_version += 1
             split.add(arg)
         # "clock": batch-clock bump — epoch unchanged, memos must survive.
-        check()
+        check(ring_stands)

@@ -156,3 +156,19 @@ def test_seed_changes_hash_rows():
     a.add(np.arange(50))
     b.add(np.arange(50))
     assert not np.array_equal(a.table, b.table)
+
+
+def test_query_plus_is_the_sum_of_both_estimates():
+    """A merged-plus-pending estimate, with the keys hashed once."""
+    rng = np.random.default_rng(4)
+    merged = CountMinSketch(64, 4, seed=3)
+    pending = CountMinSketch(64, 4, seed=3)
+    merged.add(rng.integers(0, 300, 2000))
+    pending.add(rng.integers(0, 300, 500))
+    keys = np.arange(300)
+    assert np.array_equal(
+        merged.query(keys, plus=pending), merged.query(keys) + pending.query(keys)
+    )
+    assert merged.query(7, plus=pending) == merged.query(7) + pending.query(7)
+    with pytest.raises(ValueError):
+        merged.query(keys, plus=CountMinSketch(32, 4, seed=3))
