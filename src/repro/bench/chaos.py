@@ -84,7 +84,7 @@ class ChaosReport:
     messages_retried: int = 0
     duplicates_suppressed: int = 0
     scale_plan: Dict[int, int] = field(default_factory=dict)
-    crash_plan: Dict[int, object] = field(default_factory=dict)
+    crash_plan: Dict[int, dict] = field(default_factory=dict)
     # Rebalance scenarios: the mid-run re-weight plan both engines ran,
     # the migration traffic it generated on the chaos engine, and the
     # post-run ring weights on each side (must match).

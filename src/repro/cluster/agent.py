@@ -41,61 +41,30 @@ import numpy as np
 
 from repro import kernels
 from repro.cluster.config import ClusterConfig
-from repro.cluster.dataplane import RoundBuffers, combine_pairs
+from repro.cluster.dataplane import ACK_BATCH_WINDOW, RoundBuffers, combine_pairs
 from repro.cluster.directory import DirectoryState, bind_placement
-from repro.cluster.edgestore import (
-    DirtyLog,
-    EdgeStore,
-    IdSet,
-    ValueColumn,
-    as_column,
-    as_dirty_log,
-    as_edge_store,
-    as_idset,
-)
+from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
 from repro.cluster.metrics import AgentMetrics
 from repro.cluster.recovery import (
     Checkpoint,
     RecoveryStore,
+    Rows,
+    StatePairs,
     copy_active,
-    copy_store,
     copy_values,
 )
+from repro.cluster.rehome import RehomeMixin
 from repro.net.message import Message, PacketType
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.core.program import RunSpec
 from repro.bench.counters import PerfCounters
-from repro.net.sockets import PushSocket, ReqRepSocket
+from repro.net.sockets import PushSocket
 from repro.partition.cache import PlacementCache
 from repro.partition.placer import EdgePlacer
 from repro.hashing.ring import ConsistentHashRing
 from repro.sim.entity import Entity
 from repro.sketch.countmin import CountMinSketch
-
-
-def _ids_vals(obj) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalize migrated vertex-state payloads — an (ids, values)
-    array pair, or a legacy ``{vertex: value}`` dict — to arrays."""
-    if isinstance(obj, tuple):
-        ids, vals = obj
-        return np.asarray(ids, dtype=np.int64), np.asarray(vals, dtype=np.float64)
-    if not obj:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    ids = np.fromiter(obj.keys(), dtype=np.int64, count=len(obj))
-    vals = np.fromiter(obj.values(), dtype=np.float64, count=len(obj))
-    return ids, vals
-
-
-def _ids_arr(obj) -> np.ndarray:
-    """Normalize a migrated activation payload — an id array, or a
-    legacy list/set of vertex ids — to an int64 array."""
-    if isinstance(obj, np.ndarray):
-        return obj.astype(np.int64, copy=False)
-    obj = list(obj)
-    if not obj:
-        return np.empty(0, dtype=np.int64)
-    return np.asarray(obj, dtype=np.int64)
 
 
 class _VertexTable:
@@ -203,11 +172,10 @@ class _RunState:
         # buffered, not applied on arrival: at the next ADVANCE the
         # batches are concatenated, sorted canonically, and folded into
         # the accumulators — so the aggregate is a pure function of the
-        # message *multiset*, independent of delivery order.  With
-        # coalescing on, each batch is eagerly pre-reduced to one
-        # partial per destination vertex (level 1 of the canonical
-        # reduction), so peak buffer memory is O(unique dst) rather
-        # than O(pairs).
+        # message *multiset*, independent of delivery order.  Each
+        # batch holds one partial per destination vertex (level 1 of
+        # the canonical reduction), so peak buffer memory is O(unique
+        # dst) rather than O(pairs).
         self.pending_msgs: List[Tuple[np.ndarray, np.ndarray]] = []
         # Outgoing data-plane emissions of the current round, merged
         # into one struct-of-arrays packet per (destination, type) at
@@ -215,7 +183,7 @@ class _RunState:
         self.buffers = RoundBuffers()
 
 
-class Agent(Entity):
+class Agent(RehomeMixin, Entity):
     """One ElGA Agent (one per core in the paper's deployment).
 
     Created by :class:`~repro.cluster.cluster.ElGACluster`; joins the
@@ -250,10 +218,7 @@ class Agent(Entity):
         # master endpoint used to re-home when this agent's directory
         # dies (heartbeat ticks probe the endpoint and re-query).
         self.term = 0
-        self.master_address = master_address
-        self._master_req = ReqRepSocket(self)
-        self._rehome_pending = False
-        self._rehome_attempts = 0
+        self._init_rehome(master_address)
         self.push = PushSocket(self)
         self.metrics = AgentMetrics()
         self.perf = PerfCounters()
@@ -522,33 +487,6 @@ class Agent(Entity):
         hosted = np.union1d(self.out_store.unique_keys, self.in_store.unique_keys)
         self._check_split_threshold(hosted)
 
-    def _store_arrays(self, store) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys, others) arrays of an adjacency store, keys ascending
-        and values ascending within each key.
-
-        For an :class:`EdgeStore` this is a zero-copy view of the
-        storage itself (the store keeps exactly this layout, versioned
-        by its mutation counter); the dict path flattens legacy
-        dict-of-sets stores, for tests and WAL-replay scaffolding."""
-        if isinstance(store, EdgeStore):
-            return store.arrays()
-        if not store:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        keys = np.fromiter(store.keys(), dtype=np.int64, count=len(store))
-        keys.sort()
-        counts = np.fromiter(
-            (len(store[int(k)]) for k in keys), dtype=np.int64, count=len(keys)
-        )
-        total = int(counts.sum())
-        rep_keys = np.repeat(keys, counts)
-        vals = np.fromiter(
-            (v for k in keys for v in store[int(k)]), dtype=np.int64, count=total
-        )
-        # ``rep_keys`` is already key-sorted, so the stable (key, val)
-        # lexsort only orders the values within each key's segment.
-        order = np.lexsort((vals, rep_keys))
-        return rep_keys, vals[order]
-
     def _migrate_misplaced(self, moved: Optional[np.ndarray]) -> None:
         """Re-home the resident edges whose owner changed.
 
@@ -609,15 +547,14 @@ class Agent(Entity):
                 # Vectorized state join: the owned ids' rows of each
                 # program's columns, shipped as (ids, values) arrays.
                 values = {
-                    prog: as_column(col).select(owned)
-                    for prog, col in self.persistent.items()
+                    prog: col.select(owned) for prog, col in self.persistent.items()
                 }
                 active = {
-                    prog: owned[as_idset(aset).isin(owned)]
+                    prog: owned[aset.isin(owned)]
                     for prog, aset in self.persistent_active.items()
                 }
                 scatter = {
-                    prog: as_column(col).select(owned)
+                    prog: col.select(owned)
                     for prog, col in self.persistent_scatter.items()
                 }
                 token = self._new_migration_token()
@@ -639,7 +576,6 @@ class Agent(Entity):
                     self._agent_address(target), PacketType.EDGE_MIGRATE, payload
                 )
                 self._migration_acks_pending += 1
-        self._prune_stores()
         self._prune_departed_state()
         self._maybe_finish_leaving()
 
@@ -674,23 +610,9 @@ class Agent(Entity):
         stale values from ever being re-shipped or re-collected.
         """
         hosted = np.union1d(self.out_store.unique_keys, self.in_store.unique_keys)
-        for name, col in list(self.persistent.items()):
-            col = self.persistent[name] = as_column(col)
-            col.restrict(hosted)
-        for name, aset in list(self.persistent_active.items()):
-            aset = self.persistent_active[name] = as_idset(aset)
-            aset.restrict(hosted)
-        for name, col in list(self.persistent_scatter.items()):
-            col = self.persistent_scatter[name] = as_column(col)
-            col.restrict(hosted)
-
-    def _prune_stores(self) -> None:
-        for store in (self.out_store, self.in_store):
-            if isinstance(store, EdgeStore):
-                continue  # never keeps empty adjacency keys
-            empty = [k for k, s in store.items() if not s]
-            for k in empty:
-                del store[k]
+        for state in (self.persistent, self.persistent_active, self.persistent_scatter):
+            for col in state.values():
+                col.restrict(hosted)
 
     def _new_migration_token(self) -> int:
         """A ledger token unique across agents (hop acks echo foreign
@@ -878,7 +800,8 @@ class Agent(Entity):
         # Apply local changes (one vectorized batch over the store).
         store = self.out_store if role == "out" else self.in_store
         rows = np.nonzero(mine)[0]
-        app_k, app_o, app_a = self._apply_rows(store, own[rows], other[rows], actions[rows])
+        self.perf.add("ingest_rows_vectorized", len(rows))
+        app_k, app_o, app_a = store.apply(own[rows], other[rows], actions[rows])
         n_applied = len(app_k)
         self.charge(costs.elga_ingest_op * max(n_applied, 1))
         self.metrics.updates_applied += n_applied
@@ -904,38 +827,27 @@ class Agent(Entity):
         # Migrated vertex state rides along with the edges — but only
         # the final owner keeps it (a forwarding hop that merged values
         # for edges passing through would hoard stale state).
-        wal_values: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
-        wal_active: Optional[Dict[str, np.ndarray]] = None
-        wal_scatter: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
+        wal_values: Dict[str, StatePairs] = {}
+        wal_active: Dict[str, np.ndarray] = {}
+        wal_scatter: Dict[str, StatePairs] = {}
         if len(rows):
             kept = np.unique(own[rows])
-            for prog, incoming in payload.get("values", {}).items():
-                ids, vals = _ids_vals(incoming)
+            for prog, (ids, vals) in payload.get("values", {}).items():
                 m = np.isin(ids, kept)
                 if m.any():
-                    col = self.persistent[prog] = as_column(self.persistent.get(prog))
-                    col.set_many(ids[m], vals[m])
-                    wal_values = wal_values or {}
+                    self.persistent.setdefault(prog, ValueColumn()).set_many(ids[m], vals[m])
                     wal_values[prog] = (ids[m], vals[m])
-            for prog, actives in payload.get("active", {}).items():
-                ids = _ids_arr(actives)
+            for prog, ids in payload.get("active", {}).items():
                 ids = ids[np.isin(ids, kept)]
                 if len(ids):
-                    aset = self.persistent_active[prog] = as_idset(
-                        self.persistent_active.get(prog)
-                    )
-                    aset.update(ids)
-                    wal_active = wal_active or {}
+                    self.persistent_active.setdefault(prog, IdSet()).update(ids)
                     wal_active[prog] = ids
-            for prog, incoming in payload.get("scatter", {}).items():
-                ids, vals = _ids_vals(incoming)
+            for prog, (ids, vals) in payload.get("scatter", {}).items():
                 m = np.isin(ids, kept)
                 if m.any():
-                    col = self.persistent_scatter[prog] = as_column(
-                        self.persistent_scatter.get(prog)
+                    self.persistent_scatter.setdefault(prog, ValueColumn()).set_many(
+                        ids[m], vals[m]
                     )
-                    col.set_many(ids[m], vals[m])
-                    wal_scatter = wal_scatter or {}
                     wal_scatter[prog] = (ids[m], vals[m])
 
         # Durability: every applied mutation — and any migrated-in
@@ -962,103 +874,6 @@ class Agent(Entity):
                     PacketType.EDGE_UPDATE_ACK,
                     {"token": payload.get("token"), "count": int(len(rows))},
                 )
-
-    def _apply_rows(
-        self,
-        store,
-        keys: np.ndarray,
-        vals: np.ndarray,
-        actions: np.ndarray,
-    ):
-        """Apply one batch of locally-owned edge mutations to ``store``.
-
-        With an :class:`EdgeStore` the whole batch applies array-native
-        (dedup, membership, and merge are all vectorized) and the
-        *effective* rows come back as ``(keys, others, actions)``
-        arrays in deterministic (inserts-then-removes, key, value)
-        order — duplicates and no-ops drop out exactly as a row-by-row
-        walk would.  A batch that both inserts and removes the same
-        pair is the one case routed through a strict-order sequential
-        path.  The legacy dict-of-sets path (tests, replay scaffolding)
-        returns a list of ``(key, other, action)`` tuples with the same
-        semantics.
-        """
-        if isinstance(store, EdgeStore):
-            self.perf.add("ingest_rows_vectorized", len(keys))
-            return store.apply(keys, vals, actions)
-        if len(keys) == 0:
-            return []
-        ins = actions > 0
-        if ins.any() and not ins.all():
-            inserted = set(zip(keys[ins].tolist(), vals[ins].tolist()))
-            removed = set(zip(keys[~ins].tolist(), vals[~ins].tolist()))
-            if inserted & removed:
-                return self._apply_rows_sequential(store, keys, vals, actions)
-        self.perf.add("ingest_rows_vectorized", len(keys))
-        applied = self._apply_row_group(store, keys[ins], vals[ins], insert=True)
-        applied += self._apply_row_group(store, keys[~ins], vals[~ins], insert=False)
-        return applied
-
-    def _apply_row_group(
-        self, store: Dict[int, Set[int]], keys: np.ndarray, vals: np.ndarray, insert: bool
-    ) -> List[Tuple[int, int, int]]:
-        applied: List[Tuple[int, int, int]] = []
-        if len(keys) == 0:
-            return applied
-        order = np.lexsort((vals, keys))
-        k = keys[order]
-        v = vals[order]
-        bounds = np.flatnonzero(np.diff(k)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(k)]])
-        for s, e in zip(starts, ends):
-            key = int(k[s])
-            group = set(map(int, v[s:e]))
-            bucket = store.get(key)
-            if insert:
-                if bucket is None:
-                    bucket = store[key] = set()
-                fresh = group - bucket
-                bucket |= fresh
-                applied.extend((key, val, 1) for val in sorted(fresh))
-            else:
-                if bucket is None:
-                    continue
-                gone = group & bucket
-                if gone:
-                    bucket -= gone
-                    if not bucket:
-                        del store[key]
-                    applied.extend((key, val, -1) for val in sorted(gone))
-        return applied
-
-    def _apply_rows_sequential(
-        self,
-        store: Dict[int, Set[int]],
-        keys: np.ndarray,
-        vals: np.ndarray,
-        actions: np.ndarray,
-    ) -> List[Tuple[int, int, int]]:
-        """Row-by-row fallback preserving strict batch order (needed
-        only when a batch inserts *and* removes the same pair)."""
-        applied: List[Tuple[int, int, int]] = []
-        for i in range(len(keys)):
-            key = int(keys[i])
-            val = int(vals[i])
-            bucket = store.get(key)
-            if actions[i] > 0:  # insert
-                if bucket is None:
-                    bucket = store[key] = set()
-                if val not in bucket:
-                    bucket.add(val)
-                    applied.append((key, val, 1))
-            else:  # remove
-                if bucket is not None and val in bucket:
-                    bucket.remove(val)
-                    applied.append((key, val, -1))
-                    if not bucket:
-                        del store[key]
-        return applied
 
     def _check_split_threshold(self, vertices: np.ndarray) -> None:
         """Report vertices whose estimated degree crossed the split
@@ -1234,7 +1049,7 @@ class Agent(Entity):
         self.charge(costs.elga_vertex_op * len(ids))
 
         # Local out-degree (sum over out-copies held here).
-        out_keys, out_others = self._store_arrays(self.out_store)
+        out_keys, out_others = self.out_store.arrays()
         if len(ids):
             local_outdeg = np.zeros(len(ids))
             if len(out_keys):
@@ -1269,7 +1084,7 @@ class Agent(Entity):
         # Values: persisted (incremental/resume) or fresh.  Persisted
         # lookups are a searchsorted join against the sorted key array,
         # not a per-vertex dict probe.
-        persisted = as_column(self.persistent.get(program.name))
+        persisted = self.persistent.get(program.name)
         if len(ids):
             if (spec.incremental or resume) and persisted:
                 pvals, found = persisted.lookup(ids)
@@ -1296,7 +1111,7 @@ class Agent(Entity):
         # Activation.
         if len(ids):
             if resume:
-                act = as_idset(self.persistent_active.get(program.name))
+                act = self.persistent_active.get(program.name)
                 if act:
                     table.active = act.isin(ids)
                 else:
@@ -1334,7 +1149,7 @@ class Agent(Entity):
             run.out_dst_raw = np.empty(0, np.int64)
             run.out_segments = []
         if program.needs_in_and_out:
-            in_keys, in_others = self._store_arrays(self.in_store)
+            in_keys, in_others = self.in_store.arrays()
             if len(in_keys):
                 # In-copy (u, v) is stored keyed by v; the reverse
                 # message (v -> u) goes to the holder of the out-copy.
@@ -1438,7 +1253,7 @@ class Agent(Entity):
         table.last_sent = np.full(n, np.nan)
         normal = table.split_k == 1
         if resume:
-            sstore = as_column(self.persistent_scatter.get(program.name))
+            sstore = self.persistent_scatter.get(program.name)
             if sstore:
                 svals, found = sstore.lookup(table.ids)
                 table.last_sent = np.where(found, svals, np.nan)
@@ -1464,7 +1279,7 @@ class Agent(Entity):
                 table.values[pos], np.maximum(outdeg_old, 1.0)
             )
             table.last_sent[pos] = np.where(outdeg_old > 0, old_base, 0.0)
-        sstore = as_column(self.persistent_scatter.get(program.name))
+        sstore = self.persistent_scatter.get(program.name)
         if sstore:
             svals, sfound = sstore.lookup(table.ids)
             found = sfound & normal
@@ -1488,7 +1303,7 @@ class Agent(Entity):
         keys, others, actions = pend["out"]
         program = run.program
         costs = self.config.costs
-        persisted = as_column(self.persistent.get(program.name))
+        persisted = self.persistent.get(program.name, ValueColumn())
         uniq, inv = np.unique(keys, return_inverse=True)
         vals_u, _ = persisted.lookup(uniq, default=0.0)
         outdeg_now = self.out_store.degrees(uniq).astype(np.float64)
@@ -1505,7 +1320,7 @@ class Agent(Entity):
         # from an earlier delta run it overrides the program's
         # old-degree reconstruction, exactly as _init_last_sent does —
         # seed and baseline must agree or residual accounting drifts.
-        sstore = as_column(self.persistent_scatter.get(program.name))
+        sstore = self.persistent_scatter.get(program.name)
         if sstore:
             base_u = sstore.lookup(uniq, default=np.nan)[0][inv]
             have = ~np.isnan(base_u)
@@ -2063,49 +1878,37 @@ class Agent(Entity):
             )
             self._ack_data(src, payload)
             return
-        self._aggregate_remote(payload)
-        self._ack_data(src, payload)
-        self._check_ready()
-
-    def _aggregate_local(self, payload: dict) -> None:
-        self._aggregate(payload)
-
-    def _aggregate_remote(self, payload: dict) -> None:
         self.charge(self.config.costs.elga_msg_op)
         self._aggregate(payload)
+        self._ack_data(src, payload)
+        self._check_ready()
 
     def _aggregate(self, payload: dict) -> None:
         """Buffer one message batch for this round.
 
-        Without coalescing, the raw batch is kept and
-        :meth:`_flush_pending_msgs` sorts the round's full (dst, val)
-        multiset canonically before reducing it — the seed behaviour.
-
-        With coalescing, a batch is exactly one sender's full round
-        emission, and level 1 of the canonical reduction runs *now*:
-        the batch folds to one partial per destination vertex (in
-        (dst, val)-sorted order, via ``combine_pairs``), so peak
-        buffer memory is O(unique dst) instead of O(pairs).  Combined
-        packets (combining on, cluster-wide config) already carry
-        exactly that reduction, computed sender-side on identical
-        contents in identical order — bit-identical by construction.
-        Either way the accumulator floats are the same whether the
-        fabric delivered in order, out of order, or via chaos-delayed
-        retries.
+        A batch is exactly one sender's full round emission, and holds
+        level 1 of the canonical reduction: one partial per destination
+        vertex, folded in (dst, val)-sorted order via ``combine_pairs``,
+        so peak buffer memory is O(unique dst) instead of O(pairs).
+        Combined packets (``combining`` on, cluster-wide config) arrive
+        already reduced; with it off — the reference the bit-identity
+        tests compare against — the same fold runs here, on identical
+        contents in identical order.  Either way the accumulator floats
+        are the same whether the fabric delivered in order, out of
+        order, or via chaos-delayed retries.
         """
         run = self.run
         dst = np.asarray(payload["dst"], dtype=np.int64)
         val = np.asarray(payload["val"], dtype=np.float64)
         self.charge(self.config.costs.elga_vertex_op * len(dst))
-        if self.config.coalescing and not self.config.combining and len(dst):
+        if not self.config.combining and len(dst):
             dst, val = combine_pairs(dst, val, run.program.ufunc, run.program.identity)
         run.pending_msgs.append((dst, val))
 
     def _flush_pending_msgs(self) -> None:
         """Fold the buffered round's batches into the accumulators in
         canonical (dst, value) order — a deterministic reduction of the
-        buffered multiset (raw pairs in the legacy path, per-sender
-        partials under coalescing)."""
+        buffered per-sender partials."""
         run = self.run
         if not run.pending_msgs:
             return
@@ -2142,16 +1945,10 @@ class Agent(Entity):
     # ------------------------------------------------------------------
 
     def _emit_data(self, agent_id: int, ptype: PacketType, payload: dict) -> None:
-        """Route one data-plane emission: held in the round buffers
-        while coalescing (one struct-of-arrays packet per destination
-        and type ships at flush time), or sent immediately in the
-        legacy packet-per-emission mode."""
-        if self.config.coalescing:
-            self.run.buffers.add(agent_id, ptype, payload)
-        elif ptype == PacketType.VERTEX_MSG and agent_id == self.agent_id:
-            self._aggregate_local(payload)
-        else:
-            self._send_data(agent_id, ptype, payload)
+        """Hold one data-plane emission in the round buffers; one
+        struct-of-arrays packet per destination and type ships at flush
+        time."""
+        self.run.buffers.add(agent_id, ptype, payload)
 
     def _flush_data_buffers(self) -> None:
         """Ship this round's coalesced packets, gated on choreography.
@@ -2168,7 +1965,7 @@ class Agent(Entity):
         depends on VERTEX_MSG delivery within a round.
         """
         run = self.run
-        if run is None or not self.config.coalescing or run.buffers.empty:
+        if run is None or run.buffers.empty:
             return
         tracer = self.network.tracer
         if tracer is None:
@@ -2218,7 +2015,7 @@ class Agent(Entity):
                 self.perf.add("combine_pairs_out", len(payload["dst"]))
                 self.metrics.pairs_combined += pairs_in - len(payload["dst"])
             if agent_id == self.agent_id:
-                self._aggregate_local(payload)
+                self._aggregate(payload)
             else:
                 self._send_data(agent_id, PacketType.VERTEX_MSG, payload)
 
@@ -2235,19 +2032,15 @@ class Agent(Entity):
         return int(payload.get("inc", 0)) < self._data_inc
 
     def _ack_data(self, src: int, payload: Optional[dict] = None) -> None:
-        """Acknowledge one data-plane packet: immediately, or — with an
-        ack-batch window — as a credit that a single cumulative
-        VERTEX_MSG_ACK per (sender, incarnation) covers shortly."""
+        """Acknowledge one data-plane packet as a credit; a single
+        cumulative VERTEX_MSG_ACK per (sender, incarnation) covers the
+        credits accrued within ``ACK_BATCH_WINDOW``."""
         inc = int(payload.get("inc", 0)) if payload else self._data_inc
-        window = self.config.ack_batch_window
-        if window <= 0:
-            self.push.push(src, PacketType.VERTEX_MSG_ACK, {"inc": inc, "count": 1})
-            return
         key = (src, inc)
         self._ack_credits[key] = self._ack_credits.get(key, 0) + 1
         if not self._ack_flush_scheduled:
             self._ack_flush_scheduled = True
-            self.kernel.schedule(window, self._flush_acks)
+            self.kernel.schedule(ACK_BATCH_WINDOW, self._flush_acks)
 
     def _flush_acks(self) -> None:
         self._ack_flush_scheduled = False
@@ -2262,14 +2055,13 @@ class Agent(Entity):
                 self.perf.add("acks_batched", count - 1)
             self.push.push(src, PacketType.VERTEX_MSG_ACK, {"inc": inc, "count": count})
 
-    def _on_data_ack(self, payload) -> None:
+    def _on_data_ack(self, payload: dict) -> None:
         run = self.run
         if run is None:
             return
-        if isinstance(payload, dict) and int(payload.get("inc", 0)) != self._data_inc:
+        if int(payload["inc"]) != self._data_inc:
             return  # ack for a send the rollback already wrote off
-        count = int(payload.get("count", 1)) if isinstance(payload, dict) else 1
-        run.outstanding_acks -= count
+        run.outstanding_acks -= int(payload["count"])
         self._check_ready()
 
     def _check_ready(self) -> None:
@@ -2341,16 +2133,13 @@ class Agent(Entity):
         if table is None:
             return
         name = run.program.name
-        store = self.persistent[name] = as_column(self.persistent.get(name))
-        act = self.persistent_active[name] = as_idset(self.persistent_active.get(name))
-        store.set_many(table.ids, table.values)
-        act.assign(table.ids, table.active)
+        self.persistent.setdefault(name, ValueColumn()).set_many(table.ids, table.values)
+        self.persistent_active.setdefault(name, IdSet()).assign(table.ids, table.active)
         if run.delta_msgs and table.last_sent is not None:
-            sstore = self.persistent_scatter[name] = as_column(
-                self.persistent_scatter.get(name)
-            )
             known = ~np.isnan(table.last_sent)
-            sstore.set_many(table.ids[known], table.last_sent[known])
+            self.persistent_scatter.setdefault(name, ValueColumn()).set_many(
+                table.ids[known], table.last_sent[known]
+            )
         elif getattr(run.program, "delta_messages", False):
             # A full (scratch or dense) run re-converges every vertex:
             # baselines recorded by an earlier delta run no longer
@@ -2438,81 +2227,7 @@ class Agent(Entity):
         self._heartbeat_pending = True
         self.kernel.schedule(self.config.heartbeat_interval, self._heartbeat_tick)
 
-    # ------------------------------------------------------------------
-    # control-plane re-homing (directory death)
-    # ------------------------------------------------------------------
-
-    def _maybe_rehome(self) -> None:
-        """Start a master DIRECTORY_QUERY if one is not already running."""
-        if self._rehome_pending or self.crashed or self.master_address is None:
-            return
-        if self.network.is_attached(self.directory_address):
-            return
-        self._rehome_pending = True
-        self._rehome_attempts = 0
-        self._query_master()
-
-    def _rehome_backoff(self) -> float:
-        return min(
-            self.config.master_query_timeout
-            * self.config.master_query_backoff ** min(self._rehome_attempts, 10),
-            0.1,
-        )
-
-    def _query_master(self) -> None:
-        if self.crashed:
-            self._rehome_pending = False
-            return
-        master = self.master_address
-        if master is None or not self.network.is_attached(master) or self._master_req.busy:
-            # Master down too (or a cancelled request still draining):
-            # back off and retry — a restarted master gets rewired in.
-            self._retry_rehome()
-            return
-        request_id = self._master_req.request(
-            master, PacketType.DIRECTORY_QUERY, None, self._on_rehome_assign
-        )
-        timeout = self._rehome_backoff()
-        self.kernel.schedule(timeout, lambda: self._rehome_timed_out(request_id))
-
-    def _rehome_timed_out(self, request_id: int) -> None:
-        if self._master_req._pending_id != request_id:
-            return  # answered or superseded
-        self._master_req.cancel()
-        self._retry_rehome()
-
-    def _retry_rehome(self, delay: Optional[float] = None) -> None:
-        self._rehome_attempts += 1
-        if self._rehome_attempts > self.config.master_query_retries:
-            # Give up for now; the heartbeat chain restarts the attempt.
-            self._rehome_pending = False
-            return
-        self.kernel.schedule(
-            self._rehome_backoff() if delay is None else delay, self._query_master
-        )
-
-    def _on_rehome_assign(self, message: Message) -> None:
-        payload = message.payload
-        if isinstance(payload, dict):
-            # Retry-after: the master has no live directory registered
-            # yet (bootstrap race or registry rebuild in progress).
-            self._retry_rehome(delay=float(payload["retry_after"]))
-            return
-        address = int(payload)
-        if not self.network.is_attached(address):
-            self._retry_rehome()
-            return
-        self._rehome_pending = False
-        self._rehome_attempts = 0
-        self.directory_address = address
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.name,
-                "rehome",
-                "control",
-                {"agent_id": self.agent_id, "directory": address},
-            )
+    def _on_rehomed(self) -> None:
         # SUBSCRIBE and AGENT_JOIN are idempotent at the directory tier;
         # the SUBSCRIBE reply seeds the current state (and term).
         self._subscribe_and_join()
@@ -2529,21 +2244,16 @@ class Agent(Entity):
     def _wal_log(
         self,
         role: str,
-        rows: Any,
+        rows: Rows,
         sketched: bool,
-        values: Optional[Dict[str, Any]] = None,
-        active: Optional[Dict[str, Any]] = None,
-        scatter: Optional[Dict[str, Any]] = None,
+        values: Optional[Dict[str, StatePairs]] = None,
+        active: Optional[Dict[str, np.ndarray]] = None,
+        scatter: Optional[Dict[str, StatePairs]] = None,
     ) -> None:
-        # ``rows`` is either a list of (key, other, action) tuples or a
-        # (keys, others, actions) array triple from the vectorized path.
-        n_rows = len(rows[0]) if isinstance(rows, tuple) else len(rows)
-        if not n_rows and not values and not active and not scatter:
-            return
         self._recovery.wal.append(
             role, rows, sketched, values=values, active=active, scatter=scatter
         )
-        self.metrics.wal_records_logged += n_rows
+        self.metrics.wal_records_logged += len(rows[0])
 
     def _snapshot_prescatter(self, run: _RunState) -> None:
         """Stash this round's pre-scatter residual baselines.
@@ -2578,10 +2288,8 @@ class Agent(Entity):
         persistent = copy_values(self.persistent)
         active = copy_active(self.persistent_active)
         if table is not None and len(table):
-            store = persistent[name] = as_column(persistent.get(name))
-            act = active[name] = as_idset(active.get(name))
-            store.set_many(table.ids, table.values)
-            act.assign(table.ids, table.active)
+            persistent.setdefault(name, ValueColumn()).set_many(table.ids, table.values)
+            active.setdefault(name, IdSet()).assign(table.ids, table.active)
         scatter = copy_values(self.persistent_scatter)
         if run.delta_msgs and table is not None and table.last_sent is not None:
             # Pre-scatter baselines: a rollback drops this round's
@@ -2593,12 +2301,13 @@ class Agent(Entity):
                 if run.prescatter_last_sent is not None
                 else table.last_sent
             )
-            sstore = scatter[name] = as_column(scatter.get(name))
             known = ~np.isnan(baselines)
-            sstore.set_many(table.ids[known], baselines[known])
+            scatter.setdefault(name, ValueColumn()).set_many(
+                table.ids[known], baselines[known]
+            )
         checkpoint = Checkpoint(
-            out_store=copy_store(self.out_store),
-            in_store=copy_store(self.in_store),
+            out_store=self.out_store.copy(),
+            in_store=self.in_store.copy(),
             persistent=persistent,
             persistent_active=active,
             sketch_delta=self.sketch_delta.copy(),
@@ -2644,15 +2353,15 @@ class Agent(Entity):
                     f"{restore_checkpoint} but the durable slot lacks it"
                 )
         if base is not None:
-            self.out_store = as_edge_store(copy_store(base.out_store))
-            self.in_store = as_edge_store(copy_store(base.in_store))
+            self.out_store = base.out_store.copy()
+            self.in_store = base.in_store.copy()
             self.persistent = copy_values(base.persistent)
             self.persistent_active = copy_active(base.persistent_active)
             self.persistent_scatter = copy_values(base.persistent_scatter)
             # Dirty rows come from the *latest* base (the WAL suffix is
             # relative to it); they never change during a run, so the
             # rollback checkpoint would carry the same rows anyway.
-            self._dirty_log = as_dirty_log(base.dirty_log).copy()
+            self._dirty_log = base.dirty_log.copy()
             self._dirty_seen = dict(base.dirty_seen)
             if base.sketch_delta is not None:
                 self.sketch_delta = base.sketch_delta.copy()
@@ -2687,7 +2396,6 @@ class Agent(Entity):
         # next delta run still sees its full frontier seed.
         self._dirty_log.extend(source.wal.sketched_rows())
         self.metrics.wal_records_replayed += replayed
-        self._prune_stores()
         self.metrics.recoveries_participated += 1
         self.restored_from = {
             "agent_id": crashed_id,
@@ -2757,7 +2465,7 @@ class Agent(Entity):
         self.persistent = copy_values(checkpoint.persistent)
         self.persistent_active = copy_active(checkpoint.persistent_active)
         self.persistent_scatter = copy_values(checkpoint.persistent_scatter)
-        self._dirty_log = as_dirty_log(checkpoint.dirty_log).copy()
+        self._dirty_log = checkpoint.dirty_log.copy()
         self._dirty_seen = dict(checkpoint.dirty_seen)
         # Serve the rolled-back checkpoint during the suspension: the
         # persistent store now holds exactly step-``step`` values, and
@@ -2913,25 +2621,18 @@ class Agent(Entity):
             table = self.run.table
             return {int(v): float(x) for v, x in zip(table.ids, table.values)}
         hosted = self._hosted_vertex_ids()
-        col = as_column(self.persistent.get(program_name))
-        ids, vals = col.select(hosted)
+        ids, vals = self.persistent.get(program_name, ValueColumn()).select(hosted)
         return {int(v): float(x) for v, x in zip(ids, vals)}
 
     @property
     def n_out_edges(self) -> int:
         """Resident out-copy edge count (derived from the store)."""
-        store = self.out_store
-        return store.n_edges if isinstance(store, EdgeStore) else sum(
-            len(s) for s in store.values()
-        )
+        return self.out_store.n_edges
 
     @property
     def n_in_edges(self) -> int:
         """Resident in-copy edge count (derived from the store)."""
-        store = self.in_store
-        return store.n_edges if isinstance(store, EdgeStore) else sum(
-            len(s) for s in store.values()
-        )
+        return self.in_store.n_edges
 
     @property
     def total_edges(self) -> int:

@@ -39,8 +39,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.bench.counters import PerfCounters
 from repro.cluster.config import ClusterConfig
 from repro.cluster.directory import DirectoryState, bind_placement
+from repro.cluster.rehome import RehomeMixin
 from repro.net.message import Message, PacketType
-from repro.net.sockets import PushSocket, ReqRepSocket
+from repro.net.sockets import PushSocket
 from repro.partition.cache import PlacementCache
 from repro.serving import LatencyRecorder, ResultCache
 from repro.sim.entity import Entity
@@ -56,6 +57,19 @@ _NO_SNAPSHOT: Tuple[int, int] = (-1, -1)
 #: bound means replicas *permanently* disagree — a protocol bug worth a
 #: loud failure, not an infinite silent retry loop.
 _MAX_SNAPSHOT_RETRIES = 256
+
+#: Simulated seconds a proxy waits before re-issuing a fan-out whose
+#: replica replies straddled two snapshots (different (run_id, step)
+#: tags with different values).
+SNAPSHOT_BACKOFF = 2e-4
+
+#: The retry-after hint (simulated seconds) returned to a shed query's
+#: submitter.
+SHED_RETRY_AFTER = 1e-3
+
+#: Maximum (program, vertex) entries a proxy's result cache holds; the
+#: oldest entry is evicted first (insertion order).
+CACHE_CAPACITY = 65536
 
 
 class _Waiter:
@@ -87,7 +101,7 @@ class _Flight:
         self.retries = 0                  # snapshot-mismatch re-issues
 
 
-class ClientProxy(Entity):
+class ClientProxy(RehomeMixin, Entity):
     """A query frontend.
 
     :meth:`query` issues a vertex-result lookup and delivers the value
@@ -114,10 +128,7 @@ class ClientProxy(Entity):
         # Highest control-plane term witnessed; directory traffic from
         # a deposed lead (term < ours) is dropped at the door.
         self.term = 0
-        self.master_address = master_address
-        self._master_req = ReqRepSocket(self)
-        self._rehome_pending = False
-        self._rehome_attempts = 0
+        self._init_rehome(master_address)
         self.push = PushSocket(self)
         self.dstate: Optional[DirectoryState] = None
         self.perf = PerfCounters()
@@ -133,7 +144,7 @@ class ClientProxy(Entity):
         self.snapshot_retries = 0
         self.snapshot_value_merges = 0
         self.cache: Optional[ResultCache] = (
-            ResultCache(config.serving_cache_ttl, config.serving_cache_capacity)
+            ResultCache(config.serving_cache_ttl, CACHE_CAPACITY)
             if config.serving_cache_ttl > 0
             else None
         )
@@ -157,13 +168,18 @@ class ClientProxy(Entity):
         self._coalesce_buf: List[_Flight] = []
         self._flush_scheduled = False
         self._next_token = 0
+        self._subscribe()
+
+    # -- directory plane ---------------------------------------------------
+
+    def _subscribe(self) -> None:
         self.push.push(
             self.directory_address,
             PacketType.SUBSCRIBE,
             [PacketType.DIRECTORY_UPDATE, PacketType.RESULT_NOTICE],
         )
 
-    # -- directory plane ---------------------------------------------------
+    _on_rehomed = _subscribe  # a re-homed proxy only has to subscribe again
 
     def handle_message(self, message: Message) -> None:
         bumped = False
@@ -271,87 +287,6 @@ class ClientProxy(Entity):
             self.queries_retried += len(flight.waiters)
             self._dispatch(flight)
 
-    # -- re-homing (directory failure) -------------------------------------
-
-    def _maybe_rehome(self) -> None:
-        """Ask the DirectoryMaster for a live directory to subscribe to.
-
-        Event-driven (triggered from :meth:`query`), not periodic — an
-        idle proxy costs the simulator nothing, and the first query
-        after a directory death pays the re-home.  Retries with
-        exponential backoff; a ``retry_after`` reply (master has no live
-        registry yet) waits the hinted interval instead.
-        """
-        self._rehome_pending = True
-        self._rehome_attempts = 0
-        self._query_master()
-
-    def _rehome_backoff(self) -> float:
-        base = self.config.master_query_timeout
-        factor = self.config.master_query_backoff
-        return min(base * factor ** min(self._rehome_attempts, 10), 0.1)
-
-    def _query_master(self) -> None:
-        if self.master_address is None:
-            self._rehome_pending = False
-            return
-        if (
-            not self.network.is_attached(self.master_address)
-            or self._master_req.busy
-        ):
-            self._retry_rehome()
-            return
-        request_id = self._master_req.request(
-            self.master_address,
-            PacketType.DIRECTORY_QUERY,
-            None,
-            self._on_rehome_assign,
-        )
-        self.kernel.schedule(
-            self.config.master_query_timeout,
-            lambda rid=request_id: self._rehome_timed_out(rid),
-        )
-
-    def _rehome_timed_out(self, request_id: int) -> None:
-        if self._master_req._pending_id != request_id:
-            return  # answered (or superseded) before the timeout fired
-        self._master_req.cancel()
-        self._retry_rehome()
-
-    def _retry_rehome(self, delay: Optional[float] = None) -> None:
-        self._rehome_attempts += 1
-        if self._rehome_attempts > self.config.master_query_retries:
-            # Give up for now; the next query() re-arms the whole cycle.
-            self._rehome_pending = False
-            return
-        self.kernel.schedule(
-            delay if delay is not None else self._rehome_backoff(),
-            self._query_master,
-        )
-
-    def _on_rehome_assign(self, message: Message) -> None:
-        payload = message.payload
-        if isinstance(payload, dict):
-            self._retry_rehome(delay=float(payload["retry_after"]))
-            return
-        address = int(payload)
-        if not self.network.is_attached(address):
-            self._retry_rehome()
-            return
-        self._rehome_pending = False
-        self._rehome_attempts = 0
-        self.directory_address = address
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.name, "rehome", "control", {"directory": address}
-            )
-        self.push.push(
-            self.directory_address,
-            PacketType.SUBSCRIBE,
-            [PacketType.DIRECTORY_UPDATE, PacketType.RESULT_NOTICE],
-        )
-
     # -- query admission ---------------------------------------------------
 
     def query(
@@ -372,15 +307,14 @@ class ClientProxy(Entity):
                 f"client {self.client_id} has no directory state yet; "
                 "run the simulator until the first broadcast lands"
             )
-        if (
-            self.master_address is not None
-            and not self._rehome_pending
-            and not self.network.is_attached(self.directory_address)
-        ):
+        if not self.network.is_attached(self.directory_address):
             # The home directory died.  Queries keep flowing on the
             # last-adopted state (fan-outs target agents, not the
             # directory), but without a live subscription this proxy
             # would never see another epoch or version — re-home now.
+            # Event-driven, not periodic: an idle proxy costs the
+            # simulator nothing, and the first query after a directory
+            # death pays the re-home.
             self._maybe_rehome()
         if len(self._pending) >= self.config.serving_max_inflight:
             self.queries_shed += 1
@@ -392,7 +326,7 @@ class ClientProxy(Entity):
                     "serving",
                     {"inflight": len(self._pending), "vertex": int(vertex)},
                 )
-            return self.config.serving_retry_after
+            return SHED_RETRY_AFTER
         vertex = int(vertex)
         token = self._next_token
         self._next_token += 1
@@ -542,10 +476,7 @@ class ClientProxy(Entity):
                     "attempt": flight.retries,
                 },
             )
-        self.kernel.schedule(
-            self.config.serving_snapshot_backoff,
-            lambda f=flight: self._redispatch(f),
-        )
+        self.kernel.schedule(SNAPSHOT_BACKOFF, self._redispatch, flight)
 
     def _redispatch(self, flight: _Flight) -> None:
         if self._flights.get(flight.key) is not flight:

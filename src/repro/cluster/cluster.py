@@ -52,9 +52,6 @@ class ElGACluster:
             self.kernel,
             transport=config.transport,
             reliable=config.reliable_transport,
-            retry_timeout=config.retry_timeout,
-            retry_backoff=config.retry_backoff,
-            retry_timeout_cap=config.retry_timeout_cap,
             max_retries=config.max_retries,
         )
         if config.tracing:
@@ -462,6 +459,15 @@ class ElGACluster:
         Returns timing/throughput figures in *simulated* time — the
         quantities Figure 14 reports.
         """
+        # A streamer holds nothing between batches and has no lease
+        # machinery: one homed on a directory that died never hears
+        # another broadcast.  Retire it; the loop below homes a fresh
+        # one on a live directory.
+        for streamer in list(self.streamers):
+            if not streamer.busy and not self.network.is_attached(streamer.directory_address):
+                self.streamers.remove(streamer)
+                streamer.detach()
+                self.retired_perf.merge(streamer.perf)
         while len(self.streamers) < n_streamers:
             self.new_streamer(node=len(self.streamers) % max(self.config.nodes, 1))
         parts = batch.split(n_streamers)

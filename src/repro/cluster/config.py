@@ -6,6 +6,15 @@ dimensions, and the replication threshold.  In the real system these are
 compile-time CONFIG flags (Appendix); changing one requires the whole
 cluster to share it, which is why they are configuration rather than
 directory state.
+
+A field exists only where some test, benchmark or example runs the
+cluster at a second value.  Protocol timings with one value in use are
+constants beside the code that reads them: retransmission backoff in
+:mod:`repro.net.network`, the cumulative-ack window in
+:mod:`repro.cluster.dataplane`, master re-query policy in
+:mod:`repro.cluster.rehome`, proxy cache capacity and retry hints in
+:mod:`repro.cluster.client`, ring-weight clamps on
+:class:`~repro.rebalance.RebalancePlanner`.
 """
 
 from __future__ import annotations
@@ -57,9 +66,9 @@ class ClusterConfig:
         exact traffic counts.  Chaos runs (an installed ``FaultPlan``)
         switch it on so dropped messages are recovered rather than
         deadlocking the barrier protocol.
-    retry_timeout, retry_backoff, retry_timeout_cap, max_retries:
-        Reliable-mode retransmission policy (initial timeout seconds,
-        exponential factor, timeout ceiling, give-up bound).
+    max_retries:
+        Reliable-mode retransmissions per message before the fabric
+        gives up.
     heartbeat_interval:
         Simulated seconds between an Agent's HEARTBEAT pushes to its
         Directory while a synchronous run is live.  ``0`` disables
@@ -75,34 +84,16 @@ class ClusterConfig:
         synchronous run.  ``0`` disables checkpointing; a crash then
         degrades to WAL-only recovery (the run restarts from persisted
         pre-run state instead of rolling back to a mid-run barrier).
-    coalescing:
-        Data-plane packet coalescing: buffer every VERTEX_MSG /
-        REPLICA_SYNC / REPLICA_VALUE emission of a round per
-        destination agent and ship one struct-of-arrays packet per
-        (destination, packet type) once the replica choreography for
-        the round has resolved.  Coalescing also switches incoming
-        message folding to the two-level canonical reduction (each
-        round-packet reduces to one partial per destination vertex;
-        partials then fold in (dst, value)-sorted order), which keeps
-        results bit-identical regardless of fabric delivery order.
-        Off = the seed's packet-per-emission behaviour.
     combining:
         Sender-side message combining (§3.4: aggregators are
         commutative/associative precisely so replicas can
         pre-aggregate): perform the first level of the canonical
-        reduction on the *sender* before the packet ships, so one
-        value per destination vertex crosses the fabric.  The receiver
-        would have folded the identical packet contents in the
-        identical order, so results are bit-identical with combining
-        on or off.  Requires ``coalescing`` (combining an arbitrary
-        per-emission packet would make the reduction tree depend on
-        emission timing).
-    ack_batch_window:
-        Simulated seconds a receiver accrues VERTEX_MSG_ACK credits
-        before flushing one cumulative ack (``count`` = packets
-        covered) per (sender, incarnation).  ``0`` acks every packet
-        individually (the seed behaviour).  Only applies while
-        ``coalescing`` is on.
+        reduction on the *sender* before the round's packet ships, so
+        one value per destination vertex crosses the fabric.  Off, the
+        receiver folds the identical packet contents in the identical
+        order, so results are bit-identical either way — which is why
+        the off setting stays: it is the reference the bit-identity
+        tests compare against.
     tracing:
         Attach a :class:`~repro.obs.trace.Tracer` to the fabric:
         every entity records spans (superstep compute, flush, barrier
@@ -122,21 +113,11 @@ class ClusterConfig:
         bounds staleness the version plane cannot see (it never
         overrides an epoch/version invalidation).  ``0`` disables the
         result cache entirely.
-    serving_cache_capacity:
-        Maximum (program, vertex) entries a proxy's result cache holds;
-        the oldest entry is evicted first (insertion order).
     serving_max_inflight:
         Admission control: maximum queries a proxy will hold open
         (waiting on cache-hit delivery or fan-out replies) at once.
         Excess queries are shed with a retry-after hint instead of
         queueing unboundedly.
-    serving_retry_after:
-        The retry-after hint (simulated seconds) returned to a shed
-        query's submitter.
-    serving_snapshot_backoff:
-        Simulated seconds a proxy waits before re-issuing a fan-out
-        whose replica replies straddled two snapshots (different
-        (run_id, step) tags with different values).
     serving_latency_window:
         Per-proxy bound on recorded latency samples (a ring of the most
         recent N); also bounds the shed/retry bookkeeping deques.
@@ -152,29 +133,10 @@ class ClusterConfig:
         enabled.  The lowest-index live Directory succeeds (a
         deterministic rule — no randomized votes — so the same seed
         always produces the same term sequence).
-    master_query_timeout:
-        Simulated seconds a participant waits for a DIRECTORY_ASSIGN
-        reply before cancelling the request and re-querying the master
-        (exponential backoff up to ``master_query_retries`` attempts).
-    master_query_backoff:
-        Exponential factor applied to ``master_query_timeout`` between
-        re-queries.
-    master_query_retries:
-        Re-query attempts before a participant gives up re-homing.
-    master_restart_delay:
-        Simulated seconds after a master crash before the chaos harness
-        restarts it (the operator's MTTR in the simulation).
     rebalance_skew_threshold:
         Per-agent load skew (max/mean) below which the rebalance
         planner holds still.  1.0 would chase every wobble; the default
         tolerates 15% imbalance before moving anything.
-    rebalance_min_weight, rebalance_max_weight:
-        Absolute clamp on planner-emitted ring weights (1.0 is the
-        homogeneous default; the clamp keeps a mis-measured agent from
-        being starved of keys or handed the whole ring).
-    rebalance_max_weight_delta:
-        Largest per-member weight change one plan may apply — bounds
-        the migration volume a single adoption can trigger.
     """
 
     nodes: int = 4
@@ -189,34 +151,19 @@ class ClusterConfig:
     sketch_flush_every: int = 512
     seed: int = 0
     reliable_transport: bool = False
-    retry_timeout: float = 5e-3
-    retry_backoff: float = 2.0
-    retry_timeout_cap: float = 0.1
     max_retries: int = 30
     heartbeat_interval: float = 0.0
     lease_timeout: float = 0.025
     checkpoint_every: int = 0
-    coalescing: bool = True
     combining: bool = True
-    ack_batch_window: float = 2e-5
     tracing: bool = False
     serving_coalesce_window: float = 2e-5
     serving_cache_ttl: float = 5e-3
-    serving_cache_capacity: int = 65536
     serving_max_inflight: int = 1024
-    serving_retry_after: float = 1e-3
-    serving_snapshot_backoff: float = 2e-4
     serving_latency_window: int = 65536
     dir_lease_interval: float = 0.0
     dir_lease_timeout: float = 0.02
-    master_query_timeout: float = 2e-3
-    master_query_backoff: float = 2.0
-    master_query_retries: int = 16
-    master_restart_delay: float = 5e-3
     rebalance_skew_threshold: float = 1.15
-    rebalance_min_weight: float = 0.25
-    rebalance_max_weight: float = 4.0
-    rebalance_max_weight_delta: float = 1.0
     transport: TransportModel = field(default_factory=TransportModel.zeromq)
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
 
@@ -231,10 +178,6 @@ class ClusterConfig:
             raise ValueError("need at least one directory")
         if self.replication_threshold < 1:
             raise ValueError("replication_threshold must be >= 1")
-        if self.retry_timeout <= 0 or self.retry_timeout_cap < self.retry_timeout:
-            raise ValueError("retry timeouts must satisfy 0 < timeout <= cap")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         if self.heartbeat_interval < 0:
@@ -243,41 +186,18 @@ class ClusterConfig:
             raise ValueError("lease_timeout must exceed heartbeat_interval")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.ack_batch_window < 0:
-            raise ValueError("ack_batch_window must be >= 0")
-        if self.combining and not self.coalescing:
-            raise ValueError(
-                "combining requires coalescing: without round-buffered "
-                "packets the reduction tree would depend on emission timing"
-            )
         if self.serving_coalesce_window < 0 or self.serving_cache_ttl < 0:
             raise ValueError("serving windows must be >= 0")
-        if self.serving_cache_capacity < 1:
-            raise ValueError("serving_cache_capacity must be >= 1")
         if self.serving_max_inflight < 1:
             raise ValueError("serving_max_inflight must be >= 1")
-        if self.serving_retry_after <= 0 or self.serving_snapshot_backoff <= 0:
-            raise ValueError("serving retry/backoff hints must be > 0")
         if self.serving_latency_window < 1:
             raise ValueError("serving_latency_window must be >= 1")
         if self.dir_lease_interval < 0:
             raise ValueError("dir_lease_interval must be >= 0")
         if self.dir_lease_interval > 0 and self.dir_lease_timeout <= self.dir_lease_interval:
             raise ValueError("dir_lease_timeout must exceed dir_lease_interval")
-        if self.master_query_timeout <= 0 or self.master_query_backoff < 1.0:
-            raise ValueError("master query retry policy must satisfy timeout > 0, backoff >= 1")
-        if self.master_query_retries < 1:
-            raise ValueError("master_query_retries must be >= 1")
-        if self.master_restart_delay < 0:
-            raise ValueError("master_restart_delay must be >= 0")
         if self.rebalance_skew_threshold < 1.0:
             raise ValueError("rebalance_skew_threshold must be >= 1")
-        if not 0 < self.rebalance_min_weight <= 1.0 <= self.rebalance_max_weight:
-            raise ValueError(
-                "rebalance weights must satisfy 0 < min_weight <= 1 <= max_weight"
-            )
-        if self.rebalance_max_weight_delta <= 0:
-            raise ValueError("rebalance_max_weight_delta must be positive")
 
     @property
     def hash_fn(self) -> Callable:

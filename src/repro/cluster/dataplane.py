@@ -45,6 +45,11 @@ COALESCED_TYPES = (
     PacketType.VERTEX_MSG,
 )
 
+#: Simulated seconds a receiver accrues VERTEX_MSG_ACK credits before
+#: flushing one cumulative ack (``count`` = packets covered) per
+#: (sender, incarnation).
+ACK_BATCH_WINDOW = 2e-5
+
 
 def combine_pairs(
     dst: np.ndarray, val: np.ndarray, ufunc: np.ufunc, identity: float

@@ -1,29 +1,26 @@
 """Array-native shard storage: edge stores, value columns, dirty log.
 
-The agent's hot structures were dicts — ``Dict[int, Set[int]]``
-adjacency and ``Dict[int, float]`` per-program state — which cost a
-Python object per vertex on every touch.  This module replaces them
-with sorted-array equivalents whose *batch* operations are numpy
-vectorized end to end, while keeping enough of the dict surface
-(``in``, iteration, ``items``, ``==`` against plain dicts) that
-existing call sites and tests read them unchanged.
+An agent's shard — adjacency and per-program vertex state — lives in
+sorted arrays whose *batch* operations are numpy vectorized end to
+end.  These classes are the only shape that state takes: in memory, in
+checkpoints, in the WAL and in migration payloads.  All mutation is
+batched; a read-only dict/set surface (``in``, iteration, ``items``,
+``to_dict``/``from_dict``, ``==`` against plain dicts) remains for
+tests and result inspection.
 
 * :class:`EdgeStore` — one shard role's edge copies as parallel
   ``(keys, others)`` int64 arrays in (key asc, other asc) lexicographic
-  order.  ``arrays()`` returns zero-copy read-only views — what the
-  old ``_store_arrays`` rebuilt per call is now the storage itself,
-  and ``version`` is the mutation counter callers can key caches on.
-  ``apply`` ingests a whole mutation batch at once and reports the
-  *effective* rows (duplicates and no-ops dropped) in the same
-  deterministic inserts-then-removes, (key, other)-sorted order the
-  old per-row walk produced.
+  order.  ``arrays()`` returns zero-copy read-only views of the storage
+  itself, and ``version`` is the mutation counter callers can key
+  caches on.  ``apply`` ingests a whole mutation batch at once and
+  reports the *effective* rows (duplicates and no-ops dropped) in
+  deterministic inserts-then-removes, (key, other)-sorted order.
 * :class:`ValueColumn` — a ``{vertex: float}`` mapping as id-indexed
   ndarray columns with vectorized ``lookup``/``set_many``/``select``
-  joins replacing per-vertex ``dict.get`` loops.
+  joins.
 * :class:`IdSet` — a ``Set[int]`` as a sorted id array.
 * :class:`DirtyLog` — the mutation dirty log as array batches with
-  row-count watermarks, so streaming ingest appends arrays instead of
-  per-edge tuples.
+  row-count watermarks.
 
 Sorting uses signed int64 comparison throughout, so negative vertex
 ids order consistently everywhere; when both columns fit in 31 bits
@@ -33,7 +30,7 @@ int64 key, falling back to structured dtypes otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -101,7 +98,7 @@ class EdgeStore:
 
     Invariants: ``keys``/``others`` are same-length int64 arrays sorted
     by (key, other) with no duplicate pairs; a vertex with no edges has
-    no rows (matching the old dicts, which deleted emptied sets).
+    no rows.
     """
 
     __slots__ = ("_keys", "_others", "_version", "_unique_keys", "_starts", "_packed")
@@ -211,7 +208,7 @@ class EdgeStore:
         hi = np.searchsorted(self._keys, vertices, side="right")
         return hi - lo
 
-    # -- dict-compatible surface ---------------------------------------
+    # -- read-only dict surface ---------------------------------------
 
     def __contains__(self, vertex) -> bool:
         return self.degree(int(vertex)) > 0
@@ -413,8 +410,9 @@ class ValueColumn:
     """A ``{vertex_id: float}`` mapping as id-indexed ndarray columns.
 
     ``ids`` is sorted unique int64; ``vals`` is parallel float64.  The
-    dict-like scalar surface exists for tests and cold paths; hot paths
-    use the vectorized ``lookup``/``set_many``/``select`` joins.
+    read-only scalar surface exists for tests and cold paths; writes go
+    through ``set_many``/``restrict``, hot reads through the vectorized
+    ``lookup``/``select`` joins.
     """
 
     __slots__ = ("ids", "vals")
@@ -476,26 +474,6 @@ class ValueColumn:
             raise KeyError(vertex)
         return val
 
-    def __setitem__(self, vertex: int, value: float) -> None:
-        self.set_many(
-            np.asarray([int(vertex)], dtype=np.int64),
-            np.asarray([float(value)], dtype=np.float64),
-        )
-
-    def __delitem__(self, vertex: int) -> None:
-        pos = np.searchsorted(self.ids, int(vertex))
-        if pos >= len(self.ids) or self.ids[pos] != int(vertex):
-            raise KeyError(vertex)
-        self.ids = np.delete(self.ids, pos)
-        self.vals = np.delete(self.vals, pos)
-
-    def pop(self, vertex: int, default=None):
-        val = self.get(vertex)
-        if val is None:
-            return default
-        del self[vertex]
-        return val
-
     def __eq__(self, other) -> bool:
         if isinstance(other, ValueColumn):
             return np.array_equal(self.ids, other.ids) and np.array_equal(
@@ -548,16 +526,6 @@ class ValueColumn:
             self.ids = merged_ids[order]
             self.vals = merged_vals[order]
 
-    def update(self, other) -> None:
-        if isinstance(other, ValueColumn):
-            self.set_many(other.ids, other.vals)
-        elif isinstance(other, dict):
-            col = ValueColumn.from_dict(other)
-            self.set_many(col.ids, col.vals)
-        else:  # (ids, vals) array pair
-            ids, vals = other
-            self.set_many(np.asarray(ids), np.asarray(vals))
-
     def select(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(present ids, their values) — the subset join used to ship
         migrating vertices' state."""
@@ -585,10 +553,6 @@ class IdSet:
             self.ids = _EMPTY_I64
         else:
             self.ids = np.unique(_as_i64(ids))
-
-    @classmethod
-    def from_set(cls, s: Iterable[int]) -> "IdSet":
-        return cls(np.fromiter(s, dtype=np.int64) if s else None)
 
     def to_set(self) -> Set[int]:
         return set(map(int, self.ids))
@@ -620,24 +584,10 @@ class IdSet:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def add(self, vertex: int) -> None:
-        self.update(np.asarray([int(vertex)], dtype=np.int64))
-
-    def discard(self, vertex: int) -> None:
-        pos = np.searchsorted(self.ids, int(vertex))
-        if pos < len(self.ids) and self.ids[pos] == int(vertex):
-            self.ids = np.delete(self.ids, pos)
-
-    def update(self, other) -> None:
-        if isinstance(other, IdSet):
-            arr = other.ids
-        elif isinstance(other, np.ndarray):
-            arr = other
-        else:
-            other = list(other)
-            arr = np.asarray(other, dtype=np.int64) if other else _EMPTY_I64
-        if len(arr):
-            self.ids = np.union1d(self.ids, _as_i64(arr))
+    def update(self, ids: np.ndarray) -> None:
+        """Add a batch of ids."""
+        if len(ids):
+            self.ids = np.union1d(self.ids, _as_i64(ids))
 
     def restrict(self, ids: np.ndarray) -> None:
         if len(self.ids):
@@ -665,10 +615,9 @@ class IdSet:
 class DirtyLog:
     """Effective mutation rows as array batches with row watermarks.
 
-    The old structure was a flat ``List[(role, key, other, action)]``;
-    streaming ingest now appends one ``(role, keys, others, actions)``
-    array batch per applied update, and delta runs slice suffixes by
-    *row count*, so watermark arithmetic is unchanged.
+    Streaming ingest appends one ``(role, keys, others, actions)``
+    array batch per applied update; delta runs slice suffixes, and
+    programs keep consumption watermarks, by *row count*.
     """
 
     __slots__ = ("_batches", "_rows")
@@ -678,7 +627,7 @@ class DirtyLog:
         self._rows = 0
 
     def __len__(self) -> int:
-        """Total rows (matches the old flat-list semantics)."""
+        """Total rows over all batches."""
         return self._rows
 
     def append_batch(
@@ -691,22 +640,10 @@ class DirtyLog:
         )
         self._rows += len(keys)
 
-    def extend(self, rows) -> None:
-        """Accept either an iterable of (role, k, o, a) tuples (legacy
-        WAL interop) or another DirtyLog's batches."""
-        if isinstance(rows, DirtyLog):
-            for role, k, o, a in rows._batches:
-                self.append_batch(role, k.copy(), o.copy(), a.copy())
-            return
-        staged: Dict[str, List[Tuple[int, int, int]]] = {}
-        for role, k, o, a in rows:
-            if isinstance(k, np.ndarray):
-                self.append_batch(role, k, o, a)
-            else:
-                staged.setdefault(role, []).append((int(k), int(o), int(a)))
-        for role, triples in staged.items():
-            arr = np.asarray(triples, dtype=np.int64)
-            self.append_batch(role, arr[:, 0], arr[:, 1], arr[:, 2])
+    def extend(self, batches) -> None:
+        """Append ``(role, keys, others, actions)`` array batches."""
+        for role, k, o, a in batches:
+            self.append_batch(role, k, o, a)
 
     def copy(self) -> "DirtyLog":
         out = DirtyLog()
@@ -715,7 +652,8 @@ class DirtyLog:
         return out
 
     def rows(self) -> Iterator[Tuple[str, int, int, int]]:
-        """Flat-row view (legacy order), for interop and tests."""
+        """Flat ``(role, key, other, action)`` rows in append order, for
+        tests."""
         for role, k, o, a in self._batches:
             for i in range(len(k)):
                 yield role, int(k[i]), int(o[i]), int(a[i])
@@ -756,39 +694,3 @@ class DirtyLog:
             remaining.append((role, k, o, a))
         self._batches = remaining
         self._rows = max(0, self._rows - n_rows)
-
-
-# ----------------------------------------------------------------------
-# polymorphic adapters: accept legacy dict/set forms anywhere
-# ----------------------------------------------------------------------
-
-
-def as_edge_store(obj) -> EdgeStore:
-    if isinstance(obj, EdgeStore):
-        return obj
-    return EdgeStore.from_dict(obj)
-
-
-def as_column(obj) -> ValueColumn:
-    if isinstance(obj, ValueColumn):
-        return obj
-    if obj is None:
-        return ValueColumn()
-    return ValueColumn.from_dict(obj)
-
-
-def as_idset(obj) -> IdSet:
-    if isinstance(obj, IdSet):
-        return obj
-    if obj is None:
-        return IdSet()
-    return IdSet.from_set(obj)
-
-
-def as_dirty_log(obj) -> DirtyLog:
-    if isinstance(obj, DirtyLog):
-        return obj
-    log = DirtyLog()
-    if obj:
-        log.extend(obj)
-    return log

@@ -31,132 +31,75 @@ cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
+from repro.sketch.countmin import CountMinSketch
+
+#: One batch of effective edge mutations: (keys, others, actions).
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Vertex state that rode along with a migration batch: (ids, values).
+StatePairs = Tuple[np.ndarray, np.ndarray]
 
 
-def copy_store(store) -> Any:
-    if isinstance(store, EdgeStore):
-        return store.copy()
-    return {k: set(v) for k, v in store.items()}
+def copy_values(values: Dict[str, ValueColumn]) -> Dict[str, ValueColumn]:
+    return {prog: col.copy() for prog, col in values.items()}
 
 
-def copy_values(values: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        prog: vals.copy() if isinstance(vals, ValueColumn) else dict(vals)
-        for prog, vals in values.items()
-    }
-
-
-def copy_active(active: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        prog: vs.copy() if isinstance(vs, IdSet) else set(vs)
-        for prog, vs in active.items()
-    }
-
-
-def _row_count(rows) -> int:
-    """Rows in a WAL batch: a list of triples or a (k, o, a) array
-    tuple from the vectorized ingest path."""
-    return len(rows[0]) if isinstance(rows, tuple) else len(rows)
-
-
-def _rows_arrays(rows):
-    """Normalize a WAL batch to (keys, others, actions) int64 arrays."""
-    import numpy as np
-
-    if isinstance(rows, tuple):
-        k, o, a = rows
-        return (
-            np.asarray(k, dtype=np.int64),
-            np.asarray(o, dtype=np.int64),
-            np.asarray(a, dtype=np.int64),
-        )
-    arr = np.asarray(list(rows), dtype=np.int64).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
-
-
-def _state_ids_vals(obj):
-    """Normalize migrated-state payloads — {vertex: value} dicts or
-    (ids, vals) array pairs — to array form."""
-    import numpy as np
-
-    if isinstance(obj, tuple):
-        ids, vals = obj
-        return np.asarray(ids, dtype=np.int64), np.asarray(vals, dtype=np.float64)
-    ids = np.fromiter(obj.keys(), dtype=np.int64, count=len(obj))
-    vals = np.fromiter(obj.values(), dtype=np.float64, count=len(obj))
-    return ids, vals
-
-
-def _state_ids(obj):
-    import numpy as np
-
-    if isinstance(obj, (tuple, np.ndarray)):
-        arr = obj[0] if isinstance(obj, tuple) else obj
-        return np.asarray(arr, dtype=np.int64)
-    return np.fromiter(obj, dtype=np.int64, count=len(obj))
-
-
-def _copy_dirty(log) -> Any:
-    return log.copy() if isinstance(log, DirtyLog) else list(log)
+def copy_active(active: Dict[str, IdSet]) -> Dict[str, IdSet]:
+    return {prog: ids.copy() for prog, ids in active.items()}
 
 
 @dataclass
 class Checkpoint:
     """One durable snapshot of an agent's recoverable state."""
 
-    out_store: Dict[int, Set[int]]
-    in_store: Dict[int, Set[int]]
-    persistent: Dict[str, Dict[int, float]]
-    persistent_active: Dict[str, Set[int]]
-    sketch_delta: Optional[object] = None  # CountMinSketch copy (or None)
+    out_store: EdgeStore
+    in_store: EdgeStore
+    persistent: Dict[str, ValueColumn]
+    persistent_active: Dict[str, IdSet]
+    sketch_delta: Optional[CountMinSketch] = None
     # Which run / barrier step this snapshot belongs to.  ``run_id`` is
     # None for checkpoints taken outside any run (e.g. at agent start).
     run_id: Optional[int] = None
     step: int = 0
     # Incremental-run durable state: the last-sent scatter values of
-    # delta-message programs (program -> vertex -> value), the ordered
-    # log of dirty mutation rows ``(role, key, other, action)`` not yet
+    # delta-message programs, the log of dirty mutation rows not yet
     # consumed by every program, and each program's consumption
     # watermark into that log.
-    persistent_scatter: Dict[str, Any] = field(default_factory=dict)
-    #: A flat list of (role, key, other, action) rows or a DirtyLog.
-    dirty_log: Any = field(default_factory=list)
+    persistent_scatter: Dict[str, ValueColumn] = field(default_factory=dict)
+    dirty_log: DirtyLog = field(default_factory=DirtyLog)
     dirty_seen: Dict[str, int] = field(default_factory=dict)
 
     @property
     def n_edges(self) -> int:
-        return sum(len(s) for s in self.out_store.values()) + sum(
-            len(s) for s in self.in_store.values()
-        )
+        return self.out_store.n_edges + self.in_store.n_edges
 
 
 @dataclass
 class WALRecord:
     """One applied edge-store mutation batch.
 
-    ``rows`` holds ``(key, other, action)`` triples for mutations that
-    were *actually applied* (duplicate-suppressed inserts and no-op
-    removes never reach the log).  ``sketched`` marks streaming updates
-    that also fed the agent's un-flushed sketch delta; migration traffic
-    does not (§3.4.1: the sketch counts logical graph changes once).
+    ``rows`` holds the mutations that were *actually applied*
+    (duplicate-suppressed inserts and no-op removes never reach the
+    log).  ``sketched`` marks streaming updates that also fed the
+    agent's un-flushed sketch delta; migration traffic does not
+    (§3.4.1: the sketch counts logical graph changes once).
     ``values``/``active`` carry persisted vertex state that rode along
     with a migration batch, so a restore recovers algorithm state that
     moved here after the last checkpoint.
     """
 
     role: str  # "out" | "in"
-    #: A list of (key, other, action) triples, or a (keys, others,
-    #: actions) array tuple from the vectorized ingest path.
-    rows: Any
+    rows: Rows
     sketched: bool
-    values: Optional[Dict[str, Any]] = None
-    active: Optional[Dict[str, Any]] = None
+    values: Optional[Dict[str, StatePairs]] = None
+    active: Optional[Dict[str, np.ndarray]] = None
     #: Last-sent scatter state that rode along with a migration batch
     #: (delta-message programs must not lose it mid-suspension).
-    scatter: Optional[Dict[str, Any]] = None
+    scatter: Optional[Dict[str, StatePairs]] = None
 
 
 class EdgeWAL:
@@ -169,17 +112,16 @@ class EdgeWAL:
     def append(
         self,
         role: str,
-        rows: Any,
+        rows: Rows,
         sketched: bool,
-        values: Optional[Dict[str, Any]] = None,
-        active: Optional[Dict[str, Any]] = None,
-        scatter: Optional[Dict[str, Any]] = None,
+        values: Optional[Dict[str, StatePairs]] = None,
+        active: Optional[Dict[str, np.ndarray]] = None,
+        scatter: Optional[Dict[str, StatePairs]] = None,
     ) -> None:
-        n_rows = _row_count(rows)
+        n_rows = len(rows[0])
         if not n_rows and not values and not active and not scatter:
             return
-        stored = rows if isinstance(rows, tuple) else list(rows)
-        self._records.append(WALRecord(role, stored, sketched, values, active, scatter))
+        self._records.append(WALRecord(role, rows, sketched, values, active, scatter))
         self.records_logged += n_rows
 
     def truncate(self) -> None:
@@ -187,16 +129,16 @@ class EdgeWAL:
         self._records = []
 
     def __len__(self) -> int:
-        return sum(_row_count(r.rows) for r in self._records)
+        return sum(len(r.rows[0]) for r in self._records)
 
     def replay(
         self,
-        out_store: Dict[int, Set[int]],
-        in_store: Dict[int, Set[int]],
-        sketch_delta: Optional[object] = None,
-        persistent: Optional[Dict[str, Dict[int, float]]] = None,
-        persistent_active: Optional[Dict[str, Set[int]]] = None,
-        persistent_scatter: Optional[Dict[str, Dict[int, float]]] = None,
+        out_store: EdgeStore,
+        in_store: EdgeStore,
+        sketch_delta: Optional[CountMinSketch] = None,
+        persistent: Optional[Dict[str, ValueColumn]] = None,
+        persistent_active: Optional[Dict[str, IdSet]] = None,
+        persistent_scatter: Optional[Dict[str, ValueColumn]] = None,
     ) -> int:
         """Re-apply every logged mutation onto the given stores.
 
@@ -204,31 +146,17 @@ class EdgeWAL:
         given, sketched insert/remove rows are re-counted into it so the
         replacement agent re-reports exactly the degree deltas the
         crashed agent had not yet flushed.  When ``persistent`` /
-        ``persistent_active`` are given, migrated-in vertex state logged
-        alongside the rows is merged back in.
+        ``persistent_active`` / ``persistent_scatter`` are given,
+        migrated-in vertex state logged alongside the rows is merged
+        back in.
         """
-        import numpy as np
-
         replayed = 0
         for record in self._records:
-            store = out_store if record.role == "out" else in_store
-            n_rows = _row_count(record.rows)
-            if n_rows:
-                keys, others, actions = _rows_arrays(record.rows)
-                if isinstance(store, EdgeStore):
-                    store.apply(keys, others, actions)
-                else:
-                    for key, other, action in zip(keys, others, actions):
-                        key, other = int(key), int(other)
-                        if action > 0:
-                            store.setdefault(key, set()).add(other)
-                        else:
-                            bucket = store.get(key)
-                            if bucket is not None:
-                                bucket.discard(other)
-                                if not bucket:
-                                    del store[key]
-                replayed += n_rows
+            keys, others, actions = record.rows
+            if len(keys):
+                store = out_store if record.role == "out" else in_store
+                store.apply(keys, others, actions)
+                replayed += len(keys)
                 if record.sketched and sketch_delta is not None:
                     ins = actions > 0
                     if ins.any():
@@ -236,64 +164,22 @@ class EdgeWAL:
                     if (~ins).any():
                         sketch_delta.remove(keys[~ins])
             if record.values and persistent is not None:
-                for prog, vals in record.values.items():
-                    self._merge_values(persistent, prog, vals)
+                for prog, (ids, vals) in record.values.items():
+                    persistent.setdefault(prog, ValueColumn()).set_many(ids, vals)
             if record.active and persistent_active is not None:
-                for prog, verts in record.active.items():
-                    self._merge_active(persistent_active, prog, verts)
+                for prog, ids in record.active.items():
+                    persistent_active.setdefault(prog, IdSet()).update(ids)
             if record.scatter and persistent_scatter is not None:
-                for prog, vals in record.scatter.items():
-                    self._merge_values(persistent_scatter, prog, vals)
+                for prog, (ids, vals) in record.scatter.items():
+                    persistent_scatter.setdefault(prog, ValueColumn()).set_many(ids, vals)
         return replayed
 
-    @staticmethod
-    def _merge_values(target: Dict[str, Any], prog: str, vals) -> None:
-        """Merge migrated-in values — dict or (ids, vals) arrays — into
-        the target map, whose entries may be dicts or ValueColumns."""
-        cur = target.get(prog)
-        if isinstance(cur, ValueColumn) or (cur is None and isinstance(vals, tuple)):
-            col = target[prog] = cur if cur is not None else ValueColumn()
-            ids, arr = _state_ids_vals(vals)
-            col.set_many(ids, arr)
-        else:
-            d = target.setdefault(prog, {})
-            if isinstance(vals, tuple):
-                ids, arr = vals
-                d.update((int(i), float(v)) for i, v in zip(ids, arr))
-            else:
-                d.update(vals)
-
-    @staticmethod
-    def _merge_active(target: Dict[str, Any], prog: str, verts) -> None:
-        import numpy as np
-
-        cur = target.get(prog)
-        if isinstance(cur, IdSet) or (cur is None and isinstance(verts, np.ndarray)):
-            aset = target[prog] = cur if cur is not None else IdSet()
-            aset.update(_state_ids(verts))
-        else:
-            s = target.setdefault(prog, set())
-            if isinstance(verts, np.ndarray):
-                s.update(map(int, verts))
-            else:
-                s.update(verts)
-
-    def sketched_rows(self) -> List[Tuple[str, Any, Any, Any]]:
+    def sketched_rows(self) -> List[Tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
         """The logged streaming mutations, in application order, as
-        ``(role, key, other, action)`` rows or ``(role, keys, others,
-        actions)`` array batches — exactly what a replacement agent
-        re-appends to its dirty log (:meth:`DirtyLog.extend` accepts
-        both; migration records are placement moves, not graph changes,
-        and are excluded)."""
-        rows: List[Tuple[str, Any, Any, Any]] = []
-        for record in self._records:
-            if record.sketched:
-                if isinstance(record.rows, tuple):
-                    k, o, a = record.rows
-                    rows.append((record.role, k, o, a))
-                else:
-                    rows.extend((record.role, k, o, a) for k, o, a in record.rows)
-        return rows
+        ``(role, keys, others, actions)`` batches — exactly what a
+        replacement agent re-appends to its dirty log (migration records
+        are placement moves, not graph changes, and are excluded)."""
+        return [(r.role, *r.rows) for r in self._records if r.sketched]
 
 
 class CheckpointStore:
@@ -375,16 +261,16 @@ class RecoveryStore:
     def snapshot_agent(self, agent, run_id: Optional[int] = None, step: int = 0) -> Checkpoint:
         """Capture a full checkpoint of ``agent`` and truncate its WAL."""
         checkpoint = Checkpoint(
-            out_store=copy_store(agent.out_store),
-            in_store=copy_store(agent.in_store),
+            out_store=agent.out_store.copy(),
+            in_store=agent.in_store.copy(),
             persistent=copy_values(agent.persistent),
             persistent_active=copy_active(agent.persistent_active),
             sketch_delta=agent.sketch_delta.copy(),
             run_id=run_id,
             step=step,
-            persistent_scatter=copy_values(getattr(agent, "persistent_scatter", {})),
-            dirty_log=_copy_dirty(getattr(agent, "_dirty_log", ())),
-            dirty_seen=dict(getattr(agent, "_dirty_seen", {})),
+            persistent_scatter=copy_values(agent.persistent_scatter),
+            dirty_log=agent._dirty_log.copy(),
+            dirty_seen=dict(agent._dirty_seen),
         )
         slot = self.slot(agent.agent_id)
         slot.checkpoints.save(checkpoint)

@@ -32,6 +32,10 @@ from repro.core.superstep import RunResult, SyncRunController
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.stream import EdgeBatch, REMOVE
 
+#: Simulated seconds after an injected master crash before the master is
+#: restarted (the operator's MTTR in the simulation).
+MASTER_RESTART_DELAY = 5e-3
+
 
 class ElGA:
     """An elastic, dynamic graph-analysis deployment.
@@ -266,7 +270,7 @@ class ElGA:
         incremental: bool = False,
         activate: Optional[np.ndarray] = None,
         scale_plan: Optional[Dict[int, int]] = None,
-        crash_plan: Optional[Dict[int, int]] = None,
+        crash_plan: Optional[Dict[int, dict]] = None,
         rebalance_plan: Optional[Dict[int, Dict[int, float]]] = None,
     ) -> RunResult:
         """Execute a vertex program to convergence.
@@ -286,12 +290,12 @@ class ElGA:
             reshapes the cluster after that superstep completes
             (Figure 17's operator action).  Sync mode only.
         crash_plan:
-            Injected abrupt failures: ``{superstep: target}`` fires
-            shortly after the barrier for that superstep completes.  A
-            plain int target crashes that many agents (no drain); a dict
-            ``{"agents": n, "lead": bool, "master": bool}`` additionally
-            crashes the lead Directory and/or the DirectoryMaster (the
-            master is restarted after ``master_restart_delay``).  Agent
+            Injected abrupt failures: ``{superstep: {"agents": n,
+            "lead": bool, "master": bool}}`` (absent keys mean 0 /
+            False) fires shortly after the barrier for that superstep
+            completes, crashing ``n`` agents (no drain), the lead
+            Directory and/or the DirectoryMaster (the master is
+            restarted after ``MASTER_RESTART_DELAY``).  Agent
             detection and recovery run through the normal
             heartbeat/checkpoint machinery (requires
             ``heartbeat_interval > 0``); a lead crash requires directory
@@ -325,8 +329,8 @@ class ElGA:
             elif strategy == "dense" and activate is None and not getattr(
                 program, "supports_delta", False
             ):
-                # Legacy warm-start semantics for programs without a
-                # delta protocol: activate the touched frontier.
+                # Warm start for programs without a delta protocol:
+                # activate the touched frontier.
                 activate = self._pending_touched(program.name)
         self._run_counter += 1
         spec = RunSpec(
@@ -355,21 +359,22 @@ class ElGA:
         self,
         spec: RunSpec,
         scale_plan: Optional[Dict[int, int]],
-        crash_plan: Optional[Dict[int, int]] = None,
+        crash_plan: Optional[Dict[int, dict]] = None,
         rebalance_plan: Optional[Dict[int, Dict[int, float]]] = None,
     ) -> RunResult:
         if crash_plan:
-            targets_agents = any(
-                (int(e.get("agents", 0)) if isinstance(e, dict) else int(e)) > 0
-                for e in crash_plan.values()
-            )
-            if targets_agents and self.config.heartbeat_interval <= 0:
+            if not all(isinstance(e, dict) for e in crash_plan.values()):
+                raise TypeError(
+                    'crash_plan entries must be {"agents": n, "lead": bool, '
+                    '"master": bool} dicts'
+                )
+            if any(e.get("agents", 0) > 0 for e in crash_plan.values()) and (
+                self.config.heartbeat_interval <= 0
+            ):
                 raise ValueError(
                     "crash_plan needs failure detection: set heartbeat_interval > 0"
                 )
-            if any(
-                isinstance(e, dict) and e.get("lead") for e in crash_plan.values()
-            ) and (
+            if any(e.get("lead") for e in crash_plan.values()) and (
                 self.config.dir_lease_interval <= 0 or self.config.n_directories < 2
             ):
                 raise ValueError(
@@ -477,34 +482,24 @@ class ElGA:
 
         self.cluster.kernel.schedule(1e-3, poll)
 
-    def _on_crash_due(self, entry) -> None:
+    def _on_crash_due(self, entry: dict) -> None:
         """Controller-scheduled fault injection: fire ``entry`` a beat
         after the superstep's ADVANCE goes out, so the failure lands
         mid-superstep with messages in flight.
 
-        ``entry`` is either an int (crash that many agents — the legacy
-        plan shape) or a dict ``{"agents": n, "lead": bool,
-        "master": bool}`` extending the blast radius to the control
-        plane.  A crashed master is restarted after
-        ``master_restart_delay`` (the simulated operator's MTTR); a
+        A crashed master is restarted after ``MASTER_RESTART_DELAY``; a
         crashed lead Directory is *not* — the peers' election replaces
         it."""
-        if isinstance(entry, dict):
-            agents = int(entry.get("agents", 0))
-            lead = bool(entry.get("lead", False))
-            master = bool(entry.get("master", False))
-        else:
-            agents, lead, master = int(entry), False, False
 
         def crash() -> None:
-            if lead:
+            if entry.get("lead"):
                 self.cluster.crash_directory()
-            if master:
+            if entry.get("master"):
                 self.cluster.crash_master()
                 self.cluster.kernel.schedule(
-                    self.config.master_restart_delay, self.cluster.restart_master
+                    MASTER_RESTART_DELAY, self.cluster.restart_master
                 )
-            for _ in range(agents):
+            for _ in range(entry.get("agents", 0)):
                 if len(self.cluster.agents) > 1:
                     self.cluster.crash_agent()
 
@@ -705,10 +700,10 @@ class ElGA:
     def maybe_rebalance(self, summary=None) -> Optional[dict]:
         """Close the loop: observed load -> plan -> fenced adoption.
 
-        Builds a :class:`~repro.rebalance.RebalancePlanner` from the
-        ``rebalance_*`` config knobs and feeds it the per-agent compute
-        totals of ``summary``.  With tracing on and no explicit
-        summary, the load signal is the trace *window* recorded since
+        Builds a :class:`~repro.rebalance.RebalancePlanner` at the
+        configured ``rebalance_skew_threshold`` and feeds it the
+        per-agent compute totals of ``summary``.  With tracing on and no
+        explicit summary, the load signal is the trace *window* recorded since
         the previous call — round ids reset per run, so summarising the
         cumulative trace would merge pre- and post-migration rows and
         feed the planner stale load.  Without any trace signal it falls
@@ -724,12 +719,7 @@ class ElGA:
         """
         from repro.rebalance import RebalancePlanner, normalize_loads
 
-        planner = RebalancePlanner(
-            skew_threshold=self.config.rebalance_skew_threshold,
-            min_weight=self.config.rebalance_min_weight,
-            max_weight=self.config.rebalance_max_weight,
-            max_weight_delta=self.config.rebalance_max_weight_delta,
-        )
+        planner = RebalancePlanner(skew_threshold=self.config.rebalance_skew_threshold)
         if summary is None and self.tracer is not None:
             summary = self.trace_summary_window()
         live = set(self.cluster.agents)

@@ -127,8 +127,8 @@ class SyncRunController:
         kernel,
         scale_plan: Optional[Dict[int, int]] = None,
         on_suspended: Optional[Callable[..., None]] = None,
-        crash_plan: Optional[Dict[int, int]] = None,
-        on_crash: Optional[Callable[[int], None]] = None,
+        crash_plan: Optional[Dict[int, dict]] = None,
+        on_crash: Optional[Callable[[dict], None]] = None,
         tracer=None,
         rebalance_plan: Optional[Dict[int, Dict[int, float]]] = None,
     ):

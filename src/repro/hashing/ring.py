@@ -140,7 +140,7 @@ class ConsistentHashRing:
         if not self._members:
             self._positions = np.empty(0, dtype=np.uint64)
             self._owners = np.empty(0, dtype=np.int64)
-            self._member_ids_arr = np.empty(0, dtype=np.int64)
+            self._member_id_arr = np.empty(0, dtype=np.int64)
             self._succ_comp = np.empty(0, dtype=np.int64)
             self._succ_slots = np.empty(0, dtype=np.int64)
             self._succ_seg_start = np.zeros(1, dtype=np.int64)
@@ -163,7 +163,7 @@ class ConsistentHashRing:
         n_slots = len(self._positions)
         owner_idx = np.searchsorted(ids, self._owners)
         grp = np.argsort(owner_idx, kind="stable")
-        self._member_ids_arr = ids
+        self._member_id_arr = ids
         self._succ_slots = grp.astype(np.int64)
         self._succ_comp = owner_idx[grp].astype(np.int64) * n_slots + grp
         self._succ_seg_start = np.searchsorted(
@@ -248,7 +248,7 @@ class ConsistentHashRing:
         if len(self._members) == 0:
             raise LookupError("ring has no members")
         hashes = np.atleast_1d(np.asarray(key_hashes, dtype=np.uint64))
-        n_members = len(self._member_ids_arr)
+        n_members = len(self._member_id_arr)
         ks_arr = np.minimum(
             np.broadcast_to(np.asarray(ks, dtype=np.int64), hashes.shape), n_members
         )
@@ -277,7 +277,7 @@ class ConsistentHashRing:
         )
         order = np.argsort(first, axis=1, kind="stable")
         k_max = int(ks_arr.max())
-        succ = self._member_ids_arr[order[:, :k_max]][inverse]
+        succ = self._member_id_arr[order[:, :k_max]][inverse]
         pad = np.arange(k_max, dtype=np.int64)[None, :] >= ks_arr[:, None]
         succ[pad] = -1
         return succ

@@ -180,8 +180,8 @@ class CrashEvent:
     * ``"agent"`` (default) — kill ``agents_removed`` Agents;
     * ``"directory"`` — kill the *lead* Directory (the peers' term
       election replaces it; requires ``dir_lease_interval > 0``);
-    * ``"master"`` — kill the DirectoryMaster (the harness restarts it
-      after ``master_restart_delay``).
+    * ``"master"`` — kill the DirectoryMaster (the engine restarts it
+      after ``MASTER_RESTART_DELAY``).
 
     Control-plane entities have no graceful drain, so non-agent
     targets must be ``abrupt``.
@@ -324,16 +324,12 @@ class FaultPlan:
             plan[crash.after_step] = target
         return plan
 
-    def crash_plan(self) -> Dict[int, object]:
+    def crash_plan(self) -> Dict[int, dict]:
         """Translate *abrupt* crash events into the engine's crash plan.
 
         Shortly after each listed superstep's barrier completes, the
         victims are killed mid-superstep (detached from the fabric, no
-        drain).  A step whose events only target agents maps to a plain
-        int victim count (the pre-control-plane shape every existing
-        harness understands); a step that also kills the lead Directory
-        or the DirectoryMaster maps to
-        ``{"agents": n, "lead": bool, "master": bool}``.
+        drain): ``{step: {"agents": n, "lead": bool, "master": bool}}``.
         """
         plan: Dict[int, dict] = {}
         for crash in self.crashes:
@@ -348,10 +344,7 @@ class FaultPlan:
                 entry["lead"] = True
             else:
                 entry["master"] = True
-        return {
-            step: entry["agents"] if not (entry["lead"] or entry["master"]) else entry
-            for step, entry in plan.items()
-        }
+        return plan
 
     # -- convenience constructors ------------------------------------------
 

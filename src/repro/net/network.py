@@ -44,6 +44,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.entity import Entity
     from repro.sim.kernel import EventHandle, SimKernel
 
+#: Reliable-mode retransmission policy: the first retransmit fires after
+#: ``RETRY_TIMEOUT`` simulated seconds, each further one after
+#: ``RETRY_BACKOFF`` times the previous wait, never more than
+#: ``RETRY_TIMEOUT_CAP``.
+RETRY_TIMEOUT = 5e-3
+RETRY_BACKOFF = 2.0
+RETRY_TIMEOUT_CAP = 0.1
+
 
 @dataclass
 class NetworkStats:
@@ -96,8 +104,8 @@ class NetworkStats:
         self.bytes_sent += message.size_bytes
         self.by_type_count[message.ptype] += 1
         self.by_type_bytes[message.ptype] += message.size_bytes
-        if message.ptype == PacketType.VERTEX_MSG_ACK and isinstance(message.payload, dict):
-            count = int(message.payload.get("count", 1))
+        if message.ptype == PacketType.VERTEX_MSG_ACK:
+            count = int(message.payload["count"])
             self.data_ack_credits += count
             if count > 1:
                 self.data_acks_batched += 1
@@ -194,9 +202,6 @@ class Network:
         Enable sequenced, acknowledged, retransmitted delivery.  Off by
         default: the perfect fabric needs none of it, and benchmarks'
         traffic accounting stays byte-identical to the classic mode.
-    retry_timeout, retry_backoff, retry_timeout_cap:
-        Initial retransmit timeout (seconds), exponential backoff
-        factor, and the timeout ceiling.
     max_retries:
         Retransmissions per message before the fabric gives up.  Giving
         up on an *attached* destination raises (silent loss would
@@ -209,18 +214,12 @@ class Network:
         kernel: "SimKernel",
         transport: Optional[TransportModel] = None,
         reliable: bool = False,
-        retry_timeout: float = 5e-3,
-        retry_backoff: float = 2.0,
-        retry_timeout_cap: float = 0.1,
         max_retries: int = 30,
     ):
         self.kernel = kernel
         self.transport = transport if transport is not None else TransportModel.zeromq()
         self.stats = NetworkStats()
         self.reliable = bool(reliable)
-        self.retry_timeout = float(retry_timeout)
-        self.retry_backoff = float(retry_backoff)
-        self.retry_timeout_cap = float(retry_timeout_cap)
         self.max_retries = int(max_retries)
         self.faults: Optional["FaultPlan"] = None
         self._entities: Dict[int, "Entity"] = {}
@@ -341,7 +340,7 @@ class Network:
             self._next_seq[link] += 1
             message.seq = self._next_seq[link]
             key = (message.src, message.dst, message.seq)
-            handle = self.kernel.schedule(self.retry_timeout, self._retransmit, key)
+            handle = self.kernel.schedule(RETRY_TIMEOUT, self._retransmit, key)
             self._pending[key] = _Pending(message, handle)
         self._transmit(message)
 
@@ -499,10 +498,7 @@ class Network:
         perf = getattr(sender, "perf", None)
         if perf is not None:
             perf.add("transport_retries")
-        timeout = min(
-            self.retry_timeout * self.retry_backoff**entry.attempt,
-            self.retry_timeout_cap,
-        )
+        timeout = min(RETRY_TIMEOUT * RETRY_BACKOFF**entry.attempt, RETRY_TIMEOUT_CAP)
         entry.handle = self.kernel.schedule(timeout, self._retransmit, key)
         self._transmit(message)
 

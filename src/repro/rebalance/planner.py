@@ -110,8 +110,9 @@ class RebalancePlan:
 class RebalancePlanner:
     """Emit :class:`RebalancePlan`s from observed per-agent load.
 
-    Attributes mirror the ``rebalance_*`` knobs on ``ClusterConfig``;
-    see the module docstring for the bounding rules.
+    The engine's loop sets ``skew_threshold`` from
+    ``ClusterConfig.rebalance_skew_threshold`` and takes the clamps as
+    they stand here; see the module docstring for the bounding rules.
     """
 
     skew_threshold: float = 1.15

@@ -48,7 +48,7 @@ def test_abrupt_crash_mid_pagerank_recovers_bit_identical():
         programs=[PageRank(max_iters=12)],
         **RECOVERY_CONFIG,
     )
-    assert report.crash_plan == {3: 1}
+    assert report.crash_plan == {3: {"agents": 1, "lead": False, "master": False}}
     assert report.recoveries == 1
     events = {e["event"] for e in report.recovery_log}
     assert events == {"crash", "recover", "replace"}
@@ -105,4 +105,7 @@ def test_crash_plan_requires_failure_detection():
     us, vs = chaos_graph(n=20, m=60)
     elga.ingest_edges(np.asarray(us), np.asarray(vs))
     with pytest.raises(ValueError, match="heartbeat"):
+        elga.run(PageRank(max_iters=5), crash_plan={2: {"agents": 1}})
+    # One plan shape: a bare victim count is not an entry.
+    with pytest.raises(TypeError):
         elga.run(PageRank(max_iters=5), crash_plan={2: 1})

@@ -41,7 +41,7 @@ def test_combining_survives_drop_dup_reorder(plan_seed):
 
 def test_chaotic_combining_matches_faultfree_uncombined():
     """The strongest claim: a combining cluster under chaos produces
-    the exact bits of a pristine cluster with the fast path fully off."""
+    the exact bits of a pristine cluster that combines nothing."""
     us, vs = chaos_graph()
     plain = ElGA(
         nodes=2,
@@ -49,7 +49,6 @@ def test_chaotic_combining_matches_faultfree_uncombined():
         seed=9,
         replication_threshold=SPLIT_THRESHOLD,
         combining=False,
-        coalescing=True,
     )
     fast = ElGA(
         nodes=2,

@@ -40,7 +40,7 @@ def _incremental_run(crash_plan=None, checkpoint_every=2):
 
 def test_crash_mid_delta_run_recovers_bit_identical():
     _, fault_free = _incremental_run()
-    elga, recovered = _incremental_run(crash_plan={3: 1})
+    elga, recovered = _incremental_run(crash_plan={3: {"agents": 1}})
     assert fault_free.strategy == recovered.strategy == "delta"
     assert len(elga.cluster.recovery_log) >= 2  # crash + recover events
     recover = next(
@@ -55,7 +55,7 @@ def test_crash_mid_delta_run_without_checkpoints_restarts_bit_identical():
     restarted from persisted warm-start state and still lands on the
     identical answer."""
     _, fault_free = _incremental_run(checkpoint_every=0)
-    elga, recovered = _incremental_run(crash_plan={1: 1}, checkpoint_every=0)
+    elga, recovered = _incremental_run(crash_plan={1: {"agents": 1}}, checkpoint_every=0)
     assert fault_free.strategy == recovered.strategy == "delta"
     recover = next(
         e for e in elga.cluster.recovery_log if e["event"] == "recover"

@@ -23,11 +23,11 @@ def test_vertex_table_pos_missing_raises():
         table.pos(np.array([100]))  # past the end
 
 
-def test_store_arrays_sorted_and_complete():
+def test_edge_arrays_sorted_and_complete():
     elga = ElGA(nodes=1, agents_per_node=1, seed=24)
     elga.ingest_edges(np.array([3, 1, 3]), np.array([0, 2, 2]))
     agent = elga.cluster.agents[0]
-    keys, others = agent._store_arrays(agent.out_store)
+    keys, others = agent.out_store.arrays()
     assert keys.tolist() == [1, 3, 3]
     assert others.tolist() == [2, 0, 2]
 

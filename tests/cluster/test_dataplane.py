@@ -4,14 +4,12 @@ The fast path's contract is *bit-equality*: sender-side combining and
 packet coalescing may change what crosses the wire, but never the
 floats that come out.  These tests pin the algebra at the unit level
 (``combine_pairs``) and the contract at the engine level (combining on
-vs off, ack batching on vs off).
+vs off).
 """
 
 import numpy as np
 import pytest
 
-from repro.bench.counters import PerfCounters
-from repro.cluster.agent import Agent
 from repro.cluster.dataplane import RoundBuffers, combine_pairs
 from repro.core import ElGA, PageRank
 from repro.core.algorithms import WCC
@@ -187,75 +185,6 @@ def test_round_buffers_merge_replica_rows_in_vertex_order():
 
 
 # ----------------------------------------------------------------------
-# vectorized edge ingest (_apply_rows) and _store_arrays
-# ----------------------------------------------------------------------
-
-
-def _bare_agent() -> Agent:
-    agent = object.__new__(Agent)
-    agent.perf = PerfCounters()
-    return agent
-
-
-def _sequential_reference(store, keys, vals, actions):
-    return Agent._apply_rows_sequential(_bare_agent(), store, keys, vals, actions)
-
-
-def _copy_store(store):
-    return {k: set(s) for k, s in store.items()}
-
-
-def test_apply_rows_matches_sequential_semantics():
-    rng = np.random.default_rng(17)
-    for trial in range(20):
-        n = int(rng.integers(1, 60))
-        keys = rng.integers(0, 8, size=n).astype(np.int64)
-        vals = rng.integers(0, 12, size=n).astype(np.int64)
-        actions = rng.choice([1, -1], size=n).astype(np.int8)
-        store = {
-            int(k): {int(v) for v in rng.integers(0, 12, size=4)}
-            for k in rng.integers(0, 8, size=3)
-        }
-        expected_store = _copy_store(store)
-        expected = _sequential_reference(expected_store, keys, vals, actions)
-        got_store = _copy_store(store)
-        got = _bare_agent()._apply_rows(got_store, keys, vals, actions)
-        assert got_store == expected_store, f"trial {trial}: stores diverged"
-        # The applied multiset matches even when the bulk path reorders
-        # rows (order only matters for insert+remove of the same pair,
-        # which routes to the sequential path).
-        assert sorted(got) == sorted(expected), f"trial {trial}"
-
-
-def test_apply_rows_conflicting_pair_keeps_batch_order():
-    store = {1: {5}}
-    keys = np.array([1, 1], dtype=np.int64)
-    vals = np.array([5, 5], dtype=np.int64)
-    # remove (1,5) then re-insert it: strict order matters.
-    actions = np.array([-1, 1], dtype=np.int8)
-    applied = _bare_agent()._apply_rows(store, keys, vals, actions)
-    assert applied == [(1, 5, -1), (1, 5, 1)]
-    assert store == {1: {5}}
-
-
-def test_apply_rows_dedups_repeated_inserts():
-    store = {}
-    keys = np.array([4, 4, 4], dtype=np.int64)
-    vals = np.array([7, 7, 8], dtype=np.int64)
-    actions = np.array([1, 1, 1], dtype=np.int8)
-    applied = _bare_agent()._apply_rows(store, keys, vals, actions)
-    assert applied == [(4, 7, 1), (4, 8, 1)]
-    assert store == {4: {7, 8}}
-
-
-def test_store_arrays_skips_empty_buckets():
-    arrays = Agent._store_arrays(_bare_agent(), {3: {2, 0}, 1: set(), 2: {9}})
-    keys, vals = arrays
-    assert keys.tolist() == [2, 3, 3]
-    assert vals.tolist() == [9, 0, 2]
-
-
-# ----------------------------------------------------------------------
 # engine-level bit-equality and counters
 # ----------------------------------------------------------------------
 
@@ -275,8 +204,8 @@ def test_combining_on_off_bit_equal(program_cls):
     """Sender-side combining must not change a single output bit, for
     the sum (PageRank) and min (WCC) aggregators, splits included."""
     us, vs = _graph()
-    fast = _engine(combining=True, coalescing=True)
-    plain = _engine(combining=False, coalescing=True)
+    fast = _engine(combining=True)
+    plain = _engine(combining=False)
     fast.ingest_edges(us, vs)
     plain.ingest_edges(us, vs)
     program = program_cls() if program_cls is WCC else program_cls(max_iters=12)
@@ -291,30 +220,9 @@ def test_combining_on_off_bit_equal(program_cls):
     )
 
 
-def test_coalescing_reduces_wire_packets():
-    us, vs = _graph()
-    fast = _engine()
-    legacy = _engine(combining=False, coalescing=False, ack_batch_window=0.0)
-    fast.ingest_edges(us, vs)
-    legacy.ingest_edges(us, vs)
-    r_fast = fast.run(PageRank(max_iters=10))
-    r_legacy = legacy.run(PageRank(max_iters=10))
-    np.testing.assert_allclose(
-        np.array([r_fast.values[k] for k in sorted(r_fast.values)]),
-        np.array([r_legacy.values[k] for k in sorted(r_legacy.values)]),
-        rtol=1e-12,
-    )
-    fast_pkts = fast.cluster.network.stats.by_type_count[PacketType.VERTEX_MSG]
-    legacy_pkts = legacy.cluster.network.stats.by_type_count[PacketType.VERTEX_MSG]
-    # The >= 2x bar lives in benchmarks/bench_dataplane.py on a
-    # hub-heavy mix; this small graph just has to show the mechanism.
-    assert fast_pkts < legacy_pkts * 0.75
-    assert sum(a.metrics.packets_coalesced for a in fast.cluster.agents.values()) > 0
-
-
 def test_ack_batching_counters_and_accounting():
     us, vs = _graph()
-    fast = _engine()  # default ack_batch_window > 0
+    fast = _engine()
     fast.ingest_edges(us, vs)
     fast.run(PageRank(max_iters=8))
     stats = fast.cluster.network.stats
@@ -328,25 +236,12 @@ def test_ack_batching_counters_and_accounting():
     assert acks < stats.data_ack_credits
     assert stats.data_acks_batched > 0
     assert sum(a.metrics.acks_batched for a in fast.cluster.agents.values()) > 0
-
-
-def test_legacy_mode_disables_fast_path_counters():
-    engine = ElGA(
-        nodes=2,
-        agents_per_node=2,
-        seed=9,
-        combining=False,
-        coalescing=False,
-        ack_batch_window=0.0,
-    )
-    gus, gvs = _graph()
-    engine.ingest_edges(gus, gvs)
-    engine.run(PageRank(max_iters=6))
-    assert sum(a.metrics.pairs_combined for a in engine.cluster.agents.values()) == 0
-    assert sum(a.metrics.packets_coalesced for a in engine.cluster.agents.values()) == 0
-    assert engine.cluster.network.stats.data_acks_batched == 0
+    # Emissions of a round toward one agent ship as one packet.
+    assert sum(a.metrics.packets_coalesced for a in fast.cluster.agents.values()) > 0
 
 
 def test_combining_requires_coalescing():
-    with pytest.raises(ValueError):
-        ElGA(nodes=1, agents_per_node=2, combining=True, coalescing=False)
+    """Round coalescing is the data plane, not an option of it: there is
+    no per-emission mode for combining to be incompatible with."""
+    with pytest.raises(TypeError):
+        ElGA(nodes=1, agents_per_node=2, coalescing=False)

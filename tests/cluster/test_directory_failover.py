@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ElGACluster
 from repro.cluster.directory import DirectoryState
+from repro.cluster.rehome import MASTER_QUERY_RETRIES, MASTER_QUERY_TIMEOUT, RehomeMixin
 from repro.core import ElGA, PageRank
 from repro.gen import powerlaw_graph
 from repro.net.message import Message, PacketType
@@ -135,6 +136,48 @@ def test_register_is_idempotent():
     assert c.master._directories == before
 
 
+class SilentMaster(Entity):
+    """Swallows every DIRECTORY_QUERY, noting when it arrived."""
+
+    def __init__(self, network):
+        super().__init__(network, "silent-master", 0)
+        self.asked_at = []
+
+    def handle_message(self, message: Message) -> None:
+        self.asked_at.append(self.now)
+
+
+class Homeless(RehomeMixin, Entity):
+    """The re-home machine alone, its directory already dead."""
+
+    def __init__(self, network, master_address):
+        super().__init__(network, "homeless", 0)
+        self.directory_address = -1
+        self._init_rehome(master_address)
+
+    def handle_message(self, message: Message) -> None:
+        self._master_req.handle_reply(message)
+
+
+def test_rehome_backs_off_request_timeout_and_retry_delay_alike():
+    """Against a master that never answers, attempt k waits
+    timeout·2^k for the reply and then timeout·2^(k+1) before asking
+    again (agents and proxies share this one machine), gives up after
+    the retry budget, and a later trigger starts a fresh cycle."""
+    c = make_cluster()
+    master = SilentMaster(c.network)
+    homeless = Homeless(c.network, master.address)
+    homeless._maybe_rehome()
+    c.settle()
+    assert len(master.asked_at) == MASTER_QUERY_RETRIES + 1
+    assert not homeless._rehome_pending
+    gaps = [b - a for a, b in zip(master.asked_at, master.asked_at[1:])]
+    assert gaps[:4] == pytest.approx([3 * MASTER_QUERY_TIMEOUT * 2**k for k in range(4)])
+    assert max(gaps) == pytest.approx(0.2)  # both waits capped at 0.1 s
+    homeless._maybe_rehome()
+    assert homeless._rehome_pending
+
+
 # ---------------------------------------------------------------------------
 # Election: deterministic lowest-index succession under a bumped term
 # ---------------------------------------------------------------------------
@@ -159,6 +202,35 @@ def test_lead_crash_mid_run_elects_lowest_index_survivor():
     second = elga.run(PageRank(max_iters=5))
     assert second.steps == 5
     assert cluster.lead.term == 1
+
+
+def test_ingest_survives_streamer_homed_on_dead_directory():
+    """A streamer subscribed to the crashed lead never hears another
+    broadcast; after the membership moves on, its view routes to
+    departed agents.  Ingest replaces it with one homed on a live
+    directory instead of streaming through the stale view."""
+    elga = ElGA(nodes=2, agents_per_node=2, seed=3, **dict(ENGINE_FAILOVER, n_directories=2))
+    us, vs, _ = powerlaw_graph(60, 240, alpha=2.2, seed=7)
+    elga.ingest_edges(us[:120], vs[:120])
+    cluster = elga.cluster
+    stale = cluster.streamers[0]
+    assert stale.directory_address == cluster.directories[0].address
+    elga.run(PageRank(max_iters=10), crash_plan={1: {"lead": True}})
+    assert not cluster.network.is_attached(stale.directory_address)
+    elga.scale_to(6)
+    elga.scale_to(3)
+    elga.placement_counters()  # folds the scale-down's leavers into retired_perf
+    retired = cluster.retired_perf.counts["placement_cache_misses"]
+    report = elga.ingest_edges(us[120:], vs[120:])
+    assert report["edges"] == len(us) - 120
+    assert elga.validate_against_reference()
+    assert stale not in cluster.streamers
+    assert not cluster.network.is_attached(stale.address)
+    assert cluster.network.is_attached(cluster.streamers[0].directory_address)
+    # The retired streamer's counters stay in the cluster-wide totals.
+    misses = stale.perf.counts["placement_cache_misses"]
+    assert misses > 0
+    assert cluster.retired_perf.counts["placement_cache_misses"] == retired + misses
 
 
 def test_lead_crash_requires_failover_config():

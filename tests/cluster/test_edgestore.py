@@ -1,9 +1,8 @@
 """Array-native shard storage: EdgeStore, ValueColumn, IdSet, DirtyLog.
 
-These containers replaced the agents' per-vertex ``Dict[int, Set[int]]``
-shards and per-program value dicts; they keep the old dict/set surface
-for the tests and tools that still speak it, while the hot paths read
-the sorted parallel arrays zero-copy.  The units here pin the contract
+These containers are the agents' shards and per-program state; all
+mutation is batched over sorted parallel arrays, and a read-only
+dict/set surface remains for inspection.  The units here pin the contract
 edges the integration suites only exercise implicitly: effective-row
 semantics of batched apply, the insert+remove same-pair fallback, the
 wide/negative id packing fallback, version-counter cache invalidation,
@@ -13,16 +12,8 @@ and the dict-compat equality both directions.
 import numpy as np
 import pytest
 
-from repro.cluster.edgestore import (
-    DirtyLog,
-    EdgeStore,
-    IdSet,
-    ValueColumn,
-    as_column,
-    as_dirty_log,
-    as_edge_store,
-    as_idset,
-)
+from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
+from repro.cluster.recovery import EdgeWAL
 
 
 def store_of(pairs):
@@ -139,11 +130,10 @@ class TestEdgeStore:
         )
         assert s == {1: {2}} and 8 in c
 
-    def test_as_edge_store_from_dict(self):
-        s = as_edge_store({1: {2, 3}, 7: {1}})
-        assert isinstance(s, EdgeStore)
+    def test_from_dict_roundtrip(self):
+        s = EdgeStore.from_dict({1: {2, 3}, 7: {1}})
         assert s == {1: {2, 3}, 7: {1}}
-        assert as_edge_store(s) is s
+        assert s.to_dict() == {1: {2, 3}, 7: {1}}
 
 
 class TestValueColumn:
@@ -160,27 +150,26 @@ class TestValueColumn:
         assert c[1] == 7.0
 
     def test_select_and_restrict(self):
-        c = as_column({1: 0.1, 2: 0.2, 3: 0.3})
+        c = ValueColumn.from_dict({1: 0.1, 2: 0.2, 3: 0.3})
         ids, vals = c.select(np.asarray([2, 9, 1], dtype=np.int64))
         assert dict(zip(ids.tolist(), vals.tolist())) == {1: 0.1, 2: 0.2}
         c.restrict(np.asarray([1, 3], dtype=np.int64))
         assert c == {1: 0.1, 3: 0.3}
 
     def test_dict_surface(self):
-        c = as_column({4: 0.5})
+        c = ValueColumn.from_dict({4: 0.5})
         assert 4 in c and len(c) == 1
         assert c.get(4) == 0.5 and c.get(5, -1.0) == -1.0
-        c[6] = 0.25
+        c.set_many(np.asarray([6], dtype=np.int64), np.asarray([0.25]))
         assert dict(c.items()) == {4: 0.5, 6: 0.25}
         assert c == {4: 0.5, 6: 0.25} and {4: 0.5, 6: 0.25} == c
 
 
 class TestIdSet:
     def test_membership_ops(self):
-        s = as_idset({3, 1})
-        s.add(7)
-        s.discard(1)
-        s.discard(99)  # absent: no-op
+        s = IdSet([3, 1])
+        s.update(np.asarray([7], dtype=np.int64))
+        s.restrict(np.asarray([3, 7, 99], dtype=np.int64))  # 99 absent: no-op
         assert s == {3, 7}
         assert s.isin(np.asarray([1, 3, 7], dtype=np.int64)).tolist() == [
             False,
@@ -189,7 +178,7 @@ class TestIdSet:
         ]
 
     def test_update_restrict_assign(self):
-        s = as_idset(set())
+        s = IdSet()
         s.update(np.asarray([5, 2, 5], dtype=np.int64))
         s.restrict(np.asarray([2, 9], dtype=np.int64))
         assert s == {2}
@@ -230,14 +219,13 @@ class TestDirtyLog:
         assert list(log.rows()) == [("out", 3, 3, 1)]
 
     def test_extend_accepts_log_and_tuples(self):
-        a = DirtyLog()
-        a.append_batch("out", *self.batch([1], [2], 1))
+        # What a replacement agent does: re-dirty the write-ahead log's
+        # streaming batches; any (role, keys, others, actions) tuples do.
+        wal = EdgeWAL()
+        wal.append("out", self.batch([1], [2], 1), sketched=True)
+        wal.append("out", self.batch([5], [6], 1), sketched=False)  # migration
         b = DirtyLog()
-        b.extend(a)
-        b.extend([("in", 7, 8, -1)])
+        b.extend(wal.sketched_rows())
+        b.extend([("in", *self.batch([7], [8], -1))])
         assert len(b) == 2
         assert list(b.rows()) == [("out", 1, 2, 1), ("in", 7, 8, -1)]
-
-    def test_as_dirty_log_from_list(self):
-        log = as_dirty_log([("out", 1, 2, 1), ("out", 3, 4, -1)])
-        assert isinstance(log, DirtyLog) and len(log) == 2

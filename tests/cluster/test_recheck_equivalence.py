@@ -184,10 +184,6 @@ class RecheckEquivalence(RuleBasedStateMachine):
         self.both(lambda e: e.run(program, crash_plan={1: {"lead": True}}))
         for engine in self.engines:
             assert engine.cluster.lead.term == self.failovers
-            # Streamers have no lease machinery: one homed on the dead
-            # lead never hears of another broadcast.  The operator
-            # restarts them (ingest homes new ones on a live directory).
-            engine.cluster.streamers.clear()
 
     @invariant()
     def rows_live_where_placement_says(self):

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
 from repro.cluster.metrics import AgentMetrics, combine_metrics
 from repro.cluster.recovery import (
     Checkpoint,
@@ -17,10 +18,21 @@ from repro.cluster.recovery import (
     EdgeWAL,
     RecoveryStore,
     copy_active,
-    copy_store,
     copy_values,
 )
 from repro.sketch.countmin import CountMinSketch
+
+
+def rows(*triples):
+    """(keys, others, actions) arrays from (key, other, action) triples."""
+    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    return arr[:, 0], arr[:, 1], arr[:, 2]
+
+
+def pairs(mapping):
+    """The (ids, values) wire form of a {vertex: value} dict."""
+    col = ValueColumn.from_dict(mapping)
+    return col.ids, col.vals
 
 
 # ---------------------------------------------------------------------------
@@ -30,10 +42,10 @@ from repro.sketch.countmin import CountMinSketch
 
 def test_wal_append_replay_roundtrip():
     wal = EdgeWAL()
-    wal.append("out", [(1, 2, 1), (1, 3, 1), (4, 5, 1)], sketched=True)
-    wal.append("in", [(2, 1, 1), (3, 1, 1)], sketched=True)
-    wal.append("out", [(1, 3, -1)], sketched=True)
-    out, inn = {}, {}
+    wal.append("out", rows((1, 2, 1), (1, 3, 1), (4, 5, 1)), sketched=True)
+    wal.append("in", rows((2, 1, 1), (3, 1, 1)), sketched=True)
+    wal.append("out", rows((1, 3, -1)), sketched=True)
+    out, inn = EdgeStore(), EdgeStore()
     replayed = wal.replay(out, inn)
     assert replayed == 6
     assert out == {1: {2}, 4: {5}}
@@ -42,27 +54,27 @@ def test_wal_append_replay_roundtrip():
 
 def test_wal_remove_drops_empty_buckets():
     wal = EdgeWAL()
-    wal.append("out", [(7, 8, 1)], sketched=False)
-    wal.append("out", [(7, 8, -1)], sketched=False)
-    out, inn = {}, {}
+    wal.append("out", rows((7, 8, 1)), sketched=False)
+    wal.append("out", rows((7, 8, -1)), sketched=False)
+    out, inn = EdgeStore(), EdgeStore()
     wal.replay(out, inn)
     assert out == {} and inn == {}
 
 
 def test_wal_empty_append_is_noop():
     wal = EdgeWAL()
-    wal.append("out", [], sketched=True)
+    wal.append("out", rows(), sketched=True)
     assert len(wal) == 0
     assert wal.records_logged == 0
 
 
 def test_wal_truncate_drops_everything():
     wal = EdgeWAL()
-    wal.append("out", [(1, 2, 1)], sketched=True)
+    wal.append("out", rows((1, 2, 1)), sketched=True)
     assert len(wal) == 1
     wal.truncate()
     assert len(wal) == 0
-    out, inn = {}, {}
+    out, inn = EdgeStore(), EdgeStore()
     assert wal.replay(out, inn) == 0
     # records_logged is a lifetime counter; truncation keeps it.
     assert wal.records_logged == 1
@@ -72,13 +84,13 @@ def test_wal_replays_migrated_values_and_activation():
     wal = EdgeWAL()
     wal.append(
         "out",
-        [(9, 10, 1)],
+        rows((9, 10, 1)),
         sketched=False,
-        values={"pagerank": {9: 0.25}},
-        active={"pagerank": {9}},
+        values={"pagerank": pairs({9: 0.25})},
+        active={"pagerank": np.array([9])},
     )
-    out, inn = {}, {}
-    persistent = {"pagerank": {1: 0.5}}
+    out, inn = EdgeStore(), EdgeStore()
+    persistent = {"pagerank": ValueColumn.from_dict({1: 0.5})}
     persistent_active = {}
     wal.replay(out, inn, persistent=persistent, persistent_active=persistent_active)
     assert persistent == {"pagerank": {1: 0.5, 9: 0.25}}
@@ -87,19 +99,19 @@ def test_wal_replays_migrated_values_and_activation():
 
 def test_wal_value_only_record_survives_without_rows():
     wal = EdgeWAL()
-    wal.append("out", [], sketched=False, values={"wcc": {3: 3.0}})
+    wal.append("out", rows(), sketched=False, values={"wcc": pairs({3: 3.0})})
     persistent = {}
-    wal.replay({}, {}, persistent=persistent)
+    wal.replay(EdgeStore(), EdgeStore(), persistent=persistent)
     assert persistent == {"wcc": {3: 3.0}}
 
 
 def test_wal_recounts_sketched_rows_into_delta():
     wal = EdgeWAL()
-    wal.append("out", [(5, 6, 1), (5, 7, 1)], sketched=True)
-    wal.append("out", [(5, 7, -1)], sketched=True)
-    wal.append("out", [(5, 8, 1)], sketched=False)  # migration: not sketched
+    wal.append("out", rows((5, 6, 1), (5, 7, 1)), sketched=True)
+    wal.append("out", rows((5, 7, -1)), sketched=True)
+    wal.append("out", rows((5, 8, 1)), sketched=False)  # migration: not sketched
     delta = CountMinSketch(64, 3, seed=1)
-    wal.replay({}, {}, sketch_delta=delta)
+    wal.replay(EdgeStore(), EdgeStore(), sketch_delta=delta)
     assert delta.query(np.array([5]))[0] == 1  # +2 inserts, -1 remove
 
 
@@ -113,8 +125,8 @@ def _checkpoint(run_id=None, step=0, edges=((1, 2),)):
     for u, v in edges:
         out.setdefault(u, set()).add(v)
     return Checkpoint(
-        out_store=out,
-        in_store={},
+        out_store=EdgeStore.from_dict(out),
+        in_store=EdgeStore(),
         persistent={},
         persistent_active={},
         sketch_delta=None,
@@ -166,11 +178,14 @@ def test_prune_run_keeps_latest():
 def _fake_agent(agent_id=0):
     return SimpleNamespace(
         agent_id=agent_id,
-        out_store={1: {2, 3}},
-        in_store={2: {1}},
-        persistent={"pagerank": {1: 0.9}},
-        persistent_active={"pagerank": {1}},
+        out_store=EdgeStore.from_dict({1: {2, 3}}),
+        in_store=EdgeStore.from_dict({2: {1}}),
+        persistent={"pagerank": ValueColumn.from_dict({1: 0.9})},
+        persistent_active={"pagerank": IdSet([1])},
+        persistent_scatter={},
         sketch_delta=CountMinSketch(64, 3, seed=0),
+        _dirty_log=DirtyLog(),
+        _dirty_seen={},
     )
 
 
@@ -185,13 +200,13 @@ def test_recovery_store_slots_are_stable_and_forgettable():
 def test_snapshot_agent_copies_state_and_truncates_wal():
     store = RecoveryStore()
     agent = _fake_agent(agent_id=2)
-    store.slot(2).wal.append("out", [(1, 2, 1)], sketched=True)
+    store.slot(2).wal.append("out", rows((1, 2, 1)), sketched=True)
     checkpoint = store.snapshot_agent(agent)
     assert len(store.slot(2).wal) == 0
     assert checkpoint.n_edges == 3
     # Deep copies: mutating the agent must not leak into the snapshot.
-    agent.out_store[1].add(99)
-    agent.persistent["pagerank"][1] = 0.0
+    agent.out_store.apply(*rows((1, 99, 1)))
+    agent.persistent["pagerank"].set_many(np.array([1]), np.array([0.0]))
     assert checkpoint.out_store == {1: {2, 3}}
     assert checkpoint.persistent == {"pagerank": {1: 0.9}}
 
@@ -206,13 +221,13 @@ def test_recovery_store_prune_run_spans_all_slots():
 
 
 def test_copy_helpers_deep_copy():
-    out = {1: {2}}
-    vals = {"p": {1: 0.5}}
-    act = {"p": {1}}
-    c_out, c_vals, c_act = copy_store(out), copy_values(vals), copy_active(act)
-    out[1].add(3)
-    vals["p"][2] = 1.0
-    act["p"].add(2)
+    out = EdgeStore.from_dict({1: {2}})
+    vals = {"p": ValueColumn.from_dict({1: 0.5})}
+    act = {"p": IdSet([1])}
+    c_out, c_vals, c_act = out.copy(), copy_values(vals), copy_active(act)
+    out.apply(*rows((1, 3, 1)))
+    vals["p"].set_many(np.array([2]), np.array([1.0]))
+    act["p"].update(np.array([2]))
     assert c_out == {1: {2}}
     assert c_vals == {"p": {1: 0.5}}
     assert c_act == {"p": {1}}
@@ -238,8 +253,8 @@ def test_checkpoint_plus_wal_rebuilds_every_agent_store():
     for agent_id, agent in elga.cluster.agents.items():
         slot = elga.cluster.recovery.slot(agent_id)
         base = slot.checkpoints.latest
-        out = copy_store(base.out_store) if base else {}
-        inn = copy_store(base.in_store) if base else {}
+        out = base.out_store.copy() if base else EdgeStore()
+        inn = base.in_store.copy() if base else EdgeStore()
         slot.wal.replay(out, inn)
         assert out == agent.out_store, f"agent {agent_id} out-store diverged"
         assert inn == agent.in_store, f"agent {agent_id} in-store diverged"

@@ -130,9 +130,3 @@ def test_adopted_weights_survive_lead_failover():
 def test_config_knobs_validated():
     with pytest.raises(ValueError):
         ClusterConfig(nodes=1, agents_per_node=1, rebalance_skew_threshold=0.5)
-    with pytest.raises(ValueError):
-        ClusterConfig(nodes=1, agents_per_node=1, rebalance_min_weight=0.0)
-    with pytest.raises(ValueError):
-        ClusterConfig(nodes=1, agents_per_node=1, rebalance_max_weight=0.5)
-    with pytest.raises(ValueError):
-        ClusterConfig(nodes=1, agents_per_node=1, rebalance_max_weight_delta=0.0)

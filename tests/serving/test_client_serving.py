@@ -10,6 +10,7 @@ proxy-internal flight state drains to empty after every burst.
 import numpy as np
 import pytest
 
+from repro.cluster.client import SHED_RETRY_AFTER
 from repro.core import ElGA, WCC
 from repro.net.message import PacketType
 
@@ -66,7 +67,7 @@ def test_admission_control_sheds_with_retry_after():
     accepted = [v for v in verdicts if v == 0.0]
     shed = [v for v in verdicts if v > 0.0]
     assert len(accepted) == 4 and len(shed) == 4
-    assert all(v == elga.config.serving_retry_after for v in shed)
+    assert all(v == SHED_RETRY_AFTER for v in shed)
     assert client.queries_shed == 4
     elga.cluster.settle()
     assert len(out) == 4  # shed queries never deliver
