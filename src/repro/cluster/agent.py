@@ -31,159 +31,51 @@ behaviors, each mapped to the paper:
 Compute is vectorized per superstep (numpy over the shard's edge
 arrays) and *simulated time* is charged per operation through the
 calibrated :class:`~repro.cluster.costmodel.CostModel`.
+
+The Agent is split where its state separates.  What must survive it is
+one :class:`~repro.cluster.shard.ShardState` (``agent.shard``); a run
+executes on a :class:`~repro.cluster.vertextable._RunState` built by
+cluster-free functions; the barrier-round machine that drives a run is
+:class:`~repro.cluster.rounds.RoundMixin`.  This module keeps message
+dispatch, directory adoption and migration, ingest and forwarding,
+serving, and crash tolerance.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro import kernels
-from repro.cluster.config import ClusterConfig
-from repro.cluster.dataplane import ACK_BATCH_WINDOW, RoundBuffers, combine_pairs
-from repro.cluster.directory import DirectoryState, bind_placement
-from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
-from repro.cluster.metrics import AgentMetrics
-from repro.cluster.recovery import (
-    Checkpoint,
-    RecoveryStore,
-    Rows,
-    StatePairs,
-    copy_active,
-    copy_values,
-)
-from repro.cluster.rehome import RehomeMixin
-from repro.net.message import Message, PacketType
-
-if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
-    from repro.core.program import RunSpec
 from repro.bench.counters import PerfCounters
+from repro.cluster.config import ClusterConfig
+# ``combine_pairs`` is used by the round machine (rounds.py); the name
+# stays bound here because the end-to-end harness checks that its
+# tracing wrapper reaches ``repro.cluster.agent.combine_pairs``.
+from repro.cluster.dataplane import ACK_BATCH_WINDOW, combine_pairs, segments_by  # noqa: F401
+from repro.cluster.directory import DirectoryState, bind_placement
+from repro.cluster.edgestore import EdgeStore
+from repro.cluster.metrics import AgentMetrics
+from repro.cluster.recovery import Checkpoint, RecoveryStore, Rows
+from repro.cluster.rehome import RehomeMixin
+from repro.cluster.rounds import RoundMixin
+from repro.cluster.shard import ProgramState, ShardState, StateSlice, copy_programs
+from repro.cluster.vertextable import (
+    _RunState,
+    hosted_vertex_ids,
+    keyed_vertices,
+    persist_table,
+)
+from repro.hashing.ring import ConsistentHashRing
+from repro.net.message import Message, PacketType
 from repro.net.sockets import PushSocket
 from repro.partition.cache import PlacementCache
 from repro.partition.placer import EdgePlacer
-from repro.hashing.ring import ConsistentHashRing
 from repro.sim.entity import Entity
 from repro.sketch.countmin import CountMinSketch
 
 
-class _VertexTable:
-    """Vectorized per-run vertex state for one Agent's shard."""
-
-    def __init__(self, ids: np.ndarray):
-        n = len(ids)
-        self.ids = ids  # sorted int64
-        self.values = np.zeros(n)
-        self.accum = np.zeros(n)
-        self.got = np.zeros(n, dtype=bool)
-        self.active = np.zeros(n, dtype=bool)
-        # Local out-degree (this shard's out-copies) is immutable per
-        # run; the *total* is what primaries establish by summing the
-        # replicas' locals and push back with each replica round.
-        self.out_deg_local = np.zeros(n)
-        self.out_deg_total = np.zeros(n)
-        self.split_k = np.ones(n, dtype=np.int64)
-        self.is_primary = np.ones(n, dtype=bool)
-        # Delta-message runs only: the per-edge value each vertex last
-        # scattered (NaN until established — split rows learn their
-        # global degree, and hence their baseline, in the init round).
-        self.last_sent: Optional[np.ndarray] = None
-
-    def pos(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Positions of (present) vertex ids in the table."""
-        p = np.searchsorted(self.ids, vertex_ids)
-        if len(vertex_ids) and (
-            p.max(initial=0) >= len(self.ids) or not np.array_equal(self.ids[p], vertex_ids)
-        ):
-            missing = np.asarray(vertex_ids)[
-                (p >= len(self.ids)) | (self.ids[np.minimum(p, len(self.ids) - 1)] != vertex_ids)
-            ]
-            raise KeyError(f"vertices not hosted here: {missing[:5]}...")
-        return p
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-class _RunState:
-    """Per-run bookkeeping (one algorithm execution)."""
-
-    def __init__(self, spec: "RunSpec"):
-        self.spec = spec
-        self.program = spec.program
-        self.ctx = {"global_n": spec.global_n}
-        self.table: Optional[_VertexTable] = None
-        self.suspended = False
-        # Delta runs: only the frontier applies/scatters, and (for
-        # delta-message programs) scatter carries residuals.
-        self.is_delta = getattr(spec, "strategy", "scratch") == "delta"
-        self.delta_msgs = self.is_delta and getattr(spec.program, "delta_messages", False)
-        # Pending dirty rows by store role, stashed at table build for
-        # round-0 seed emission and baseline reconstruction.
-        self.delta_pending: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        # Lazy routing (delta runs): per-table-row count of local edges
-        # whose placement resolution has not been charged yet; paid the
-        # first time the row scatters.  None for from-scratch runs.
-        self.routing_uncharged: Optional[np.ndarray] = None
-        # Residual baselines as they stood when this round began, i.e.
-        # before this round's scatter advanced them.  A mid-run
-        # checkpoint must capture *these*: a rollback loses the round's
-        # in-flight messages, and the resume re-scatter can only
-        # regenerate them if the restored baseline still precedes them
-        # (absolute-message runs resend values and don't care).  Only
-        # maintained while checkpointing is on.
-        self.prescatter_last_sent: Optional[np.ndarray] = None
-        # Edge routing caches (built with the table).
-        self.out_src_pos = np.empty(0, np.int64)
-        self.out_dst_raw = np.empty(0, np.int64)
-        self.out_segments: List[Tuple[int, int, int]] = []
-        self.in_src_pos = np.empty(0, np.int64)
-        self.in_dst_raw = np.empty(0, np.int64)
-        self.in_segments: List[Tuple[int, int, int]] = []
-        # Split-vertex choreography.
-        self.my_split: Dict[int, List[int]] = {}  # vertex -> replica list
-        # Per-round state.
-        self.round = -1
-        self.step = 0
-        self.phase = "delta_init" if self.is_delta else "init"
-        self.outstanding_acks = 0
-        self.expected_syncs: Dict[int, int] = {}
-        # Replica-sync partials, buffered as parallel arrays per batch
-        # (verts, partials, got, outdeg); ``_maybe_apply_split`` folds
-        # a vertex's rows in canonical sorted order once all of them
-        # are in, so arrival order never shapes the reduction.
-        self.sync_buf: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.expected_values: Set[int] = set()
-        self.initial_work_done = False
-        self.ready_sent = False
-        # The exact AGENT_READY payload last sent, re-sent verbatim when
-        # a lead election bumps the control term: the successor rebuilds
-        # its READY buckets from these re-reports, and a verbatim copy
-        # keeps the merged barrier stats bit-identical.
-        self.last_ready: Optional[dict] = None
-        self.round_stats: Dict[str, float] = {}
-        # Split-vertex (old, new, active) per applied vertex; step
-        # stats for them are computed once at READY time over the
-        # vertex-sorted arrays — partial-arrival order must not leak
-        # into float sums.
-        self.split_applied: Dict[int, Tuple[float, float, bool]] = {}
-        self.future_buffer: Dict[int, List[dict]] = {}  # step -> payloads
-        # This round's incoming (dst, val) message batches.  They are
-        # buffered, not applied on arrival: at the next ADVANCE the
-        # batches are concatenated, sorted canonically, and folded into
-        # the accumulators — so the aggregate is a pure function of the
-        # message *multiset*, independent of delivery order.  Each
-        # batch holds one partial per destination vertex (level 1 of
-        # the canonical reduction), so peak buffer memory is O(unique
-        # dst) rather than O(pairs).
-        self.pending_msgs: List[Tuple[np.ndarray, np.ndarray]] = []
-        # Outgoing data-plane emissions of the current round, merged
-        # into one struct-of-arrays packet per (destination, type) at
-        # flush time (see Agent._flush_data_buffers).
-        self.buffers = RoundBuffers()
-
-
-class Agent(RehomeMixin, Entity):
+class Agent(RoundMixin, RehomeMixin, Entity):
     """One ElGA Agent (one per core in the paper's deployment).
 
     Created by :class:`~repro.cluster.cluster.ElGACluster`; joins the
@@ -223,28 +115,13 @@ class Agent(RehomeMixin, Entity):
         self.metrics = AgentMetrics()
         self.perf = PerfCounters()
 
-        # Edge stores: out-copy (keyed by source) and in-copy (keyed by
-        # destination) adjacency, as lexsorted parallel arrays — the
-        # paper's "flat hash maps with vectors", but array-native so
-        # batch ingest, migration scans, and table builds vectorize.
-        self.out_store = EdgeStore()
-        self.in_store = EdgeStore()
-
-        # Algorithm state persisted across runs (locally persistent
-        # model): program name -> id-indexed value/activation columns.
-        self.persistent: Dict[str, ValueColumn] = {}
-        self.persistent_active: Dict[str, IdSet] = {}
-        # Delta-message programs additionally persist each vertex's
-        # last-sent scatter value: a suspended delta run must resume
-        # with the exact baseline, or unsent residuals are lost.
-        self.persistent_scatter: Dict[str, ValueColumn] = {}
-        # Dirty mutation rows applied since each program last consumed
-        # them — the activation seed of a delta run.  Array batches of
-        # (role, keys, others, actions) with per-program row watermarks;
-        # ``finalize_run(persist=True)`` advances the finished program's
-        # watermark and trims the prefix every known program consumed.
-        self._dirty_log = DirtyLog()
-        self._dirty_seen: Dict[str, int] = {}
+        # Everything durable — edge stores, un-flushed sketch delta,
+        # dirty log, per-program algorithm state — is this one object:
+        # what a checkpoint copies, the WAL replays onto, and a
+        # replacement agent is handed back.
+        self.shard = ShardState(
+            CountMinSketch(config.sketch_width, config.sketch_depth, seed=config.seed)
+        )
 
         # Directory view.  ``placer`` is the persistent PlacementCache,
         # rebound to a fresh EdgePlacer on every adopted broadcast; its
@@ -257,14 +134,13 @@ class Agent(RehomeMixin, Entity):
         self._pending_state: Optional[DirectoryState] = None
 
         # Dynamic-update plumbing.
-        self.sketch_delta = CountMinSketch(
-            config.sketch_width, config.sketch_depth, seed=config.seed
-        )
         self._delta_count = 0
         self._reported_split: Set[int] = set()
         self._buffered_updates: List[dict] = []
         self._pre_state_buffer: List[Tuple[dict, bool]] = []
-        self._pre_run_data: List[Tuple[str, dict, int]] = []
+        # (packet type, payload) round data that raced ahead of the run
+        # bootstrap; the first round files it under its rounds.
+        self._pre_run_data: List[Tuple[PacketType, dict]] = []
 
         # Elasticity.
         self.leaving = False
@@ -375,12 +251,8 @@ class Agent(RehomeMixin, Entity):
             self._on_run_start(message.payload)
         elif ptype == PacketType.SUPERSTEP_ADVANCE:
             self._on_advance(message.payload)
-        elif ptype == PacketType.VERTEX_MSG:
-            self._on_vertex_msg(message.payload, message.src)
-        elif ptype == PacketType.REPLICA_SYNC:
-            self._on_replica_sync(message.payload, message.src)
-        elif ptype == PacketType.REPLICA_VALUE:
-            self._on_replica_value(message.payload, message.src)
+        elif ptype in self._ROUND_INGEST:
+            self._on_round_data(ptype, message.payload, message.src)
         elif ptype == PacketType.VERTEX_MSG_ACK:
             self._on_data_ack(message.payload)
         elif ptype == PacketType.RECOVER:
@@ -399,15 +271,8 @@ class Agent(RehomeMixin, Entity):
         re-collecting READYs; an agent waiting at a barrier re-sends its
         last report verbatim (stats must merge bit-identically).
         """
-        run = self.run
-        if self.crashed or run is None or run.spec.mode != "sync":
-            return
-        if run.ready_sent and run.last_ready is not None:
-            self.push.push(
-                self.directory_address,
-                PacketType.AGENT_READY,
-                dict(run.last_ready),
-            )
+        if not self.crashed and self.run is not None and self.run.spec.mode == "sync":
+            self._report_ready()
 
     # ------------------------------------------------------------------
     # directory updates, migration, elasticity (§3.4.3)
@@ -484,8 +349,7 @@ class Agent(RehomeMixin, Entity):
         return gate[before.replication_factor(gate) != self.placer.replication_factor(gate)]
 
     def _recheck_splits(self) -> None:
-        hosted = np.union1d(self.out_store.unique_keys, self.in_store.unique_keys)
-        self._check_split_threshold(hosted)
+        self._check_split_threshold(keyed_vertices(self.shard))
 
     def _migrate_misplaced(self, moved: Optional[np.ndarray]) -> None:
         """Re-home the resident edges whose owner changed.
@@ -502,7 +366,7 @@ class Agent(RehomeMixin, Entity):
         costs = self.config.costs
         total_edges = self.n_out_edges + self.n_in_edges
         self.charge(costs.elga_migrate_check * total_edges)
-        stores = (("out", self.out_store), ("in", self.in_store))
+        stores = (("out", self.shard.out_store), ("in", self.shard.in_store))
         if moved is not None and len(moved) == 0:
             self.metrics.migrate_rechecks_skipped += 1
             stores = ()
@@ -516,11 +380,6 @@ class Agent(RehomeMixin, Entity):
             wrong_rows = np.flatnonzero(wrong) if rows is None else rows[wrong]
             wrong_k = keys[wrong_rows]
             wrong_o = others[wrong_rows]
-            if role == "out":
-                moving_u, moving_v = wrong_k, wrong_o
-            else:
-                moving_u, moving_v = wrong_o, wrong_k
-            moving_owner = owners[wrong]
             self.charge(costs.elga_migrate_op * len(wrong_rows))
             self.metrics.edges_migrated += len(wrong_rows)
             # Remove locally, one vectorized pass over the store.  The
@@ -529,48 +388,31 @@ class Agent(RehomeMixin, Entity):
             # batch's hop ack arrives (see _pending_migrations).
             store.remove_pairs(wrong_k, wrong_o)
             # Group by destination agent and ship, with vertex state.
-            order = np.argsort(moving_owner, kind="stable")
-            moving_owner = moving_owner[order]
-            moving_u = moving_u[order]
-            moving_v = moving_v[order]
-            bounds = np.flatnonzero(np.diff(moving_owner)) + 1
-            starts = np.concatenate([[0], bounds])
-            ends = np.concatenate([bounds, [len(moving_owner)]])
-            for s, e in zip(starts, ends):
-                target = int(moving_owner[s])
+            order, segments = segments_by(owners[wrong])
+            for target, start, end in segments:
+                batch_keys = wrong_k[order[start:end]]
+                batch_others = wrong_o[order[start:end]]
                 # Ship algorithm state only for the endpoints this agent
                 # *owns* (the copy's keyed vertex): it is a replica of
                 # those and its persisted values are fresh.  Values for
                 # the opposite endpoints may be stale leftovers from an
                 # earlier placement epoch and must not travel.
-                owned = np.unique(moving_u[s:e] if role == "out" else moving_v[s:e])
-                # Vectorized state join: the owned ids' rows of each
-                # program's columns, shipped as (ids, values) arrays.
-                values = {
-                    prog: col.select(owned) for prog, col in self.persistent.items()
-                }
-                active = {
-                    prog: owned[aset.isin(owned)]
-                    for prog, aset in self.persistent_active.items()
-                }
-                scatter = {
-                    prog: col.select(owned)
-                    for prog, col in self.persistent_scatter.items()
-                }
+                owned = np.unique(batch_keys)
                 token = self._new_migration_token()
-                batch_keys = moving_u[s:e] if role == "out" else moving_v[s:e]
-                batch_others = moving_v[s:e] if role == "out" else moving_u[s:e]
                 self._pending_migrations[token] = (role, batch_keys, batch_others)
                 payload = {
                     "role": role,
-                    "actions": np.ones(e - s, dtype=np.int8),
-                    "us": moving_u[s:e],
-                    "vs": moving_v[s:e],
+                    "actions": np.ones(end - start, dtype=np.int8),
+                    "us": batch_keys if role == "out" else batch_others,
+                    "vs": batch_others if role == "out" else batch_keys,
                     "reply_to": self.address,
                     "token": token,
-                    "values": values,
-                    "active": active,
-                    "scatter": scatter,
+                    # Vectorized state join: the owned ids' rows of each
+                    # program's columns, shipped as plain arrays.
+                    "state": {
+                        prog: state.select(owned)
+                        for prog, state in self.shard.programs.items()
+                    },
                 }
                 self.push.push(
                     self._agent_address(target), PacketType.EDGE_MIGRATE, payload
@@ -609,10 +451,9 @@ class Agent(RehomeMixin, Entity):
         Keeps per-agent memory at O((n + m)/P) (Goal 2) and prevents
         stale values from ever being re-shipped or re-collected.
         """
-        hosted = np.union1d(self.out_store.unique_keys, self.in_store.unique_keys)
-        for state in (self.persistent, self.persistent_active, self.persistent_scatter):
-            for col in state.values():
-                col.restrict(hosted)
+        hosted = keyed_vertices(self.shard)
+        for state in self.shard.programs.values():
+            state.restrict(hosted)
 
     def _new_migration_token(self) -> int:
         """A ledger token unique across agents (hop acks echo foreign
@@ -656,25 +497,18 @@ class Agent(RehomeMixin, Entity):
         self._resolve_migration(message.payload.get("token"))
         self._on_edge_update(dict(message.payload), count_in_sketch=False)
 
+    def _drained(self) -> bool:
+        """A leaver that holds no edge and awaits no migration ack."""
+        return self.leaving and self._migration_acks_pending == 0 and self.total_edges == 0
+
     def _maybe_finish_leaving(self) -> None:
-        if (
-            self.leaving
-            and self._migration_acks_pending == 0
-            and self.n_out_edges == 0
-            and self.n_in_edges == 0
-        ):
+        if self._drained():
             # "Only when it has no edges and has waited a period of time
             # will it disconnect."
             self.kernel.schedule(1e-3, self._final_detach)
 
     def _final_detach(self) -> None:
-        if (
-            self.leaving
-            and self._migration_acks_pending == 0
-            and self.n_out_edges == 0
-            and self.n_in_edges == 0
-            and self.network.is_attached(self.address)
-        ):
+        if self._drained() and self.network.is_attached(self.address):
             self.push.push(self.directory_address, PacketType.SUBSCRIBE, {"remove": True})
             self.detach()
 
@@ -695,31 +529,23 @@ class Agent(RehomeMixin, Entity):
         except (KeyError, AttributeError):
             raise LookupError(f"agent {agent_id} not in directory state") from None
 
-    def _lookup_supplement(self) -> float:
-        """Full-minus-cached placement rate: what a delta run's lazily
-        routed edge still owes when its source first scatters (the
-        cached probe part is charged per send by _scatter_direction)."""
+    def _lookup_rates(self) -> Tuple[float, float]:
+        """Simulated seconds per edge-to-Agent resolution: (full sketch
+        + ring rate, reduced memo-probe rate of a PlacementCache hit —
+        see ``CostModel.elga_lookup_cached``)."""
         costs = self.config.costs
         width, depth = self.config.sketch_width, self.config.sketch_depth
         ring_positions = max(1, len(self.ring) * self.config.virtual_factor)
-        return costs.placement_lookup_cost(
-            width, depth, ring_positions
-        ) - costs.placement_lookup_cost(width, depth, ring_positions, cached=True)
-
-    def _charge_placement_lookups(self) -> None:
-        """Charge the last cached lookup batch honestly: misses at the
-        full sketch+ring rate, hits at the reduced memo-probe rate (see
-        ``CostModel.elga_lookup_cached``)."""
-        costs = self.config.costs
-        width, depth = self.config.sketch_width, self.config.sketch_depth
-        ring_positions = max(1, len(self.ring) * self.config.virtual_factor)
-        cache = self._placement_cache
-        self.charge(
-            cache.last_misses
-            * costs.placement_lookup_cost(width, depth, ring_positions)
-            + cache.last_hits
-            * costs.placement_lookup_cost(width, depth, ring_positions, cached=True)
+        return (
+            costs.placement_lookup_cost(width, depth, ring_positions),
+            costs.placement_lookup_cost(width, depth, ring_positions, cached=True),
         )
+
+    def _charge_lookups(self, misses: int, hits: int) -> None:
+        """Charge one cached lookup batch honestly: misses at the full
+        rate, hits at the cached one."""
+        full, cached = self._lookup_rates()
+        self.charge(misses * full + hits * cached)
 
     # ------------------------------------------------------------------
     # dynamic updates (ingest, forwarding, sketch maintenance)
@@ -762,20 +588,15 @@ class Agent(RehomeMixin, Entity):
                     {"token": payload.get("token")},
                 )
         owners = self.placer.owner_of_edges(own, other)
-        self._charge_placement_lookups()
+        self._charge_lookups(self.placer.last_misses, self.placer.last_hits)
         mine = owners == self.agent_id
         # Forward misplaced changes to the best known destination.
         if (~mine).any():
             self.metrics.updates_forwarded += int((~mine).sum())
-            fwd_owner = owners[~mine]
-            order = np.argsort(fwd_owner, kind="stable")
-            idx = np.nonzero(~mine)[0][order]
-            fwd_owner = fwd_owner[order]
-            bounds = np.flatnonzero(np.diff(fwd_owner)) + 1
-            for s, e in zip(
-                np.concatenate([[0], bounds]), np.concatenate([bounds, [len(idx)]])
-            ):
-                rows = idx[s:e]
+            elsewhere = np.flatnonzero(~mine)
+            order, segments = segments_by(owners[elsewhere])
+            for target, start, end in segments:
+                rows = elsewhere[order[start:end]]
                 fwd = {
                     "role": role,
                     "actions": actions[rows],
@@ -787,18 +608,18 @@ class Agent(RehomeMixin, Entity):
                     "reply_to": payload["reply_to"] if count_in_sketch else self.address,
                     "token": payload["token"],
                 }
-                for extra in ("values", "active", "scatter"):
-                    if extra in payload:
-                        fwd[extra] = payload[extra]
+                if "state" in payload:
+                    fwd["state"] = payload["state"]
                 if count_in_sketch:
                     ptype = PacketType.EDGE_UPDATE
                 else:
                     ptype = PacketType.EDGE_MIGRATE
                     self._migration_acks_pending += 1
-                self.push.push(self._agent_address(int(fwd_owner[s])), ptype, fwd)
+                self.push.push(self._agent_address(target), ptype, fwd)
 
         # Apply local changes (one vectorized batch over the store).
-        store = self.out_store if role == "out" else self.in_store
+        shard = self.shard
+        store = shard.out_store if role == "out" else shard.in_store
         rows = np.nonzero(mine)[0]
         self.perf.add("ingest_rows_vectorized", len(rows))
         app_k, app_o, app_a = store.apply(own[rows], other[rows], actions[rows])
@@ -811,14 +632,14 @@ class Agent(RehomeMixin, Entity):
             # these rows seed the activation frontier of the next delta
             # run (and survive crashes — they are re-derived from the
             # WAL's sketched suffix at restore).
-            self._dirty_log.append_batch(role, app_k, app_o, app_a)
+            shard.dirty_log.append_batch(role, app_k, app_o, app_a)
             # One sketch update per distinct endpoint, weighted by its
             # rows: the same table as a per-row walk, hashed once per
             # endpoint instead of once per row.
             inserted, n_inserted = np.unique(app_k[app_a > 0], return_counts=True)
             removed, n_removed = np.unique(app_k[app_a < 0], return_counts=True)
-            self.sketch_delta.add(inserted, n_inserted)
-            self.sketch_delta.remove(removed, n_removed)
+            shard.sketch_delta.add(inserted, n_inserted)
+            shard.sketch_delta.remove(removed, n_removed)
             self._delta_count += n_applied
             self._check_split_threshold(inserted)
             if self._delta_count >= self.config.sketch_flush_every:
@@ -827,40 +648,18 @@ class Agent(RehomeMixin, Entity):
         # Migrated vertex state rides along with the edges — but only
         # the final owner keeps it (a forwarding hop that merged values
         # for edges passing through would hoard stale state).
-        wal_values: Dict[str, StatePairs] = {}
-        wal_active: Dict[str, np.ndarray] = {}
-        wal_scatter: Dict[str, StatePairs] = {}
+        merged: Dict[str, StateSlice] = {}
         if len(rows):
             kept = np.unique(own[rows])
-            for prog, (ids, vals) in payload.get("values", {}).items():
-                m = np.isin(ids, kept)
-                if m.any():
-                    self.persistent.setdefault(prog, ValueColumn()).set_many(ids[m], vals[m])
-                    wal_values[prog] = (ids[m], vals[m])
-            for prog, ids in payload.get("active", {}).items():
-                ids = ids[np.isin(ids, kept)]
-                if len(ids):
-                    self.persistent_active.setdefault(prog, IdSet()).update(ids)
-                    wal_active[prog] = ids
-            for prog, (ids, vals) in payload.get("scatter", {}).items():
-                m = np.isin(ids, kept)
-                if m.any():
-                    self.persistent_scatter.setdefault(prog, ValueColumn()).set_many(
-                        ids[m], vals[m]
-                    )
-                    wal_scatter[prog] = (ids[m], vals[m])
+            for prog, pairs in payload.get("state", {}).items():
+                part = shard.programs.setdefault(prog, ProgramState()).absorb(pairs, kept)
+                if part:
+                    merged[prog] = part
 
         # Durability: every applied mutation — and any migrated-in
         # vertex state — hits the write-ahead log before this handler
         # returns, so a replacement can reconstruct the shard exactly.
-        self._wal_log(
-            role,
-            (app_k, app_o, app_a),
-            sketched=count_in_sketch,
-            values=wal_values,
-            active=wal_active,
-            scatter=wal_scatter,
-        )
+        self._wal_log(role, (app_k, app_o, app_a), sketched=count_in_sketch, state=merged)
 
         # Update acks go end-to-end to the original requester, counting
         # edges terminally handled here (forwarded rows are acked by
@@ -880,7 +679,7 @@ class Agent(RehomeMixin, Entity):
         threshold so the directory can registry-broadcast them."""
         if len(vertices) == 0 or self.dstate is None:
             return
-        est = self.dstate.sketch.query(vertices, plus=self.sketch_delta)
+        est = self.dstate.sketch.query(vertices, plus=self.shard.sketch_delta)
         crossing = vertices[est >= self.config.replication_threshold]
         fresh = [
             int(v)
@@ -914,27 +713,22 @@ class Agent(RehomeMixin, Entity):
     def _sync_placement_metrics(self) -> None:
         """Mirror the placement-cache perf counters into the metric
         snapshot the autoscaler path consumes."""
-        counts = self.perf.counts
-        self.metrics.placement_cache_hits = int(counts.get("placement_cache_hits", 0))
-        self.metrics.placement_cache_misses = int(
-            counts.get("placement_cache_misses", 0)
-        )
-        self.metrics.placement_epoch_invalidations = int(
-            counts.get("placement_epoch_invalidations", 0)
-        )
-        self.metrics.transport_retries = int(counts.get("transport_retries", 0))
-        self.metrics.transport_dups_suppressed = int(
-            counts.get("transport_dups_suppressed", 0)
-        )
+        for name in (
+            "placement_cache_hits",
+            "placement_cache_misses",
+            "placement_epoch_invalidations",
+            "transport_retries",
+            "transport_dups_suppressed",
+        ):
+            setattr(self.metrics, name, int(self.perf.counts.get(name, 0)))
 
     def flush_sketch(self) -> None:
         """Push accumulated degree deltas to the directory."""
-        if self.sketch_delta.is_empty():
+        delta = self.shard.sketch_delta
+        if delta.is_empty():
             return
-        self.push.push(
-            self.directory_address, PacketType.SKETCH_DELTA, self.sketch_delta.copy()
-        )
-        self.sketch_delta.clear()
+        self.push.push(self.directory_address, PacketType.SKETCH_DELTA, delta.copy())
+        delta.clear()
         self._delta_count = 0
         # The flushed delta is now the directory's; checkpoint so a
         # crash-restore cannot replay the WAL's sketched rows and
@@ -994,7 +788,8 @@ class Agent(RehomeMixin, Entity):
         # view while a run is live, so this fallback never mixes
         # per-replica rounds.
         run_id, step = self._serving_final.get(prog, (-1, -1))
-        value = self.persistent.get(prog, {}).get(vertex)
+        state = self.shard.programs.get(prog)
+        value = state.values.get(vertex) if state is not None else None
         return value, run_id, step
 
     def _publish_serving_view(self, run: "_RunState") -> None:
@@ -1019,1024 +814,14 @@ class Agent(RehomeMixin, Entity):
         self.metrics.serving_views_published += 1
 
     # ------------------------------------------------------------------
-    # run lifecycle: table construction
+    # data-plane acknowledgements (batched credits)
     # ------------------------------------------------------------------
 
-    def _hosted_vertex_ids(self) -> np.ndarray:
-        ids = np.union1d(self.out_store.unique_keys, self.in_store.unique_keys)
-        # A replica of a split vertex participates in replica sync even
-        # if the second-level hash assigned it no edges.
-        if self.dstate is not None and self.dstate.split_vertices:
-            split = np.fromiter(
-                self.dstate.split_vertices,
-                dtype=np.int64,
-                count=len(self.dstate.split_vertices),
-            )
-            split.sort()
-            k, reps = self.placer.replica_matrix(split)
-            self.perf.add("hosted_split_vectorized_rows", int(split.size))
-            mine = (k > 1) & (reps == self.agent_id).any(axis=1)
-            ids = np.union1d(ids, split[mine])
-        return ids.astype(np.int64, copy=False)
-
-    def _build_table(self, run: _RunState, resume: bool) -> None:
-        costs = self.config.costs
-        spec = run.spec
-        program = run.program
-        ids = self._hosted_vertex_ids()
-        table = _VertexTable(ids)
-        run.table = table
-        self.charge(costs.elga_vertex_op * len(ids))
-
-        # Local out-degree (sum over out-copies held here).
-        out_keys, out_others = self.out_store.arrays()
-        if len(ids):
-            local_outdeg = np.zeros(len(ids))
-            if len(out_keys):
-                np.add.at(local_outdeg, table.pos(out_keys), 1.0)
-            table.out_deg_local = local_outdeg
-            table.out_deg_total = local_outdeg.copy()
-
-        # Split bookkeeping: batch the replica-set resolution for every
-        # hosted split vertex; only the (few) hubs loop below.
-        run.my_split = {}
-        if len(ids) and self.dstate.split_vertices:
-            split = np.fromiter(
-                self.dstate.split_vertices,
-                dtype=np.int64,
-                count=len(self.dstate.split_vertices),
-            )
-            split.sort()
-            present = split[np.isin(split, ids, assume_unique=True)]
-            if len(present):
-                ks, reps = self.placer.replica_matrix(present)
-                pos = np.searchsorted(ids, present)
-                for v, k, row, p in zip(present, ks, reps, pos):
-                    if k <= 1:
-                        continue
-                    replicas = [int(a) for a in row[:k]]
-                    if self.agent_id not in replicas:
-                        continue
-                    run.my_split[int(v)] = replicas
-                    table.split_k[p] = k
-                    table.is_primary[p] = replicas[0] == self.agent_id
-
-        # Values: persisted (incremental/resume) or fresh.  Persisted
-        # lookups are a searchsorted join against the sorted key array,
-        # not a per-vertex dict probe.
-        persisted = self.persistent.get(program.name)
-        if len(ids):
-            if (spec.incremental or resume) and persisted:
-                pvals, found = persisted.lookup(ids)
-                table.values = np.where(found, pvals, np.nan)
-                fresh = np.isnan(table.values)
-                if fresh.any():
-                    table.values[fresh] = program.initial_value(ids[fresh], run.ctx)
-            else:
-                table.values = program.initial_value(ids, run.ctx)
-            table.accum = np.full(len(ids), program.identity)
-            table.got = np.zeros(len(ids), dtype=bool)
-
-        # Delta runs need their pending dirty rows and last-sent
-        # baselines *before* activation: the frontier is seeded both
-        # from the mutations and from any residual still owed against
-        # those baselines.
-        if run.is_delta and not resume:
-            run.delta_pending = self._dirty_log.suffix(
-                self._dirty_seen.get(program.name, 0)
-            )
-        if run.delta_msgs and len(ids):
-            self._init_last_sent(run, table, resume)
-
-        # Activation.
-        if len(ids):
-            if resume:
-                act = self.persistent_active.get(program.name)
-                if act:
-                    table.active = act.isin(ids)
-                else:
-                    table.active = np.zeros(len(ids), dtype=bool)
-            elif spec.incremental:
-                activate = getattr(spec, "activate", None)
-                if run.is_delta:
-                    table.active = self._delta_activation(run, table, activate)
-                elif activate is not None and len(activate):
-                    table.active = np.isin(ids, np.asarray(activate, dtype=np.int64))
-                else:
-                    # Dense warm start: previous fixpoint, everyone
-                    # active (the safe fallback when frontier tracking
-                    # is invalid — reshape, |V| change, ...).
-                    table.active = np.ones(len(ids), dtype=bool)
-            else:
-                table.active = program.initially_active(ids, table.values, run.ctx)
-
-        # Edge routing caches (destination agent per edge copy).  A
-        # from-scratch run resolves (and is charged for) every edge's
-        # owner up front; a delta run defers the charge per source
-        # vertex until it first scatters, so an update batch whose
-        # frontier never grows past a corner of the graph never pays
-        # O(m) placement work (the resolution itself is bookkeeping —
-        # cost accrues in _scatter_positions on first touch).
-        if len(out_keys):
-            dest = self.placer.owner_of_edges(out_others, out_keys)
-            if not run.is_delta:
-                self._charge_placement_lookups()
-            run.out_src_pos, run.out_dst_raw, run.out_segments = self._routing(
-                table, out_keys, out_others, dest
-            )
-        else:
-            run.out_src_pos = np.empty(0, np.int64)
-            run.out_dst_raw = np.empty(0, np.int64)
-            run.out_segments = []
-        if program.needs_in_and_out:
-            in_keys, in_others = self.in_store.arrays()
-            if len(in_keys):
-                # In-copy (u, v) is stored keyed by v; the reverse
-                # message (v -> u) goes to the holder of the out-copy.
-                dest = self.placer.owner_of_edges(in_others, in_keys)
-                if not run.is_delta:
-                    self._charge_placement_lookups()
-                run.in_src_pos, run.in_dst_raw, run.in_segments = self._routing(
-                    table, in_keys, in_others, dest
-                )
-            else:
-                run.in_src_pos = np.empty(0, np.int64)
-                run.in_dst_raw = np.empty(0, np.int64)
-                run.in_segments = []
-        if run.is_delta and len(table):
-            counts = np.bincount(run.out_src_pos, minlength=len(table))
-            if program.needs_in_and_out and len(run.in_src_pos):
-                counts = counts + np.bincount(run.in_src_pos, minlength=len(table))
-            run.routing_uncharged = counts.astype(np.float64)
-
-    def _routing(
-        self,
-        table: _VertexTable,
-        src_keys: np.ndarray,
-        dst_raw: np.ndarray,
-        dest_agents: np.ndarray,
-    ):
-        """Sort edges by destination agent; return (src positions in
-        table, raw destination vertex ids, segments)."""
-        order = np.argsort(dest_agents, kind="stable")
-        src_pos = table.pos(src_keys[order])
-        dst = dst_raw[order]
-        dest_sorted = dest_agents[order]
-        bounds = np.flatnonzero(np.diff(dest_sorted)) + 1
-        starts = np.concatenate([[0], bounds]).astype(np.int64)
-        ends = np.concatenate([bounds, [len(dest_sorted)]]).astype(np.int64)
-        segments = [
-            (int(dest_sorted[s]), int(s), int(e)) for s, e in zip(starts, ends)
-        ]
-        return src_pos, dst, segments
-
-    # ------------------------------------------------------------------
-    # delta runs: frontier seeding, residual baselines, structural seeds
-    # ------------------------------------------------------------------
-
-    def _delta_activation(
-        self, run: _RunState, table: _VertexTable, activate
-    ) -> np.ndarray:
-        """Frontier seeding for a delta run.
-
-        The program decides which locally-keyed endpoints of the pending
-        dirty rows start active; any explicitly requested activation is
-        unioned in.  Vertices still holding unsent residual mass above
-        the program's threshold (sub-threshold deltas accumulated over
-        earlier delta runs) are flushed into the frontier too — that
-        caps the steady-state error of a long update stream instead of
-        letting held residuals pile up silently.
-        """
-        program = run.program
-        seeds = []
-        for role in ("out", "in"):
-            if role not in run.delta_pending:
-                continue
-            keys, others, actions = run.delta_pending[role]
-            aff = program.affected(role, keys, others, actions, run.ctx)
-            if aff is not None and len(aff):
-                seeds.append(np.asarray(aff, dtype=np.int64))
-        if activate is not None and len(activate):
-            seeds.append(np.asarray(activate, dtype=np.int64))
-        if seeds:
-            active = np.isin(table.ids, np.unique(np.concatenate(seeds)))
-        else:
-            active = np.zeros(len(table.ids), dtype=bool)
-        if run.delta_msgs and table.last_sent is not None:
-            flush = program.delta_flush_mask(
-                table.values, table.out_deg_total, table.last_sent, run.ctx
-            )
-            if flush is not None:
-                # NaN baselines (split rows awaiting replica init)
-                # compare False and stay out of the flush.
-                active |= flush & (table.split_k == 1)
-        return active
-
-    def _init_last_sent(self, run: _RunState, table: _VertexTable, resume: bool) -> None:
-        """Establish per-vertex last-sent baselines for residual scatter.
-
-        A clean vertex's baseline is the steady-state per-edge value of
-        its previous fixpoint; a dirty vertex's is what it actually sent
-        under its *old* out-degree (reconstructed by subtracting the
-        pending rows' net degree change).  Both reconstructions are
-        overridden by an exactly-persisted baseline from an earlier
-        delta run, when one exists: it records what the vertex truly
-        last sent, including any sub-threshold residual it was still
-        holding, so unsent mass stays owed across runs instead of being
-        silently forgiven.  Split rows stay NaN until the init replica
-        round establishes their global degree.  On resume the persisted
-        baselines are joined back in — a suspended run's unsent
-        residuals must survive the suspension exactly.
-        """
-        program = run.program
-        n = len(table.ids)
-        table.last_sent = np.full(n, np.nan)
-        normal = table.split_k == 1
-        if resume:
-            sstore = self.persistent_scatter.get(program.name)
-            if sstore:
-                svals, found = sstore.lookup(table.ids)
-                table.last_sent = np.where(found, svals, np.nan)
-            return
-        base = program.scatter_values(table.values, np.maximum(table.out_deg_total, 1.0))
-        table.last_sent[normal] = np.where(
-            table.out_deg_total[normal] > 0, base[normal], 0.0
-        )
-        pend = getattr(run, "delta_pending", {})
-        if "out" in pend:
-            keys, _, actions = pend["out"]
-            uniq, inv = np.unique(keys, return_inverse=True)
-            net = np.zeros(len(uniq))
-            np.add.at(net, inv, actions.astype(np.float64))
-            idx = np.searchsorted(table.ids, uniq)
-            hosted = (idx < n) & (table.ids[np.minimum(idx, n - 1)] == uniq)
-            pos = idx[hosted]
-            net = net[hosted]
-            keep = normal[pos]
-            pos, net = pos[keep], net[keep]
-            outdeg_old = table.out_deg_total[pos] - net
-            old_base = program.scatter_values(
-                table.values[pos], np.maximum(outdeg_old, 1.0)
-            )
-            table.last_sent[pos] = np.where(outdeg_old > 0, old_base, 0.0)
-        sstore = self.persistent_scatter.get(program.name)
-        if sstore:
-            svals, sfound = sstore.lookup(table.ids)
-            found = sfound & normal
-            table.last_sent = np.where(found, svals, table.last_sent)
-
-    def _emit_delta_seeds(self, run: _RunState) -> None:
-        """Round-0 structural correction messages of a delta run.
-
-        Each pending dirty out-row (u, v, ±1) contributes or withdraws
-        u's previously-scattered per-edge value along that edge, so
-        receivers start the incremental run holding exactly the residual
-        the mutation batch introduced.  Values come from the persisted
-        fixpoint under the *old* out-degree; a same-edge insert+delete
-        pair cancels exactly.
-        """
-        if not run.delta_msgs:
-            return
-        pend = getattr(run, "delta_pending", {})
-        if "out" not in pend:
-            return
-        keys, others, actions = pend["out"]
-        program = run.program
-        costs = self.config.costs
-        persisted = self.persistent.get(program.name, ValueColumn())
-        uniq, inv = np.unique(keys, return_inverse=True)
-        vals_u, _ = persisted.lookup(uniq, default=0.0)
-        outdeg_now = self.out_store.degrees(uniq).astype(np.float64)
-        net = np.zeros(len(uniq))
-        np.add.at(net, inv, actions.astype(np.float64))
-        outdeg_old = (outdeg_now - net)[inv]
-        seed = program.delta_seed_values(
-            "out", keys, others, actions.astype(np.float64), vals_u[inv], outdeg_old, run.ctx
-        )
-        if seed is None:
-            return
-        # The scatter discipline's contract is "receivers hold exactly
-        # what u last sent per edge"; where that baseline is persisted
-        # from an earlier delta run it overrides the program's
-        # old-degree reconstruction, exactly as _init_last_sent does —
-        # seed and baseline must agree or residual accounting drifts.
-        sstore = self.persistent_scatter.get(program.name)
-        if sstore:
-            base_u = sstore.lookup(uniq, default=np.nan)[0][inv]
-            have = ~np.isnan(base_u)
-            seed = np.where(have, actions * base_u, seed)
-        live = seed != 0.0
-        if not live.any():
-            return
-        dst = others[live]
-        src = keys[live]
-        val = seed[live]
-        owners = self.placer.owner_of_edges(dst, src)
-        self._charge_placement_lookups()
-        order = np.argsort(owners, kind="stable")
-        owners, dst, val = owners[order], dst[order], val[order]
-        bounds = np.flatnonzero(np.diff(owners)) + 1
-        for s, e in zip(
-            np.concatenate([[0], bounds]), np.concatenate([bounds, [len(owners)]])
-        ):
-            count = int(e - s)
-            self.charge(count * costs.elga_edge_op)
-            self.metrics.edges_processed += count
-            self.perf.add("delta_seed_pairs", count)
-            payload = {
-                "step": run.step,
-                "round": run.round,
-                "dst": dst[s:e],
-                "val": val[s:e],
-            }
-            self._emit_data(int(owners[s]), PacketType.VERTEX_MSG, payload)
-
-    # ------------------------------------------------------------------
-    # run lifecycle: rounds
-    # ------------------------------------------------------------------
-
-    def _on_run_start(self, spec: "RunSpec") -> None:
-        if self.run is not None and self.run.spec.run_id == spec.run_id:
-            return  # duplicated RUN_START broadcast; the run is live
-        run = _RunState(spec)
-        self.run = run
-        tracer = self.network.tracer
-        trace_from = self.available_at() if tracer is not None else 0.0
-        self._build_table(run, resume=False)
-        run.round = 0
-        run.step = 0
-        if spec.mode == "async":
-            self._async_initial_scatter()
-            return
-        self._start_heartbeats()
-        self._split_round_begin()
-        self._snapshot_prescatter(run)
-        self._start_scatter_wave()
-        self._emit_delta_seeds(run)
-        run.initial_work_done = True
-        # A delayed RUN_START can trail peers' round-0 data (they saw
-        # the broadcast first and scattered already); pick it up now.
-        self._drain_pre_run_data(run)
-        self._replay_future(run.step)
-        if tracer is not None:
-            tracer.complete(
-                self.name,
-                f"superstep:{run.phase}",
-                "compute",
-                trace_from,
-                self.available_at(),
-                {
-                    "round": 0,
-                    "step": 0,
-                    "phase": run.phase,
-                    "run_id": spec.run_id,
-                    "frontier": int(run.table.active.sum()) if run.table is not None else 0,
-                },
-            )
-        self._check_ready()
-
-    def _drain_pre_run_data(self, run: _RunState) -> None:
-        """File data messages that raced ahead of the run bootstrap
-        under their rounds; ``_replay_future`` drains them in order."""
-        if not self._pre_run_data:
-            return
-        for kind, data_payload, src in self._pre_run_data:
-            run.future_buffer.setdefault(data_payload["round"], []).append(
-                {"kind": kind, "payload": data_payload, "src": src}
-            )
-        self._pre_run_data = []
-
-    def _on_advance(self, payload: dict) -> None:
-        run = self.run
-        if run is None and payload.get("phase") == "resume" and "spec" in payload:
-            # This agent joined during the suspension; bootstrap the run
-            # from the spec the resume broadcast carries.
-            run = self.run = _RunState(payload["spec"])
-            run.suspended = True
-        if run is None or payload.get("run_id") != run.spec.run_id:
-            return
-        tracer = self.network.tracer
-        if tracer is not None and self._trace_wait_from is not None:
-            # The barrier released: close the wait span opened when this
-            # agent reported READY (tagged with the round now starting).
-            tracer.complete(
-                self.name,
-                "barrier_wait",
-                "barrier",
-                self._trace_wait_from,
-                self.now,
-                {
-                    "round": int(payload.get("round", -1)),
-                    "step": int(payload.get("step", -1)),
-                    "phase": payload.get("phase"),
-                },
-            )
-            self._trace_wait_from = None
-        self._drain_pre_run_data(run)
-        phase = payload["phase"]
-        if phase == "halt":
-            self.finalize_run(persist=True)
-            return
-        if run.suspended and phase != "resume":
-            # Parked (scale drain or crash rollback): only a resume
-            # re-opens the run.  A straggling pre-crash step ADVANCE
-            # (reliable-transport retransmit) must not reanimate it.
-            return
-        if run.initial_work_done and int(payload["round"]) <= run.round:
-            return  # duplicated or stale ADVANCE; this round already ran
-        run.round = int(payload["round"])
-        run.step = int(payload["step"])
-        run.phase = phase
-        run.ready_sent = False
-        run.initial_work_done = False
-        run.round_stats = {}
-        run.split_applied = {}
-        trace_from = self.available_at() if tracer is not None else 0.0
-        if phase == "resume":
-            run.suspended = False
-            self._start_heartbeats()
-            self._build_table(run, resume=True)
-            self._split_round_begin()
-            self._snapshot_prescatter(run)
-            self._start_scatter_wave()
-        elif phase in ("step", "delta_step"):
-            # Fold the previous round's buffered messages into the
-            # accumulators (canonical order) before applying them.
-            self._flush_pending_msgs()
-            self._apply_phase()
-            # Split partials must be snapshotted before scatter refills
-            # the accumulators with this round's local messages.
-            self._split_round_begin()
-            self._snapshot_prescatter(run)
-            self._scatter_fresh_actives()
-        elif phase == "apply_only":
-            self._flush_pending_msgs()
-            self._apply_phase()
-            self._split_round_begin()
-        else:
-            raise ValueError(f"unknown advance phase {phase!r}")
-        run.initial_work_done = True
-        self._replay_future(run.step)
-        if tracer is not None:
-            tracer.complete(
-                self.name,
-                f"superstep:{phase}",
-                "compute",
-                trace_from,
-                self.available_at(),
-                {
-                    "round": run.round,
-                    "step": run.step,
-                    "phase": phase,
-                    "run_id": run.spec.run_id,
-                    "frontier": int(run.table.active.sum()) if run.table is not None else 0,
-                },
-            )
-        self._check_ready()
-
-    @staticmethod
-    def _fold_stat(stats: Dict[str, float], key: str, value: float) -> None:
-        """Fold one stat contribution: ``max_``-prefixed keys reduce by
-        max (mirroring the directory's cross-agent merge), others sum."""
-        if key.startswith("max_"):
-            stats[key] = max(stats.get(key, value), value)
-        else:
-            stats[key] = stats.get(key, 0.0) + value
-
-    def _apply_phase(self) -> None:
-        """Apply the previous superstep's aggregates (non-split rows).
-
-        Delta runs only touch the frontier — rows that received a
-        message or were active; everything else keeps its fixpoint value
-        and costs nothing, which is where the incremental speedup over a
-        full recompute comes from."""
-        run = self.run
-        table = run.table
-        costs = self.config.costs
-        if len(table) == 0:
-            return
-        normal = table.split_k == 1
-        mask = normal & (table.got | table.active) if run.is_delta else normal
-        if mask.any():
-            old = table.values[mask]
-            # Programs that need per-row identity (e.g. personalized
-            # PageRank's teleport vector) read it from the context.
-            run.ctx["_vertex_ids"] = table.ids[mask]
-            applier = run.program.delta_apply if run.is_delta else run.program.apply
-            new, active = applier(old, table.accum[mask], table.got[mask], run.ctx)
-            self.charge(costs.elga_vertex_op * int(mask.sum()))
-            table.values[mask] = new
-            table.active[mask] = active
-            statser = run.program.delta_stats if run.is_delta else run.program.step_stats
-            for key, value in statser(old, new, active).items():
-                self._fold_stat(run.round_stats, key, value)
-        table.accum[normal] = run.program.identity
-        table.got[normal] = False
-        # Split rows are applied by their primaries once partials arrive.
-
-    def _split_round_begin(self) -> None:
-        """Start the replica choreography for this round (§3.4).
-
-        Non-primary replicas send their partial aggregates (plus local
-        out-degree) to the primary; primaries register how many partials
-        to expect.  Applies — and the value push back to replicas —
-        happen in :meth:`_maybe_apply_split` as partials arrive.
-        """
-        run = self.run
-        table = run.table
-        if not run.my_split:
-            return
-        # Snapshot every split row's partial *now*, before this round's
-        # scatter starts refilling the accumulators.  One batched pos()
-        # probe and array gather for the whole split set.
-        verts = np.fromiter(sorted(run.my_split), dtype=np.int64, count=len(run.my_split))
-        pos = table.pos(verts)
-        partials = table.accum[pos].copy()
-        got = table.got[pos].copy()
-        outdeg = table.out_deg_local[pos].copy()
-        table.accum[pos] = run.program.identity
-        table.got[pos] = False
-        self.perf.add("split_round_rows_vectorized", len(verts))
-        primaries = np.fromiter(
-            (run.my_split[int(v)][0] for v in verts), dtype=np.int64, count=len(verts)
-        )
-        run.expected_syncs = {}
-        mine = primaries == self.agent_id
-        if mine.any():
-            for v in verts[mine]:
-                run.expected_syncs[int(v)] = len(run.my_split[int(v)]) - 1
-            run.sync_buf.append((verts[mine], partials[mine], got[mine], outdeg[mine]))
-        rest = np.flatnonzero(~mine)
-        if len(rest):
-            # One REPLICA_SYNC emission per primary, rows vert-sorted.
-            order = rest[np.argsort(primaries[rest], kind="stable")]
-            p_sorted = primaries[order]
-            bounds = np.flatnonzero(np.diff(p_sorted)) + 1
-            for s, e in zip(
-                np.concatenate([[0], bounds]), np.concatenate([bounds, [len(order)]])
-            ):
-                idx = order[s:e]
-                payload = {
-                    "step": run.step,
-                    "round": run.round,
-                    "verts": verts[idx],
-                    "partials": partials[idx],
-                    "got": got[idx],
-                    "outdeg": outdeg[idx],
-                }
-                self._emit_data(int(p_sorted[s]), PacketType.REPLICA_SYNC, payload)
-                self.metrics.replica_syncs += 1
-            run.expected_values.update(int(v) for v in verts[rest])
-        # A primary with zero remote partials outstanding can apply now.
-        self._maybe_apply_split()
-
-    def _on_replica_sync(self, payload: dict, src: int) -> None:
-        if self._stale_data(payload):
-            return
-        run = self.run
-        if run is None:
-            self._pre_run_data.append(("sync", payload, src))
-            self._ack_data(src, payload)
-            return
-        if payload["round"] != run.round or not run.initial_work_done:
-            run.future_buffer.setdefault(payload["round"], []).append(
-                {"kind": "sync", "payload": payload, "src": src}
-            )
-            self._ack_data(src, payload)
-            return
-        self._ingest_replica_sync(payload)
-        self._ack_data(src, payload)
-        self._check_ready()
-
-    def _ingest_replica_sync(self, payload: dict) -> None:
-        run = self.run
-        verts = np.asarray(payload["verts"], dtype=np.int64)
-        run.sync_buf.append(
-            (
-                verts,
-                np.asarray(payload["partials"], dtype=np.float64),
-                np.asarray(payload["got"], dtype=bool),
-                np.asarray(payload["outdeg"], dtype=np.float64),
-            )
-        )
-        unique, counts = np.unique(verts, return_counts=True)
-        for v, c in zip(unique, counts):
-            v = int(v)
-            run.expected_syncs[v] = run.expected_syncs.get(v, 0) - int(c)
-        self._maybe_apply_split()
-
-    def _maybe_apply_split(self) -> None:
-        """Primary side: apply any split vertex whose partials are all in,
-        then push the new value (and degree total) to the replicas."""
-        run = self.run
-        table = run.table
-        ready = sorted(v for v, remaining in run.expected_syncs.items() if remaining <= 0)
-        if not ready:
-            return
-        program = run.program
-        for v in ready:
-            del run.expected_syncs[v]
-        rverts = np.asarray(ready, dtype=np.int64)
-        # Pull the ready vertices' rows out of the sync buffers; rows
-        # for still-pending vertices stay buffered.
-        if run.sync_buf:
-            allv = np.concatenate([b[0] for b in run.sync_buf])
-            allp = np.concatenate([b[1] for b in run.sync_buf])
-            allg = np.concatenate([b[2] for b in run.sync_buf])
-            allo = np.concatenate([b[3] for b in run.sync_buf])
-        else:  # pragma: no cover - a ready vertex always has its own row
-            allv = np.empty(0, dtype=np.int64)
-            allp = np.empty(0)
-            allg = np.empty(0, dtype=bool)
-            allo = np.empty(0)
-        take = np.isin(allv, rverts)
-        keep = ~take
-        run.sync_buf = (
-            [(allv[keep], allp[keep], allg[keep], allo[keep])] if keep.any() else []
-        )
-        sv, sp, sg, so = allv[take], allp[take], allg[take], allo[take]
-        # Combine purely from the snapshots (the primary's own was
-        # added at round begin); this round's incoming messages sit in
-        # the pending buffer and must not leak in.  Partials fold in
-        # (vertex, partial, got, outdeg)-sorted order — replica-arrival
-        # order is fabric timing and must not shape the float reduction.
-        order = np.lexsort((so, sg, sp, sv))
-        sv, sp, sg, so = sv[order], sp[order], sg[order], so[order]
-        group = np.searchsorted(rverts, sv)
-        agg = np.full(len(rverts), program.identity, dtype=np.float64)
-        program.ufunc.at(agg, group, sp)
-        got = np.zeros(len(rverts), dtype=bool)
-        np.logical_or.at(got, group, sg)
-        outdeg = np.zeros(len(rverts))
-        np.add.at(outdeg, group, so)
-        self.perf.add("split_apply_rows_vectorized", len(rverts))
-        tpos = table.pos(rverts)
-        table.out_deg_total[tpos] = outdeg
-        if run.delta_msgs and table.last_sent is not None:
-            # A split row's residual baseline waits for its global
-            # degree; establish it now from the pre-apply value.
-            nan = np.isnan(table.last_sent[tpos])
-            if nan.any():
-                p = tpos[nan]
-                base = program.scatter_values(
-                    table.values[p], np.maximum(table.out_deg_total[p], 1.0)
-                )
-                table.last_sent[p] = np.where(table.out_deg_total[p] > 0, base, 0.0)
-        if run.phase in ("init", "delta_init", "resume"):
-            # Initial rounds only establish degree totals; values and
-            # activation were set at table build.
-            new_vals = table.values[tpos].copy()
-            act = table.active[tpos].copy()
-        else:
-            old = table.values[tpos].copy()
-            run.ctx["_vertex_ids"] = rverts
-            applier = program.delta_apply if run.is_delta else program.apply
-            new_vals, act = applier(old, agg, got, run.ctx)
-            table.values[tpos] = new_vals
-            table.active[tpos] = act
-            # Stash (old, new, active) per vertex; _check_ready computes
-            # the split step stats once over the vertex-sorted arrays,
-            # not in completion order.
-            for i, v in enumerate(ready):
-                run.split_applied[v] = (float(old[i]), float(new_vals[i]), bool(act[i]))
-        # Do NOT reset accum/got here: they already hold this round's
-        # incoming messages (the snapshot was taken at round begin).
-        by_replica: Dict[int, List[int]] = {}
-        for i, v in enumerate(ready):
-            for replica in run.my_split[v][1:]:
-                by_replica.setdefault(replica, []).append(i)
-        for replica in sorted(by_replica):
-            idx = np.asarray(by_replica[replica], dtype=np.int64)
-            payload = {
-                "step": run.step,
-                "round": run.round,
-                "verts": rverts[idx],
-                "values": np.asarray(new_vals)[idx],
-                "active": np.asarray(act, dtype=bool)[idx],
-                "outdeg": outdeg[idx],
-            }
-            self._emit_data(replica, PacketType.REPLICA_VALUE, payload)
-        if run.phase != "apply_only":
-            self._scatter_positions(tpos)
-
-    def _on_replica_value(self, payload: dict, src: int) -> None:
-        if self._stale_data(payload):
-            return
-        run = self.run
-        if run is None:
-            self._pre_run_data.append(("value", payload, src))
-            self._ack_data(src, payload)
-            return
-        if payload["round"] != run.round or not run.initial_work_done:
-            run.future_buffer.setdefault(payload["round"], []).append(
-                {"kind": "value", "payload": payload, "src": src}
-            )
-            self._ack_data(src, payload)
-            return
-        self._ingest_replica_value(payload)
-        self._ack_data(src, payload)
-        self._check_ready()
-
-    def _ingest_replica_value(self, payload: dict) -> None:
-        run = self.run
-        table = run.table
-        pos = table.pos(np.asarray(payload["verts"], dtype=np.int64))
-        if run.delta_msgs and table.last_sent is not None:
-            # Replica-side baseline: first push carries the vertex's
-            # pre-run value and global degree — the fixpoint baseline.
-            nan = np.isnan(table.last_sent[pos])
-            if nan.any():
-                od = np.asarray(payload["outdeg"], dtype=np.float64)[nan]
-                base = run.program.scatter_values(
-                    table.values[pos[nan]], np.maximum(od, 1.0)
-                )
-                table.last_sent[pos[nan]] = np.where(od > 0, base, 0.0)
-        table.values[pos] = payload["values"]
-        table.active[pos] = payload["active"]
-        table.out_deg_total[pos] = payload["outdeg"]
-        run.expected_values.difference_update(int(v) for v in payload["verts"])
-        if run.phase != "apply_only":
-            self._scatter_positions(pos)
-
-    # ------------------------------------------------------------------
-    # scatter
-    # ------------------------------------------------------------------
-
-    def _start_scatter_wave(self) -> None:
-        """Initial scatter of a round: all active non-split vertices plus
-        active split *primaries-with-known-degree*… split vertices always
-        wait for the replica round, so only non-split rows go now."""
-        table = self.run.table
-        if len(table) == 0:
-            return
-        mask = table.active & (table.split_k == 1)
-        self._scatter_positions(np.flatnonzero(mask))
-
-    def _scatter_fresh_actives(self) -> None:
-        table = self.run.table
-        if len(table) == 0:
-            return
-        mask = table.active & (table.split_k == 1)
-        self._scatter_positions(np.flatnonzero(mask))
-
-    def _scatter_positions(self, positions: np.ndarray) -> None:
-        """Send this round's messages for the given table rows."""
-        run = self.run
-        table = run.table
-        if len(positions) == 0:
-            return
-        program = run.program
-        costs = self.config.costs
-        active_rows = positions[table.active[positions]]
-        if len(active_rows) == 0:
-            return
-        send_mask = np.zeros(len(table), dtype=bool)
-        send_mask[active_rows] = True
-        values = program.scatter_values(table.values, table.out_deg_total)
-        if run.delta_msgs:
-            # Residual scatter: emit only the change since the last
-            # send, then advance the baseline.  Rows whose steady value
-            # did not move send nothing at all — the wire traffic of a
-            # delta round tracks true residuals, not frontier size.
-            baseline = np.where(np.isnan(table.last_sent), values, table.last_sent)
-            deltas = values - baseline
-            send_mask &= deltas != 0.0
-            table.last_sent[send_mask] = values[send_mask]
-            values = deltas
-        if run.routing_uncharged is not None:
-            # Deferred placement resolution: rows scattering for the
-            # first time this run pay the full (uncached) lookup rate
-            # for their local edges; _scatter_direction adds the cached
-            # probe every send, so only the difference is owed here.
-            rows = np.flatnonzero(send_mask)
-            owed = float(run.routing_uncharged[rows].sum())
-            if owed:
-                self.charge(owed * self._lookup_supplement())
-                run.routing_uncharged[rows] = 0.0
-        self._scatter_direction(
-            send_mask, values, run.out_src_pos, run.out_dst_raw, run.out_segments
-        )
-        if program.needs_in_and_out:
-            self._scatter_direction(
-                send_mask, values, run.in_src_pos, run.in_dst_raw, run.in_segments
-            )
-        self.charge(costs.elga_vertex_op * len(active_rows))
-
-    def _scatter_direction(self, send_mask, values, src_pos, dst_raw, segments) -> None:
-        run = self.run
-        costs = self.config.costs
-        ring_positions = max(1, len(self.ring) * self.config.virtual_factor)
-        # Routing was resolved (and charged) once at table build; the
-        # per-superstep re-resolution is a placement-cache probe and is
-        # charged at the reduced cached rate.
-        lookup = costs.placement_lookup_cost(
-            self.config.sketch_width,
-            self.config.sketch_depth,
-            ring_positions,
-            cached=True,
-        )
-        for agent_id, start, end in segments:
-            seg_src = src_pos[start:end]
-            mask = send_mask[seg_src]
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            # Per-edge work: hash-map access + lookup + buffer write.
-            self.charge(count * (costs.elga_edge_op + lookup))
-            self.metrics.edges_processed += count
-            self.perf.add("dataplane_pairs_emitted", count)
-            payload = {
-                "step": run.step,
-                "round": run.round,
-                "dst": dst_raw[start:end][mask],
-                "val": values[seg_src[mask]],
-            }
-            self._emit_data(agent_id, PacketType.VERTEX_MSG, payload)
-
-    # ------------------------------------------------------------------
-    # message aggregation
-    # ------------------------------------------------------------------
-
-    def _on_vertex_msg(self, payload: dict, src: int) -> None:
-        if self._stale_data(payload):
-            return
-        run = self.run
-        if run is None:
-            # Joined mid-suspension: the run bootstrap rides on the
-            # resume broadcast, which may arrive after peers' data.
-            self._pre_run_data.append(("msg", payload, src))
-            self._ack_data(src, payload)
-            return
-        if run.spec.mode == "async":
-            self._async_on_msg(payload)
-            return
-        if payload["round"] != run.round or not run.initial_work_done:
-            # "If it is for an iteration in the future, the packet is
-            # stored until the computation can catch up."
-            run.future_buffer.setdefault(payload["round"], []).append(
-                {"kind": "msg", "payload": payload, "src": src}
-            )
-            self._ack_data(src, payload)
-            return
-        self.charge(self.config.costs.elga_msg_op)
-        self._aggregate(payload)
-        self._ack_data(src, payload)
-        self._check_ready()
-
-    def _aggregate(self, payload: dict) -> None:
-        """Buffer one message batch for this round.
-
-        A batch is exactly one sender's full round emission, and holds
-        level 1 of the canonical reduction: one partial per destination
-        vertex, folded in (dst, val)-sorted order via ``combine_pairs``,
-        so peak buffer memory is O(unique dst) instead of O(pairs).
-        Combined packets (``combining`` on, cluster-wide config) arrive
-        already reduced; with it off — the reference the bit-identity
-        tests compare against — the same fold runs here, on identical
-        contents in identical order.  Either way the accumulator floats
-        are the same whether the fabric delivered in order, out of
-        order, or via chaos-delayed retries.
-        """
-        run = self.run
-        dst = np.asarray(payload["dst"], dtype=np.int64)
-        val = np.asarray(payload["val"], dtype=np.float64)
-        self.charge(self.config.costs.elga_vertex_op * len(dst))
-        if not self.config.combining and len(dst):
-            dst, val = combine_pairs(dst, val, run.program.ufunc, run.program.identity)
-        run.pending_msgs.append((dst, val))
-
-    def _flush_pending_msgs(self) -> None:
-        """Fold the buffered round's batches into the accumulators in
-        canonical (dst, value) order — a deterministic reduction of the
-        buffered per-sender partials."""
-        run = self.run
-        if not run.pending_msgs:
-            return
-        table = run.table
-        batches, run.pending_msgs = run.pending_msgs, []
-        dst = np.concatenate([b[0] for b in batches])
-        val = np.concatenate([b[1] for b in batches])
-        if run.is_delta and len(dst):
-            # Structural seeds may target vertices the mutation batch
-            # left unhosted here (a deletion removed their last edge);
-            # they have no row to apply to and no influence to retract.
-            hosted = np.isin(dst, table.ids)
-            if not hosted.all():
-                dst, val = dst[hosted], val[hosted]
-        if not len(dst):
-            return
-        kernels.fold_pairs(
-            table.accum, table.got, table.ids, dst, val, run.program.ufunc
-        )
-
-    def _replay_future(self, step: int) -> None:
-        run = self.run
-        buffered = run.future_buffer.pop(run.round, [])
-        for item in buffered:
-            if item["kind"] == "msg":
-                self._aggregate(item["payload"])
-            elif item["kind"] == "sync":
-                self._ingest_replica_sync(item["payload"])
-            else:
-                self._ingest_replica_value(item["payload"])
-
-    # ------------------------------------------------------------------
-    # barrier (Figure 2)
-    # ------------------------------------------------------------------
-
-    def _emit_data(self, agent_id: int, ptype: PacketType, payload: dict) -> None:
-        """Hold one data-plane emission in the round buffers; one
-        struct-of-arrays packet per destination and type ships at flush
-        time."""
-        self.run.buffers.add(agent_id, ptype, payload)
-
-    def _flush_data_buffers(self) -> None:
-        """Ship this round's coalesced packets, gated on choreography.
-
-        REPLICA_SYNC flushes unconditionally (it *unblocks* primaries).
-        REPLICA_VALUE waits until this primary has applied every split
-        vertex (``expected_syncs`` empty) so one packet per replica
-        carries the whole round.  VERTEX_MSG additionally waits for
-        ``expected_values``: only then can no further scatter happen
-        this round, making each packet's contents exactly "everything
-        this sender produced for that destination this round" — the
-        canonical batch boundary the two-level reduction relies on.
-        The gates introduce no deadlock: sync/value choreography never
-        depends on VERTEX_MSG delivery within a round.
-        """
-        run = self.run
-        if run is None or run.buffers.empty:
-            return
-        tracer = self.network.tracer
-        if tracer is None:
-            self._flush_data_buffers_inner(run)
-            return
-        trace_from = self.available_at()
-        sent_before = self.metrics.messages_sent
-        self._flush_data_buffers_inner(run)
-        shipped = self.metrics.messages_sent - sent_before
-        if shipped:
-            tracer.complete(
-                self.name,
-                "flush",
-                "comms",
-                trace_from,
-                self.available_at(),
-                {"round": run.round, "step": run.step, "packets": shipped},
-            )
-
-    def _flush_data_buffers_inner(self, run) -> None:
-        buffers = run.buffers
-        for agent_id, n_emits, payload in buffers.drain_replica(
-            PacketType.REPLICA_SYNC, run.step, run.round
-        ):
-            self.metrics.packets_coalesced += n_emits - 1
-            self._send_data(agent_id, PacketType.REPLICA_SYNC, payload)
-        if run.expected_syncs:
-            return
-        for agent_id, n_emits, payload in buffers.drain_replica(
-            PacketType.REPLICA_VALUE, run.step, run.round
-        ):
-            self.metrics.packets_coalesced += n_emits - 1
-            self._send_data(agent_id, PacketType.REPLICA_VALUE, payload)
-        if run.expected_values or not buffers.pending(PacketType.VERTEX_MSG):
-            return
-        costs = self.config.costs
-        program = run.program
-        for agent_id, n_emits, payload in buffers.drain_vertex_msgs(run.step, run.round):
-            self.metrics.packets_coalesced += n_emits - 1
-            if self.config.combining:
-                pairs_in = len(payload["dst"])
-                payload["dst"], payload["val"] = combine_pairs(
-                    payload["dst"], payload["val"], program.ufunc, program.identity
-                )
-                self.charge(costs.combine_cost(pairs_in))
-                self.perf.add("combine_pairs_in", pairs_in)
-                self.perf.add("combine_pairs_out", len(payload["dst"]))
-                self.metrics.pairs_combined += pairs_in - len(payload["dst"])
-            if agent_id == self.agent_id:
-                self._aggregate(payload)
-            else:
-                self._send_data(agent_id, PacketType.VERTEX_MSG, payload)
-
-    def _send_data(self, agent_id: int, ptype: PacketType, payload: dict) -> None:
-        payload["inc"] = self._data_inc
-        self.run.outstanding_acks += 1
-        self.metrics.messages_sent += 1
-        self.push.push(self._agent_address(agent_id), ptype, payload)
-
-    def _stale_data(self, payload: dict) -> bool:
-        """Fencing: data stamped with a pre-recovery incarnation is a
-        straggler from a rolled-back superstep — drop it silently (its
-        sender's ack accounting was reset by the rollback)."""
-        return int(payload.get("inc", 0)) < self._data_inc
-
-    def _ack_data(self, src: int, payload: Optional[dict] = None) -> None:
+    def _ack_data(self, src: int, payload: dict) -> None:
         """Acknowledge one data-plane packet as a credit; a single
         cumulative VERTEX_MSG_ACK per (sender, incarnation) covers the
         credits accrued within ``ACK_BATCH_WINDOW``."""
-        inc = int(payload.get("inc", 0)) if payload else self._data_inc
-        key = (src, inc)
+        key = (src, int(payload.get("inc", 0)))
         self._ack_credits[key] = self._ack_credits.get(key, 0) + 1
         if not self._ack_flush_scheduled:
             self._ack_flush_scheduled = True
@@ -2054,142 +839,6 @@ class Agent(RehomeMixin, Entity):
                 self.metrics.acks_batched += count - 1
                 self.perf.add("acks_batched", count - 1)
             self.push.push(src, PacketType.VERTEX_MSG_ACK, {"inc": inc, "count": count})
-
-    def _on_data_ack(self, payload: dict) -> None:
-        run = self.run
-        if run is None:
-            return
-        if int(payload["inc"]) != self._data_inc:
-            return  # ack for a send the rollback already wrote off
-        run.outstanding_acks -= int(payload["count"])
-        self._check_ready()
-
-    def _check_ready(self) -> None:
-        run = self.run
-        if run is None or run.ready_sent or not run.initial_work_done:
-            return
-        if run.spec.mode == "async":
-            return
-        self._flush_data_buffers()
-        if run.outstanding_acks > 0 or run.expected_syncs or run.expected_values:
-            return
-        run.ready_sent = True
-        self.metrics.supersteps += 1
-        stats = dict(run.round_stats)
-        if run.split_applied:
-            sverts = sorted(run.split_applied)
-            old = np.array([run.split_applied[v][0] for v in sverts])
-            new = np.array([run.split_applied[v][1] for v in sverts])
-            act = np.array([run.split_applied[v][2] for v in sverts], dtype=bool)
-            statser = run.program.delta_stats if run.is_delta else run.program.step_stats
-            for key, value in statser(old, new, act).items():
-                self._fold_stat(stats, key, value)
-        if run.table is not None:
-            # Area under the frontier curve: how many locally-hosted
-            # vertices end this round active (collapses fast in a
-            # converging delta run; ~|V| every round in a scratch run).
-            self.metrics.frontier_size += int(run.table.active.sum())
-        # The local state for this round is complete right here (all
-        # messages folded, all replica values applied): publish it as
-        # the snapshot client queries read until the next READY.
-        self._publish_serving_view(run)
-        run.last_ready = {
-            "agent_id": self.agent_id,
-            "round": run.round,
-            "step": run.step,
-            "stats": stats,
-        }
-        self.push.push(
-            self.directory_address,
-            PacketType.AGENT_READY,
-            dict(run.last_ready),
-        )
-        if self.network.tracer is not None:
-            # Quiet from the moment the READY can depart until the next
-            # ADVANCE arrives: that interval is the barrier-wait span.
-            self._trace_wait_from = self.available_at()
-        if (
-            run.phase in ("step", "delta_step")
-            and self.config.checkpoint_every > 0
-            and run.step >= 1
-            and run.step % self.config.checkpoint_every == 0
-        ):
-            self._take_value_checkpoint(run)
-        if run.phase == "apply_only":
-            self._persist_and_suspend()
-
-    def _persist_and_suspend(self) -> None:
-        """Park the run so directory updates / migration can proceed."""
-        run = self.run
-        self._persist_table()
-        run.table = None
-        run.suspended = True
-        if self._pending_state is not None:
-            self._adopt_state(self._pending_state)
-
-    def _persist_table(self) -> None:
-        run = self.run
-        table = run.table
-        if table is None:
-            return
-        name = run.program.name
-        self.persistent.setdefault(name, ValueColumn()).set_many(table.ids, table.values)
-        self.persistent_active.setdefault(name, IdSet()).assign(table.ids, table.active)
-        if run.delta_msgs and table.last_sent is not None:
-            known = ~np.isnan(table.last_sent)
-            self.persistent_scatter.setdefault(name, ValueColumn()).set_many(
-                table.ids[known], table.last_sent[known]
-            )
-        elif getattr(run.program, "delta_messages", False):
-            # A full (scratch or dense) run re-converges every vertex:
-            # baselines recorded by an earlier delta run no longer
-            # describe what receivers hold, and the steady-state
-            # reconstruction from the fresh fixpoint is the truth.
-            self.persistent_scatter.pop(run.program.name, None)
-
-    def _trim_dirty_log(self) -> None:
-        """Drop the dirty-row prefix every known program has consumed.
-
-        Safe even with programs this agent has never seen: the engine
-        runs a program's first execution from scratch, and its finalize
-        sets that program's watermark to the end of the log."""
-        if not self._dirty_seen:
-            return
-        cut = min(self._dirty_seen.values())
-        if cut <= 0:
-            return
-        self._dirty_log.trim(cut)
-        self._dirty_seen = {name: mark - cut for name, mark in self._dirty_seen.items()}
-
-    def finalize_run(self, persist: bool) -> None:
-        run = self.run
-        if run is None:
-            return
-        if persist and run.table is not None:
-            self._persist_table()
-        # The run is over: the persistent store (just persisted, or
-        # already persisted by a suspend) is the serving truth, tagged
-        # with where the run ended.  Drop the live view so queries and
-        # later ingest both read one place.
-        self._serving.pop(run.program.name, None)
-        if persist:
-            self._serving_final[run.program.name] = (run.spec.run_id, run.step)
-            # The finished program has now folded every dirty row logged
-            # so far into its fixpoint; advance its watermark *before*
-            # the halt checkpoint so a restore cannot re-seed an
-            # already-converged run.
-            self._dirty_seen[run.program.name] = len(self._dirty_log)
-            self._trim_dirty_log()
-            # Halt checkpoint: the post-run state becomes the durable
-            # restore base (and truncates the WAL).
-            self._recovery_store.snapshot_agent(self)
-            self.metrics.checkpoints_taken += 1
-        self.run = None
-        if self._pending_state is not None:
-            self._adopt_state(self._pending_state)
-        buffered, self._buffered_updates = self._buffered_updates, []
-        for payload in buffered:
-            self._apply_edge_update(payload, count_in_sketch=True)
 
     # ------------------------------------------------------------------
     # crash tolerance: heartbeats, WAL, checkpoints, recovery
@@ -2231,45 +880,19 @@ class Agent(RehomeMixin, Entity):
         # SUBSCRIBE and AGENT_JOIN are idempotent at the directory tier;
         # the SUBSCRIBE reply seeds the current state (and term).
         self._subscribe_and_join()
-        run = self.run
-        if run is not None and run.ready_sent and run.last_ready is not None:
-            # The READY sent to the dead directory may never have been
-            # forwarded; re-report through the new home.
-            self.push.push(
-                self.directory_address,
-                PacketType.AGENT_READY,
-                dict(run.last_ready),
-            )
+        # The READY sent to the dead directory may never have been
+        # forwarded; re-report through the new home.
+        self._report_ready()
 
     def _wal_log(
         self,
         role: str,
         rows: Rows,
         sketched: bool,
-        values: Optional[Dict[str, StatePairs]] = None,
-        active: Optional[Dict[str, np.ndarray]] = None,
-        scatter: Optional[Dict[str, StatePairs]] = None,
+        state: Optional[Dict[str, StateSlice]] = None,
     ) -> None:
-        self._recovery.wal.append(
-            role, rows, sketched, values=values, active=active, scatter=scatter
-        )
+        self._recovery.wal.append(role, rows, sketched, state)
         self.metrics.wal_records_logged += len(rows[0])
-
-    def _snapshot_prescatter(self, run: _RunState) -> None:
-        """Stash this round's pre-scatter residual baselines.
-
-        Taken at each round begin (and resume) of a delta-message run
-        so a coordinated checkpoint can record baselines that still
-        precede the round's scatter — see ``prescatter_last_sent``.
-        Skipped when checkpointing is off: nothing would consume it.
-        """
-        if (
-            run.delta_msgs
-            and self.config.checkpoint_every > 0
-            and run.table is not None
-            and run.table.last_sent is not None
-        ):
-            run.prescatter_last_sent = run.table.last_sent.copy()
 
     def _take_value_checkpoint(self, run: _RunState) -> None:
         """Coordinated checkpoint at a barrier step.
@@ -2284,39 +907,23 @@ class Agent(RehomeMixin, Entity):
         tracer = self.network.tracer
         trace_from = self.available_at() if tracer is not None else 0.0
         table = run.table
-        name = run.program.name
-        persistent = copy_values(self.persistent)
-        active = copy_active(self.persistent_active)
+        state = self.shard.copy()
         if table is not None and len(table):
-            persistent.setdefault(name, ValueColumn()).set_many(table.ids, table.values)
-            active.setdefault(name, IdSet()).assign(table.ids, table.active)
-        scatter = copy_values(self.persistent_scatter)
-        if run.delta_msgs and table is not None and table.last_sent is not None:
             # Pre-scatter baselines: a rollback drops this round's
             # in-flight deltas, and the resume re-scatter regenerates
             # them only against the baseline from *before* the round's
             # sends advanced it.
-            baselines = (
-                run.prescatter_last_sent
-                if run.prescatter_last_sent is not None
-                else table.last_sent
+            baselines = None
+            if run.delta_msgs and table.last_sent is not None:
+                baselines = (
+                    run.prescatter_last_sent
+                    if run.prescatter_last_sent is not None
+                    else table.last_sent
+                )
+            persist_table(
+                table, state.programs.setdefault(run.program.name, ProgramState()), baselines
             )
-            known = ~np.isnan(baselines)
-            scatter.setdefault(name, ValueColumn()).set_many(
-                table.ids[known], baselines[known]
-            )
-        checkpoint = Checkpoint(
-            out_store=self.out_store.copy(),
-            in_store=self.in_store.copy(),
-            persistent=persistent,
-            persistent_active=active,
-            sketch_delta=self.sketch_delta.copy(),
-            run_id=run.spec.run_id,
-            step=run.step,
-            persistent_scatter=scatter,
-            dirty_log=self._dirty_log.copy(),
-            dirty_seen=dict(self._dirty_seen),
-        )
+        checkpoint = Checkpoint(state, run_id=run.spec.run_id, step=run.step)
         self._recovery.checkpoints.save(checkpoint)
         self._recovery.wal.truncate()
         self.metrics.checkpoints_taken += 1
@@ -2353,48 +960,26 @@ class Agent(RehomeMixin, Entity):
                     f"{restore_checkpoint} but the durable slot lacks it"
                 )
         if base is not None:
-            self.out_store = base.out_store.copy()
-            self.in_store = base.in_store.copy()
-            self.persistent = copy_values(base.persistent)
-            self.persistent_active = copy_active(base.persistent_active)
-            self.persistent_scatter = copy_values(base.persistent_scatter)
-            # Dirty rows come from the *latest* base (the WAL suffix is
-            # relative to it); they never change during a run, so the
-            # rollback checkpoint would carry the same rows anyway.
-            self._dirty_log = base.dirty_log.copy()
-            self._dirty_seen = dict(base.dirty_seen)
-            if base.sketch_delta is not None:
-                self.sketch_delta = base.sketch_delta.copy()
+            # The graph half comes from the *latest* base (the WAL
+            # suffix is relative to it) — the dirty rows too: they never
+            # change during a run, so the rollback checkpoint would
+            # carry the same ones anyway.
+            self.shard = base.state.copy()
             self.metrics.checkpoints_restored += 1
         if rolled is not None:
             # Mid-run rollback: values from the common checkpoint step.
-            self.persistent = copy_values(rolled.persistent)
-            self.persistent_active = copy_active(rolled.persistent_active)
-            self.persistent_scatter = copy_values(rolled.persistent_scatter)
+            self.shard.programs = copy_programs(rolled.state.programs)
         elif base is not None and base.run_id is not None:
             # Restart-mode recovery from a mid-run base: its values are
             # partially converged and must not seed the re-run; fall
             # back to the snapshot from before the run's first one.
             pre = source.checkpoints.pre_run
-            self.persistent = copy_values(pre.persistent) if pre is not None else {}
-            self.persistent_active = (
-                copy_active(pre.persistent_active) if pre is not None else {}
-            )
-            self.persistent_scatter = (
-                copy_values(pre.persistent_scatter) if pre is not None else {}
-            )
-        replayed = source.wal.replay(
-            self.out_store,
-            self.in_store,
-            sketch_delta=self.sketch_delta,
-            persistent=self.persistent,
-            persistent_active=self.persistent_active,
-            persistent_scatter=self.persistent_scatter,
-        )
+            self.shard.programs = copy_programs(pre.state.programs) if pre is not None else {}
+        replayed = source.wal.replay(self.shard)
         # Streaming mutations logged after the base checkpoint were
         # dirty but unconsumed when the agent died; re-dirty them so the
         # next delta run still sees its full frontier seed.
-        self._dirty_log.extend(source.wal.sketched_rows())
+        self.shard.dirty_log.extend(source.wal.sketched_rows())
         self.metrics.wal_records_replayed += replayed
         self.metrics.recoveries_participated += 1
         self.restored_from = {
@@ -2452,8 +1037,7 @@ class Agent(RehomeMixin, Entity):
             # (untouched in restart mode) under its existing final tag.
             self._serving.pop(run.program.name, None)
             self.run = None
-            if self._pending_state is not None:
-                self._adopt_state(self._pending_state)
+            self._adopt_pending()
             return
         step = int(payload["step"])
         checkpoint = self._recovery.checkpoints.checkpoint_for(run.spec.run_id, step)
@@ -2462,11 +1046,10 @@ class Agent(RehomeMixin, Entity):
                 f"agent {self.agent_id} told to roll back to step {step} "
                 "but holds no such checkpoint"
             )
-        self.persistent = copy_values(checkpoint.persistent)
-        self.persistent_active = copy_active(checkpoint.persistent_active)
-        self.persistent_scatter = copy_values(checkpoint.persistent_scatter)
-        self._dirty_log = checkpoint.dirty_log.copy()
-        self._dirty_seen = dict(checkpoint.dirty_seen)
+        # Only the program half rewinds.  A survivor's graph half is
+        # current: edges may have migrated since the checkpoint, and the
+        # dirty log does not change while a run is in flight.
+        self.shard.programs = copy_programs(checkpoint.state.programs)
         # Serve the rolled-back checkpoint during the suspension: the
         # persistent store now holds exactly step-``step`` values, and
         # every survivor tags them identically, so reads during
@@ -2475,132 +1058,11 @@ class Agent(RehomeMixin, Entity):
         # proxies' value-equality rule.)
         self._serving.pop(run.program.name, None)
         self._serving_final[run.program.name] = (run.spec.run_id, step)
-        # Drop every trace of post-checkpoint progress: the resume
-        # rebuilds the table from the restored persistent state, and
-        # stragglers from the old incarnation are fenced by ``inc``.
-        run.table = None
+        # Stragglers from the old incarnation are fenced by ``inc``.
+        run.clear_progress()
         run.suspended = True
-        run.ready_sent = False
-        run.initial_work_done = False
-        run.outstanding_acks = 0
-        run.expected_syncs = {}
-        run.sync_buf = []
-        run.expected_values = set()
-        run.pending_msgs = []
-        run.buffers.clear()
-        run.future_buffer = {}
-        run.round_stats = {}
-        run.split_applied = {}
         run.step = step
-        if self._pending_state is not None:
-            self._adopt_state(self._pending_state)
-
-    # ------------------------------------------------------------------
-    # asynchronous mode (monotone programs)
-    # ------------------------------------------------------------------
-
-    def _async_initial_scatter(self) -> None:
-        table = self.run.table
-        if len(table) == 0:
-            return
-        self._async_scatter(np.flatnonzero(table.active))
-
-    def _async_on_msg(self, payload: dict) -> None:
-        """Asynchronous processing: relax on arrival, re-scatter changes.
-
-        Only monotone (min/max) programs run here, so ordering does not
-        affect the fixed point; termination is quiescence, detected by
-        the engine as simulator idleness.
-        """
-        run = self.run
-        table = run.table
-        self.charge(self.config.costs.elga_msg_op)
-        pos = table.pos(np.asarray(payload["dst"], dtype=np.int64))
-        proposed = table.values.copy()
-        run.program.ufunc.at(proposed, pos, payload["val"])
-        changed = np.flatnonzero(proposed < table.values)
-        if run.program.aggregator == "max":
-            changed = np.flatnonzero(proposed > table.values)
-        self.charge(self.config.costs.elga_vertex_op * len(pos))
-        if len(changed) == 0:
-            return
-        table.values[changed] = proposed[changed]
-        table.active[changed] = True
-        self._async_gossip_split(changed)
-        self._async_scatter(changed)
-
-    def _async_gossip_split(self, positions: np.ndarray) -> None:
-        """Propagate improved split-vertex values to sibling replicas.
-
-        Asynchronous mode has no barrier to hang a replica-sync round
-        on; instead, monotone improvements to a split vertex gossip to
-        the other replicas as plain vertex messages ("v's value is at
-        most x"), which min-apply and re-scatter.  Monotonicity makes
-        this convergent and order-insensitive.
-        """
-        run = self.run
-        table = run.table
-        if not run.my_split:
-            return
-        for p in positions:
-            v = int(table.ids[p])
-            replicas = run.my_split.get(v)
-            if replicas is None:
-                continue
-            payload_val = float(table.values[p])
-            for replica in replicas:
-                if replica == self.agent_id:
-                    continue
-                self.metrics.replica_syncs += 1
-                self.push.push(
-                    self._agent_address(replica),
-                    PacketType.VERTEX_MSG,
-                    {
-                        "step": 0,
-                        "round": 0,
-                        "inc": self._data_inc,
-                        "dst": np.array([v], dtype=np.int64),
-                        "val": np.array([payload_val]),
-                    },
-                )
-
-    def _async_scatter(self, positions: np.ndarray) -> None:
-        run = self.run
-        table = run.table
-        if len(positions) == 0:
-            return
-        program = run.program
-        costs = self.config.costs
-        send_mask = np.zeros(len(table), dtype=bool)
-        send_mask[positions] = True
-        values = program.scatter_values(table.values, np.maximum(table.out_deg_total, 1.0))
-        for src_pos, dst_raw, segments in (
-            (run.out_src_pos, run.out_dst_raw, run.out_segments),
-            (run.in_src_pos, run.in_dst_raw, run.in_segments)
-            if program.needs_in_and_out
-            else (np.empty(0, np.int64), np.empty(0, np.int64), []),
-        ):
-            for agent_id, start, end in segments:
-                seg_src = src_pos[start:end]
-                mask = send_mask[seg_src]
-                count = int(mask.sum())
-                if count == 0:
-                    continue
-                self.charge(count * costs.elga_edge_op)
-                self.metrics.edges_processed += count
-                payload = {
-                    "step": 0,
-                    "round": 0,
-                    "inc": self._data_inc,
-                    "dst": dst_raw[start:end][mask],
-                    "val": values[seg_src[mask]],
-                }
-                if agent_id == self.agent_id:
-                    # Recurse locally without a network hop.
-                    self._async_on_msg(payload)
-                else:
-                    self.metrics.messages_sent += 1
-                    self.push.push(self._agent_address(agent_id), PacketType.VERTEX_MSG, payload)
+        self._adopt_pending()
 
     # ------------------------------------------------------------------
     # orchestrator-facing introspection (out-of-band, like the paper's
@@ -2620,19 +1082,25 @@ class Agent(RehomeMixin, Entity):
         ):
             table = self.run.table
             return {int(v): float(x) for v, x in zip(table.ids, table.values)}
-        hosted = self._hosted_vertex_ids()
-        ids, vals = self.persistent.get(program_name, ValueColumn()).select(hosted)
+        hosted, _ = hosted_vertex_ids(
+            self.shard,
+            self.placer,
+            self.dstate.split_vertices if self.dstate is not None else (),
+            self.agent_id,
+        )
+        state = self.shard.programs.get(program_name, ProgramState())
+        ids, vals = state.values.select(hosted)
         return {int(v): float(x) for v, x in zip(ids, vals)}
 
     @property
     def n_out_edges(self) -> int:
         """Resident out-copy edge count (derived from the store)."""
-        return self.out_store.n_edges
+        return self.shard.out_store.n_edges
 
     @property
     def n_in_edges(self) -> int:
         """Resident in-copy edge count (derived from the store)."""
-        return self.in_store.n_edges
+        return self.shard.in_store.n_edges
 
     @property
     def total_edges(self) -> int:

@@ -66,6 +66,25 @@ def combine_pairs(
     return kernels.combine_pairs(dst, val, ufunc, identity)
 
 
+def segments_by(owners: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+    """Group rows by owner: ``(order, segments)``.
+
+    ``order`` sorts the rows by owner and keeps input order inside a
+    group (a stable sort); each ``(owner, start, end)`` segment is the
+    slice ``order[start:end]`` of one owner's rows, owners ascending.
+    Every place that ships one packet per destination — routing,
+    forwarding, migration, replica sync — groups through here.
+    """
+    order = np.argsort(owners, kind="stable")
+    if len(order) == 0:
+        return order, []
+    grouped = owners[order]
+    bounds = np.flatnonzero(np.diff(grouped)) + 1
+    starts = [0, *bounds.tolist()]
+    ends = [*bounds.tolist(), len(order)]
+    return order, [(int(grouped[s]), s, e) for s, e in zip(starts, ends)]
+
+
 def _merge_field(payloads: List[dict], key: str) -> np.ndarray:
     if len(payloads) == 1:
         return np.asarray(payloads[0][key])

@@ -35,7 +35,7 @@ import numpy as np
 from repro.cluster.config import ClusterConfig
 from repro.hashing.ring import ConsistentHashRing
 from repro.net.message import Message, PacketType
-from repro.net.sockets import PubSubSocket, ReqRepSocket
+from repro.net.sockets import PubSubSocket, PushSocket, ReqRepSocket
 from repro.partition.cache import PlacementCache
 from repro.partition.placer import EdgePlacer
 from repro.sim.entity import Entity
@@ -183,6 +183,7 @@ class DirectoryMaster(Entity):
 
     def __init__(self, network, seed: int = 0, retry_after: float = 1e-3):
         super().__init__(network, "directory-master", seed)
+        self.push = PushSocket(self)
         self._directories: List[int] = []
         self._next = 0
         self.retry_after = retry_after
@@ -228,13 +229,11 @@ class DirectoryMaster(Entity):
             # slow-but-alive agents from false suspicion.
             payload = message.payload
             evict = not self.network.is_attached(int(payload["address"]))
-            verdict = Message(
-                ptype=PacketType.EVICT_CONFIRM,
-                payload={"agent_id": int(payload["agent_id"]), "evict": evict},
+            self.push.push(
+                message.src,
+                PacketType.EVICT_CONFIRM,
+                {"agent_id": int(payload["agent_id"]), "evict": evict},
             )
-            verdict.src = self.address
-            verdict.dst = message.src
-            self.network.send(verdict)
         else:
             raise ValueError(f"DirectoryMaster got unexpected {message.ptype.name}")
 
@@ -256,6 +255,7 @@ class Directory(Entity):
         self.index = index
         self.is_lead = index == 0
         self.pubsub = PubSubSocket(self)
+        self.push = PushSocket(self)
         self.peers: List[int] = []  # other directories' addresses (lead first)
         self.state = DirectoryState(
             version=0,
@@ -354,14 +354,9 @@ class Directory(Entity):
         if ptype == PacketType.DIR_LEASE:
             # Lead's lease renewal: acknowledge so the lead can prune
             # dead peers from its broadcast list.
-            ack = Message(
-                ptype=PacketType.DIR_LEASE_ACK,
-                payload={"index": self.index},
-                term=self.term,
+            self.push.push(
+                message.src, PacketType.DIR_LEASE_ACK, {"index": self.index}, term=self.term
             )
-            ack.src = self.address
-            ack.dst = message.src
-            self.network.send(ack)
             return
         if ptype == PacketType.DIR_LEASE_ACK:
             self._peer_seen[message.src] = self.now
@@ -380,14 +375,12 @@ class Directory(Entity):
                     # Seed a late-joining proxy with the current result
                     # versions so its first cache fills are fenced
                     # against everything that already ran.
-                    seeded = Message(
-                        ptype=PacketType.RESULT_NOTICE,
-                        payload={"versions": dict(self.result_versions)},
+                    self.push.push(
+                        message.src,
+                        PacketType.RESULT_NOTICE,
+                        {"versions": dict(self.result_versions)},
                         term=self.term,
                     )
-                    seeded.src = self.address
-                    seeded.dst = message.src
-                    self.network.send(seeded)
                 if (
                     PacketType.DIRECTORY_UPDATE in message.payload
                     and self.state.version > 0
@@ -396,14 +389,9 @@ class Directory(Entity):
                     # mutated by future delta merges — hand late joiners
                     # a snapshot, never the live object.
                     payload = self._snapshot_state() if self.is_lead else self.state
-                    update = Message(
-                        ptype=PacketType.DIRECTORY_UPDATE,
-                        payload=payload,
-                        term=payload.term,
+                    self.push.push(
+                        message.src, PacketType.DIRECTORY_UPDATE, payload, term=payload.term
                     )
-                    update.src = self.address
-                    update.dst = message.src
-                    self.network.send(update)
         elif ptype == PacketType.AGENT_JOIN:
             self._to_lead(message)
         elif ptype == PacketType.AGENT_LEAVE:
@@ -517,10 +505,8 @@ class Directory(Entity):
             }[message.ptype]
             handler(message.payload)
         else:
-            fwd = Message(ptype=message.ptype, payload=message.payload)
-            fwd.src = self.address
-            fwd.dst = self.peers[0]  # lead is always peers[0] for non-leads
-            self.network.send(fwd)
+            # The lead is always peers[0] for non-leads.
+            self.push.push(self.peers[0], message.ptype, message.payload)
 
     # -- lead: membership and sketch ---------------------------------------------
 
@@ -694,12 +680,7 @@ class Directory(Entity):
                 },
             )
         for peer in self.peers:
-            msg = Message(
-                ptype=PacketType.DIRECTORY_SYNC, payload=snapshot, term=self.term
-            )
-            msg.src = self.address
-            msg.dst = peer
-            self.network.send(msg)
+            self.push.push(peer, PacketType.DIRECTORY_SYNC, snapshot, term=self.term)
         self.pubsub.publish(PacketType.DIRECTORY_UPDATE, snapshot, term=self.term)
 
     def _on_sync(self, message: Message) -> None:
@@ -718,10 +699,7 @@ class Directory(Entity):
         if self.is_lead:
             self._lead_collect_ready(int(payload["agent_id"]), payload)
         else:
-            fwd = Message(ptype=PacketType.READY_REBROADCAST, payload=payload)
-            fwd.src = self.address
-            fwd.dst = self.peers[0]
-            self.network.send(fwd)
+            self.push.push(self.peers[0], PacketType.READY_REBROADCAST, payload)
 
     def _on_ready_rebroadcast(self, message: Message) -> None:
         if not self.is_lead:
@@ -863,16 +841,11 @@ class Directory(Entity):
             self.network.stats.heartbeats_missed += (
                 max(1, int(overdue / interval)) if interval > 0 else 1
             )
-        suspect = Message(
-            ptype=PacketType.AGENT_SUSPECT,
-            payload={
-                "agent_id": agent_id,
-                "address": self.state.agents.get(agent_id, -1),
-            },
+        self.push.push(
+            self.master_address,
+            PacketType.AGENT_SUSPECT,
+            {"agent_id": agent_id, "address": self.state.agents.get(agent_id, -1)},
         )
-        suspect.src = self.address
-        suspect.dst = self.master_address
-        self.network.send(suspect)
 
     def _on_evict_confirm(self, payload: dict) -> None:
         if not self.is_lead:
@@ -959,14 +932,12 @@ class Directory(Entity):
         # only churn the reliable transport's abandonment path.
         self.peers = [p for p in self.peers if self.network.is_attached(p)]
         for peer in self.peers:
-            lease = Message(
-                ptype=PacketType.DIR_LEASE,
-                payload={"term": self.term, "version": self.state.version},
+            self.push.push(
+                peer,
+                PacketType.DIR_LEASE,
+                {"term": self.term, "version": self.state.version},
                 term=self.term,
             )
-            lease.src = self.address
-            lease.dst = peer
-            self.network.send(lease)
         self._dir_lease_pending = True
         self.kernel.schedule(self.config.dir_lease_interval, self._dir_lease_tick)
 
@@ -1103,13 +1074,11 @@ class Directory(Entity):
             return
         master = self.master_address
         if master is not None and self.network.is_attached(master):
-            register = Message(
-                ptype=PacketType.DIRECTORY_REGISTER,
-                payload={"index": self.index, "address": self.address},
+            self.push.push(
+                master,
+                PacketType.DIRECTORY_REGISTER,
+                {"index": self.index, "address": self.address},
             )
-            register.src = self.address
-            register.dst = master
-            self.network.send(register)
         self._register_pending = True
         self.kernel.schedule(self.config.dir_lease_interval, self._master_register_tick)
 
@@ -1151,10 +1120,7 @@ class Directory(Entity):
             # later in life, and succession math reads these fields.
             self._mirror_control(ptype, payload)
         for peer in self.peers:
-            msg = Message(ptype=ptype, payload=payload, term=self.term)
-            msg.src = self.address
-            msg.dst = peer
-            self.network.send(msg)
+            self.push.push(peer, ptype, payload, term=self.term)
         self.pubsub.publish(ptype, payload, term=self.term)
 
 

@@ -11,17 +11,18 @@ owned by the cluster orchestrator, deliberately *outside* any
 Two complementary structures per agent:
 
 * :class:`CheckpointStore` — full snapshots of an agent's durable
-  state: edge stores, persisted algorithm values/activation, and the
-  un-flushed sketch delta.  During a synchronous run, *value
-  checkpoints* additionally capture the in-flight vertex table at
-  coordinated barrier steps (every ``checkpoint_every`` supersteps) so
-  that recovery can roll the whole cluster back to the last global
-  checkpoint instead of restarting the run from scratch.
+  state, i.e. copies of its :class:`~repro.cluster.shard.ShardState`.
+  During a synchronous run, *value checkpoints* additionally capture
+  the in-flight vertex table at coordinated barrier steps (every
+  ``checkpoint_every`` supersteps) so that recovery can roll the whole
+  cluster back to the last global checkpoint instead of restarting the
+  run from scratch.
 * :class:`EdgeWAL` — an append-only log of edge-store mutations applied
-  since the last checkpoint.  Replaying the WAL suffix on top of the
-  restored checkpoint reconstructs the exact edge stores (and the exact
-  pending sketch delta) the agent held when it died.  The WAL is
-  truncated whenever a checkpoint is taken.
+  since the last checkpoint.  Replaying the WAL suffix onto a copy of
+  the restored checkpoint's state reconstructs the exact edge stores
+  (and the exact pending sketch delta, and any algorithm state that
+  migrated in) the agent held when it died.  The WAL is truncated
+  whenever a checkpoint is taken.
 
 Checkpoints use copy-on-write-free deep copies of the (small, simulated)
 stores; sizes are tracked so benchmarks can reason about checkpoint
@@ -35,47 +36,25 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
-from repro.sketch.countmin import CountMinSketch
+from repro.cluster.shard import ProgramState, ShardState, StateSlice
 
 #: One batch of effective edge mutations: (keys, others, actions).
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
-#: Vertex state that rode along with a migration batch: (ids, values).
-StatePairs = Tuple[np.ndarray, np.ndarray]
-
-
-def copy_values(values: Dict[str, ValueColumn]) -> Dict[str, ValueColumn]:
-    return {prog: col.copy() for prog, col in values.items()}
-
-
-def copy_active(active: Dict[str, IdSet]) -> Dict[str, IdSet]:
-    return {prog: ids.copy() for prog, ids in active.items()}
 
 
 @dataclass
 class Checkpoint:
     """One durable snapshot of an agent's recoverable state."""
 
-    out_store: EdgeStore
-    in_store: EdgeStore
-    persistent: Dict[str, ValueColumn]
-    persistent_active: Dict[str, IdSet]
-    sketch_delta: Optional[CountMinSketch] = None
+    state: ShardState
     # Which run / barrier step this snapshot belongs to.  ``run_id`` is
     # None for checkpoints taken outside any run (e.g. at agent start).
     run_id: Optional[int] = None
     step: int = 0
-    # Incremental-run durable state: the last-sent scatter values of
-    # delta-message programs, the log of dirty mutation rows not yet
-    # consumed by every program, and each program's consumption
-    # watermark into that log.
-    persistent_scatter: Dict[str, ValueColumn] = field(default_factory=dict)
-    dirty_log: DirtyLog = field(default_factory=DirtyLog)
-    dirty_seen: Dict[str, int] = field(default_factory=dict)
 
     @property
     def n_edges(self) -> int:
-        return self.out_store.n_edges + self.in_store.n_edges
+        return self.state.out_store.n_edges + self.state.in_store.n_edges
 
 
 @dataclass
@@ -87,19 +66,17 @@ class WALRecord:
     log).  ``sketched`` marks streaming updates that also fed the
     agent's un-flushed sketch delta; migration traffic does not
     (§3.4.1: the sketch counts logical graph changes once).
-    ``values``/``active`` carry persisted vertex state that rode along
-    with a migration batch, so a restore recovers algorithm state that
-    moved here after the last checkpoint.
+    ``state`` carries, per program, the persisted vertex state that
+    rode along with a migration batch and was merged here, so a restore
+    recovers algorithm state that moved in after the last checkpoint
+    (delta-message programs must not lose their last-sent baselines
+    mid-suspension).
     """
 
     role: str  # "out" | "in"
     rows: Rows
     sketched: bool
-    values: Optional[Dict[str, StatePairs]] = None
-    active: Optional[Dict[str, np.ndarray]] = None
-    #: Last-sent scatter state that rode along with a migration batch
-    #: (delta-message programs must not lose it mid-suspension).
-    scatter: Optional[Dict[str, StatePairs]] = None
+    state: Optional[Dict[str, StateSlice]] = None
 
 
 class EdgeWAL:
@@ -114,14 +91,12 @@ class EdgeWAL:
         role: str,
         rows: Rows,
         sketched: bool,
-        values: Optional[Dict[str, StatePairs]] = None,
-        active: Optional[Dict[str, np.ndarray]] = None,
-        scatter: Optional[Dict[str, StatePairs]] = None,
+        state: Optional[Dict[str, StateSlice]] = None,
     ) -> None:
         n_rows = len(rows[0])
-        if not n_rows and not values and not active and not scatter:
+        if not n_rows and not state:
             return
-        self._records.append(WALRecord(role, rows, sketched, values, active, scatter))
+        self._records.append(WALRecord(role, rows, sketched, state))
         self.records_logged += n_rows
 
     def truncate(self) -> None:
@@ -131,47 +106,30 @@ class EdgeWAL:
     def __len__(self) -> int:
         return sum(len(r.rows[0]) for r in self._records)
 
-    def replay(
-        self,
-        out_store: EdgeStore,
-        in_store: EdgeStore,
-        sketch_delta: Optional[CountMinSketch] = None,
-        persistent: Optional[Dict[str, ValueColumn]] = None,
-        persistent_active: Optional[Dict[str, IdSet]] = None,
-        persistent_scatter: Optional[Dict[str, ValueColumn]] = None,
-    ) -> int:
-        """Re-apply every logged mutation onto the given stores.
+    def replay(self, shard: ShardState) -> int:
+        """Re-apply every logged mutation onto ``shard``.
 
-        Returns the number of rows replayed.  When ``sketch_delta`` is
-        given, sketched insert/remove rows are re-counted into it so the
+        Returns the number of rows replayed.  Sketched insert/remove
+        rows are re-counted into the shard's sketch delta so the
         replacement agent re-reports exactly the degree deltas the
-        crashed agent had not yet flushed.  When ``persistent`` /
-        ``persistent_active`` / ``persistent_scatter`` are given,
-        migrated-in vertex state logged alongside the rows is merged
-        back in.
+        crashed agent had not yet flushed, and migrated-in vertex state
+        logged alongside the rows is merged back in.
         """
         replayed = 0
         for record in self._records:
             keys, others, actions = record.rows
             if len(keys):
-                store = out_store if record.role == "out" else in_store
+                store = shard.out_store if record.role == "out" else shard.in_store
                 store.apply(keys, others, actions)
                 replayed += len(keys)
-                if record.sketched and sketch_delta is not None:
+                if record.sketched:
                     ins = actions > 0
                     if ins.any():
-                        sketch_delta.add(keys[ins])
+                        shard.sketch_delta.add(keys[ins])
                     if (~ins).any():
-                        sketch_delta.remove(keys[~ins])
-            if record.values and persistent is not None:
-                for prog, (ids, vals) in record.values.items():
-                    persistent.setdefault(prog, ValueColumn()).set_many(ids, vals)
-            if record.active and persistent_active is not None:
-                for prog, ids in record.active.items():
-                    persistent_active.setdefault(prog, IdSet()).update(ids)
-            if record.scatter and persistent_scatter is not None:
-                for prog, (ids, vals) in record.scatter.items():
-                    persistent_scatter.setdefault(prog, ValueColumn()).set_many(ids, vals)
+                        shard.sketch_delta.remove(keys[~ins])
+            for prog, pairs in (record.state or {}).items():
+                shard.programs.setdefault(prog, ProgramState()).absorb(pairs)
         return replayed
 
     def sketched_rows(self) -> List[Tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
@@ -258,20 +216,9 @@ class RecoveryStore:
         for slot in self._slots.values():
             slot.checkpoints.prune_run(run_id)
 
-    def snapshot_agent(self, agent, run_id: Optional[int] = None, step: int = 0) -> Checkpoint:
+    def snapshot_agent(self, agent) -> Checkpoint:
         """Capture a full checkpoint of ``agent`` and truncate its WAL."""
-        checkpoint = Checkpoint(
-            out_store=agent.out_store.copy(),
-            in_store=agent.in_store.copy(),
-            persistent=copy_values(agent.persistent),
-            persistent_active=copy_active(agent.persistent_active),
-            sketch_delta=agent.sketch_delta.copy(),
-            run_id=run_id,
-            step=step,
-            persistent_scatter=copy_values(agent.persistent_scatter),
-            dirty_log=agent._dirty_log.copy(),
-            dirty_seen=dict(agent._dirty_seen),
-        )
+        checkpoint = Checkpoint(agent.shard.copy())
         slot = self.slot(agent.agent_id)
         slot.checkpoints.save(checkpoint)
         slot.wal.truncate()

@@ -14,12 +14,11 @@ benchmark drives this class.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from repro.bench.counters import PerfCounters
 from repro.cluster.config import ClusterConfig
+from repro.cluster.dataplane import segments_by
 from repro.cluster.directory import DirectoryState, bind_placement
 from repro.graph.stream import EdgeBatch
 from repro.net.message import Message, PacketType
@@ -71,7 +70,10 @@ class Streamer(Entity):
             raise ValueError(f"Streamer got unexpected {message.ptype.name}")
 
     def _adopt(self, state: DirectoryState) -> None:
-        if self.dstate is not None and state.version <= self.dstate.version:
+        # (term, version) fence, as every participant applies it: a
+        # freshly elected lead's first state may carry a lower version
+        # than the dead lead's last one, but its higher term must win.
+        if self.dstate is not None and state.fence <= self.dstate.fence:
             return
         self.dstate = state
         self.placer = bind_placement(self._placement_cache, state, self.config)
@@ -111,14 +113,9 @@ class Streamer(Entity):
         for role in ("out", "in"):
             own = batch.us if role == "out" else batch.vs
             other = batch.vs if role == "out" else batch.us
-            owners = self.placer.owner_of_edges(own, other)
-            order = np.argsort(owners, kind="stable")
-            owners_sorted = owners[order]
-            bounds = np.flatnonzero(np.diff(owners_sorted)) + 1
-            starts = np.concatenate([[0], bounds])
-            ends = np.concatenate([bounds, [n]])
-            for s, e in zip(starts, ends):
-                rows = order[s:e]
+            order, segments = segments_by(self.placer.owner_of_edges(own, other))
+            for target, start, end in segments:
+                rows = order[start:end]
                 payload = {
                     "role": role,
                     "actions": batch.actions[rows],
@@ -127,7 +124,6 @@ class Streamer(Entity):
                     "reply_to": self.address,
                     "token": self.streamer_id,
                 }
-                target = int(owners_sorted[s])
                 address = self.dstate.agents.get(target)
                 if address is None:
                     # Stale view named a departed agent; any live agent

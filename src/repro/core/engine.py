@@ -166,7 +166,7 @@ class ElGA:
         stores = [
             store
             for agent in sorted_agents(self.cluster.agents)
-            for store in (agent.out_store, agent.in_store)
+            for store in (agent.shard.out_store, agent.shard.in_store)
         ]
         # The cache keeps the stores alive, so their ids stay theirs.
         key = [(id(store), store.version) for store in stores]
@@ -222,13 +222,13 @@ class ElGA:
         pending = self._pending_batches(program.name)
         if (
             activate is None
-            and getattr(program, "deletions_invalidate", False)
+            and program.deletions_invalidate
             and any(entry["deletions"] for entry in pending)
         ):
             return "scratch"
-        if not getattr(program, "supports_delta", False):
+        if not program.supports_delta:
             return "dense"
-        if getattr(program, "requires_stable_n", False) and self.global_n != meta["n"]:
+        if program.requires_stable_n and self.global_n != meta["n"]:
             return "dense"
         if meta["members"] != frozenset(self.cluster.agents):
             # Reshaped (or crash-replaced by a *different* id set)
@@ -326,9 +326,7 @@ class ElGA:
             if strategy == "scratch":
                 incremental = False
                 activate = None
-            elif strategy == "dense" and activate is None and not getattr(
-                program, "supports_delta", False
-            ):
+            elif strategy == "dense" and activate is None and not program.supports_delta:
                 # Warm start for programs without a delta protocol:
                 # activate the touched frontier.
                 activate = self._pending_touched(program.name)
@@ -840,13 +838,13 @@ class ElGA:
         out_copies: Set = set()
         in_copies: Set = set()
         for agent in self.cluster.agents.values():
-            for u, nbrs in agent.out_store.items():
+            for u, nbrs in agent.shard.out_store.items():
                 for v in nbrs:
                     edge = (u, v)
                     if edge in out_copies:
                         return False  # duplicate residency
                     out_copies.add(edge)
-            for v, srcs in agent.in_store.items():
+            for v, srcs in agent.shard.in_store.items():
                 for u in srcs:
                     edge = (u, v)
                     if edge in in_copies:

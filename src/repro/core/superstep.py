@@ -147,7 +147,7 @@ class SyncRunController:
         self.tracer = tracer
         # Delta runs get their own phase names so traces, timelines, and
         # the agents' phase dispatch can tell residual rounds apart.
-        self._delta = getattr(spec, "strategy", "scratch") == "delta"
+        self._delta = spec.strategy == "delta"
         self.phase = "delta_init" if self._delta else "init"
         self.round_started_at = kernel.now
         self.round_durations: List[Tuple[str, int, float]] = []

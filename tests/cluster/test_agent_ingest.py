@@ -80,7 +80,7 @@ def test_split_vertex_edges_spread_after_registry_broadcast():
     star_vs = np.arange(1, 40)
     c.ingest(EdgeBatch.insertions(np.zeros(39, dtype=np.int64), star_vs))
     c.flush_sketches()
-    holders = [aid for aid, a in c.agents.items() if 0 in a.out_store]
+    holders = [aid for aid, a in c.agents.items() if 0 in a.shard.out_store]
     assert len(holders) > 1  # out-copies spread across replicas
 
 

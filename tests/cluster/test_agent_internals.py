@@ -3,10 +3,44 @@
 import numpy as np
 import pytest
 
-from repro.cluster.agent import _VertexTable
+from repro.cluster.edgestore import IdSet, ValueColumn
+from repro.cluster.shard import ProgramState, ShardState
+from repro.cluster.vertextable import (
+    _RunState,
+    _VertexTable,
+    build_table,
+    hosted_vertex_ids,
+    scatter_segments,
+)
 from repro.core import ElGA, PageRank, WCC
 from repro.core.program import RunSpec
 from repro.graph import EdgeBatch
+from repro.hashing import ConsistentHashRing
+from repro.partition.cache import PlacementCache
+from repro.partition.placer import EdgePlacer
+from repro.sketch import CountMinSketch
+
+
+def hand_shard(edges, **fields):
+    """A shard holding both copies of ``edges`` (one agent owns all)."""
+    us, vs = (np.asarray(col, dtype=np.int64) for col in zip(*edges))
+    ones = np.ones(len(us), dtype=np.int8)
+    shard = ShardState(CountMinSketch(64, 2), **fields)
+    shard.out_store.apply(us, vs, ones)
+    shard.in_store.apply(vs, us, ones)
+    return shard
+
+
+def hand_placer(agents, split=(), degrees=None, threshold=10):
+    """A bound placement cache over ``agents`` whose global sketch has
+    seen ``degrees`` ({vertex: degree}); ``split`` is the registry."""
+    sketch = CountMinSketch(256, 4)
+    for vertex, degree in (degrees or {}).items():
+        sketch.add(np.array([vertex]), np.array([degree]))
+    placer = EdgePlacer(
+        ConsistentHashRing(agents), sketch, threshold, split_gate=frozenset(split)
+    )
+    return PlacementCache().bind((1, 0, 0), placer)
 
 
 def test_vertex_table_pos_roundtrip():
@@ -27,17 +61,91 @@ def test_edge_arrays_sorted_and_complete():
     elga = ElGA(nodes=1, agents_per_node=1, seed=24)
     elga.ingest_edges(np.array([3, 1, 3]), np.array([0, 2, 2]))
     agent = elga.cluster.agents[0]
-    keys, others = agent.out_store.arrays()
+    keys, others = agent.shard.out_store.arrays()
     assert keys.tolist() == [1, 3, 3]
     assert others.tolist() == [2, 0, 2]
 
 
 def test_hosted_vertices_cover_both_stores():
-    elga = ElGA(nodes=1, agents_per_node=1, seed=25)
-    elga.ingest_edges(np.array([0, 7]), np.array([7, 3]))
-    agent = elga.cluster.agents[0]
-    hosted = agent._hosted_vertex_ids()
-    assert set(hosted.tolist()) == {0, 3, 7}
+    shard = hand_shard([(0, 7), (7, 3)])
+    hosted, my_split = hosted_vertex_ids(shard, hand_placer([0]), frozenset(), 0)
+    assert hosted.tolist() == [0, 3, 7]
+    assert my_split == {}
+
+
+def test_hosted_vertices_include_edgeless_split_replicas():
+    """A replica of a split vertex takes part in replica sync even if
+    the second-level hash gave it no edges; a registered vertex whose
+    degree does not (yet) replicate is hosted only where it has edges."""
+    placer = hand_placer([0, 1, 2, 3], split={50, 60}, degrees={50: 35})
+    replicas = placer.replica_set(50)
+    assert len(replicas) == 4 and placer.replica_set(60) != replicas
+    for agent_id in replicas:
+        hosted, my_split = hosted_vertex_ids(
+            ShardState(CountMinSketch(64, 2)), placer, frozenset({50, 60}), agent_id
+        )
+        assert hosted.tolist() == [50]
+        assert my_split == {50: replicas}
+
+
+def test_build_table_fresh_run_without_a_cluster():
+    shard = hand_shard([(0, 1), (0, 2), (1, 2), (2, 0)])
+    placer = hand_placer([0])
+    run = _RunState(RunSpec(run_id=1, program=PageRank(max_iters=3), global_n=3))
+    lookups = build_table(run, shard, placer, frozenset(), 0, resume=False)
+    table = run.table
+    assert table.ids.tolist() == [0, 1, 2]
+    assert table.out_deg_local.tolist() == [2.0, 1.0, 1.0]
+    assert table.values.tolist() == pytest.approx([1 / 3] * 3)
+    assert table.active.all() and (table.split_k == 1).all()
+    # PageRank scatters along out-copies only: one routing resolution,
+    # every edge bound for the only agent, as one segment.
+    assert lookups == [(4, 0)]
+    src_pos, dst_raw, segments = run.out_routing
+    assert segments == [(0, 0, 4)]
+    assert sorted(zip(table.ids[src_pos].tolist(), dst_raw.tolist())) == [
+        (0, 1), (0, 2), (1, 2), (2, 0)
+    ]
+    assert run.in_routing[2] == [] and run.routing_uncharged is None
+    sending = np.array([True, False, True])
+    sent = list(scatter_segments(run, sending, np.array([10.0, 20.0, 30.0])))
+    assert [(agent, count) for agent, count, _, _ in sent] == [(0, 3)]
+    assert sorted(zip(sent[0][2].tolist(), sent[0][3].tolist())) == [
+        (0, 30.0), (1, 10.0), (2, 10.0)
+    ]
+
+
+def test_build_table_resume_joins_persisted_state():
+    state = ProgramState(ValueColumn.from_dict({0: 0.0, 1: 0.0, 2: 7.0}), IdSet([1]))
+    shard = hand_shard([(0, 1), (1, 2), (3, 2)], programs={"wcc": state})
+    run = _RunState(RunSpec(run_id=2, program=WCC(), global_n=4))
+    lookups = build_table(run, shard, hand_placer([0]), frozenset(), 0, resume=True)
+    table = run.table
+    # Persisted values where there are some, the program's initial
+    # value (own id) for a vertex that arrived during the suspension.
+    assert table.values.tolist() == [0.0, 0.0, 7.0, 3.0]
+    assert table.active.tolist() == [False, True, False, False]
+    # WCC scatters both ways: out-copies resolved first, then in-copies.
+    assert len(lookups) == 2
+    assert run.out_routing[2] == [(0, 0, 3)] and run.in_routing[2] == [(0, 0, 3)]
+
+
+def test_build_table_delta_run_seeds_frontier_from_dirty_rows():
+    state = ProgramState(ValueColumn.from_dict({v: 0.0 for v in range(4)} | {4: 4.0}))
+    shard = hand_shard([(0, 1), (1, 2), (2, 3)], programs={"wcc": state})
+    # A streamed insert (3, 4) that wcc has not consumed yet.
+    for store, role, key, other in (
+        (shard.out_store, "out", 3, 4), (shard.in_store, "in", 4, 3)
+    ):
+        applied = store.apply(np.array([key]), np.array([other]), np.array([1], dtype=np.int8))
+        shard.dirty_log.append_batch(role, *applied)
+    spec = RunSpec(run_id=3, program=WCC(), global_n=5, incremental=True, strategy="delta")
+    run = _RunState(spec)
+    build_table(run, shard, hand_placer([0]), frozenset(), 0, resume=False)
+    assert set(run.delta_pending) == {"out", "in"}
+    assert run.table.ids[run.table.active].tolist() == [3, 4]
+    # Routing is resolved but its charge deferred to first scatter.
+    assert run.routing_uncharged.tolist() == [1.0, 2.0, 2.0, 2.0, 1.0]
 
 
 def test_local_results_during_active_run_reads_table():
@@ -75,8 +183,8 @@ def test_state_pruned_after_migration():
     elga.run(WCC())
     elga.scale_to(12)
     for agent in elga.cluster.agents.values():
-        hosted = set(agent.out_store) | set(agent.in_store)
-        for v in agent.persistent.get("wcc", {}):
+        hosted = set(agent.shard.out_store) | set(agent.shard.in_store)
+        for v in agent.shard.programs["wcc"].values:
             assert v in hosted
 
 

@@ -9,14 +9,40 @@ vs off).
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.cluster.dataplane import RoundBuffers, combine_pairs
+from repro.cluster.dataplane import RoundBuffers, combine_pairs, segments_by
 from repro.core import ElGA, PageRank
 from repro.core.algorithms import WCC
 from repro.gen import powerlaw_graph
 from repro.net.message import PacketType
 
 pytestmark = pytest.mark.dataplane
+
+
+# ----------------------------------------------------------------------
+# segments_by: the one group-rows-by-owner
+# ----------------------------------------------------------------------
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=12), max_size=60))
+def test_segments_by_is_a_stable_partition_by_ascending_owner(owners):
+    owners = np.asarray(owners, dtype=np.int64)
+    order, segments = segments_by(owners)
+    # The segments tile ``order`` and ``order`` is a permutation: every
+    # row lands in exactly one segment.
+    assert sorted(order.tolist()) == list(range(len(owners)))
+    edges = [0, *[end for _, _, end in segments]]
+    assert [start for _, start, _ in segments] == edges[:-1] and edges[-1] == len(owners)
+    # One segment per distinct owner, ascending, never empty.
+    assert [owner for owner, _, _ in segments] == sorted(set(owners.tolist()))
+    for owner, start, end in segments:
+        rows = order[start:end]
+        assert isinstance(owner, int) and end > start
+        assert (owners[rows] == owner).all()
+        # Input order inside a segment: what the stable argsort gave.
+        assert rows.tolist() == sorted(rows.tolist())
 
 
 # ----------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_multiple_directories_stay_in_sync():
 def test_sketch_deltas_merge_into_global():
     c = make_cluster()
     agent = c.agents[0]
-    agent.sketch_delta.add(np.array([42] * 10))
+    agent.shard.sketch_delta.add(np.array([42] * 10))
     agent.flush_sketch()
     c.settle()
     c.lead._sketch_broadcast_due()

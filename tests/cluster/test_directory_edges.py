@@ -93,7 +93,7 @@ def test_sketch_broadcast_is_throttled():
     version_before = c.lead.state.version
     agent = c.agents[0]
     for _ in range(5):
-        agent.sketch_delta.add(np.array([1]))
+        agent.shard.sketch_delta.add(np.array([1]))
         agent.flush_sketch()
     c.settle()
     # Several deltas, at most one sketch broadcast fired so far.

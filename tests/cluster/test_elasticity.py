@@ -94,11 +94,11 @@ def test_placement_correct_after_scaling():
     c, _ = loaded_cluster()
     c.scale_to(7)
     for aid, agent in c.agents.items():
-        keys, others = agent.out_store.arrays()
+        keys, others = agent.shard.out_store.arrays()
         if len(keys):
             owners = agent.placer.owner_of_edges(keys, others)
             assert (owners == aid).all()
-        keys, others = agent.in_store.arrays()
+        keys, others = agent.shard.in_store.arrays()
         if len(keys):
             owners = agent.placer.owner_of_edges(keys, others)
             assert (owners == aid).all()

@@ -56,7 +56,7 @@ def test_forwarded_edges_placed_correctly():
         streamer.push.push(wrong.address, PacketType.EDGE_UPDATE, payload)
     c.settle()
     for aid, agent in c.agents.items():
-        keys, others = agent.out_store.arrays()
+        keys, others = agent.shard.out_store.arrays()
         if len(keys):
             assert (agent.placer.owner_of_edges(keys, others) == aid).all()
 

@@ -193,7 +193,7 @@ class RecheckEquivalence(RuleBasedStateMachine):
             for agent in cluster.agents.values():
                 assert agent.dstate.fence == cluster.lead.state.fence
                 placer = fresh_placer(agent)
-                for store in (agent.out_store, agent.in_store):
+                for store in (agent.shard.out_store, agent.shard.in_store):
                     keys, others = store.arrays()
                     owners = placer.owner_of_edges(keys, others)
                     assert (owners == agent.agent_id).all()
@@ -204,8 +204,8 @@ class RecheckEquivalence(RuleBasedStateMachine):
         assert sorted(cluster.agents) == sorted(twin.agents)
         assert cluster.lead.state.split_vertices == twin.lead.state.split_vertices
         for agent_id, agent in cluster.agents.items():
-            assert agent.out_store == twin.agents[agent_id].out_store
-            assert agent.in_store == twin.agents[agent_id].in_store
+            assert agent.shard.out_store == twin.agents[agent_id].shard.out_store
+            assert agent.shard.in_store == twin.agents[agent_id].shard.in_store
 
     @invariant()
     def nothing_lost_or_duplicated(self):

@@ -10,16 +10,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
+from repro.cluster.edgestore import EdgeStore, IdSet, ValueColumn
 from repro.cluster.metrics import AgentMetrics, combine_metrics
-from repro.cluster.recovery import (
-    Checkpoint,
-    CheckpointStore,
-    EdgeWAL,
-    RecoveryStore,
-    copy_active,
-    copy_values,
-)
+from repro.cluster.recovery import Checkpoint, CheckpointStore, EdgeWAL, RecoveryStore
+from repro.cluster.shard import ProgramState, ShardState
 from repro.sketch.countmin import CountMinSketch
 
 
@@ -35,6 +29,10 @@ def pairs(mapping):
     return col.ids, col.vals
 
 
+def empty_shard(**fields):
+    return ShardState(CountMinSketch(64, 3, seed=1), **fields)
+
+
 # ---------------------------------------------------------------------------
 # EdgeWAL
 # ---------------------------------------------------------------------------
@@ -45,20 +43,20 @@ def test_wal_append_replay_roundtrip():
     wal.append("out", rows((1, 2, 1), (1, 3, 1), (4, 5, 1)), sketched=True)
     wal.append("in", rows((2, 1, 1), (3, 1, 1)), sketched=True)
     wal.append("out", rows((1, 3, -1)), sketched=True)
-    out, inn = EdgeStore(), EdgeStore()
-    replayed = wal.replay(out, inn)
+    shard = empty_shard()
+    replayed = wal.replay(shard)
     assert replayed == 6
-    assert out == {1: {2}, 4: {5}}
-    assert inn == {2: {1}, 3: {1}}
+    assert shard.out_store == {1: {2}, 4: {5}}
+    assert shard.in_store == {2: {1}, 3: {1}}
 
 
 def test_wal_remove_drops_empty_buckets():
     wal = EdgeWAL()
     wal.append("out", rows((7, 8, 1)), sketched=False)
     wal.append("out", rows((7, 8, -1)), sketched=False)
-    out, inn = EdgeStore(), EdgeStore()
-    wal.replay(out, inn)
-    assert out == {} and inn == {}
+    shard = empty_shard()
+    wal.replay(shard)
+    assert shard.out_store == {} and shard.in_store == {}
 
 
 def test_wal_empty_append_is_noop():
@@ -74,8 +72,7 @@ def test_wal_truncate_drops_everything():
     assert len(wal) == 1
     wal.truncate()
     assert len(wal) == 0
-    out, inn = EdgeStore(), EdgeStore()
-    assert wal.replay(out, inn) == 0
+    assert wal.replay(empty_shard()) == 0
     # records_logged is a lifetime counter; truncation keeps it.
     assert wal.records_logged == 1
 
@@ -86,23 +83,22 @@ def test_wal_replays_migrated_values_and_activation():
         "out",
         rows((9, 10, 1)),
         sketched=False,
-        values={"pagerank": pairs({9: 0.25})},
-        active={"pagerank": np.array([9])},
+        state={"pagerank": {"values": pairs({9: 0.25}), "active": np.array([9])}},
     )
-    out, inn = EdgeStore(), EdgeStore()
-    persistent = {"pagerank": ValueColumn.from_dict({1: 0.5})}
-    persistent_active = {}
-    wal.replay(out, inn, persistent=persistent, persistent_active=persistent_active)
-    assert persistent == {"pagerank": {1: 0.5, 9: 0.25}}
-    assert persistent_active == {"pagerank": {9}}
+    shard = empty_shard(
+        programs={"pagerank": ProgramState(values=ValueColumn.from_dict({1: 0.5}))}
+    )
+    wal.replay(shard)
+    assert shard.programs["pagerank"].values == {1: 0.5, 9: 0.25}
+    assert shard.programs["pagerank"].active == {9}
 
 
 def test_wal_value_only_record_survives_without_rows():
     wal = EdgeWAL()
-    wal.append("out", rows(), sketched=False, values={"wcc": pairs({3: 3.0})})
-    persistent = {}
-    wal.replay(EdgeStore(), EdgeStore(), persistent=persistent)
-    assert persistent == {"wcc": {3: 3.0}}
+    wal.append("out", rows(), sketched=False, state={"wcc": {"values": pairs({3: 3.0})}})
+    shard = empty_shard()
+    wal.replay(shard)
+    assert shard.programs["wcc"].values == {3: 3.0}
 
 
 def test_wal_recounts_sketched_rows_into_delta():
@@ -110,9 +106,9 @@ def test_wal_recounts_sketched_rows_into_delta():
     wal.append("out", rows((5, 6, 1), (5, 7, 1)), sketched=True)
     wal.append("out", rows((5, 7, -1)), sketched=True)
     wal.append("out", rows((5, 8, 1)), sketched=False)  # migration: not sketched
-    delta = CountMinSketch(64, 3, seed=1)
-    wal.replay(EdgeStore(), EdgeStore(), sketch_delta=delta)
-    assert delta.query(np.array([5]))[0] == 1  # +2 inserts, -1 remove
+    shard = empty_shard()
+    wal.replay(shard)
+    assert shard.sketch_delta.query(np.array([5]))[0] == 1  # +2 inserts, -1 remove
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +121,7 @@ def _checkpoint(run_id=None, step=0, edges=((1, 2),)):
     for u, v in edges:
         out.setdefault(u, set()).add(v)
     return Checkpoint(
-        out_store=EdgeStore.from_dict(out),
-        in_store=EdgeStore(),
-        persistent={},
-        persistent_active={},
-        sketch_delta=None,
-        run_id=run_id,
-        step=step,
+        empty_shard(out_store=EdgeStore.from_dict(out)), run_id=run_id, step=step
     )
 
 
@@ -178,14 +168,13 @@ def test_prune_run_keeps_latest():
 def _fake_agent(agent_id=0):
     return SimpleNamespace(
         agent_id=agent_id,
-        out_store=EdgeStore.from_dict({1: {2, 3}}),
-        in_store=EdgeStore.from_dict({2: {1}}),
-        persistent={"pagerank": ValueColumn.from_dict({1: 0.9})},
-        persistent_active={"pagerank": IdSet([1])},
-        persistent_scatter={},
-        sketch_delta=CountMinSketch(64, 3, seed=0),
-        _dirty_log=DirtyLog(),
-        _dirty_seen={},
+        shard=empty_shard(
+            out_store=EdgeStore.from_dict({1: {2, 3}}),
+            in_store=EdgeStore.from_dict({2: {1}}),
+            programs={
+                "pagerank": ProgramState(ValueColumn.from_dict({1: 0.9}), IdSet([1]))
+            },
+        ),
     )
 
 
@@ -205,10 +194,10 @@ def test_snapshot_agent_copies_state_and_truncates_wal():
     assert len(store.slot(2).wal) == 0
     assert checkpoint.n_edges == 3
     # Deep copies: mutating the agent must not leak into the snapshot.
-    agent.out_store.apply(*rows((1, 99, 1)))
-    agent.persistent["pagerank"].set_many(np.array([1]), np.array([0.0]))
-    assert checkpoint.out_store == {1: {2, 3}}
-    assert checkpoint.persistent == {"pagerank": {1: 0.9}}
+    agent.shard.out_store.apply(*rows((1, 99, 1)))
+    agent.shard.programs["pagerank"].values.set_many(np.array([1]), np.array([0.0]))
+    assert checkpoint.state.out_store == {1: {2, 3}}
+    assert checkpoint.state.programs["pagerank"].values == {1: 0.9}
 
 
 def test_recovery_store_prune_run_spans_all_slots():
@@ -221,16 +210,17 @@ def test_recovery_store_prune_run_spans_all_slots():
 
 
 def test_copy_helpers_deep_copy():
-    out = EdgeStore.from_dict({1: {2}})
-    vals = {"p": ValueColumn.from_dict({1: 0.5})}
-    act = {"p": IdSet([1])}
-    c_out, c_vals, c_act = out.copy(), copy_values(vals), copy_active(act)
-    out.apply(*rows((1, 3, 1)))
-    vals["p"].set_many(np.array([2]), np.array([1.0]))
-    act["p"].update(np.array([2]))
-    assert c_out == {1: {2}}
-    assert c_vals == {"p": {1: 0.5}}
-    assert c_act == {"p": {1}}
+    shard = empty_shard(
+        out_store=EdgeStore.from_dict({1: {2}}),
+        programs={"p": ProgramState(ValueColumn.from_dict({1: 0.5}), IdSet([1]))},
+    )
+    copied = shard.copy()
+    shard.out_store.apply(*rows((1, 3, 1)))
+    shard.programs["p"].values.set_many(np.array([2]), np.array([1.0]))
+    shard.programs["p"].active.update(np.array([2]))
+    assert copied.out_store == {1: {2}}
+    assert copied.programs["p"].values == {1: 0.5}
+    assert copied.programs["p"].active == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +243,10 @@ def test_checkpoint_plus_wal_rebuilds_every_agent_store():
     for agent_id, agent in elga.cluster.agents.items():
         slot = elga.cluster.recovery.slot(agent_id)
         base = slot.checkpoints.latest
-        out = base.out_store.copy() if base else EdgeStore()
-        inn = base.in_store.copy() if base else EdgeStore()
-        slot.wal.replay(out, inn)
-        assert out == agent.out_store, f"agent {agent_id} out-store diverged"
-        assert inn == agent.in_store, f"agent {agent_id} in-store diverged"
+        rebuilt = base.state.copy() if base else empty_shard()
+        slot.wal.replay(rebuilt)
+        assert rebuilt.out_store == agent.shard.out_store, f"agent {agent_id} out-store diverged"
+        assert rebuilt.in_store == agent.shard.in_store, f"agent {agent_id} in-store diverged"
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def test_hub_edges_spread_over_replicas_only(star_engine):
     holders = {
         aid
         for aid, a in star_engine.cluster.agents.items()
-        if 0 in a.out_store or 0 in a.in_store
+        if 0 in a.shard.out_store or 0 in a.shard.in_store
     }
     assert holders <= replicas
     assert len(holders) > 1
@@ -77,9 +77,9 @@ def test_split_vertex_outdegree_totals(star_engine):
 def test_replica_values_identical_across_replicas(star_engine):
     star_engine.run(WCC())
     values = {
-        aid: a.persistent["wcc"].get(0)
+        aid: a.shard.programs["wcc"].values.get(0)
         for aid, a in star_engine.cluster.agents.items()
-        if 0 in a.persistent.get("wcc", {})
+        if "wcc" in a.shard.programs and 0 in a.shard.programs["wcc"].values
     }
     assert len(set(values.values())) == 1
 

@@ -80,3 +80,26 @@ def test_insertion_rate_scales_with_agents():
         return report["edges_per_second"]
 
     assert rate(4) > rate(1)
+
+
+def test_streamer_fences_directory_states_by_term_then_version():
+    """A freshly elected lead's first broadcast may carry a lower
+    version than the dead lead's last one; its higher term must win at
+    the streamer as it does at every agent, or the streamer keeps
+    routing by the dead lead's membership."""
+    from repro.cluster.directory import DirectoryState
+
+    c = make_cluster()
+    s = c.new_streamer()
+    c.settle()
+    held = s.dstate
+    assert held.term == 0 and held.version >= 2
+    survivors = {aid: addr for aid, addr in held.agents.items() if aid != 0}
+    elected = DirectoryState(1, held.batch_id, survivors, held.sketch, frozenset(), term=1)
+    s._adopt(elected)
+    assert s.dstate is elected
+    agent = c.agents[1]
+    agent._on_directory_update(elected)
+    assert agent.dstate is elected  # the same verdict as an Agent's
+    s._adopt(held)  # the deposed lead's straggler loses, whatever its version
+    assert s.dstate is elected

@@ -75,7 +75,7 @@ def _applied(elga) -> int:
 
 
 def _dirty_rows(elga) -> int:
-    return sum(len(a._dirty_log) for a in sorted_agents(elga.cluster.agents))
+    return sum(len(a.shard.dirty_log) for a in sorted_agents(elga.cluster.agents))
 
 
 def test_empty_batch_applies_nothing(small_cluster):

@@ -32,7 +32,7 @@ def test_future_round_messages_are_buffered_and_replayed():
         "dst": np.array([hosted]),
         "val": np.array([0.5]),
     }
-    agent._on_vertex_msg(future, src=agent.address)
+    agent._on_round_data(PacketType.VERTEX_MSG, future, src=agent.address)
     assert agent.run.future_buffer  # stored, not applied
     agent.finalize_run(persist=False)
 
