@@ -10,8 +10,14 @@ and pins every deterministic quantity the simulator produces: event
 and message counts, bytes on the wire, each run's strategy / step
 count / phase sequence, and the migration and recovery counters.
 
+A third scenario does the same for the control plane: lease renewal,
+election and succession after a lead crash, a master restart, and a
+re-weight adopted under the successor's term — what a refactor of the
+Directory has to leave alone.
+
 The constants below were recorded from the code as it stood before the
-Agent was split into modules; they change only when the *program*
+Agent (first two scenarios) and the Directory (third) were split into
+modules; they change only when the *program*
 changes (a different message, a different charge, a different round),
 never for a move or a rename.  Values themselves are compared ``==`` to
 a fault-free twin by the chaos and recovery suites and are not pinned
@@ -71,6 +77,27 @@ EXPECTED_RESTART = {
     "replica_syncs": 104,
     "wal_records_replayed": 20,
     "checkpoints_restored": 1,
+}
+
+
+# Control-plane failover: three directories under a lease cadence, a lead
+# crash mid-run (election, succession, control-tail re-drive), a master
+# crash + restart (registry rebuilt from DIRECTORY_REGISTER), and a
+# mid-run re-weight adopted by the elected lead.
+EXPECTED_FAILOVER = {
+    "events_processed": 4001,
+    "messages_sent": 3110,
+    "bytes_sent": 28110597,
+    "now": 0.15328216570403388,
+    "runs": [
+        ("scratch", 12, _rounds("init", ("step", 12))),
+        ("scratch", 5, _rounds("init", ("step", 5))),
+        ("scratch", 12, _rounds("init", ("step", 2), "apply_only", "resume", ("step", 9))),
+    ],
+    "terms": [0, 1, 1, 1],
+    "lead_elections": 1,
+    "stale_term_drops": 0,
+    "rebalance_adoptions": 1,
 }
 
 
@@ -174,6 +201,37 @@ def _restart_scenario():
     return elga, runs
 
 
+def _failover_scenario():
+    us, vs, _ = powerlaw_graph(1500, 20000, alpha=2.0, seed=47)
+    keep = us != vs
+    us, vs = us[keep], vs[keep]
+    elga = ElGA(
+        nodes=2,
+        agents_per_node=2,
+        seed=23,
+        n_directories=3,
+        dir_lease_interval=2e-3,
+        dir_lease_timeout=6e-3,
+        replication_threshold=40,
+        heartbeat_interval=0.005,
+        lease_timeout=0.025,
+        checkpoint_every=2,
+    )
+    elga.ingest_edges(us, vs, n_streamers=2)
+    cluster = elga.cluster
+    terms = [cluster.lead.term]
+    runs = []
+    agents = sorted(cluster.agents)
+    for program, plans in (
+        (PageRank(max_iters=12), {"crash_plan": {2: {"lead": True}}}),
+        (WCC(), {"crash_plan": {1: {"master": True}}}),
+        (PageRank(max_iters=12), {"rebalance_plan": {2: {agents[0]: 2.0, agents[-1]: 0.5}}}),
+    ):
+        runs.append(elga.run(program, **plans))
+        terms.append(cluster.lead.term)
+    return elga, runs, terms
+
+
 def _observe(scenario):
     elga, runs = scenario()
     cluster = elga.cluster
@@ -217,3 +275,26 @@ def test_fingerprint_of_restart_recovery():
     assert log[1]["mode"] == "restart"
     assert elga.validate_against_reference()
     _assert_pinned(seen, EXPECTED_RESTART)
+
+
+def test_fingerprint_of_control_plane_failover():
+    elga, runs, terms = _failover_scenario()
+    cluster = elga.cluster
+    stats = cluster.network.stats
+    assert [entry["event"] for entry in cluster.recovery_log] == [
+        "directory_crash", "lead_elected", "master_crash", "master_restart",
+    ]
+    assert cluster.lead.index == 1
+    assert elga.validate_against_reference()
+    seen = {
+        "events_processed": cluster.kernel.events_processed,
+        "messages_sent": stats.messages_sent,
+        "bytes_sent": stats.bytes_sent,
+        "now": cluster.kernel.now,
+        "runs": [(r.strategy, r.steps, _phases(r)) for r in runs],
+        "terms": terms,
+        "lead_elections": stats.lead_elections,
+        "stale_term_drops": stats.stale_term_drops,
+        "rebalance_adoptions": stats.rebalance_adoptions,
+    }
+    _assert_pinned(seen, EXPECTED_FAILOVER)

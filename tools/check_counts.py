@@ -1,0 +1,65 @@
+"""Compare the deterministic values of ``benchmarks/e2e/run.py --smoke
+--out OUT`` sets with the committed baseline: ``python3
+tools/check_counts.py BENCH_counts.json OUT [OUT ...] [--update]``.
+
+Per seed and workload the baseline holds the ``DETERMINISTIC`` keys, the
+untraced ``sim_op_p50_us`` / ``sim_superstep_us`` and every traced
+per-layer metric whose unit is ``count``, ``B`` or ``ratio`` (all but
+``harness.*``, which measures the tracer).  Ints and strings compare
+exactly, floats to ``rel=1e-9``; every moved key is printed with both
+values.  A change that means to move a count re-runs with ``--update``
+and says why in CHANGES.md.
+"""
+
+import json
+import math
+import sys
+
+
+def counts_of(result_set: dict) -> dict:
+    out = {}
+    for name, runs in result_set["workloads"].items():
+        row = {f"deterministic/{k}": v for k, v in runs["untraced"]["deterministic"].items()}
+        for key in ("sim_op_p50_us", "sim_superstep_us"):
+            row[f"untraced/{key}"] = runs["untraced"]["metrics"][key]["value"]
+        for key, metric in runs["traced"]["metrics"].items():
+            if metric["unit"] in ("count", "B", "ratio") and not key.startswith("harness."):
+                row[f"traced/{key}"] = metric["value"]
+        out[name] = row
+    return out
+
+
+def same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, (int, float)):
+        return math.isclose(a, b, rel_tol=1e-9, abs_tol=0.0)
+    return type(a) is type(b) and a == b
+
+
+def main(argv) -> int:
+    update = "--update" in argv
+    baseline_path, *out_paths = [a for a in argv if a != "--update"]
+    with open(baseline_path) as fh:
+        baseline = json.load(fh)
+    moved = 0
+    for path in out_paths:
+        with open(path) as fh:
+            result_set = json.load(fh)
+        seed, seen = f"seed {result_set['seed']}", counts_of(result_set)
+        expected = baseline.get(seed, {})
+        for workload in sorted(set(seen) | set(expected)):
+            was, now = expected.get(workload, {}), seen.get(workload, {})
+            for key in sorted(set(was) | set(now)):
+                if not (key in was and key in now and same(was[key], now[key])):
+                    moved += 1
+                    print(f"{seed} {workload} {key}: {was.get(key)!r} -> {now.get(key)!r}")
+        baseline[seed] = seen
+    if update:
+        with open(baseline_path, "w") as fh:
+            json.dump(baseline, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    print(f"{moved} value(s) moved against {baseline_path}" + (" (updated)" if update else ""))
+    return 0 if update or not moved else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
