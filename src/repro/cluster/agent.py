@@ -724,6 +724,11 @@ class Agent(RoundMixin, RehomeMixin, Entity):
 
     def flush_sketch(self) -> None:
         """Push accumulated degree deltas to the directory."""
+        if self.home_lost():
+            # Pushed at a dead directory the counts would be dropped and
+            # every estimate from then on would miss them: the delta
+            # stays pending until ``_on_rehomed``.
+            return
         delta = self.shard.sketch_delta
         if delta.is_empty():
             return
@@ -861,12 +866,10 @@ class Agent(RoundMixin, RehomeMixin, Entity):
         run = self.run
         if self.crashed or run is None or run.suspended or run.spec.mode != "sync":
             return  # chain ends; the next run start / resume re-arms it
-        if not self.network.is_attached(self.directory_address):
-            # This agent's directory died: re-home through the master
-            # instead of heartbeating into the void.  The chain keeps
-            # ticking so a failed re-home attempt is retried.
-            self._maybe_rehome()
-        else:
+        # If this agent's directory died, re-home through the master
+        # instead of heartbeating into the void.  The chain keeps
+        # ticking so a failed re-home attempt is retried.
+        if not self.home_lost():
             self.metrics.heartbeats_sent += 1
             self.push.push(
                 self.directory_address,
@@ -883,6 +886,11 @@ class Agent(RoundMixin, RehomeMixin, Entity):
         # The READY sent to the dead directory may never have been
         # forwarded; re-report through the new home.
         self._report_ready()
+        if self.run is None:
+            # Between runs: push what a flush held back while homeless
+            # (mid-run the next pre-run flush picks it up, so a re-home
+            # never moves the sketch under a running program).
+            self.flush_sketch()
 
     def _wal_log(
         self,

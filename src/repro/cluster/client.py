@@ -307,15 +307,14 @@ class ClientProxy(RehomeMixin, Entity):
                 f"client {self.client_id} has no directory state yet; "
                 "run the simulator until the first broadcast lands"
             )
-        if not self.network.is_attached(self.directory_address):
-            # The home directory died.  Queries keep flowing on the
-            # last-adopted state (fan-outs target agents, not the
-            # directory), but without a live subscription this proxy
-            # would never see another epoch or version — re-home now.
-            # Event-driven, not periodic: an idle proxy costs the
-            # simulator nothing, and the first query after a directory
-            # death pays the re-home.
-            self._maybe_rehome()
+        # If the home directory died, queries keep flowing on the
+        # last-adopted state (fan-outs target agents, not the
+        # directory), but without a live subscription this proxy would
+        # never see another epoch or version — re-home now.
+        # Event-driven, not periodic: an idle proxy costs the simulator
+        # nothing, and the first query after a directory death pays the
+        # re-home.
+        self.home_lost()
         if len(self._pending) >= self.config.serving_max_inflight:
             self.queries_shed += 1
             tracer = self.network.tracer

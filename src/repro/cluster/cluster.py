@@ -118,8 +118,26 @@ class ElGACluster:
         an election promotes a successor.  Engine code must read this
         property at each use rather than capturing it — the lead can
         change between any two kernel events.
+
+        Never a dead process: the lease timers only watch a lead while
+        a run is live, so when the lead died between runs this read is
+        the operation that pays for the succession (the lowest-index
+        live directory takes the term, and the election callback
+        repoints the index).  With failover off there is no successor,
+        and mid-run the election belongs to the timers (the engine's
+        waits hold on :meth:`consistent` until it lands): both raise.
         """
-        return self.directories[self._lead_index]
+        lead = self.directories[self._lead_index]
+        if not self.network.is_attached(lead.address):
+            successor = self.directory_for(0)
+            successor.succeed_lost_lead()
+            if not successor.is_lead:
+                raise RuntimeError(
+                    f"{lead.name} is dead and {successor.name} cannot take over "
+                    "(failover is off, or a mid-run election is pending)"
+                )
+            lead = self.directories[self._lead_index]
+        return lead
 
     def directory_for(self, index: int) -> Directory:
         """Deterministic home-directory assignment, skipping dead ones
@@ -156,10 +174,7 @@ class ElGACluster:
         self.lead.on_eviction = on_eviction
 
     def uninstall_run_controller(self) -> None:
-        self._run_controller_ref = None
-        self._on_eviction_ref = None
-        self.lead.run_controller = None
-        self.lead.on_eviction = None
+        self.install_run_controller(None)
 
     def crash_directory(self, index: Optional[int] = None) -> int:
         """Abruptly kill one Directory (default: the current lead).
@@ -189,6 +204,19 @@ class ElGACluster:
             }
         )
         return index
+
+    def rehome_orphans(self) -> bool:
+        """Send every agent whose home directory died to the master for
+        a live one; returns whether any had to go.
+
+        An agent notices a dead home by itself only from a heartbeat
+        tick or a sketch flush.  Between runs, and while a run is
+        suspended, it has neither — and a broadcast it cannot hear
+        (RUN_START, the resume) would wait on it forever.  The
+        orchestrator operation that needs every agent listening pays
+        the re-home, as :meth:`ingest` does for streamers.
+        """
+        return any([agent.home_lost() for agent in sorted_agents(self.agents)])
 
     def crash_master(self) -> None:
         """Abruptly kill the DirectoryMaster (bootstrap + eviction
@@ -504,7 +532,7 @@ class ElGACluster:
             agent.flush_sketch()
         self.settle()
         # The lead batches sketch broadcasts; force one out if dirty.
-        self.lead._sketch_broadcast_due()
+        self.lead.flush_sketch_broadcast()
         self.settle()
 
     def collect_metrics(self) -> Dict[int, dict]:
@@ -525,7 +553,7 @@ class ElGACluster:
         # (a dead agent's last report would otherwise linger in a
         # non-lead directory's store forever).
         live = set(self.agents)
-        suspected = self.lead._suspected
+        suspected = self.lead.suspected_agents()
         return {
             agent_id: snap
             for agent_id, snap in merged.items()
@@ -569,7 +597,10 @@ class ElGACluster:
         migration traffic may still be in flight."""
         if self.departing_agents():
             return False
-        fence = self.lead.state.fence
+        lead = self.directories[self._lead_index]
+        if not self.network.is_attached(lead.address):
+            return False  # nothing to have adopted until a successor holds the term
+        fence = lead.state.fence
         for agent in self.agents.values():
             if agent.dstate is None or agent.dstate.fence != fence:
                 return False

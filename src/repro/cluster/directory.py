@@ -28,11 +28,15 @@ O(#hubs) to the O(P + d·w) broadcast; DESIGN.md discusses the choice.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+import copy
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
+from repro.cluster.failover import FailoverMixin
+from repro.cluster.leadstate import ControlTail, LeadState
+from repro.cluster.leases import LeaseMixin
 from repro.hashing.ring import ConsistentHashRing
 from repro.net.message import Message, PacketType
 from repro.net.sockets import PubSubSocket, PushSocket, ReqRepSocket
@@ -238,22 +242,27 @@ class DirectoryMaster(Entity):
             raise ValueError(f"DirectoryMaster got unexpected {message.ptype.name}")
 
 
-class Directory(Entity):
+class Directory(LeaseMixin, FailoverMixin, Entity):
     """One directory server.
+
+    This module keeps construction, dispatch, membership + state
+    publication, barrier/run control and result versions; the agent
+    failure detector is :class:`~repro.cluster.leases.LeaseMixin`, the
+    control-plane failover machine
+    :class:`~repro.cluster.failover.FailoverMixin`.
 
     Parameters
     ----------
     network, config:
         Fabric and shared cluster configuration.
     index:
-        Directory index; index 0 is the lead.
+        Directory index; index 0 is the bootstrap lead.
     """
 
     def __init__(self, network, config: ClusterConfig, index: int):
         super().__init__(network, f"directory-{index}", config.seed)
         self.config = config
         self.index = index
-        self.is_lead = index == 0
         self.pubsub = PubSubSocket(self)
         self.push = PushSocket(self)
         self.peers: List[int] = []  # other directories' addresses (lead first)
@@ -264,13 +273,10 @@ class Directory(Entity):
             sketch=CountMinSketch(config.sketch_width, config.sketch_depth, seed=config.seed),
             split_vertices=frozenset(),
         )
-        self._weights: Dict[int, float] = {}
-        # Placement-epoch components (lead only; peers mirror the lead's
-        # epoch via DIRECTORY_SYNC).  Membership bumps on join/leave,
-        # sketch on every delta merge; the split component is the
-        # (monotone) registry size at broadcast time.
-        self._membership_version = 0
-        self._sketch_version = 0
+        # What only a lead owns (None on a peer), and what every
+        # directory mirrors of the lead's run control.
+        self.lead_state: Optional[LeadState] = LeadState.fresh() if index == 0 else None
+        self.tail = ControlTail()
         # Latest metric snapshot per agent (§3.4.3: "Metrics are passed
         # to Directories"); autoscalers read these.
         self.metric_store: Dict[int, dict] = {}
@@ -281,44 +287,21 @@ class Directory(Entity):
         # their own subscribers (client proxies), whose result caches
         # fence entries on the version they were filled under.
         self.result_versions: Dict[str, int] = {}
-        self._active_program: Optional[str] = None
-        # Lead-only aggregation state.
-        self._pending_split: Set[int] = set()
-        self._sketch_dirty = False
-        self._last_sketch_broadcast = -1e30
-        self._broadcast_scheduled = False
-        self._ready: Dict[int, Dict[int, dict]] = {}  # step -> agent id -> stats
-        # Highest barrier round already completed this run.  Rounds are
-        # monotone within a run, so a READY for a completed round is a
-        # stale duplicate and must not re-trigger the controller.
-        self._ready_done = -1
-        self._membership_dirty = False
         # Engine hook: called by the lead as run_controller(round, step,
         # stats) when all agents report ready.  Returns the next
         # SUPERSTEP_ADVANCE payload, or None to hold the barrier (used
         # for mid-run elastic scaling).
         self.run_controller: Optional[Callable[[int, int, dict], Optional[dict]]] = None
-        # Failure detection (lead only).  Leases map agent id -> last
-        # heartbeat time; suspicion is arbitrated by the master (whose
-        # address the cluster wires in) before eviction.  While
-        # ``_recovering`` the barrier is held shut: no READY bucket may
-        # complete until the engine finishes reshaping the run.
+        # Failure detection: suspicion is arbitrated by the master
+        # (whose address the cluster wires in) before eviction, which
+        # hands the engine the recovery.
         self.master_address: Optional[int] = None
         self.on_eviction: Optional[Callable[[int], None]] = None
-        self._leases: Dict[int, float] = {}
-        # Suspected agents, keyed to when the AGENT_SUSPECT was last
-        # sent: if the master's verdict never lands (it crashed, or the
-        # confirm was addressed to a dead lead), the probe is re-sent
-        # after a lease-timeout so arbitration survives master loss.
-        self._suspected: Dict[int, float] = {}
-        self._lease_pending = False
-        self._recovering = False
         # Control-plane fault tolerance.  ``term`` is the monotone
-        # election counter fencing all directory-originated traffic
-        # (the control-plane analogue of the data plane's incarnation
-        # numbers).  ``directory_addresses`` maps every directory index
-        # to its address (wired by the cluster) so a candidate can run
-        # the deterministic lowest-index-live succession rule locally.
+        # election counter fencing all directory-originated traffic.
+        # ``directory_addresses`` maps every directory index to its
+        # address (wired by the cluster) so a candidate can run the
+        # deterministic lowest-index-live succession rule locally.
         self.term = 0
         self.directory_addresses: Dict[int, int] = {}
         self.on_lead_change: Optional[Callable[["Directory"], None]] = None
@@ -326,191 +309,93 @@ class Directory(Entity):
         # handles messages nor fires its timer chains (the kernel still
         # runs already-scheduled callbacks; they must no-op).
         self.crashed = False
+        # One flag per timer chain: a tick is sitting in the kernel.
+        self._lease_pending = False
+        self._dir_lease_pending = False
+        self._election_pending = False
+        self._register_pending = False
         # Lead side: when it last heard a DIR_LEASE_ACK from each peer.
         self._peer_seen: Dict[int, float] = {}
-        self._dir_lease_pending = False
-        # Peer side: when it last heard *anything* from the lead, plus
-        # the mirrored control tail used to reconstruct barrier state on
-        # election — the last lead control broadcast (re-sent verbatim
-        # under the new term so partially-delivered broadcasts unstick)
-        # and the highest barrier round it implies was completed.
-        self._lead_seen = 0.0
-        self._election_pending = False
-        self._mirrored_ctrl: Optional[Tuple[PacketType, object]] = None
-        self._mirrored_ready_done = -1
-        self._mirrored_run_live = False
-        self._register_pending = False
+
+    @property
+    def is_lead(self) -> bool:
+        return self.lead_state is not None
+
+    def _lead(self, what: str) -> LeadState:
+        """The state behind a lead-only entry point.  A peer — or a dead
+        process the caller still holds — fails loudly instead of acting."""
+        if self.crashed or self.lead_state is None:
+            raise RuntimeError(f"{what} is owned by the live lead directory, not {self.name}")
+        return self.lead_state
+
+    def _trace(self, name: str, category: str, **args) -> None:
+        tracer = self.network.tracer
+        if tracer is not None:
+            tracer.instant(self.name, name, category, args)
 
     # -- message dispatch -----------------------------------------------------
 
     def handle_message(self, message: Message) -> None:
-        ptype = message.ptype
         if self.crashed:
             return  # racing in-flight delivery to a dead process
         if not self._admit_term(message):
             return
         if not self.is_lead and self.peers and message.src == self.peers[0]:
-            self._lead_seen = self.now
-        if ptype == PacketType.DIR_LEASE:
-            # Lead's lease renewal: acknowledge so the lead can prune
-            # dead peers from its broadcast list.
-            self.push.push(
-                message.src, PacketType.DIR_LEASE_ACK, {"index": self.index}, term=self.term
-            )
-            return
-        if ptype == PacketType.DIR_LEASE_ACK:
-            self._peer_seen[message.src] = self.now
-            return
-        if ptype == PacketType.SUBSCRIBE:
-            if isinstance(message.payload, dict) and message.payload.get("remove"):
-                self.pubsub.unsubscribe(message.src)
-            else:
-                self.pubsub.subscribe(message.src, message.payload)
-                # Late joiners immediately get the current state so they
-                # can start placing edges without waiting for churn.
-                if (
-                    PacketType.RESULT_NOTICE in message.payload
-                    and self.result_versions
-                ):
-                    # Seed a late-joining proxy with the current result
-                    # versions so its first cache fills are fenced
-                    # against everything that already ran.
-                    self.push.push(
-                        message.src,
-                        PacketType.RESULT_NOTICE,
-                        {"versions": dict(self.result_versions)},
-                        term=self.term,
-                    )
-                if (
-                    PacketType.DIRECTORY_UPDATE in message.payload
-                    and self.state.version > 0
-                ):
-                    # The lead's state.sketch is the live master copy,
-                    # mutated by future delta merges — hand late joiners
-                    # a snapshot, never the live object.
-                    payload = self._snapshot_state() if self.is_lead else self.state
-                    self.push.push(
-                        message.src, PacketType.DIRECTORY_UPDATE, payload, term=payload.term
-                    )
-        elif ptype == PacketType.AGENT_JOIN:
-            self._to_lead(message)
-        elif ptype == PacketType.AGENT_LEAVE:
-            self._to_lead(message)
-        elif ptype == PacketType.SKETCH_DELTA:
-            self._to_lead(message)
-        elif ptype == PacketType.SPLIT_REPORT:
-            self._to_lead(message)
-        elif ptype == PacketType.REBALANCE_PLAN:
-            self._to_lead(message)
-        elif ptype == PacketType.HEARTBEAT:
-            self._to_lead(message)
-        elif ptype == PacketType.EVICT_CONFIRM:
-            self._on_evict_confirm(message.payload)
-        elif ptype == PacketType.AGENT_READY:
-            self._on_agent_ready(message)
-        elif ptype == PacketType.READY_REBROADCAST:
-            self._on_ready_rebroadcast(message)
-        elif ptype == PacketType.METRIC_REPORT:
-            payload = message.payload
-            self.metric_store[int(payload["agent_id"])] = dict(payload["metrics"])
-        elif ptype == PacketType.DIRECTORY_SYNC:
-            self._on_sync(message)
-        elif ptype in (
-            PacketType.SUPERSTEP_ADVANCE,
-            PacketType.RUN_START,
-            PacketType.RECOVER,
-        ):
-            # Lead-originated control, re-published to local subscribers.
-            # Mirror the control tail: on election the successor re-sends
-            # this broadcast verbatim under the new term, so agents a
-            # partial delivery left behind can proceed.
-            self._mirror_control(ptype, message.payload)
-            self.pubsub.publish(ptype, message.payload, term=message.term)
-        elif ptype == PacketType.RESULT_NOTICE:
-            # Lead-originated version bump: merge (so late SUBSCRIBE
-            # seeding works from any directory) and re-publish.
-            for prog, version in message.payload["versions"].items():
-                if version > self.result_versions.get(prog, 0):
-                    self.result_versions[prog] = version
-            self.pubsub.publish(ptype, message.payload, term=message.term)
-        else:
-            raise ValueError(f"Directory got unexpected {ptype.name}")
-
-    def _admit_term(self, message: Message) -> bool:
-        """Fence directory-origin traffic by term; adopt newer terms.
-
-        Returns ``False`` for stale-term messages (dropped and counted).
-        A higher term on any message means a successor was elected; an
-        old lead that somehow survived steps down immediately
-        (split-brain safety — in the simulation a replaced lead is
-        always detached, but the rule costs nothing and is load-bearing
-        the moment partitions can heal).
-        """
-        term = message.term
-        if term is None:
-            return True
-        if term < self.term:
-            self.network.stats.stale_term_drops += 1
-            return False
-        if term > self.term:
-            self.term = term
-            if self.is_lead:
-                self._step_down(message.src)
-            elif self.peers and self.peers[0] != message.src:
-                self.peers = [message.src]
-        return True
-
-    def _mirror_control(self, ptype: PacketType, payload) -> None:
-        self._mirrored_ctrl = (ptype, payload)
-        if ptype == PacketType.RUN_START:
-            self._mirrored_ready_done = -1
-            self._mirrored_run_live = True
-            program = getattr(payload, "program", None)
-            self._active_program = getattr(program, "name", None)
-            self._ensure_election_watch()
-            self._ensure_master_register()
-        elif ptype == PacketType.SUPERSTEP_ADVANCE:
-            phase = payload.get("phase") if isinstance(payload, dict) else None
-            if phase == "halt":
-                self._mirrored_run_live = False
-            else:
-                round_id = int(payload.get("round", 0))
-                # The lead broadcast round N only after completing
-                # barrier round N-1.
-                self._mirrored_ready_done = max(self._mirrored_ready_done, round_id - 1)
-
-    def _step_down(self, new_lead: int) -> None:
-        """Demote this directory: a higher-term lead exists."""
-        self.is_lead = False
-        self.run_controller = None
-        self.on_eviction = None
-        self._ready.clear()
-        self.peers = [new_lead]
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.name, "step_down", "control", {"term": self.term}
-            )
-
-    def _to_lead(self, message: Message) -> None:
-        """Handle membership/sketch traffic at the lead, or forward it."""
-        if self.is_lead:
-            handler = {
-                PacketType.AGENT_JOIN: self._lead_join,
-                PacketType.AGENT_LEAVE: self._lead_leave,
-                PacketType.SKETCH_DELTA: self._lead_sketch_delta,
-                PacketType.SPLIT_REPORT: self._lead_split_report,
-                PacketType.REBALANCE_PLAN: self._lead_rebalance,
-                PacketType.HEARTBEAT: self._lead_heartbeat,
-            }[message.ptype]
-            handler(message.payload)
+            self.tail.lead_seen = self.now
+        try:
+            handler, forwarded_as = self._DISPATCH[message.ptype]
+        except KeyError:
+            raise ValueError(f"Directory got unexpected {message.ptype.name}") from None
+        if forwarded_as is not None and not self.is_lead:
+            self.succeed_lost_lead()  # may leave this directory the lead
+        if forwarded_as is None or self.is_lead:
+            handler(self, message)
         else:
             # The lead is always peers[0] for non-leads.
-            self.push.push(self.peers[0], message.ptype, message.payload)
+            self.push.push(self.peers[0], forwarded_as, message.payload)
+
+    def _on_subscribe(self, message: Message) -> None:
+        # SUBSCRIBE has two wire shapes: the packet-type list, or
+        # {"remove": True} from a departing participant.
+        if isinstance(message.payload, dict):
+            self.pubsub.unsubscribe(message.src)
+            return
+        self.pubsub.subscribe(message.src, message.payload)
+        # Late joiners immediately get the current state so they can
+        # start placing edges without waiting for churn.
+        if PacketType.RESULT_NOTICE in message.payload and self.result_versions:
+            # Seed a late-joining proxy with the current result versions
+            # so its first cache fills are fenced against everything
+            # that already ran.
+            self.push.push(
+                message.src,
+                PacketType.RESULT_NOTICE,
+                {"versions": dict(self.result_versions)},
+                term=self.term,
+            )
+        if PacketType.DIRECTORY_UPDATE in message.payload and self.state.version > 0:
+            # The lead's state.sketch is the live master copy, mutated
+            # by future delta merges — hand late joiners a snapshot,
+            # never the live object.
+            payload = self._snapshot_state() if self.is_lead else self.state
+            self.push.push(message.src, PacketType.DIRECTORY_UPDATE, payload, term=payload.term)
+
+    def _on_metric_report(self, message: Message) -> None:
+        payload = message.payload
+        self.metric_store[int(payload["agent_id"])] = dict(payload["metrics"])
+
+    def _on_result_notice(self, message: Message) -> None:
+        # Lead-originated version bump: merge (so late SUBSCRIBE
+        # seeding works from any directory) and re-publish.
+        for prog, version in message.payload["versions"].items():
+            if version > self.result_versions.get(prog, 0):
+                self.result_versions[prog] = version
+        self.pubsub.publish(message.ptype, message.payload, term=message.term)
 
     # -- lead: membership and sketch ---------------------------------------------
 
-    def _lead_join(self, payload: dict) -> None:
+    def _lead_join(self, message: Message) -> None:
+        payload = message.payload
         agents = dict(self.state.agents)
         agent_id = int(payload["agent_id"])
         address = int(payload["address"])
@@ -519,34 +404,34 @@ class Directory(Entity):
         agents[agent_id] = address
         weight = float(payload.get("weight", 1.0))
         if weight != 1.0:
-            self._weights[agent_id] = weight
-        self._membership_version += 1
-        self._replace_state(agents=agents, bump_batch=False)
-        self._broadcast_now()
+            self.lead_state.weights[agent_id] = weight
+        self._publish(agents, membership=True)
 
-    def _lead_leave(self, payload: dict) -> None:
+    def _lead_leave(self, message: Message) -> None:
+        agent_id = int(message.payload["agent_id"])
         agents = dict(self.state.agents)
-        if agents.pop(int(payload["agent_id"]), None) is None:
+        if agents.pop(agent_id, None) is None:
             return  # duplicate LEAVE: the agent is already gone
-        self._weights.pop(int(payload["agent_id"]), None)
-        self._membership_version += 1
-        self._replace_state(agents=agents, bump_batch=False)
-        self._broadcast_now()
+        self.lead_state.weights.pop(agent_id, None)
+        self._publish(agents, membership=True)
 
-    def _lead_rebalance(self, payload) -> None:
+    def _lead_rebalance(self, message: Message) -> None:
+        self.adopt_rebalance(message.payload["weights"])
+
+    def adopt_rebalance(self, weights: Dict[int, float]) -> None:
         """Adopt a planner re-weight plan (lead only).
 
         Exactly the shape of a membership change: the weight map merges
-        into lead-only state, the membership version bumps (so every
+        into the lead state, the membership version bumps (so every
         participant's placement cache invalidates — weights change the
         ring), and the new state broadcasts at once under the current
         term.  Adoption is idempotent: a plan that would leave every
         weight unchanged (a duplicate delivery, or a controller-replay
         after an election) neither bumps the epoch nor re-broadcasts.
         """
-        weights = payload["weights"] if isinstance(payload, dict) else payload
+        lead = self._lead("rebalance adoption")
         members = set(self.state.agents)
-        merged = dict(self._weights)
+        merged = dict(lead.weights)
         for agent_id, weight in weights.items():
             agent_id = int(agent_id)
             if agent_id not in members:
@@ -558,186 +443,172 @@ class Directory(Entity):
                 merged.pop(agent_id, None)
             else:
                 merged[agent_id] = weight
-        if merged == self._weights:
+        if merged == lead.weights:
             return
-        self._weights = merged
+        lead.weights = merged
         self.network.stats.rebalance_adoptions += 1
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.name,
-                "rebalance_adopt",
-                "control",
-                {"weights": {k: merged.get(k, 1.0) for k in sorted(members)}},
-            )
-        self._membership_version += 1
-        self._replace_state(agents=self.state.agents, bump_batch=False)
-        self._broadcast_now()
+        self._trace(
+            "rebalance_adopt",
+            "control",
+            weights={k: merged.get(k, 1.0) for k in sorted(members)},
+        )
+        self._publish(membership=True)
 
-    def adopt_rebalance(self, weights: Dict[int, float]) -> None:
-        """Direct-call form of a REBALANCE_PLAN adoption (lead only)."""
-        if not self.is_lead:
-            raise RuntimeError("rebalance plans are adopted by the lead directory")
-        self._lead_rebalance({"weights": weights})
-
-    def _lead_sketch_delta(self, delta: CountMinSketch) -> None:
+    def _lead_sketch_delta(self, message: Message) -> None:
         # Bump at merge time, not broadcast time: the live master sketch
         # changes here, so any state snapshot taken from now on (e.g. a
         # late-joiner SUBSCRIBE reply) must carry a new epoch.
-        self.state.sketch.merge(delta)
-        self._sketch_version += 1
-        self._sketch_dirty = True
+        lead = self.lead_state
+        self.state.sketch.merge(message.payload)
+        lead.sketch_version += 1
+        lead.sketch_dirty = True
         self._maybe_schedule_sketch_broadcast()
 
-    def _lead_split_report(self, payload) -> None:
-        new = {int(v) for v in np.atleast_1d(payload)}
-        if not new - set(self.state.split_vertices) - self._pending_split:
+    def _lead_split_report(self, message: Message) -> None:
+        lead = self.lead_state
+        new = {int(v) for v in np.atleast_1d(message.payload)}
+        if not new - set(self.state.split_vertices) - lead.pending_split:
             return
-        self._pending_split |= new
-        self._sketch_dirty = True
+        lead.pending_split |= new
+        lead.sketch_dirty = True
         self._maybe_schedule_sketch_broadcast()
 
     def _maybe_schedule_sketch_broadcast(self) -> None:
-        if self._broadcast_scheduled:
+        lead = self.lead_state
+        if lead.broadcast_scheduled:
             return
         wait = max(
             0.0,
-            self._last_sketch_broadcast + self.config.sketch_broadcast_interval - self.now,
+            lead.last_sketch_broadcast + self.config.sketch_broadcast_interval - self.now,
         )
-        self._broadcast_scheduled = True
+        lead.broadcast_scheduled = True
         self.kernel.schedule(wait, self._sketch_broadcast_due)
 
     def _sketch_broadcast_due(self) -> None:
-        self._broadcast_scheduled = False
-        if self.crashed:
-            return
-        if not self._sketch_dirty:
-            return
-        self._last_sketch_broadcast = self.now
-        self._sketch_dirty = False
-        self._replace_state(agents=self.state.agents, bump_batch=False)
-        self._broadcast_now()
+        lead = self.lead_state
+        if self.crashed or lead is None:
+            return  # the timer outlived the process, or its lead role
+        lead.broadcast_scheduled = False
+        self.flush_sketch_broadcast()
 
-    def _replace_state(self, agents: Dict[int, int], bump_batch: bool) -> None:
-        split = frozenset(self.state.split_vertices | self._pending_split)
-        self._pending_split.clear()
+    def flush_sketch_broadcast(self) -> None:
+        """Broadcast merged sketch deltas and reported splits now, ahead
+        of the throttle (lead only; no-op when nothing is pending)."""
+        lead = self._lead("the sketch broadcast")
+        if not lead.sketch_dirty:
+            return
+        lead.last_sketch_broadcast = self.now
+        lead.sketch_dirty = False
+        self._publish()
+
+    # -- lead: state publication ---------------------------------------------
+
+    def _epoch(self, n_split: int) -> tuple:
+        """The placement epoch of the lead's state right now.  The term
+        leads the token: a successor re-derives its epoch counters from
+        the mirror, and without the term a re-derived token could
+        collide with a pre-crash epoch of different content, poisoning
+        placement caches."""
+        lead = self.lead_state
+        return (self.term, lead.membership_version, lead.sketch_version, n_split)
+
+    def _publish(
+        self,
+        agents: Optional[Dict[int, int]] = None,
+        *,
+        membership: bool = False,
+        bump_batch: bool = False,
+    ) -> None:
+        """Build the next state, sync peers, publish to subscribers.
+
+        The one path by which a lead's state changes: ``agents``
+        replaces the membership, ``membership`` says the ring changed
+        (join, leave, eviction, re-weight — participants' placement
+        caches must invalidate), ``bump_batch`` ticks the batch clock.
+        """
+        lead, state = self.lead_state, self.state
+        if membership:
+            lead.membership_version += 1
+        split = frozenset(state.split_vertices | lead.pending_split)
+        lead.pending_split.clear()
         self.state = DirectoryState(
-            version=self.state.version + 1,
-            batch_id=self.state.batch_id + (1 if bump_batch else 0),
-            agents=agents,
-            sketch=self.state.sketch,  # lead keeps the live master copy
+            version=state.version + 1,
+            batch_id=state.batch_id + (1 if bump_batch else 0),
+            agents=state.agents if agents is None else agents,
+            sketch=state.sketch,  # lead keeps the live master copy
             split_vertices=split,
-            weights=self._weights,
-            # The term leads the epoch token: a successor re-derives its
-            # epoch counters from the mirror, and without the term a
-            # re-derived token could collide with a pre-crash epoch of
-            # different content, poisoning placement caches.
-            epoch=(self.term, self._membership_version, self._sketch_version, len(split)),
+            weights=lead.weights,
+            epoch=self._epoch(len(split)),
             term=self.term,
         )
-
-    def advance_batch_clock(self) -> int:
-        """Bump the monotonically increasing batch id (lead only)."""
-        if not self.is_lead:
-            raise RuntimeError("batch clock is owned by the lead directory")
-        self._replace_state(agents=self.state.agents, bump_batch=True)
-        self._broadcast_now()
-        return self.state.batch_id
-
-    def _snapshot_state(self) -> DirectoryState:
-        """An immutable copy of the lead's state, stamped with the epoch
-        describing its contents *right now* (the live sketch may have
-        merged deltas since ``self.state`` was built)."""
-        return DirectoryState(
-            version=self.state.version,
-            batch_id=self.state.batch_id,
-            agents=self.state.agents,
-            sketch=self.state.sketch.copy(),
-            split_vertices=self.state.split_vertices,
-            weights=self.state.weights,
-            epoch=(
-                self.term,
-                self._membership_version,
-                self._sketch_version,
-                len(self.state.split_vertices),
-            ),
-            term=self.term,
-        )
-
-    def _broadcast_now(self) -> None:
-        """Sync peers and publish the new state to local subscribers."""
         snapshot = self._snapshot_state()
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.name,
-                "directory_broadcast",
-                "control",
-                {
-                    "version": snapshot.version,
-                    "agents": len(snapshot.agents),
-                    "batch_id": snapshot.batch_id,
-                },
-            )
+        self._trace(
+            "directory_broadcast",
+            "control",
+            version=snapshot.version,
+            agents=len(snapshot.agents),
+            batch_id=snapshot.batch_id,
+        )
         for peer in self.peers:
             self.push.push(peer, PacketType.DIRECTORY_SYNC, snapshot, term=self.term)
         self.pubsub.publish(PacketType.DIRECTORY_UPDATE, snapshot, term=self.term)
+
+    def _snapshot_state(self) -> DirectoryState:
+        """The lead's current state with a copy of the sketch and the
+        epoch describing its contents *right now* (the live sketch may
+        have merged deltas since ``self.state`` was built)."""
+        snapshot = copy.copy(self.state)
+        snapshot.sketch = self.state.sketch.copy()
+        snapshot.epoch = self._epoch(len(snapshot.split_vertices))
+        return snapshot
+
+    def advance_batch_clock(self) -> int:
+        """Bump the monotonically increasing batch id (lead only)."""
+        self._lead("the batch clock")
+        self._publish(bump_batch=True)
+        return self.state.batch_id
 
     def _on_sync(self, message: Message) -> None:
         incoming: DirectoryState = message.payload
         if incoming.fence <= self.state.fence:
             return  # stale
         self.state = incoming
-        self.pubsub.publish(
-            PacketType.DIRECTORY_UPDATE, incoming, term=incoming.term
-        )
+        self.pubsub.publish(PacketType.DIRECTORY_UPDATE, incoming, term=incoming.term)
 
-    # -- barrier protocol (Figure 2) ------------------------------------------------
+    # -- barrier protocol (Figure 2) and run control ---------------------------
 
-    def _on_agent_ready(self, message: Message) -> None:
-        payload = message.payload
-        if self.is_lead:
-            self._lead_collect_ready(int(payload["agent_id"]), payload)
-        else:
-            self.push.push(self.peers[0], PacketType.READY_REBROADCAST, payload)
-
-    def _on_ready_rebroadcast(self, message: Message) -> None:
-        if not self.is_lead:
-            raise RuntimeError("only the lead aggregates readiness")
-        payload = message.payload
-        self._lead_collect_ready(int(payload["agent_id"]), payload)
-
-    def _lead_collect_ready(self, agent_id: int, payload: dict) -> None:
-        if self._recovering:
+    def _lead_collect_ready(self, message: Message) -> None:
+        lead = self._lead("readiness aggregation")
+        if lead.recovering:
             # An eviction shrank membership mid-round; letting the stale
             # bucket auto-complete would advance the barrier under the
             # engine's feet.  READYs for the recovered run restart from
             # the resume (or re-issued RUN_START) round.
             return
+        payload = message.payload
         round_id = int(payload["round"])
         step = int(payload["step"])
-        if round_id <= self._ready_done:
+        if round_id <= lead.ready_done:
             return  # duplicate READY for an already-completed barrier
-        bucket = self._ready.setdefault(round_id, {})
-        bucket[agent_id] = payload.get("stats", {})
+        bucket = lead.ready.setdefault(round_id, {})
+        bucket[int(payload["agent_id"])] = payload.get("stats", {})
         if set(bucket) >= set(self.state.agents):
             # Merge in agent-id order: float sums must not depend on the
             # order READY messages happened to arrive in.
             stats = _merge_stats(bucket[k] for k in sorted(bucket))
-            del self._ready[round_id]
-            self._ready_done = round_id
+            del lead.ready[round_id]
+            lead.ready_done = round_id
             # Every agent has published its step-``step`` serving view:
             # results changed cluster-wide, so proxy caches filled under
             # the previous version must stop serving.
-            self.note_results_changed(self._active_program)
-            tracer = self.network.tracer
-            if tracer is not None:
-                tracer.instant(
-                    self.name,
-                    "barrier_complete",
-                    "barrier",
-                    {"round": round_id, "step": step, "agents": len(self.state.agents)},
-                )
+            self.note_results_changed(self.tail.active_program)
+            self._trace(
+                "barrier_complete",
+                "barrier",
+                round=round_id,
+                step=step,
+                agents=len(self.state.agents),
+            )
             if self.run_controller is None:
                 return
             advance = self.run_controller(round_id, step, stats)
@@ -746,341 +617,25 @@ class Directory(Entity):
 
     def send_advance(self, payload: dict) -> None:
         """Broadcast a SUPERSTEP_ADVANCE to every agent (lead only)."""
+        lead = self._lead("SUPERSTEP_ADVANCE")
         if payload.get("phase") == "resume":
             # The barrier re-opens (post-scale or post-recovery); leases
             # restart from now so time spent suspended never counts
             # against anyone.
-            self._recovering = False
+            lead.recovering = False
             self._reseed_leases()
         self._control_broadcast(PacketType.SUPERSTEP_ADVANCE, payload)
 
-    def send_run_start(self, payload) -> None:
-        """Broadcast a RUN_START to every agent (lead only)."""
-        # Barrier rounds restart from zero with each run.
-        self._ready.clear()
-        self._ready_done = -1
-        self._recovering = False
-        self._suspected.clear()
+    def send_run_start(self, spec) -> None:
+        """Broadcast a RUN_START (the RunSpec) to every agent (lead only)."""
+        self._lead("RUN_START").begin_run()
         self._reseed_leases()
-        # The payload is the RunSpec; remember whose results the
-        # barrier rounds are about to change, and invalidate anything
-        # cached from that program's previous fixpoint.
-        program = getattr(payload, "program", None)
-        self._active_program = getattr(program, "name", None)
-        self.note_results_changed(self._active_program)
-        self._control_broadcast(PacketType.RUN_START, payload)
+        # Invalidate anything cached from this program's previous
+        # fixpoint: the barrier rounds are about to change its results.
+        self.note_results_changed(spec.program.name)
+        self._control_broadcast(PacketType.RUN_START, spec)
         self._ensure_dir_lease()
         self._ensure_master_register()
-
-    # -- failure detection (lead only) ----------------------------------------
-
-    def _reseed_leases(self) -> None:
-        if self.config.heartbeat_interval <= 0:
-            return
-        now = self.now
-        self._leases = {agent_id: now for agent_id in self.state.agents}
-        if not self._lease_pending:
-            self._lease_pending = True
-            self.kernel.schedule(self.config.lease_timeout / 2.0, self._lease_tick)
-
-    def _lead_heartbeat(self, payload: dict) -> None:
-        self._leases[int(payload["agent_id"])] = self.now
-
-    def _lease_tick(self) -> None:
-        self._lease_pending = False
-        controller = self.run_controller
-        if (
-            self.crashed
-            or controller is None
-            or getattr(controller, "done", False)
-            or self.config.heartbeat_interval <= 0
-        ):
-            return  # chain ends with the run; the next run re-arms it
-        now = self.now
-        # While recovery reshapes the cluster — or an apply-only drain /
-        # suspension holds the barrier — agents legitimately go quiet;
-        # refresh instead of suspecting.  But only for endpoints that
-        # still answer: blanket refreshes during a suspension meant an
-        # agent crashing with EDGE_MIGRATE traffic in flight was never
-        # suspected, and the migration-quiescence poll deadlocked on an
-        # ack the victim could no longer send.  A detached endpoint is a
-        # dead process (the connection refuses), quiet phase or not.
-        quiet = self._recovering or getattr(controller, "phase", "") == "apply_only"
-        for agent_id in sorted(self.state.agents):
-            last = self._leases.get(agent_id)
-            alive = self.network.is_attached(self.state.agents[agent_id])
-            if last is None or (quiet and alive):
-                self._leases[agent_id] = now
-                continue
-            if agent_id in self._suspected:
-                # Verdict pending at the master; re-ask if it has been
-                # silent for a full lease (master crash/restart window).
-                if now - self._suspected[agent_id] > self.config.lease_timeout:
-                    self._suspect(agent_id, now - last, resend=True)
-                continue
-            if now - last > self.config.lease_timeout:
-                self._suspect(agent_id, now - last)
-        self._lease_pending = True
-        self.kernel.schedule(self.config.lease_timeout / 2.0, self._lease_tick)
-
-    def _suspect(self, agent_id: int, overdue: float, resend: bool = False) -> None:
-        if self.master_address is None:
-            return  # nobody to arbitrate; keep waiting
-        self._suspected[agent_id] = self.now
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.name,
-                "suspect",
-                "failure",
-                {"agent_id": agent_id, "overdue": overdue, "resend": resend},
-            )
-        if not resend:
-            self.network.stats.lease_expirations += 1
-            interval = self.config.heartbeat_interval
-            self.network.stats.heartbeats_missed += (
-                max(1, int(overdue / interval)) if interval > 0 else 1
-            )
-        self.push.push(
-            self.master_address,
-            PacketType.AGENT_SUSPECT,
-            {"agent_id": agent_id, "address": self.state.agents.get(agent_id, -1)},
-        )
-
-    def _on_evict_confirm(self, payload: dict) -> None:
-        if not self.is_lead:
-            raise RuntimeError("only the lead evicts members")
-        agent_id = int(payload["agent_id"])
-        self._suspected.pop(agent_id, None)
-        if not payload.get("evict"):
-            # False suspicion (slow but alive): refresh and move on.
-            self._leases[agent_id] = self.now
-            return
-        if agent_id not in self.state.agents:
-            return  # duplicate confirmation; already evicted
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(self.name, "evict", "failure", {"agent_id": agent_id})
-        agents = dict(self.state.agents)
-        agents.pop(agent_id)
-        self._weights.pop(agent_id, None)
-        self._leases.pop(agent_id, None)
-        self.metric_store.pop(agent_id, None)
-        self._membership_version += 1
-        # Hold the barrier shut *before* anything else: the eviction
-        # shrinks membership, and a stale READY bucket must not
-        # auto-complete against the smaller set.
-        self._recovering = True
-        self._ready.clear()
-        self._replace_state(agents=agents, bump_batch=False)
-        self._broadcast_now()
-        if self.on_eviction is not None:
-            self.on_eviction(agent_id)
-
-    def broadcast_recover(self, payload: dict) -> None:
-        """Broadcast a RECOVER directive to every agent (lead only)."""
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.name,
-                "recover_broadcast",
-                "recovery",
-                {
-                    "mode": payload.get("mode"),
-                    "step": payload.get("step"),
-                    "incarnation": payload.get("incarnation"),
-                },
-            )
-        # Rollback rewinds every agent's serving tag to the checkpoint
-        # step; restart drops views entirely.  Either way, cached
-        # replies from the pre-recovery snapshot must stop serving.
-        self.note_results_changed(self._active_program)
-        self._control_broadcast(PacketType.RECOVER, payload)
-
-    # -- control-plane fault tolerance: leases, elections, succession ------
-
-    @property
-    def _failover_on(self) -> bool:
-        """Directory failover requires a lease cadence and a peer."""
-        return self.config.dir_lease_interval > 0 and len(self.directory_addresses) > 1
-
-    def _run_live(self) -> bool:
-        """Whether a synchronous run is live from this directory's view.
-
-        The lease/election/registration timer chains are scoped to run
-        liveness so the kernel can go quiescent between runs (``settle``
-        would otherwise never drain).  The lead reads its controller;
-        peers read the mirrored control tail.
-        """
-        if self.is_lead:
-            controller = self.run_controller
-            return controller is not None and not getattr(controller, "done", False)
-        return self._mirrored_run_live
-
-    def _ensure_dir_lease(self) -> None:
-        """Arm the lead's DIR_LEASE renewal chain (idempotent)."""
-        if not self.is_lead or not self._failover_on or self._dir_lease_pending:
-            return
-        self._dir_lease_pending = True
-        self.kernel.schedule(self.config.dir_lease_interval, self._dir_lease_tick)
-
-    def _dir_lease_tick(self) -> None:
-        self._dir_lease_pending = False
-        if self.crashed or not self.is_lead or not self._failover_on or not self._run_live():
-            return  # chain ends with the run; send_run_start re-arms it
-        # Prune peers whose endpoint is gone: broadcasts to them would
-        # only churn the reliable transport's abandonment path.
-        self.peers = [p for p in self.peers if self.network.is_attached(p)]
-        for peer in self.peers:
-            self.push.push(
-                peer,
-                PacketType.DIR_LEASE,
-                {"term": self.term, "version": self.state.version},
-                term=self.term,
-            )
-        self._dir_lease_pending = True
-        self.kernel.schedule(self.config.dir_lease_interval, self._dir_lease_tick)
-
-    def _ensure_election_watch(self) -> None:
-        """Arm a peer's lead-liveness watchdog (idempotent)."""
-        if self.is_lead or not self._failover_on or self._election_pending:
-            return
-        self._election_pending = True
-        self.kernel.schedule(self.config.dir_lease_timeout / 2.0, self._election_tick)
-
-    def _election_tick(self) -> None:
-        self._election_pending = False
-        if self.crashed or self.is_lead or not self._failover_on or not self._mirrored_run_live:
-            return
-        lead_addr = self.peers[0] if self.peers else None
-        if lead_addr is None:
-            return
-        overdue = self.now - self._lead_seen > self.config.dir_lease_timeout
-        if overdue:
-            if self.network.is_attached(lead_addr):
-                # Lease lapsed but the endpoint still answers the
-                # liveness probe (slow lead, lossy control path): renew
-                # locally rather than electing over a live lead — the
-                # same arbitration idiom the master applies to agents.
-                self._lead_seen = self.now
-            elif self._is_successor():
-                self._become_lead()
-                return
-            # else: a lower-index live peer will take the term; keep
-            # watching in case it dies before it does.
-        self._ensure_election_watch()
-
-    def _is_successor(self) -> bool:
-        """Deterministic succession: lowest-index live directory wins.
-
-        Liveness is the fabric's attachment probe, so every candidate
-        evaluates the same predicate on the same state — no votes, no
-        randomness, and therefore per-seed reproducible term sequences.
-        """
-        for idx in sorted(self.directory_addresses):
-            if idx == self.index:
-                return True
-            if self.network.is_attached(self.directory_addresses[idx]):
-                return False
-        return False  # pragma: no cover - self is always attached
-
-    def _become_lead(self) -> None:
-        """Take over as lead under a bumped term.
-
-        Mirrored state (DirectoryState, result versions, the control
-        tail) carries over; lead-only aggregation state (weights, epoch
-        counters, READY buckets, leases) is reconstructed here, and
-        whatever the mirror could not see is re-driven: agents re-report
-        READY on the term bump, and the re-broadcast control tail
-        unsticks agents a partially-delivered broadcast left behind.
-        """
-        self.term += 1
-        self.is_lead = True
-        self.network.stats.lead_elections += 1
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.name,
-                "lead_elected",
-                "control",
-                {"term": self.term, "index": self.index},
-            )
-        self.peers = [
-            addr
-            for idx, addr in sorted(self.directory_addresses.items())
-            if idx != self.index and self.network.is_attached(addr)
-        ]
-        # Lead-only aggregation state, rebuilt from the mirror.
-        self._weights = dict(self.state.weights)
-        epoch = self.state.epoch
-        if epoch is not None and len(epoch) == 4:
-            self._membership_version = int(epoch[1])
-            self._sketch_version = int(epoch[2])
-        self._pending_split = set()
-        self._sketch_dirty = False
-        self._ready = {}
-        self._ready_done = self._mirrored_ready_done
-        self._suspected = {}
-        self._leases = {}
-        # If the old lead died mid-recovery the barrier stays shut until
-        # the engine's resume reopens it; the control-tail re-broadcast
-        # below lets agents that missed the RECOVER catch up.
-        self._recovering = (
-            self._mirrored_ctrl is not None
-            and self._mirrored_ctrl[0] == PacketType.RECOVER
-        )
-        if self.on_lead_change is not None:
-            # The cluster re-installs the engine's controller hooks and
-            # repoints ``cluster.lead`` before any barrier can complete.
-            self.on_lead_change(self)
-        self._reseed_leases()
-        # Re-announce result versions past the mirror.  The dead lead
-        # may have bumped further than it synced; proxies *assign* (not
-        # max-merge) versions on a term bump and clear their caches, so
-        # the non-monotone adoption is safe.
-        if self.result_versions:
-            versions = {prog: v + 1 for prog, v in self.result_versions.items()}
-            self.result_versions = versions
-            self._control_broadcast(
-                PacketType.RESULT_NOTICE, {"versions": dict(versions)}
-            )
-        # New-term state broadcast: re-fences every subscriber and rolls
-        # the placement epoch (its leading component is the term).
-        self._replace_state(agents=self.state.agents, bump_batch=False)
-        self._broadcast_now()
-        # Re-drive the last control broadcast verbatim under the new
-        # term: agents already past it drop the duplicate (round/run_id
-        # guards), stuck agents proceed.
-        if self._mirrored_ctrl is not None and self._mirrored_run_live:
-            ptype, payload = self._mirrored_ctrl
-            self._control_broadcast(ptype, payload)
-        self._ensure_dir_lease()
-
-    def _ensure_master_register(self) -> None:
-        """Arm the periodic DIRECTORY_REGISTER heartbeat (idempotent).
-
-        Every directory re-registers on a cadence so a restarted master
-        rebuilds its registry as soft state; needs only the lease knob,
-        not a peer (single-directory clusters still re-register).
-        """
-        if self.config.dir_lease_interval <= 0 or self._register_pending:
-            return
-        self._register_pending = True
-        self.kernel.schedule(self.config.dir_lease_interval, self._master_register_tick)
-
-    def _master_register_tick(self) -> None:
-        self._register_pending = False
-        if self.crashed or self.config.dir_lease_interval <= 0 or not self._run_live():
-            return
-        master = self.master_address
-        if master is not None and self.network.is_attached(master):
-            self.push.push(
-                master,
-                PacketType.DIRECTORY_REGISTER,
-                {"index": self.index, "address": self.address},
-            )
-        self._register_pending = True
-        self.kernel.schedule(self.config.dir_lease_interval, self._master_register_tick)
 
     # -- serving plane: result versions (lead only) -----------------------
 
@@ -1089,39 +644,53 @@ class Directory(Entity):
 
         Called by the barrier on every completed round, by RUN_START /
         recovery broadcasts, and by the engine when an async run
-        finalizes.  No-op for ``None`` (e.g. a run started before any
-        program was known) and on non-lead directories.
+        finalizes.  No-op for ``None`` (a READY with no RUN_START
+        mirrored before it).
         """
-        if not self.is_lead or program is None:
+        self._lead("result versions")
+        if program is None:
             return
         version = self.result_versions.get(program, 0) + 1
         self.result_versions[program] = version
-        tracer = self.network.tracer
-        if tracer is not None:
-            tracer.instant(
-                self.name,
-                "result_notice",
-                "serving",
-                {"program": program, "version": version},
-            )
-        self._control_broadcast(
-            PacketType.RESULT_NOTICE, {"versions": {program: version}}
-        )
+        self._trace("result_notice", "serving", program=program, version=version)
+        self._control_broadcast(PacketType.RESULT_NOTICE, {"versions": {program: version}})
 
     def _control_broadcast(self, ptype: PacketType, payload) -> None:
-        if not self.is_lead:
-            raise RuntimeError("control broadcasts originate at the lead directory")
-        if ptype in (
-            PacketType.SUPERSTEP_ADVANCE,
-            PacketType.RUN_START,
-            PacketType.RECOVER,
-        ):
-            # The lead mirrors its own tail too: it may be *elected* lead
-            # later in life, and succession math reads these fields.
+        if ptype in _RUN_CONTROL:
             self._mirror_control(ptype, payload)
         for peer in self.peers:
             self.push.push(peer, ptype, payload, term=self.term)
         self.pubsub.publish(ptype, payload, term=self.term)
+
+    #: packet type -> (handler, forwarded_as).  ``forwarded_as`` names
+    #: the rows only the lead handles: a peer relays the payload to the
+    #: lead under that type instead (AGENT_READY becomes
+    #: READY_REBROADCAST, Figure 2's directory-to-directory exchange).
+    #: Every other row is handled wherever it lands.
+    _DISPATCH = {
+        PacketType.AGENT_JOIN: (_lead_join, PacketType.AGENT_JOIN),
+        PacketType.AGENT_LEAVE: (_lead_leave, PacketType.AGENT_LEAVE),
+        PacketType.SKETCH_DELTA: (_lead_sketch_delta, PacketType.SKETCH_DELTA),
+        PacketType.SPLIT_REPORT: (_lead_split_report, PacketType.SPLIT_REPORT),
+        PacketType.REBALANCE_PLAN: (_lead_rebalance, PacketType.REBALANCE_PLAN),
+        PacketType.HEARTBEAT: (LeaseMixin._lead_heartbeat, PacketType.HEARTBEAT),
+        PacketType.AGENT_READY: (_lead_collect_ready, PacketType.READY_REBROADCAST),
+        PacketType.READY_REBROADCAST: (_lead_collect_ready, None),
+        PacketType.EVICT_CONFIRM: (LeaseMixin._lead_evict_confirm, None),
+        PacketType.SUBSCRIBE: (_on_subscribe, None),
+        PacketType.METRIC_REPORT: (_on_metric_report, None),
+        PacketType.DIRECTORY_SYNC: (_on_sync, None),
+        PacketType.RUN_START: (FailoverMixin._on_lead_control, None),
+        PacketType.SUPERSTEP_ADVANCE: (FailoverMixin._on_lead_control, None),
+        PacketType.RECOVER: (FailoverMixin._on_lead_control, None),
+        PacketType.RESULT_NOTICE: (_on_result_notice, None),
+        PacketType.DIR_LEASE: (FailoverMixin._on_dir_lease, None),
+        PacketType.DIR_LEASE_ACK: (FailoverMixin._on_dir_lease_ack, None),
+    }
+
+
+#: Lead control broadcasts every directory mirrors in its control tail.
+_RUN_CONTROL = (PacketType.RUN_START, PacketType.SUPERSTEP_ADVANCE, PacketType.RECOVER)
 
 
 def _merge_stats(stat_dicts) -> dict:

@@ -1,0 +1,164 @@
+"""The Directory's control state, named once.
+
+:class:`LeadState` is everything only the *lead* directory owns — the
+aggregation state behind membership, sketch merging, barriers and agent
+leases.  A Directory holds one optional reference to it: ``None`` on a
+peer, assigned as a whole at bootstrap (:meth:`LeadState.fresh`), on
+election (:meth:`LeadState.from_mirror`) and on demotion (back to
+``None``), so a new lead-only field is a one-place edit no reset site
+can forget.  :class:`ControlTail` is the other half of that pair: what
+*every* directory mirrors of the lead's run control, and therefore what
+a successor rebuilds its lead state from.
+
+Timer-chain flags (``_lease_pending`` and friends) are not here: they
+say a callback sits in the kernel's queue, which stays true of the
+process whatever role it holds.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+
+from repro.net.message import PacketType
+
+if TYPE_CHECKING:
+    from repro.cluster.directory import DirectoryState
+
+
+@dataclass
+class ControlTail:
+    """The mirrored tail of the lead's run control.
+
+    Fed by every RUN_START / SUPERSTEP_ADVANCE / RECOVER a directory
+    re-publishes (the lead mirrors its own too: it may be *elected* lead
+    later in life, and succession reads these fields).
+    """
+
+    #: The last lead control broadcast, re-sent verbatim under the new
+    #: term on election so partially-delivered broadcasts unstick.
+    ctrl: Optional[Tuple[PacketType, object]] = None
+    #: The highest barrier round ``ctrl`` implies was completed.
+    ready_done: int = -1
+    #: Whether a synchronous run is live; scopes the lease, election
+    #: and registration timer chains so the kernel can go quiescent
+    #: between runs (``settle`` would otherwise never drain).
+    run_live: bool = False
+    #: Whose results the barrier rounds are changing.
+    active_program: Optional[str] = None
+    #: Peer side: when it last heard *anything* from the lead.
+    lead_seen: float = 0.0
+
+    def mirror(self, ptype: PacketType, payload) -> None:
+        self.ctrl = (ptype, payload)
+        if ptype == PacketType.RUN_START:
+            self.ready_done = -1
+            # An async run has no barrier, no halt broadcast and no
+            # heartbeats: nothing would ever end a chain armed for it.
+            self.run_live = payload.mode == "sync"
+            self.active_program = payload.program.name
+        elif ptype == PacketType.SUPERSTEP_ADVANCE:
+            if payload["phase"] == "halt":
+                self.run_live = False
+            else:
+                # The lead broadcast round N only after completing
+                # barrier round N-1.
+                self.ready_done = max(self.ready_done, int(payload["round"]) - 1)
+
+
+@dataclass
+class LeadState:
+    """Everything only the lead directory owns (no field has a default:
+    both constructors must name every one)."""
+
+    #: Capacity weights (agent id -> ring weight, 1.0 omitted).
+    weights: Dict[int, float]
+    # Placement-epoch components (peers mirror the lead's epoch via
+    # DIRECTORY_SYNC).  Membership bumps on join / leave / eviction /
+    # re-weight, sketch on every delta merge; the split component is
+    # the (monotone) registry size at broadcast time.
+    membership_version: int
+    sketch_version: int
+    #: Reported split vertices not yet in a broadcast state.
+    pending_split: Set[int]
+    # Sketch-broadcast throttle: deltas and split reports batch into at
+    # most one broadcast per ``sketch_broadcast_interval``.
+    sketch_dirty: bool
+    last_sketch_broadcast: float
+    broadcast_scheduled: bool
+    #: READY buckets: barrier round -> agent id -> stats.
+    ready: Dict[int, Dict[int, dict]]
+    #: Highest barrier round already completed this run.  Rounds are
+    #: monotone within a run, so a READY for a completed round is a
+    #: stale duplicate and must not re-trigger the controller.
+    ready_done: int
+    #: Failure detection: agent id -> last heartbeat time.
+    leases: Dict[int, float]
+    #: Suspected agents, keyed to when the AGENT_SUSPECT was last sent:
+    #: if the master's verdict never lands (it crashed, or the confirm
+    #: was addressed to a dead lead), the probe is re-sent after a
+    #: lease-timeout so arbitration survives master loss.
+    suspected: Dict[int, float]
+    #: While set the barrier is held shut: no READY bucket may complete
+    #: until the engine finishes reshaping the run.
+    recovering: bool
+
+    @classmethod
+    def fresh(cls) -> "LeadState":
+        """The bootstrap lead: nothing joined, nothing merged."""
+        return cls(
+            weights={},
+            membership_version=0,
+            sketch_version=0,
+            pending_split=set(),
+            sketch_dirty=False,
+            last_sketch_broadcast=-1e30,
+            broadcast_scheduled=False,
+            ready={},
+            ready_done=-1,
+            leases={},
+            suspected={},
+            recovering=False,
+        )
+
+    @classmethod
+    def from_mirror(cls, state: "DirectoryState", tail: ControlTail) -> "LeadState":
+        """An elected successor's state, rebuilt from what it mirrored.
+
+        Weights and the epoch counters come from the last synced
+        :class:`DirectoryState`, the completed-round watermark from the
+        control tail.  What no mirror can see starts empty and is
+        re-driven: agents re-report READY on the term bump and the
+        caller reseeds the leases.
+        """
+        _, membership_version, sketch_version, _ = state.epoch or (0, 0, 0, 0)
+        return cls(
+            weights=dict(state.weights),
+            membership_version=int(membership_version),
+            sketch_version=int(sketch_version),
+            pending_split=set(),
+            sketch_dirty=False,
+            last_sketch_broadcast=-1e30,
+            broadcast_scheduled=False,
+            ready={},
+            ready_done=tail.ready_done,
+            leases={},
+            suspected={},
+            # If the old lead died mid-recovery the barrier stays shut
+            # until the engine's resume reopens it; the control-tail
+            # re-broadcast lets agents that missed the RECOVER catch up.
+            recovering=tail.ctrl is not None and tail.ctrl[0] == PacketType.RECOVER,
+        )
+
+    def begin_run(self) -> None:
+        """Barrier rounds restart from zero with each run."""
+        self.ready.clear()
+        self.ready_done = -1
+        self.recovering = False
+        self.suspected.clear()
+
+    def hold_barrier(self) -> None:
+        """Shut the barrier: membership is about to shrink, and a stale
+        READY bucket must not auto-complete against the smaller set."""
+        self.recovering = True
+        self.ready.clear()

@@ -1,0 +1,137 @@
+"""The lead's agent failure detector: leases, suspicion, eviction.
+
+Agents heartbeat their Directory while a synchronous run is live; the
+lead keeps a lease per member, suspects one whose lease lapsed, and
+evicts it only on the DirectoryMaster's verdict (the master probes the
+endpoint, protecting slow-but-alive agents).  Eviction holds the barrier
+shut and hands the engine the recovery (``on_eviction``).
+
+Mixed into :class:`~repro.cluster.directory.Directory` only: the lease
+tick is a bound method of the directory that scheduled it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict
+
+from repro.net.message import Message, PacketType
+
+
+class LeaseMixin:
+    """Lease bookkeeping over ``lead_state.leases`` / ``.suspected``."""
+
+    def _reseed_leases(self) -> None:
+        if self.config.heartbeat_interval <= 0:
+            return
+        now = self.now
+        self.lead_state.leases = {agent_id: now for agent_id in self.state.agents}
+        if not self._lease_pending:
+            self._lease_pending = True
+            self.kernel.schedule(self.config.lease_timeout / 2.0, self._lease_tick)
+
+    def _lead_heartbeat(self, message: Message) -> None:
+        self.lead_state.leases[int(message.payload["agent_id"])] = self.now
+
+    def _lease_tick(self) -> None:
+        self._lease_pending = False
+        lead, controller = self.lead_state, self.run_controller
+        if (
+            self.crashed
+            or lead is None
+            or controller is None
+            or controller.done
+            or self.config.heartbeat_interval <= 0
+        ):
+            return  # chain ends with the run; the next run re-arms it
+        now = self.now
+        # While recovery reshapes the cluster — or an apply-only drain /
+        # suspension holds the barrier — agents legitimately go quiet;
+        # refresh instead of suspecting.  But only for endpoints that
+        # still answer: blanket refreshes during a suspension meant an
+        # agent crashing with EDGE_MIGRATE traffic in flight was never
+        # suspected, and the migration-quiescence poll deadlocked on an
+        # ack the victim could no longer send.  A detached endpoint is a
+        # dead process (the connection refuses), quiet phase or not.
+        quiet = lead.recovering or controller.phase == "apply_only"
+        for agent_id in sorted(self.state.agents):
+            last = lead.leases.get(agent_id)
+            alive = self.network.is_attached(self.state.agents[agent_id])
+            if last is None or (quiet and alive):
+                lead.leases[agent_id] = now
+                continue
+            if agent_id in lead.suspected:
+                # Verdict pending at the master; re-ask if it has been
+                # silent for a full lease (master crash/restart window).
+                if now - lead.suspected[agent_id] > self.config.lease_timeout:
+                    self._suspect(agent_id, now - last, resend=True)
+                continue
+            if now - last > self.config.lease_timeout:
+                self._suspect(agent_id, now - last)
+        self._lease_pending = True
+        self.kernel.schedule(self.config.lease_timeout / 2.0, self._lease_tick)
+
+    def _suspect(self, agent_id: int, overdue: float, resend: bool = False) -> None:
+        if self.master_address is None:
+            return  # nobody to arbitrate; keep waiting
+        self.lead_state.suspected[agent_id] = self.now
+        self._trace("suspect", "failure", agent_id=agent_id, overdue=overdue, resend=resend)
+        if not resend:
+            self.network.stats.lease_expirations += 1
+            interval = self.config.heartbeat_interval
+            self.network.stats.heartbeats_missed += (
+                max(1, int(overdue / interval)) if interval > 0 else 1
+            )
+        self.push.push(
+            self.master_address,
+            PacketType.AGENT_SUSPECT,
+            {"agent_id": agent_id, "address": self.state.agents.get(agent_id, -1)},
+        )
+
+    def suspected_agents(self) -> Dict[int, float]:
+        """The lead's record of members under arbitration: agent id ->
+        when the master was last asked for a verdict."""
+        return self._lead("agent suspicion").suspected
+
+    def _lead_evict_confirm(self, message: Message) -> None:
+        self.confirm_eviction(message.payload)
+
+    def confirm_eviction(self, payload: dict) -> None:
+        """The master's verdict on a suspected agent (lead only)."""
+        lead = self._lead("eviction")
+        agent_id = int(payload["agent_id"])
+        lead.suspected.pop(agent_id, None)
+        if not payload.get("evict"):
+            # False suspicion (slow but alive): refresh and move on.
+            lead.leases[agent_id] = self.now
+            return
+        if agent_id not in self.state.agents:
+            return  # duplicate confirmation; already evicted
+        self._trace("evict", "failure", agent_id=agent_id)
+        agents = dict(self.state.agents)
+        agents.pop(agent_id)
+        lead.weights.pop(agent_id, None)
+        lead.leases.pop(agent_id, None)
+        self.metric_store.pop(agent_id, None)
+        # Hold the barrier shut *before* anything else: the eviction
+        # shrinks membership, and a stale READY bucket must not
+        # auto-complete against the smaller set.
+        lead.hold_barrier()
+        self._publish(agents, membership=True)
+        if self.on_eviction is not None:
+            self.on_eviction(agent_id)
+
+    def broadcast_recover(self, payload: dict) -> None:
+        """Broadcast a RECOVER directive to every agent (lead only)."""
+        self._lead("recovery")
+        self._trace(
+            "recover_broadcast",
+            "recovery",
+            mode=payload.get("mode"),
+            step=payload.get("step"),
+            incarnation=payload.get("incarnation"),
+        )
+        # Rollback rewinds every agent's serving tag to the checkpoint
+        # step; restart drops views entirely.  Either way, cached
+        # replies from the pre-recovery snapshot must stop serving.
+        self.note_results_changed(self.tail.active_program)
+        self._control_broadcast(PacketType.RECOVER, payload)

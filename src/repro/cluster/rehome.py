@@ -51,6 +51,15 @@ class RehomeMixin:
         """``directory_address`` now names a live Directory: subscribe."""
         raise NotImplementedError
 
+    def home_lost(self) -> bool:
+        """Whether the home directory's endpoint is gone — in which case
+        a re-home cycle is running from here on and nothing should be
+        pushed to the old address."""
+        if self.network.is_attached(self.directory_address):
+            return False
+        self._maybe_rehome()
+        return True
+
     def _maybe_rehome(self) -> None:
         """The home directory is gone: start a master DIRECTORY_QUERY
         cycle unless one is already running."""

@@ -21,7 +21,7 @@ True
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -340,6 +340,10 @@ class ElGA:
             activate=activate,
             strategy=strategy,
         )
+        if self.cluster.rehome_orphans():
+            # Agents whose home directory died since the last run could
+            # not hear RUN_START; the barrier would wait on them forever.
+            self.cluster.settle()
         if mode == "async":
             if crash_plan:
                 raise ValueError("crash_plan requires synchronous mode")
@@ -462,23 +466,42 @@ class ElGA:
             self.cluster.scale_to(target_agents, settle=False)
         self._run_members = set(self.cluster.agents)
 
-        def poll() -> None:
-            if controller.done or controller.phase != "apply_only":
-                # Recovery restarted (or halt ended) the run while the
-                # suspension was draining — e.g. an agent died with
-                # migrations in flight and eviction forced a restart.
-                # The restarted run owns the barrier now; a late resume
-                # from the pre-crash suspension would replay a stale
-                # round into it.
-                return
-            if self.cluster.consistent():
+        def superseded() -> bool:
+            # Recovery restarted (or halt ended) the run while the
+            # suspension was draining — e.g. an agent died with
+            # migrations in flight and eviction forced a restart.  The
+            # restarted run owns the barrier now; a late resume from the
+            # pre-crash suspension would replay a stale round into it.
+            return controller.done or controller.phase != "apply_only"
+
+        def resume() -> None:
+            if not superseded():
                 self.cluster.lead.send_advance(
                     controller.resume_payload(round_id + 1, step)
                 )
-            else:
-                self.cluster.kernel.schedule(1e-3, poll)
 
-        self.cluster.kernel.schedule(1e-3, poll)
+        self._when(lambda: superseded() or self._reshaped(), resume)
+
+    def _when(self, ready: Callable[[], bool], then: Callable[[], None]) -> None:
+        """Run ``then`` at the first simulated millisecond tick, counted
+        from now, at which ``ready()`` holds."""
+        kernel = self.cluster.kernel
+
+        def poll() -> None:
+            if ready():
+                then()
+            else:
+                kernel.schedule(1e-3, poll)
+
+        kernel.schedule(1e-3, poll)
+
+    def _reshaped(self) -> bool:
+        """Whether a mid-run reshape has landed everywhere: every agent
+        adopted the lead's state and no migration is outstanding.  A
+        suspended agent has no heartbeat tick to notice a dead home
+        directory from, so orphans are sent to re-home first."""
+        self.cluster.rehome_orphans()
+        return self.cluster.consistent()
 
     def _on_crash_due(self, entry: dict) -> None:
         """Controller-scheduled fault injection: fire ``entry`` a beat
@@ -551,52 +574,42 @@ class ElGA:
                 "incarnation": incarnation,
             }
         )
-        kernel = cluster.kernel
         cluster.lead.broadcast_recover(
             {"mode": mode, "run_id": run_id, "step": step, "incarnation": incarnation}
         )
 
-        def await_rollback() -> None:
-            rolled = all(
-                agent._recover_epoch >= incarnation
-                for agent in cluster.agents.values()
+        def rolled_back() -> bool:
+            return all(
+                agent._recover_epoch >= incarnation for agent in cluster.agents.values()
             )
-            if not rolled:
-                kernel.schedule(1e-3, await_rollback)
-                return
+
+        def replace() -> None:
             cluster.replace_crashed_agent(
                 agent_id,
                 run_id=run_id if mode == "rollback" else None,
                 step=step if mode == "rollback" else None,
             )
             self._run_members = set(cluster.agents)
+            self._when(self._reshaped, reopen)
 
-            def await_consistent() -> None:
-                if not cluster.consistent():
-                    kernel.schedule(1e-3, await_consistent)
-                    return
-                if mode == "rollback":
-                    cluster.lead.send_advance(
-                        controller.resume_payload(controller.next_round(), step)
-                    )
-                else:
-                    # Restart under a *fresh* run_id: any straggling
-                    # control traffic from the aborted attempt (same old
-                    # run_id, possibly retransmitted much later by the
-                    # reliable transport) is then rejected by the
-                    # agents' run_id guard instead of corrupting the
-                    # new run.
-                    cluster.recovery.prune_run(run_id)
-                    self._run_counter += 1
-                    controller.spec = dc_replace(
-                        controller.spec, run_id=self._run_counter
-                    )
-                    controller.mark_restarted()
-                    cluster.lead.send_run_start(controller.spec)
+        def reopen() -> None:
+            if mode == "rollback":
+                cluster.lead.send_advance(
+                    controller.resume_payload(controller.next_round(), step)
+                )
+            else:
+                # Restart under a *fresh* run_id: any straggling control
+                # traffic from the aborted attempt (same old run_id,
+                # possibly retransmitted much later by the reliable
+                # transport) is then rejected by the agents' run_id
+                # guard instead of corrupting the new run.
+                cluster.recovery.prune_run(run_id)
+                self._run_counter += 1
+                controller.spec = dc_replace(controller.spec, run_id=self._run_counter)
+                controller.mark_restarted()
+                cluster.lead.send_run_start(controller.spec)
 
-            kernel.schedule(1e-3, await_consistent)
-
-        kernel.schedule(1e-3, await_rollback)
+        self._when(rolled_back, replace)
 
     def _run_async(self, spec: RunSpec) -> RunResult:
         if not spec.program.supports_async:

@@ -122,7 +122,11 @@ class EdgePlacer:
         if gated.any():
             candidates, inverse = np.unique(vertices_arr[gated], return_inverse=True)
             est = np.atleast_1d(self.sketch.query(candidates))
-            k_candidates = np.minimum(1 + est // self.replication_threshold, len(self.ring))
+            # Clamped from below: a turnstile sketch can under-count (an
+            # agent that left with an unflushed delta took insertions
+            # with it, the matching removals still arrive), and k = 0
+            # would place the vertex's edges nowhere.
+            k_candidates = np.clip(1 + est // self.replication_threshold, 1, len(self.ring))
             k[gated] = k_candidates[inverse]
         return k
 

@@ -265,13 +265,13 @@ def test_load_snapshot_excludes_crashed_and_suspected_agents():
     assert any(victim in d.metric_store for d in cluster.directories)
 
     suspect = sorted(cluster.agents)[0]
-    cluster.lead._suspected[suspect] = cluster.kernel.now
+    cluster.lead.suspected_agents()[suspect] = cluster.kernel.now
     try:
         snaps = cluster.collect_metrics()
         assert suspect not in snaps
         assert set(snaps) == set(cluster.agents) - {suspect}
     finally:
-        cluster.lead._suspected.pop(suspect, None)
+        cluster.lead.suspected_agents().pop(suspect, None)
 
 
 # ---------------------------------------------------------------------------

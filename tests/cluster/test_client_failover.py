@@ -52,7 +52,7 @@ def test_pending_query_reissued_after_eviction():
 
     # The failure detector's verdict, distilled: the lead evicts the
     # victim and broadcasts the shrunken membership.
-    cluster.lead._on_evict_confirm({"agent_id": victim, "evict": True})
+    cluster.lead.confirm_eviction({"agent_id": victim, "evict": True})
     cluster.settle()
 
     assert client.queries_retried == 1
@@ -74,7 +74,7 @@ def test_queries_to_live_agents_are_not_retried():
     assert len(out) == 1  # answered before any membership change
 
     cluster.crash_agent(victim)
-    cluster.lead._on_evict_confirm({"agent_id": victim, "evict": True})
+    cluster.lead.confirm_eviction({"agent_id": victim, "evict": True})
     cluster.settle()
     # Nothing was pending at the epoch change: no retries.
     assert client.queries_retried == 0
@@ -88,7 +88,7 @@ def test_fresh_queries_after_eviction_route_to_new_owner():
     vertex = _vertex_owned_by(client, victim)
 
     cluster.crash_agent(victim)
-    cluster.lead._on_evict_confirm({"agent_id": victim, "evict": True})
+    cluster.lead.confirm_eviction({"agent_id": victim, "evict": True})
     cluster.settle()
 
     out = []

@@ -104,7 +104,7 @@ def test_sketch_deltas_merge_into_global():
     agent.shard.sketch_delta.add(np.array([42] * 10))
     agent.flush_sketch()
     c.settle()
-    c.lead._sketch_broadcast_due()
+    c.lead.flush_sketch_broadcast()
     c.settle()
     assert c.lead.state.sketch.query(42) >= 10
     # And the broadcast carried it to every participant.
@@ -135,7 +135,7 @@ def test_split_report_enters_registry():
     agent = c.agents[0]
     agent.push.push(agent.directory_address, PacketType.SPLIT_REPORT, np.array([777]))
     c.settle()
-    c.lead._sketch_broadcast_due()
+    c.lead.flush_sketch_broadcast()
     c.settle()
     assert 777 in c.lead.state.split_vertices
 

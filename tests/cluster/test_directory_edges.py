@@ -106,13 +106,13 @@ def test_duplicate_split_report_is_idempotent():
     for _ in range(3):
         agent.push.push(agent.directory_address, PacketType.SPLIT_REPORT, np.array([55]))
     c.settle()
-    c.lead._sketch_broadcast_due()
+    c.lead.flush_sketch_broadcast()
     c.settle()
     version = c.lead.state.version
     # Re-reporting an already-registered vertex causes no new broadcast.
     agent.push.push(agent.directory_address, PacketType.SPLIT_REPORT, np.array([55]))
     c.settle()
-    c.lead._sketch_broadcast_due()
+    c.lead.flush_sketch_broadcast()
     c.settle()
     assert c.lead.state.version == version
     assert 55 in c.lead.state.split_vertices

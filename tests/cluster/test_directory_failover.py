@@ -8,12 +8,13 @@ election, and the term fence every participant applies to control
 traffic.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ElGACluster
 from repro.cluster.directory import DirectoryState
 from repro.cluster.rehome import MASTER_QUERY_RETRIES, MASTER_QUERY_TIMEOUT, RehomeMixin
-from repro.core import ElGA, PageRank
+from repro.core import ElGA, PageRank, WCC
 from repro.gen import powerlaw_graph
 from repro.net.message import Message, PacketType
 from repro.net.sockets import ReqRepSocket
@@ -202,6 +203,79 @@ def test_lead_crash_mid_run_elects_lowest_index_survivor():
     second = elga.run(PageRank(max_iters=5))
     assert second.steps == 5
     assert cluster.lead.term == 1
+
+
+def _gap_engine(us, vs, crash):
+    """Ingest, run, (lose the lead between runs,) ingest the rest."""
+    elga = ElGA(nodes=2, agents_per_node=2, seed=1, **ENGINE_FAILOVER)
+    elga.ingest_edges(us[:1200], vs[:1200])
+    elga.run(WCC())
+    if crash:
+        elga.cluster.crash_directory()
+        elga.cluster.settle()
+    elga.ingest_edges(us[1200:], vs[1200:])
+    return elga
+
+
+def test_lead_lost_between_runs_is_succeeded_by_the_next_operation():
+    """No timer watches an idle lead.  The first operation that needs it
+    — here the ingest's batch-clock tick and sketch flush — elects the
+    successor, orphaned agents re-home before they flush, and nothing
+    ingested in the gap is lost: the sketch, and everything the next
+    run computes from it, equals a cluster that never crashed."""
+    us, vs, _ = powerlaw_graph(300, 1500, seed=3)
+    twin, elga = _gap_engine(us, vs, crash=False), _gap_engine(us, vs, crash=True)
+    cluster = elga.cluster
+    lead = cluster.lead
+    assert cluster.network.is_attached(lead.address) and not lead.crashed
+    assert (lead.index, lead.term) == (1, 1)
+    assert np.array_equal(lead.state.sketch.table, twin.cluster.lead.state.sketch.table)
+    assert cluster.network.stats.drops_detached == 0
+    assert all(
+        cluster.network.is_attached(agent.directory_address)
+        for agent in cluster.agents.values()
+    )
+    assert elga.run(WCC()).values == twin.run(WCC()).values
+    assert cluster.lead.term == 1  # no second election
+
+
+def test_run_right_after_a_lead_crash_reaches_every_agent():
+    """No ingest in the gap, so nothing flushed: the run start itself
+    re-homes the agents the dead directory orphaned — a RUN_START they
+    cannot hear would hold the barrier forever."""
+    elga = ElGA(nodes=2, agents_per_node=2, seed=3, **ENGINE_FAILOVER)
+    us, vs, _ = powerlaw_graph(60, 240, alpha=2.2, seed=7)
+    elga.ingest_edges(us, vs)
+    expected = elga.run(PageRank(max_iters=6)).values
+    elga.cluster.crash_directory()
+    assert elga.run(PageRank(max_iters=6)).values == expected
+    assert elga.cluster.lead.term == 1
+    # Async runs arm no lease or election chain they could never end.
+    elga.cluster.crash_directory()
+    assert elga.run(WCC(), mode="async").steps is None
+    assert elga.cluster.lead.term == 2
+
+
+def test_dead_lead_fails_loudly_instead_of_acting():
+    """A crashed directory the caller still holds refuses every
+    lead-only entry point, and with failover off — no successor can
+    exist — the orchestrator is told so rather than handed the corpse."""
+    c = make_cluster(n_directories=2)
+    dead = c.lead
+    c.crash_directory()
+    for call in (
+        dead.advance_batch_clock,
+        lambda: dead.send_run_start(None),
+        lambda: dead.send_advance({"phase": "step"}),
+        lambda: dead.adopt_rebalance({0: 2.0}),
+        lambda: dead.broadcast_recover({}),
+        lambda: dead.note_results_changed("pagerank"),
+    ):
+        with pytest.raises(RuntimeError):
+            call()
+    assert not c.consistent()
+    with pytest.raises(RuntimeError, match="failover is off"):
+        c.lead
 
 
 def test_ingest_survives_streamer_homed_on_dead_directory():

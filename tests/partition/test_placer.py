@@ -53,6 +53,17 @@ def test_replication_capped_at_cluster_size():
     assert placer.replication_factor(1)[0] == 3
 
 
+def test_undercounted_vertex_still_has_an_owner():
+    """A turnstile sketch can go negative (removals whose insertions
+    left with a departed agent's unflushed delta): k stays 1 and the
+    vertex's edges go to its ring owner, never nowhere."""
+    placer, sketch, _ = make_placer(threshold=100)
+    sketch.remove([5] * 150)
+    assert placer.replication_factor(5)[0] == 1
+    owners = placer.owner_of_edges(np.full(4, 5), np.arange(4))
+    assert set(owners) == {placer.primary_of(5)}
+
+
 def test_split_vertex_edges_land_only_on_replicas():
     placer, sketch, _ = make_placer(threshold=100)
     sketch.add([9] * 350)

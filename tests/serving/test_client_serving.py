@@ -128,7 +128,7 @@ def test_failover_retry_records_one_latency_sample():
     assert out == [] and client._pending
     samples_before = len(client.latencies)
     accepted_at = next(iter(client._pending.values())).accepted_at
-    cluster.lead._on_evict_confirm({"agent_id": victim, "evict": True})
+    cluster.lead.confirm_eviction({"agent_id": victim, "evict": True})
     cluster.settle()
     assert len(out) == 1
     assert client.queries_retried == 1
