@@ -314,8 +314,6 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
         self._dir_lease_pending = False
         self._election_pending = False
         self._register_pending = False
-        # Lead side: when it last heard a DIR_LEASE_ACK from each peer.
-        self._peer_seen: Dict[int, float] = {}
 
     @property
     def is_lead(self) -> bool:
@@ -685,7 +683,6 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
         PacketType.RECOVER: (FailoverMixin._on_lead_control, None),
         PacketType.RESULT_NOTICE: (_on_result_notice, None),
         PacketType.DIR_LEASE: (FailoverMixin._on_dir_lease, None),
-        PacketType.DIR_LEASE_ACK: (FailoverMixin._on_dir_lease_ack, None),
     }
 
 

@@ -114,14 +114,9 @@ class FailoverMixin:
         self.kernel.schedule(self.config.dir_lease_interval, self._dir_lease_tick)
 
     def _on_dir_lease(self, message: Message) -> None:
-        """Lead's lease renewal: acknowledge so the lead can prune dead
-        peers from its broadcast list."""
-        self.push.push(
-            message.src, PacketType.DIR_LEASE_ACK, {"index": self.index}, term=self.term
-        )
-
-    def _on_dir_lease_ack(self, message: Message) -> None:
-        self._peer_seen[message.src] = self.now
+        """The lead's lease renewal.  Hearing it is the renewal
+        (``handle_message`` noted when); it is not acknowledged — the
+        lead prunes dead peers by the attachment probe, not by ack age."""
 
     # -- peer side: election watch and succession -------------------------------
 

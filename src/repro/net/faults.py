@@ -75,7 +75,6 @@ CONTROL_PTYPES: FrozenSet[PacketType] = frozenset(
         PacketType.SUPERSTEP_ADVANCE,
         PacketType.RUN_START,
         PacketType.DIR_LEASE,
-        PacketType.DIR_LEASE_ACK,
         PacketType.DIRECTORY_REGISTER,
     }
 )

@@ -68,7 +68,6 @@ class PacketType(enum.IntEnum):
 
     # Control-plane fault tolerance (directory replication / failover)
     DIR_LEASE = 64            # lead directory -> peers: term-numbered lease renewal
-    DIR_LEASE_ACK = 65        # peer -> lead directory: lease acknowledgement
     DIRECTORY_REGISTER = 66   # directory -> master: periodic (re-)registration
 
 

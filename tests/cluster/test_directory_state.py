@@ -179,7 +179,6 @@ def _directory_bound_types():
         r"push\(\s*peer,\s*PacketType\.(\w+)",
         r"_control_broadcast\(\s*PacketType\.(\w+)",
         r"PacketType\.(EVICT_CONFIRM),",  # the master's verdict, pushed back at the asker
-        r"PacketType\.(DIR_LEASE_ACK),",  # a peer's reply to the lead's lease
     ):
         found |= {PacketType[name] for name in re.findall(pattern, text)}
     found |= {fwd for _, fwd in Directory._DISPATCH.values() if fwd is not None}

@@ -85,9 +85,9 @@ EXPECTED_RESTART = {
 # crash + restart (registry rebuilt from DIRECTORY_REGISTER), and a
 # mid-run re-weight adopted by the elected lead.
 EXPECTED_FAILOVER = {
-    "events_processed": 4001,
-    "messages_sent": 3110,
-    "bytes_sent": 28110597,
+    "events_processed": 3989,
+    "messages_sent": 3098,
+    "bytes_sent": 28110489,
     "now": 0.15328216570403388,
     "runs": [
         ("scratch", 12, _rounds("init", ("step", 12))),
