@@ -216,6 +216,7 @@ class ElGACluster:
         orchestrator operation that needs every agent listening pays
         the re-home, as :meth:`ingest` does for streamers.
         """
+        # A list, not a generator: every orphan is sent, not just the first.
         return any([agent.home_lost() for agent in sorted_agents(self.agents)])
 
     def crash_master(self) -> None:

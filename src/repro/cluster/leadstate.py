@@ -5,8 +5,8 @@ aggregation state behind membership, sketch merging, barriers and agent
 leases.  A Directory holds one optional reference to it: ``None`` on a
 peer, assigned as a whole at bootstrap (:meth:`LeadState.fresh`), on
 election (:meth:`LeadState.from_mirror`) and on demotion (back to
-``None``), so a new lead-only field is a one-place edit no reset site
-can forget.  :class:`ControlTail` is the other half of that pair: what
+``None``), so a new lead-only field is a one-place edit — what a
+bootstrap lead starts it at — that no reset site can forget.  :class:`ControlTail` is the other half of that pair: what
 *every* directory mirrors of the lead's run control, and therefore what
 a successor rebuilds its lead state from.
 
@@ -17,7 +17,7 @@ process whatever role it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.net.message import PacketType
@@ -68,8 +68,9 @@ class ControlTail:
 
 @dataclass
 class LeadState:
-    """Everything only the lead directory owns (no field has a default:
-    both constructors must name every one)."""
+    """Everything only the lead directory owns.  No field has a default:
+    :meth:`fresh` must name every one, and :meth:`from_mirror` overrides
+    exactly those a mirror can supply."""
 
     #: Capacity weights (agent id -> ring weight, 1.0 omitted).
     weights: Dict[int, float]
@@ -127,23 +128,17 @@ class LeadState:
 
         Weights and the epoch counters come from the last synced
         :class:`DirectoryState`, the completed-round watermark from the
-        control tail.  What no mirror can see starts empty and is
-        re-driven: agents re-report READY on the term bump and the
-        caller reseeds the leases.
+        control tail.  What no mirror can see starts as a bootstrap
+        lead's and is re-driven: agents re-report READY on the term
+        bump and the caller reseeds the leases.
         """
         _, membership_version, sketch_version, _ = state.epoch or (0, 0, 0, 0)
-        return cls(
+        return replace(
+            cls.fresh(),
             weights=dict(state.weights),
             membership_version=int(membership_version),
             sketch_version=int(sketch_version),
-            pending_split=set(),
-            sketch_dirty=False,
-            last_sketch_broadcast=-1e30,
-            broadcast_scheduled=False,
-            ready={},
             ready_done=tail.ready_done,
-            leases={},
-            suspected={},
             # If the old lead died mid-recovery the barrier stays shut
             # until the engine's resume reopens it; the control-tail
             # re-broadcast lets agents that missed the RECOVER catch up.

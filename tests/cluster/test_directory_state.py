@@ -2,8 +2,9 @@
 that is possible.
 
 * ``LeadState`` has exactly two constructors and no field default, so a
-  field added without deciding what a bootstrap lead and an elected
-  successor start it at fails here (the guard ``test_shard.py`` gives
+  field added without deciding what a bootstrap lead starts it at cannot
+  construct, and one added without saying whether a successor reads it
+  from a mirror fails here (the guard ``test_shard.py`` gives
   ``ShardState``).
 * What ``from_mirror`` rebuilds from a synced peer equals what the live
   lead holds.
