@@ -15,7 +15,6 @@ from repro.bench.chaos import (
     check_cluster_invariants,
     fault_matrix,
     run_chaos_scenario,
-    run_rebalance_chaos_scenario,
 )
 from repro.bench.counters import PerfCounters, aggregate_counters
 from repro.bench.runner import Series, Table, print_counters, print_experiment_header
@@ -35,7 +34,6 @@ __all__ = [
     "print_counters",
     "print_experiment_header",
     "run_chaos_scenario",
-    "run_rebalance_chaos_scenario",
     "t_confidence_interval",
     "trials",
 ]

@@ -257,6 +257,7 @@ def run_chaos_scenario(
     nodes: int = 2,
     agents_per_node: int = 2,
     seed: int = 9,
+    rebalance_plan: Optional[Dict[int, Dict[int, float]]] = None,
     **config_overrides,
 ) -> ChaosReport:
     """Run the full invariant scenario for one fault plan.
@@ -267,6 +268,24 @@ def run_chaos_scenario(
     experiences the same membership changes — minus the faults.
     Invariants are checked on the chaos engine after ingest and after
     every run; results are compared bit-for-bit.
+
+    ``rebalance_plan`` adds migration atomicity under fire: both
+    engines run the first program with the SAME mid-run re-weight (a
+    legitimate control action both sides share, exactly like the
+    graceful-crash scale mirroring), while the chaos engine's plan
+    drops and duplicates EDGE_MIGRATE/EDGE_MIGRATE_ACK too and may
+    kill someone around the migration window.  The claim: the chaos
+    run converges bit-identical to the fault-free run and *both* rings
+    end up carrying the adopted weights.
+
+    Use partition-independent programs (WCC's min-fold) when such a
+    plan crashes someone: an abrupt crash after a mid-run reshape forces
+    restart-mode recovery, which recomputes every superstep under the
+    new partition, while the reference computed its early steps under
+    the old one — bit-identical for order-insensitive folds, ULP-level
+    different for float sums (the data plane's documented grouping
+    sensitivity).  Crash-free plans can run PageRank: both engines then
+    share the same partition timeline.
     """
     from repro.core import PageRank
     from repro.core.algorithms import WCC
@@ -284,103 +303,25 @@ def run_chaos_scenario(
     check_cluster_invariants(chaos, versions)
 
     report = ChaosReport(plan_seed=plan.seed)
+    report.rebalance_plan = {k: dict(w) for k, w in (rebalance_plan or {}).items()}
     for i, program in enumerate(programs):
-        # Crashes are one-time events: the schedule reshapes the first
-        # run; later programs run on the already-shrunk cluster.
+        # Crashes and the re-weight are one-time events: they reshape
+        # the first run; later programs run on the reshaped cluster.
         # Graceful crashes mirror onto the reference as scale plans (a
         # drain is a legitimate membership change both sides share);
         # abrupt crashes hit ONLY the chaos engine — recovery's whole
         # claim is converging bit-identical to the fault-free run.
         scale = plan.scale_plan(len(chaos.cluster.agents)) if i == 0 else {}
         crashes = plan.crash_plan() if i == 0 else {}
+        reweight = rebalance_plan if i == 0 else None
         report.scale_plan.update(scale)
         report.crash_plan.update(crashes)
-        ref_result = reference.run(program, scale_plan=dict(scale))
+        ref_result = reference.run(program, scale_plan=dict(scale), rebalance_plan=reweight)
         chaos_result = chaos.run(
-            program, scale_plan=dict(scale), crash_plan=dict(crashes) or None
-        )
-        check_cluster_invariants(chaos, versions)
-        report.steps[program.name] = chaos_result.steps
-        report.bit_equal[program.name] = ref_result.values == chaos_result.values
-    after = chaos.cluster.network.stats
-    report.drops_chaos = after.drops_chaos - before.drops_chaos
-    report.drops_partition = after.drops_partition - before.drops_partition
-    report.messages_duplicated = after.messages_duplicated - before.messages_duplicated
-    report.messages_retried = after.messages_retried - before.messages_retried
-    report.duplicates_suppressed = (
-        after.duplicates_suppressed - before.duplicates_suppressed
-    )
-    report.lead_elections = after.lead_elections - before.lead_elections
-    report.stale_term_drops = after.stale_term_drops - before.stale_term_drops
-    report.directory_versions = list(versions)
-    report.recovery_log = list(chaos.cluster.recovery_log)
-    # With tracing=True in config_overrides both engines carry a Tracer;
-    # snapshot them so callers can diff faulted vs. fault-free.
-    if reference.tracer is not None:
-        report.traces["reference"] = reference.tracer.trace()
-    if chaos.tracer is not None:
-        report.traces["chaos"] = chaos.tracer.trace()
-    return report
-
-
-def run_rebalance_chaos_scenario(
-    us,
-    vs,
-    plan: FaultPlan,
-    rebalance_plan: Dict[int, Dict[int, float]],
-    programs: Optional[Sequence] = None,
-    nodes: int = 2,
-    agents_per_node: int = 2,
-    seed: int = 9,
-    **config_overrides,
-) -> ChaosReport:
-    """Migration atomicity under fire.
-
-    Both engines run the first program with the SAME mid-run
-    ``rebalance_plan`` (the re-weight is a legitimate control action
-    both sides share, exactly like the graceful-crash scale mirroring
-    in :func:`run_chaos_scenario`); the chaos engine additionally
-    suffers ``plan`` — drops and duplicates on the data plane, which
-    includes EDGE_MIGRATE/EDGE_MIGRATE_ACK, plus any abrupt crashes
-    timed to land around the migration window.  The claim: the chaos
-    run converges bit-identical to the fault-free run and *both* rings
-    end up carrying the adopted weights.
-
-    Use partition-independent programs (WCC's min-fold) when the plan
-    crashes someone: an abrupt crash after a mid-run reshape forces
-    restart-mode recovery, which recomputes every superstep under the
-    new partition, while the reference computed its early steps under
-    the old one — bit-identical for order-insensitive folds, ULP-level
-    different for float sums (the data plane's documented grouping
-    sensitivity).  Crash-free plans can run PageRank: both engines then
-    share the same partition timeline.
-    """
-    from repro.core.algorithms import WCC
-
-    if programs is None:
-        programs = [WCC()]
-    _control_plane_defaults(plan, config_overrides)
-    reference, chaos = build_engine_pair(
-        plan, nodes=nodes, agents_per_node=agents_per_node, seed=seed, **config_overrides
-    )
-    versions = _watch_directory_versions(chaos.cluster.network)
-    before = chaos.cluster.network.stats.snapshot()
-    reference.ingest_edges(us, vs)
-    chaos.ingest_edges(us, vs)
-    check_cluster_invariants(chaos, versions)
-
-    report = ChaosReport(plan_seed=plan.seed)
-    report.rebalance_plan = {k: dict(w) for k, w in rebalance_plan.items()}
-    for i, program in enumerate(programs):
-        # The re-weight and the crash schedule both apply to the first
-        # run only; later programs verify the reshaped cluster serves
-        # clean runs.
-        reweight = {k: dict(w) for k, w in rebalance_plan.items()} if i == 0 else None
-        crashes = plan.crash_plan() if i == 0 else {}
-        report.crash_plan.update(crashes)
-        ref_result = reference.run(program, rebalance_plan=reweight)
-        chaos_result = chaos.run(
-            program, rebalance_plan=reweight, crash_plan=dict(crashes) or None
+            program,
+            scale_plan=dict(scale),
+            rebalance_plan=reweight,
+            crash_plan=dict(crashes) or None,
         )
         check_cluster_invariants(chaos, versions)
         report.steps[program.name] = chaos_result.steps
@@ -403,6 +344,12 @@ def run_rebalance_chaos_scenario(
     report.stale_term_drops = after.stale_term_drops - before.stale_term_drops
     report.directory_versions = list(versions)
     report.recovery_log = list(chaos.cluster.recovery_log)
+    # With tracing=True in config_overrides both engines carry a Tracer;
+    # snapshot them so callers can diff faulted vs. fault-free.
+    if reference.tracer is not None:
+        report.traces["reference"] = reference.tracer.trace()
+    if chaos.tracer is not None:
+        report.traces["chaos"] = chaos.tracer.trace()
     return report
 
 

@@ -43,21 +43,21 @@ serving, and crash tolerance.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.bench.counters import PerfCounters
 from repro.cluster.config import ClusterConfig
 # ``combine_pairs`` is used by the round machine (rounds.py); the name
 # stays bound here because the end-to-end harness checks that its
 # tracing wrapper reaches ``repro.cluster.agent.combine_pairs``.
 from repro.cluster.dataplane import ACK_BATCH_WINDOW, combine_pairs, segments_by  # noqa: F401
-from repro.cluster.directory import DirectoryState, bind_placement
+from repro.cluster.directory import DirectoryState
 from repro.cluster.edgestore import EdgeStore
 from repro.cluster.metrics import AgentMetrics
+from repro.cluster.participant import Participant
 from repro.cluster.recovery import Checkpoint, RecoveryStore, Rows
-from repro.cluster.rehome import RehomeMixin
 from repro.cluster.rounds import RoundMixin
 from repro.cluster.shard import ProgramState, ShardState, StateSlice, copy_programs
 from repro.cluster.vertextable import (
@@ -66,22 +66,25 @@ from repro.cluster.vertextable import (
     keyed_vertices,
     persist_table,
 )
-from repro.hashing.ring import ConsistentHashRing
 from repro.net.message import Message, PacketType
-from repro.net.sockets import PushSocket
-from repro.partition.cache import PlacementCache
 from repro.partition.placer import EdgePlacer
-from repro.sim.entity import Entity
 from repro.sketch.countmin import CountMinSketch
 
 
-class Agent(RoundMixin, RehomeMixin, Entity):
+class Agent(RoundMixin, Participant):
     """One ElGA Agent (one per core in the paper's deployment).
 
     Created by :class:`~repro.cluster.cluster.ElGACluster`; joins the
     system by subscribing to its Directory and announcing itself, after
     which the directory broadcast brings it the global state it needs.
     """
+
+    TOPICS = (
+        PacketType.DIRECTORY_UPDATE,
+        PacketType.SUPERSTEP_ADVANCE,
+        PacketType.RUN_START,
+        PacketType.RECOVER,
+    )
 
     def __init__(
         self,
@@ -97,23 +100,14 @@ class Agent(RoundMixin, RehomeMixin, Entity):
         incarnation: int = 0,
         master_address: Optional[int] = None,
     ):
-        super().__init__(network, f"agent-{agent_id}", config.seed)
-        self.config = config
+        super().__init__(
+            network, f"agent-{agent_id}", config, node, directory_address, master_address
+        )
         self.agent_id = agent_id
-        self.node = node
         # Capacity weight (§3.4.2 heterogeneous extension): scales this
         # agent's virtual-position count on every participant's ring.
         self.weight = float(weight)
-        self.directory_address = directory_address
-        # Control-plane fault tolerance: the highest directory term seen
-        # (stale-term control traffic is fenced out below it), and the
-        # master endpoint used to re-home when this agent's directory
-        # dies (heartbeat ticks probe the endpoint and re-query).
-        self.term = 0
-        self._init_rehome(master_address)
-        self.push = PushSocket(self)
         self.metrics = AgentMetrics()
-        self.perf = PerfCounters()
 
         # Everything durable — edge stores, un-flushed sketch delta,
         # dirty log, per-program algorithm state — is this one object:
@@ -123,14 +117,8 @@ class Agent(RoundMixin, RehomeMixin, Entity):
             CountMinSketch(config.sketch_width, config.sketch_depth, seed=config.seed)
         )
 
-        # Directory view.  ``placer`` is the persistent PlacementCache,
-        # rebound to a fresh EdgePlacer on every adopted broadcast; its
-        # memos (and ``ring``) survive broadcasts that leave the tokens
-        # they depend on unchanged.
-        self.dstate: Optional[DirectoryState] = None
-        self.ring: Optional[ConsistentHashRing] = None
-        self.placer: Optional[PlacementCache] = None
-        self._placement_cache = PlacementCache(counters=self.perf)
+        # A broadcast that passed the fence while a superstep was in
+        # flight, parked until placement may move.
         self._pending_state: Optional[DirectoryState] = None
 
         # Dynamic-update plumbing.
@@ -144,7 +132,7 @@ class Agent(RoundMixin, RehomeMixin, Entity):
 
         # Elasticity.
         self.leaving = False
-        self._migration_acks_pending = 0
+        self.migration_acks_pending = 0
         # Outbound migration ledger: token -> (role, keys, others) for
         # batches removed from our stores but not yet acked by the
         # receiving hop.  The WAL removal is logged only on ack: until
@@ -177,9 +165,8 @@ class Agent(RoundMixin, RehomeMixin, Entity):
         # received since the last cumulative VERTEX_MSG_ACK flush.
         self._ack_credits: Dict[Tuple[int, int], int] = {}
         self._ack_flush_scheduled = False
-        self.crashed = False
         self._heartbeat_pending = False
-        self._recover_epoch = incarnation
+        self.recover_epoch = incarnation
         self._data_inc = incarnation
         # Tracing: when this agent last went quiet waiting on a barrier
         # (READY sent); the next ADVANCE closes the wait span.
@@ -188,23 +175,15 @@ class Agent(RoundMixin, RehomeMixin, Entity):
         if recover_from is not None:
             self._restore_from_crash(recover_from, restore_checkpoint)
 
-        self._subscribe_and_join()
+        self._join()
 
     # ------------------------------------------------------------------
     # bootstrap
     # ------------------------------------------------------------------
 
-    def _subscribe_and_join(self) -> None:
-        self.push.push(
-            self.directory_address,
-            PacketType.SUBSCRIBE,
-            [
-                PacketType.DIRECTORY_UPDATE,
-                PacketType.SUPERSTEP_ADVANCE,
-                PacketType.RUN_START,
-                PacketType.RECOVER,
-            ],
-        )
+    def _join(self) -> None:
+        """Announce this agent to its (subscribed-to) Directory;
+        idempotent at the directory tier."""
         self.push.push(
             self.directory_address,
             PacketType.AGENT_JOIN,
@@ -220,49 +199,12 @@ class Agent(RoundMixin, RehomeMixin, Entity):
     # dispatch
     # ------------------------------------------------------------------
 
-    def handle_message(self, message: Message) -> None:
-        # Term fence: control traffic from a deposed lead must not be
-        # acted on (the control-plane analogue of incarnation fencing).
-        term = message.term
-        bumped = False
-        if term is not None:
-            if term < self.term:
-                self.network.stats.stale_term_drops += 1
-                return
-            bumped = term > self.term
-            self.term = term
-        self._dispatch(message)
-        if bumped:
-            self._on_term_bump()
+    # Bound in this class body, not inherited: the end-to-end harness
+    # wraps ``vars(Agent)["handle_message"]``.
+    handle_message = Participant.handle_message
 
-    def _dispatch(self, message: Message) -> None:
-        ptype = message.ptype
-        if ptype == PacketType.DIRECTORY_UPDATE:
-            self._on_directory_update(message.payload)
-        elif ptype == PacketType.EDGE_UPDATE:
-            self._on_edge_update(message.payload, count_in_sketch=True)
-        elif ptype == PacketType.EDGE_MIGRATE:
-            self._on_edge_update(message.payload, count_in_sketch=False)
-        elif ptype == PacketType.EDGE_MIGRATE_ACK:
-            self._on_migrate_ack(message.payload)
-        elif ptype == PacketType.EDGE_UPDATE_ACK:
-            pass  # agents don't originate EDGE_UPDATEs
-        elif ptype == PacketType.RUN_START:
-            self._on_run_start(message.payload)
-        elif ptype == PacketType.SUPERSTEP_ADVANCE:
-            self._on_advance(message.payload)
-        elif ptype in self._ROUND_INGEST:
-            self._on_round_data(ptype, message.payload, message.src)
-        elif ptype == PacketType.VERTEX_MSG_ACK:
-            self._on_data_ack(message.payload)
-        elif ptype == PacketType.RECOVER:
-            self._on_recover(message.payload)
-        elif ptype == PacketType.CLIENT_QUERY:
-            self._on_client_query(message)
-        elif ptype == PacketType.DIRECTORY_ASSIGN:
-            self._master_req.handle_reply(message)
-        else:
-            raise ValueError(f"Agent {self.agent_id} got unexpected {ptype.name}")
+    def _on_round_packet(self, message: Message) -> None:
+        self._on_round_data(message.ptype, message.payload, message.src)
 
     def _on_term_bump(self) -> None:
         """A successor lead took over: re-drive anything it must see.
@@ -278,31 +220,22 @@ class Agent(RoundMixin, RehomeMixin, Entity):
     # directory updates, migration, elasticity (§3.4.3)
     # ------------------------------------------------------------------
 
-    def _on_directory_update(self, state: DirectoryState) -> None:
-        # (term, version) fence: a freshly elected lead's first state
-        # may carry a lower version than the dead lead's last broadcast
-        # (sync loss), but its higher term must still win.
-        if self.dstate is not None and state.fence <= self.dstate.fence:
-            return
+    def _adopt(self, state: DirectoryState) -> None:
         if self.run is not None and not self.run.suspended:
             # Placement must stay stable while a superstep's messages are
             # in flight; adopt once the engine suspends or ends the run.
             self._pending_state = state
             return
-        self._adopt_state(state)
+        self._pending_state = None
+        super()._adopt(state)
 
-    def _adopt_state(self, state: DirectoryState) -> None:
-        previous = self.dstate
+    def _adopted(self, previous: Optional[DirectoryState], before: Optional[EdgePlacer]) -> None:
+        state = self.dstate
         if previous is not None and state.weights != previous.weights:
             # A re-weight landed (planner adoption or heterogeneous
-            # join): the ring below shifts arcs, and _migrate_misplaced
+            # join): the ring shifted arcs, and _migrate_misplaced
             # re-homes whatever this agent no longer owns.
             self.metrics.rebalance_adoptions += 1
-        before = self._placement_cache.placer
-        self.dstate = state
-        self._pending_state = None
-        self.placer = bind_placement(self._placement_cache, state, self.config)
-        self.ring = self.placer.ring
         # Membership decides the leaving state: a just-joined agent may
         # see one last broadcast predating its join (it is simply not a
         # member *yet*), while a departing agent is never re-added.
@@ -361,7 +294,7 @@ class Agent(RoundMixin, RehomeMixin, Entity):
         adoption can have moved (``moved``, see :meth:`_moved_keys`),
         once per distinct keyed vertex where the key alone decides.
         """
-        if self.placer is None or len(self.ring) == 0:
+        if self.placer is None or len(self.placer.ring) == 0:
             return
         costs = self.config.costs
         total_edges = self.n_out_edges + self.n_in_edges
@@ -417,7 +350,7 @@ class Agent(RoundMixin, RehomeMixin, Entity):
                 self.push.push(
                     self._agent_address(target), PacketType.EDGE_MIGRATE, payload
                 )
-                self._migration_acks_pending += 1
+                self.migration_acks_pending += 1
         self._prune_departed_state()
         self._maybe_finish_leaving()
 
@@ -478,7 +411,7 @@ class Agent(RoundMixin, RehomeMixin, Entity):
 
     def _on_migrate_ack(self, payload: dict) -> None:
         self._resolve_migration(payload.get("token"))
-        self._migration_acks_pending -= 1
+        self.migration_acks_pending -= 1
         self._maybe_finish_leaving()
 
     def on_reliable_abandoned(self, message) -> None:
@@ -499,7 +432,7 @@ class Agent(RoundMixin, RehomeMixin, Entity):
 
     def _drained(self) -> bool:
         """A leaver that holds no edge and awaits no migration ack."""
-        return self.leaving and self._migration_acks_pending == 0 and self.total_edges == 0
+        return self.leaving and self.migration_acks_pending == 0 and self.total_edges == 0
 
     def _maybe_finish_leaving(self) -> None:
         if self._drained():
@@ -535,7 +468,7 @@ class Agent(RoundMixin, RehomeMixin, Entity):
         see ``CostModel.elga_lookup_cached``)."""
         costs = self.config.costs
         width, depth = self.config.sketch_width, self.config.sketch_depth
-        ring_positions = max(1, len(self.ring) * self.config.virtual_factor)
+        ring_positions = max(1, len(self.placer.ring) * self.config.virtual_factor)
         return (
             costs.placement_lookup_cost(width, depth, ring_positions),
             costs.placement_lookup_cost(width, depth, ring_positions, cached=True),
@@ -614,7 +547,7 @@ class Agent(RoundMixin, RehomeMixin, Entity):
                     ptype = PacketType.EDGE_UPDATE
                 else:
                     ptype = PacketType.EDGE_MIGRATE
-                    self._migration_acks_pending += 1
+                    self.migration_acks_pending += 1
                 self.push.push(self._agent_address(target), ptype, fwd)
 
         # Apply local changes (one vectorized batch over the store).
@@ -703,16 +636,16 @@ class Agent(RoundMixin, RehomeMixin, Entity):
         Directories.  The cluster orchestrator (or an autoscaler
         driver) triggers reports at its sampling cadence.
         """
-        self._sync_placement_metrics()
         self.push.push(
             self.directory_address,
             PacketType.METRIC_REPORT,
-            {"agent_id": self.agent_id, "metrics": self.metrics.snapshot()},
+            {"agent_id": self.agent_id, "metrics": self.metrics_snapshot()},
         )
 
-    def _sync_placement_metrics(self) -> None:
-        """Mirror the placement-cache perf counters into the metric
-        snapshot the autoscaler path consumes."""
+    def metrics_snapshot(self) -> Dict[str, int]:
+        """The current metric snapshot, with the placement-cache and
+        transport perf counters the autoscaler path consumes mirrored
+        in."""
         for name in (
             "placement_cache_hits",
             "placement_cache_misses",
@@ -721,6 +654,7 @@ class Agent(RoundMixin, RehomeMixin, Entity):
             "transport_dups_suppressed",
         ):
             setattr(self.metrics, name, int(self.perf.counts.get(name, 0)))
+        return self.metrics.snapshot()
 
     def flush_sketch(self) -> None:
         """Push accumulated degree deltas to the directory."""
@@ -880,9 +814,8 @@ class Agent(RoundMixin, RehomeMixin, Entity):
         self.kernel.schedule(self.config.heartbeat_interval, self._heartbeat_tick)
 
     def _on_rehomed(self) -> None:
-        # SUBSCRIBE and AGENT_JOIN are idempotent at the directory tier;
-        # the SUBSCRIBE reply seeds the current state (and term).
-        self._subscribe_and_join()
+        super()._on_rehomed()
+        self._join()
         # The READY sent to the dead directory may never have been
         # forwarded; re-report through the new home.
         self._report_ready()
@@ -1019,9 +952,9 @@ class Agent(RoundMixin, RehomeMixin, Entity):
           RUN_START and the algorithm re-runs from pre-run state.
         """
         incarnation = int(payload["incarnation"])
-        if incarnation <= self._recover_epoch:
+        if incarnation <= self.recover_epoch:
             return  # duplicate broadcast
-        self._recover_epoch = incarnation
+        self.recover_epoch = incarnation
         self._data_inc = incarnation
         run = self.run
         if run is None or run.spec.run_id != payload.get("run_id"):
@@ -1114,3 +1047,18 @@ class Agent(RoundMixin, RehomeMixin, Entity):
     def total_edges(self) -> int:
         """Resident edge copies (out + in)."""
         return self.n_out_edges + self.n_in_edges
+
+    _DISPATCH = {
+        **Participant._DISPATCH,
+        PacketType.EDGE_UPDATE: (partial(_on_edge_update, count_in_sketch=True), False),
+        PacketType.EDGE_MIGRATE: (partial(_on_edge_update, count_in_sketch=False), False),
+        PacketType.EDGE_MIGRATE_ACK: (_on_migrate_ack, False),
+        PacketType.RUN_START: (RoundMixin._on_run_start, False),
+        PacketType.SUPERSTEP_ADVANCE: (RoundMixin._on_advance, False),
+        PacketType.VERTEX_MSG: (_on_round_packet, True),
+        PacketType.REPLICA_SYNC: (_on_round_packet, True),
+        PacketType.REPLICA_VALUE: (_on_round_packet, True),
+        PacketType.VERTEX_MSG_ACK: (RoundMixin._on_data_ack, False),
+        PacketType.RECOVER: (_on_recover, False),
+        PacketType.CLIENT_QUERY: (_on_client_query, True),
+    }

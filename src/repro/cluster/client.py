@@ -36,15 +36,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.counters import PerfCounters
 from repro.cluster.config import ClusterConfig
-from repro.cluster.directory import DirectoryState, bind_placement
-from repro.cluster.rehome import RehomeMixin
+from repro.cluster.directory import DirectoryState
+from repro.cluster.participant import Participant
 from repro.net.message import Message, PacketType
-from repro.net.sockets import PushSocket
-from repro.partition.cache import PlacementCache
+from repro.partition.placer import EdgePlacer
 from repro.serving import LatencyRecorder, ResultCache
-from repro.sim.entity import Entity
 
 #: Snapshot tag agents answer with when no run ever produced a value
 #: (replacement agents, never-run programs).  Proxies accept tag
@@ -101,7 +98,7 @@ class _Flight:
         self.retries = 0                  # snapshot-mismatch re-issues
 
 
-class ClientProxy(RehomeMixin, Entity):
+class ClientProxy(Participant):
     """A query frontend.
 
     :meth:`query` issues a vertex-result lookup and delivers the value
@@ -110,6 +107,8 @@ class ClientProxy(RehomeMixin, Entity):
     admission verdict: ``0.0`` for accepted, or a positive retry-after
     hint when the query was shed.
     """
+
+    TOPICS = (PacketType.DIRECTORY_UPDATE, PacketType.RESULT_NOTICE)
 
     def __init__(
         self,
@@ -120,20 +119,10 @@ class ClientProxy(RehomeMixin, Entity):
         directory_address: int,
         master_address: Optional[int] = None,
     ):
-        super().__init__(network, f"client-{client_id}", config.seed)
-        self.config = config
+        super().__init__(
+            network, f"client-{client_id}", config, node, directory_address, master_address
+        )
         self.client_id = client_id
-        self.node = node
-        self.directory_address = directory_address
-        # Highest control-plane term witnessed; directory traffic from
-        # a deposed lead (term < ours) is dropped at the door.
-        self.term = 0
-        self._init_rehome(master_address)
-        self.push = PushSocket(self)
-        self.dstate: Optional[DirectoryState] = None
-        self.perf = PerfCounters()
-        self.placer: Optional[PlacementCache] = None
-        self._placement_cache = PlacementCache(counters=self.perf)
         self.latencies = LatencyRecorder(maxlen=config.serving_latency_window)
         self.queries_sent = 0
         self.replies_received = 0
@@ -168,47 +157,15 @@ class ClientProxy(RehomeMixin, Entity):
         self._coalesce_buf: List[_Flight] = []
         self._flush_scheduled = False
         self._next_token = 0
-        self._subscribe()
 
     # -- directory plane ---------------------------------------------------
 
-    def _subscribe(self) -> None:
-        self.push.push(
-            self.directory_address,
-            PacketType.SUBSCRIBE,
-            [PacketType.DIRECTORY_UPDATE, PacketType.RESULT_NOTICE],
-        )
+    # Bound in this class body, not inherited: the end-to-end harness
+    # wraps ``vars(ClientProxy)["handle_message"]``.
+    handle_message = Participant.handle_message
 
-    _on_rehomed = _subscribe  # a re-homed proxy only has to subscribe again
-
-    def handle_message(self, message: Message) -> None:
-        bumped = False
-        if message.term is not None:
-            if message.term < self.term:
-                # Control traffic from a deposed lead: fence it out.
-                self.network.stats.stale_term_drops += 1
-                return
-            bumped = message.term > self.term
-            self.term = message.term
-        if message.ptype == PacketType.DIRECTORY_UPDATE:
-            self._adopt(message.payload)
-        elif message.ptype == PacketType.CLIENT_REPLY:
-            self._on_reply(message.payload)
-        elif message.ptype == PacketType.RESULT_NOTICE:
-            self._on_result_notice(message.payload, assign=bumped)
-        elif message.ptype == PacketType.DIRECTORY_ASSIGN:
-            self._master_req.handle_reply(message)
-        else:
-            raise ValueError(f"ClientProxy got unexpected {message.ptype.name}")
-        if bumped:
-            self._on_term_bump()
-
-    def _adopt(self, state: DirectoryState) -> None:
-        if self.dstate is not None and state.fence <= self.dstate.fence:
-            return
-        previous = self.dstate
-        self.dstate = state
-        self.placer = bind_placement(self._placement_cache, state, self.config)
+    def _adopted(self, previous: Optional[DirectoryState], before: Optional[EdgePlacer]) -> None:
+        state = self.dstate
         if previous is not None:
             self._failover_pending(state)
             if self.cache is not None and (
@@ -223,18 +180,20 @@ class ClientProxy(RehomeMixin, Entity):
                 # entries keep their version/epoch fencing.
                 self.cache.invalidate_negative()
 
-    def _on_result_notice(self, payload: dict, assign: bool = False) -> None:
+    def _on_result_notice(self, message: Message) -> None:
         """Adopt new per-program result versions.
 
         Ordinarily monotone (max-merge): late or duplicated notices
-        cannot roll a version back.  On a term bump (``assign``) the new
-        lead's versions are adopted verbatim instead — a successor
-        reconstructs versions from its mirror and may legitimately land
-        *below* what this proxy saw from the old lead; max-merging would
-        then ignore every future legit notice and leave the cache fenced
-        against versions agents will never report again.
+        cannot roll a version back.  A notice that raises the term is
+        the new lead's, and its versions are adopted verbatim instead —
+        a successor reconstructs versions from its mirror and may
+        legitimately land *below* what this proxy saw from the old
+        lead; max-merging would then ignore every future legit notice
+        and leave the cache fenced against versions agents will never
+        report again.
         """
-        for program, version in payload["versions"].items():
+        assign = message.term is not None and message.term > self.term
+        for program, version in message.payload["versions"].items():
             if assign or version > self.known_versions.get(program, 0):
                 self.known_versions[program] = version
                 if self.cache is not None:
@@ -544,3 +503,9 @@ class ClientProxy(RehomeMixin, Entity):
         if self.cache is not None:
             out.update(self.cache.counters())
         return out
+
+    _DISPATCH = {
+        **Participant._DISPATCH,
+        PacketType.CLIENT_REPLY: (_on_reply, False),
+        PacketType.RESULT_NOTICE: (_on_result_notice, True),
+    }

@@ -214,7 +214,8 @@ class ElGACluster:
         suspended, it has neither — and a broadcast it cannot hear
         (RUN_START, the resume) would wait on it forever.  The
         orchestrator operation that needs every agent listening pays
-        the re-home, as :meth:`ingest` does for streamers.
+        the re-home, as :meth:`ingest` does for streamers and
+        ``ClientProxy.query`` for proxies.
         """
         # A list, not a generator: every orphan is sent, not just the first.
         return any([agent.home_lost() for agent in sorted_agents(self.agents)])
@@ -240,10 +241,8 @@ class ElGACluster:
         self.master = DirectoryMaster(self.network, seed=self.config.seed)
         for d in self.directories:
             d.master_address = self.master.address
-        for agent in self.agents.values():
-            agent.master_address = self.master.address
-        for client in self.clients:
-            client.master_address = self.master.address
+        for participant in [*self.agents.values(), *self.streamers, *self.clients]:
+            participant.master_address = self.master.address
         self.recovery_log.append(
             {"event": "master_restart", "time": round(self.kernel.now, 9)}
         )
@@ -314,10 +313,7 @@ class ElGACluster:
 
     def _retire(self, agent: Agent) -> None:
         """Fold a gone agent's counters into the retired accumulators."""
-        agent._sync_placement_metrics()
-        self.retired_metrics = combine_metrics(
-            [self.retired_metrics, agent.metrics.snapshot()]
-        )
+        self.retired_metrics = combine_metrics([self.retired_metrics, agent.metrics_snapshot()])
         self.retired_perf.merge(agent.perf)
 
     def departing_agents(self) -> List[Agent]:
@@ -461,6 +457,7 @@ class ElGACluster:
             self._next_streamer_id,
             node,
             self.directory_for(self._next_streamer_id).address,
+            master_address=self.master.address,
         )
         self._next_streamer_id += 1
         self.streamers.append(streamer)
@@ -488,15 +485,11 @@ class ElGACluster:
         Returns timing/throughput figures in *simulated* time — the
         quantities Figure 14 reports.
         """
-        # A streamer holds nothing between batches and has no lease
-        # machinery: one homed on a directory that died never hears
-        # another broadcast.  Retire it; the loop below homes a fresh
-        # one on a live directory.
-        for streamer in list(self.streamers):
-            if not streamer.busy and not self.network.is_attached(streamer.directory_address):
-                self.streamers.remove(streamer)
-                streamer.detach()
-                self.retired_perf.merge(streamer.perf)
+        # A streamer has no timer to notice a dead home directory from,
+        # and one that never hears another broadcast routes by a view
+        # that only gets staler: ingest is its re-home trigger.
+        if any([streamer.home_lost() for streamer in self.streamers]):
+            self.settle()
         while len(self.streamers) < n_streamers:
             self.new_streamer(node=len(self.streamers) % max(self.config.nodes, 1))
         parts = batch.split(n_streamers)
@@ -605,7 +598,7 @@ class ElGACluster:
         for agent in self.agents.values():
             if agent.dstate is None or agent.dstate.fence != fence:
                 return False
-            if agent._migration_acks_pending != 0:
+            if agent.migration_acks_pending != 0:
                 return False
         return True
 

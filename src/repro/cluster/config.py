@@ -12,7 +12,7 @@ cluster at a second value.  Protocol timings with one value in use are
 constants beside the code that reads them: retransmission backoff in
 :mod:`repro.net.network`, the cumulative-ack window in
 :mod:`repro.cluster.dataplane`, master re-query policy in
-:mod:`repro.cluster.rehome`, proxy cache capacity and retry hints in
+:mod:`repro.cluster.participant`, proxy cache capacity and retry hints in
 :mod:`repro.cluster.client`, ring-weight clamps on
 :class:`~repro.rebalance.RebalancePlanner`.
 """
@@ -57,6 +57,10 @@ class ClusterConfig:
     sketch_broadcast_interval:
         Minimum simulated seconds between directory broadcasts caused
         by sketch deltas alone (membership changes broadcast at once).
+    sketch_flush_every:
+        Applied streamed rows after which an Agent pushes its
+        accumulated degree delta to its Directory (and checkpoints);
+        runs flush whatever is pending before they start.
     seed:
         Experiment root seed (drives every entity's RNG stream).
     reliable_transport:
@@ -137,6 +141,14 @@ class ClusterConfig:
         Per-agent load skew (max/mean) below which the rebalance
         planner holds still.  1.0 would chase every wobble; the default
         tolerates 15% imbalance before moving anything.
+    transport:
+        The fabric's latency/bandwidth model
+        (:class:`~repro.net.latency.TransportModel`; the ZeroMQ
+        preset by default, MPI / raw TCP for the §3.5 comparisons).
+    costs:
+        Simulated seconds charged per operation
+        (:class:`~repro.cluster.costmodel.CostModel`; the calibrated
+        ``DEFAULT_COSTS`` unless an experiment rescales them).
     """
 
     nodes: int = 4

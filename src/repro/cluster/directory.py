@@ -37,11 +37,8 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.failover import FailoverMixin
 from repro.cluster.leadstate import ControlTail, LeadState
 from repro.cluster.leases import LeaseMixin
-from repro.hashing.ring import ConsistentHashRing
 from repro.net.message import Message, PacketType
 from repro.net.sockets import PubSubSocket, PushSocket, ReqRepSocket
-from repro.partition.cache import PlacementCache
-from repro.partition.placer import EdgePlacer
 from repro.sim.entity import Entity
 from repro.sketch.countmin import CountMinSketch
 
@@ -140,38 +137,6 @@ class DirectoryState:
             f"DirectoryState(t{self.term}/v{self.version}, batch={self.batch_id}, "
             f"P={len(self.agents)}, split={len(self.split_vertices)})"
         )
-
-
-def bind_placement(
-    cache: PlacementCache, state: DirectoryState, config: ClusterConfig
-) -> PlacementCache:
-    """Point a participant's ``cache`` at ``state`` (every Agent,
-    Streamer and ClientProxy adopts broadcasts through here).
-
-    The ring object is rebuilt only when the state's ring epoch moved:
-    a sketch flush, split registration or batch-clock tick reuses the
-    participant's ring and, through :meth:`PlacementCache.bind`, the
-    vertex → ring-owner memo that goes with it.
-    """
-    ring_epoch = state.ring_epoch
-    if cache.placer is not None and ring_epoch is not None and ring_epoch == cache.ring_epoch:
-        ring = cache.placer.ring
-    else:
-        ring = ConsistentHashRing(
-            state.agent_ids(),
-            virtual_factor=config.virtual_factor,
-            hash_fn=config.hash_fn,
-            seed=config.seed,
-            weights=state.weights,
-        )
-    placer = EdgePlacer(
-        ring,
-        state.sketch,
-        replication_threshold=config.replication_threshold,
-        hash_fn=config.hash_fn,
-        split_gate=state.split_vertices,
-    )
-    return cache.bind(state.epoch_token, placer, ring_epoch=ring_epoch)
 
 
 class DirectoryMaster(Entity):

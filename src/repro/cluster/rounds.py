@@ -749,7 +749,7 @@ class RoundMixin:
     def _adopt_pending(self) -> None:
         """No round is in flight any more: placement may move."""
         if self._pending_state is not None:
-            self._adopt_state(self._pending_state)
+            self._adopt(self._pending_state)
 
     # ------------------------------------------------------------------
     # persisting a table, ending a run

@@ -16,18 +16,14 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.bench.counters import PerfCounters
 from repro.cluster.config import ClusterConfig
 from repro.cluster.dataplane import segments_by
-from repro.cluster.directory import DirectoryState, bind_placement
+from repro.cluster.participant import Participant
 from repro.graph.stream import EdgeBatch
-from repro.net.message import Message, PacketType
-from repro.net.sockets import PushSocket
-from repro.partition.cache import PlacementCache
-from repro.sim.entity import Entity
+from repro.net.message import PacketType
 
 
-class Streamer(Entity):
+class Streamer(Participant):
     """One update source.
 
     Use :meth:`stream_batch` to inject an :class:`EdgeBatch`; the
@@ -42,41 +38,20 @@ class Streamer(Entity):
         streamer_id: int,
         node: int,
         directory_address: int,
+        master_address: Optional[int] = None,
     ):
-        super().__init__(network, f"streamer-{streamer_id}", config.seed)
-        self.config = config
+        super().__init__(
+            network, f"streamer-{streamer_id}", config, node, directory_address, master_address
+        )
         self.streamer_id = streamer_id
-        self.node = node
-        self.directory_address = directory_address
-        self.push = PushSocket(self)
-        self.dstate: Optional[DirectoryState] = None
-        self.perf = PerfCounters()
-        self.placer: Optional[PlacementCache] = None
-        self._placement_cache = PlacementCache(counters=self.perf)
         self._outstanding = 0
         self._on_complete: Optional[Callable[[float], None]] = None
         self.edges_sent = 0
         self.edges_acked = 0
-        self.push.push(
-            self.directory_address, PacketType.SUBSCRIBE, [PacketType.DIRECTORY_UPDATE]
-        )
 
-    def handle_message(self, message: Message) -> None:
-        if message.ptype == PacketType.DIRECTORY_UPDATE:
-            self._adopt(message.payload)
-        elif message.ptype == PacketType.EDGE_UPDATE_ACK:
-            self._on_ack(message.payload)
-        else:
-            raise ValueError(f"Streamer got unexpected {message.ptype.name}")
-
-    def _adopt(self, state: DirectoryState) -> None:
-        # (term, version) fence, as every participant applies it: a
-        # freshly elected lead's first state may carry a lower version
-        # than the dead lead's last one, but its higher term must win.
-        if self.dstate is not None and state.fence <= self.dstate.fence:
-            return
-        self.dstate = state
-        self.placer = bind_placement(self._placement_cache, state, self.config)
+    # Bound in this class body, not inherited: the end-to-end harness
+    # wraps ``vars(Streamer)["handle_message"]``.
+    handle_message = Participant.handle_message
 
     # ------------------------------------------------------------------
 
@@ -140,3 +115,8 @@ class Streamer(Entity):
         if self._outstanding == 0 and self._on_complete is not None:
             callback, self._on_complete = self._on_complete, None
             callback(self.now)
+
+    _DISPATCH = {
+        **Participant._DISPATCH,
+        PacketType.EDGE_UPDATE_ACK: (_on_ack, False),
+    }

@@ -580,7 +580,7 @@ class ElGA:
 
         def rolled_back() -> bool:
             return all(
-                agent._recover_epoch >= incarnation for agent in cluster.agents.values()
+                agent.recover_epoch >= incarnation for agent in cluster.agents.values()
             )
 
         def replace() -> None:

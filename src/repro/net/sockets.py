@@ -80,6 +80,11 @@ class ReqRepSocket:
         """Whether a request is outstanding."""
         return self._pending_id is not None
 
+    def awaits(self, request_id: int) -> bool:
+        """Whether ``request_id`` is the request still outstanding
+        (not yet answered, cancelled or superseded)."""
+        return self._pending_id == request_id
+
     def request(
         self,
         dst: int,

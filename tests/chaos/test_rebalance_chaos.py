@@ -15,7 +15,7 @@ participant with migrations in flight.  The claims:
 
 import pytest
 
-from repro.bench.chaos import run_rebalance_chaos_scenario
+from repro.bench.chaos import run_chaos_scenario
 from repro.core import PageRank, WCC
 from repro.gen import powerlaw_graph
 from repro.net.faults import CrashEvent, FaultPlan
@@ -53,8 +53,8 @@ def test_drop_dup_during_migration_pagerank_bit_identical():
     float-add program must match bit-for-bit."""
     us, vs = chaos_graph()
     plan = FaultPlan.data_plane_chaos(seed=21, drop_p=0.05, dup_p=0.05)
-    report = run_rebalance_chaos_scenario(
-        us, vs, plan, REBALANCE_AT, programs=[PageRank(max_iters=12), WCC()]
+    report = run_chaos_scenario(
+        us, vs, plan, rebalance_plan=REBALANCE_AT, programs=[PageRank(max_iters=12), WCC()]
     )
     _assert_contract(report, expect_crash=False)
     assert report.drops_chaos > 0 and report.messages_duplicated > 0
@@ -71,11 +71,11 @@ def test_agent_crash_mid_migration_converges():
         dup_p=0.05,
         crashes=[CrashEvent(after_step=2, abrupt=True, target="agent")],
     )
-    report = run_rebalance_chaos_scenario(
+    report = run_chaos_scenario(
         us,
         vs,
         plan,
-        REBALANCE_AT,
+        rebalance_plan=REBALANCE_AT,
         programs=[WCC()],
         heartbeat_interval=0.005,
         lease_timeout=0.025,
@@ -96,7 +96,7 @@ def test_lead_failover_mid_migration_converges():
         dup_p=0.05,
         crashes=[CrashEvent(after_step=2, abrupt=True, target="directory")],
     )
-    report = run_rebalance_chaos_scenario(us, vs, plan, REBALANCE_AT, programs=[WCC()])
+    report = run_chaos_scenario(us, vs, plan, rebalance_plan=REBALANCE_AT, programs=[WCC()])
     _assert_contract(report, expect_crash=True)
     assert report.elections >= 1
     assert report.lead_elections >= 1
@@ -118,11 +118,11 @@ def test_crash_with_unacked_migration_loses_no_edges():
         dup_p=0.05,
         crashes=[CrashEvent(after_step=2, abrupt=True, target="agent")],
     )
-    report = run_rebalance_chaos_scenario(
+    report = run_chaos_scenario(
         us,
         vs,
         plan,
-        REBALANCE_AT,
+        rebalance_plan=REBALANCE_AT,
         programs=[WCC()],
         heartbeat_interval=0.005,
         lease_timeout=0.025,

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ElGACluster
 from repro.cluster.directory import DirectoryState
-from repro.cluster.rehome import MASTER_QUERY_RETRIES, MASTER_QUERY_TIMEOUT, RehomeMixin
+from repro.cluster.participant import MASTER_QUERY_RETRIES, MASTER_QUERY_TIMEOUT, Participant
 from repro.core import ElGA, PageRank, WCC
 from repro.gen import powerlaw_graph
 from repro.net.message import Message, PacketType
@@ -148,18 +148,6 @@ class SilentMaster(Entity):
         self.asked_at.append(self.now)
 
 
-class Homeless(RehomeMixin, Entity):
-    """The re-home machine alone, its directory already dead."""
-
-    def __init__(self, network, master_address):
-        super().__init__(network, "homeless", 0)
-        self.directory_address = -1
-        self._init_rehome(master_address)
-
-    def handle_message(self, message: Message) -> None:
-        self._master_req.handle_reply(message)
-
-
 def test_rehome_backs_off_request_timeout_and_retry_delay_alike():
     """Against a master that never answers, attempt k waits
     timeout·2^k for the reply and then timeout·2^(k+1) before asking
@@ -167,7 +155,9 @@ def test_rehome_backs_off_request_timeout_and_retry_delay_alike():
     the retry budget, and a later trigger starts a fresh cycle."""
     c = make_cluster()
     master = SilentMaster(c.network)
-    homeless = Homeless(c.network, master.address)
+    homeless = Participant(
+        c.network, "homeless", c.config, 0, c.directories[0].address, master.address
+    )
     homeless._maybe_rehome()
     c.settle()
     assert len(master.asked_at) == MASTER_QUERY_RETRIES + 1
@@ -281,7 +271,7 @@ def test_dead_lead_fails_loudly_instead_of_acting():
 def test_ingest_survives_streamer_homed_on_dead_directory():
     """A streamer subscribed to the crashed lead never hears another
     broadcast; after the membership moves on, its view routes to
-    departed agents.  Ingest replaces it with one homed on a live
+    departed agents.  Ingest sends it to the master for a live
     directory instead of streaming through the stale view."""
     elga = ElGA(nodes=2, agents_per_node=2, seed=3, **dict(ENGINE_FAILOVER, n_directories=2))
     us, vs, _ = powerlaw_graph(60, 240, alpha=2.2, seed=7)
@@ -293,18 +283,17 @@ def test_ingest_survives_streamer_homed_on_dead_directory():
     assert not cluster.network.is_attached(stale.directory_address)
     elga.scale_to(6)
     elga.scale_to(3)
-    elga.placement_counters()  # folds the scale-down's leavers into retired_perf
-    retired = cluster.retired_perf.counts["placement_cache_misses"]
+    misses = stale.perf.counts["placement_cache_misses"]
+    assert misses > 0
     report = elga.ingest_edges(us[120:], vs[120:])
     assert report["edges"] == len(us) - 120
     assert elga.validate_against_reference()
-    assert stale not in cluster.streamers
-    assert not cluster.network.is_attached(stale.address)
-    assert cluster.network.is_attached(cluster.streamers[0].directory_address)
-    # The retired streamer's counters stay in the cluster-wide totals.
-    misses = stale.perf.counts["placement_cache_misses"]
-    assert misses > 0
-    assert cluster.retired_perf.counts["placement_cache_misses"] == retired + misses
+    # The same streamer, re-homed: its id, counters and endpoint stand.
+    assert cluster.streamers == [stale]
+    assert cluster.network.is_attached(stale.address)
+    assert stale.directory_address == cluster.lead.address
+    assert stale.dstate.fence == cluster.lead.state.fence
+    assert stale.perf.counts["placement_cache_misses"] > misses
 
 
 def test_lead_crash_requires_failover_config():

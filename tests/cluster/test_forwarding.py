@@ -70,7 +70,7 @@ def test_streamer_with_stale_view_still_completes():
     c.scale_to(7)
     # Freeze the streamer on its stale view.
     streamer.dstate = stale_state
-    streamer._adopt(stale_state) if False else None
+    streamer._on_directory_update(stale_state) if False else None
     done = []
     batch = EdgeBatch.insertions(np.arange(40), (np.arange(40) + 3) % 40)
     streamer.stream_batch(batch, on_complete=done.append)

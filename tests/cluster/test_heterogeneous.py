@@ -64,7 +64,7 @@ def test_weights_propagate_via_directory_broadcast():
     assert state.weights.get(heavy.agent_id) == 2.5
     # Every participant's ring honors the broadcast weight.
     for agent in cluster.agents.values():
-        assert agent.ring.weight_of(heavy.agent_id) == 2.5
+        assert agent.placer.ring.weight_of(heavy.agent_id) == 2.5
 
 
 def test_weight_cleared_on_leave():

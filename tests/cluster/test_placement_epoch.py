@@ -97,7 +97,7 @@ def recheck_counts(elga):
 def test_batch_clock_tick_rechecks_nothing_and_is_still_charged():
     elga = build()
     cluster = elga.cluster
-    rings = {aid: a.ring for aid, a in cluster.agents.items()}
+    rings = {aid: a.placer.ring for aid, a in cluster.agents.items()}
     before = recheck_counts(elga)
     charged = {aid: a.charged_seconds for aid, a in cluster.agents.items()}
     cluster.lead.advance_batch_clock()
@@ -105,7 +105,7 @@ def test_batch_clock_tick_rechecks_nothing_and_is_still_charged():
     for aid, agent in cluster.agents.items():
         rows, skipped = before[aid]
         assert recheck_counts(elga)[aid] == (rows, skipped + 1)
-        assert agent.ring is rings[aid]
+        assert agent.placer.ring is rings[aid]
         # The modelled cluster still pays the paper's full pass.
         expected = cluster.config.costs.elga_migrate_check * agent.total_edges
         assert expected > 0
@@ -115,7 +115,7 @@ def test_batch_clock_tick_rechecks_nothing_and_is_still_charged():
 def test_sketch_flush_keeps_the_ring_and_its_memo():
     elga = build()
     cluster = elga.cluster
-    rings = {aid: a.ring for aid, a in cluster.agents.items()}
+    rings = {aid: a.placer.ring for aid, a in cluster.agents.items()}
     streamer_ring = cluster.streamers[0].placer.ring
     epochs = {aid: a.dstate.epoch for aid, a in cluster.agents.items()}
     rng = np.random.default_rng(3)
@@ -124,7 +124,7 @@ def test_sketch_flush_keeps_the_ring_and_its_memo():
     for aid, agent in cluster.agents.items():
         assert agent.dstate.epoch != epochs[aid], "the flush must have bumped the epoch"
         assert agent.dstate.ring_epoch == epochs[aid][:2]
-        assert agent.ring is rings[aid]
+        assert agent.placer.ring is rings[aid]
     assert cluster.streamers[0].placer.ring is streamer_ring
     # Re-ingesting known vertices after the flush is answered by the memo.
     elga.ingest_edges(rng.integers(0, 300, 200), rng.integers(300, 600, 200))
@@ -135,12 +135,12 @@ def test_membership_change_rechecks_every_resident_row_once():
     elga = build()
     cluster = elga.cluster
     survivors = dict(cluster.agents)
-    rings = {aid: a.ring for aid, a in survivors.items()}
+    rings = {aid: a.placer.ring for aid, a in survivors.items()}
     before = recheck_counts(elga)
     resident = {aid: a.total_edges for aid, a in survivors.items()}
     cluster.add_agent()  # one join, one broadcast
     for aid, agent in survivors.items():
-        assert agent.ring is not rings[aid]
+        assert agent.placer.ring is not rings[aid]
         rows, skipped = recheck_counts(elga)[aid]
         assert rows - before[aid][0] == resident[aid]
         assert skipped == before[aid][1]

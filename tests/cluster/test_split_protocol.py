@@ -21,7 +21,7 @@ def star_engine():
 def hub_replicas(elga, vertex=0):
     agent = elga.cluster.agents[sorted(elga.cluster.agents)[0]]
     k = int(agent.placer.replication_factor(vertex)[0])
-    return agent.ring.successors(vertex, k)
+    return agent.placer.ring.successors(vertex, k)
 
 
 def test_hub_is_registered_and_split(star_engine):

@@ -96,10 +96,10 @@ def test_streamer_fences_directory_states_by_term_then_version():
     assert held.term == 0 and held.version >= 2
     survivors = {aid: addr for aid, addr in held.agents.items() if aid != 0}
     elected = DirectoryState(1, held.batch_id, survivors, held.sketch, frozenset(), term=1)
-    s._adopt(elected)
+    s._on_directory_update(elected)
     assert s.dstate is elected
     agent = c.agents[1]
     agent._on_directory_update(elected)
     assert agent.dstate is elected  # the same verdict as an Agent's
-    s._adopt(held)  # the deposed lead's straggler loses, whatever its version
+    s._on_directory_update(held)  # the deposed lead's straggler loses, whatever its version
     assert s.dstate is elected

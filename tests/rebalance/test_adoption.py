@@ -93,7 +93,7 @@ def test_agents_observe_weights_and_count_adoptions():
     for agent in elga.cluster.agents.values():
         assert agent.dstate.weights == {0: 3.0, 1: 0.3, 2: 0.3, 3: 0.3}
         assert agent.metrics.rebalance_adoptions == 1
-        assert agent.ring.weight_of(0) == 3.0
+        assert agent.placer.ring.weight_of(0) == 3.0
     loads_after = elga.cluster.edge_loads()
     # Edges followed the weights: agent 0 gained resident edges.
     assert loads_after[0] > loads_before[0]
