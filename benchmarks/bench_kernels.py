@@ -1,13 +1,18 @@
 """Kernel acceleration benchmark — C backend vs the numpy reference.
 
-Three layers, matching the raw-speed push:
+Four layers, matching the raw-speed push:
 
 * **Microbenches** — the three hot kernels (placement hash, canonical
-  ``combine_pairs``, PageRank fold + apply) timed head-to-head against
-  the pure-numpy reference on realistic RMAT-derived batches.  Results
-  must be *bit-identical* between backends (the reference path is the
-  determinism oracle), and the full run gates a >= 5x wall-clock
+  ``combine_pairs``, the receive-side PageRank fold) timed head-to-head
+  against the pure-numpy reference on realistic RMAT-derived batches.
+  Results must be *bit-identical* between backends (the reference path
+  is the determinism oracle), and the full run gates a >= 5x wall-clock
   speedup per kernel.
+* **Crossover** — the same three through the dispatchers production
+  calls, both backends, at the batch sizes the cluster actually sends
+  (n = 16 … 4,096).  The dispatch floors in ``repro.kernels`` are read
+  from this table: the smallest n from which C never loses again
+  (0: it never does, no floor).
 * **Million-edge end-to-end** — a scale-17 RMAT (~10^6 edges) ingested
   into the cluster and run through PageRank, wall-clock and simulated
   seconds both reported.  This is the "routine" scale the storage
@@ -164,6 +169,79 @@ def micro_fold(rows: int) -> dict:
     }
 
 
+CROSSOVER_SIZES = (16, 32, 64, 128, 192, 256, 512, 1024, 2048, 4096)
+CROSSOVER_CALLS = 200
+CROSSOVER_ROUNDS = 9
+
+
+def _dispatcher_calls(n: int) -> dict:
+    """One closure per kernel over the dispatcher production calls, on
+    an n-row batch with ~2 pairs per destination."""
+    rng = np.random.default_rng(SEED)
+    dst = rng.integers(0, max(n // 2, 4), size=n).astype(np.int64)
+    val = rng.standard_normal(n)
+    ids = np.unique(dst)
+    accum, got = np.zeros(len(ids)), np.zeros(len(ids), dtype=bool)
+    keys = rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
+    return {
+        "wang64": lambda: kernels.wang64_u64(keys),
+        "combine_pairs": lambda: kernels.combine_pairs(dst, val, np.add, 0.0),
+        "fold_pairs": lambda: kernels.fold_pairs(accum, got, ids, dst, val, np.add),
+    }
+
+
+def crossover_floor(rows: list):
+    """Smallest measured n from which C never loses again: 0 if it
+    never loses, None if it loses at the largest (delete the kernel)."""
+    losing = [i for i, row in enumerate(rows) if row["c_us"] >= row["numpy_us"]]
+    if not losing:
+        return 0
+    if losing[-1] == len(rows) - 1:
+        return None
+    return rows[losing[-1] + 1]["n"]
+
+
+def run_crossover() -> dict:
+    """µs per call, numpy vs C, for each kernel at each batch size.
+
+    Rounds are the outer loop and each visits every (size, kernel,
+    backend) cell, so a change of the box's clock speed mid-table falls
+    on every cell alike; a cell's value is its best round."""
+    calls = {n: _dispatcher_calls(n) for n in CROSSOVER_SIZES}
+    best: dict = {}
+    was = kernels.enabled()
+    floor, kernels.MIN_FOLD = kernels.MIN_FOLD, 0  # time C below the floor too
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(CROSSOVER_ROUNDS):
+            for n, by_kernel in calls.items():
+                for name, call in by_kernel.items():
+                    for backend in ("numpy", "c"):
+                        kernels.set_enabled(backend == "c")
+                        start = time.perf_counter()
+                        for _ in range(CROSSOVER_CALLS):
+                            call()
+                        took = 1e6 * (time.perf_counter() - start) / CROSSOVER_CALLS
+                        cell = (name, n, backend)
+                        best[cell] = min(best.get(cell, took), took)
+    finally:
+        gc.enable()
+        kernels.MIN_FOLD = floor
+        kernels.set_enabled(was)
+    table = {
+        name: [
+            {"n": n, "numpy_us": best[name, n, "numpy"], "c_us": best[name, n, "c"]}
+            for n in CROSSOVER_SIZES
+        ]
+        for name in calls[CROSSOVER_SIZES[0]]
+    }
+    return {
+        "table": table,
+        "floors": {name: crossover_floor(rows) for name, rows in table.items()},
+    }
+
+
 MICROS = {"wang64": micro_hash, "combine_pairs": micro_combine, "pagerank_fold": micro_fold}
 
 
@@ -190,6 +268,7 @@ def run_end_to_end() -> dict:
     us, vs, n = rmat_graph(E2E_SCALE, edge_factor=E2E_EDGE_FACTOR, seed=SEED)
     runs = {}
     values = {}
+    was = kernels.enabled()
     for label, flag in (("accel", True), ("reference", False)):
         kernels.set_enabled(flag)
         try:
@@ -200,7 +279,7 @@ def run_end_to_end() -> dict:
                 engine, PageRank(max_iters=E2E_PR_ITERS, tol=1e-15)
             )
         finally:
-            kernels.set_enabled(False)
+            kernels.set_enabled(was)
         runs[label] = {
             "backend": "c" if flag else "numpy",
             "ingest_wall_seconds": ingest_wall,
@@ -273,6 +352,7 @@ def run_experiment(smoke: bool = False) -> dict:
         "micro": run_micros(rows),
     }
     if not smoke:
+        payload["crossover"] = run_crossover()
         payload["end_to_end"] = run_end_to_end()
         payload["scenarios"] = run_scenarios()
         RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -294,6 +374,19 @@ def show(payload: dict) -> None:
             cell["speedup"],
         )
     table.show()
+    cross = payload.get("crossover")
+    if cross:
+        names = list(cross["table"])
+        table = Table(["n", *[f"{name} numpy/C us" for name in names]])
+        for cells in zip(*cross["table"].values()):
+            table.add_row(
+                cells[0]["n"], *[f"{c['numpy_us']:.1f} / {c['c_us']:.1f}" for c in cells]
+            )
+        table.show()
+        print(
+            f"[crossover] floors {cross['floors']} "
+            f"(kernels.MIN_FOLD = {kernels.MIN_FOLD})"
+        )
     e2e = payload.get("end_to_end")
     if e2e:
         acc = e2e["accel"]

@@ -68,23 +68,13 @@ def wang64(x: HashInput) -> HashInput:
     >>> out.dtype
     dtype('uint64')
     """
+    from repro import kernels
+
     key = _as_u64(x)
     if key.ndim == 1 and key.flags.c_contiguous:
-        from repro import kernels
-
-        fast = kernels.wang64_u64(key)
-        if fast is not None:
-            return _restore(fast, x)
-    key = key.copy()
-    with np.errstate(over="ignore"):
-        key = (~key) + (key << U64(21))
-        key ^= key >> U64(24)
-        key = (key + (key << U64(3))) + (key << U64(8))  # key * 265
-        key ^= key >> U64(14)
-        key = (key + (key << U64(2))) + (key << U64(4))  # key * 21
-        key ^= key >> U64(28)
-        key = key + (key << U64(31))
-    return _restore(key, x)
+        return _restore(kernels.wang64_u64(key), x)
+    # Scalars and the sketch's 2-d row batches stay off the kernel seam.
+    return _restore(kernels.reference.wang64_u64(key), x)
 
 
 def mult64(x: HashInput) -> HashInput:

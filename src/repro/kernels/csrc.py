@@ -1,11 +1,18 @@
 """Runtime-compiled C backend for the hot kernels.
 
-The container ships no numba/cython, so acceleration is a single C
-translation unit compiled on first use with the system ``cc`` into a
-shared library loaded via ``ctypes``.  Compilation is best-effort: any
-failure (no compiler, read-only tmp, exotic platform) leaves the
-backend unavailable and every caller falls back to the numpy reference
-path — behaviour, not just results, must be identical either way.
+The container ships no numba/cython, so the production backend is a
+single C translation unit compiled on first use with the system ``cc``
+into a shared library loaded via ``ctypes``.  Compilation is
+best-effort: any failure (no compiler, a cache directory this user does
+not own, read-only tmp, exotic platform) leaves the backend unavailable
+— :func:`build_error` says why — and every caller falls back to the
+numpy reference path; behaviour, not just results, must be identical
+either way.
+
+Every exported function takes raw data pointers (``c_void_p``): the
+wrappers in :mod:`repro.kernels` own the dtype, contiguity and length
+checks, and pass ``arr.ctypes.data`` of arrays they keep alive across
+the call.
 
 Determinism contract (see DESIGN.md §6j): every C kernel reproduces the
 numpy reference *bit for bit* on finite inputs.
@@ -34,12 +41,13 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import tempfile
 import threading
+from contextlib import suppress
+from shutil import which
 from typing import Optional
-
-import numpy as np
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -290,13 +298,6 @@ int repro_fold_pairs(const int64_t* dst, const double* val, int64_t n,
     free(d); free(v); free(sd); free(sv);
     return 0;
 }
-
-/* PageRank apply: out[i] = base + damping * agg[i].  Contraction is
- * off, so the multiply and add round separately, like numpy. */
-void repro_pr_apply(const double* agg, double* out, int64_t n,
-                    double base, double damping) {
-    for (int64_t i = 0; i < n; i++) out[i] = base + damping * agg[i];
-}
 """
 
 #: Compile command; -ffp-contract=off keeps float folds bit-identical
@@ -311,55 +312,67 @@ _build_error: Optional[str] = None
 
 def _compiler() -> Optional[str]:
     for cc in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if not cc:
-            continue
-        from shutil import which
-
-        if which(cc):
+        if cc and which(cc):
             return cc
     return None
 
 
-def _build() -> Optional[ctypes.CDLL]:
+def _cache_dir() -> str:
+    """The per-user directory the library is built in and loaded from.
+
+    A shared, predictable path would let another local user pre-create
+    it and plant a library, so anything but a real directory this user
+    owns and nobody else can write raises (and ``load`` falls back)."""
+    uid = os.getuid()
+    path = os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
+    with suppress(FileExistsError):
+        os.mkdir(path, 0o700)
+    st = os.lstat(path)
+    if not stat.S_ISDIR(st.st_mode) or st.st_uid != uid or st.st_mode & 0o022:
+        raise PermissionError(
+            f"kernel cache {path} must be a directory owned by uid {uid} and "
+            f"writable by nobody else (owner {st.st_uid}, mode {stat.filemode(st.st_mode)})"
+        )
+    return path
+
+
+def _build() -> ctypes.CDLL:
     cc = _compiler()
     if cc is None:
         raise RuntimeError("no C compiler on PATH")
     digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
-    libdir = os.path.join(tempfile.gettempdir(), "repro-kernels")
-    os.makedirs(libdir, exist_ok=True)
+    libdir = _cache_dir()
     libpath = os.path.join(libdir, f"repro_kernels_{digest}.so")
     if not os.path.exists(libpath):
         src = os.path.join(libdir, f"repro_kernels_{digest}.c")
         with open(src, "w") as fh:
             fh.write(C_SOURCE)
         tmp = libpath + f".tmp{os.getpid()}"
-        subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, src],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        os.replace(tmp, libpath)  # atomic: concurrent builders race safely
+        try:
+            done = subprocess.run(
+                [cc, *_CFLAGS, "-o", tmp, src], capture_output=True, timeout=120
+            )
+            if done.returncode:
+                raise RuntimeError(
+                    f"{cc} exited {done.returncode}: "
+                    f"{done.stderr.decode(errors='replace').strip()[-400:]}"
+                )
+            os.replace(tmp, libpath)  # atomic: concurrent builders race safely
+        finally:
+            with suppress(FileNotFoundError):  # a failed compile's leftover
+                os.unlink(tmp)
+    if os.stat(libpath).st_uid != os.getuid():
+        raise PermissionError(f"{libpath} is not owned by uid {os.getuid()}")
     lib = ctypes.CDLL(libpath)
-    i64, u64p, i64p, f64p, u8p = (
-        ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),
-    )
-    lib.repro_wang64.argtypes = [u64p, u64p, i64]
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.repro_wang64.argtypes = [ptr, ptr, i64]
     lib.repro_wang64.restype = None
     lib.repro_combine_pairs.argtypes = [
-        i64p, f64p, i64, ctypes.c_int, ctypes.c_double, i64p, f64p,
+        ptr, ptr, i64, ctypes.c_int, ctypes.c_double, ptr, ptr,
     ]
     lib.repro_combine_pairs.restype = ctypes.c_int64
-    lib.repro_fold_pairs.argtypes = [
-        i64p, f64p, i64, i64p, i64, ctypes.c_int, f64p, u8p,
-    ]
+    lib.repro_fold_pairs.argtypes = [ptr, ptr, i64, ptr, i64, ctypes.c_int, ptr, ptr]
     lib.repro_fold_pairs.restype = ctypes.c_int
-    lib.repro_pr_apply.argtypes = [f64p, f64p, i64, ctypes.c_double, ctypes.c_double]
-    lib.repro_pr_apply.restype = None
     return lib
 
 

@@ -1,8 +1,8 @@
 """Pure-numpy reference implementations — the determinism oracle.
 
 These are the *definitions* of what the C backend must reproduce bit
-for bit.  They are also the production path whenever acceleration is
-off or unavailable, so they must match the historical agent/dataplane
+for bit.  They are also the production path wherever the C library
+cannot be built, so they must match the historical agent/dataplane
 code exactly (same lexsort, same ``ufunc.at`` fold, same dtypes).
 """
 
@@ -16,20 +16,17 @@ U64 = np.uint64
 
 
 def wang64_u64(key: np.ndarray) -> np.ndarray:
-    """Thomas Wang's 64-bit mix over a uint64 array (pure numpy).
-
-    Identical, op for op, to :func:`repro.hashing.hashes.wang64`'s
-    core; kept here (on pre-converted uint64 input) so kernel parity
-    tests and microbenches can compare backends without the dtype
-    plumbing around the public hash entry point.
+    """Thomas Wang's 64-bit mix over a uint64 array (pure numpy) — the
+    one numpy spelling of it; :func:`repro.hashing.hashes.wang64` is
+    dtype plumbing around the dispatcher that falls back to this.
     """
     key = key.copy()
     with np.errstate(over="ignore"):
         key = (~key) + (key << U64(21))
         key ^= key >> U64(24)
-        key = (key + (key << U64(3))) + (key << U64(8))
+        key = (key + (key << U64(3))) + (key << U64(8))  # key * 265
         key ^= key >> U64(14)
-        key = (key + (key << U64(2))) + (key << U64(4))
+        key = (key + (key << U64(2))) + (key << U64(4))  # key * 21
         key ^= key >> U64(28)
         key = key + (key << U64(31))
     return key

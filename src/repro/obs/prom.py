@@ -200,6 +200,22 @@ def serving_families(clients) -> List[MetricFamily]:
     return families
 
 
+def kernels_backend_family() -> MetricFamily:
+    """Which kernel backend this process computes on; a numpy fallback
+    the machine forced (no compiler, failed build, foreign cache
+    directory) carries the build error as ``reason``."""
+    from repro import kernels
+
+    labels = {"backend": kernels.backend()}
+    reason = kernels.build_error()
+    if labels["backend"] == "numpy" and reason:
+        labels["reason"] = reason
+    return MetricFamily(
+        "elga_kernels_backend", "gauge",
+        "Kernel backend in use: the compiled C library or the numpy reference."
+    ).add(labels, 1)
+
+
 def engine_families(engine) -> List[MetricFamily]:
     """The full exposition for one :class:`~repro.core.engine.ElGA`.
 
@@ -222,6 +238,7 @@ def engine_families(engine) -> List[MetricFamily]:
         MetricFamily(
             "elga_sim_seconds", "gauge", "Current simulated time."
         ).add({}, cluster.kernel.now),
+        kernels_backend_family(),
     ]
     # collect_metrics() settled the simulator, so every leaver that
     # finished draining has detached and is counted as retired.

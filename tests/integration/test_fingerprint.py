@@ -22,15 +22,28 @@ changes (a different message, a different charge, a different round),
 never for a move or a rename.  Values themselves are compared ``==`` to
 a fault-free twin by the chaos and recovery suites and are not pinned
 here.
+
+The kernel backend is not part of the program: every scenario is pinned
+on the C library (where it builds) and again on the numpy reference,
+against the same constants.
 """
 
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.cluster.metrics import combine_metrics
 from repro.core import ElGA, PageRank, WCC
 from repro.gen import powerlaw_graph
 from repro.graph import EdgeBatch
+
+
+@pytest.fixture(autouse=True)
+def _on_the_c_backend():
+    was = kernels.enabled()
+    kernels.set_enabled(True)
+    yield
+    kernels.set_enabled(was)
 
 
 def _rounds(*counted):
@@ -298,3 +311,18 @@ def test_fingerprint_of_control_plane_failover():
         "rebalance_adoptions": stats.rebalance_adoptions,
     }
     _assert_pinned(seen, EXPECTED_FAILOVER)
+
+
+@pytest.mark.parametrize(
+    "pinned",
+    [
+        test_fingerprint_of_unbenchmarked_paths,
+        test_fingerprint_of_restart_recovery,
+        test_fingerprint_of_control_plane_failover,
+    ],
+    ids=["unbenchmarked_paths", "restart_recovery", "control_plane_failover"],
+)
+def test_fingerprints_hold_on_the_numpy_reference(pinned):
+    kernels.set_enabled(False)
+    pinned()
+    assert kernels.backend() == "numpy"

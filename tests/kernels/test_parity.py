@@ -154,19 +154,6 @@ def test_two_level_reduction_is_bit_identical(pairs, n_shards):
         assert np.array_equal(flat[1], two[1])
 
 
-@given(
-    agg=st.lists(safe_floats, max_size=300),
-    base=safe_floats,
-    damping=st.floats(min_value=0.01, max_value=0.99),
-)
-@settings(max_examples=60, deadline=None)
-def test_pagerank_apply_parity(agg, base, damping):
-    arr = np.array(agg, dtype=np.float64)
-    ref = reference.pagerank_apply(arr, base, damping)
-    acc = kernels.c_pagerank_apply(arr, base, damping)
-    assert np.array_equal(bits(ref), bits(acc))
-
-
 def test_fold_pairs_unhosted_destination_raises_in_both():
     ids = np.asarray([1, 2, 3], dtype=np.int64)
     dst = np.asarray([9], dtype=np.int64)

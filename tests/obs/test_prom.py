@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import kernels
 from repro.obs import MetricFamily, render
-from repro.obs.prom import agent_metric_families
+from repro.obs.prom import agent_metric_families, kernels_backend_family
 
 pytestmark = pytest.mark.obs
 
@@ -66,3 +67,27 @@ def test_engine_exposition_end_to_end(traced_run):
     # Every line is either a comment or "name[{labels}] value".
     for line in text.splitlines():
         assert line.startswith("#") or " " in line
+
+
+def test_exposition_names_the_kernel_backend(traced_run, monkeypatch):
+    elga, _, _ = traced_run
+    was = kernels.enabled()
+    try:
+        effective = kernels.set_enabled(True)
+        want = "c" if effective else "numpy"
+        assert f'elga_kernels_backend{{backend="{want}"' in elga.prometheus_text()
+        # A fallback the machine forced says why; a pinned reference
+        # (no build error) has nothing to explain.
+        kernels.set_enabled(False)
+        monkeypatch.setattr(kernels, "build_error", lambda: None)
+        assert kernels_backend_family().samples == [({"backend": "numpy"}, 1.0)]
+        monkeypatch.setattr(kernels, "build_error", lambda: "RuntimeError: no C compiler on PATH")
+        assert kernels_backend_family().samples == [
+            ({"backend": "numpy", "reason": "RuntimeError: no C compiler on PATH"}, 1.0)
+        ]
+        assert (
+            'elga_kernels_backend{backend="numpy",reason="RuntimeError: no C compiler on PATH"} 1'
+            in elga.prometheus_text()
+        )
+    finally:
+        kernels.set_enabled(was)
