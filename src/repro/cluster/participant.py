@@ -36,7 +36,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.bench.counters import PerfCounters
 from repro.cluster.config import ClusterConfig
 from repro.cluster.directory import DirectoryState
-from repro.hashing.ring import ConsistentHashRing
+from repro.hashing.ring import shared_ring
 from repro.net.message import Message, PacketType
 from repro.net.sockets import PushSocket, ReqRepSocket
 from repro.partition.cache import PlacementCache
@@ -57,22 +57,19 @@ _MAX_BACKOFF = 0.1
 def bind_placement(cache: PlacementCache, state: DirectoryState, config: ClusterConfig) -> None:
     """Point a participant's ``cache`` at ``state``.
 
-    The ring object is rebuilt only when the state's ring epoch moved:
-    a sketch flush, split registration or batch-clock tick reuses the
-    participant's ring and, through :meth:`PlacementCache.bind`, the
-    vertex → ring-owner memo that goes with it.
+    The ring is the one :func:`~repro.hashing.ring.shared_ring` keeps
+    for the state's members and weights: every participant that adopts
+    the same membership holds the same object, and a broadcast that
+    leaves the membership alone (sketch flush, split registration,
+    batch-clock tick, a successor lead's first state) hands back the
+    ring the participant already has.  What each participant remembers
+    *about* the ring — the vertex → ring-owner memo — stays its own and
+    survives, through :meth:`PlacementCache.bind`, for as long as the
+    state's ring epoch does.
     """
-    ring_epoch = state.ring_epoch
-    if cache.placer is not None and ring_epoch is not None and ring_epoch == cache.ring_epoch:
-        ring = cache.placer.ring
-    else:
-        ring = ConsistentHashRing(
-            state.agent_ids(),
-            virtual_factor=config.virtual_factor,
-            hash_fn=config.hash_fn,
-            seed=config.seed,
-            weights=state.weights,
-        )
+    ring = shared_ring(
+        state.agent_ids(), state.weights, config.virtual_factor, config.hash_fn, config.seed
+    )
     placer = EdgePlacer(
         ring,
         state.sketch,
@@ -80,7 +77,7 @@ def bind_placement(cache: PlacementCache, state: DirectoryState, config: Cluster
         hash_fn=config.hash_fn,
         split_gate=state.split_vertices,
     )
-    cache.bind(state.epoch_token, placer, ring_epoch=ring_epoch)
+    cache.bind(state.epoch_token, placer, ring_epoch=state.ring_epoch)
 
 
 class Participant(Entity):

@@ -14,7 +14,8 @@ owner — everything else stays put (tested property-based in
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -68,9 +69,15 @@ class ConsistentHashRing:
         self._positions = np.empty(0, dtype=np.uint64)
         self._owners = np.empty(0, dtype=np.int64)
         self._dirty = False
+        self._frozen = False
         weights = weights or {}
-        for m in members:
-            self._insert(int(m), weight=float(weights.get(int(m), 1.0)))
+        # One hash call for the whole membership, sliced per member.
+        ids = [int(m) for m in members]
+        raws = [self._raw_keys(m, float(weights.get(m, 1.0))) for m in ids]
+        if raws:
+            hashed = np.asarray(self.hash_fn(np.concatenate(raws)), dtype=np.uint64)
+            ends = np.cumsum([len(raw) for raw in raws])
+            self._members = dict(zip(ids, np.split(hashed, ends[:-1])))
         self._rebuild()
 
     # -- membership --------------------------------------------------------
@@ -98,6 +105,7 @@ class ConsistentHashRing:
         The rebalance planner leans on this to re-weight a live member
         in place.
         """
+        self._check_mutable()
         member_id = int(member_id)
         if member_id in self._members:
             del self._members[member_id]
@@ -107,6 +115,7 @@ class ConsistentHashRing:
 
     def remove(self, member_id: int) -> None:
         """Remove a member; raises KeyError if absent."""
+        self._check_mutable()
         del self._members[int(member_id)]
         self._weights.pop(int(member_id), None)
         self._dirty = True
@@ -115,8 +124,22 @@ class ConsistentHashRing:
         """The member's capacity weight (1.0 unless set at add time)."""
         return self._weights.get(int(member_id), 1.0)
 
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise TypeError(
+                "a ring from shared_ring() is shared by every participant that "
+                "asked for it and cannot change; construct a ConsistentHashRing "
+                "to get a mutable one"
+            )
+
     def _insert(self, member_id: int, weight: float = 1.0) -> None:
-        if member_id in self._members:
+        raw = self._raw_keys(member_id, weight)
+        self._members[member_id] = np.asarray(self.hash_fn(raw), dtype=np.uint64)
+
+    def _raw_keys(self, member_id: int, weight: float) -> np.ndarray:
+        """Validate a new member, record its weight and return the
+        un-hashed keys of its virtual positions."""
+        if member_id in self._weights:
             raise ValueError(f"member {member_id} already on the ring")
         if member_id < 0:
             raise ValueError(f"member ids must be non-negative, got {member_id}")
@@ -129,12 +152,11 @@ class ConsistentHashRing:
         self._weights[member_id] = weight
         vidx = np.arange(count, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            raw = (
+            return (
                 U64(member_id) * U64(0x100000001B3)
                 + vidx * U64(0x9E3779B97F4A7C15)
                 + U64(self.seed & 0xFFFFFFFFFFFFFFFF)
             )
-        self._members[member_id] = np.asarray(self.hash_fn(raw), dtype=np.uint64)
 
     def _rebuild(self) -> None:
         if not self._members:
@@ -309,3 +331,54 @@ class ConsistentHashRing:
         for owner, arc in zip(self._owners, arcs):
             out[int(owner)] = out.get(int(owner), 0.0) + arc / total
         return out
+
+
+#: Rings :func:`shared_ring` holds on to; the least recently asked-for
+#: one goes first.  A cluster needs the ring of its current membership
+#: and, while a scale event's broadcasts are in flight, the few before it.
+SHARED_RING_LIMIT = 32
+
+
+@lru_cache(maxsize=SHARED_RING_LIMIT)
+def _frozen_ring(ids: tuple, weights: tuple, virtual_factor: int, hash_fn: Callable, seed: int):
+    ring = ConsistentHashRing(ids, virtual_factor, hash_fn, seed, dict(zip(ids, weights)))
+    ring._frozen = True
+    return ring
+
+
+def shared_ring(
+    members: Iterable[int],
+    weights: Optional[Mapping[int, float]],
+    virtual_factor: int,
+    hash_fn: Callable,
+    seed: int,
+) -> ConsistentHashRing:
+    """*The* ring for these inputs: every caller in the process that
+    passes equal ones gets the same, immutable object.
+
+    A ring is a pure function of its member ids, their weights,
+    ``virtual_factor``, ``hash_fn`` and ``seed``, and every participant
+    of a cluster derives it from the same directory broadcast — so it is
+    built once per membership, not once per participant.  The hash
+    function is keyed by identity: swapping a ``HASH_FUNCTIONS`` entry
+    yields new rings.  ``add`` / ``remove`` on the result raise
+    ``TypeError``; construct a :class:`ConsistentHashRing` for a ring
+    that changes.
+
+    Examples
+    --------
+    >>> a = shared_ring([0, 1, 2], None, 50, wang64, 7)
+    >>> a is shared_ring([2, 1, 0], {1: 1.0}, 50, wang64, 7)
+    True
+    >>> a is shared_ring([0, 1, 2], {1: 2.0}, 50, wang64, 7)
+    False
+    """
+    ids = tuple(sorted(int(m) for m in members))
+    weights = weights or {}
+    return _frozen_ring(
+        ids,
+        tuple(float(weights.get(m, 1.0)) for m in ids),
+        int(virtual_factor),
+        hash_fn,
+        int(seed),
+    )

@@ -99,11 +99,6 @@ class PlacementCache:
         return self._epoch
 
     @property
-    def ring_epoch(self):
-        """The ring epoch the ring tier (and the ring itself) is valid for."""
-        return self._ring_epoch
-
-    @property
     def placer(self) -> Optional[EdgePlacer]:
         """The wrapped (uncached) placer."""
         return self._placer

@@ -145,3 +145,104 @@ def test_membership_change_rechecks_every_resident_row_once():
         assert rows - before[aid][0] == resident[aid]
         assert skipped == before[aid][1]
     assert elga.validate_against_reference()
+
+
+# ---------------------------------------------------------------------------
+# one ring per membership, shared by every participant that adopts it
+# ---------------------------------------------------------------------------
+
+
+def participants(cluster):
+    return [*cluster.agents.values(), *cluster.streamers, *cluster.clients]
+
+
+def the_ring(cluster):
+    """The one ring object every participant of ``cluster`` holds."""
+    everyone = participants(cluster)
+    assert {type(p).__name__ for p in everyone} == {"Agent", "Streamer", "ClientProxy"}
+    rings = {id(p.placer.ring): p.placer.ring for p in everyone}
+    assert len(rings) == 1, "participants of one membership must share one ring"
+    (ring,) = rings.values()
+    state = cluster.lead.state
+    assert ring.members() == state.agent_ids()
+    assert [ring.weight_of(a) for a in ring.members()] == [
+        state.weights.get(a, 1.0) for a in ring.members()
+    ]
+    return ring
+
+
+def test_scale_to_hands_every_participant_the_same_new_ring():
+    elga = build()
+    elga.cluster.new_client()
+    elga.cluster.settle()
+    before = the_ring(elga.cluster)
+    elga.scale_to(7)
+    after = the_ring(elga.cluster)
+    assert after is not before
+    assert len(after) == 7 and len(before) == 4, "the old ring is not updated in place"
+    with pytest.raises(TypeError):
+        after.add(99)
+    assert elga.validate_against_reference()
+
+
+def test_weights_only_adoption_is_a_different_ring():
+    elga = build()
+    elga.cluster.new_client()
+    elga.cluster.settle()
+    before = the_ring(elga.cluster)
+    elga.cluster.rebalance({1: 2.0})
+    after = the_ring(elga.cluster)
+    assert after is not before
+    assert after.members() == before.members()
+    assert (before.weight_of(1), after.weight_of(1)) == (1.0, 2.0)
+    assert elga.validate_against_reference()
+
+
+@pytest.mark.ctrlplane
+def test_lead_failover_over_unchanged_membership_keeps_the_ring():
+    from repro.core import PageRank
+
+    elga = ElGA(
+        nodes=2, agents_per_node=2, seed=11, n_directories=3, dir_lease_interval=2e-3,
+        dir_lease_timeout=6e-3, heartbeat_interval=0.005, lease_timeout=0.025,
+        checkpoint_every=2,
+    )
+    rng = np.random.default_rng(11)
+    us, vs = rng.integers(0, 300, 600), rng.integers(0, 300, 600)
+    keep = us != vs
+    elga.ingest_edges(us[keep], vs[keep])
+    cluster = elga.cluster
+    rings = {aid: a.placer.ring for aid, a in cluster.agents.items()}
+    elga.run(PageRank(max_iters=6), crash_plan={3: {"lead": True}})
+    assert cluster.lead.term == 1
+    # The next run start re-homes the dead lead's agents, and its first
+    # broadcast carries the successor's term to everyone.
+    elga.run(PageRank(max_iters=2))
+    for aid, agent in cluster.agents.items():
+        assert agent.dstate.term == 1, "the successor's state must have been adopted"
+        assert agent.placer.ring is rings[aid]
+
+
+def test_scale_event_builds_at_most_one_ring_per_membership(monkeypatch):
+    from repro.hashing.ring import ConsistentHashRing
+
+    elga = ElGA(nodes=4, agents_per_node=4, seed=11)
+    rng = np.random.default_rng(11)
+    elga.ingest_edges(rng.integers(0, 300, 600), rng.integers(300, 600, 600))
+    elga.cluster.new_client()
+    elga.cluster.settle()
+    built = []
+    init = ConsistentHashRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(tuple(self.members()))
+
+    monkeypatch.setattr(ConsistentHashRing, "__init__", counting_init)
+    elga.scale_to(24)
+    # Eight joins publish at most eight memberships; 18 to 26
+    # participants adopt each of them.
+    assert 1 <= len(built) <= 8
+    assert len(set(built)) == len(built)
+    assert built[-1] == tuple(range(24))
+    assert len(the_ring(elga.cluster)) == 24

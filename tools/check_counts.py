@@ -13,6 +13,7 @@ and says why in CHANGES.md.
 
 import json
 import math
+import os
 import sys
 
 
@@ -37,7 +38,15 @@ def same(a, b) -> bool:
 
 def main(argv) -> int:
     update = "--update" in argv
-    baseline_path, *out_paths = [a for a in argv if a != "--update"]
+    paths = [a for a in argv if a != "--update"]
+    if len(paths) < 2 or any(a.startswith("-") for a in paths):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    missing = [path for path in paths if not os.path.isfile(path)]
+    if missing:
+        print(f"check_counts: no such file: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    baseline_path, *out_paths = paths
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     moved = 0
