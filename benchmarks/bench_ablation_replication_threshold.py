@@ -9,7 +9,6 @@ overhead.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import dataset_edges
 from repro.bench import Table, print_experiment_header

@@ -11,7 +11,6 @@ exactly what elasticity needs to minimize.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import dataset_edges
 from repro.bench import Table, print_experiment_header

@@ -7,7 +7,6 @@ ratio between ElGA's and Blogel's runtimes remain consistent" as the
 synthetic graphs scale — A-BTER replicas are valid performance proxies.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.common import dataset_edges, elga_pr_iter_seconds

@@ -8,10 +8,9 @@ quality of the edge distributions".
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import dataset_edges, elga_pr_iter_seconds
-from repro.bench import Series, Table, print_experiment_header
+from repro.bench import Table, print_experiment_header
 from repro.hashing import HASH_FUNCTIONS, ConsistentHashRing
 from repro.partition import EdgePlacer, edge_loads, imbalance_factor
 from repro.sketch import CountMinSketch

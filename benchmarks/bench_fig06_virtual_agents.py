@@ -8,7 +8,6 @@ system default of 100.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import dataset_edges
 from repro.bench import Table, print_experiment_header

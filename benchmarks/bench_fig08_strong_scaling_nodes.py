@@ -7,9 +7,6 @@ for memory reasons — a constraint the simulator does not share, so all
 points run here).
 """
 
-import numpy as np
-import pytest
-
 from benchmarks.common import N_TRIALS, dataset_edges, elga_pr_iter_seconds
 from repro.bench import Series, print_experiment_header, trials
 

@@ -5,9 +5,6 @@ The paper's finding: "adding more Agents results in faster runtimes" —
 ElGA profits from every core (unlike Blogel, fastest at 8 ranks/node).
 """
 
-import numpy as np
-import pytest
-
 from benchmarks.common import N_TRIALS, dataset_edges, elga_pr_iter_seconds
 from repro.bench import Series, print_experiment_header, trials
 

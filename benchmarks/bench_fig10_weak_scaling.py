@@ -7,9 +7,6 @@ the ideal line (little communication); "above 16 nodes our scaling is
 close to ideal".
 """
 
-import numpy as np
-import pytest
-
 from benchmarks.common import dataset_edges, elga_pr_iter_seconds
 from repro.bench import Series, print_experiment_header
 

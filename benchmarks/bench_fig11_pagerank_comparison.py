@@ -12,7 +12,6 @@ rank count is swept and the fastest kept.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import COMPARISON_DATASETS, N_TRIALS, dataset_edges
 from repro.baselines import Blogel, GraphX, graphx_would_oom

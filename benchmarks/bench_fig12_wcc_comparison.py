@@ -8,7 +8,6 @@ partitioning ran out of memory on almost all graphs.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import COMPARISON_DATASETS, N_TRIALS, build_engine, dataset_edges
 from repro.baselines import Blogel, GraphX, graphx_would_oom

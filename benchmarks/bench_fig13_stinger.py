@@ -15,7 +15,6 @@ static shared-memory COST yardstick — recomputes LiveJournal in ~0.94 s.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import dataset_edges
 from repro.baselines import Stinger, gapbs_wcc

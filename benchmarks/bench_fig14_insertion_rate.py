@@ -5,9 +5,6 @@ paper measures above 2 M edges/s/Agent with near-linear scaling (the
 dashed ideal line).
 """
 
-import numpy as np
-import pytest
-
 from benchmarks.common import N_TRIALS, dataset_edges
 from repro.bench import Series, print_experiment_header, trials
 from repro.core import ElGA

@@ -9,7 +9,6 @@ counts stay small for small batches.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import dataset_edges
 from repro.baselines import GraphX

@@ -8,7 +8,6 @@ without incurring significant overheads".
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import build_engine, dataset_edges
 from repro.bench import Table, print_experiment_header

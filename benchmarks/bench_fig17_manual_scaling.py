@@ -8,7 +8,6 @@ faster iterations after the scale-up.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import build_engine, dataset_edges
 from repro.bench import Series, print_experiment_header
@@ -48,7 +47,6 @@ def test_fig17_manual_scaling(benchmark):
     assert result.steps == ITERATIONS
     # Iterations on the scaled-up cluster are faster than before.
     steps = [(step, dur) for phase, step, dur in result.round_durations if phase == "step"]
-    before = np.mean([d for s_, d in steps if s_ <= 1]) if any(s_ <= 1 for s_, _ in steps) else None
     early = [d for phase, s_, d in result.round_durations if phase in ("init", "step") and s_ <= 1]
     late = [d for s_, d in steps if s_ >= 3]
     assert np.mean(late) < np.mean(early)

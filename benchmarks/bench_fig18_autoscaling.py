@@ -9,7 +9,6 @@ the load" (the target and actual lines mostly overlap).
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import build_engine, dataset_edges
 from repro.bench import Series, print_experiment_header

@@ -36,10 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-try:
-    from benchmarks.common import timed_run
-except ModuleNotFoundError:  # script mode: sys.path[0] is benchmarks/
-    from common import timed_run
 from repro import kernels
 from repro.bench import Table, print_experiment_header
 from repro.core import ElGA, PageRank
@@ -47,6 +43,11 @@ from repro.core.algorithms import KCore, LabelPropagation
 from repro.gen.rmat import rmat_graph
 from repro.kernels import reference
 from repro.sketch.triangles import triangle_count_exact, triangle_count_sketch
+
+try:
+    from benchmarks.common import timed_run
+except ModuleNotFoundError:  # script mode: sys.path[0] is benchmarks/
+    from common import timed_run
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from repro.bench import Table, print_experiment_header
 from repro.hashing import ConsistentHashRing
-from repro.hashing.hashes import as_u64_keys, wang64
+from repro.hashing.hashes import as_u64_keys
 from repro.partition import EdgePlacer, PlacementCache
-from repro.partition.placer import _LEVEL2_SALT, _rendezvous_pick
+from repro.partition.placer import _rendezvous_pick
 from repro.sketch import CountMinSketch
 
 N_EDGES = 120_000

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import gc
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core import ElGA, PageRank, WCC
+from repro.core import ElGA, PageRank
 from repro.core.superstep import RunResult
 from repro.gen import load_dataset
 

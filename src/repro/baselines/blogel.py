@@ -23,8 +23,8 @@ rank's compute plus communication plus the allreduce term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -138,11 +138,9 @@ class Blogel:
         costs = self.costs
         if edge_mask is None:
             active_src_rank = self.edge_rank
-            active_us = self.us
             active_vs = self.vs
         else:
             active_src_rank = self.edge_rank[edge_mask]
-            active_us = self.us[edge_mask]
             active_vs = self.vs[edge_mask]
             dst_rank = dst_rank[edge_mask]
         edges_per_rank = np.bincount(active_src_rank, minlength=self.ranks)

@@ -24,7 +24,7 @@ enforces that.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set
 
 import numpy as np
 

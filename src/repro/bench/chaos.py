@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.net.faults import CrashEvent, FaultPlan, PartitionWindow
+from repro.net.faults import CrashEvent, FaultPlan
 from repro.net.message import Message, PacketType
 
 

@@ -8,7 +8,7 @@ aligned tables with confidence intervals.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.bench.stats import TrialStats
 

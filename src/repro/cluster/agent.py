@@ -940,15 +940,15 @@ class Agent(RoundMixin, Participant):
     def _on_recover(self, payload: dict) -> None:
         """Cluster-wide recovery directive, broadcast after an eviction.
 
-        ``mode`` is decided by the engine from durable checkpoint
-        coverage:
+        ``mode`` is decided by the run controller from durable
+        checkpoint coverage:
 
         * ``rollback`` — restore persisted values from the common
-          checkpoint step and suspend; the engine resumes the barrier at
+          checkpoint step and suspend; the controller resumes the barrier at
           that step once the replacement has joined and migration has
           quiesced.
         * ``restart`` — no usable common checkpoint (WAL-only
-          degradation): drop the run entirely; the engine re-issues
+          degradation): drop the run entirely; the controller re-issues
           RUN_START and the algorithm re-runs from pre-run state.
         """
         incarnation = int(payload["incarnation"])

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.bench.counters import PerfCounters
 from repro.cluster.agent import Agent
 from repro.cluster.client import ClientProxy
@@ -23,7 +21,6 @@ from repro.cluster.metrics import combine_metrics
 from repro.cluster.recovery import RecoveryStore
 from repro.cluster.streamer import Streamer
 from repro.graph.stream import EdgeBatch
-from repro.net.message import PacketType
 from repro.net.network import Network
 from repro.sim.kernel import SimKernel
 from repro.sim.random import entity_rng
@@ -74,10 +71,9 @@ class ElGACluster:
             d.directory_addresses = dict(addresses)
             d.on_lead_change = self._on_lead_change
         # Control-plane failover: which directory currently holds the
-        # lead term, plus the engine hooks to re-install on a successor.
+        # lead term, plus the run controller to re-install on a successor.
         self._lead_index = 0
         self._run_controller_ref = None
-        self._on_eviction_ref = None
 
         self.agents: Dict[int, Agent] = {}
         self._departing: List[Agent] = []
@@ -124,8 +120,9 @@ class ElGACluster:
         the operation that pays for the succession (the lowest-index
         live directory takes the term, and the election callback
         repoints the index).  With failover off there is no successor,
-        and mid-run the election belongs to the timers (the engine's
-        waits hold on :meth:`consistent` until it lands): both raise.
+        and mid-run the election belongs to the timers (the run
+        controller's waits hold on :meth:`consistent` until it lands):
+        both raise.
         """
         lead = self.directories[self._lead_index]
         if not self.network.is_attached(lead.address):
@@ -149,10 +146,10 @@ class ElGACluster:
         return live[index % len(live)]
 
     def _on_lead_change(self, directory: Directory) -> None:
-        """Election callback: repoint ``lead`` and re-install hooks."""
+        """Election callback: repoint ``lead`` and re-install the run
+        controller."""
         self._lead_index = directory.index
         directory.run_controller = self._run_controller_ref
-        directory.on_eviction = self._on_eviction_ref
         self.recovery_log.append(
             {
                 "event": "lead_elected",
@@ -162,16 +159,14 @@ class ElGACluster:
             }
         )
 
-    def install_run_controller(self, controller, on_eviction=None) -> None:
-        """Install the engine's barrier hooks on the current lead.
+    def install_run_controller(self, controller) -> None:
+        """Install a sync run's controller on the current lead, which
+        hands it every completed barrier and every eviction.
 
-        The cluster keeps the references so an elected successor gets
-        them re-installed before any barrier can complete under its
-        term."""
+        The cluster keeps the reference so an elected successor gets it
+        re-installed before any barrier can complete under its term."""
         self._run_controller_ref = controller
-        self._on_eviction_ref = on_eviction
         self.lead.run_controller = controller
-        self.lead.on_eviction = on_eviction
 
     def uninstall_run_controller(self) -> None:
         self.install_run_controller(None)
@@ -431,7 +426,7 @@ class ElGACluster:
         misplaced edges over the existing EDGE_MIGRATE path.  With
         ``settle`` the call returns only once migration traffic has
         drained; pass ``settle=False`` mid-run and poll
-        :meth:`consistent` instead (the engine's suspension hook does).
+        :meth:`consistent` instead (the run controller's reshape does).
         """
         self.lead.adopt_rebalance(weights)
         if settle:

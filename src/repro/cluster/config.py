@@ -88,16 +88,6 @@ class ClusterConfig:
         synchronous run.  ``0`` disables checkpointing; a crash then
         degrades to WAL-only recovery (the run restarts from persisted
         pre-run state instead of rolling back to a mid-run barrier).
-    combining:
-        Sender-side message combining (§3.4: aggregators are
-        commutative/associative precisely so replicas can
-        pre-aggregate): perform the first level of the canonical
-        reduction on the *sender* before the round's packet ships, so
-        one value per destination vertex crosses the fabric.  Off, the
-        receiver folds the identical packet contents in the identical
-        order, so results are bit-identical either way — which is why
-        the off setting stays: it is the reference the bit-identity
-        tests compare against.
     tracing:
         Attach a :class:`~repro.obs.trace.Tracer` to the fabric:
         every entity records spans (superstep compute, flush, barrier
@@ -167,7 +157,6 @@ class ClusterConfig:
     heartbeat_interval: float = 0.0
     lease_timeout: float = 0.025
     checkpoint_every: int = 0
-    combining: bool = True
     tracing: bool = False
     serving_coalesce_window: float = 2e-5
     serving_cache_ttl: float = 5e-3

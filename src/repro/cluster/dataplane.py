@@ -10,10 +10,11 @@ data plane builds on:
   (dst, val)-lexicographic order, via ``ufunc.at``.  Because the fold
   order is a pure function of the batch *contents*, the result is
   bit-identical no matter where it runs — on the sender before the
-  packet ships (combining on) or on the receiver when the packet
-  arrives (combining off).  ``ufunc.at`` is deliberate: ``reduceat`` /
-  ``ufunc.reduce`` use pairwise summation whose tree shape depends on
-  segment lengths, which would break bit-equality between paths.
+  packet ships (the data plane) or on the receiver when the packet
+  arrives (the uncombined reference the bit-identity tests build).
+  ``ufunc.at`` is deliberate: ``reduceat`` / ``ufunc.reduce`` use
+  pairwise summation whose tree shape depends on segment lengths,
+  which would break bit-equality between paths.
 
 * :class:`RoundBuffers` — per-(destination agent, packet type) buffers
   that merge every data-plane emission of one superstep round into a

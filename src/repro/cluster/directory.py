@@ -252,16 +252,15 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
         # their own subscribers (client proxies), whose result caches
         # fence entries on the version they were filled under.
         self.result_versions: Dict[str, int] = {}
-        # Engine hook: called by the lead as run_controller(round, step,
-        # stats) when all agents report ready.  Returns the next
-        # SUPERSTEP_ADVANCE payload, or None to hold the barrier (used
-        # for mid-run elastic scaling).
-        self.run_controller: Optional[Callable[[int, int, dict], Optional[dict]]] = None
+        # The sync run's SyncRunController, installed on the lead for
+        # the run: called as run_controller(round, step, stats) when all
+        # agents report ready (returns the next SUPERSTEP_ADVANCE
+        # payload, or None to hold the barrier while a reshape lands),
+        # and handed every eviction as run_controller.on_evicted(id).
+        self.run_controller = None
         # Failure detection: suspicion is arbitrated by the master
-        # (whose address the cluster wires in) before eviction, which
-        # hands the engine the recovery.
+        # (whose address the cluster wires in) before eviction.
         self.master_address: Optional[int] = None
-        self.on_eviction: Optional[Callable[[int], None]] = None
         # Control-plane fault tolerance.  ``term`` is the monotone
         # election counter fencing all directory-originated traffic.
         # ``directory_addresses`` maps every directory index to its
@@ -545,8 +544,8 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
         if lead.recovering:
             # An eviction shrank membership mid-round; letting the stale
             # bucket auto-complete would advance the barrier under the
-            # engine's feet.  READYs for the recovered run restart from
-            # the resume (or re-issued RUN_START) round.
+            # run controller's feet.  READYs for the recovered run
+            # restart from the resume (or re-issued RUN_START) round.
             return
         payload = message.payload
         round_id = int(payload["round"])

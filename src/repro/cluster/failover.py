@@ -53,7 +53,6 @@ class FailoverMixin:
         late lead-bound message find a peer, not stale buckets."""
         self.lead_state = None
         self.run_controller = None
-        self.on_eviction = None
         self.peers = [new_lead]
         self._trace("step_down", "control", term=self.term)
 
@@ -206,8 +205,8 @@ class FailoverMixin:
             if idx != self.index and self.network.is_attached(addr)
         ]
         if self.on_lead_change is not None:
-            # The cluster re-installs the engine's controller hooks and
-            # repoints ``cluster.lead`` before any barrier can complete.
+            # The cluster re-installs the run controller and repoints
+            # ``cluster.lead`` before any barrier can complete.
             self.on_lead_change(self)
         self._reseed_leases()
         # Re-announce result versions past the mirror.  The dead lead

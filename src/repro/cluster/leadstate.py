@@ -101,7 +101,7 @@ class LeadState:
     #: lease-timeout so arbitration survives master loss.
     suspected: Dict[int, float]
     #: While set the barrier is held shut: no READY bucket may complete
-    #: until the engine finishes reshaping the run.
+    #: until the run controller finishes reshaping the run.
     recovering: bool
 
     @classmethod
@@ -140,7 +140,7 @@ class LeadState:
             sketch_version=int(sketch_version),
             ready_done=tail.ready_done,
             # If the old lead died mid-recovery the barrier stays shut
-            # until the engine's resume reopens it; the control-tail
+            # until the run controller's resume reopens it; the control-tail
             # re-broadcast lets agents that missed the RECOVER catch up.
             recovering=tail.ctrl is not None and tail.ctrl[0] == PacketType.RECOVER,
         )

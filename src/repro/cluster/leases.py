@@ -4,7 +4,8 @@ Agents heartbeat their Directory while a synchronous run is live; the
 lead keeps a lease per member, suspects one whose lease lapsed, and
 evicts it only on the DirectoryMaster's verdict (the master probes the
 endpoint, protecting slow-but-alive agents).  Eviction holds the barrier
-shut and hands the engine the recovery (``on_eviction``).
+shut and hands the recovery to the run's controller
+(``run_controller.on_evicted``).
 
 Mixed into :class:`~repro.cluster.directory.Directory` only: the lease
 tick is a bound method of the directory that scheduled it.
@@ -117,8 +118,8 @@ class LeaseMixin:
         # auto-complete against the smaller set.
         lead.hold_barrier()
         self._publish(agents, membership=True)
-        if self.on_eviction is not None:
-            self.on_eviction(agent_id)
+        if self.run_controller is not None:
+            self.run_controller.on_evicted(agent_id)
 
     def broadcast_recover(self, payload: dict) -> None:
         """Broadcast a RECOVER directive to every agent (lead only)."""

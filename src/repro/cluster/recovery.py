@@ -84,7 +84,6 @@ class EdgeWAL:
 
     def __init__(self) -> None:
         self._records: List[WALRecord] = []
-        self.records_logged = 0
 
     def append(
         self,
@@ -93,11 +92,9 @@ class EdgeWAL:
         sketched: bool,
         state: Optional[Dict[str, StateSlice]] = None,
     ) -> None:
-        n_rows = len(rows[0])
-        if not n_rows and not state:
+        if not len(rows[0]) and not state:
             return
         self._records.append(WALRecord(role, rows, sketched, state))
-        self.records_logged += n_rows
 
     def truncate(self) -> None:
         """Drop all records (a checkpoint now covers them)."""
@@ -159,7 +156,6 @@ class CheckpointStore:
         # run instead of rolling back (mid-run checkpoints overwrite
         # ``latest`` with partially-converged values).
         self.pre_run: Optional[Checkpoint] = None
-        self.checkpoints_taken = 0
 
     def save(self, checkpoint: Checkpoint) -> None:
         if checkpoint.run_id is not None and (
@@ -169,7 +165,6 @@ class CheckpointStore:
         self.latest = checkpoint
         if checkpoint.run_id is not None:
             self.value_checkpoints[(checkpoint.run_id, checkpoint.step)] = checkpoint
-        self.checkpoints_taken += 1
 
     def checkpoint_for(self, run_id: int, step: int) -> Optional[Checkpoint]:
         return self.value_checkpoints.get((run_id, step))
@@ -207,9 +202,6 @@ class RecoveryStore:
         if agent_id not in self._slots:
             self._slots[agent_id] = AgentRecoverySlot()
         return self._slots[agent_id]
-
-    def forget(self, agent_id: int) -> None:
-        self._slots.pop(agent_id, None)
 
     def prune_run(self, run_id: int) -> None:
         """Drop every agent's per-step checkpoints for a finished run."""

@@ -553,24 +553,17 @@ class RoundMixin:
     def _aggregate(self, payload: dict) -> None:
         """Buffer one message batch for this round.
 
-        A batch is exactly one sender's full round emission, and holds
-        level 1 of the canonical reduction: one partial per destination
-        vertex, folded in (dst, val)-sorted order via ``combine_pairs``,
-        so peak buffer memory is O(unique dst) instead of O(pairs).
-        Combined packets (``combining`` on, cluster-wide config) arrive
-        already reduced; with it off — the reference the bit-identity
-        tests compare against — the same fold runs here, on identical
-        contents in identical order.  Either way the accumulator floats
-        are the same whether the fabric delivered in order, out of
-        order, or via chaos-delayed retries.
+        A batch is exactly one sender's full round emission, already
+        reduced by its sender to level 1 of the canonical reduction
+        (:meth:`_combine`): one partial per destination vertex, so peak
+        buffer memory is O(unique dst) instead of O(pairs), and the
+        accumulator floats are the same whether the fabric delivered in
+        order, out of order, or via chaos-delayed retries.
         """
-        run = self.run
         dst = np.asarray(payload["dst"], dtype=np.int64)
         val = np.asarray(payload["val"], dtype=np.float64)
         self.charge(self.config.costs.elga_vertex_op * len(dst))
-        if not self.config.combining and len(dst):
-            dst, val = combine_pairs(dst, val, run.program.ufunc, run.program.identity)
-        run.pending_msgs.append((dst, val))
+        self.run.pending_msgs.append((dst, val))
 
     #: The data-plane packet types of a round -> ingest of one due
     #: payload.
@@ -654,23 +647,27 @@ class RoundMixin:
             self._send_data(agent_id, PacketType.REPLICA_VALUE, payload)
         if run.expected_values or not buffers.pending(PacketType.VERTEX_MSG):
             return
-        costs = self.config.costs
-        program = run.program
         for agent_id, n_emits, payload in buffers.drain_vertex_msgs(run.step, run.round):
             self.metrics.packets_coalesced += n_emits - 1
-            if self.config.combining:
-                pairs_in = len(payload["dst"])
-                payload["dst"], payload["val"] = combine_pairs(
-                    payload["dst"], payload["val"], program.ufunc, program.identity
-                )
-                self.charge(costs.combine_cost(pairs_in))
-                self.perf.add("combine_pairs_in", pairs_in)
-                self.perf.add("combine_pairs_out", len(payload["dst"]))
-                self.metrics.pairs_combined += pairs_in - len(payload["dst"])
+            self._combine(run.program, payload)
             if agent_id == self.agent_id:
                 self._aggregate(payload)
             else:
                 self._send_data(agent_id, PacketType.VERTEX_MSG, payload)
+
+    def _combine(self, program, payload: dict) -> None:
+        """Sender-side combining (§3.4: aggregators are commutative and
+        associative precisely so replicas can pre-aggregate): fold a
+        coalesced VERTEX_MSG packet to one partial per destination in
+        (dst, val)-sorted order via ``combine_pairs`` before it ships."""
+        pairs_in = len(payload["dst"])
+        payload["dst"], payload["val"] = combine_pairs(
+            payload["dst"], payload["val"], program.ufunc, program.identity
+        )
+        self.charge(self.config.costs.combine_cost(pairs_in))
+        self.perf.add("combine_pairs_in", pairs_in)
+        self.perf.add("combine_pairs_out", len(payload["dst"]))
+        self.metrics.pairs_combined += pairs_in - len(payload["dst"])
 
     def _send_data(self, agent_id: int, ptype: PacketType, payload: dict) -> None:
         payload["inc"] = self._data_inc

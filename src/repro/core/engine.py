@@ -20,21 +20,17 @@ True
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
 from repro.cluster.cluster import ElGACluster, sorted_agents
 from repro.cluster.config import ClusterConfig
 from repro.core.program import RunSpec, VertexProgram
-from repro.core.superstep import RunResult, SyncRunController
+from repro.core.superstep import RunResult, SyncRunController, step_plan
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.stream import EdgeBatch, REMOVE
-
-#: Simulated seconds after an injected master crash before the master is
-#: restarted (the operator's MTTR in the simulation).
-MASTER_RESTART_DELAY = 5e-3
+from repro.net.message import PacketType
 
 
 class ElGA:
@@ -91,12 +87,6 @@ class ElGA:
         self._global_n_cache: Optional[tuple] = None
         self._program_meta: Dict[str, dict] = {}
         self.ingest_reports: List[dict] = []
-        self._active_controller: Optional[SyncRunController] = None
-        # Recovery-mode bookkeeping for the current sync run: who was a
-        # member when it started, and whether a mid-run elastic scale
-        # already reshaped membership (which invalidates rollback).
-        self._run_members: Set[int] = set()
-        self._scaled_mid_run = False
         # High-water mark (spans, events) into the trace consumed by
         # maybe_rebalance.  Round ids reset per run, so TraceSummary
         # rows from successive runs merge; planning from the cumulative
@@ -295,7 +285,7 @@ class ElGA:
             False) fires shortly after the barrier for that superstep
             completes, crashing ``n`` agents (no drain), the lead
             Directory and/or the DirectoryMaster (the master is
-            restarted after ``MASTER_RESTART_DELAY``).  Agent
+            restarted after ``superstep.MASTER_RESTART_DELAY``).  Agent
             detection and recovery run through the normal
             heartbeat/checkpoint machinery (requires
             ``heartbeat_interval > 0``); a lead crash requires directory
@@ -310,6 +300,12 @@ class ElGA:
             epoch-bumping; misplaced edges re-home over EDGE_MIGRATE
             before the run resumes.  Sync mode only.
 
+        The three plans merge into one ``{superstep: events}`` plan
+        (:func:`~repro.core.superstep.step_plan`) that the run's
+        :class:`~repro.core.superstep.SyncRunController` pops once per
+        superstep; a plan that could never fire raises here, before
+        anything runs.
+
         Notes
         -----
         How an incremental run executes is resolved per program (see
@@ -320,6 +316,7 @@ class ElGA:
         undoable territory [31]; as in the paper's experiments, a batch
         containing deletions forces a full recompute.
         """
+        plan = step_plan(mode, self.config, scale_plan, crash_plan, rebalance_plan)
         strategy = "scratch"
         if incremental:
             strategy = self._resolve_strategy(program, activate)
@@ -344,281 +341,63 @@ class ElGA:
             # Agents whose home directory died since the last run could
             # not hear RUN_START; the barrier would wait on them forever.
             self.cluster.settle()
-        if mode == "async":
-            if crash_plan:
-                raise ValueError("crash_plan requires synchronous mode")
-            if rebalance_plan:
-                raise ValueError("rebalance_plan requires synchronous mode")
-            result = self._run_async(spec)
-        elif mode != "sync":
-            raise ValueError(f"unknown mode {mode!r}")
+        kernel = self.cluster.kernel
+        start = kernel.now
+        steps, rounds, stats = None, [], []
+        if mode == "sync":
+            controller = self._run_sync(spec, plan)
+            spec, steps = controller.spec, controller.final_step
+            rounds, stats = controller.round_durations, controller.stats_history
+        elif mode == "async":
+            self._run_async(spec)
         else:
-            result = self._run_sync(spec, scale_plan, crash_plan, rebalance_plan)
+            raise ValueError(f"unknown mode {mode!r}")
+        tracer = self.tracer
+        if tracer is not None:
+            args = {"run_id": spec.run_id, "mode": mode}
+            if steps is not None:
+                args["steps"] = steps
+            tracer.complete("engine", f"run:{program.name}", "run", start, kernel.now, args)
+        result = RunResult(
+            program_name=program.name,
+            run_id=spec.run_id,
+            mode=mode,
+            values=self._collect(program.name),
+            steps=steps,
+            sim_seconds=kernel.now - start,
+            round_durations=rounds,
+            stats_history=stats,
+            strategy=spec.strategy,
+        )
         self._record_program_meta(program.name)
         return result
 
-    def _run_sync(
-        self,
-        spec: RunSpec,
-        scale_plan: Optional[Dict[int, int]],
-        crash_plan: Optional[Dict[int, dict]] = None,
-        rebalance_plan: Optional[Dict[int, Dict[int, float]]] = None,
-    ) -> RunResult:
-        if crash_plan:
-            if not all(isinstance(e, dict) for e in crash_plan.values()):
-                raise TypeError(
-                    'crash_plan entries must be {"agents": n, "lead": bool, '
-                    '"master": bool} dicts'
-                )
-            if any(e.get("agents", 0) > 0 for e in crash_plan.values()) and (
-                self.config.heartbeat_interval <= 0
-            ):
-                raise ValueError(
-                    "crash_plan needs failure detection: set heartbeat_interval > 0"
-                )
-            if any(e.get("lead") for e in crash_plan.values()) and (
-                self.config.dir_lease_interval <= 0 or self.config.n_directories < 2
-            ):
-                raise ValueError(
-                    "a lead-directory crash needs failover: set "
-                    "dir_lease_interval > 0 and n_directories >= 2"
-                )
-        kernel = self.cluster.kernel
-        controller = SyncRunController(
-            spec,
-            kernel,
-            scale_plan=scale_plan,
-            on_suspended=self._on_run_suspended,
-            crash_plan=crash_plan,
-            on_crash=self._on_crash_due,
-            tracer=self.tracer,
-            rebalance_plan=rebalance_plan,
-        )
-        self._active_controller = controller
-        self._run_members = set(self.cluster.agents)
-        self._scaled_mid_run = False
+    def _run_sync(self, spec: RunSpec, plan: Dict[int, dict]) -> SyncRunController:
+        controller = SyncRunController(spec, self.cluster, plan)
         # Installed through the cluster, not pinned on one Directory
         # object: a lead election mid-run re-homes the controller onto
         # the successor.  ``cluster.lead`` is likewise re-read at every
-        # use below — never captured in a local.
-        self.cluster.install_run_controller(controller, self._on_agent_evicted)
-        start = kernel.now
+        # use — never captured in a local.
+        self.cluster.install_run_controller(controller)
         self.cluster.lead.send_run_start(spec)
         self.cluster.settle()
         self.cluster.uninstall_run_controller()
-        self._active_controller = None
-        # Restart-mode recovery may have reissued the run under a fresh
-        # run_id; prune whatever id actually completed.
+        # Restart-mode recovery reissues the run under fresh run ids:
+        # prune whichever completed, and number the next run after it.
+        self._run_counter = controller.spec.run_id
         self.cluster.recovery.prune_run(controller.spec.run_id)
         if not controller.done:
             raise RuntimeError(
                 "run ended without halting — barrier deadlock or lost messages"
             )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.complete(
-                "engine",
-                f"run:{spec.program.name}",
-                "run",
-                start,
-                kernel.now,
-                {
-                    "run_id": controller.spec.run_id,
-                    "mode": "sync",
-                    "steps": controller.final_step,
-                },
-            )
-        return RunResult(
-            program_name=spec.program.name,
-            run_id=controller.spec.run_id,
-            mode="sync",
-            values=self._collect(spec.program.name),
-            steps=controller.final_step,
-            sim_seconds=kernel.now - start,
-            round_durations=controller.round_durations,
-            stats_history=controller.stats_history,
-            strategy=spec.strategy,
-        )
+        return controller
 
-    def _on_run_suspended(
-        self,
-        round_id: int,
-        step: int,
-        target_agents: Optional[int],
-        weights: Optional[Dict[int, float]] = None,
-    ) -> None:
-        """Mid-run elastic scaling and/or re-weighting: reshape, wait
-        for quiescence, resume.
-
-        Runs inside the simulator (scheduled from the barrier callback),
-        so the whole sequence happens in simulated time, like the
-        paper's operator issuing pdsh/SIGINT commands mid-computation.
-        Either plan invalidates rollback recovery: checkpoints were
-        taken under the pre-reshape partition, and rolling values back
-        under the new one would resurrect a residency the migration
-        already moved.
-        """
-        controller = self._active_controller
-        self._scaled_mid_run = True
-        if weights:
-            self.cluster.rebalance(weights, settle=False)
-        if target_agents is not None:
-            self.cluster.scale_to(target_agents, settle=False)
-        self._run_members = set(self.cluster.agents)
-
-        def superseded() -> bool:
-            # Recovery restarted (or halt ended) the run while the
-            # suspension was draining — e.g. an agent died with
-            # migrations in flight and eviction forced a restart.  The
-            # restarted run owns the barrier now; a late resume from the
-            # pre-crash suspension would replay a stale round into it.
-            return controller.done or controller.phase != "apply_only"
-
-        def resume() -> None:
-            if not superseded():
-                self.cluster.lead.send_advance(
-                    controller.resume_payload(round_id + 1, step)
-                )
-
-        self._when(lambda: superseded() or self._reshaped(), resume)
-
-    def _when(self, ready: Callable[[], bool], then: Callable[[], None]) -> None:
-        """Run ``then`` at the first simulated millisecond tick, counted
-        from now, at which ``ready()`` holds."""
-        kernel = self.cluster.kernel
-
-        def poll() -> None:
-            if ready():
-                then()
-            else:
-                kernel.schedule(1e-3, poll)
-
-        kernel.schedule(1e-3, poll)
-
-    def _reshaped(self) -> bool:
-        """Whether a mid-run reshape has landed everywhere: every agent
-        adopted the lead's state and no migration is outstanding.  A
-        suspended agent has no heartbeat tick to notice a dead home
-        directory from, so orphans are sent to re-home first."""
-        self.cluster.rehome_orphans()
-        return self.cluster.consistent()
-
-    def _on_crash_due(self, entry: dict) -> None:
-        """Controller-scheduled fault injection: fire ``entry`` a beat
-        after the superstep's ADVANCE goes out, so the failure lands
-        mid-superstep with messages in flight.
-
-        A crashed master is restarted after ``MASTER_RESTART_DELAY``; a
-        crashed lead Directory is *not* — the peers' election replaces
-        it."""
-
-        def crash() -> None:
-            if entry.get("lead"):
-                self.cluster.crash_directory()
-            if entry.get("master"):
-                self.cluster.crash_master()
-                self.cluster.kernel.schedule(
-                    MASTER_RESTART_DELAY, self.cluster.restart_master
-                )
-            for _ in range(entry.get("agents", 0)):
-                if len(self.cluster.agents) > 1:
-                    self.cluster.crash_agent()
-
-        self.cluster.kernel.schedule(5e-4, crash)
-
-    def _on_agent_evicted(self, agent_id: int) -> None:
-        """Directory-driven recovery, end to end (runs in simulated time).
-
-        Called by the lead the moment it evicts a crashed agent.  The
-        sequence:
-
-        1. Decide the recovery mode from the *durable* store: roll the
-           whole cluster back to the newest checkpoint step every
-           member (including the victim) holds, or — when there is no
-           such step, checkpointing is off, or membership already
-           changed mid-run — restart the run (WAL-only degradation).
-        2. Broadcast RECOVER; every surviving agent rolls back (or
-           drops the run) and bumps its data-incarnation fence.
-        3. Once all survivors acknowledge (observed via their recovery
-           epoch), bring up the replacement: it restores the victim's
-           checkpoint, replays the WAL suffix, and joins — the
-           membership broadcast then migrates every edge to where the
-           new ring says it lives.
-        4. When migration quiesces, re-open the barrier: resume at the
-           checkpoint step, or re-issue RUN_START.
-        """
-        controller = self._active_controller
-        cluster = self.cluster
-        if controller is None or controller.done:
-            return
-        run_id = controller.spec.run_id
-        step = 0
-        if (
-            self.config.checkpoint_every > 0
-            and not self._scaled_mid_run
-            and self._run_members - {agent_id} == set(cluster.agents)
-        ):
-            common: List[int] = []
-            for member in sorted(set(cluster.agents) | {agent_id}):
-                steps = cluster.recovery.slot(member).checkpoints.steps_for(run_id)
-                common.append(max(steps) if steps else 0)
-            step = min(common) if common else 0
-        mode = "rollback" if step >= 1 else "restart"
-        incarnation = cluster.bump_incarnation()
-        cluster.recovery_log.append(
-            {
-                "event": "recover",
-                "mode": mode,
-                "crashed": agent_id,
-                "step": step,
-                "incarnation": incarnation,
-            }
-        )
-        cluster.lead.broadcast_recover(
-            {"mode": mode, "run_id": run_id, "step": step, "incarnation": incarnation}
-        )
-
-        def rolled_back() -> bool:
-            return all(
-                agent.recover_epoch >= incarnation for agent in cluster.agents.values()
-            )
-
-        def replace() -> None:
-            cluster.replace_crashed_agent(
-                agent_id,
-                run_id=run_id if mode == "rollback" else None,
-                step=step if mode == "rollback" else None,
-            )
-            self._run_members = set(cluster.agents)
-            self._when(self._reshaped, reopen)
-
-        def reopen() -> None:
-            if mode == "rollback":
-                cluster.lead.send_advance(
-                    controller.resume_payload(controller.next_round(), step)
-                )
-            else:
-                # Restart under a *fresh* run_id: any straggling control
-                # traffic from the aborted attempt (same old run_id,
-                # possibly retransmitted much later by the reliable
-                # transport) is then rejected by the agents' run_id
-                # guard instead of corrupting the new run.
-                cluster.recovery.prune_run(run_id)
-                self._run_counter += 1
-                controller.spec = dc_replace(controller.spec, run_id=self._run_counter)
-                controller.mark_restarted()
-                cluster.lead.send_run_start(controller.spec)
-
-        self._when(rolled_back, replace)
-
-    def _run_async(self, spec: RunSpec) -> RunResult:
+    def _run_async(self, spec: RunSpec) -> None:
         if not spec.program.supports_async:
             raise ValueError(
                 f"{spec.program.name} is not monotone; asynchronous execution "
                 "is only safe for min/max programs"
             )
-        kernel = self.cluster.kernel
-        start = kernel.now
         self.cluster.lead.send_run_start(spec)
         self.cluster.settle()  # quiescence = termination for monotone programs
         for agent in sorted_agents(self.cluster.agents):
@@ -628,25 +407,6 @@ class ElGA:
         # drop anything filled mid-relaxation.
         self.cluster.lead.note_results_changed(spec.program.name)
         self.cluster.settle()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.complete(
-                "engine",
-                f"run:{spec.program.name}",
-                "run",
-                start,
-                kernel.now,
-                {"run_id": spec.run_id, "mode": "async"},
-            )
-        return RunResult(
-            program_name=spec.program.name,
-            run_id=spec.run_id,
-            mode="async",
-            values=self._collect(spec.program.name),
-            steps=None,
-            sim_seconds=kernel.now - start,
-            strategy=spec.strategy,
-        )
 
     def _collect(self, program_name: str) -> Dict[int, float]:
         merged: Dict[int, float] = {}
@@ -676,37 +436,26 @@ class ElGA:
 
     def scale_to(self, n_agents: int) -> dict:
         """Elastically scale between computations; returns move stats."""
-        stats_before = self.cluster.network.stats.snapshot()
-        start = self.cluster.kernel.now
-        self.cluster.scale_to(n_agents)
-        from repro.net.message import PacketType
-
-        moved = (
-            self.cluster.network.stats.by_type_count[PacketType.EDGE_MIGRATE]
-            - stats_before.by_type_count[PacketType.EDGE_MIGRATE]
-        )
-        return {
-            "agents": len(self.cluster.agents),
-            "sim_seconds": self.cluster.kernel.now - start,
-            "migrate_messages": int(moved),
-        }
+        moves = self._migration_cost(lambda: self.cluster.scale_to(n_agents))
+        return {"agents": len(self.cluster.agents), **moves}
 
     def rebalance(self, weights: Dict[int, float]) -> dict:
         """Adopt a ring re-weight plan between runs; returns move stats."""
-        from repro.net.message import PacketType
+        moves = self._migration_cost(lambda: self.cluster.rebalance(weights))
+        return {"weights": dict(weights), **moves}
 
-        stats_before = self.cluster.network.stats.snapshot()
+    def _migration_cost(self, reshape: Callable[[], None]) -> dict:
+        """Simulated seconds and EDGE_MIGRATE packets a between-runs
+        reshape (which settles before returning) cost."""
+        stats = self.cluster.network.stats
+        before = stats.snapshot()
         start = self.cluster.kernel.now
-        self.cluster.rebalance(weights)
+        reshape()
         moved = (
-            self.cluster.network.stats.by_type_count[PacketType.EDGE_MIGRATE]
-            - stats_before.by_type_count[PacketType.EDGE_MIGRATE]
+            stats.by_type_count[PacketType.EDGE_MIGRATE]
+            - before.by_type_count[PacketType.EDGE_MIGRATE]
         )
-        return {
-            "weights": dict(weights),
-            "sim_seconds": self.cluster.kernel.now - start,
-            "migrate_messages": int(moved),
-        }
+        return {"sim_seconds": self.cluster.kernel.now - start, "migrate_messages": int(moved)}
 
     def maybe_rebalance(self, summary=None) -> Optional[dict]:
         """Close the loop: observed load -> plan -> fenced adoption.

@@ -6,24 +6,90 @@ what happens next:
 
 * issue the next normal superstep (apply previous messages, scatter);
 * halt, when the program's global convergence condition is met;
-* or, when an elastic scale is requested mid-run (Figure 17), issue an
-  *apply-only* round that drains all in-flight state into the agents'
-  persistent stores, suspend, let the engine reshape the cluster and
-  migrate edges, then *resume* from persisted state.
+* or, when a reshape is due mid-run (an elastic scale, Figure 17, or a
+  ring re-weight), issue an *apply-only* round that drains all in-flight
+  state into the agents' persistent stores, suspend, reshape the cluster
+  and migrate edges, then *resume* from persisted state.
+
+The controller lives exactly one synchronous run, and everything that
+run does besides barrier rounds is its own: the one ``{step: events}``
+plan (:func:`step_plan`) of reshapes and injected crashes, the recovery
+the lead hands it on an eviction, and the one path by which a held
+barrier re-opens.  Where the run stands is one field, ``status``, moved
+only along the rows of :data:`TRANSITIONS`.
 
 Round vs. step: a *round* is one barrier cycle (every broadcast has a
 fresh round id); a *step* is an algorithm superstep (one apply).  They
-differ only when scaling injects apply-only/resume rounds.
+differ only when a reshape or a recovery injects apply-only/resume
+rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.program import RunSpec
+
+#: Simulated seconds after an injected master crash before the master is
+#: restarted (the operator's MTTR in the simulation).
+MASTER_RESTART_DELAY = 5e-3
+
+#: What a crash-plan entry may name; absent keys mean 0 / False.
+CRASH_KEYS = frozenset({"agents", "lead", "master"})
+
+#: A sync run's reshape/recovery status -> the statuses it may move to.
+#: ``running`` may roll back to a common checkpoint; ``reshaped`` (resumed
+#: after a mid-run reshape) may not — its checkpoints were taken under
+#: the pre-reshape partition — so a crash there restarts the run.  A
+#: restarted run is ``running`` again: every checkpoint of its fresh run
+#: id postdates the reshape.  A move without a row raises.
+TRANSITIONS: Dict[str, FrozenSet[str]] = {
+    "running": frozenset({"suspended", "rolling-back", "restarting", "halted"}),
+    "suspended": frozenset({"reshaped", "restarting"}),
+    "reshaped": frozenset({"suspended", "restarting", "halted"}),
+    "rolling-back": frozenset({"running"}),
+    "restarting": frozenset({"running"}),
+    "halted": frozenset(),
+}
+
+
+def step_plan(mode: str, config, scale_plan=None, crash_plan=None, rebalance_plan=None) -> dict:
+    """Merge ``ElGA.run``'s three mid-run plans into one ``{step:
+    events}`` plan, refusing what could never fire.
+
+    ``events`` holds ``"scale"`` (an agent count), ``"weights"`` (a ring
+    re-weight) and/or ``"crash"`` (``{"agents": n, "lead": bool,
+    "master": bool}``) — whatever is due after that superstep.  Plans
+    need the barrier (sync mode); a crash entry is a dict of
+    :data:`CRASH_KEYS` only, and agent and lead crashes need the failure
+    detection and failover that would recover from them.
+    """
+    plans = {"scale_plan": scale_plan, "crash_plan": crash_plan, "rebalance_plan": rebalance_plan}
+    for name, plan in plans.items():
+        if plan and mode != "sync":
+            raise ValueError(f"{name} requires synchronous mode")
+    crashes = list((crash_plan or {}).values())
+    if not all(isinstance(e, dict) and set(e) <= CRASH_KEYS for e in crashes):
+        raise TypeError(
+            'crash_plan entries must be {"agents": n, "lead": bool, "master": bool} dicts'
+        )
+    if any(e.get("agents", 0) > 0 for e in crashes) and config.heartbeat_interval <= 0:
+        raise ValueError("crash_plan needs failure detection: set heartbeat_interval > 0")
+    if any(e.get("lead") for e in crashes) and (
+        config.dir_lease_interval <= 0 or config.n_directories < 2
+    ):
+        raise ValueError(
+            "a lead-directory crash needs failover: set "
+            "dir_lease_interval > 0 and n_directories >= 2"
+        )
+    merged: Dict[int, dict] = {}
+    for kind, plan in (("scale", scale_plan), ("weights", rebalance_plan), ("crash", crash_plan)):
+        for step, value in (plan or {}).items():
+            merged.setdefault(step, {})[kind] = value
+    return merged
 
 
 @dataclass
@@ -115,44 +181,38 @@ class RunResult:
 class SyncRunController:
     """Drives one synchronous run from the lead directory's barrier.
 
-    Installed as ``lead.run_controller``; invoked with
-    ``(round, step, merged_stats)`` whenever every agent has reported
-    ready for a round.  Returns the next SUPERSTEP_ADVANCE payload or
-    None to hold the barrier (engine-managed suspension).
+    Installed through ``cluster.install_run_controller``.  The lead calls
+    it with ``(round, step, merged_stats)`` whenever every agent has
+    reported ready for a round — it returns the next SUPERSTEP_ADVANCE
+    payload, or None to hold the barrier while a reshape lands — and
+    calls :meth:`on_evicted` the moment it evicts a crashed agent.  What
+    the run schedules in simulated time (crash injection, the reshape
+    and recovery waits) are closures of this module, so the end-to-end
+    benchmark bills them to ``core``.
     """
 
-    def __init__(
-        self,
-        spec: RunSpec,
-        kernel,
-        scale_plan: Optional[Dict[int, int]] = None,
-        on_suspended: Optional[Callable[..., None]] = None,
-        crash_plan: Optional[Dict[int, dict]] = None,
-        on_crash: Optional[Callable[[dict], None]] = None,
-        tracer=None,
-        rebalance_plan: Optional[Dict[int, Dict[int, float]]] = None,
-    ):
+    def __init__(self, spec: RunSpec, cluster, plan: Optional[Dict[int, dict]] = None):
         self.spec = spec
-        self.kernel = kernel
-        self.scale_plan = dict(scale_plan or {})
-        # Mid-run re-weights: {superstep: {agent_id: ring weight}}.
-        # Shares the scale plan's apply_only/suspend/resume choreography
-        # — the barrier drains in-flight state, the engine adopts the
-        # weights (migrating edges), and the run resumes from persisted
-        # values.  A step may carry both a scale and a re-weight.
-        self.rebalance_plan = dict(rebalance_plan or {})
-        self.on_suspended = on_suspended
-        self.crash_plan = dict(crash_plan or {})
-        self.on_crash = on_crash
-        self.tracer = tracer
+        self.cluster = cluster
+        self.kernel = cluster.kernel
+        self.tracer = cluster.network.tracer
+        # {step: events} (see step_plan); each step's entry is popped
+        # once, when that step's barrier completes.
+        self.plan = dict(plan or {})
+        # (step, reshape events) of the apply-only drain in flight; the
+        # reshape happens when the drain completes.
+        self._drain: Optional[Tuple[int, dict]] = None
+        self.status = "running"
+        # The membership the run's checkpoints describe: set at start,
+        # after a reshape, and after a replacement joins.
+        self.members = set(cluster.agents)
         # Delta runs get their own phase names so traces, timelines, and
         # the agents' phase dispatch can tell residual rounds apart.
         self._delta = spec.strategy == "delta"
         self.phase = "delta_init" if self._delta else "init"
-        self.round_started_at = kernel.now
+        self.round_started_at = self.kernel.now
         self.round_durations: List[Tuple[str, int, float]] = []
         self.stats_history: List[Dict[str, float]] = []
-        self.done = False
         self.final_step = 0
         self._last_round = 0
         self._ctx = {"global_n": spec.global_n}
@@ -160,10 +220,20 @@ class SyncRunController:
         # re-collects READY for the in-flight round and re-drives the
         # barrier, so the same round id can reach this controller twice.
         # The decision (and its side effects: durations, stats history,
-        # scale_plan/crash_plan pops) must happen exactly once; replays
-        # get the memoised response verbatim.
+        # the plan pop, a crash or a drain) must happen exactly once;
+        # replays get the memoised response verbatim.
         self._processed_round = -1
         self._last_response: Optional[dict] = None
+
+    @property
+    def done(self) -> bool:
+        return self.status == "halted"
+
+    def _to(self, status: str) -> None:
+        """Move the run's status along one row of :data:`TRANSITIONS`."""
+        if status not in TRANSITIONS[self.status]:
+            raise RuntimeError(f"a sync run cannot go from {self.status} to {status}")
+        self.status = status
 
     # -- payload builders -------------------------------------------------
 
@@ -178,10 +248,16 @@ class SyncRunController:
             "phase": phase,
         }
 
-    def _halt_payload(self, step: int) -> dict:
-        self.done = True
-        self.final_step = step
-        return {"run_id": self.spec.run_id, "phase": "halt", "step": step, "round": -1}
+    def resume_payload(self, round_id: int, step: int) -> dict:
+        """The ADVANCE that re-opens a held barrier at ``step``.
+
+        Carries the full RunSpec: agents that joined while the barrier
+        was held bootstrap their run state from it (they never saw the
+        original RUN_START).
+        """
+        payload = self._payload(round_id, step, "resume")
+        payload["spec"] = self.spec
+        return payload
 
     # -- barrier callback -----------------------------------------------------
 
@@ -208,68 +284,196 @@ class SyncRunController:
             )
         program = self.spec.program
         halts = program.delta_halt if self._delta else program.halt
-
-        if self.phase == "apply_only":
-            # All in-flight state is now persisted; agents are suspended.
-            if halts(step, stats, self._ctx):
-                return self._halt_payload(step)
-            if self.on_suspended is None:
-                raise RuntimeError("apply_only completed but no suspension handler")
-            self.on_suspended(
-                round_id,
-                step,
-                self.scale_plan.pop(step - 1, None),
-                self.rebalance_plan.pop(step - 1, None),
-            )
-            return None
-
         # A resume round only re-scatters — no applies ran, so its stats
         # are empty and must not be mistaken for quiescence.
         if self.phase != "resume" and halts(step, stats, self._ctx):
-            return self._halt_payload(step)
-        if step in self.scale_plan or step in self.rebalance_plan:
-            # Drain in-flight state, then the engine reshapes the cluster.
-            # A crash due at this step fires too — otherwise the entry
-            # was silently swallowed (this branch returned before the
-            # crash check ever ran) and "crash mid-reshape" could not be
-            # exercised at all.  The victim dies with the apply_only /
-            # migration window open; the lead's lease sweep still
-            # detects it because detached endpoints are never lease-
-            # refreshed, quiet phase or not.
-            if self.crash_plan and self.on_crash is not None:
-                due = self.crash_plan.pop(step, None)
-                if due:
-                    self.on_crash(due)
+            self._to("halted")
+            self.final_step = step
+            return {"run_id": self.spec.run_id, "phase": "halt", "step": step, "round": -1}
+        if self.phase == "apply_only":
+            # All in-flight state is now persisted; agents are suspended.
+            self._reshape(step)
+            return None
+        due = self.plan.pop(step, {})
+        if due.get("crash"):
+            self._crash(due["crash"])
+        reshape = {kind: due[kind] for kind in ("scale", "weights") if kind in due}
+        if reshape:
+            # Drain in-flight state; the reshape happens once it is
+            # persisted everywhere.
+            self._drain = (step, reshape)
             return self._payload(round_id + 1, step + 1, "apply_only")
-        if self.crash_plan and self.on_crash is not None:
-            due = self.crash_plan.pop(step, None)
-            if due:
-                # The ADVANCE for the next step goes out now; fire the
-                # crash while that round is in flight (abrupt: nothing
-                # drains).
-                self.on_crash(due)
         return self._payload(round_id + 1, step + 1, "delta_step" if self._delta else "step")
 
-    def next_round(self) -> int:
-        """The first round id not yet used by any issued payload."""
-        return self._last_round + 1
+    # -- what the run does between barrier rounds ------------------------------
 
-    def mark_restarted(self) -> None:
-        """Reset phase tracking when recovery restarts the run."""
-        self.phase = "delta_init" if self._delta else "init"
-        self.round_started_at = self.kernel.now
-        # Recovery may legitimately revisit round ids; drop the replay
-        # memo so post-restart rounds are decided afresh.
-        self._processed_round = -1
-        self._last_response = None
+    def _reshape(self, step: int) -> None:
+        """Mid-run elastic scaling and/or re-weighting of the drained
+        cluster, then a resume at ``step`` once it has landed.
 
-    def resume_payload(self, round_id: int, step: int) -> dict:
-        """Built by the engine once migration has quiesced.
-
-        Carries the full RunSpec: agents that joined during the
-        suspension bootstrap their run state from it (they never saw
-        the original RUN_START).
+        Runs inside the simulator (from the barrier callback), so the
+        whole sequence happens in simulated time, like the paper's
+        operator issuing pdsh/SIGINT commands mid-computation.
         """
-        payload = self._payload(round_id, step, "resume")
-        payload["spec"] = self.spec
-        return payload
+        events = self._drain[1]
+        self._drain = None
+        self._to("suspended")
+        if events.get("weights"):
+            self.cluster.rebalance(events["weights"], settle=False)
+        if events.get("scale") is not None:
+            self.cluster.scale_to(events["scale"], settle=False)
+        self.members = set(self.cluster.agents)
+        self._reopen(step)
+
+    def _crash(self, entry: dict) -> None:
+        """Fire a crash-plan entry a beat after the superstep's ADVANCE
+        goes out, so the failure lands mid-superstep with messages in
+        flight (mid-drain, when a reshape is due at the same step: the
+        lead's lease sweep still detects the victim, because detached
+        endpoints are never lease-refreshed, quiet phase or not).
+
+        A crashed master is restarted after ``MASTER_RESTART_DELAY``; a
+        crashed lead Directory is *not* — the peers' election replaces
+        it."""
+        cluster = self.cluster
+
+        def crash() -> None:
+            if entry.get("lead"):
+                cluster.crash_directory()
+            if entry.get("master"):
+                cluster.crash_master()
+                cluster.kernel.schedule(MASTER_RESTART_DELAY, cluster.restart_master)
+            for _ in range(entry.get("agents", 0)):
+                if len(cluster.agents) > 1:
+                    cluster.crash_agent()
+
+        self.kernel.schedule(5e-4, crash)
+
+    def on_evicted(self, agent_id: int) -> None:
+        """Directory-driven recovery, end to end (runs in simulated time).
+
+        Called by the lead the moment it evicts a crashed agent.  The
+        sequence:
+
+        1. Decide the recovery mode from the *durable* store: roll the
+           whole cluster back to the newest checkpoint step every
+           member (including the victim) holds, or — when there is no
+           such step, checkpointing is off, the run reshaped, or another
+           member is missing too — restart the run (WAL-only
+           degradation).  A reshape whose drain the crash interrupted
+           goes back into the plan: the recovered run drains for it
+           again when it reaches that step.
+        2. Broadcast RECOVER; every surviving agent rolls back (or
+           drops the run) and bumps its data-incarnation fence.
+        3. Once all survivors acknowledge (observed via their recovery
+           epoch), bring up the replacement: it restores the victim's
+           checkpoint, replays the WAL suffix, and joins — the
+           membership broadcast then migrates every edge to where the
+           new ring says it lives.
+        4. When migration quiesces, re-open the barrier
+           (:meth:`_reopen`): resume at the checkpoint step, or re-issue
+           RUN_START.
+        """
+        if self.status == "halted":
+            return
+        cluster = self.cluster
+        run_id = self.spec.run_id
+        step = 0
+        if (
+            cluster.config.checkpoint_every > 0
+            and self.status == "running"
+            and self.members - {agent_id} == set(cluster.agents)
+        ):
+            common: List[int] = []
+            for member in sorted(set(cluster.agents) | {agent_id}):
+                steps = cluster.recovery.slot(member).checkpoints.steps_for(run_id)
+                common.append(max(steps) if steps else 0)
+            step = min(common) if common else 0
+        mode = "rollback" if step >= 1 else "restart"
+        self._to("rolling-back" if mode == "rollback" else "restarting")
+        if self._drain is not None:
+            drained_at, events = self._drain
+            self.plan[drained_at] = events
+            self._drain = None
+        incarnation = cluster.bump_incarnation()
+        cluster.recovery_log.append(
+            {
+                "event": "recover",
+                "mode": mode,
+                "crashed": agent_id,
+                "step": step,
+                "incarnation": incarnation,
+            }
+        )
+        cluster.lead.broadcast_recover(
+            {"mode": mode, "run_id": run_id, "step": step, "incarnation": incarnation}
+        )
+
+        def bring_up_replacement() -> None:
+            cluster.replace_crashed_agent(
+                agent_id,
+                run_id=run_id if mode == "rollback" else None,
+                step=step if mode == "rollback" else None,
+            )
+            self.members = set(cluster.agents)
+            self._reopen(step)
+
+        self._when(
+            lambda: all(a.recover_epoch >= incarnation for a in cluster.agents.values()),
+            bring_up_replacement,
+        )
+
+    def _reopen(self, step: int) -> None:
+        """The one way a held barrier re-opens.
+
+        At the first millisecond tick at which the reshape has landed
+        everywhere, resume at ``step`` — or, when recovery is restarting
+        the run, re-issue RUN_START under a fresh run id.  Unless the
+        status moved on meanwhile: a crash mid-suspension hands the
+        barrier to a restart, and a late resume from the pre-crash
+        suspension would replay a stale round into it.
+        """
+        status = self.status
+
+        def reopen() -> None:
+            if self.status != status:
+                return
+            if status != "restarting":
+                self._to("reshaped" if status == "suspended" else "running")
+                self.cluster.lead.send_advance(self.resume_payload(self._last_round + 1, step))
+                return
+            # A *fresh* run_id: straggling control traffic from the
+            # aborted attempt (same old run_id, possibly retransmitted
+            # much later by the reliable transport) is then rejected by
+            # the agents' run_id guard instead of corrupting the new run.
+            self.cluster.recovery.prune_run(self.spec.run_id)
+            self.spec = replace(self.spec, run_id=self.spec.run_id + 1)
+            self._to("running")
+            self.phase = "delta_init" if self._delta else "init"
+            self.round_started_at = self.kernel.now
+            # Round ids start over; post-restart rounds are decided afresh.
+            self._processed_round = -1
+            self._last_response = None
+            self.cluster.lead.send_run_start(self.spec)
+
+        self._when(lambda: self.status != status or self._reshaped(), reopen)
+
+    def _when(self, ready: Callable[[], bool], then: Callable[[], None]) -> None:
+        """Run ``then`` at the first simulated millisecond tick, counted
+        from now, at which ``ready()`` holds."""
+
+        def poll() -> None:
+            if ready():
+                then()
+            else:
+                self.kernel.schedule(1e-3, poll)
+
+        self.kernel.schedule(1e-3, poll)
+
+    def _reshaped(self) -> bool:
+        """Whether a reshape has landed everywhere: every agent adopted
+        the lead's state and no migration is outstanding.  A suspended
+        agent has no heartbeat tick to notice a dead home directory
+        from, so orphans are sent to re-home first."""
+        self.cluster.rehome_orphans()
+        return self.cluster.consistent()

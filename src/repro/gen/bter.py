@@ -21,7 +21,7 @@ As in the paper, the scaler can stream its output
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ heavier head — web crawls are heavier (≈1.8) than citation networks
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -13,7 +13,7 @@ multiset is always consistent with the applied stream prefix.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 import numpy as np
 

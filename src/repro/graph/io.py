@@ -10,7 +10,6 @@ batches the way a Streamer consumes them.
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, Tuple
 
 import numpy as np

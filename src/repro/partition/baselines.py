@@ -16,7 +16,7 @@ with ElGA's placer.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

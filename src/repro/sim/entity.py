@@ -9,7 +9,7 @@ kernel, but never touches another entity's state directly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 

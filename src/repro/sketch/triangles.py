@@ -23,7 +23,7 @@ sketch error and by benches to report accuracy.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

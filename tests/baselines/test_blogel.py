@@ -1,6 +1,5 @@
 """Blogel baseline: algorithm exactness and timing-model shape."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import Blogel

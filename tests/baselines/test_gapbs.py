@@ -1,7 +1,6 @@
 """GAPbs baseline: Shiloach–Vishkin correctness and COST calibration."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import gapbs_wcc
 from repro.baselines.gapbs import shiloach_vishkin

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.bench import TrialStats, t_confidence_interval, trials
+from repro.bench import t_confidence_interval, trials
 from repro.bench.stats import welch_t_test
 
 

@@ -13,6 +13,7 @@ import pytest
 from repro.bench.chaos import FaultPlan
 from repro.core import ElGA, PageRank
 from repro.core.algorithms import WCC
+from tests.conftest import ship_uncombined
 
 from .harness import assert_chaos_survives, chaos_graph
 
@@ -43,12 +44,8 @@ def test_chaotic_combining_matches_faultfree_uncombined():
     """The strongest claim: a combining cluster under chaos produces
     the exact bits of a pristine cluster that combines nothing."""
     us, vs = chaos_graph()
-    plain = ElGA(
-        nodes=2,
-        agents_per_node=2,
-        seed=9,
-        replication_threshold=SPLIT_THRESHOLD,
-        combining=False,
+    plain = ship_uncombined(
+        ElGA(nodes=2, agents_per_node=2, seed=9, replication_threshold=SPLIT_THRESHOLD)
     )
     fast = ElGA(
         nodes=2,

@@ -1,11 +1,9 @@
 """Agent ingest path: updates, dedup, sketch maintenance, buffering."""
 
 import numpy as np
-import pytest
 
 from repro.cluster import ClusterConfig, ElGACluster
 from repro.graph import EdgeBatch
-from repro.net.message import PacketType
 
 
 def make_cluster(**kw):

@@ -166,7 +166,6 @@ def test_client_query_of_live_run_value():
     agent = elga.cluster.agents[0]
     spec = RunSpec(run_id=51, program=PageRank(max_iters=3), global_n=2)
     agent._on_run_start(spec)
-    from repro.net.message import Message, PacketType
 
     client = elga.cluster.new_client()
     client.query(0, "pagerank")

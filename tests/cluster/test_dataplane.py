@@ -3,8 +3,8 @@
 The fast path's contract is *bit-equality*: sender-side combining and
 packet coalescing may change what crosses the wire, but never the
 floats that come out.  These tests pin the algebra at the unit level
-(``combine_pairs``) and the contract at the engine level (combining on
-vs off).
+(``combine_pairs``) and the contract at the engine level (sender-side
+combining vs the receiver-side reference, ``ship_uncombined``).
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.core import ElGA, PageRank
 from repro.core.algorithms import WCC
 from repro.gen import powerlaw_graph
 from repro.net.message import PacketType
+from tests.conftest import ship_uncombined
 
 pytestmark = pytest.mark.dataplane
 
@@ -230,8 +231,8 @@ def test_combining_on_off_bit_equal(program_cls):
     """Sender-side combining must not change a single output bit, for
     the sum (PageRank) and min (WCC) aggregators, splits included."""
     us, vs = _graph()
-    fast = _engine(combining=True)
-    plain = _engine(combining=False)
+    fast = _engine()
+    plain = ship_uncombined(_engine())
     fast.ingest_edges(us, vs)
     plain.ingest_edges(us, vs)
     program = program_cls() if program_cls is WCC else program_cls(max_iters=12)
@@ -271,3 +272,10 @@ def test_combining_requires_coalescing():
     no per-emission mode for combining to be incompatible with."""
     with pytest.raises(TypeError):
         ElGA(nodes=1, agents_per_node=2, coalescing=False)
+
+
+def test_combining_is_not_an_option():
+    """Senders always combine; the uncombined reference lives in the
+    tests (``ship_uncombined``)."""
+    with pytest.raises(TypeError):
+        ElGA(nodes=1, agents_per_node=2, combining=False)

@@ -114,7 +114,7 @@ def test_from_mirror_of_a_synced_peer_equals_the_live_lead():
     elga.rebalance({0: 2.0, 3: 0.5})
     cluster, kernel = elga.cluster, elga.cluster.kernel
     spec = RunSpec(run_id=1, program=PageRank(max_iters=30), global_n=elga.global_n)
-    cluster.install_run_controller(SyncRunController(spec, kernel))
+    cluster.install_run_controller(SyncRunController(spec, cluster))
     lead = cluster.lead
     lead.send_run_start(spec)
     peers = [d for d in cluster.directories if d is not lead]

@@ -10,7 +10,6 @@ and the dict-compat equality both directions.
 """
 
 import numpy as np
-import pytest
 
 from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
 from repro.cluster.recovery import EdgeWAL

@@ -1,7 +1,6 @@
 """Eventual consistency: stale views, forwarding, out-of-order arrival."""
 
 import numpy as np
-import pytest
 
 from repro.cluster import ClusterConfig, ElGACluster
 from repro.graph import EdgeBatch

@@ -1,5 +1,7 @@
 """The Agent's round machine: the phase table and the receive gate."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,26 +10,38 @@ from repro.core import ElGA, PageRank
 from repro.core.program import RunSpec
 from repro.core.superstep import SyncRunController
 from repro.net.message import PacketType
+from repro.sim import SimKernel
 
 
-class _Clock:
-    now = 0.0
+def _cluster(sent):
+    """The parts of a cluster a controller touches to scale it and
+    resume; the resume lands in ``sent``."""
+    return SimpleNamespace(
+        kernel=SimKernel(),
+        network=SimpleNamespace(tracer=None),
+        agents={},
+        scale_to=lambda n, settle: None,
+        rehome_orphans=lambda: False,
+        consistent=lambda: True,
+        lead=SimpleNamespace(send_advance=sent.append),
+    )
 
 
 def _emitted_phases(strategy):
     """Drive a controller through a plain step, a mid-run scale
-    (apply_only, then the engine's resume) and a halt; collect every
+    (apply_only, then the controller's resume) and a halt; collect every
     phase it names — in ADVANCE payloads and as its own round label."""
     spec = RunSpec(run_id=1, program=PageRank(max_iters=3), global_n=4, strategy=strategy)
-    controller = SyncRunController(
-        spec, _Clock(), scale_plan={1: 5}, on_suspended=lambda *args: None
-    )
+    sent = []
+    cluster = _cluster(sent)
+    controller = SyncRunController(spec, cluster, {1: {"scale": 5}})
     seen = [controller.phase]
     busy = {"l1_residual": 1.0, "active": 4}
     first = controller(0, 0, busy)  # init done -> step 1
     drain = controller(1, 1, busy)  # a scale is due at step 1 -> apply_only
-    assert controller(2, 2, busy) is None  # suspended: the engine reshapes
-    resume = controller.resume_payload(3, 2)
+    assert controller(2, 2, busy) is None  # suspended: the controller reshapes
+    cluster.kernel.run()  # ... and resumes once the reshape has landed
+    (resume,) = sent
     after = controller(3, 2, {})  # resume done -> next step
     halt = controller(4, 3, {"l1_residual": 0.0, "active": 0})
     seen += [payload["phase"] for payload in (first, drain, resume, after, halt)]

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
+from repro.cluster.dataplane import combine_pairs
+from repro.cluster.rounds import RoundMixin
 from repro.core import ElGA
 from repro.gen import powerlaw_graph
 from repro.graph import compact_ids, pagerank_csr, wcc_labels
+from repro.net.message import PacketType
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +61,24 @@ def reference_wcc(us, vs):
     cu, cv, ids = compact_ids(us, vs)
     labels, iters = wcc_labels(cu, cv, len(ids))
     return {int(ids[i]): int(ids[labels[i]]) for i in range(len(ids))}, iters
+
+
+def ship_uncombined(elga):
+    """Make ``elga``'s agents (the ones it has now) ship their VERTEX_MSG
+    packets raw and run the identical level-1 fold on receipt: the
+    receiver-side reference of the data plane's sender-side combining,
+    which must reproduce its results bit for bit."""
+
+    def fold_on_receipt(agent, payload):
+        program = agent.run.program
+        dst = np.asarray(payload["dst"], dtype=np.int64)
+        val = np.asarray(payload["val"], dtype=np.float64)
+        if len(dst):
+            dst, val = combine_pairs(dst, val, program.ufunc, program.identity)
+        RoundMixin._aggregate(agent, {"dst": dst, "val": val})
+
+    for agent in elga.cluster.agents.values():
+        agent._combine = lambda program, payload: None
+        agent._aggregate = types.MethodType(fold_on_receipt, agent)
+        agent._ROUND_INGEST = {**agent._ROUND_INGEST, PacketType.VERTEX_MSG: fold_on_receipt}
+    return elga

@@ -5,8 +5,6 @@ bit-identically from a seed — including under elastic churn — because
 the benchmark tables are only meaningful if reruns reproduce them.
 """
 
-import numpy as np
-
 from repro.core import ElGA, PageRank, WCC
 from repro.gen import powerlaw_graph
 from repro.graph import EdgeBatch

@@ -58,7 +58,7 @@ def test_goal4_low_latency_updates_with_concurrent_queries(loaded):
     elga, us, vs, n = loaded
     elga.run(WCC())
     batch = EdgeBatch.insertions([n + 1], [0])
-    report = elga.apply_batch(batch)
+    elga.apply_batch(batch)
     result = elga.run(WCC(), incremental=True)
     # A one-edge change is maintained in a couple of supersteps...
     assert result.steps <= 3

@@ -1,6 +1,5 @@
 """Multi-directory deployments: the scalable directory system (§3.3)."""
 
-import numpy as np
 import pytest
 
 from repro.core import ElGA, PageRank, WCC

@@ -1,6 +1,5 @@
 """RunResult convenience helpers."""
 
-import numpy as np
 import pytest
 
 from repro.core.superstep import RunResult

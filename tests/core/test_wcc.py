@@ -1,7 +1,6 @@
 """Distributed WCC correctness."""
 
 import numpy as np
-import pytest
 
 from repro.core import ElGA, WCC
 from tests.conftest import reference_wcc

@@ -1,7 +1,6 @@
 """DynamicGraph storage semantics."""
 
 import numpy as np
-import pytest
 
 from repro.graph import DynamicGraph, EdgeBatch
 

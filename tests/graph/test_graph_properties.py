@@ -57,8 +57,6 @@ def test_batch_apply_equals_loop(pairs):
 def test_apply_then_inverted_is_identity(pairs):
     if not pairs:
         return
-    us = np.array([p[0] for p in pairs])
-    vs = np.array([p[1] for p in pairs])
     # Only apply the inverse to what actually changed: start from a
     # deduplicated batch so insert/undo is exact.
     distinct = sorted(set(pairs))

@@ -6,7 +6,6 @@ implementation's correctness by comparing against the baselines and
 ensured floating point values were correct up to 1e-8." (§4, §4.3)
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines import Blogel, GraphX, Stinger, gapbs_wcc

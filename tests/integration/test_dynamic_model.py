@@ -11,7 +11,7 @@ import pytest
 from repro.core import ElGA, PageRank, WCC
 from repro.gen import load_dataset
 from repro.graph import delete_reinsert_batches
-from tests.conftest import reference_pagerank, reference_wcc
+from tests.conftest import reference_wcc
 
 
 @pytest.mark.slow

@@ -147,7 +147,6 @@ def test_splitting_improves_balance_on_skewed_load():
     hub_edges = 5000
     us = np.concatenate([np.full(hub_edges, 7), rng.integers(0, 1000, 5000)])
     vs = rng.integers(0, 1000, len(us))
-    degrees = np.bincount(us, minlength=1000)
     ring = ConsistentHashRing(range(16), virtual_factor=100)
     sketch = CountMinSketch(width=4096, depth=6)
     sketch.add(us)

@@ -14,7 +14,6 @@ the algorithms compute.  Two qualifications, both pinned here:
   plane's documented grouping sensitivity.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import ElGA, PageRank, WCC
