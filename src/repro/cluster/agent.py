@@ -54,7 +54,7 @@ from repro.cluster.config import ClusterConfig
 # tracing wrapper reaches ``repro.cluster.agent.combine_pairs``.
 from repro.cluster.dataplane import ACK_BATCH_WINDOW, combine_pairs, segments_by  # noqa: F401
 from repro.cluster.directory import DirectoryState
-from repro.cluster.edgestore import EdgeStore
+from repro.cluster.edgestore import EdgeStore, distinct
 from repro.cluster.metrics import AgentMetrics
 from repro.cluster.participant import Participant
 from repro.cluster.recovery import Checkpoint, RecoveryStore, Rows
@@ -240,12 +240,12 @@ class Agent(RoundMixin, Participant):
         # see one last broadcast predating its join (it is simply not a
         # member *yet*), while a departing agent is never re-added.
         self.leaving = self.agent_id not in state.agents
-        self._migrate_misplaced(self._moved_keys(previous, before))
+        keyed = self._migrate_misplaced(self._moved_keys(previous, before))
         if previous is None or state.epoch_token != previous.epoch_token:
             # Degrees may have crossed the split threshold between
             # sketch flushes; every new global sketch warrants a fresh
             # look at the vertices resident here.
-            self._recheck_splits()
+            self._check_split_threshold(keyed_vertices(self.shard) if keyed is None else keyed)
         if self._pre_state_buffer:
             buffered, self._pre_state_buffer = self._pre_state_buffer, []
             for payload, count_in_sketch in buffered:
@@ -281,11 +281,10 @@ class Agent(RoundMixin, Participant):
         gate.sort()
         return gate[before.replication_factor(gate) != self.placer.replication_factor(gate)]
 
-    def _recheck_splits(self) -> None:
-        self._check_split_threshold(keyed_vertices(self.shard))
-
-    def _migrate_misplaced(self, moved: Optional[np.ndarray]) -> None:
-        """Re-home the resident edges whose owner changed.
+    def _migrate_misplaced(self, moved: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Re-home the resident edges whose owner changed; returns the
+        vertices still keyed here afterwards (None when there is no
+        ring to place by, and nothing ran).
 
         The paper's straightforward approach recomputes the correct
         destination for all current edges and forwards any that no
@@ -295,7 +294,7 @@ class Agent(RoundMixin, Participant):
         once per distinct keyed vertex where the key alone decides.
         """
         if self.placer is None or len(self.placer.ring) == 0:
-            return
+            return None
         costs = self.config.costs
         total_edges = self.n_out_edges + self.n_in_edges
         self.charge(costs.elga_migrate_check * total_edges)
@@ -330,7 +329,7 @@ class Agent(RoundMixin, Participant):
                 # those and its persisted values are fresh.  Values for
                 # the opposite endpoints may be stale leftovers from an
                 # earlier placement epoch and must not travel.
-                owned = np.unique(batch_keys)
+                owned = distinct(batch_keys)
                 token = self._new_migration_token()
                 self._pending_migrations[token] = (role, batch_keys, batch_others)
                 payload = {
@@ -351,8 +350,10 @@ class Agent(RoundMixin, Participant):
                     self._agent_address(target), PacketType.EDGE_MIGRATE, payload
                 )
                 self.migration_acks_pending += 1
-        self._prune_departed_state()
+        keyed = keyed_vertices(self.shard)
+        self._prune_departed_state(keyed)
         self._maybe_finish_leaving()
+        return keyed
 
     def _resident_owners(
         self, store: EdgeStore, moved: Optional[np.ndarray]
@@ -378,13 +379,13 @@ class Agent(RoundMixin, Participant):
             owners[rows] = self.placer.owner_of_edges(keys[rows], others[rows])
         return None, owners
 
-    def _prune_departed_state(self) -> None:
-        """Drop algorithm state for vertices that migrated away.
+    def _prune_departed_state(self, hosted: np.ndarray) -> None:
+        """Drop algorithm state for vertices that migrated away: all but
+        the (keyed) ``hosted`` ones.
 
         Keeps per-agent memory at O((n + m)/P) (Goal 2) and prevents
         stale values from ever being re-shipped or re-collected.
         """
-        hosted = keyed_vertices(self.shard)
         for state in self.shard.programs.values():
             state.restrict(hosted)
 
@@ -450,8 +451,13 @@ class Agent(RoundMixin, Participant):
 
         The agent only signals the directory; the next directory update
         excludes it, at which point normal migration drains every edge,
-        and the agent disconnects after a grace period.
+        and the agent disconnects after a grace period.  Between runs it
+        first pushes any degree counts it has not flushed: they would
+        otherwise leave with it, and the global sketch would
+        underestimate every vertex they counted.
         """
+        if self.run is None and not self.shard.sketch_delta.is_empty():
+            self.flush_sketch()
         self.push.push(
             self.directory_address, PacketType.AGENT_LEAVE, {"agent_id": self.agent_id}
         )
@@ -583,7 +589,7 @@ class Agent(RoundMixin, Participant):
         # for edges passing through would hoard stale state).
         merged: Dict[str, StateSlice] = {}
         if len(rows):
-            kept = np.unique(own[rows])
+            kept = distinct(own[rows])
             for prog, pairs in payload.get("state", {}).items():
                 part = shard.programs.setdefault(prog, ProgramState()).absorb(pairs, kept)
                 if part:

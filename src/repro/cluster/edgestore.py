@@ -22,6 +22,16 @@ tests and result inspection.
 * :class:`DirtyLog` — the mutation dirty log as array batches with
   row-count watermarks.
 
+Every id column here — ``ValueColumn.ids``, ``IdSet.ids``, an
+``EdgeStore``'s ``unique_keys`` — is sorted ascending with no
+duplicates, and so are the :class:`~repro.partition.cache.PlacementCache`
+memos.  Joining two of them is therefore a merge, and the module-level
+merge operations are the one implementation of it: :func:`members`
+(one ``searchsorted``), :func:`union` (two sorted runs),
+:func:`merge_rows` (splice absent rows in), and :func:`distinct`
+(``np.unique`` that skips the sort for a batch already in order).  None
+of them re-sorts what is already sorted.
+
 Sorting uses signed int64 comparison throughout, so negative vertex
 ids order consistently everywhere; when both columns fit in 31 bits
 (the overwhelmingly common case) pair operations pack into a single
@@ -65,6 +75,13 @@ def _pack_pairs(keys: np.ndarray, others: np.ndarray) -> np.ndarray:
     return (keys << np.int64(31)) | others
 
 
+def _distinct_pairs(pairs: np.ndarray) -> np.ndarray:
+    """Sorted distinct pairs of a :func:`_pack_pairs` column; a packed
+    batch already in store order (a migration's rows are) is not
+    re-sorted."""
+    return np.unique(pairs) if pairs.dtype == _PAIR_DT else distinct(pairs)
+
+
 def _unpack_pairs(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`_pack_pairs`: contiguous (keys, others)."""
     if packed.dtype == _PAIR_DT:
@@ -85,6 +102,67 @@ def _splice(old_rows: np.ndarray, slots: np.ndarray, base: np.ndarray, added: np
     out[slots] = added
     out[old_rows] = base
     return out
+
+
+# -- merge operations over sorted id columns ---------------------------
+
+
+def increasing(ids: np.ndarray) -> bool:
+    """Whether ``ids`` is strictly increasing: sorted, no duplicates."""
+    return len(ids) < 2 or bool((ids[1:] > ids[:-1]).all())
+
+
+def distinct(ids: np.ndarray, return_inverse: bool = False):
+    """``np.unique(ids, return_inverse=...)`` over a 1-d integer array.
+
+    A non-decreasing batch is deduplicated by one mask instead of a
+    sort, and a strictly increasing one is returned as is — the caller's
+    own array, so copy it before keeping it."""
+    first = np.ones(len(ids), dtype=bool)
+    np.greater(ids[1:], ids[:-1], out=first[1:])
+    if first.all():
+        out = ids
+    elif (ids[1:] >= ids[:-1]).all():
+        out = ids[first]
+    else:
+        return np.unique(ids, return_inverse=return_inverse)
+    return (out, np.cumsum(first) - 1) if return_inverse else out
+
+
+def members(column: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether each ``query`` id is in the sorted, distinct ``column``:
+    one ``searchsorted``, no sort of either side."""
+    return _found(column, np.searchsorted(column, query), query)
+
+
+def union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted, distinct id runs, as a new array.
+
+    A stable sort of the concatenation is a timsort, which finds the two
+    runs and merges them in one linear pass; one mask then drops the ids
+    both runs hold."""
+    both = np.concatenate((a, b))
+    if len(both) < 2:
+        return both
+    both.sort(kind="stable")
+    keep = np.empty(len(both), dtype=bool)
+    keep[0] = True
+    np.not_equal(both[1:], both[:-1], out=keep[1:])
+    return both[keep]
+
+
+def merge_rows(at: np.ndarray, *columns: Tuple[np.ndarray, np.ndarray]) -> List[np.ndarray]:
+    """Splice rows into sorted parallel columns without a sort.
+
+    Each of ``columns`` is a ``(base, added)`` pair; ``at`` holds, for
+    each added row in order, the base row it goes before (a left
+    ``searchsorted`` of ids absent from the base, so non-decreasing).
+    Returns the merged columns, new arrays sharing no memory with either
+    side."""
+    slots = at + np.arange(len(at))
+    old_rows = np.ones(len(columns[0][0]) + len(at), dtype=bool)
+    old_rows[slots] = False
+    return [_splice(old_rows, slots, base, added) for base, added in columns]
 
 
 def _ro(view: np.ndarray) -> np.ndarray:
@@ -314,8 +392,8 @@ class EdgeStore:
             return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
         store, batch = self._columns(keys, others)
         ins = actions > 0
-        adds = np.unique(batch[ins])
-        dels = np.unique(batch[~ins])
+        adds = _distinct_pairs(batch[ins])
+        dels = _distinct_pairs(batch[~ins])
         if len(adds) and len(dels) and _found(dels, np.searchsorted(dels, adds), adds).any():
             return self._apply_sequential(keys, others, actions)
         add_at = np.searchsorted(store, adds)
@@ -355,12 +433,9 @@ class EdgeStore:
             keys, others, store = keys[keep], others[keep], store[keep]
             add_at = add_at - np.searchsorted(del_at, add_at)
         if len(adds):
-            slots = add_at + np.arange(len(adds))
-            old_rows = np.ones(len(store) + len(adds), dtype=bool)
-            old_rows[slots] = False
-            keys = _splice(old_rows, slots, keys, add_k)
-            others = _splice(old_rows, slots, others, add_o)
-            store = _splice(old_rows, slots, store, adds)
+            keys, others, store = merge_rows(
+                add_at, (keys, add_k), (others, add_o), (store, adds)
+            )
         self._set(keys, others, store)
 
     def _apply_sequential(
@@ -398,7 +473,7 @@ class EdgeStore:
         if len(keys) == 0:
             return 0
         store, query = self._columns(_as_i64(keys), _as_i64(others))
-        query = np.unique(query)
+        query = _distinct_pairs(query)
         at = np.searchsorted(store, query)
         at = at[_found(store, at, query)]
         if len(at):
@@ -500,31 +575,34 @@ class ValueColumn:
         return np.where(found, self.vals[pos], default), found
 
     def set_many(self, ids: np.ndarray, vals: np.ndarray) -> None:
-        """Upsert a batch (last write wins within the batch)."""
+        """Upsert a batch (last write wins within the batch).
+
+        A strictly increasing batch skips the sort; ids the column lacks
+        are spliced in by :func:`merge_rows`.  The column never keeps a
+        reference to the caller's arrays."""
         ids = _as_i64(ids)
         vals = np.ascontiguousarray(np.asarray(vals), dtype=np.float64)
         if len(ids) == 0:
             return
-        order = np.argsort(ids, kind="stable")
-        ids, vals = ids[order], vals[order]
-        if len(ids) > 1:
+        if not increasing(ids):
+            order = np.argsort(ids, kind="stable")
+            ids, vals = ids[order], vals[order]
             last = np.empty(len(ids), dtype=bool)
             last[-1] = True
             np.not_equal(ids[1:], ids[:-1], out=last[:-1])
             ids, vals = ids[last], vals[last]
         if len(self.ids) == 0:
-            self.ids, self.vals = ids, vals
+            self.ids, self.vals = ids.copy(), vals.copy()
             return
-        pos = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
-        hit = self.ids[pos] == ids
+        at = np.searchsorted(self.ids, ids)
+        hit = _found(self.ids, at, ids)
         if hit.any():
-            self.vals[pos[hit]] = vals[hit]
-        if (~hit).any():
-            merged_ids = np.concatenate([self.ids, ids[~hit]])
-            merged_vals = np.concatenate([self.vals, vals[~hit]])
-            order = np.argsort(merged_ids, kind="stable")
-            self.ids = merged_ids[order]
-            self.vals = merged_vals[order]
+            self.vals[at[hit]] = vals[hit]
+        if not hit.all():
+            miss = ~hit
+            self.ids, self.vals = merge_rows(
+                at[miss], (self.ids, ids[miss]), (self.vals, vals[miss])
+            )
 
     def select(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(present ids, their values) — the subset join used to ship
@@ -534,10 +612,11 @@ class ValueColumn:
         return ids[found], vals[found]
 
     def restrict(self, ids: np.ndarray) -> None:
-        """Drop every entry whose id is not in the sorted ``ids``."""
+        """Drop every entry whose id is not in the sorted, distinct
+        ``ids``."""
         if len(self.ids) == 0:
             return
-        keep = np.isin(self.ids, _as_i64(ids))
+        keep = members(_as_i64(ids), self.ids)
         if not keep.all():
             self.ids = self.ids[keep]
             self.vals = self.vals[keep]
@@ -585,31 +664,26 @@ class IdSet:
     __hash__ = None  # type: ignore[assignment]
 
     def update(self, ids: np.ndarray) -> None:
-        """Add a batch of ids."""
+        """Add a batch of ids (any order, repeats allowed)."""
         if len(ids):
-            self.ids = np.union1d(self.ids, _as_i64(ids))
+            self.ids = union(self.ids, distinct(_as_i64(ids)))
 
     def restrict(self, ids: np.ndarray) -> None:
+        """Drop every id not in the sorted, distinct ``ids``."""
         if len(self.ids):
-            self.ids = self.ids[np.isin(self.ids, _as_i64(ids))]
+            self.ids = self.ids[members(_as_i64(ids), self.ids)]
 
     def assign(self, universe: np.ndarray, member: np.ndarray) -> None:
-        """Batch re-assignment over ``universe``: ids in universe are
-        members iff their mask bit is set; ids outside are untouched."""
+        """Batch re-assignment over the sorted, distinct ``universe``:
+        ids in universe are members iff their mask bit is set; ids
+        outside are untouched."""
         universe = _as_i64(universe)
-        if len(self.ids):
-            outside = self.ids[~np.isin(self.ids, universe)]
-        else:
-            outside = _EMPTY_I64
-        self.ids = np.union1d(outside, universe[member])
+        outside = self.ids[~members(universe, self.ids)]
+        self.ids = union(outside, universe[member])
 
     def isin(self, ids: np.ndarray) -> np.ndarray:
         """Vectorized membership of ``ids`` in this set."""
-        ids = _as_i64(ids)
-        if len(self.ids) == 0:
-            return np.zeros(len(ids), dtype=bool)
-        pos = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
-        return self.ids[pos] == ids
+        return members(self.ids, _as_i64(ids))
 
 
 class DirtyLog:

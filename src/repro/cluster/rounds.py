@@ -31,7 +31,7 @@ import numpy as np
 
 from repro import kernels
 from repro.cluster.dataplane import combine_pairs, segments_by
-from repro.cluster.edgestore import ValueColumn
+from repro.cluster.edgestore import ValueColumn, members
 from repro.cluster.shard import ProgramState
 from repro.cluster.vertextable import (
     _RunState,
@@ -384,7 +384,7 @@ class RoundMixin:
         allv, allp, allg, allo = (
             np.concatenate([batch[i] for batch in run.sync_buf]) for i in range(4)
         )
-        take = np.isin(allv, rverts)
+        take = members(rverts, allv)
         keep = ~take
         run.sync_buf = (
             [(allv[keep], allp[keep], allg[keep], allo[keep])] if keep.any() else []
@@ -588,7 +588,7 @@ class RoundMixin:
             # Structural seeds may target vertices the mutation batch
             # left unhosted here (a deletion removed their last edge);
             # they have no row to apply to and no influence to retract.
-            hosted = np.isin(dst, table.ids)
+            hosted = members(table.ids, dst)
             if not hosted.all():
                 dst, val = dst[hosted], val[hosted]
         if not len(dst):

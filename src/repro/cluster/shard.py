@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
+from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn, members
 from repro.sketch.countmin import CountMinSketch
 
 #: Wire form of a slice of one program's state, as plain containers
@@ -65,21 +65,21 @@ class ProgramState:
         }
 
     def absorb(self, pairs: StateSlice, kept: Optional[np.ndarray] = None) -> StateSlice:
-        """Merge a shipped (or logged) slice, restricted to the ``kept``
-        ids when given; returns what was merged, empty parts dropped —
-        the record the WAL keeps."""
+        """Merge a shipped (or logged) slice, restricted to the sorted,
+        distinct ``kept`` ids when given; returns what was merged, empty
+        parts dropped — the record the WAL keeps."""
         merged: StateSlice = {}
         for part, column in (("values", self.values), ("scatter", self.scatter)):
             ids, vals = pairs.get(part, _NO_PAIRS)
             if kept is not None and len(ids):
-                mask = np.isin(ids, kept)
+                mask = members(kept, ids)
                 ids, vals = ids[mask], vals[mask]
             if len(ids):
                 column.set_many(ids, vals)
                 merged[part] = (ids, vals)
         ids = pairs.get("active", _NO_IDS)
         if kept is not None and len(ids):
-            ids = ids[np.isin(ids, kept)]
+            ids = ids[members(kept, ids)]
         if len(ids):
             self.active.update(ids)
             merged["active"] = ids

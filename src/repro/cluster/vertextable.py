@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.cluster.dataplane import RoundBuffers, segments_by
+from repro.cluster.edgestore import members, union
 from repro.cluster.shard import ProgramState, ShardState
 from repro.net.message import PacketType
 
@@ -162,7 +163,7 @@ class _RunState:
 
 def keyed_vertices(shard: ShardState) -> np.ndarray:
     """Sorted distinct vertices keying a resident edge copy."""
-    return np.union1d(shard.out_store.unique_keys, shard.in_store.unique_keys)
+    return union(shard.out_store.unique_keys, shard.in_store.unique_keys)
 
 
 def hosted_vertex_ids(
@@ -185,8 +186,8 @@ def hosted_vertex_ids(
         mine = np.flatnonzero((ks > 1) & (reps == agent_id).any(axis=1))
         for v, k, row in zip(split[mine], ks[mine], reps[mine]):
             my_split[int(v)] = [int(a) for a in row[:k]]
-        ids = np.union1d(ids, split[mine])
-    return ids.astype(np.int64, copy=False), my_split
+        ids = union(ids, split[mine])
+    return ids, my_split
 
 
 def build_table(
@@ -359,7 +360,7 @@ def _delta_activation(run: _RunState, table: _VertexTable, activate) -> np.ndarr
     if activate is not None and len(activate):
         seeds.append(np.asarray(activate, dtype=np.int64))
     if seeds:
-        active = np.isin(table.ids, np.unique(np.concatenate(seeds)))
+        active = members(np.unique(np.concatenate(seeds)), table.ids)
     else:
         active = np.zeros(len(table.ids), dtype=bool)
     if run.delta_msgs and table.last_sent is not None:

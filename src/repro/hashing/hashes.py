@@ -71,9 +71,10 @@ def wang64(x: HashInput) -> HashInput:
     from repro import kernels
 
     key = _as_u64(x)
-    if key.ndim == 1 and key.flags.c_contiguous:
+    # Any C-contiguous array — the sketch's 2-d (depth, n) row batches
+    # too — goes through the kernel seam; scalars stay off it.
+    if key.ndim and key.flags.c_contiguous:
         return _restore(kernels.wang64_u64(key), x)
-    # Scalars and the sketch's 2-d row batches stay off the kernel seam.
     return _restore(kernels.reference.wang64_u64(key), x)
 
 

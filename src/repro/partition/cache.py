@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bench.counters import PerfCounters
+from repro.cluster.edgestore import distinct, increasing, members, merge_rows
 from repro.partition.placer import EdgePlacer
 
 _U32_LIMIT = np.int64(1) << np.int64(32)
@@ -147,7 +148,7 @@ class PlacementCache:
         self._k = self._k[same]
         self._k_owner = self._k_owner[same]
         if self._e_keys.size:
-            keep = ~np.isin((self._e_keys >> _SHIFT32).astype(np.int64), moved)
+            keep = ~members(moved, (self._e_keys >> _SHIFT32).astype(np.int64))
             self._e_keys = self._e_keys[keep]
             self._e_owner = self._e_owner[keep]
 
@@ -282,13 +283,15 @@ class PlacementCache:
         owners = np.empty(verts.size, dtype=np.int64)
         owners[hit] = self._r_owner[pos[hit]]
         miss = ~hit
-        fresh, inverse = np.unique(verts[miss], return_inverse=True)
+        fresh, inverse = distinct(verts[miss], return_inverse=True)
         fresh_owner = self._require_placer().ring_owners(fresh)
         owners[miss] = fresh_owner[inverse]
         if self._r_ids.size + fresh.size <= self.max_vertices:
-            at = np.searchsorted(self._r_ids, fresh)
-            self._r_ids = np.insert(self._r_ids, at, fresh)
-            self._r_owner = np.insert(self._r_owner, at, fresh_owner)
+            self._r_ids, self._r_owner = merge_rows(
+                np.searchsorted(self._r_ids, fresh),
+                (self._r_ids, fresh),
+                (self._r_owner, fresh_owner),
+            )
         return owners, hit
 
     def _candidates(
@@ -305,16 +308,18 @@ class PlacementCache:
         k[known] = self._k[pos[known]]
         owner[known] = self._k_owner[pos[known]]
         unknown = ~known
-        fresh, inverse = np.unique(verts[unknown], return_inverse=True)
+        fresh, inverse = distinct(verts[unknown], return_inverse=True)
         fresh_k = placer.replication_factor(fresh)
         fresh_owner = np.where(fresh_k == 1, placer.ring_owners(fresh), -1)
         k[unknown] = fresh_k[inverse]
         owner[unknown] = fresh_owner[inverse]
         if self._k_ids.size + fresh.size <= self.max_vertices:
-            at = np.searchsorted(self._k_ids, fresh)
-            self._k_ids = np.insert(self._k_ids, at, fresh)
-            self._k = np.insert(self._k, at, fresh_k)
-            self._k_owner = np.insert(self._k_owner, at, fresh_owner)
+            self._k_ids, self._k, self._k_owner = merge_rows(
+                np.searchsorted(self._k_ids, fresh),
+                (self._k_ids, fresh),
+                (self._k, fresh_k),
+                (self._k_owner, fresh_owner),
+            )
         return k, owner, known
 
     def _split_lookup(
@@ -350,17 +355,25 @@ class PlacementCache:
         return owners, hit
 
     def _insert_edges(self, keys: np.ndarray, owners: np.ndarray) -> None:
-        merged_keys = np.concatenate([self._e_keys, keys])
-        merged_owners = np.concatenate([self._e_owner, owners])
-        uniq, first = np.unique(merged_keys, return_index=True)
-        if uniq.size > self.max_edges:
+        """Learn packed edge keys and their owners: the first row of each
+        distinct key, merged in where the memo lacks it (a memoised
+        entry wins)."""
+        if increasing(keys):
+            batch_keys, batch_owners = keys, owners
+        else:
+            batch_keys, first = np.unique(keys, return_index=True)
+            batch_owners = owners[first]
+        fresh = ~members(self._e_keys, batch_keys)
+        if self._e_keys.size + np.count_nonzero(fresh) > self.max_edges:
             # Restart from the newest batch rather than evict piecemeal.
-            uniq, first = np.unique(keys, return_index=True)
-            merged_owners = owners
-            if uniq.size > self.max_edges:
-                return
-        self._e_keys = uniq
-        self._e_owner = merged_owners[first]
+            if batch_keys.size <= self.max_edges:
+                self._e_keys, self._e_owner = batch_keys, batch_owners
+            return
+        self._e_keys, self._e_owner = merge_rows(
+            np.searchsorted(self._e_keys, batch_keys[fresh]),
+            (self._e_keys, batch_keys[fresh]),
+            (self._e_owner, batch_owners[fresh]),
+        )
 
 
 def _probe(ids: np.ndarray, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -172,3 +172,37 @@ def test_agent_removal_between_broadcast_and_ready_collection():
     cluster.settle()
     assert cluster.consistent()
     assert engine.validate_against_reference()
+
+
+def test_graceful_leaver_flushes_its_unflushed_degree_counts():
+    """Rows applied without a sketch flush leave their counts in the
+    agent's pending delta.  A graceful leaver pushes that delta before it
+    announces the leave, so after the scale-down the global count-min
+    sketch has seen every count — and such a sketch never underestimates."""
+    from repro.core import ElGA
+    from repro.gen.powerlaw import powerlaw_graph
+
+    us, vs, n = powerlaw_graph(300, 2000, seed=3)
+    engine = ElGA(nodes=2, agents_per_node=2, seed=3)
+    engine.ingest_edges(us[:1500], vs[:1500])
+    engine.apply_batch(EdgeBatch.insertions(us[1500:], vs[1500:]), flush=False)
+    assert any(not a.shard.sketch_delta.is_empty() for a in engine.cluster.agents.values())
+    engine.scale_to(3)
+    engine.cluster.flush_sketches()
+    sketch = engine.cluster.lead.state.sketch
+    degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    assert sketch.total == int(degree.sum())
+    assert (sketch.query(np.arange(n)) >= degree).all()
+
+
+def test_leaver_with_an_empty_delta_sends_only_its_leave():
+    c, _ = loaded_cluster()
+    victim = c.agents[sorted(c.agents)[0]]
+    assert victim.shard.sketch_delta.is_empty()
+    stats = c.network.stats
+    sent, pending = stats.messages_sent, c.kernel.pending
+    deltas = stats.by_type_count[PacketType.SKETCH_DELTA]
+    victim.initiate_leave()
+    assert stats.messages_sent == sent + 1
+    assert stats.by_type_count[PacketType.SKETCH_DELTA] == deltas
+    assert c.kernel.pending == pending + 1  # the AGENT_LEAVE delivery

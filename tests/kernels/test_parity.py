@@ -56,6 +56,21 @@ def test_wang64_parity(keys):
     assert np.array_equal(reference.wang64_u64(arr), kernels.c_wang64_u64(arr))
 
 
+@given(
+    keys=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=200),
+    depth=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_wang64_parity_on_2d_row_batches(keys, depth):
+    """The sketch hashes a (depth, n) batch of row-salted keys at once."""
+    salts = np.arange(1, depth + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    batch = np.array(keys, dtype=np.uint64)[None, :] ^ salts[:, None]
+    out = kernels.c_wang64_u64(batch)
+    assert out.shape == batch.shape
+    assert np.array_equal(reference.wang64_u64(batch), out)
+    assert np.array_equal(kernels.wang64_u64(batch), out)
+
+
 @pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int64])
 def test_wang64_parity_across_key_dtypes(dtype):
     rng = np.random.default_rng(7)

@@ -10,6 +10,12 @@ comparing every lookup (cold and warm) to a freshly built EdgePlacer.
 Along the way the two memo tiers must drop exactly when their token
 moves: the ring tier answers every unsplit row straight after a sketch
 flush or a split registration, and nothing after a ring change.
+
+The memos learn by merge (no ``np.unique`` for a miss batch already in
+order, one splice for every column).  What they learn must be exactly
+what the earlier learner — ``np.unique`` plus one ``np.insert`` per
+column — learned: same tier arrays, same hit/miss split per call, same
+counters, since the cost model bills every lookup by that split.
 """
 
 import numpy as np
@@ -18,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.hashing import ConsistentHashRing
 from repro.partition import EdgePlacer, PlacementCache
+from repro.partition.cache import _probe
 from repro.sketch import CountMinSketch
 
 ops = st.lists(
@@ -107,3 +114,130 @@ def test_cached_placement_identical_under_churn(ops, seed):
             split.add(arg)
         # "clock": batch-clock bump — epoch unchanged, memos must survive.
         check(ring_stands)
+
+
+class ParentLearner(PlacementCache):
+    """The memo learner as it was before it learned by merge: one
+    ``np.unique`` per miss batch and one ``np.insert`` per column, and a
+    re-``unique`` of the whole edge memo.  The reference the merge
+    learner must equal entry for entry."""
+
+    def _ring_lookup(self, verts):
+        pos, hit = _probe(self._r_ids, verts)
+        self.counters.add("placement_ring_memo_hits", int(np.count_nonzero(hit)))
+        if hit.all():
+            return self._r_owner[pos], hit
+        owners = np.empty(verts.size, dtype=np.int64)
+        owners[hit] = self._r_owner[pos[hit]]
+        miss = ~hit
+        fresh, inverse = np.unique(verts[miss], return_inverse=True)
+        fresh_owner = self._require_placer().ring_owners(fresh)
+        owners[miss] = fresh_owner[inverse]
+        if self._r_ids.size + fresh.size <= self.max_vertices:
+            at = np.searchsorted(self._r_ids, fresh)
+            self._r_ids = np.insert(self._r_ids, at, fresh)
+            self._r_owner = np.insert(self._r_owner, at, fresh_owner)
+        return owners, hit
+
+    def _candidates(self, verts):
+        pos, known = _probe(self._k_ids, verts)
+        if known.all():
+            return self._k[pos], self._k_owner[pos], known
+        placer = self._require_placer()
+        k = np.empty(verts.size, dtype=np.int64)
+        owner = np.empty(verts.size, dtype=np.int64)
+        k[known] = self._k[pos[known]]
+        owner[known] = self._k_owner[pos[known]]
+        unknown = ~known
+        fresh, inverse = np.unique(verts[unknown], return_inverse=True)
+        fresh_k = placer.replication_factor(fresh)
+        fresh_owner = np.where(fresh_k == 1, placer.ring_owners(fresh), -1)
+        k[unknown] = fresh_k[inverse]
+        owner[unknown] = fresh_owner[inverse]
+        if self._k_ids.size + fresh.size <= self.max_vertices:
+            at = np.searchsorted(self._k_ids, fresh)
+            self._k_ids = np.insert(self._k_ids, at, fresh)
+            self._k = np.insert(self._k, at, fresh_k)
+            self._k_owner = np.insert(self._k_owner, at, fresh_owner)
+        return k, owner, known
+
+    def _insert_edges(self, keys, owners):
+        merged_keys = np.concatenate([self._e_keys, keys])
+        merged_owners = np.concatenate([self._e_owner, owners])
+        uniq, first = np.unique(merged_keys, return_index=True)
+        if uniq.size > self.max_edges:
+            uniq, first = np.unique(keys, return_index=True)
+            merged_owners = owners
+            if uniq.size > self.max_edges:
+                return
+        self._e_keys = uniq
+        self._e_owner = merged_owners[first]
+
+
+MEMO = ("_r_ids", "_r_owner", "_k_ids", "_k", "_k_owner", "_e_keys", "_e_owner")
+
+
+@st.composite
+def lookup_batches(draw):
+    """Vertex batches as the cluster hands them over: a store's sorted
+    unique keys, sorted runs with repeats, arbitrary order, and repeats
+    of what an earlier batch already taught."""
+    verts = draw(st.lists(st.integers(min_value=0, max_value=60), max_size=40))
+    shape = draw(st.sampled_from(["distinct", "sorted", "unsorted"]))
+    if shape == "distinct":
+        verts = sorted(set(verts))
+    elif shape == "sorted":
+        verts = sorted(verts)
+    return np.asarray(verts, dtype=np.int64)
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(["ring", "sketch", "split", "clock"]), lookup_batches(),
+                  lookup_batches()),
+        min_size=1, max_size=10,
+    ),
+    max_vertices=st.sampled_from([20, 2_000_000]),
+    max_edges=st.sampled_from([2, 1_000_000]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_merge_learner_learns_exactly_what_the_parent_learner_did(
+    steps, max_vertices, max_edges, seed
+):
+    rng = np.random.default_rng(seed)
+    sizes = dict(max_vertices=max_vertices, max_edges=max_edges)
+    merged, parent = PlacementCache(**sizes), ParentLearner(**sizes)
+    members = {0: 1.0, 1: 1.0, 2: 1.0}
+    sketch = CountMinSketch(width=64, depth=3)
+    split = set()
+    ring_version = sketch_version = 0
+    for op, own, other in steps:
+        if op == "ring":
+            members[len(members)] = 1.0
+            ring_version += 1
+        elif op in ("sketch", "split") and own.size:
+            hub = int(rng.choice(own))
+            sketch.add(np.full(30, hub, dtype=np.int64))
+            sketch_version += 1
+            if op == "split":
+                split.add(hub)
+        ring = ConsistentHashRing(sorted(members), virtual_factor=4, seed=3)
+        epoch = (ring_version, sketch_version, len(split))
+        for cache in (merged, parent):
+            placer = EdgePlacer(ring, sketch.copy(), replication_threshold=20,
+                                split_gate=frozenset(split))
+            cache.bind(epoch, placer, ring_epoch=epoch[:1])
+        other = np.resize(other, own.size) if other.size else np.zeros(own.size, np.int64)
+        for call in (
+            lambda c: c.owner_of_edges(own, other),
+            lambda c: c.ring_owners(own),
+            lambda c: c.replication_factor(own),
+            lambda c: c.owner_of_edges(own, other),
+        ):
+            assert np.array_equal(call(merged), call(parent))
+            assert (merged.last_hits, merged.last_misses) == (parent.last_hits, parent.last_misses)
+        for name in MEMO:
+            assert np.array_equal(getattr(merged, name), getattr(parent, name)), name
+            assert getattr(merged, name).dtype == getattr(parent, name).dtype, name
+        assert merged.counters.counts == parent.counters.counts

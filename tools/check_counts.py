@@ -1,16 +1,20 @@
 """Compare the deterministic values of ``benchmarks/e2e/run.py --smoke
 --out OUT`` sets with the committed baseline: ``python3
-tools/check_counts.py BENCH_counts.json OUT [OUT ...] [--update]``.
+tools/check_counts.py BENCH_counts.json OUT [OUT ...] [--update KEY ...]``.
 
 Per seed and workload the baseline holds the ``DETERMINISTIC`` keys, the
 untraced ``sim_op_p50_us`` / ``sim_superstep_us`` and every traced
 per-layer metric whose unit is ``count``, ``B`` or ``ratio`` (all but
 ``harness.*``, which measures the tracer).  Ints and strings compare
 exactly, floats to ``rel=1e-9``; every moved key is printed with both
-values.  A change that means to move a count re-runs with ``--update``
-and says why in CHANGES.md.
+values.  A change that means to move a count names it: ``--update
+traced/kernels.rows`` rewrites that key (shell-style patterns match too,
+e.g. ``'traced/partition.*'``) in every seed and workload, leaves every
+other key as committed, and still exits 1 while any unnamed key moved.
+Say why in CHANGES.md.
 """
 
+import fnmatch
 import json
 import math
 import os
@@ -37,9 +41,14 @@ def same(a, b) -> bool:
 
 
 def main(argv) -> int:
-    update = "--update" in argv
-    paths = [a for a in argv if a != "--update"]
-    if len(paths) < 2 or any(a.startswith("-") for a in paths):
+    paths, named = argv, []
+    if "--update" in argv:
+        at = argv.index("--update")
+        paths, named = argv[:at], argv[at + 1 :]
+        if not named:
+            print("check_counts: --update needs the key(s) that may move", file=sys.stderr)
+            return 2
+    if len(paths) < 2 or any(a.startswith("-") for a in paths + named):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     missing = [path for path in paths if not os.path.isfile(path)]
@@ -49,25 +58,38 @@ def main(argv) -> int:
     baseline_path, *out_paths = paths
     with open(baseline_path) as fh:
         baseline = json.load(fh)
-    moved = 0
+    moved = unnamed = 0
     for path in out_paths:
         with open(path) as fh:
             result_set = json.load(fh)
         seed, seen = f"seed {result_set['seed']}", counts_of(result_set)
-        expected = baseline.get(seed, {})
+        expected = baseline.setdefault(seed, {})
         for workload in sorted(set(seen) | set(expected)):
-            was, now = expected.get(workload, {}), seen.get(workload, {})
+            was, now = expected.setdefault(workload, {}), seen.get(workload, {})
             for key in sorted(set(was) | set(now)):
-                if not (key in was and key in now and same(was[key], now[key])):
-                    moved += 1
-                    print(f"{seed} {workload} {key}: {was.get(key)!r} -> {now.get(key)!r}")
-        baseline[seed] = seen
-    if update:
+                if key in was and key in now and same(was[key], now[key]):
+                    continue
+                moved += 1
+                update = any(fnmatch.fnmatchcase(key, pattern) for pattern in named)
+                print(
+                    f"{seed} {workload} {key}: {was.get(key)!r} -> {now.get(key)!r}"
+                    + (" (updated)" if update else "")
+                )
+                if not update:
+                    unnamed += 1
+                elif key in now:
+                    was[key] = now[key]
+                else:
+                    del was[key]
+    if named:
         with open(baseline_path, "w") as fh:
             json.dump(baseline, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    print(f"{moved} value(s) moved against {baseline_path}" + (" (updated)" if update else ""))
-    return 0 if update or not moved else 1
+    print(
+        f"{moved} value(s) moved against {baseline_path}"
+        + (f", {moved - unnamed} named by --update and rewritten" if named else "")
+    )
+    return 1 if unnamed else 0
 
 
 if __name__ == "__main__":
