@@ -18,12 +18,23 @@ process whatever role it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.net.message import PacketType
 
 if TYPE_CHECKING:
     from repro.cluster.directory import DirectoryState
+
+#: An agent's lease status at the lead -> the statuses it may move to.
+#: A lease starts ``live`` (its ``since`` is the last heartbeat); a lapse
+#: makes it ``suspected`` (``since``: when the master was last asked),
+#: and the master's verdict makes it ``live`` again or ``evicted``, which
+#: ends it.  A move without a row raises.
+LEASES: Dict[str, FrozenSet[str]] = {
+    "live": frozenset({"suspected"}),
+    "suspected": frozenset({"live", "evicted"}),
+    "evicted": frozenset(),
+}
 
 
 @dataclass
@@ -93,13 +104,13 @@ class LeadState:
     #: monotone within a run, so a READY for a completed round is a
     #: stale duplicate and must not re-trigger the controller.
     ready_done: int
-    #: Failure detection: agent id -> last heartbeat time.
-    leases: Dict[int, float]
-    #: Suspected agents, keyed to when the AGENT_SUSPECT was last sent:
-    #: if the master's verdict never lands (it crashed, or the confirm
-    #: was addressed to a dead lead), the probe is re-sent after a
-    #: lease-timeout so arbitration survives master loss.
-    suspected: Dict[int, float]
+    #: Failure detection: agent id -> (status, since), a row of
+    #: :data:`LEASES`.  A suspected agent's ``since`` is when the
+    #: AGENT_SUSPECT was last sent: if the master's verdict never lands
+    #: (it crashed, or the confirm was addressed to a dead lead), the
+    #: probe is re-sent after a lease-timeout so arbitration survives
+    #: master loss.
+    leases: Dict[int, Tuple[str, float]]
     #: While set the barrier is held shut: no READY bucket may complete
     #: until the run controller finishes reshaping the run.
     recovering: bool
@@ -118,7 +129,6 @@ class LeadState:
             ready={},
             ready_done=-1,
             leases={},
-            suspected={},
             recovering=False,
         )
 
@@ -146,11 +156,27 @@ class LeadState:
         )
 
     def begin_run(self) -> None:
-        """Barrier rounds restart from zero with each run."""
+        """Barrier rounds and leases restart with each run."""
         self.ready.clear()
         self.ready_done = -1
         self.recovering = False
-        self.suspected.clear()
+        self.leases.clear()
+
+    def is_live(self, agent_id: int) -> bool:
+        """Whether ``agent_id``'s lease is live (no lease yet counts)."""
+        return self.leases.get(agent_id, ("live", 0.0))[0] == "live"
+
+    def move_lease(self, agent_id: int, status: str, now: float) -> None:
+        """Set ``agent_id``'s lease to ``status`` as of ``now``: a move
+        along a row of :data:`LEASES`, or a renewal of the status it
+        already has.  ``evicted`` ends the lease."""
+        current = self.leases.get(agent_id, ("live", now))[0]
+        if status != current and status not in LEASES[current]:
+            raise RuntimeError(f"agent {agent_id}'s lease cannot go from {current} to {status}")
+        if status == "evicted":
+            del self.leases[agent_id]
+        else:
+            self.leases[agent_id] = (status, now)
 
     def hold_barrier(self) -> None:
         """Shut the barrier: membership is about to shrink, and a stale

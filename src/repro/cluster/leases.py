@@ -19,19 +19,27 @@ from repro.net.message import Message, PacketType
 
 
 class LeaseMixin:
-    """Lease bookkeeping over ``lead_state.leases`` / ``.suspected``."""
+    """Lease bookkeeping over ``lead_state.leases``, one status per
+    agent moved along :data:`~repro.cluster.leadstate.LEASES`."""
 
     def _reseed_leases(self) -> None:
+        """Every member's live lease runs from now; a suspected one keeps
+        waiting for its verdict."""
         if self.config.heartbeat_interval <= 0:
             return
-        now = self.now
-        self.lead_state.leases = {agent_id: now for agent_id in self.state.agents}
+        lead, now = self.lead_state, self.now
+        lead.leases = {
+            agent_id: ("live", now) if lead.is_live(agent_id) else lead.leases[agent_id]
+            for agent_id in self.state.agents
+        }
         if not self._lease_pending:
             self._lease_pending = True
             self.kernel.schedule(self.config.lease_timeout / 2.0, self._lease_tick)
 
     def _lead_heartbeat(self, message: Message) -> None:
-        self.lead_state.leases[int(message.payload["agent_id"])] = self.now
+        agent_id = int(message.payload["agent_id"])
+        if self.lead_state.is_live(agent_id):
+            self.lead_state.move_lease(agent_id, "live", self.now)
 
     def _lease_tick(self) -> None:
         self._lease_pending = False
@@ -55,26 +63,26 @@ class LeaseMixin:
         # dead process (the connection refuses), quiet phase or not.
         quiet = lead.recovering or controller.phase == "apply_only"
         for agent_id in sorted(self.state.agents):
-            last = lead.leases.get(agent_id)
+            entry = lead.leases.get(agent_id)
             alive = self.network.is_attached(self.state.agents[agent_id])
-            if last is None or (quiet and alive):
-                lead.leases[agent_id] = now
+            if entry is None or (quiet and alive):
+                if lead.is_live(agent_id):
+                    lead.move_lease(agent_id, "live", now)
                 continue
-            if agent_id in lead.suspected:
-                # Verdict pending at the master; re-ask if it has been
-                # silent for a full lease (master crash/restart window).
-                if now - lead.suspected[agent_id] > self.config.lease_timeout:
-                    self._suspect(agent_id, now - last, resend=True)
+            status, since = entry
+            if now - since <= self.config.lease_timeout:
                 continue
-            if now - last > self.config.lease_timeout:
-                self._suspect(agent_id, now - last)
+            # A lapsed lease is suspected; a verdict pending at the
+            # master for a full lease (master crash/restart window) is
+            # asked for again.
+            self._suspect(agent_id, now - since, resend=status == "suspected")
         self._lease_pending = True
         self.kernel.schedule(self.config.lease_timeout / 2.0, self._lease_tick)
 
     def _suspect(self, agent_id: int, overdue: float, resend: bool = False) -> None:
         if self.master_address is None:
             return  # nobody to arbitrate; keep waiting
-        self.lead_state.suspected[agent_id] = self.now
+        self.lead_state.move_lease(agent_id, "suspected", self.now)
         self._trace("suspect", "failure", agent_id=agent_id, overdue=overdue, resend=resend)
         if not resend:
             self.network.stats.lease_expirations += 1
@@ -91,7 +99,8 @@ class LeaseMixin:
     def suspected_agents(self) -> Dict[int, float]:
         """The lead's record of members under arbitration: agent id ->
         when the master was last asked for a verdict."""
-        return self._lead("agent suspicion").suspected
+        leases = self._lead("agent suspicion").leases
+        return {a: since for a, (status, since) in leases.items() if status == "suspected"}
 
     def _lead_evict_confirm(self, message: Message) -> None:
         self.confirm_eviction(message.payload)
@@ -100,18 +109,19 @@ class LeaseMixin:
         """The master's verdict on a suspected agent (lead only)."""
         lead = self._lead("eviction")
         agent_id = int(payload["agent_id"])
-        lead.suspected.pop(agent_id, None)
         if not payload.get("evict"):
-            # False suspicion (slow but alive): refresh and move on.
-            lead.leases[agent_id] = self.now
+            # False suspicion (slow but alive): the lease runs again.
+            lead.move_lease(agent_id, "live", self.now)
             return
         if agent_id not in self.state.agents:
+            lead.leases.pop(agent_id, None)
             return  # duplicate confirmation; already evicted
         self._trace("evict", "failure", agent_id=agent_id)
         agents = dict(self.state.agents)
         agents.pop(agent_id)
         lead.weights.pop(agent_id, None)
-        lead.leases.pop(agent_id, None)
+        if agent_id in lead.leases:  # leases exist only while a run is live
+            lead.move_lease(agent_id, "evicted", self.now)
         self.metric_store.pop(agent_id, None)
         # Hold the barrier shut *before* anything else: the eviction
         # shrinks membership, and a stale READY bucket must not

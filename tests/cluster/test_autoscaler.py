@@ -265,13 +265,16 @@ def test_load_snapshot_excludes_crashed_and_suspected_agents():
     assert any(victim in d.metric_store for d in cluster.directories)
 
     suspect = sorted(cluster.agents)[0]
-    cluster.lead.suspected_agents()[suspect] = cluster.kernel.now
+    leases = cluster.lead.lead_state
+    leases.move_lease(suspect, "suspected", cluster.kernel.now)
     try:
+        assert suspect in cluster.lead.suspected_agents()
         snaps = cluster.collect_metrics()
         assert suspect not in snaps
         assert set(snaps) == set(cluster.agents) - {suspect}
     finally:
-        cluster.lead.suspected_agents().pop(suspect, None)
+        leases.move_lease(suspect, "live", cluster.kernel.now)
+    assert not cluster.lead.suspected_agents()
 
 
 # ---------------------------------------------------------------------------

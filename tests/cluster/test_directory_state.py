@@ -9,6 +9,7 @@ that is possible.
 * What ``from_mirror`` rebuilds from a synced peer equals what the live
   lead holds.
 * A demoted lead has no lead state: its armed timers find a peer.
+* An agent's lease moves only along the rows of ``LEASES``.
 * The dispatch table is the directory's whole wire surface.
 """
 
@@ -21,7 +22,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ElGACluster
 from repro.cluster.directory import Directory, DirectoryState
-from repro.cluster.leadstate import ControlTail, LeadState
+from repro.cluster.leadstate import LEASES, ControlTail, LeadState
 from repro.core import ElGA, PageRank
 from repro.core.program import RunSpec
 from repro.core.superstep import SyncRunController
@@ -45,7 +46,6 @@ FROM_MIRROR = {
     "broadcast_scheduled": None,
     "ready": None,
     "leases": None,
-    "suspected": None,
 }
 
 
@@ -194,6 +194,37 @@ def test_dispatch_table_covers_the_wire_surface():
     assert set(Directory._DISPATCH) == bound
     for handler, _ in Directory._DISPATCH.values():
         assert callable(handler)
+
+
+def test_a_crash_walks_the_lease_table_and_an_unknown_move_raises(monkeypatch):
+    """A crash recovery moves the victim's lease live -> suspected ->
+    evicted; the master's "alive" verdict moves a suspected lease back to
+    live; any other move is refused."""
+    walked = []
+    move = LeadState.move_lease
+
+    def recording(self, agent_id, status, now):
+        walked.append((self.leases.get(agent_id, ("live", now))[0], status))
+        move(self, agent_id, status, now)
+
+    monkeypatch.setattr(LeadState, "move_lease", recording)
+    elga = ElGA(nodes=2, agents_per_node=2, seed=5, heartbeat_interval=0.005,
+                lease_timeout=0.025, checkpoint_every=2)
+    us, vs, _ = powerlaw_graph(80, 400, alpha=2.1, seed=9)
+    elga.ingest_edges(us, vs)
+    elga.run(PageRank(max_iters=8), crash_plan={3: {"agents": 1}})
+    moves = {(a, b) for a, b in walked if a != b}
+    assert moves == {("live", "suspected"), ("suspected", "evicted")}
+    assert all(b in LEASES[a] for a, b in moves)
+
+    lead = elga.cluster.lead
+    member = sorted(elga.cluster.agents)[0]
+    lead.lead_state.move_lease(member, "suspected", 0.0)
+    assert lead.suspected_agents() == {member: 0.0}
+    lead.confirm_eviction({"agent_id": member, "evict": False})
+    assert lead.lead_state.leases[member][0] == "live" and not lead.suspected_agents()
+    with pytest.raises(RuntimeError, match="from live to evicted"):
+        lead.lead_state.move_lease(member, "evicted", 0.0)
 
 
 def test_unknown_packet_type_still_raises():
