@@ -36,9 +36,10 @@ The Agent is split where its state separates.  What must survive it is
 one :class:`~repro.cluster.shard.ShardState` (``agent.shard``); a run
 executes on a :class:`~repro.cluster.vertextable._RunState` built by
 cluster-free functions; the barrier-round machine that drives a run is
-:class:`~repro.cluster.rounds.RoundMixin`.  This module keeps message
-dispatch, directory adoption and migration, ingest and forwarding,
-serving, and crash tolerance.
+:class:`~repro.cluster.rounds.RoundMixin`; membership (join, leave,
+drain) and migration with its hop ledger are
+:class:`~repro.cluster.migration.MigrationMixin`.  This module keeps
+message dispatch, ingest and forwarding, serving, and crash tolerance.
 """
 
 from __future__ import annotations
@@ -54,24 +55,19 @@ from repro.cluster.config import ClusterConfig
 # tracing wrapper reaches ``repro.cluster.agent.combine_pairs``.
 from repro.cluster.dataplane import ACK_BATCH_WINDOW, combine_pairs, segments_by  # noqa: F401
 from repro.cluster.directory import DirectoryState
-from repro.cluster.edgestore import EdgeStore, distinct
+from repro.cluster.edgestore import distinct
 from repro.cluster.metrics import AgentMetrics
+from repro.cluster.migration import MigrationMixin
 from repro.cluster.participant import Participant
 from repro.cluster.recovery import Checkpoint, RecoveryStore, Rows
 from repro.cluster.rounds import RoundMixin
 from repro.cluster.shard import ProgramState, ShardState, StateSlice, copy_programs
-from repro.cluster.vertextable import (
-    _RunState,
-    hosted_vertex_ids,
-    keyed_vertices,
-    persist_table,
-)
+from repro.cluster.vertextable import _RunState, hosted_vertex_ids, persist_table
 from repro.net.message import Message, PacketType
-from repro.partition.placer import EdgePlacer
 from repro.sketch.countmin import CountMinSketch
 
 
-class Agent(RoundMixin, Participant):
+class Agent(MigrationMixin, RoundMixin, Participant):
     """One ElGA Agent (one per core in the paper's deployment).
 
     Created by :class:`~repro.cluster.cluster.ElGACluster`; joins the
@@ -125,23 +121,23 @@ class Agent(RoundMixin, Participant):
         self._delta_count = 0
         self._reported_split: Set[int] = set()
         self._buffered_updates: List[dict] = []
-        self._pre_state_buffer: List[Tuple[dict, bool]] = []
         # (packet type, payload) round data that raced ahead of the run
         # bootstrap; the first round files it under its rounds.
         self._pre_run_data: List[Tuple[PacketType, dict]] = []
 
-        # Elasticity.
-        self.leaving = False
-        self.migration_acks_pending = 0
-        # Outbound migration ledger: token -> (role, keys, others) for
-        # batches removed from our stores but not yet acked by the
-        # receiving hop.  The WAL removal is logged only on ack: until
-        # the rows are durably *somewhere else*, a replacement must
-        # restore them from its checkpoint + WAL and re-ship under the
-        # current directory (receiver application is idempotent).
+        # Membership (MigrationMixin).  Edge updates that arrive before
+        # any adopted state lists this agent wait here; None once one has.
+        self.status = "joining"
+        self._pre_state_buffer: Optional[List[Tuple[dict, bool]]] = []
+        # Outbound hop ledger: token -> the (role, keys, others) batch
+        # an unacked EDGE_MIGRATE removed from our stores, or None for
+        # a forwarded segment.  The WAL removal is logged only on ack:
+        # until the rows are durably *somewhere else*, a replacement
+        # must restore them from its checkpoint + WAL and re-ship under
+        # the current directory (receiver application is idempotent).
         # Logging the removal at send time lost edges when this agent
         # crashed abruptly with the EDGE_MIGRATE still in flight.
-        self._pending_migrations: Dict[int, Tuple[str, np.ndarray, np.ndarray]] = {}
+        self.ledger: Dict[int, Optional[Tuple[str, np.ndarray, np.ndarray]]] = {}
         self._migration_seq = 0
 
         self.run: Optional[_RunState] = None
@@ -175,25 +171,7 @@ class Agent(RoundMixin, Participant):
         if recover_from is not None:
             self._restore_from_crash(recover_from, restore_checkpoint)
 
-        self._join()
-
-    # ------------------------------------------------------------------
-    # bootstrap
-    # ------------------------------------------------------------------
-
-    def _join(self) -> None:
-        """Announce this agent to its (subscribed-to) Directory;
-        idempotent at the directory tier."""
-        self.push.push(
-            self.directory_address,
-            PacketType.AGENT_JOIN,
-            {
-                "agent_id": self.agent_id,
-                "address": self.address,
-                "node": self.node,
-                "weight": self.weight,
-            },
-        )
+        self._announce()
 
     # ------------------------------------------------------------------
     # dispatch
@@ -217,250 +195,8 @@ class Agent(RoundMixin, Participant):
             self._report_ready()
 
     # ------------------------------------------------------------------
-    # directory updates, migration, elasticity (§3.4.3)
+    # placement helpers
     # ------------------------------------------------------------------
-
-    def _adopt(self, state: DirectoryState) -> None:
-        if self.run is not None and not self.run.suspended:
-            # Placement must stay stable while a superstep's messages are
-            # in flight; adopt once the engine suspends or ends the run.
-            self._pending_state = state
-            return
-        self._pending_state = None
-        super()._adopt(state)
-
-    def _adopted(self, previous: Optional[DirectoryState], before: Optional[EdgePlacer]) -> None:
-        state = self.dstate
-        if previous is not None and state.weights != previous.weights:
-            # A re-weight landed (planner adoption or heterogeneous
-            # join): the ring shifted arcs, and _migrate_misplaced
-            # re-homes whatever this agent no longer owns.
-            self.metrics.rebalance_adoptions += 1
-        # Membership decides the leaving state: a just-joined agent may
-        # see one last broadcast predating its join (it is simply not a
-        # member *yet*), while a departing agent is never re-added.
-        self.leaving = self.agent_id not in state.agents
-        keyed = self._migrate_misplaced(self._moved_keys(previous, before))
-        if previous is None or state.epoch_token != previous.epoch_token:
-            # Degrees may have crossed the split threshold between
-            # sketch flushes; every new global sketch warrants a fresh
-            # look at the vertices resident here.
-            self._check_split_threshold(keyed_vertices(self.shard) if keyed is None else keyed)
-        if self._pre_state_buffer:
-            buffered, self._pre_state_buffer = self._pre_state_buffer, []
-            for payload, count_in_sketch in buffered:
-                self._on_edge_update(payload, count_in_sketch)
-
-    def _moved_keys(
-        self, previous: Optional[DirectoryState], before: Optional[EdgePlacer]
-    ) -> Optional[np.ndarray]:
-        """Keyed vertices whose resident rows the just-adopted state can
-        have re-homed; ``None`` means any of them.
-
-        Every resident row was placed under ``previous`` (rows only
-        enter through a placement check against the adopted state, and
-        each adoption re-homes what it moved), so what has to be looked
-        at again is the difference between the two states: nothing for
-        a batch-clock tick, and while the ring stands, only the
-        registered split vertices whose replication factor changed
-        (``before`` is the placer ``previous`` was bound to).  A first
-        adoption — which follows a restore from checkpoint + WAL — and
-        any ring or term change leave no such bound.
-        """
-        state = self.dstate
-        if (
-            previous is None
-            or state.ring_epoch is None
-            or state.ring_epoch != previous.ring_epoch
-        ):
-            return None
-        if state.epoch_token == previous.epoch_token:
-            return np.empty(0, dtype=np.int64)
-        registry = state.split_vertices | previous.split_vertices
-        gate = np.fromiter(registry, dtype=np.int64, count=len(registry))
-        gate.sort()
-        return gate[before.replication_factor(gate) != self.placer.replication_factor(gate)]
-
-    def _migrate_misplaced(self, moved: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """Re-home the resident edges whose owner changed; returns the
-        vertices still keyed here afterwards (None when there is no
-        ring to place by, and nothing ran).
-
-        The paper's straightforward approach recomputes the correct
-        destination for all current edges and forwards any that no
-        longer belong here (§3.4.3); the modelled cluster is charged
-        for exactly that pass.  This process only resolves what the
-        adoption can have moved (``moved``, see :meth:`_moved_keys`),
-        once per distinct keyed vertex where the key alone decides.
-        """
-        if self.placer is None or len(self.placer.ring) == 0:
-            return None
-        costs = self.config.costs
-        total_edges = self.n_out_edges + self.n_in_edges
-        self.charge(costs.elga_migrate_check * total_edges)
-        stores = (("out", self.shard.out_store), ("in", self.shard.in_store))
-        if moved is not None and len(moved) == 0:
-            self.metrics.migrate_rechecks_skipped += 1
-            stores = ()
-        for role, store in stores:
-            rows, owners = self._resident_owners(store, moved)
-            self.metrics.migrate_rows_rechecked += len(owners)
-            wrong = owners != self.agent_id
-            if not wrong.any():
-                continue
-            keys, others = store.arrays()
-            wrong_rows = np.flatnonzero(wrong) if rows is None else rows[wrong]
-            wrong_k = keys[wrong_rows]
-            wrong_o = others[wrong_rows]
-            self.charge(costs.elga_migrate_op * len(wrong_rows))
-            self.metrics.edges_migrated += len(wrong_rows)
-            # Remove locally, one vectorized pass over the store.  The
-            # WAL removal is NOT logged here: it enters the ledger per
-            # destination batch below and hits the log only when that
-            # batch's hop ack arrives (see _pending_migrations).
-            store.remove_pairs(wrong_k, wrong_o)
-            # Group by destination agent and ship, with vertex state.
-            order, segments = segments_by(owners[wrong])
-            for target, start, end in segments:
-                batch_keys = wrong_k[order[start:end]]
-                batch_others = wrong_o[order[start:end]]
-                # Ship algorithm state only for the endpoints this agent
-                # *owns* (the copy's keyed vertex): it is a replica of
-                # those and its persisted values are fresh.  Values for
-                # the opposite endpoints may be stale leftovers from an
-                # earlier placement epoch and must not travel.
-                owned = distinct(batch_keys)
-                token = self._new_migration_token()
-                self._pending_migrations[token] = (role, batch_keys, batch_others)
-                payload = {
-                    "role": role,
-                    "actions": np.ones(end - start, dtype=np.int8),
-                    "us": batch_keys if role == "out" else batch_others,
-                    "vs": batch_others if role == "out" else batch_keys,
-                    "reply_to": self.address,
-                    "token": token,
-                    # Vectorized state join: the owned ids' rows of each
-                    # program's columns, shipped as plain arrays.
-                    "state": {
-                        prog: state.select(owned)
-                        for prog, state in self.shard.programs.items()
-                    },
-                }
-                self.push.push(
-                    self._agent_address(target), PacketType.EDGE_MIGRATE, payload
-                )
-                self.migration_acks_pending += 1
-        keyed = keyed_vertices(self.shard)
-        self._prune_departed_state(keyed)
-        self._maybe_finish_leaving()
-        return keyed
-
-    def _resident_owners(
-        self, store: EdgeStore, moved: Optional[np.ndarray]
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """(row indices, current owner of each) for the rows of
-        ``store`` keyed by a vertex in ``moved``; every row (indices
-        ``None``) when ``moved`` is ``None``.
-
-        A vertex that is not split keeps all its rows with its ring
-        owner, so the full pass resolves owners per distinct key and
-        repeats them over each key's segment; only rows of split
-        vertices are resolved edge by edge.
-        """
-        keys, others = store.arrays()
-        if moved is not None:
-            rows = store.rows_keyed_by(moved)
-            return rows, self.placer.owner_of_edges(keys[rows], others[rows])
-        distinct = store.unique_keys
-        owners = np.repeat(self.placer.ring_owners(distinct), store.key_counts)
-        split = distinct[self.placer.replication_factor(distinct) > 1]
-        if len(split):
-            rows = store.rows_keyed_by(split)
-            owners[rows] = self.placer.owner_of_edges(keys[rows], others[rows])
-        return None, owners
-
-    def _prune_departed_state(self, hosted: np.ndarray) -> None:
-        """Drop algorithm state for vertices that migrated away: all but
-        the (keyed) ``hosted`` ones.
-
-        Keeps per-agent memory at O((n + m)/P) (Goal 2) and prevents
-        stale values from ever being re-shipped or re-collected.
-        """
-        for state in self.shard.programs.values():
-            state.restrict(hosted)
-
-    def _new_migration_token(self) -> int:
-        """A ledger token unique across agents (hop acks echo foreign
-        tokens back; two agents' seq counters must not collide).
-        Negative, so it can never be mistaken for an update token."""
-        self._migration_seq += 1
-        return -(self.agent_id * 1_048_576 + self._migration_seq + 1)
-
-    def _resolve_migration(self, token) -> None:
-        """The batch is durably elsewhere (or re-routed): log the
-        deferred removal.  Unknown tokens — foreign (a hop ack for rows
-        that merely passed through us) or already resolved — are
-        no-ops."""
-        entry = self._pending_migrations.pop(token, None) if token is not None else None
-        if entry is not None:
-            role, keys, others = entry
-            self._wal_log(
-                role,
-                (keys, others, np.full(len(keys), -1, dtype=np.int64)),
-                sketched=False,
-            )
-
-    def _on_migrate_ack(self, payload: dict) -> None:
-        self._resolve_migration(payload.get("token"))
-        self.migration_acks_pending -= 1
-        self._maybe_finish_leaving()
-
-    def on_reliable_abandoned(self, message) -> None:
-        """The fabric gave up on a reliable send of ours: the
-        destination detached for good.  For an EDGE_MIGRATE that means
-        a departed peer never received the edges — re-process the
-        payload under the current directory (which excludes the
-        leaver), re-routing the rows and acking ourselves so the hop
-        ledger drains instead of deadlocking ``consistent()``.  The
-        ledger entry resolves *now*, before the re-process: the
-        original removal must precede any local re-insert in the WAL,
-        or a replacement would replay them out of order."""
-        if self.crashed or message.ptype != PacketType.EDGE_MIGRATE:
-            return
-        self.perf.add("migrations_bounced")
-        self._resolve_migration(message.payload.get("token"))
-        self._on_edge_update(dict(message.payload), count_in_sketch=False)
-
-    def _drained(self) -> bool:
-        """A leaver that holds no edge and awaits no migration ack."""
-        return self.leaving and self.migration_acks_pending == 0 and self.total_edges == 0
-
-    def _maybe_finish_leaving(self) -> None:
-        if self._drained():
-            # "Only when it has no edges and has waited a period of time
-            # will it disconnect."
-            self.kernel.schedule(1e-3, self._final_detach)
-
-    def _final_detach(self) -> None:
-        if self._drained() and self.network.is_attached(self.address):
-            self.push.push(self.directory_address, PacketType.SUBSCRIBE, {"remove": True})
-            self.detach()
-
-    def initiate_leave(self) -> None:
-        """Graceful departure (the paper's SIGINT handler, §3.4.3).
-
-        The agent only signals the directory; the next directory update
-        excludes it, at which point normal migration drains every edge,
-        and the agent disconnects after a grace period.  Between runs it
-        first pushes any degree counts it has not flushed: they would
-        otherwise leave with it, and the global sketch would
-        underestimate every vertex they counted.
-        """
-        if self.run is None and not self.shard.sketch_delta.is_empty():
-            self.flush_sketch()
-        self.push.push(
-            self.directory_address, PacketType.AGENT_LEAVE, {"agent_id": self.agent_id}
-        )
 
     def _agent_address(self, agent_id: int) -> int:
         try:
@@ -491,10 +227,10 @@ class Agent(RoundMixin, Participant):
     # ------------------------------------------------------------------
 
     def _on_edge_update(self, payload: dict, count_in_sketch: bool) -> None:
-        if self.placer is None:
-            # A just-created agent can receive edges (e.g. migration
-            # from peers that already saw its join) before its own first
-            # directory broadcast lands; hold them until it does.
+        if self._pre_state_buffer is not None:
+            # A joining agent can receive edges (e.g. migration from
+            # peers that already saw its join) before any state it
+            # adopted lists it; hold them until one does.
             self._pre_state_buffer.append((payload, count_in_sketch))
             return
         if self.run is not None and not self.run.suspended and count_in_sketch:
@@ -517,8 +253,8 @@ class Agent(RoundMixin, Participant):
             return
         if not count_in_sketch:
             # Migration acks are hop-by-hop: acknowledge receipt to the
-            # sending hop now; if rows forward onward, *we* become the
-            # hop owner awaiting the next ack.
+            # sending hop now; rows forwarded onward go out as our own
+            # hops, under our own ledger tokens.
             reply_to = payload.get("reply_to")
             if reply_to is not None and reply_to >= 0:
                 self.push.push(
@@ -536,25 +272,17 @@ class Agent(RoundMixin, Participant):
             order, segments = segments_by(owners[elsewhere])
             for target, start, end in segments:
                 rows = elsewhere[order[start:end]]
-                fwd = {
-                    "role": role,
-                    "actions": actions[rows],
-                    "us": us[rows],
-                    "vs": vs[rows],
-                    # Updates carry the original requester (the final
-                    # applier acks it); migrations ack hop-by-hop, so we
-                    # take over as the hop awaiting the next ack.
-                    "reply_to": payload["reply_to"] if count_in_sketch else self.address,
-                    "token": payload["token"],
-                }
+                fwd = {"role": role, "actions": actions[rows], "us": us[rows], "vs": vs[rows]}
                 if "state" in payload:
                     fwd["state"] = payload["state"]
-                if count_in_sketch:
-                    ptype = PacketType.EDGE_UPDATE
-                else:
-                    ptype = PacketType.EDGE_MIGRATE
-                    self.migration_acks_pending += 1
-                self.push.push(self._agent_address(target), ptype, fwd)
+                if not count_in_sketch:
+                    self._send_hop(target, fwd, None)
+                    continue
+                # Updates carry the original requester: the final
+                # applier acks it.
+                fwd["reply_to"] = payload["reply_to"]
+                fwd["token"] = payload["token"]
+                self.push.push(self._agent_address(target), PacketType.EDGE_UPDATE, fwd)
 
         # Apply local changes (one vectorized batch over the store).
         shard = self.shard
@@ -821,7 +549,7 @@ class Agent(RoundMixin, Participant):
 
     def _on_rehomed(self) -> None:
         super()._on_rehomed()
-        self._join()
+        self._announce()
         # The READY sent to the dead directory may never have been
         # forwarded; re-report through the new home.
         self._report_ready()
@@ -893,8 +621,9 @@ class Agent(RoundMixin, Participant):
         exact edge stores and un-flushed sketch delta; persisted values
         come from the rollback checkpoint (mid-run recovery), the
         pre-run snapshot (restart-mode recovery from a mid-run base), or
-        the base itself.  Edges the ring now routes elsewhere are
-        dropped by the first directory adoption's migration pass.
+        the base itself.  Edges the ring routes elsewhere are shipped by
+        the migration pass of the first adopted state that lists this
+        agent (none, when it rejoins the membership its victim left).
         """
         source = self._recovery_store.slot(crashed_id)
         base = source.checkpoints.latest
@@ -1058,7 +787,7 @@ class Agent(RoundMixin, Participant):
         **Participant._DISPATCH,
         PacketType.EDGE_UPDATE: (partial(_on_edge_update, count_in_sketch=True), False),
         PacketType.EDGE_MIGRATE: (partial(_on_edge_update, count_in_sketch=False), False),
-        PacketType.EDGE_MIGRATE_ACK: (_on_migrate_ack, False),
+        PacketType.EDGE_MIGRATE_ACK: (MigrationMixin._on_migrate_ack, False),
         PacketType.RUN_START: (RoundMixin._on_run_start, False),
         PacketType.SUPERSTEP_ADVANCE: (RoundMixin._on_advance, False),
         PacketType.VERTEX_MSG: (_on_round_packet, True),

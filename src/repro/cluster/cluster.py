@@ -295,8 +295,8 @@ class ElGACluster:
     def remove_agent(self, agent_id: int, settle: bool = True) -> None:
         """Gracefully remove one Agent (elastic scale-down).
 
-        The agent stays on the departing list until it has drained its
-        edges and detached — :meth:`consistent` must keep counting its
+        The agent stays on the departing list until its status is
+        ``detached`` — :meth:`consistent` must keep counting its
         in-flight migration traffic even though it is no longer a
         member (a chaos-delayed migrate batch from a departing agent
         must not race a mid-run resume)."""
@@ -312,17 +312,17 @@ class ElGACluster:
         self.retired_perf.merge(agent.perf)
 
     def departing_agents(self) -> List[Agent]:
-        """Graceful leavers still attached to the fabric (draining or
-        in their grace period); the ones that have since detached are
-        retired first."""
-        attached = []
+        """Graceful leavers not yet detached (waiting to be unlisted,
+        draining, or in their grace period); the ones that have since
+        detached are retired first."""
+        still = []
         for agent in self._departing:
-            if self.network.is_attached(agent.address):
-                attached.append(agent)
-            else:
+            if agent.status == "detached":
                 self._retire(agent)
-        self._departing = attached
-        return attached
+            else:
+                still.append(agent)
+        self._departing = still
+        return still
 
     def crash_agent(self, agent_id: Optional[int] = None) -> int:
         """Abruptly kill one Agent (no drain, no goodbye — §fault model).
@@ -577,12 +577,12 @@ class ElGACluster:
         return self.lead.state.version
 
     def consistent(self) -> bool:
-        """Whether every live agent has adopted the latest directory
-        state and has no migration traffic outstanding.
+        """Whether every live agent is a listed member, has adopted the
+        latest directory state and has no migration hop outstanding.
 
         Departing agents count until they detach: a graceful leaver
         only disconnects once its edges have drained *and* every
-        migrate batch is acknowledged, so an attached leaver means
+        migrate hop is acknowledged, so a leaver not yet detached means
         migration traffic may still be in flight."""
         if self.departing_agents():
             return False
@@ -591,9 +591,7 @@ class ElGACluster:
             return False  # nothing to have adopted until a successor holds the term
         fence = lead.state.fence
         for agent in self.agents.values():
-            if agent.dstate is None or agent.dstate.fence != fence:
-                return False
-            if agent.migration_acks_pending != 0:
+            if agent.status != "member" or agent.dstate.fence != fence or agent.ledger:
                 return False
         return True
 

@@ -56,10 +56,10 @@ def _rounds(*counted):
 
 
 EXPECTED = {
-    "events_processed": 18957,
-    "messages_sent": 17632,
-    "bytes_sent": 70832057,
-    "now": 0.3162774004378186,
+    "events_processed": 18912,
+    "messages_sent": 17600,
+    "bytes_sent": 70785793,
+    "now": 0.3144470495291519,
     "runs": [
         ("scratch", 8, _rounds("init", ("step", 8))),
         ("scratch", 5, _rounds("init", ("step", 2), "apply_only", "resume", ("step", 2))),
@@ -70,23 +70,23 @@ EXPECTED = {
         ("delta", 1, _rounds("delta_init", "delta_step")),
         ("scratch", 8, _rounds("init", ("step", 5), "resume", ("step", 4))),
     ],
-    "edges_migrated": 6459,
+    "edges_migrated": 5619,
     "replica_syncs": 2131,
     "wal_records_replayed": 0,
     "checkpoints_restored": 1,
 }
 
 EXPECTED_RESTART = {
-    "events_processed": 1479,
-    "messages_sent": 1258,
-    "bytes_sent": 18253192,
-    "now": 0.16394490784291302,
+    "events_processed": 1451,
+    "messages_sent": 1234,
+    "bytes_sent": 18235598,
+    "now": 0.16294521010291302,
     "runs": [
         ("scratch", 4, _rounds("init", ("step", 4))),
         ("scratch", 6, _rounds("init", ("step", 5), "init", ("step", 6))),
         ("dense", 1, _rounds("init", "step")),
     ],
-    "edges_migrated": 730,
+    "edges_migrated": 296,
     "replica_syncs": 104,
     "wal_records_replayed": 20,
     "checkpoints_restored": 1,
@@ -98,10 +98,10 @@ EXPECTED_RESTART = {
 # crash + restart (registry rebuilt from DIRECTORY_REGISTER), and a
 # mid-run re-weight adopted by the elected lead.
 EXPECTED_FAILOVER = {
-    "events_processed": 3989,
+    "events_processed": 3985,
     "messages_sent": 3098,
     "bytes_sent": 28110489,
-    "now": 0.15328216570403388,
+    "now": 0.15228246796403389,
     "runs": [
         ("scratch", 12, _rounds("init", ("step", 12))),
         ("scratch", 5, _rounds("init", ("step", 5))),
