@@ -299,7 +299,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
             # these rows seed the activation frontier of the next delta
             # run (and survive crashes — they are re-derived from the
             # WAL's sketched suffix at restore).
-            shard.dirty_log.append_batch(role, app_k, app_o, app_a)
+            shard.log_dirty([(role, app_k, app_o, app_a)])
             # One sketch update per distinct endpoint, weighted by its
             # rows: the same table as a per-row walk, hashed once per
             # endpoint instead of once per row.
@@ -655,7 +655,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         # Streaming mutations logged after the base checkpoint were
         # dirty but unconsumed when the agent died; re-dirty them so the
         # next delta run still sees its full frontier seed.
-        self.shard.dirty_log.extend(source.wal.sketched_rows())
+        self.shard.log_dirty(source.wal.sketched_rows())
         self.metrics.wal_records_replayed += replayed
         self.metrics.recoveries_participated += 1
         self.restored_from = {

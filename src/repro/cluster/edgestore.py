@@ -15,12 +15,15 @@ tests and result inspection.
   caches on.  ``apply`` ingests a whole mutation batch at once and
   reports the *effective* rows (duplicates and no-ops dropped) in
   deterministic inserts-then-removes, (key, other)-sorted order.
+  Every change *replaces* the columns, and they are read-only
+  (``writeable=False``), so ``copy()`` shares them in O(1).
 * :class:`ValueColumn` — a ``{vertex: float}`` mapping as id-indexed
   ndarray columns with vectorized ``lookup``/``set_many``/``select``
   joins.
 * :class:`IdSet` — a ``Set[int]`` as a sorted id array.
 * :class:`DirtyLog` — the mutation dirty log as array batches with
-  row-count watermarks.
+  row-count watermarks; batches are frozen when appended, so
+  ``copy()`` shares them too.
 
 Every id column here — ``ValueColumn.ids``, ``IdSet.ids``, an
 ``EdgeStore``'s ``unique_keys`` — is sorted ascending with no
@@ -45,6 +48,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+_EMPTY_I64.flags.writeable = False
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _PAIR_DT = np.dtype([("k", np.int64), ("o", np.int64)])
 _PACK_LIMIT = np.int64(1) << np.int64(31)
@@ -52,6 +56,22 @@ _PACK_LIMIT = np.int64(1) << np.int64(31)
 
 def _as_i64(arr) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(arr), dtype=np.int64)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, refusing writes from now on.  For arrays this
+    module made and shares: a missed in-place write raises instead of
+    reaching every copy that holds the array."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _owned(arr) -> np.ndarray:
+    """``arr`` as a frozen int64 column: frozen in place when it owns
+    its buffer, a frozen copy when it is a view of someone else's (or
+    needs another dtype or layout)."""
+    arr = _as_i64(arr)
+    return _frozen(arr if arr.flags.owndata else arr.copy())
 
 
 def _as_records(keys: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -176,14 +196,16 @@ class EdgeStore:
 
     Invariants: ``keys``/``others`` are same-length int64 arrays sorted
     by (key, other) with no duplicate pairs; a vertex with no edges has
-    no rows.
+    no rows.  The columns (and the cached packed column) are read-only:
+    a change builds new ones, never edits them, so copies share them.
     """
 
     __slots__ = ("_keys", "_others", "_version", "_unique_keys", "_starts", "_packed")
 
     def __init__(self, keys: Optional[np.ndarray] = None, others: Optional[np.ndarray] = None):
-        self._keys = _EMPTY_I64 if keys is None else _as_i64(keys)
-        self._others = _EMPTY_I64 if others is None else _as_i64(others)
+        # The caller keeps its arrays writable: the store freezes copies.
+        self._keys = _EMPTY_I64 if keys is None else _frozen(np.array(keys, dtype=np.int64))
+        self._others = _EMPTY_I64 if others is None else _frozen(np.array(others, dtype=np.int64))
         self._version = 0
         self._unique_keys: Optional[np.ndarray] = None
         self._starts: Optional[np.ndarray] = None
@@ -208,7 +230,11 @@ class EdgeStore:
         return out
 
     def copy(self) -> "EdgeStore":
-        return EdgeStore(self._keys.copy(), self._others.copy())
+        """An independent store in O(1): it shares the frozen columns,
+        which a change to either store replaces rather than edits."""
+        out = EdgeStore()
+        out._keys, out._others = self._keys, self._others
+        return out
 
     # -- array access ---------------------------------------------------
 
@@ -342,12 +368,12 @@ class EdgeStore:
     def _set(
         self, keys: np.ndarray, others: np.ndarray, packed: Optional[np.ndarray] = None
     ) -> None:
-        self._keys = keys
-        self._others = others
+        self._keys = _frozen(keys)
+        self._others = _frozen(others)
         self._version += 1
         self._unique_keys = None
         self._starts = None
-        self._packed = packed
+        self._packed = None if packed is None else _frozen(packed)
 
     def _columns(self, keys: np.ndarray, others: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(store pairs, query pairs) as sorted-comparable 1-D columns
@@ -355,7 +381,7 @@ class EdgeStore:
         column is cached per version; only a wide or negative id on
         either side pays the structured-dtype form."""
         if self._packed is None:
-            self._packed = _pack_pairs(self._keys, self._others)
+            self._packed = _frozen(_pack_pairs(self._keys, self._others))
         store, query = self._packed, _pack_pairs(keys, others)
         if store.dtype != query.dtype:
             if query.dtype == _PAIR_DT:
@@ -691,7 +717,9 @@ class DirtyLog:
 
     Streaming ingest appends one ``(role, keys, others, actions)``
     array batch per applied update; delta runs slice suffixes, and
-    programs keep consumption watermarks, by *row count*.
+    programs keep consumption watermarks, by *row count*.  Batches are
+    frozen as they are appended and never edited (``trim`` slices
+    them), so a copy shares them.
     """
 
     __slots__ = ("_batches", "_rows")
@@ -707,11 +735,12 @@ class DirtyLog:
     def append_batch(
         self, role: str, keys: np.ndarray, others: np.ndarray, actions: np.ndarray
     ) -> None:
+        """Log one batch.  The log keeps the caller's arrays, frozen
+        (see :func:`_owned`): the WAL record of the same rows shares
+        them."""
         if len(keys) == 0:
             return
-        self._batches.append(
-            (role, _as_i64(keys), _as_i64(others), _as_i64(actions))
-        )
+        self._batches.append((role, _owned(keys), _owned(others), _owned(actions)))
         self._rows += len(keys)
 
     def extend(self, batches) -> None:
@@ -720,9 +749,10 @@ class DirtyLog:
             self.append_batch(role, k, o, a)
 
     def copy(self) -> "DirtyLog":
+        """An independent log sharing the frozen batch arrays."""
         out = DirtyLog()
-        for role, k, o, a in self._batches:
-            out.append_batch(role, k.copy(), o.copy(), a.copy())
+        out._batches = list(self._batches)
+        out._rows = self._rows
         return out
 
     def rows(self) -> Iterator[Tuple[str, int, int, int]]:

@@ -93,8 +93,9 @@ class MigrationMixin:
         and the agent disconnects after a grace period.  Between runs it
         first pushes any degree counts it has not flushed: they would
         otherwise leave with it, and the global sketch would
-        underestimate every vertex they counted.  While no state lists
-        the agent, the signal waits for the first one that does.
+        underestimate every vertex they counted (mid-run, the adoption
+        that unlists it pushes them).  While no state lists the agent,
+        the signal waits for the first one that does.
         """
         if self.run is None and not self.shard.sketch_delta.is_empty():
             self.flush_sketch()
@@ -134,6 +135,14 @@ class MigrationMixin:
                 self._announce()  # the leave asked while joining
         elif not listed and self.status == "member":
             self._to("leaving")
+        if not listed and self.status == "leaving" and not self.shard.sketch_delta.is_empty():
+            # Unlisted, a leaver ships every row away and applies none
+            # from now on: degree counts it has not flushed go first, or
+            # they leave with it.  No run stands in the way — adoption
+            # waits for a suspension or the run's end — and this also
+            # covers a leave asked mid-run, which initiate_leave could
+            # not flush.
+            self.flush_sketch()
         keyed = self._migrate_misplaced(self._moved_keys(previous, before))
         if previous is None or state.epoch_token != previous.epoch_token:
             # Degrees may have crossed the split threshold between

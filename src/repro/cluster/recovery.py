@@ -24,9 +24,12 @@ Two complementary structures per agent:
   migrated in) the agent held when it died.  The WAL is truncated
   whenever a checkpoint is taken.
 
-Checkpoints use copy-on-write-free deep copies of the (small, simulated)
-stores; sizes are tracked so benchmarks can reason about checkpoint
-cost.
+A checkpoint holds the shard's O(m/P) graph half by reference: edge-store
+columns and dirty-log batches are read-only arrays that every change
+replaces, so the snapshot and the live shard share them until the live
+one moves on, and a WAL record shares its row arrays with the dirty log.
+Only the O(n/P) state — the sketch delta, the watermarks, the program
+half — is copied (:meth:`~repro.cluster.shard.ShardState.copy`).
 """
 
 from __future__ import annotations
@@ -209,7 +212,8 @@ class RecoveryStore:
             slot.checkpoints.prune_run(run_id)
 
     def snapshot_agent(self, agent) -> Checkpoint:
-        """Capture a full checkpoint of ``agent`` and truncate its WAL."""
+        """Capture a full checkpoint of ``agent`` and truncate its WAL:
+        O(n/P) copied, the edge columns and dirty rows shared."""
         checkpoint = Checkpoint(agent.shard.copy())
         slot = self.slot(agent.agent_id)
         slot.checkpoints.save(checkpoint)

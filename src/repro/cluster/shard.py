@@ -14,10 +14,18 @@ that unit for a whole shard, in two halves:
   programs) the last-sent scatter baselines.  This is what a rollback
   rewinds, and what rides along with migrating edges.
 
-A checkpoint is a :meth:`ShardState.copy`; the WAL replays onto one;
-migration ships :meth:`ProgramState.select` and the receiver merges it
-with :meth:`ProgramState.absorb`.  A new durable field is added here and
+A checkpoint is a :meth:`ShardState.copy`, which holds the O(m/P) graph
+half by reference — edge-store columns and dirty-log batches are frozen
+arrays that every change replaces — and copies only the O(n/P) state:
+the sketch delta, the watermarks and each :class:`ProgramState`, all
+written in place.  The WAL replays onto a copy; migration ships
+:meth:`ProgramState.select` and the receiver merges it with
+:meth:`ProgramState.absorb`.  A new durable field is added here and
 nowhere else.
+
+Dirty rows are kept only while some program holds a watermark
+(:meth:`ShardState.log_dirty`); a delta run reads them through
+:meth:`ShardState.unconsumed`.
 """
 
 from __future__ import annotations
@@ -114,13 +122,17 @@ class ShardState:
     # them — the activation seed of a delta run.  Array batches of
     # (role, keys, others, actions) with per-program row watermarks;
     # a finished run advances its program's watermark and the prefix
-    # every known program consumed is trimmed.
+    # every known program consumed is trimmed.  With no watermark there
+    # is no reader, and no row is kept (see log_dirty).
     dirty_log: DirtyLog = field(default_factory=DirtyLog)
     dirty_seen: Dict[str, int] = field(default_factory=dict)
     # -- program half --------------------------------------------------
     programs: Dict[str, ProgramState] = field(default_factory=dict)
 
     def copy(self) -> "ShardState":
+        """An independent shard: the edge stores and the dirty log share
+        their frozen arrays with this one (O(1) and O(batches)); the
+        sketch delta, the watermarks and the program half are copied."""
         return ShardState(
             sketch_delta=self.sketch_delta.copy(),
             out_store=self.out_store.copy(),
@@ -129,3 +141,27 @@ class ShardState:
             dirty_seen=dict(self.dirty_seen),
             programs=copy_programs(self.programs),
         )
+
+    def log_dirty(self, batches) -> None:
+        """Keep ``(role, keys, others, actions)`` batches of applied
+        streaming rows for the delta runs to come — only while some
+        program holds a watermark.  Without one no program can read
+        them: a program's first run never runs as a delta, and its
+        finalize sets its watermark to the end of the log."""
+        if self.dirty_seen:
+            self.dirty_log.extend(batches)
+
+    def unconsumed(self, program: str) -> Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The dirty rows ``program`` has not folded in yet, by role —
+        a delta run's activation seed.
+
+        A delta run happens only under the membership of the program's
+        last fixpoint, and every member finalized that run, so every
+        member holds its watermark; a shard without one raises rather
+        than read rows nobody kept."""
+        mark = self.dirty_seen.get(program)
+        if mark is None:
+            raise RuntimeError(
+                f"delta run of {program!r} on a shard that holds no watermark for it"
+            )
+        return self.dirty_log.suffix(mark)

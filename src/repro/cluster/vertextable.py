@@ -245,7 +245,7 @@ def build_table(
     # from the mutations and from any residual still owed against
     # those baselines.
     if run.is_delta and not resume:
-        run.delta_pending = shard.dirty_log.suffix(shard.dirty_seen.get(program.name, 0))
+        run.delta_pending = shard.unconsumed(program.name)
     if run.delta_msgs and len(ids):
         _init_last_sent(run, table, state.scatter, resume)
 

@@ -78,7 +78,9 @@ class ElGA:
         # deleted anything); ``_program_meta`` records, per program,
         # how much of the log its last completed run consumed plus the
         # conditions its fixpoint was computed under (|V|, membership).
-        # The log prefix every known program has consumed is trimmed.
+        # The log prefix every known program has consumed is trimmed,
+        # and nothing is logged while no program is known: a first run
+        # resolves as scratch and never reads it.
         self._batch_log: List[dict] = []
         self._batch_base = 0
         # ((store id, version) per store, the stores, |V|) behind
@@ -139,12 +141,13 @@ class ElGA:
             self.cluster.flush_sketches()
         else:
             self.cluster.settle()
-        self._batch_log.append(
-            {
-                "touched": batch.touched_vertices,
-                "deletions": bool((batch.actions == REMOVE).any()),
-            }
-        )
+        if self._program_meta:
+            self._batch_log.append(
+                {
+                    "touched": batch.touched_vertices,
+                    "deletions": bool((batch.actions == REMOVE).any()),
+                }
+            )
         self.ingest_reports.append(report)
         return report
 

@@ -133,6 +133,7 @@ def test_build_table_resume_joins_persisted_state():
 def test_build_table_delta_run_seeds_frontier_from_dirty_rows():
     state = ProgramState(ValueColumn.from_dict({v: 0.0 for v in range(4)} | {4: 4.0}))
     shard = hand_shard([(0, 1), (1, 2), (2, 3)], programs={"wcc": state})
+    shard.dirty_seen["wcc"] = 0  # wcc's last run finalized here
     # A streamed insert (3, 4) that wcc has not consumed yet.
     for store, role, key, other in (
         (shard.out_store, "out", 3, 4), (shard.in_store, "in", 4, 3)

@@ -196,6 +196,52 @@ def test_graceful_leaver_flushes_its_unflushed_degree_counts():
     assert (sketch.query(np.arange(n)) >= degree).all()
 
 
+def test_a_mid_run_leaver_flushes_the_counts_it_applied_while_suspended():
+    """A ``scale_plan`` shrink removes an agent while the run is
+    suspended.  Rows applied to it during the suspension are counted only
+    in its pending sketch delta, and it never sees the run's end or the
+    next pre-run flush; it pushes that delta before it drains, so the
+    global sketch does not under-count those vertices."""
+    from repro.core import ElGA, PageRank
+    from repro.gen.powerlaw import powerlaw_graph
+
+    us, vs, n = powerlaw_graph(300, 2000, seed=3)
+    keep = us != vs
+    us, vs = us[keep], vs[keep]
+    engine = ElGA(nodes=2, agents_per_node=2, seed=3)
+    engine.ingest_edges(us, vs)
+    cluster = engine.cluster
+    remove_agent = cluster.remove_agent
+    applied = {}
+
+    def remove_after_rows(agent_id, settle=True):
+        agent = cluster.agents[agent_id]
+        assert agent.run is not None and agent.run.suspended
+        # Fresh out-copies keyed by new vertices, all owned here.
+        cand_u = np.repeat(np.arange(n, n + 40), 2)
+        cand_v = np.tile([0, 1], 40)
+        mine = agent.placer.owner_of_edges(cand_u, cand_v) == agent_id
+        applied["us"] = cand_u[mine]
+        agent._on_edge_update(
+            {"role": "out", "actions": np.ones(int(mine.sum()), dtype=np.int8),
+             "us": cand_u[mine], "vs": cand_v[mine], "reply_to": -1, "token": 0},
+            True,
+        )
+        assert not agent.shard.sketch_delta.is_empty()
+        remove_agent(agent_id, settle)
+
+    cluster.remove_agent = remove_after_rows
+    engine.run(PageRank(max_iters=6), scale_plan={2: 3})
+    cluster.settle()
+    assert len(applied["us"]) > 0 and len(cluster.agents) == 3
+    sketch = cluster.lead.state.sketch
+    degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    assert sketch.total == int(degree.sum()) + len(applied["us"])
+    new, rows = np.unique(applied["us"], return_counts=True)
+    assert (sketch.query(new) >= rows).all()
+    assert (sketch.query(np.arange(n)) >= degree).all()
+
+
 def test_a_joiner_whose_join_is_dropped_waits_until_it_is_listed():
     """The directory's reply to a joiner's SUBSCRIBE does not list it.  A
     joiner that took that for a leave detached itself, and every

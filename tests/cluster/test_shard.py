@@ -5,16 +5,26 @@ and a migration all see *every* durable field.  The field-drift guards
 below enumerate ``dataclasses.fields`` so a field added to ShardState or
 ProgramState without a mutator here — i.e. without anyone having thought
 about how it is copied and restored — fails loudly.
+
+A checkpoint holds the graph half by reference: edge-store columns and
+dirty-log batches are read-only arrays shared with the live shard.  The
+twin below drives random interleavings of applies, in-place value
+writes, snapshots, WAL appends, finalizes and restores through that
+design and through a deep-copy model, and the two must agree on the live
+shard and on every checkpoint ever taken.
 """
 
+import copy
 import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
-from repro.cluster.recovery import Checkpoint, RecoveryStore
+from repro.cluster.recovery import Checkpoint, EdgeWAL, RecoveryStore
 from repro.cluster.shard import ProgramState, ShardState, copy_programs
 from repro.sketch.countmin import CountMinSketch
 
@@ -180,7 +190,7 @@ def test_wal_replay_onto_checkpoint_copy_reproduces_live_shard():
             CountMinSketch(config.sketch_width, config.sketch_depth, seed=config.seed)
         )
         slot.wal.replay(rebuilt)
-        rebuilt.dirty_log.extend(slot.wal.sketched_rows())
+        rebuilt.log_dirty(slot.wal.sketched_rows())
         # Pruning state of vertices that migrated away is not logged: a
         # replacement's first directory adoption redoes it.
         hosted = np.union1d(rebuilt.out_store.unique_keys, rebuilt.in_store.unique_keys)
@@ -189,3 +199,177 @@ def test_wal_replay_onto_checkpoint_copy_reproduces_live_shard():
         replayed_state += sum(bool(record.state) for record in slot.wal._records)
         assert picture(rebuilt) == picture(agent.shard), f"agent {agent_id} diverged"
     assert replayed_state > 0, "scenario never logged migrated-in program state"
+
+
+# -- by reference: what a checkpoint shares, and what it copies ----------
+
+
+class Twin:
+    """A shard, its WAL and its checkpoints, driven the way an agent
+    drives them; ``clone`` is how a checkpoint is taken and restored."""
+
+    def __init__(self, clone):
+        self.clone = clone
+        self.shard = ShardState(CountMinSketch(32, 2, seed=3))
+        self.shard.dirty_seen["p"] = 0
+        self.shard.programs["p"] = ProgramState()
+        self.wal = EdgeWAL()
+        self.taken = []
+        self.snapshot()
+
+    def snapshot(self):
+        self.taken.append(self.clone(self.shard))
+        self.wal.truncate()
+
+    def apply(self, role, rows, sketched):
+        keys, others, actions = (np.asarray(col, dtype=np.int64) for col in zip(*rows))
+        store = self.shard.out_store if role == "out" else self.shard.in_store
+        applied = store.apply(keys, others, actions)
+        state = None
+        if sketched:
+            self.shard.log_dirty([(role, *applied)])
+            ins = applied[2] > 0
+            self.shard.sketch_delta.add(applied[0][ins])
+            self.shard.sketch_delta.remove(applied[0][~ins])
+        else:
+            # Migration traffic: rows plus the vertex state riding along.
+            owned = np.unique(keys)
+            state = {"p": self.shard.programs["p"].absorb(
+                {"values": (owned, owned * 0.5), "active": owned}
+            )}
+        self.wal.append(role, applied, sketched, state)
+
+    def set_values(self, ids, vals):
+        self.shard.programs["p"].values.set_many(np.asarray(ids), np.asarray(vals))
+
+    def finalize(self):
+        shard = self.shard
+        shard.dirty_seen["p"] = len(shard.dirty_log)
+        shard.dirty_log.trim(shard.dirty_seen["p"])
+        shard.dirty_seen["p"] = 0
+        self.snapshot()
+
+    def restore(self):
+        rebuilt = self.clone(self.taken[-1])
+        self.wal.replay(rebuilt)
+        rebuilt.log_dirty(self.wal.sketched_rows())
+        self.shard = rebuilt
+        self.snapshot()
+
+
+POOL = st.integers(0, 7)
+ROWS = st.lists(st.tuples(POOL, POOL, st.sampled_from([1, -1])), min_size=1, max_size=8)
+STEPS = st.one_of(
+    st.tuples(st.just("apply"), st.sampled_from(["out", "in"]), ROWS, st.booleans()),
+    st.tuples(st.just("set"), st.lists(POOL, min_size=1, max_size=4), st.floats(-2, 2)),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("finalize")),
+    st.tuples(st.just("restore")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(STEPS, max_size=14))
+def test_checkpoints_by_reference_equal_a_deep_copy_model(steps):
+    shared, model = Twin(ShardState.copy), Twin(copy.deepcopy)
+    for step in steps:
+        for twin in (shared, model):
+            if step[0] == "apply":
+                twin.apply(*step[1:])
+            elif step[0] == "set":
+                ids = step[1]
+                twin.set_values(ids, [step[2] + i for i in range(len(ids))])
+            else:
+                getattr(twin, step[0])()
+        assert picture(shared.shard) == picture(model.shard)
+        assert [picture(c) for c in shared.taken] == [picture(c) for c in model.taken]
+
+
+def test_a_checkpoint_keeps_its_columns_while_the_live_shard_moves_on():
+    shard = make_shard()
+    checkpoint = shard.copy()
+    assert checkpoint.out_store._keys is shard.out_store._keys
+    assert checkpoint.dirty_log._batches[0][1] is shard.dirty_log._batches[0][1]
+    before = picture(checkpoint)
+    ones = np.ones(2, dtype=np.int8)
+    shard.out_store.apply(i64(1, 5), i64(9, 6), ones)  # the merge path
+    shard.out_store.apply(i64(4, 4), i64(4, 4), np.array([1, -1]))  # the sequential path
+    shard.in_store.remove_pairs(i64(2), i64(1))
+    shard.dirty_log.append_batch("out", i64(5), i64(6), i64(1))
+    shard.dirty_log.trim(2)
+    shard.programs["pagerank"].values.set_many(i64(1, 2), np.array([7.0, 8.0]))
+    assert picture(checkpoint) == before
+    assert checkpoint.out_store._keys is not shard.out_store._keys
+
+
+def shared_arrays(shard):
+    """Every ndarray a checkpoint shares with the live shard."""
+    for store in (shard.out_store, shard.in_store):
+        store.contains_pairs(i64(1), i64(2))  # caches the packed column
+        yield from (store._keys, store._others, store._packed, *store.arrays())
+    for batch in shard.dirty_log._batches:
+        yield from batch[1:]
+
+
+def test_every_shared_array_is_read_only():
+    shard = make_shard()
+    arrays = list(shared_arrays(shard))
+    assert len(arrays) == 13
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_stores_and_logs_do_not_freeze_what_they_copy():
+    keys, others = i64(1, 1), i64(2, 3)
+    store = EdgeStore(keys, others)
+    assert keys.flags.writeable and others.flags.writeable
+    keys[0] = 9  # the caller's array is its own
+    assert store.arrays()[0].tolist() == [1, 1]
+    window = i64(4, 5, 6, 7)
+    log = DirtyLog()
+    log.append_batch("out", window[1:3], window[1:3], window[1:3])
+    assert window.flags.writeable  # a view of a caller's buffer is copied
+    window[1] = 0
+    assert [row[1] for row in log.rows()] == [5, 6]
+
+
+def test_a_shard_with_no_watermark_keeps_no_dirty_rows():
+    shard = ShardState(CountMinSketch(32, 2, seed=3))
+    shard.log_dirty([("out", i64(1), i64(2), i64(1))])
+    assert len(shard.dirty_log) == 0
+    shard.dirty_seen["wcc"] = 0
+    shard.log_dirty([("out", i64(1), i64(2), i64(1))])
+    assert len(shard.dirty_log) == 1
+    with pytest.raises(RuntimeError, match="no watermark"):
+        shard.unconsumed("pagerank")
+    assert shard.unconsumed("wcc")["out"][0].tolist() == [1]
+
+
+def test_no_program_no_dirty_rows_and_no_batch_log():
+    from repro.core import ElGA, WCC
+    from repro.graph import EdgeBatch
+
+    elga = ElGA(nodes=2, agents_per_node=2, seed=23)
+    elga.ingest_edges(np.array([0, 1, 2]), np.array([1, 2, 3]))
+    agents = elga.cluster.agents.values()
+    assert all(len(a.shard.dirty_log) == 0 for a in agents)
+    assert elga._batch_log == []
+    elga.run(WCC())
+    elga.apply_batch(EdgeBatch.insertions([3], [4]))
+    assert sum(len(a.shard.dirty_log) for a in agents) == 2  # out- and in-copy
+    assert len(elga._batch_log) == 1
+
+
+def test_a_delta_run_on_a_shard_without_the_watermark_raises():
+    from repro.core import ElGA, WCC
+    from repro.graph import EdgeBatch
+
+    elga = ElGA(nodes=2, agents_per_node=2, seed=23)
+    elga.ingest_edges(np.array([0, 1, 2]), np.array([1, 2, 3]))
+    elga.run(WCC())
+    elga.apply_batch(EdgeBatch.insertions([3], [4]))
+    del elga.cluster.agents[0].shard.dirty_seen["wcc"]
+    with pytest.raises(RuntimeError, match="no watermark"):
+        elga.run(WCC(), incremental=True)

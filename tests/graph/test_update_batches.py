@@ -98,8 +98,10 @@ def test_noop_delete_applies_nothing(small_cluster):
 def test_insert_delete_same_batch_counts_both_rows(small_cluster):
     """Each effective row lands in both the out- and in-store, so the
     insert+delete pair accounts for four applied rows — and the stores
-    still mirror the reference exactly."""
+    still mirror the reference exactly.  Dirty rows are kept only for a
+    program that can read them, so one has run first."""
     elga = small_cluster
+    elga.run(WCC())
     applied, dirty = _applied(elga), _dirty_rows(elga)
     batch = EdgeBatch(
         actions=np.array([1, -1], dtype=np.int8),

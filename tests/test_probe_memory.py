@@ -1,0 +1,34 @@
+"""``tools/probe_memory.py`` as CI runs it, at a size tier-1 can afford."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "probe_memory.py"
+
+
+def run(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    return subprocess.run(
+        [sys.executable, str(TOOL), "--scale", "10", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_probe_reports_bytes_per_resident_edge_copy_and_gates_on_a_ceiling():
+    done = run("--max-held", "1e6")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["scale"] == 10 and report["copies"] == 2 * report["edges"] > 0
+    assert 0 < report["held_bytes"] <= report["peak_bytes"]
+    assert report["held_per_copy"] == report["held_bytes"] / report["copies"]
+    assert report["peak_per_copy"] == report["peak_bytes"] / report["copies"]
+
+    over = run("--max-held", "1")
+    assert over.returncode == 1
+    assert "exceeds 1 B" in over.stderr
