@@ -213,21 +213,6 @@ def check_cluster_invariants(engine, versions_seen: Optional[List[int]] = None) 
             f"{cluster.network.pending_reliable} reliable sends still pending "
             "after settle"
         )
-    # Determinism guard: the bit-equality claim only holds if nothing in
-    # the run depends on host wall time.  An entity whose PerfCounters
-    # accumulated phase timers without an injected sim clock has been
-    # timing with time.perf_counter(), which is exactly the kind of
-    # nondeterminism this harness exists to exclude.
-    for participant in list(cluster.agents.values()) + list(cluster.streamers):
-        perf = getattr(participant, "perf", None)
-        if perf is None:
-            continue
-        if perf.timers and not perf.deterministic:
-            raise InvariantViolation(
-                f"{participant.name} accumulated wall-clock phase timers "
-                f"{sorted(perf.timers)} inside a determinism-checked run; "
-                "inject PerfCounters(clock=kernel.clock) or stop timing"
-            )
 
 
 def _watch_directory_versions(network) -> List[Tuple[int, int, int]]:

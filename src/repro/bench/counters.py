@@ -1,41 +1,20 @@
 """Lightweight performance counters for the placement fast path.
 
 The simulator charges *simulated* time through the cost model; these
-counters track the *mechanism* — how often the epoch-versioned
-placement cache hits, how much work the vectorized routing path absorbs,
-and (optionally) real wall time per phase — so a benchmark can report a
-measured win instead of an asserted one.
-
-Counters are plain monotone integers plus float timers.  They are cheap
-enough to leave enabled everywhere: one dict update per *batch* of
-lookups, never per edge.
-
-Timers default to **wall time** (``time.perf_counter``) and therefore do
-not belong inside determinism-checked simulation paths: two runs of the
-same simulation will record different wall times, so anything comparing
-runs bit-for-bit (the chaos harness) must not see them.  Pass a
-``clock`` callable (e.g. :meth:`repro.sim.kernel.SimKernel.clock`) to
-time phases on the simulated clock instead; such a counter set is
-*deterministic* and safe anywhere.
+counters count the *mechanism* — placement-cache hits, data-plane pairs
+emitted and combined, transport retries — so a benchmark can report a
+measured win instead of an asserted one.  They are plain monotone
+integers, one dict update per *batch*, never per edge: cheap enough to
+leave on everywhere, and deterministic in any replayed simulation.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 
 class PerfCounters:
-    """Named monotone counters and phase timers.
-
-    Parameters
-    ----------
-    clock:
-        Time source for :meth:`phase`.  ``None`` (the default) means
-        wall time via ``time.perf_counter`` — fine for benchmarks,
-        non-deterministic by nature.  Supply the simulation kernel's
-        clock to make timers reproducible.
+    """Named monotone counters.
 
     Examples
     --------
@@ -44,70 +23,25 @@ class PerfCounters:
     >>> c.add("placement_cache_hit")
     >>> c.counts["placement_cache_hit"]
     4
-    >>> with c.phase("build"):
-    ...     pass
-    >>> c.timers["build"] >= 0.0
-    True
     """
 
-    __slots__ = ("counts", "timers", "_clock")
+    __slots__ = ("counts",)
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    def __init__(self):
         self.counts: Dict[str, int] = {}
-        self.timers: Dict[str, float] = {}
-        self._clock = clock
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether phase timers use a reproducible (simulated) clock."""
-        return self._clock is not None
 
     def add(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n``."""
         self.counts[name] = self.counts.get(name, 0) + int(n)
 
-    @contextmanager
-    def phase(self, name: str):
-        """Accumulate time spent inside the block (wall time unless a
-        ``clock`` was supplied at construction)."""
-        clock = self._clock if self._clock is not None else time.perf_counter
-        start = clock()
-        try:
-            yield
-        finally:
-            self.timers[name] = self.timers.get(name, 0.0) + (clock() - start)
-
     def merge(self, other: "PerfCounters") -> None:
         """Add another counter set into this one (for aggregation)."""
         for name, value in other.counts.items():
             self.counts[name] = self.counts.get(name, 0) + value
-        for name, value in other.timers.items():
-            self.timers[name] = self.timers.get(name, 0.0) + value
 
-    def snapshot(self) -> Dict[str, float]:
-        """A flat dict of all counters and timers (timers suffixed ``_s``).
-
-        A counter literally named ``foo_s`` would silently collide with
-        the export key of a timer named ``foo``; that is a naming bug at
-        the call sites, so it raises instead of dropping data.
-        """
-        out: Dict[str, float] = dict(self.counts)
-        for name, value in self.timers.items():
-            key = f"{name}_s"
-            if key in out:
-                raise ValueError(
-                    f"timer {name!r} collides with counter {key!r} in snapshot(); "
-                    "rename one of them"
-                )
-            out[key] = value
-        return out
-
-    def clear(self) -> None:
-        self.counts.clear()
-        self.timers.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PerfCounters({self.snapshot()})"
+    def snapshot(self) -> Dict[str, int]:
+        """A flat copy of all counters."""
+        return dict(self.counts)
 
 
 def aggregate_counters(counter_sets: Iterable[PerfCounters]) -> PerfCounters:

@@ -15,7 +15,7 @@ behaviors, each mapped to the paper:
   directory state; if this Agent is no longer (or never was) the
   correct destination, the packet is forwarded to the best known owner
   (§3, eventual consistency).
-* **Future iterations** — messages for a future superstep are buffered
+* **Future iterations** — messages for a future superstep are held
   until the computation catches up (§3.4).
 * **Batching** — while a computation runs, edge changes are buffered
   and applied when the run ends (§3.4).
@@ -35,9 +35,10 @@ calibrated :class:`~repro.cluster.costmodel.CostModel`.
 The Agent is split where its state separates.  What must survive it is
 one :class:`~repro.cluster.shard.ShardState` (``agent.shard``); a run
 executes on a :class:`~repro.cluster.vertextable._RunState` built by
-cluster-free functions; the barrier-round machine that drives a run is
-:class:`~repro.cluster.rounds.RoundMixin`; membership (join, leave,
-drain) and migration with its hop ledger are
+cluster-free functions, its split vertices' replica round on a
+:class:`~repro.cluster.replicas.ReplicaRound`; the barrier-round machine
+that drives a run is :class:`~repro.cluster.rounds.RoundMixin`;
+membership (join, leave, drain) and migration with its hop ledger are
 :class:`~repro.cluster.migration.MigrationMixin`.  This module keeps
 message dispatch, ingest and forwarding, serving, and crash tolerance.
 """
@@ -121,9 +122,10 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         self._delta_count = 0
         self._reported_split: Set[int] = set()
         self._buffered_updates: List[dict] = []
-        # (packet type, payload) round data that raced ahead of the run
-        # bootstrap; the first round files it under its rounds.
-        self._pre_run_data: List[Tuple[PacketType, dict]] = []
+        # round -> (packet type, payload) data that arrived before its
+        # round opened here (early, or before the run bootstrap or a
+        # rollback's resume); dropped at a rollback and at the run's end.
+        self._early_data: Dict[int, List[Tuple[PacketType, dict]]] = {}
 
         # Membership (MigrationMixin).  Edge updates that arrive before
         # any adopted state lists this agent wait here; None once one has.
@@ -191,7 +193,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         re-collecting READYs; an agent waiting at a barrier re-sends its
         last report verbatim (stats must merge bit-identically).
         """
-        if not self.crashed and self.run is not None and self.run.spec.mode == "sync":
+        if not self.crashed:
             self._report_ready()
 
     # ------------------------------------------------------------------
@@ -233,7 +235,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
             # adopted lists it; hold them until one does.
             self._pre_state_buffer.append((payload, count_in_sketch))
             return
-        if self.run is not None and not self.run.suspended and count_in_sketch:
+        if self._holds_graph() and count_in_sketch:
             # "While a batch is running, the graph does not change: any
             # edge changes are buffered."
             self._buffered_updates.append(payload)
@@ -288,7 +290,6 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         shard = self.shard
         store = shard.out_store if role == "out" else shard.in_store
         rows = np.nonzero(mine)[0]
-        self.perf.add("ingest_rows_vectorized", len(rows))
         app_k, app_o, app_a = store.apply(own[rows], other[rows], actions[rows])
         n_applied = len(app_k)
         self.charge(costs.elga_ingest_op * max(n_applied, 1))
@@ -510,7 +511,6 @@ class Agent(MigrationMixin, RoundMixin, Participant):
             count = credits[key]
             if count > 1:
                 self.metrics.acks_batched += count - 1
-                self.perf.add("acks_batched", count - 1)
             self.push.push(src, PacketType.VERTEX_MSG_ACK, {"inc": inc, "count": count})
 
     # ------------------------------------------------------------------
@@ -532,7 +532,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
     def _heartbeat_tick(self) -> None:
         self._heartbeat_pending = False
         run = self.run
-        if self.crashed or run is None or run.suspended or run.spec.mode != "sync":
+        if self.crashed or run is None or run.status not in ("open", "ready"):
             return  # chain ends; the next run start / resume re-arms it
         # If this agent's directory died, re-home through the master
         # instead of heartbeating into the void.  The chain keeps
@@ -712,8 +712,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
             # will recompute; fall back to the pre-run fixpoint store
             # (untouched in restart mode) under its existing final tag.
             self._serving.pop(run.program.name, None)
-            self.run = None
-            self._adopt_pending()
+            self._end_run()
             return
         step = int(payload["step"])
         checkpoint = self._recovery.checkpoints.checkpoint_for(run.spec.run_id, step)
@@ -736,7 +735,8 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         self._serving_final[run.program.name] = (run.spec.run_id, step)
         # Stragglers from the old incarnation are fenced by ``inc``.
         run.clear_progress()
-        run.suspended = True
+        self._early_data = {}
+        self._run_to("waiting")
         run.step = step
         self._adopt_pending()
 

@@ -200,20 +200,26 @@ class ElGACluster:
         )
         return index
 
-    def rehome_orphans(self) -> bool:
+    def rehome_orphans(self, settle: bool = False) -> bool:
         """Send every agent whose home directory died to the master for
-        a live one; returns whether any had to go.
+        a live one; returns whether any had to go, and with ``settle``
+        waits until they have.
 
         An agent notices a dead home by itself only from a heartbeat
         tick or a sketch flush.  Between runs, and while a run is
         suspended, it has neither — and a broadcast it cannot hear
-        (RUN_START, the resume) would wait on it forever.  The
-        orchestrator operation that needs every agent listening pays
-        the re-home, as :meth:`ingest` does for streamers and
-        ``ClientProxy.query`` for proxies.
+        (RUN_START, the resume) would wait on it forever, a membership
+        or weight change would leave it routing by the old ring (a
+        leaver's migration ping-pongs with it for good).  The operations
+        that need every agent listening — a run start, each of those
+        changes — pay the re-home, as :meth:`ingest` does for streamers
+        and ``ClientProxy.query`` for proxies.
         """
         # A list, not a generator: every orphan is sent, not just the first.
-        return any([agent.home_lost() for agent in sorted_agents(self.agents)])
+        orphans = any([agent.home_lost() for agent in sorted_agents(self.agents)])
+        if orphans and settle:
+            self.settle()
+        return orphans
 
     def crash_master(self) -> None:
         """Abruptly kill the DirectoryMaster (bootstrap + eviction
@@ -273,6 +279,7 @@ class ElGACluster:
             self._next_agent_id = max(self._next_agent_id, agent_id + 1)
         if node is None:
             node = agent_id // self.config.agents_per_node
+        self.rehome_orphans(settle)
         directory = self.directory_for(agent_id)
         agent = Agent(
             self.network,
@@ -300,6 +307,7 @@ class ElGACluster:
         in-flight migration traffic even though it is no longer a
         member (a chaos-delayed migrate batch from a departing agent
         must not race a mid-run resume)."""
+        self.rehome_orphans(settle)
         agent = self.agents.pop(agent_id)
         self._departing.append(agent)
         agent.initiate_leave()
@@ -409,6 +417,7 @@ class ElGACluster:
         """
         if n_agents < 1:
             raise ValueError(f"cannot scale below one agent, got {n_agents}")
+        self.rehome_orphans(settle)
         while len(self.agents) < n_agents:
             self.add_agent(settle=False)
         while len(self.agents) > n_agents:
@@ -428,6 +437,7 @@ class ElGACluster:
         drained; pass ``settle=False`` mid-run and poll
         :meth:`consistent` instead (the run controller's reshape does).
         """
+        self.rehome_orphans(settle)
         self.lead.adopt_rebalance(weights)
         if settle:
             self.settle()

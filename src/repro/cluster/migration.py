@@ -108,7 +108,7 @@ class MigrationMixin:
     # ------------------------------------------------------------------
 
     def _adopt(self, state: DirectoryState) -> None:
-        if self.run is not None and not self.run.suspended:
+        if self._holds_graph():
             # Placement must stay stable while a superstep's messages are
             # in flight; adopt once the engine suspends or ends the run.
             self._pending_state = state
@@ -245,7 +245,11 @@ class MigrationMixin:
                 }
                 self._send_hop(target, payload, (role, batch_keys, batch_others))
         keyed = keyed_vertices(self.shard)
-        self._prune_departed_state(keyed)
+        # Drop algorithm state for vertices that migrated away: keeps
+        # per-agent memory at O((n + m)/P) (Goal 2), and stale values are
+        # never re-shipped or re-collected.
+        for state in self.shard.programs.values():
+            state.restrict(keyed)
         self._maybe_finish_leaving()
         return keyed
 
@@ -272,16 +276,6 @@ class MigrationMixin:
             rows = store.rows_keyed_by(split)
             owners[rows] = self.placer.owner_of_edges(keys[rows], others[rows])
         return None, owners
-
-    def _prune_departed_state(self, hosted: np.ndarray) -> None:
-        """Drop algorithm state for vertices that migrated away: all but
-        the (keyed) ``hosted`` ones.
-
-        Keeps per-agent memory at O((n + m)/P) (Goal 2) and prevents
-        stale values from ever being re-shipped or re-collected.
-        """
-        for state in self.shard.programs.values():
-            state.restrict(hosted)
 
     # ------------------------------------------------------------------
     # the outbound hop ledger
@@ -332,7 +326,6 @@ class MigrationMixin:
         out of order."""
         if self.crashed or message.ptype != PacketType.EDGE_MIGRATE:
             return
-        self.perf.add("migrations_bounced")
         self._resolve_migration(message.payload.get("token"))
         self._on_edge_update(dict(message.payload), count_in_sketch=False)
 

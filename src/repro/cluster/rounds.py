@@ -5,12 +5,14 @@ directory (RUN_START, then one SUPERSTEP_ADVANCE per round) and closed
 by this agent's AGENT_READY.  What a round does is a row of
 :data:`PHASES`; :meth:`RoundMixin._begin_round` is the one body that
 executes a row, and :meth:`RoundMixin._on_round_data` the one gate every
-data-plane packet of a round passes.  Within a round:
+data-plane packet of a round passes.  Where a live run stands is one
+field, ``run.status``, moved only along the rows of :data:`RUN_STATUS`.
+Within a round:
 
 1. apply the previous round's folded messages (non-split rows);
-2. split choreography — replicas send partial aggregates to the
-   primary, which applies and pushes the new value (and global
-   out-degree) back;
+2. the replica round (:class:`~repro.cluster.replicas.ReplicaRound`) —
+   replicas send partial aggregates to the primary, which applies and
+   pushes the new value (and global out-degree) back;
 3. scatter along the routing caches, coalesced into one packet per
    (destination, type) and gated on the choreography;
 4. READY once every packet is acknowledged and every split value is in.
@@ -18,14 +20,15 @@ data-plane packet of a round passes.  Within a round:
 :class:`RoundMixin` is mixed into the Agent (it needs the entity:
 ``charge``, ``push``, timers); every ``kernel.schedule`` target is a
 bound method of the Agent, so scheduled work is attributed to it.  The
-state it runs on — :class:`~repro.cluster.vertextable._RunState` and
-:class:`~repro.cluster.shard.ShardState` — are plain objects.
+state it runs on — :class:`~repro.cluster.vertextable._RunState`, its
+replica round and :class:`~repro.cluster.shard.ShardState` — are plain
+objects.
 Asynchronous mode (monotone programs, no rounds) lives at the bottom.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,6 +90,28 @@ PHASES: Dict[str, Phase] = {
     "apply_only": Phase(applies=True, suspends=True),
 }
 
+#: Where a live run stands -> the statuses it may move to.  A move
+#: without a row raises; a run ends (halt or restart) by being dropped.
+#:
+#: * ``waiting`` — no round body has run since the run was created or a
+#:   crash rollback rewound the program half: no READY is outstanding,
+#:   and data for every round is held.
+#: * ``open`` — the round body ran; acks, replica partials and values
+#:   are being collected.
+#: * ``ready`` — READY sent; the next ADVANCE opens the next round.
+#: * ``parked`` — an ``apply_only`` READY persisted the table so
+#:   placement may move.  The lead holds that READY, so a term bump
+#:   re-sends it.
+#: * ``async`` — no rounds, no READY, no heartbeats.
+RUN_STATUS: Dict[str, FrozenSet[str]] = {
+    "waiting": frozenset({"open"}),
+    "open": frozenset({"ready", "parked", "waiting"}),
+    "ready": frozenset({"open", "waiting"}),
+    "parked": frozenset({"open", "waiting"}),
+    "async": frozenset(),
+}
+
+
 def _fold_stat(stats: Dict[str, float], key: str, value: float) -> None:
     """Fold one stat contribution: ``max_``-prefixed keys reduce by
     max (mirroring the directory's cross-agent merge), others sum."""
@@ -103,11 +128,23 @@ class RoundMixin:
     # run lifecycle: opening a run, opening a round
     # ------------------------------------------------------------------
 
+    def _run_to(self, status: str) -> None:
+        """Move ``run.status`` along one row of :data:`RUN_STATUS`."""
+        run = self.run
+        if status not in RUN_STATUS[run.status]:
+            raise RuntimeError(f"agent {self.agent_id} run cannot go {run.status} -> {status}")
+        run.status = status
+
+    def _holds_graph(self) -> bool:
+        """Whether a live round or an async run pins the graph: edge
+        changes wait and placement must not move."""
+        return self.run is not None and self.run.status in ("open", "ready", "async")
+
     def _on_run_start(self, spec: "RunSpec") -> None:
         if self.run is not None and self.run.spec.run_id == spec.run_id:
             return  # duplicated RUN_START broadcast; the run is live
         run = self.run = _RunState(spec)
-        if spec.mode == "async":
+        if run.status == "async":
             self._build_table(run, resume=False)
             self._async_scatter(np.flatnonzero(run.table.active))
             return
@@ -122,7 +159,6 @@ class RoundMixin:
             # This agent joined during the suspension; bootstrap the run
             # from the spec the resume broadcast carries.
             run = self.run = _RunState(payload["spec"])
-            run.suspended = True
         if run is None or payload.get("run_id") != run.spec.run_id:
             return
         tracer = self.network.tracer
@@ -145,12 +181,12 @@ class RoundMixin:
         if phase == "halt":
             self.finalize_run(persist=True)
             return
-        if run.suspended and not resumes:
-            # Parked (scale drain or crash rollback): only a resume
-            # re-opens the run.  A straggling pre-crash step ADVANCE
-            # (reliable-transport retransmit) must not reanimate it.
+        if run.status in ("parked", "waiting") and not resumes:
+            # Parked (scale drain) or waiting (crash rollback): only a
+            # resume re-opens the run.  A straggling pre-crash step
+            # ADVANCE (reliable-transport retransmit) must not reanimate it.
             return
-        if run.initial_work_done and int(payload["round"]) <= run.round:
+        if run.status != "waiting" and int(payload["round"]) <= run.round:
             return  # duplicated or stale ADVANCE; this round already ran
         self._begin_round(run, phase, int(payload["round"]), int(payload["step"]))
 
@@ -162,14 +198,10 @@ class RoundMixin:
         run.round = round_id
         run.step = step
         run.phase = phase
-        run.ready_sent = False
-        run.initial_work_done = False
         run.round_stats = {}
-        run.split_applied = {}
         tracer = self.network.tracer
         trace_from = self.available_at() if tracer is not None else 0.0
         if row.table is not None:
-            run.suspended = False
             self._start_heartbeats()
             self._build_table(run, resume=row.table == RESUMED)
         table = run.table
@@ -198,15 +230,9 @@ class RoundMixin:
             self._scatter_positions(np.flatnonzero(table.active & (table.split_k == 1)))
         if row.seeds:
             self._emit_delta_seeds(run)
-        run.initial_work_done = True
-        # Data can trail the bootstrap that makes it meaningful: a
-        # delayed RUN_START behind peers' round-0 scatter, or a resume
-        # broadcast behind peers' data for an agent that joined
-        # mid-suspension.  File it under its round, then drain ours.
-        for ptype, data_payload in self._pre_run_data:
-            run.future_buffer.setdefault(data_payload["round"], []).append((ptype, data_payload))
-        self._pre_run_data = []
-        for ptype, data_payload in run.future_buffer.pop(run.round, []):
+        self._run_to("open")
+        # Replay the data the gate held for this round.
+        for ptype, data_payload in self._early_data.pop(run.round, []):
             self._ROUND_INGEST[ptype](self, data_payload)
         if tracer is not None:
             tracer.complete(
@@ -249,7 +275,6 @@ class RoundMixin:
             rows = order[start:end]
             self.charge(len(rows) * costs.elga_edge_op)
             self.metrics.edges_processed += len(rows)
-            self.perf.add("delta_seed_pairs", len(rows))
             run.buffers.add(owner, PacketType.VERTEX_MSG, {"dst": dst[rows], "val": val[rows]})
 
     # ------------------------------------------------------------------
@@ -300,111 +325,29 @@ class RoundMixin:
     # ------------------------------------------------------------------
 
     def _split_round_begin(self) -> None:
-        """Start the replica choreography for this round (§3.4).
-
-        Non-primary replicas send their partial aggregates (plus local
-        out-degree) to the primary; primaries register how many partials
-        to expect.  Applies — and the value push back to replicas —
-        happen in :meth:`_maybe_apply_split` as partials arrive.
-        """
+        """Start this round's replica round (§3.4): non-primary replicas
+        send their partials to the primary; a primary that expects no
+        remote partial applies at once (:meth:`_maybe_apply_split`)."""
         run = self.run
-        table = run.table
-        if not run.my_split:
-            return
-        # Snapshot every split row's partial *now*, before this round's
-        # scatter starts refilling the accumulators.  One batched pos()
-        # probe and array gather for the whole split set.
-        verts = np.fromiter(sorted(run.my_split), dtype=np.int64, count=len(run.my_split))
-        pos = table.pos(verts)
-        partials = table.accum[pos].copy()
-        got = table.got[pos].copy()
-        outdeg = table.out_deg_local[pos].copy()
-        table.accum[pos] = run.program.identity
-        table.got[pos] = False
-        self.perf.add("split_round_rows_vectorized", len(verts))
-        primaries = np.fromiter(
-            (run.my_split[int(v)][0] for v in verts), dtype=np.int64, count=len(verts)
-        )
-        run.expected_syncs = {}
-        mine = primaries == self.agent_id
-        if mine.any():
-            for v in verts[mine]:
-                run.expected_syncs[int(v)] = len(run.my_split[int(v)]) - 1
-            run.sync_buf.append((verts[mine], partials[mine], got[mine], outdeg[mine]))
-        rest = np.flatnonzero(~mine)
-        # One REPLICA_SYNC emission per primary, rows vert-sorted.
-        order, segments = segments_by(primaries[rest])
-        for primary, start, end in segments:
-            idx = rest[order[start:end]]
-            payload = {
-                "verts": verts[idx],
-                "partials": partials[idx],
-                "got": got[idx],
-                "outdeg": outdeg[idx],
-            }
+        for primary, payload in run.replicas.begin(run.table, run.program.identity):
             run.buffers.add(primary, PacketType.REPLICA_SYNC, payload)
             self.metrics.replica_syncs += 1
-        run.expected_values.update(int(v) for v in verts[rest])
-        # A primary with zero remote partials outstanding can apply now.
         self._maybe_apply_split()
 
     def _ingest_replica_sync(self, payload: dict) -> None:
-        run = self.run
-        verts = np.asarray(payload["verts"], dtype=np.int64)
-        run.sync_buf.append(
-            (
-                verts,
-                np.asarray(payload["partials"], dtype=np.float64),
-                np.asarray(payload["got"], dtype=bool),
-                np.asarray(payload["outdeg"], dtype=np.float64),
-            )
-        )
-        unique, counts = np.unique(verts, return_counts=True)
-        for v, c in zip(unique, counts):
-            v = int(v)
-            run.expected_syncs[v] = run.expected_syncs.get(v, 0) - int(c)
+        self.run.replicas.receive(payload)
         self._maybe_apply_split()
 
     def _maybe_apply_split(self) -> None:
         """Primary side: apply any split vertex whose partials are all in,
         then push the new value (and degree total) to the replicas."""
         run = self.run
-        table = run.table
-        ready = sorted(v for v, remaining in run.expected_syncs.items() if remaining <= 0)
-        if not ready:
+        folded = run.replicas.fold_ready(run.program.ufunc, run.program.identity)
+        if folded is None:
             return
-        program = run.program
+        rverts, agg, got, outdeg = folded
+        table = run.table
         row = PHASES[run.phase]
-        for v in ready:
-            del run.expected_syncs[v]
-        rverts = np.asarray(ready, dtype=np.int64)
-        # Pull the ready vertices' rows out of the sync buffers; rows
-        # for still-pending vertices stay buffered.  (A ready vertex
-        # always has its own row, so the buffer is never empty here.)
-        allv, allp, allg, allo = (
-            np.concatenate([batch[i] for batch in run.sync_buf]) for i in range(4)
-        )
-        take = members(rverts, allv)
-        keep = ~take
-        run.sync_buf = (
-            [(allv[keep], allp[keep], allg[keep], allo[keep])] if keep.any() else []
-        )
-        sv, sp, sg, so = allv[take], allp[take], allg[take], allo[take]
-        # Combine purely from the snapshots (the primary's own was
-        # added at round begin); this round's incoming messages sit in
-        # the pending buffer and must not leak in.  Partials fold in
-        # (vertex, partial, got, outdeg)-sorted order — replica-arrival
-        # order is fabric timing and must not shape the float reduction.
-        order = np.lexsort((so, sg, sp, sv))
-        sv, sp, sg, so = sv[order], sp[order], sg[order], so[order]
-        group = np.searchsorted(rverts, sv)
-        agg = np.full(len(rverts), program.identity, dtype=np.float64)
-        program.ufunc.at(agg, group, sp)
-        got = np.zeros(len(rverts), dtype=bool)
-        np.logical_or.at(got, group, sg)
-        outdeg = np.zeros(len(rverts))
-        np.add.at(outdeg, group, so)
-        self.perf.add("split_apply_rows_vectorized", len(rverts))
         tpos = table.pos(rverts)
         table.out_deg_total[tpos] = outdeg
         # A split row's residual baseline waits for its global degree;
@@ -415,25 +358,10 @@ class RoundMixin:
             act = table.active[tpos].copy()
         else:
             old, new_vals, act = self._apply_rows(tpos, rverts, agg, got)
-            # Stash (old, new, active) per vertex; _check_ready computes
-            # the split step stats once over the vertex-sorted arrays,
-            # not in completion order.
-            for i, v in enumerate(ready):
-                run.split_applied[v] = (float(old[i]), float(new_vals[i]), bool(act[i]))
+            run.replicas.applied(rverts, old, new_vals, act)
         # Do NOT reset accum/got here: they already hold this round's
         # incoming messages (the snapshot was taken at round begin).
-        by_replica: Dict[int, List[int]] = {}
-        for i, v in enumerate(ready):
-            for replica in run.my_split[v][1:]:
-                by_replica.setdefault(replica, []).append(i)
-        for replica in sorted(by_replica):
-            idx = np.asarray(by_replica[replica], dtype=np.int64)
-            payload = {
-                "verts": rverts[idx],
-                "values": np.asarray(new_vals)[idx],
-                "active": np.asarray(act, dtype=bool)[idx],
-                "outdeg": outdeg[idx],
-            }
+        for replica, payload in run.replicas.value_pushes(rverts, new_vals, act, outdeg):
             run.buffers.add(replica, PacketType.REPLICA_VALUE, payload)
         if row.scatters:
             self._scatter_positions(tpos)
@@ -461,7 +389,7 @@ class RoundMixin:
         table.values[pos] = payload["values"]
         table.active[pos] = payload["active"]
         table.out_deg_total[pos] = payload["outdeg"]
-        run.expected_values.difference_update(int(v) for v in payload["verts"])
+        run.replicas.values_in(payload["verts"])
         if PHASES[run.phase].scatters:
             self._scatter_positions(pos)
 
@@ -521,30 +449,26 @@ class RoundMixin:
 
     def _on_round_data(self, ptype: PacketType, payload: dict, src: int) -> None:
         """The one gate every VERTEX_MSG / REPLICA_SYNC / REPLICA_VALUE
-        passes: fence, buffer what is early, ingest what is due, ack."""
-        is_msg = ptype == PacketType.VERTEX_MSG
+        passes: fence, hold what is early, ingest what is due, ack."""
         if int(payload.get("inc", 0)) < self._data_inc:
             # Fencing: data stamped with a pre-recovery incarnation is a
             # straggler from a rolled-back superstep — drop it silently
             # (its sender's ack accounting was reset by the rollback).
             return
         run = self.run
-        if run is None:
-            # Joined mid-suspension: the run bootstrap rides on the
-            # resume broadcast, which may arrive after peers' data.
-            self._pre_run_data.append((ptype, payload))
-            self._ack_data(src, payload)
-            return
-        if is_msg and run.spec.mode == "async":
+        if run is not None and run.status == "async":
             self._async_on_msg(payload)
             return
-        if payload["round"] != run.round or not run.initial_work_done:
+        if run is None or run.status == "waiting" or payload["round"] != run.round:
             # "If it is for an iteration in the future, the packet is
-            # stored until the computation can catch up."
-            run.future_buffer.setdefault(payload["round"], []).append((ptype, payload))
+            # stored until the computation can catch up."  So is data
+            # that beat the run bootstrap (a delayed RUN_START, or the
+            # resume broadcast that starts the run on an agent that
+            # joined mid-suspension) or the resume after a rollback.
+            self._early_data.setdefault(payload["round"], []).append((ptype, payload))
             self._ack_data(src, payload)
             return
-        if is_msg:
+        if ptype == PacketType.VERTEX_MSG:
             self.charge(self.config.costs.elga_msg_op)
         self._ROUND_INGEST[ptype](self, payload)
         self._ack_data(src, payload)
@@ -604,9 +528,9 @@ class RoundMixin:
 
         REPLICA_SYNC flushes unconditionally (it *unblocks* primaries).
         REPLICA_VALUE waits until this primary has applied every split
-        vertex (``expected_syncs`` empty) so one packet per replica
-        carries the whole round.  VERTEX_MSG additionally waits for
-        ``expected_values``: only then can no further scatter happen
+        vertex (no partial due) so one packet per replica carries the
+        whole round.  VERTEX_MSG additionally waits for every replica
+        value due here: only then can no further scatter happen
         this round, making each packet's contents exactly "everything
         this sender produced for that destination this round" — the
         canonical batch boundary the two-level reduction relies on.
@@ -638,14 +562,14 @@ class RoundMixin:
         ):
             self.metrics.packets_coalesced += n_emits - 1
             self._send_data(agent_id, PacketType.REPLICA_SYNC, payload)
-        if run.expected_syncs:
+        if run.replicas.expected_syncs:
             return
         for agent_id, n_emits, payload in buffers.drain_replica(
             PacketType.REPLICA_VALUE, run.step, run.round
         ):
             self.metrics.packets_coalesced += n_emits - 1
             self._send_data(agent_id, PacketType.REPLICA_VALUE, payload)
-        if run.expected_values or not buffers.pending(PacketType.VERTEX_MSG):
+        if run.replicas.expected_values or not buffers.pending(PacketType.VERTEX_MSG):
             return
         for agent_id, n_emits, payload in buffers.drain_vertex_msgs(run.step, run.round):
             self.metrics.packets_coalesced += n_emits - 1
@@ -686,26 +610,22 @@ class RoundMixin:
 
     def _check_ready(self) -> None:
         run = self.run
-        if run is None or run.ready_sent or not run.initial_work_done or run.spec.mode == "async":
+        if run is None or run.status != "open":
             return
         self._flush_data_buffers()
-        if run.outstanding_acks > 0 or run.expected_syncs or run.expected_values:
+        replicas = run.replicas
+        if run.outstanding_acks > 0 or replicas.expected_syncs or replicas.expected_values:
             return
-        run.ready_sent = True
         self.metrics.supersteps += 1
         stats = dict(run.round_stats)
-        if run.split_applied:
-            sverts = sorted(run.split_applied)
-            old = np.array([run.split_applied[v][0] for v in sverts])
-            new = np.array([run.split_applied[v][1] for v in sverts])
-            act = np.array([run.split_applied[v][2] for v in sverts], dtype=bool)
-            for key, value in run.step_stats(old, new, act).items():
+        split = replicas.applied_rows()
+        if split is not None:
+            for key, value in run.step_stats(*split).items():
                 _fold_stat(stats, key, value)
-        if run.table is not None:
-            # Area under the frontier curve: how many locally-hosted
-            # vertices end this round active (collapses fast in a
-            # converging delta run; ~|V| every round in a scratch run).
-            self.metrics.frontier_size += int(run.table.active.sum())
+        # Area under the frontier curve: how many locally-hosted vertices
+        # end this round active (collapses fast in a converging delta
+        # run; ~|V| every round in a scratch run).
+        self.metrics.frontier_size += int(run.table.active.sum())
         # The local state for this round is complete right here (all
         # messages folded, all replica values applied): publish it as
         # the snapshot client queries read until the next READY.
@@ -716,12 +636,13 @@ class RoundMixin:
             "step": run.step,
             "stats": stats,
         }
+        row = PHASES[run.phase]
+        self._run_to("parked" if row.suspends else "ready")
         self._report_ready()
         if self.network.tracer is not None:
             # Quiet from the moment the READY can depart until the next
             # ADVANCE arrives: that interval is the barrier-wait span.
             self._trace_wait_from = self.available_at()
-        row = PHASES[run.phase]
         if (
             row.checkpointable
             and self.config.checkpoint_every > 0
@@ -733,15 +654,21 @@ class RoundMixin:
             # Park the run so directory updates / migration can proceed.
             self._persist_table()
             run.table = None
-            run.suspended = True
             self._adopt_pending()
 
     def _report_ready(self) -> None:
         """Send (or, after a lead election or a re-home, re-send) the
         last READY report, verbatim, if this agent is waiting on it."""
         run = self.run
-        if run is not None and run.ready_sent and run.last_ready is not None:
+        if run is not None and run.status in ("ready", "parked"):
             self.push.push(self.directory_address, PacketType.AGENT_READY, dict(run.last_ready))
+
+    def _end_run(self) -> None:
+        """Drop the run and the round data held for it; placement may
+        move."""
+        self.run = None
+        self._early_data = {}
+        self._adopt_pending()
 
     def _adopt_pending(self) -> None:
         """No round is in flight any more: placement may move."""
@@ -766,21 +693,6 @@ class RoundMixin:
             # reconstruction from the fresh fixpoint is the truth.
             state.scatter = ValueColumn()
 
-    def _trim_dirty_log(self) -> None:
-        """Drop the dirty-row prefix every known program has consumed.
-
-        Safe even with programs this agent has never seen: the engine
-        runs a program's first execution from scratch, and its finalize
-        sets that program's watermark to the end of the log."""
-        shard = self.shard
-        if not shard.dirty_seen:
-            return
-        cut = min(shard.dirty_seen.values())
-        if cut <= 0:
-            return
-        shard.dirty_log.trim(cut)
-        shard.dirty_seen = {name: mark - cut for name, mark in shard.dirty_seen.items()}
-
     def finalize_run(self, persist: bool) -> None:
         run = self.run
         if run is None:
@@ -794,18 +706,15 @@ class RoundMixin:
         self._serving.pop(run.program.name, None)
         if persist:
             self._serving_final[run.program.name] = (run.spec.run_id, run.step)
-            # The finished program has now folded every dirty row logged
-            # so far into its fixpoint; advance its watermark *before*
-            # the halt checkpoint so a restore cannot re-seed an
-            # already-converged run.
-            self.shard.dirty_seen[run.program.name] = len(self.shard.dirty_log)
-            self._trim_dirty_log()
+            # Advance the program's watermark *before* the halt
+            # checkpoint so a restore cannot re-seed an already-converged
+            # run.
+            self.shard.consumed(run.program.name)
             # Halt checkpoint: the post-run state becomes the durable
             # restore base (and truncates the WAL).
             self._recovery_store.snapshot_agent(self)
             self.metrics.checkpoints_taken += 1
-        self.run = None
-        self._adopt_pending()
+        self._end_run()
         buffered, self._buffered_updates = self._buffered_updates, []
         for payload in buffered:
             self._apply_edge_update(payload, count_in_sketch=True)
@@ -849,11 +758,12 @@ class RoundMixin:
         """
         run = self.run
         table = run.table
-        if not run.my_split:
+        my_split = run.replicas.my_split
+        if not my_split:
             return
         for p in positions:
             v = int(table.ids[p])
-            for replica in run.my_split.get(v, ()):
+            for replica in my_split.get(v, ()):
                 if replica == self.agent_id:
                     continue
                 self.metrics.replica_syncs += 1

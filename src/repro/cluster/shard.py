@@ -151,6 +151,18 @@ class ShardState:
         if self.dirty_seen:
             self.dirty_log.extend(batches)
 
+    def consumed(self, program: str) -> None:
+        """``program`` finished: it has folded every dirty row logged so
+        far into its fixpoint.  Move its watermark to the end of the log
+        and drop the prefix every known program has consumed — safe with
+        programs this shard has never seen, whose first run is never a
+        delta and whose finalize sets their watermark here."""
+        self.dirty_seen[program] = len(self.dirty_log)
+        cut = min(self.dirty_seen.values())
+        if cut > 0:
+            self.dirty_log.trim(cut)
+            self.dirty_seen = {name: mark - cut for name, mark in self.dirty_seen.items()}
+
     def unconsumed(self, program: str) -> Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The dirty rows ``program`` has not folded in yet, by role —
         a delta run's activation seed.

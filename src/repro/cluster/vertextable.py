@@ -1,8 +1,9 @@
 """Per-run vertex state of one shard, and how it is built.
 
 A run executes on a :class:`_VertexTable` — the shard's hosted vertices
-as parallel arrays — plus the routing caches and per-round bookkeeping
-of a :class:`_RunState`.  Everything here is a plain object or a
+as parallel arrays — plus the routing caches, the replica round
+(:class:`~repro.cluster.replicas.ReplicaRound`) and the per-round
+bookkeeping of a :class:`_RunState`.  Everything here is a plain object or a
 function of ``(run, shard, placer, …)``: no entity, no clock, no
 messages, so a test can build a table from a hand-made shard.  The
 Agent's round machine (:mod:`repro.cluster.rounds`) charges simulated
@@ -12,14 +13,14 @@ packets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.dataplane import RoundBuffers, segments_by
 from repro.cluster.edgestore import members, union
+from repro.cluster.replicas import ReplicaRound
 from repro.cluster.shard import ProgramState, ShardState
-from repro.net.message import PacketType
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.core.program import RunSpec
@@ -78,7 +79,9 @@ class _RunState:
         self.spec = spec
         self.program = spec.program
         self.ctx = {"global_n": spec.global_n}
-        self.suspended = False
+        # Where the run stands (``rounds.RUN_STATUS``): a synchronous
+        # run waits for its first round to open.
+        self.status = "async" if spec.mode == "async" else "waiting"
         # Delta runs: only the frontier applies/scatters, and (for
         # delta-message programs) scatter carries residuals.
         self.is_delta = spec.strategy == "delta"
@@ -105,8 +108,6 @@ class _RunState:
         # Edge routing caches (built with the table).
         self.out_routing: Routing = _NO_ROUTING
         self.in_routing: Routing = _NO_ROUTING
-        # Split-vertex choreography.
-        self.my_split: Dict[int, List[int]] = {}  # vertex -> replica list
         self.round = -1
         self.step = 0
         self.phase = "delta_init" if self.is_delta else "init"
@@ -123,24 +124,10 @@ class _RunState:
         progress past the checkpoint (the resume rebuilds the table from
         the restored program state)."""
         self.table = None
+        # The split-vertex replica round, built with each table.
+        self.replicas: Optional[ReplicaRound] = None
         self.outstanding_acks = 0
-        self.expected_syncs: Dict[int, int] = {}
-        # Replica-sync partials, buffered as parallel arrays per batch
-        # (verts, partials, got, outdeg); ``_maybe_apply_split`` folds
-        # a vertex's rows in canonical sorted order once all of them
-        # are in, so arrival order never shapes the reduction.
-        self.sync_buf: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.expected_values: Set[int] = set()
-        self.initial_work_done = False
-        self.ready_sent = False
         self.round_stats: Dict[str, float] = {}
-        # Split-vertex (old, new, active) per applied vertex; step
-        # stats for them are computed once at READY time over the
-        # vertex-sorted arrays — partial-arrival order must not leak
-        # into float sums.
-        self.split_applied: Dict[int, Tuple[float, float, bool]] = {}
-        # round -> (packet type, payload) data that arrived ahead of it.
-        self.future_buffer: Dict[int, List[Tuple[PacketType, dict]]] = {}
         # This round's incoming (dst, val) message batches.  They are
         # buffered, not applied on arrival: at the next ADVANCE the
         # batches are concatenated, sorted canonically, and folded into
@@ -206,7 +193,8 @@ def build_table(
     """
     spec = run.spec
     program = run.program
-    ids, run.my_split = hosted_vertex_ids(shard, placer, split_vertices, agent_id)
+    ids, my_split = hosted_vertex_ids(shard, placer, split_vertices, agent_id)
+    run.replicas = ReplicaRound(agent_id, my_split)
     table = run.table = _VertexTable(ids)
     state = shard.programs.get(program.name, ProgramState())
 
@@ -220,8 +208,8 @@ def build_table(
         table.out_deg_total = local_outdeg.copy()
 
     # Split bookkeeping for the (few) hubs hosted here.
-    hubs = np.fromiter(run.my_split, dtype=np.int64, count=len(run.my_split))
-    for p, replicas in zip(np.searchsorted(ids, hubs), run.my_split.values()):
+    hubs = np.fromiter(my_split, dtype=np.int64, count=len(my_split))
+    for p, replicas in zip(np.searchsorted(ids, hubs), my_split.values()):
         table.split_k[p] = len(replicas)
         table.is_primary[p] = replicas[0] == agent_id
 

@@ -340,10 +340,9 @@ class ElGA:
             activate=activate,
             strategy=strategy,
         )
-        if self.cluster.rehome_orphans():
-            # Agents whose home directory died since the last run could
-            # not hear RUN_START; the barrier would wait on them forever.
-            self.cluster.settle()
+        # Agents whose home directory died since the last run could not
+        # hear RUN_START; the barrier would wait on them forever.
+        self.cluster.rehome_orphans(settle=True)
         kernel = self.cluster.kernel
         start = kernel.now
         steps, rounds, stats = None, [], []

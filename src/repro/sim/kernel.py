@@ -133,17 +133,6 @@ class SimKernel:
         """Current simulated time in seconds."""
         return self._now
 
-    def clock(self) -> float:
-        """The simulated clock as a plain callable.
-
-        A drop-in replacement for wall-clock sources like
-        ``time.perf_counter`` wherever an API takes a zero-argument
-        timer (e.g. ``PerfCounters(clock=kernel.clock)``), so phase
-        timers and traces agree with simulated time and stay
-        deterministic.
-        """
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Total number of events fired since construction."""

@@ -1,76 +1,27 @@
-"""PerfCounters: snapshot key safety and timer clock sources."""
-
-import pytest
+"""PerfCounters: monotone counts, snapshots and aggregation."""
 
 from repro.bench.counters import PerfCounters, aggregate_counters
-from repro.sim.kernel import SimKernel
 
 
-def test_snapshot_suffixes_timers():
+def test_snapshot_is_a_copy_of_the_counts():
     c = PerfCounters()
     c.add("hits", 3)
-    with c.phase("build"):
-        pass
     snap = c.snapshot()
-    assert snap["hits"] == 3
-    assert snap["build_s"] >= 0.0
-
-
-def test_snapshot_detects_counter_timer_clash():
-    c = PerfCounters()
-    c.add("build_s", 1)  # counter that shadows a timer's export key
-    with c.phase("build"):
-        pass
-    with pytest.raises(ValueError, match="collides"):
-        c.snapshot()
+    assert snap == {"hits": 3}
+    c.add("hits")
+    assert snap == {"hits": 3}
 
 
 def test_snapshot_clash_only_when_both_present():
     c = PerfCounters()
     c.add("build_s", 1)
-    assert c.snapshot() == {"build_s": 1}  # no timer: no clash
+    assert c.snapshot() == {"build_s": 1}  # any name is a plain count
 
 
-def test_wall_clock_default_is_not_deterministic():
-    c = PerfCounters()
-    assert not c.deterministic
-
-
-def test_sim_clock_timers_are_deterministic():
-    kernel = SimKernel()
-    c = PerfCounters(clock=kernel.clock)
-    assert c.deterministic
-
-    def work():
-        with c.phase("settle"):
-            kernel.schedule(0.25, lambda: None)
-
-    kernel.schedule(1.0, work)
-    kernel.run()
-    # Sim time cannot advance inside a callback, so the phase measures
-    # exactly zero simulated seconds — reproducibly.
-    assert c.timers["settle"] == 0.0
-
-
-def test_sim_clock_phase_across_scheduling():
-    kernel = SimKernel()
-    c = PerfCounters(clock=kernel.clock)
-    start = kernel.clock()
-    kernel.schedule(0.5, lambda: None)
-    kernel.run()
-    with c.phase("outer"):
-        kernel.schedule(0.5, lambda: None)
-        kernel.run()
-    assert c.timers["outer"] == pytest.approx(0.5)
-    assert start == 0.0
-
-
-def test_aggregate_preserves_timers_and_counts():
+def test_aggregate_sums_counts():
     a, b = PerfCounters(), PerfCounters()
     a.add("x", 1)
     b.add("x", 2)
-    a.timers["t"] = 0.5
-    b.timers["t"] = 0.25
+    b.add("y")
     total = aggregate_counters([a, b])
-    assert total.counts["x"] == 3
-    assert total.timers["t"] == pytest.approx(0.75)
+    assert total.counts == {"x": 3, "y": 1}

@@ -216,7 +216,7 @@ def test_a_mid_run_leaver_flushes_the_counts_it_applied_while_suspended():
 
     def remove_after_rows(agent_id, settle=True):
         agent = cluster.agents[agent_id]
-        assert agent.run is not None and agent.run.suspended
+        assert agent.run is not None and agent.run.status == "parked"
         # Fresh out-copies keyed by new vertices, all owned here.
         cand_u = np.repeat(np.arange(n, n + 40), 2)
         cand_v = np.tile([0, 1], 40)
@@ -292,9 +292,35 @@ def test_a_leaver_whose_home_directory_died_re_sends_its_leave():
     assert leaver.directory_address == c.directories[1].address  # the only agent homed there
     assert not leaver.shard.sketch_delta.is_empty()
     c.crash_directory(1)
-    c.remove_agent(1)
+    # Unsettled, the leave goes out before the re-home lands.
+    c.remove_agent(1, settle=False)
+    c.settle()
     assert 1 not in c.lead.state.agents
     assert leaver.status == "detached"
+    assert c.consistent()
+    assert c.total_resident_edges() == total
+
+
+def test_a_graceful_leave_beside_an_orphan_settles():
+    """A peer whose home directory died cannot hear the state that
+    unlists the leaver; routing by the old one, it would bounce the
+    leaver's migration back for good.  The leave re-homes it first."""
+    from repro.core import ElGA
+    from repro.gen.powerlaw import powerlaw_graph
+
+    us, vs, _ = powerlaw_graph(300, 2000, seed=3)
+    keep = us != vs
+    engine = ElGA(nodes=1, agents_per_node=4, seed=3, n_directories=2)
+    engine.ingest_edges(us[keep], vs[keep])
+    c = engine.cluster
+    total = c.total_resident_edges()
+    orphan = c.agents[1]
+    assert orphan.directory_address == c.directories[1].address
+    c.crash_directory(1)
+    c.remove_agent(0, settle=False)
+    c.settle(max_events=200_000)  # the ping-pong exhausts this budget
+    assert c.network.is_attached(orphan.directory_address)
+    assert 0 not in orphan.dstate.agents
     assert c.consistent()
     assert c.total_resident_edges() == total
 

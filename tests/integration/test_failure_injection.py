@@ -33,7 +33,7 @@ def test_future_round_messages_are_buffered_and_replayed():
         "val": np.array([0.5]),
     }
     agent._on_round_data(PacketType.VERTEX_MSG, future, src=agent.address)
-    assert agent.run.future_buffer  # stored, not applied
+    assert agent._early_data  # stored, not applied
     agent.finalize_run(persist=False)
 
 
