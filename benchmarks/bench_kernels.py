@@ -2,13 +2,14 @@
 
 Four layers, matching the raw-speed push:
 
-* **Microbenches** — the three hot kernels (placement hash, canonical
-  ``combine_pairs``, the receive-side PageRank fold) timed head-to-head
-  against the pure-numpy reference on realistic RMAT-derived batches.
+* **Microbenches** — the four hot kernels (placement hash, the CSR
+  ``scatter_rows``, canonical ``combine_pairs``, the receive-side
+  PageRank fold) timed head-to-head against the pure-numpy reference on
+  realistic RMAT-derived batches.
   Results must be *bit-identical* between backends (the reference path
   is the determinism oracle), and the full run gates a >= 5x wall-clock
   speedup per kernel.
-* **Crossover** — the same three through the dispatchers production
+* **Crossover** — the hash, combine and fold through the dispatchers production
   calls, both backends, at the batch sizes the cluster actually sends
   (n = 16 … 4,096).  The dispatch floors in ``repro.kernels`` are read
   from this table: the smallest n from which C never loses again
@@ -170,6 +171,48 @@ def micro_fold(rows: int) -> dict:
     }
 
 
+def _csr_workload(edges: int) -> tuple:
+    """One shard's out-copies as a scatter CSR: RMAT-sampled edges in
+    key order, four destination agents, every row sending, rows in
+    value order as a round emits them."""
+    rng = np.random.default_rng(SEED)
+    us, vs, _ = rmat_graph(14, edge_factor=4, seed=SEED)
+    pick = rng.integers(0, len(us), size=edges)
+    keys, others = us[pick].astype(np.int64), vs[pick].astype(np.int64)
+    order = np.lexsort((others, keys))
+    keys, others = keys[order], others[order]
+    ids = np.unique(keys)
+    off = np.append(np.searchsorted(keys, ids), len(keys)).astype(np.int64)
+    owner = (others % 4).astype(np.int32)
+    cap = np.concatenate([[0], np.cumsum(np.bincount(owner))]).astype(np.int64)
+    vals = rng.random(len(ids)) / np.diff(off)
+    rows = np.argsort(vals)
+    return rows, vals[rows], off, others, owner, cap
+
+
+def _agent_slices(out) -> list:
+    dst, val, start, counts = out
+    return [(dst[s : s + c], val[s : s + c].view(np.uint64)) for s, c in zip(start, counts)]
+
+
+def micro_scatter(rows: int) -> dict:
+    csr = _csr_workload(rows)
+    ref = _agent_slices(reference.scatter_rows(*csr))
+    acc = _agent_slices(kernels.c_scatter_rows(*csr))
+    assert all(
+        np.array_equal(rd, ad) and np.array_equal(rv, av) for (rd, rv), (ad, av) in zip(ref, acc)
+    ), "scatter_rows backends diverged"
+    t_ref = _best_of(lambda: reference.scatter_rows(*csr))
+    t_acc = _best_of(lambda: kernels.c_scatter_rows(*csr))
+    return {
+        "rows": rows,
+        "ref_seconds": t_ref,
+        "accel_seconds": t_acc,
+        "speedup": t_ref / t_acc,
+        "bit_identical": True,
+    }
+
+
 CROSSOVER_SIZES = (16, 32, 64, 128, 192, 256, 512, 1024, 2048, 4096)
 CROSSOVER_CALLS = 200
 CROSSOVER_ROUNDS = 9
@@ -243,7 +286,12 @@ def run_crossover() -> dict:
     }
 
 
-MICROS = {"wang64": micro_hash, "combine_pairs": micro_combine, "pagerank_fold": micro_fold}
+MICROS = {
+    "wang64": micro_hash,
+    "scatter_rows": micro_scatter,
+    "combine_pairs": micro_combine,
+    "pagerank_fold": micro_fold,
+}
 
 
 def run_micros(rows: int) -> dict:
@@ -432,4 +480,4 @@ if __name__ == "__main__":
     show(payload)
     _assert_bar(payload, SMOKE_BAR if smoke else FULL_BAR)
     if smoke:
-        print(f"[smoke] ok: >={SMOKE_BAR}x on all three kernels")
+        print(f"[smoke] ok: >={SMOKE_BAR}x on all {len(MICROS)} kernels")

@@ -73,8 +73,10 @@ def segments_by(owners: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, int, in
     ``order`` sorts the rows by owner and keeps input order inside a
     group (a stable sort); each ``(owner, start, end)`` segment is the
     slice ``order[start:end]`` of one owner's rows, owners ascending.
-    Every place that ships one packet per destination — routing,
-    forwarding, migration, replica sync — groups through here.
+    Every place that ships one packet per destination — ingest,
+    forwarding, migration, replica sync, delta seeds — groups through
+    here; a run's scatter has its own CSR walk
+    (:func:`repro.kernels.scatter_rows`).
     """
     order = np.argsort(owners, kind="stable")
     if len(order) == 0:

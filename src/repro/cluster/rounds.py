@@ -408,26 +408,25 @@ class RoundMixin:
         active_rows = positions[table.active[positions]]
         if len(active_rows) == 0:
             return
-        send_mask = np.zeros(len(table), dtype=bool)
-        send_mask[active_rows] = True
-        values = program.scatter_values(table.values, table.out_deg_total)
+        rows = active_rows
+        values = program.scatter_values(table.values[rows], table.out_deg_total[rows])
         if run.delta_msgs:
             # Residual scatter: emit only the change since the last
             # send, then advance the baseline.  Rows whose steady value
             # did not move send nothing at all — the wire traffic of a
             # delta round tracks true residuals, not frontier size.
-            baseline = np.where(np.isnan(table.last_sent), values, table.last_sent)
-            deltas = values - baseline
-            send_mask &= deltas != 0.0
-            table.last_sent[send_mask] = values[send_mask]
-            values = deltas
+            last = table.last_sent[rows]
+            deltas = values - np.where(np.isnan(last), values, last)
+            moved = deltas != 0.0
+            rows = rows[moved]
+            table.last_sent[rows] = values[moved]
+            values = deltas[moved]
         full, cached = self._lookup_rates()
         if run.routing_uncharged is not None:
             # Deferred placement resolution: rows scattering for the
             # first time this run pay the full (uncached) lookup rate
             # for their local edges; every send below adds the cached
             # probe, so only the difference is owed here.
-            rows = np.flatnonzero(send_mask)
             owed = float(run.routing_uncharged[rows].sum())
             if owed:
                 self.charge(owed * (full - cached))
@@ -435,7 +434,7 @@ class RoundMixin:
         # Routing was resolved (and charged) once at table build; the
         # per-superstep re-resolution is a placement-cache probe and is
         # charged at the reduced cached rate.
-        for agent_id, count, dst, val in scatter_segments(run, send_mask, values):
+        for agent_id, count, dst, val in scatter_segments(run, rows, values):
             # Per-edge work: hash-map access + lookup + buffer write.
             self.charge(count * (costs.elga_edge_op + cached))
             self.metrics.edges_processed += count
@@ -784,10 +783,10 @@ class RoundMixin:
         table = run.table
         if len(positions) == 0:
             return
-        send_mask = np.zeros(len(table), dtype=bool)
-        send_mask[positions] = True
-        values = run.program.scatter_values(table.values, np.maximum(table.out_deg_total, 1.0))
-        for agent_id, count, dst, val in scatter_segments(run, send_mask, values):
+        values = run.program.scatter_values(
+            table.values[positions], np.maximum(table.out_deg_total[positions], 1.0)
+        )
+        for agent_id, count, dst, val in scatter_segments(run, positions, values):
             self.charge(count * self.config.costs.elga_edge_op)
             self.metrics.edges_processed += count
             if agent_id != self.agent_id:

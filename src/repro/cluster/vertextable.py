@@ -13,11 +13,12 @@ packets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.dataplane import RoundBuffers, segments_by
+from repro import kernels
+from repro.cluster.dataplane import RoundBuffers
 from repro.cluster.edgestore import members, union
 from repro.cluster.replicas import ReplicaRound
 from repro.cluster.shard import ProgramState, ShardState
@@ -26,12 +27,19 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.core.program import RunSpec
     from repro.partition.cache import PlacementCache
 
-#: One routing direction: (source positions in the table, raw
-#: destination vertex ids, (agent, start, end) segments), edges sorted
-#: by destination agent.
-Routing = Tuple[np.ndarray, np.ndarray, List[Tuple[int, int, int]]]
 
-_NO_ROUTING: Routing = (np.empty(0, np.int64), np.empty(0, np.int64), [])
+class Routing(NamedTuple):
+    """One scatter direction as a CSR over a store's own key-sorted
+    edge copies: table row ``i``'s edges are ``off[i]:off[i+1]`` of
+    ``dst`` (the store's frozen ``others`` column, shared, not copied)
+    and of ``owner`` (each edge's destination agent)."""
+
+    off: np.ndarray
+    dst: np.ndarray
+    owner: np.ndarray
+    #: Edges per agent, as an exclusive prefix (``cap[a]:cap[a+1]`` is
+    #: room for every pair agent ``a`` can be sent in one scatter).
+    cap: np.ndarray
 
 
 class _VertexTable:
@@ -62,9 +70,9 @@ class _VertexTable:
         if len(vertex_ids) and (
             p.max(initial=0) >= len(self.ids) or not np.array_equal(self.ids[p], vertex_ids)
         ):
-            missing = np.asarray(vertex_ids)[
-                (p >= len(self.ids)) | (self.ids[np.minimum(p, len(self.ids) - 1)] != vertex_ids)
-            ]
+            present = p < len(self.ids)
+            present[present] = self.ids[p[present]] == np.asarray(vertex_ids)[present]
+            missing = np.asarray(vertex_ids)[~present]
             raise KeyError(f"vertices not hosted here: {missing[:5]}...")
         return p
 
@@ -105,9 +113,10 @@ class _RunState:
         # (absolute-message runs resend values and don't care).  Only
         # maintained while checkpointing is on.
         self.prescatter_last_sent: Optional[np.ndarray] = None
-        # Edge routing caches (built with the table).
-        self.out_routing: Routing = _NO_ROUTING
-        self.in_routing: Routing = _NO_ROUTING
+        # Edge routing caches (built with the table; None for a
+        # direction with no edge copies here or that does not scatter).
+        self.out_routing: Optional[Routing] = None
+        self.in_routing: Optional[Routing] = None
         self.round = -1
         self.step = 0
         self.phase = "delta_init" if self.is_delta else "init"
@@ -198,14 +207,11 @@ def build_table(
     table = run.table = _VertexTable(ids)
     state = shard.programs.get(program.name, ProgramState())
 
-    # Local out-degree (sum over out-copies held here).
+    # Local out-degree: the out-copies held here, per row of the CSR.
     out_keys, out_others = shard.out_store.arrays()
-    if len(ids):
-        local_outdeg = np.zeros(len(ids))
-        if len(out_keys):
-            np.add.at(local_outdeg, table.pos(out_keys), 1.0)
-        table.out_deg_local = local_outdeg
-        table.out_deg_total = local_outdeg.copy()
+    out_off = _offsets(ids, out_keys)
+    table.out_deg_local = np.diff(out_off).astype(np.float64)
+    table.out_deg_total = table.out_deg_local.copy()
 
     # Split bookkeeping for the (few) hubs hosted here.
     hubs = np.fromiter(my_split, dtype=np.int64, count=len(my_split))
@@ -263,11 +269,11 @@ def build_table(
     # O(m) placement work (the resolution itself is bookkeeping —
     # cost accrues in _scatter_positions on first touch).
     lookups: List[Tuple[int, int]] = []
-    run.out_routing = run.in_routing = _NO_ROUTING
+    run.out_routing = run.in_routing = None
     if len(out_keys):
         dest = placer.owner_of_edges(out_others, out_keys)
         lookups.append((placer.last_misses, placer.last_hits))
-        run.out_routing = _routing(table, out_keys, out_others, dest)
+        run.out_routing = _routing(out_off, out_others, dest)
     if program.needs_in_and_out:
         in_keys, in_others = shard.in_store.arrays()
         if len(in_keys):
@@ -275,11 +281,12 @@ def build_table(
             # message (v -> u) goes to the holder of the out-copy.
             dest = placer.owner_of_edges(in_others, in_keys)
             lookups.append((placer.last_misses, placer.last_hits))
-            run.in_routing = _routing(table, in_keys, in_others, dest)
+            run.in_routing = _routing(_offsets(ids, in_keys), in_others, dest)
     if run.is_delta and len(table):
-        counts = np.bincount(run.out_routing[0], minlength=len(table))
-        if len(run.in_routing[0]):
-            counts = counts + np.bincount(run.in_routing[0], minlength=len(table))
+        counts = np.zeros(len(table), dtype=np.int64)
+        for routing in (run.out_routing, run.in_routing):
+            if routing is not None:
+                counts += np.diff(routing.off)
         run.routing_uncharged = counts.astype(np.float64)
     return lookups
 
@@ -297,27 +304,44 @@ def persist_table(
         state.scatter.set_many(table.ids[known], baselines[known])
 
 
-def _routing(
-    table: _VertexTable, src_keys: np.ndarray, dst_raw: np.ndarray, dest_agents: np.ndarray
-) -> Routing:
-    """Sort edges by destination agent."""
-    order, segments = segments_by(dest_agents)
-    return table.pos(src_keys[order]), dst_raw[order], segments
+def _offsets(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """CSR offsets of a store's key-sorted edge copies per table row:
+    every key is a table id, so row ``i``'s edges start where
+    ``ids[i]`` sorts into ``keys``."""
+    off = np.empty(len(ids) + 1, dtype=np.int64)
+    off[:-1] = np.searchsorted(keys, ids)
+    off[-1] = len(keys)
+    return off
+
+
+def _routing(off: np.ndarray, dst: np.ndarray, owners: np.ndarray) -> Routing:
+    cap = np.zeros(int(owners.max()) + 2, dtype=np.int64)
+    np.cumsum(np.bincount(owners), out=cap[1:])
+    return Routing(off, dst, owners.astype(np.int32), cap)
 
 
 def scatter_segments(
-    run: _RunState, send_mask: np.ndarray, values: np.ndarray
+    run: _RunState, rows: np.ndarray, values: np.ndarray
 ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
     """(destination agent, pairs, dst vertex ids, values) for every
-    routing segment that has a sending source — out-copies first, then
-    in-copies when the program scatters both ways."""
-    for src_pos, dst_raw, segments in (run.out_routing, run.in_routing):
-        for agent_id, start, end in segments:
-            seg_src = src_pos[start:end]
-            mask = send_mask[seg_src]
-            count = int(mask.sum())
-            if count:
-                yield agent_id, count, dst_raw[start:end][mask], values[seg_src[mask]]
+    agent that the sending ``rows`` (``values[i]`` rides ``rows[i]``'s
+    edges) reach — out-copies first, then in-copies when the program
+    scatters both ways, agents ascending within a direction.
+
+    Rows are walked in ascending value order, so each destination's
+    pairs leave in value order: the canonical reduction downstream then
+    sorts presorted groups.  Its result does not depend on that order.
+    """
+    # Equal values are interchangeable downstream: no stable sort needed.
+    order = np.argsort(values)
+    rows, values = rows[order], values[order]
+    for routing in (run.out_routing, run.in_routing):
+        if routing is None:
+            continue
+        dst, val, start, counts = kernels.scatter_rows(rows, values, *routing)
+        for agent_id in np.flatnonzero(counts).tolist():
+            lo, count = int(start[agent_id]), int(counts[agent_id])
+            yield agent_id, count, dst[lo : lo + count], val[lo : lo + count]
 
 
 # ----------------------------------------------------------------------

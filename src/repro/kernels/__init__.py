@@ -1,9 +1,10 @@
-"""The compiled kernels under the three hottest array paths.
+"""The compiled kernels under the hottest array paths.
 
-The data plane bottoms out in three kernels: the placement hash
-(``wang64``), the canonical pair combine (``combine_pairs``), and the
-receive-side fold (``fold_pairs``).  This package provides a C backend
-for them (compiled at first use with the system compiler — see
+The data plane bottoms out in four kernels: the placement hash
+(``wang64``), the scatter of a round's sending rows along their edges
+(``scatter_rows``), the canonical pair combine (``combine_pairs``), and
+the receive-side fold (``fold_pairs``).  This package provides a C
+backend for them (compiled at first use with the system compiler — see
 :mod:`repro.kernels.csrc`) plus the pure-numpy reference
 (:mod:`repro.kernels.reference`) that *defines* correct behaviour.
 
@@ -24,10 +25,12 @@ bit-identical either way:
 Dispatch floors come from the measured crossover table in
 ``BENCH_kernels.json`` (``bench_kernels.py``, n = 16 … 4,096 through
 these dispatchers): C never loses on ``wang64`` and ``combine_pairs``,
-so they have none; ``fold_pairs`` keeps :data:`MIN_FOLD`; and the
-PageRank apply lost at every size the cluster calls it with, so it has
-no C version at all.  The raw-pointer calls check nothing themselves:
-the ``c_*`` wrappers own dtype, contiguity and length.
+so they have none; ``fold_pairs`` keeps :data:`MIN_FOLD`;
+``scatter_rows`` walks a whole round's sending rows per call and has
+none either; and the PageRank apply lost at every size the cluster
+calls it with, so it has no C version at all.  The raw-pointer calls
+check nothing themselves: the ``c_*`` wrappers own dtype, contiguity
+and length.
 """
 
 from __future__ import annotations
@@ -48,16 +51,18 @@ __all__ = [
     "wang64_u64",
     "combine_pairs",
     "fold_pairs",
+    "scatter_rows",
     "pagerank_apply",
     "c_wang64_u64",
     "c_combine_pairs",
     "c_fold_pairs",
+    "c_scatter_rows",
     "MIN_FOLD",
 ]
 
 #: Rows below which ``fold_pairs`` stays on the reference: the measured
 #: crossover (``BENCH_kernels.json: crossover.floors.fold_pairs``).
-MIN_FOLD = 64
+MIN_FOLD = 128
 
 _OPCODES = {np.add: 0, np.minimum: 1, np.maximum: 2}
 
@@ -191,6 +196,38 @@ def c_fold_pairs(
         raise MemoryError("fold_pairs C kernel allocation failed")
 
 
+def c_scatter_rows(
+    rows: np.ndarray,
+    vals: np.ndarray,
+    off: np.ndarray,
+    others: np.ndarray,
+    owner: np.ndarray,
+    cap: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    lib = _require()
+    r = np.ascontiguousarray(rows, dtype=np.int64)
+    x = np.ascontiguousarray(vals, dtype=np.float64)
+    o = np.ascontiguousarray(off, dtype=np.int64)
+    d = np.ascontiguousarray(others, dtype=np.int64)
+    a = np.ascontiguousarray(owner, dtype=np.int32)
+    c = np.ascontiguousarray(cap, dtype=np.int64)
+    # ``cap`` must be the prefix of ``owner``'s own bincount (what
+    # ``Routing`` builds): the C loop indexes it by owner unchecked.
+    if r.ndim != 1 or r.shape != x.shape or not len(o) or not len(d) == len(a) == o[-1] == c[-1]:
+        raise ValueError("scatter_rows needs one value per row, one owner per edge")
+    if len(r) and (r.min() < 0 or r.max() >= len(o) - 1):
+        raise IndexError("scatter_rows: row outside the CSR offsets")
+    counts = np.zeros(len(c) - 1, dtype=np.int64)
+    out_dst = np.empty(len(d), dtype=np.int64)
+    out_val = np.empty(len(d), dtype=np.float64)
+    lib.repro_scatter_rows(
+        r.ctypes.data, x.ctypes.data, len(r), o.ctypes.data, d.ctypes.data,
+        a.ctypes.data, c.ctypes.data, counts.ctypes.data, out_dst.ctypes.data,
+        out_val.ctypes.data,
+    )
+    return out_dst, out_val, c[:-1], counts
+
+
 # ----------------------------------------------------------------------
 # dispatchers — what production code calls
 # ----------------------------------------------------------------------
@@ -229,6 +266,22 @@ def fold_pairs(
         c_fold_pairs(accum, got, ids, dst, val, ufunc)
         return
     reference.fold_pairs(accum, got, ids, dst, val, ufunc)
+
+
+def scatter_rows(
+    rows: np.ndarray,
+    vals: np.ndarray,
+    off: np.ndarray,
+    others: np.ndarray,
+    owner: np.ndarray,
+    cap: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sending rows' edges as (dst, val) pairs, agent ``a``'s at
+    ``[start[a], start[a] + counts[a])``: returns (dst, val, start,
+    counts) (see :func:`reference.scatter_rows`)."""
+    if _library() is not None:
+        return c_scatter_rows(rows, vals, off, others, owner, cap)
+    return reference.scatter_rows(rows, vals, off, others, owner, cap)
 
 
 #: ``base + damping * agg``.  One numpy expression on both backends: a C

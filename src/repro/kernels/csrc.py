@@ -20,20 +20,30 @@ numpy reference *bit for bit* on finite inputs.
 * Integer kernels (``wang64``) are exact by construction — the same
   64-bit wrapping ops in the same order.
 * Float folds replicate numpy's evaluation order: pairs are sorted by
-  ``np.lexsort((val, dst))``-equivalent order (stable LSD radix on the
-  IEEE-754 total-order key), then folded strictly left to right per
-  destination, which is exactly what ``ufunc.at`` does after a lexsort.
+  ``np.lexsort((val, dst))``-equivalent order, then folded strictly
+  left to right per destination, which is exactly what ``ufunc.at``
+  does after a lexsort.  The sort groups pairs by destination with a
+  stable counting sort (a radix sort when the id range is too wide to
+  count) and orders each group on the IEEE-754 total-order key with a
+  run-adaptive sort, so a batch emitted in value order costs one scan
+  per group — and the output depends on the batch's contents only,
+  never on its order.
   min/max use numpy's own element formula
   ``acc = (acc < v || isnan(acc)) ? acc : v`` so NaN propagation and
   ±0.0 selection match ``np.minimum``/``np.maximum``.
 * ``-ffp-contract=off`` forbids FMA contraction so ``a + b * c``
   rounds twice, exactly as numpy's separate multiply and add do.
 
-The one documented divergence: a batch holding *both* -0.0 and +0.0
-for the same destination can fold them in either order (they compare
-equal, and the radix key is a total order while lexsort is stable).
-The sums are equal; only min/max could surface the sign bit.  No
-shipped vertex program emits -0.0.
+The documented divergences: a batch holding *both* -0.0 and +0.0 for
+the same destination can fold them in either order (they compare
+equal, and the total-order key puts -0.0 first while lexsort is
+stable).  The sums are equal; only min/max could surface the sign bit.
+Likewise NaNs of both signs in one group (lexsort puts every NaN last,
+the key puts negative ones first); NaNs of one sign fold to the same
+bits.  No shipped vertex program emits -0.0 or NaN.
+
+``repro_scatter_rows`` moves no float: it copies each sending row's
+value onto that row's edges, grouped by destination agent.
 """
 
 from __future__ import annotations
@@ -93,13 +103,11 @@ static uint64_t ikey(int64_t x) {
     return ((uint64_t)x) ^ 0x8000000000000000ULL;
 }
 
-/* Stable LSD radix of (dst, vkey) pairs by the biased dst key, moving
- * both arrays together (no index indirection — sequential reads,
- * bucketed writes).  All eight byte histograms are built in ONE scan,
- * and scatter passes run only for bytes that actually vary — vertex
- * ids use few low bytes, and the sign bias makes high bytes constant,
- * so this is typically 2-3 passes, not 8. */
-static void radix_pairs_by_dst(int64_t** d, uint64_t** v, int64_t** td,
+/* Stable LSD radix of (key, vkey) pairs by the biased key, moving
+ * both arrays together.  All eight byte histograms are built in ONE
+ * scan, and scatter passes run only for bytes that actually vary.
+ * The branch for key ranges too wide (or too negative) to count. */
+static void radix_pairs_by_key(int64_t** d, uint64_t** v, int64_t** td,
                                uint64_t** tv, int64_t n) {
     int64_t count[8][256];
     memset(count, 0, sizeof(count));
@@ -144,35 +152,23 @@ static void radix_pairs_by_dst(int64_t** d, uint64_t** v, int64_t** td,
     }
 }
 
-/* Sort one dst-group's value keys ascending: insertion sort for small
- * runs; above that, byte-wise LSD radix with single-scan histograms
- * and constant-byte skipping. */
-static void sort_keys(uint64_t* k, int64_t n, uint64_t* tmp) {
-    if (n < 2) return;
-    if (n <= 32) {
-        for (int64_t i = 1; i < n; i++) {
-            uint64_t x = k[i];
-            int64_t j = i - 1;
-            while (j >= 0 && k[j] > x) {
-                k[j + 1] = k[j];
-                j--;
-            }
-            k[j + 1] = x;
-        }
-        return;
-    }
+/* Merge two ascending runs a[0:na] and b[0:nb] into out. */
+static void merge_runs(const uint64_t* a, int64_t na, const uint64_t* b,
+                       int64_t nb, uint64_t* out) {
+    int64_t i = 0, j = 0, o = 0;
+    while (i < na && j < nb) out[o++] = (b[j] < a[i]) ? b[j++] : a[i++];
+    while (i < na) out[o++] = a[i++];
+    while (j < nb) out[o++] = b[j++];
+}
+
+/* Byte-wise LSD radix of value keys, single-scan histograms and
+ * constant-byte skipping: for long groups of many short runs. */
+static void radix_keys(uint64_t* k, int64_t n, uint64_t* tmp) {
     int64_t count[8][256];
     memset(count, 0, sizeof(count));
     for (int64_t i = 0; i < n; i++) {
         uint64_t x = k[i];
-        count[0][x & 0xFF]++;
-        count[1][(x >> 8) & 0xFF]++;
-        count[2][(x >> 16) & 0xFF]++;
-        count[3][(x >> 24) & 0xFF]++;
-        count[4][(x >> 32) & 0xFF]++;
-        count[5][(x >> 40) & 0xFF]++;
-        count[6][(x >> 48) & 0xFF]++;
-        count[7][(x >> 56) & 0xFF]++;
+        for (int p = 0; p < 8; p++) count[p][(x >> (8 * p)) & 0xFF]++;
     }
     uint64_t* a = k;
     uint64_t* b = tmp;
@@ -188,49 +184,131 @@ static void sort_keys(uint64_t* k, int64_t n, uint64_t* tmp) {
             run += count[p][j];
         }
         int shift = p * 8;
-        for (int64_t i = 0; i < n; i++)
-            b[offs[(a[i] >> shift) & 0xFF]++] = a[i];
+        for (int64_t i = 0; i < n; i++) b[offs[(a[i] >> shift) & 0xFF]++] = a[i];
         uint64_t* t = a; a = b; b = t;
     }
     if (a != k) memcpy(k, a, sizeof(uint64_t) * n);
 }
 
-/* Sort (dst, val) pairs into (dst asc, val asc) order — the exact
- * order np.lexsort((val, dst)) produces for finite floats (entries
- * comparing equal are interchangeable; see the -0.0 note above).
- * Strategy: map values to their monotone uint64 keys once, LSD radix
- * on dst bytes moving the (dst, vkey) pairs (constant bytes skipped),
- * sort vkeys independently per dst group, decode back to doubles.
- * Returns sorted arrays through *out_d / *out_v plus two scratch
- * buffers; the caller frees all four. */
-static int sort_pairs(const int64_t* dst, const double* val, int64_t n,
-                      int64_t** out_d, double** out_v,
-                      int64_t** scratch_d, double** scratch_v) {
-    int64_t* d = (int64_t*)malloc(sizeof(int64_t) * n);
-    uint64_t* v = (uint64_t*)malloc(sizeof(uint64_t) * n);
-    int64_t* td = (int64_t*)malloc(sizeof(int64_t) * n);
-    uint64_t* tv = (uint64_t*)malloc(sizeof(uint64_t) * n);
-    if (!d || !v || !td || !tv) {
-        free(d); free(v); free(td); free(tv);
-        return -1;
-    }
-    memcpy(d, dst, sizeof(int64_t) * n);
-    for (int64_t i = 0; i < n; i++) v[i] = dkey(val[i]);
-    radix_pairs_by_dst(&d, &v, &td, &tv, n);
-    int64_t start = 0;
-    for (int64_t i = 1; i <= n; i++) {
-        if (i == n || d[i] != d[start]) {
-            sort_keys(v + start, i - start, tv);
-            start = i;
+/* Sort one group's value keys ascending, adaptively: a group that is
+ * already ascending costs one scan, a short one an insertion sort, one
+ * of a few ascending runs (a group gathered from a few value-ordered
+ * emissions) a natural merge, and anything else a radix sort. */
+static void sort_group(uint64_t* k, int64_t n, uint64_t* tmp) {
+    int64_t runs = 1;
+    for (int64_t i = 1; i < n; i++) runs += k[i - 1] > k[i];
+    if (runs == 1) return;
+    if (n <= 32) {
+        for (int64_t i = 1; i < n; i++) {
+            uint64_t x = k[i];
+            int64_t j = i - 1;
+            while (j >= 0 && k[j] > x) {
+                k[j + 1] = k[j];
+                j--;
+            }
+            k[j + 1] = x;
         }
+        return;
     }
-    double* vd = (double*)v; /* decode in place: same 8-byte slots */
-    for (int64_t i = 0; i < n; i++) vd[i] = dkey_inv(v[i]);
-    *out_d = d;
-    *out_v = vd;
-    *scratch_d = td;
-    *scratch_v = (double*)tv;
+    if (runs > 4) {
+        radix_keys(k, n, tmp);
+        return;
+    }
+    uint64_t* a = k;
+    uint64_t* b = tmp;
+    for (; runs > 1; runs = (runs + 1) / 2) {
+        int64_t s = 0;
+        while (s < n) {
+            int64_t m = s + 1;
+            while (m < n && a[m - 1] <= a[m]) m++;
+            int64_t e = m;
+            if (m < n) {
+                e = m + 1;
+                while (e < n && a[e - 1] <= a[e]) e++;
+            }
+            merge_runs(a + s, m - s, a + m, e - m, b + s);
+            s = e;
+        }
+        uint64_t* t = a; a = b; b = t;
+    }
+    if (a != k) memcpy(k, a, sizeof(uint64_t) * n);
+}
+
+/* (key, val) pairs in (key asc, val asc) order — the exact order
+ * np.lexsort((val, key)) produces for finite floats (entries comparing
+ * equal are interchangeable; see the -0.0 note above) — as groups:
+ * group g holds key gkey[g] and the value keys v[gend[g-1]:gend[g]]. */
+typedef struct {
+    uint64_t* v;
+    int64_t* gkey;
+    int64_t* gend;
+    int64_t ngroups;
+} Groups;
+
+static void free_groups(Groups* g) {
+    free(g->v); free(g->gkey); free(g->gend);
+}
+
+/* Group pairs by key: a stable counting sort when the key range is at
+ * most a small multiple of n, else an LSD radix sort; then each group's
+ * value keys are sorted by sort_group.  Both steps order by content
+ * alone, so any permutation of the input gives the same groups.
+ * Returns -1 on allocation failure. */
+static int group_pairs(const int64_t* key, const double* val, int64_t n, Groups* g) {
+    uint64_t* v = (uint64_t*)malloc(sizeof(uint64_t) * n);
+    uint64_t* tv = (uint64_t*)malloc(sizeof(uint64_t) * n);
+    int64_t* gkey = (int64_t*)malloc(sizeof(int64_t) * (n + 1)); /* +1: see below */
+    int64_t* gend = (int64_t*)malloc(sizeof(int64_t) * n);
+    int64_t *d = NULL, *td = NULL, *count = NULL;
+    int64_t ng = 0;
+    if (!v || !tv || !gkey || !gend) goto fail;
+    int64_t lo = key[0], hi = key[0];
+    for (int64_t i = 1; i < n; i++) {
+        if (key[i] < lo) lo = key[i];
+        if (key[i] > hi) hi = key[i];
+    }
+    uint64_t span = (uint64_t)hi - (uint64_t)lo + 1; /* exact even across 0 */
+    if (span - 1 <= 4 * (uint64_t)n + 1024) {
+        count = (int64_t*)calloc(span + 1, sizeof(int64_t));
+        if (!count) goto fail;
+        for (int64_t i = 0; i < n; i++) count[(uint64_t)key[i] - (uint64_t)lo + 1]++;
+        for (uint64_t j = 0; j < span; j++) {
+            gkey[ng] = lo + (int64_t)j; /* branch-free (ng <= n): buckets are sparse */
+            ng += count[j + 1] != 0;
+            count[j + 1] += count[j];
+        }
+        for (int64_t i = 0; i < n; i++) v[count[(uint64_t)key[i] - (uint64_t)lo]++] = dkey(val[i]);
+        for (int64_t i = 0; i < ng; i++) /* each bucket's start moved to its end */
+            gend[i] = count[(uint64_t)gkey[i] - (uint64_t)lo];
+        free(count);
+    } else {
+        d = (int64_t*)malloc(sizeof(int64_t) * n);
+        td = (int64_t*)malloc(sizeof(int64_t) * n);
+        if (!d || !td) goto fail;
+        memcpy(d, key, sizeof(int64_t) * n);
+        for (int64_t i = 0; i < n; i++) v[i] = dkey(val[i]);
+        radix_pairs_by_key(&d, &v, &td, &tv, n); /* may swap d/td, v/tv */
+        for (int64_t i = 1; i <= n; i++)
+            if (i == n || d[i] != d[i - 1]) {
+                gkey[ng] = d[i - 1];
+                gend[ng++] = i;
+            }
+        free(d); free(td);
+    }
+    int64_t start = 0;
+    for (int64_t i = 0; i < ng; i++) {
+        sort_group(v + start, gend[i] - start, tv);
+        start = gend[i];
+    }
+    free(tv);
+    g->v = v;
+    g->gkey = gkey;
+    g->gend = gend;
+    g->ngroups = ng;
     return 0;
+fail:
+    free(v); free(tv); free(gkey); free(gend); free(d); free(td);
+    return -1;
 }
 
 /* op: 0 = add, 1 = minimum, 2 = maximum — numpy's element formulas. */
@@ -240,6 +318,12 @@ static double op_apply(int op, double acc, double v) {
     return (acc > v || isnan(acc)) ? acc : v;
 }
 
+/* Fold one group's sorted value keys into acc, left to right. */
+static double fold_group(int op, double acc, const uint64_t* v, int64_t n) {
+    for (int64_t i = 0; i < n; i++) acc = op_apply(op, acc, dkey_inv(v[i]));
+    return acc;
+}
+
 /* combine_pairs: fold a (dst, val) multiset to one partial per dst in
  * (dst, val)-sorted order.  Returns the number of unique dsts, or -1
  * on allocation failure. */
@@ -247,56 +331,89 @@ int64_t repro_combine_pairs(const int64_t* dst, const double* val, int64_t n,
                             int op, double identity,
                             int64_t* out_dst, double* out_val) {
     if (n == 0) return 0;
-    int64_t *d, *sd;
-    double *v, *sv;
-    if (sort_pairs(dst, val, n, &d, &v, &sd, &sv) != 0) return -1;
-    int64_t m = -1;
-    int64_t prev = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (m < 0 || d[i] != prev) {
-            m++;
-            out_dst[m] = d[i];
-            out_val[m] = identity;
-            prev = d[i];
-        }
-        out_val[m] = op_apply(op, out_val[m], v[i]);
+    Groups g;
+    if (group_pairs(dst, val, n, &g) != 0) return -1;
+    int64_t start = 0;
+    for (int64_t i = 0; i < g.ngroups; i++) {
+        out_dst[i] = g.gkey[i];
+        out_val[i] = fold_group(op, identity, g.v + start, g.gend[i] - start);
+        start = g.gend[i];
     }
-    free(d); free(v); free(sd); free(sv);
-    return m + 1;
+    free_groups(&g);
+    return g.ngroups;
 }
 
-/* fold_pairs: the receive-side fold — sort (dst, val), locate each dst
- * in the sorted id table, fold into accum and mark got.  Returns 0,
- * -1 on allocation failure, -2 if a dst is not in ids. */
+/* First index at or after `from` whose id is >= key: gallop, then
+ * bisect — a merge walk over keys that arrive ascending. */
+static int64_t seek(const int64_t* ids, int64_t n_ids, int64_t from, int64_t key) {
+    int64_t lo = from, hi = from, step = 1;
+    while (hi < n_ids && ids[hi] < key) {
+        lo = hi + 1;
+        hi += step;
+        step <<= 1;
+    }
+    if (hi > n_ids) hi = n_ids;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (ids[mid] < key) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+/* fold_pairs: the receive-side fold — group the pairs by dst as
+ * combine_pairs does, locate the distinct dsts (ascending) in the
+ * sorted id table with one merge walk, then fold each group into accum
+ * and mark got.  Every dst is located before anything is written.
+ * Returns 0, -1 on allocation failure, -2 if a dst is not in ids. */
 int repro_fold_pairs(const int64_t* dst, const double* val, int64_t n,
                      const int64_t* ids, int64_t n_ids,
                      int op, double* accum, uint8_t* got) {
     if (n == 0) return 0;
-    int64_t *d, *sd;
-    double *v, *sv;
-    if (sort_pairs(dst, val, n, &d, &v, &sd, &sv) != 0) return -1;
-    int64_t pos = -1;
-    int64_t prev = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (pos < 0 || d[i] != prev) {
-            int64_t key = d[i];
-            int64_t lo = 0, hi = n_ids;
-            while (lo < hi) {
-                int64_t mid = (lo + hi) >> 1;
-                if (ids[mid] < key) lo = mid + 1; else hi = mid;
-            }
-            if (lo >= n_ids || ids[lo] != key) {
-                free(d); free(v); free(sd); free(sv);
-                return -2;
-            }
-            pos = lo;
-            prev = key;
+    Groups g;
+    if (group_pairs(dst, val, n, &g) != 0) return -1;
+    int64_t at = 0;
+    for (int64_t i = 0; i < g.ngroups; i++) {
+        at = seek(ids, n_ids, at, g.gkey[i]);
+        if (at >= n_ids || ids[at] != g.gkey[i]) {
+            free_groups(&g);
+            return -2;
         }
-        accum[pos] = op_apply(op, accum[pos], v[i]);
-        got[pos] = 1;
+        g.gkey[i] = at; /* from here on: the group's position */
     }
-    free(d); free(v); free(sd); free(sv);
+    int64_t start = 0;
+    for (int64_t i = 0; i < g.ngroups; i++) {
+        at = g.gkey[i];
+        accum[at] = fold_group(op, accum[at], g.v + start, g.gend[i] - start);
+        got[at] = 1;
+        start = g.gend[i];
+    }
+    free_groups(&g);
     return 0;
+}
+
+/* ---- scatter: sending rows' edges into per-agent slices ---- */
+
+/* Walk the CSR edges (off, others, owner) of each sending row, in the
+ * given row order; a row's value rides every one of its edges.  Agent
+ * a's pairs go to out_dst / out_val from cap[a] on (cap: exclusive
+ * prefix of the routing's edges per agent, so every slice fits) and
+ * counts[a] (zeroed by the caller) receives how many.  One pass, no
+ * count-then-fill. */
+void repro_scatter_rows(const int64_t* restrict rows, const double* restrict vals,
+                        int64_t n_rows, const int64_t* restrict off,
+                        const int64_t* restrict others, const int32_t* restrict owner,
+                        const int64_t* restrict cap, int64_t* restrict counts,
+                        int64_t* restrict out_dst, double* restrict out_val) {
+    for (int64_t i = 0; i < n_rows; i++) {
+        const double x = vals[i];
+        const int64_t end = off[rows[i] + 1];
+        for (int64_t e = off[rows[i]]; e < end; e++) {
+            const int32_t a = owner[e];
+            const int64_t at = cap[a] + counts[a]++;
+            out_dst[at] = others[e];
+            out_val[at] = x;
+        }
+    }
 }
 """
 
@@ -373,6 +490,8 @@ def _build() -> ctypes.CDLL:
     lib.repro_combine_pairs.restype = ctypes.c_int64
     lib.repro_fold_pairs.argtypes = [ptr, ptr, i64, ptr, i64, ctypes.c_int, ptr, ptr]
     lib.repro_fold_pairs.restype = ctypes.c_int
+    lib.repro_scatter_rows.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.repro_scatter_rows.restype = None
     return lib
 
 

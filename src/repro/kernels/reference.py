@@ -79,6 +79,35 @@ def fold_pairs(
     got[pos] = True
 
 
+def scatter_rows(
+    rows: np.ndarray,
+    vals: np.ndarray,
+    off: np.ndarray,
+    others: np.ndarray,
+    owner: np.ndarray,
+    cap: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every edge of the sending ``rows`` as a ``(dst, val)`` pair.
+
+    Row ``r``'s edges are ``off[r]:off[r+1]`` of the CSR columns
+    ``others`` (destination vertex) and ``owner`` (destination agent);
+    ``vals[i]`` rides every edge of ``rows[i]``; ``cap`` is the exclusive
+    prefix of the edges per agent (one entry more than agents).  Returns
+    (dst, val, start, counts): agent ``a``'s pairs are
+    ``[start[a], start[a] + counts[a])``, in row order then edge order.
+    """
+    starts = off[rows]
+    degree = off[rows + 1] - starts
+    edge = np.repeat(starts - (np.cumsum(degree) - degree), degree)
+    edge += np.arange(len(edge))
+    agent = owner[edge]
+    order = np.argsort(agent, kind="stable")
+    edge = edge[order]
+    val = np.repeat(np.asarray(vals, dtype=np.float64), degree)[order]
+    counts = np.bincount(agent, minlength=len(cap) - 1)
+    return others[edge], val, np.cumsum(counts) - counts, counts
+
+
 def pagerank_apply(agg: np.ndarray, base: float, damping: float) -> np.ndarray:
     """The PageRank apply formula, elementwise: ``base + damping*agg``."""
     return base + damping * agg

@@ -57,6 +57,15 @@ def test_vertex_table_pos_missing_raises():
         table.pos(np.array([100]))  # past the end
 
 
+def test_vertex_table_pos_on_an_empty_table_raises_key_error():
+    """A shard that hosts nothing still answers "not hosted here",
+    naming the ids, rather than an IndexError from its error path."""
+    table = _VertexTable(np.empty(0, dtype=np.int64))
+    assert table.pos(np.empty(0, dtype=np.int64)).tolist() == []
+    with pytest.raises(KeyError, match=r"\[3 7\]"):
+        table.pos(np.array([3, 7]))
+
+
 def test_edge_arrays_sorted_and_complete():
     elga = ElGA(nodes=1, agents_per_node=1, seed=24)
     elga.ingest_edges(np.array([3, 1, 3]), np.array([0, 2, 2]))
@@ -99,16 +108,19 @@ def test_build_table_fresh_run_without_a_cluster():
     assert table.values.tolist() == pytest.approx([1 / 3] * 3)
     assert table.active.all() and (table.split_k == 1).all()
     # PageRank scatters along out-copies only: one routing resolution,
-    # every edge bound for the only agent, as one segment.
+    # every edge bound for the only agent.  The routing is a CSR over
+    # the out-store's own key-sorted rows: the others column is shared.
     assert lookups == [(4, 0)]
-    src_pos, dst_raw, segments = run.out_routing
-    assert segments == [(0, 0, 4)]
-    assert sorted(zip(table.ids[src_pos].tolist(), dst_raw.tolist())) == [
+    out = run.out_routing
+    assert out.off.tolist() == [0, 2, 3, 4]
+    assert np.shares_memory(out.dst, shard.out_store.arrays()[1])
+    assert out.owner.tolist() == [0, 0, 0, 0] and out.cap.tolist() == [0, 4]
+    rows = np.repeat(np.arange(len(table)), np.diff(out.off))
+    assert sorted(zip(table.ids[rows].tolist(), out.dst.tolist())) == [
         (0, 1), (0, 2), (1, 2), (2, 0)
     ]
-    assert run.in_routing[2] == [] and run.routing_uncharged is None
-    sending = np.array([True, False, True])
-    sent = list(scatter_segments(run, sending, np.array([10.0, 20.0, 30.0])))
+    assert run.in_routing is None and run.routing_uncharged is None
+    sent = list(scatter_segments(run, np.array([0, 2]), np.array([10.0, 30.0])))
     assert [(agent, count) for agent, count, _, _ in sent] == [(0, 3)]
     assert sorted(zip(sent[0][2].tolist(), sent[0][3].tolist())) == [
         (0, 30.0), (1, 10.0), (2, 10.0)
@@ -127,7 +139,10 @@ def test_build_table_resume_joins_persisted_state():
     assert table.active.tolist() == [False, True, False, False]
     # WCC scatters both ways: out-copies resolved first, then in-copies.
     assert len(lookups) == 2
-    assert run.out_routing[2] == [(0, 0, 3)] and run.in_routing[2] == [(0, 0, 3)]
+    for routing in (run.out_routing, run.in_routing):
+        assert np.bincount(routing.owner).tolist() == [3]  # three edges to agent 0
+    assert run.out_routing.off.tolist() == [0, 1, 2, 2, 3]  # 0->1, 1->2, 3->2
+    assert run.in_routing.off.tolist() == [0, 0, 1, 3, 3]  # 1<-0, 2<-1, 2<-3
 
 
 def test_build_table_delta_run_seeds_frontier_from_dirty_rows():
