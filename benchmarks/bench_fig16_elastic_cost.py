@@ -31,30 +31,21 @@ def run_experiment():
         cluster = elga.cluster
         resident = cluster.total_resident_edges()
 
-        moved_before = sum(a.metrics.edges_migrated for a in cluster.agents.values())
+        moved_before = cluster.totals()["edges_migrated"]
         t0 = cluster.kernel.now
         new_agent = cluster.add_agent()
         t_add = cluster.kernel.now - t0
-        moved_add = (
-            sum(a.metrics.edges_migrated for a in cluster.agents.values()) - moved_before
-        )
+        moved_add = cluster.totals()["edges_migrated"] - moved_before
 
         rng = np.random.default_rng(17)
         victim_id = int(
             rng.choice([a for a in sorted(cluster.agents) if a != new_agent.agent_id])
         )
-        victim = cluster.agents[victim_id]  # keep a handle: it leaves the dict
-        moved_before = victim.metrics.edges_migrated + sum(
-            a.metrics.edges_migrated for a in cluster.agents.values() if a is not victim
-        )
+        moved_before = cluster.totals()["edges_migrated"]  # the leaver's count stays in
         t0 = cluster.kernel.now
         cluster.remove_agent(victim_id)
         t_remove = cluster.kernel.now - t0
-        moved_remove = (
-            victim.metrics.edges_migrated
-            + sum(a.metrics.edges_migrated for a in cluster.agents.values())
-            - moved_before
-        )
+        moved_remove = cluster.totals()["edges_migrated"] - moved_before
 
         rows.append(
             {

@@ -283,6 +283,7 @@ def run_chaos_scenario(
     )
     versions = _watch_directory_versions(chaos.cluster.network)
     before = chaos.cluster.network.stats.snapshot()
+    counted_before = chaos.cluster.totals()
     reference.ingest_edges(us, vs)
     chaos.ingest_edges(us, vs)
     check_cluster_invariants(chaos, versions)
@@ -325,8 +326,9 @@ def run_chaos_scenario(
     report.duplicates_suppressed = (
         after.duplicates_suppressed - before.duplicates_suppressed
     )
-    report.lead_elections = after.lead_elections - before.lead_elections
-    report.stale_term_drops = after.stale_term_drops - before.stale_term_drops
+    counted = chaos.cluster.totals()
+    report.lead_elections = counted["lead_elections"] - counted_before["lead_elections"]
+    report.stale_term_drops = counted["stale_term_drops"] - counted_before["stale_term_drops"]
     report.directory_versions = list(versions)
     report.recovery_log = list(chaos.cluster.recovery_log)
     # With tracing=True in config_overrides both engines carry a Tracer;
@@ -458,6 +460,7 @@ def run_serving_chaos_scenario(
         plan, nodes=nodes, agents_per_node=agents_per_node, seed=seed, **config_overrides
     )
     before = chaos.cluster.network.stats.snapshot()
+    counted_before = chaos.cluster.totals()
     reference.ingest_edges(us, vs)
     chaos.ingest_edges(us, vs)
     check_cluster_invariants(chaos)
@@ -512,8 +515,9 @@ def run_serving_chaos_scenario(
     after = chaos.cluster.network.stats
     report.drops_chaos = after.drops_chaos - before.drops_chaos
     report.messages_duplicated = after.messages_duplicated - before.messages_duplicated
-    report.lead_elections = after.lead_elections - before.lead_elections
-    report.stale_term_drops = after.stale_term_drops - before.stale_term_drops
+    counted = chaos.cluster.totals()
+    report.lead_elections = counted["lead_elections"] - counted_before["lead_elections"]
+    report.stale_term_drops = counted["stale_term_drops"] - counted_before["stale_term_drops"]
     report.recovery_log = list(chaos.cluster.recovery_log)
     return report
 

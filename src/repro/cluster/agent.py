@@ -57,7 +57,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.dataplane import ACK_BATCH_WINDOW, combine_pairs, segments_by  # noqa: F401
 from repro.cluster.directory import DirectoryState
 from repro.cluster.edgestore import distinct
-from repro.cluster.metrics import AgentMetrics
 from repro.cluster.migration import MigrationMixin
 from repro.cluster.participant import Participant
 from repro.cluster.recovery import Checkpoint, RecoveryStore, Rows
@@ -76,6 +75,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
     which the directory broadcast brings it the global state it needs.
     """
 
+    KIND = "agent"
     TOPICS = (
         PacketType.DIRECTORY_UPDATE,
         PacketType.SUPERSTEP_ADVANCE,
@@ -104,7 +104,9 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         # Capacity weight (§3.4.2 heterogeneous extension): scales this
         # agent's virtual-position count on every participant's ring.
         self.weight = float(weight)
-        self.metrics = AgentMetrics()
+        # The same registry as ``perf``, under the name the end-to-end
+        # harness (benchmarks/e2e/workloads.py) reads it by.
+        self.metrics = self.perf
 
         # Everything durable — edge stores, un-flushed sketch delta,
         # dirty log, per-program algorithm state — is this one object:
@@ -269,7 +271,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         mine = owners == self.agent_id
         # Forward misplaced changes to the best known destination.
         if (~mine).any():
-            self.metrics.updates_forwarded += int((~mine).sum())
+            self.perf.add("updates_forwarded", int((~mine).sum()))
             elsewhere = np.flatnonzero(~mine)
             order, segments = segments_by(owners[elsewhere])
             for target, start, end in segments:
@@ -293,7 +295,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         app_k, app_o, app_a = store.apply(own[rows], other[rows], actions[rows])
         n_applied = len(app_k)
         self.charge(costs.elga_ingest_op * max(n_applied, 1))
-        self.metrics.updates_applied += n_applied
+        self.perf.add("updates_applied", n_applied)
 
         if count_in_sketch and n_applied:
             # Streaming mutations dirty their locally-keyed endpoints:
@@ -374,22 +376,8 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         self.push.push(
             self.directory_address,
             PacketType.METRIC_REPORT,
-            {"agent_id": self.agent_id, "metrics": self.metrics_snapshot()},
+            {"agent_id": self.agent_id, "metrics": self.perf.snapshot()},
         )
-
-    def metrics_snapshot(self) -> Dict[str, int]:
-        """The current metric snapshot, with the placement-cache and
-        transport perf counters the autoscaler path consumes mirrored
-        in."""
-        for name in (
-            "placement_cache_hits",
-            "placement_cache_misses",
-            "placement_epoch_invalidations",
-            "transport_retries",
-            "transport_dups_suppressed",
-        ):
-            setattr(self.metrics, name, int(self.perf.counts.get(name, 0)))
-        return self.metrics.snapshot()
 
     def flush_sketch(self) -> None:
         """Push accumulated degree deltas to the directory."""
@@ -408,7 +396,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         # crash-restore cannot replay the WAL's sketched rows and
         # re-report degrees the directory already counted.
         self._recovery_store.snapshot_agent(self)
-        self.metrics.checkpoints_taken += 1
+        self.perf.add("checkpoints_taken")
 
     # ------------------------------------------------------------------
     # client queries (low-latency path)
@@ -416,7 +404,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
 
     def _on_client_query(self, message: Message) -> None:
         self.charge(self.config.costs.elga_query_op)
-        self.metrics.queries_served += 1
+        self.perf.add("queries_served")
         payload = message.payload
         vertex = int(payload["vertex"])
         prog = payload.get("program")
@@ -455,7 +443,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
             ids, values, run_id, step = view
             idx = np.searchsorted(ids, vertex)
             if idx < len(ids) and ids[idx] == vertex:
-                self.metrics.queries_from_snapshot += 1
+                self.perf.add("queries_from_snapshot")
                 return float(values[idx]), run_id, step
         # Not hosted in the live view (or no view): the persistent
         # fixpoint store.  Split vertices are always in every replica's
@@ -485,7 +473,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
             run.spec.run_id,
             run.step,
         )
-        self.metrics.serving_views_published += 1
+        self.perf.add("serving_views_published")
 
     # ------------------------------------------------------------------
     # data-plane acknowledgements (batched credits)
@@ -509,8 +497,8 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         for key in sorted(credits):
             src, inc = key
             count = credits[key]
-            if count > 1:
-                self.metrics.acks_batched += count - 1
+            self.perf.add("data_ack_credits", count)
+            self.perf.add("acks_batched", count - 1)
             self.push.push(src, PacketType.VERTEX_MSG_ACK, {"inc": inc, "count": count})
 
     # ------------------------------------------------------------------
@@ -538,7 +526,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         # instead of heartbeating into the void.  The chain keeps
         # ticking so a failed re-home attempt is retried.
         if not self.home_lost():
-            self.metrics.heartbeats_sent += 1
+            self.perf.add("heartbeats_sent")
             self.push.push(
                 self.directory_address,
                 PacketType.HEARTBEAT,
@@ -567,7 +555,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         state: Optional[Dict[str, StateSlice]] = None,
     ) -> None:
         self._recovery.wal.append(role, rows, sketched, state)
-        self.metrics.wal_records_logged += len(rows[0])
+        self.perf.add("wal_records_logged", len(rows[0]))
 
     def _take_value_checkpoint(self, run: _RunState) -> None:
         """Coordinated checkpoint at a barrier step.
@@ -601,7 +589,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         checkpoint = Checkpoint(state, run_id=run.spec.run_id, step=run.step)
         self._recovery.checkpoints.save(checkpoint)
         self._recovery.wal.truncate()
-        self.metrics.checkpoints_taken += 1
+        self.perf.add("checkpoints_taken")
         if tracer is not None:
             tracer.complete(
                 self.name,
@@ -641,7 +629,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
             # change during a run, so the rollback checkpoint would
             # carry the same ones anyway.
             self.shard = base.state.copy()
-            self.metrics.checkpoints_restored += 1
+            self.perf.add("checkpoints_restored")
         if rolled is not None:
             # Mid-run rollback: values from the common checkpoint step.
             self.shard.programs = copy_programs(rolled.state.programs)
@@ -656,8 +644,8 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         # dirty but unconsumed when the agent died; re-dirty them so the
         # next delta run still sees its full frontier seed.
         self.shard.log_dirty(source.wal.sketched_rows())
-        self.metrics.wal_records_replayed += replayed
-        self.metrics.recoveries_participated += 1
+        self.perf.add("wal_records_replayed", replayed)
+        self.perf.add("recoveries_participated")
         self.restored_from = {
             "agent_id": crashed_id,
             "checkpoint_step": restore_checkpoint[1] if restore_checkpoint else None,
@@ -694,7 +682,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         run = self.run
         if run is None or run.spec.run_id != payload.get("run_id"):
             return
-        self.metrics.recoveries_participated += 1
+        self.perf.add("recoveries_participated")
         tracer = self.network.tracer
         if tracer is not None:
             tracer.instant(

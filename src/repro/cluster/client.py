@@ -18,8 +18,8 @@ is a small serving tier:
   *every* replica; the merged answer is delivered only if all replies
   carry the same incarnation and either the same (run_id, step)
   snapshot tag or bitwise-equal values.  A torn set (mixed tags, mixed
-  values) is retried after a backoff, counted in
-  :attr:`snapshot_retries` — this holds during supersteps, ingest, and
+  values) is retried after a backoff, counted as
+  ``client_snapshot_retries`` — this holds during supersteps, ingest, and
   recovery rollback alike.
 * **Admission control** — at most ``serving_max_inflight`` queries are
   held open; excess load is shed with a retry-after hint
@@ -34,6 +34,7 @@ reset away.  The sample ring is bounded by ``serving_latency_window``.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig
@@ -41,7 +42,7 @@ from repro.cluster.directory import DirectoryState
 from repro.cluster.participant import Participant
 from repro.net.message import Message, PacketType
 from repro.partition.placer import EdgePlacer
-from repro.serving import LatencyRecorder, ResultCache
+from repro.serving import ResultCache
 
 #: Snapshot tag agents answer with when no run ever produced a value
 #: (replacement agents, never-run programs).  Proxies accept tag
@@ -108,6 +109,7 @@ class ClientProxy(Participant):
     hint when the query was shed.
     """
 
+    KIND = "client"
     TOPICS = (PacketType.DIRECTORY_UPDATE, PacketType.RESULT_NOTICE)
 
     def __init__(
@@ -123,17 +125,10 @@ class ClientProxy(Participant):
             network, f"client-{client_id}", config, node, directory_address, master_address
         )
         self.client_id = client_id
-        self.latencies = LatencyRecorder(maxlen=config.serving_latency_window)
-        self.queries_sent = 0
-        self.replies_received = 0
-        self.queries_retried = 0
-        self.queries_coalesced = 0
-        self.queries_shed = 0
-        self.fanouts_dispatched = 0
-        self.snapshot_retries = 0
-        self.snapshot_value_merges = 0
+        # The most recent delivered-query latencies (simulated seconds).
+        self.latencies: deque = deque(maxlen=config.serving_latency_window)
         self.cache: Optional[ResultCache] = (
-            ResultCache(config.serving_cache_ttl, CACHE_CAPACITY)
+            ResultCache(config.serving_cache_ttl, CACHE_CAPACITY, self.perf)
             if config.serving_cache_ttl > 0
             else None
         )
@@ -223,7 +218,7 @@ class ClientProxy(Participant):
             if not flight.dispatched:
                 continue
             self._by_token.pop(flight.token, None)
-            self.queries_retried += len(flight.waiters)
+            self.perf.add("client_queries_retried", len(flight.waiters))
             self._dispatch(flight)
 
     def _failover_pending(self, state: DirectoryState) -> None:
@@ -233,7 +228,7 @@ class ClientProxy(Participant):
         the post-eviction epoch, every dispatched fan-out with a dead
         target is re-resolved under the new ring and resent.  Waiters
         keep their first-accept time, so latency benchmarks charge
-        failover its real cost; ``queries_retried`` counts the affected
+        failover its real cost; ``client_queries_retried`` counts the affected
         *queries* (waiters), matching the seed's accounting.
         """
         live = set(state.agents)
@@ -243,7 +238,7 @@ class ClientProxy(Participant):
             if all(agent_id in live for agent_id in flight.targets):
                 continue
             self._by_token.pop(flight.token, None)
-            self.queries_retried += len(flight.waiters)
+            self.perf.add("client_queries_retried", len(flight.waiters))
             self._dispatch(flight)
 
     # -- query admission ---------------------------------------------------
@@ -275,7 +270,7 @@ class ClientProxy(Participant):
         # re-home.
         self.home_lost()
         if len(self._pending) >= self.config.serving_max_inflight:
-            self.queries_shed += 1
+            self.perf.add("client_queries_shed")
             tracer = self.network.tracer
             if tracer is not None:
                 tracer.instant(
@@ -288,7 +283,7 @@ class ClientProxy(Participant):
         vertex = int(vertex)
         token = self._next_token
         self._next_token += 1
-        self.queries_sent += 1
+        self.perf.add("client_queries_sent")
         self._pending[token] = _Waiter(self.now, callback, vertex, program)
         if self.cache is not None:
             self.charge(self.config.costs.elga_serving_cache_op)
@@ -331,7 +326,7 @@ class ClientProxy(Participant):
         if flight is not None:
             # Identical fan-out buffered or in flight: share its reply.
             flight.waiters.append(waiter_token)
-            self.queries_coalesced += 1
+            self.perf.add("client_queries_coalesced")
             return
         flight = _Flight(key, vertex, program)
         flight.waiters.append(waiter_token)
@@ -363,7 +358,7 @@ class ClientProxy(Participant):
         targets = self._targets_for(flight.vertex)
         flight.targets = {agent_id: None for agent_id in targets}
         self._by_token[flight.token] = flight
-        self.fanouts_dispatched += 1
+        self.perf.add("client_fanouts_dispatched")
         for agent_id in targets:
             self._send_query(flight.token, flight.vertex, flight.program, agent_id)
 
@@ -378,7 +373,7 @@ class ClientProxy(Participant):
         )
 
     def _on_reply(self, payload: dict) -> None:
-        self.replies_received += 1
+        self.perf.add("client_replies_received")
         flight = self._by_token.get(payload.get("token"))
         if flight is None:
             return  # stale attempt (failover/snapshot resend) or duplicate
@@ -406,14 +401,14 @@ class ClientProxy(Participant):
                 # Tag skew with identical values: replica READY skew or
                 # a replacement agent's untagged restore.  Consistent by
                 # value; counted so tests can see it happening.
-                self.snapshot_value_merges += 1
+                self.perf.add("client_snapshot_value_merges")
             del self._flights[flight.key]
             self._deliver(flight, replies[0])
             return
         # Torn read caught: replicas answered from different rounds (or
         # across an incarnation fence) with different values.  Never
         # deliver; re-issue the fan-out once the skew window has passed.
-        self.snapshot_retries += 1
+        self.perf.add("client_snapshot_retries")
         flight.retries += 1
         if flight.retries > _MAX_SNAPSHOT_RETRIES:
             raise RuntimeError(
@@ -470,6 +465,7 @@ class ClientProxy(Participant):
         if waiter is None:
             return
         self.latencies.append(self.now - waiter.accepted_at)
+        self.perf.add("client_queries_delivered")
         if self.audit is not None:
             self.audit.append(
                 {
@@ -488,18 +484,12 @@ class ClientProxy(Participant):
     # -- reporting ---------------------------------------------------------
 
     def serving_metrics(self) -> Dict[str, float]:
-        """Monotone serving counters (Prometheus / bench reporting)."""
+        """The serving plane's counts, and the open queries and cached
+        entries held now (gauges)."""
         out: Dict[str, float] = {
-            "client_queries_sent": self.queries_sent,
-            "client_replies_received": self.replies_received,
-            "client_queries_retried": self.queries_retried,
-            "client_queries_coalesced": self.queries_coalesced,
-            "client_queries_shed": self.queries_shed,
-            "client_fanouts_dispatched": self.fanouts_dispatched,
-            "client_snapshot_retries": self.snapshot_retries,
-            "client_snapshot_value_merges": self.snapshot_value_merges,
-            "client_inflight": len(self._pending),
+            k: v for k, v in self.perf.counts.items() if k.startswith("client_")
         }
+        out["client_inflight"] = len(self._pending)
         if self.cache is not None:
             out.update(self.cache.counters())
         return out

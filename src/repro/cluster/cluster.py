@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.bench.counters import PerfCounters
+from repro.bench.counters import PerfCounters, aggregate_counters
 from repro.cluster.agent import Agent
 from repro.cluster.client import ClientProxy
 from repro.cluster.config import ClusterConfig
 from repro.cluster.directory import Directory, DirectoryMaster
-from repro.cluster.metrics import combine_metrics
 from repro.cluster.recovery import RecoveryStore
 from repro.cluster.streamer import Streamer
 from repro.graph.stream import EdgeBatch
@@ -55,10 +54,14 @@ class ElGACluster:
             from repro.obs.trace import Tracer
 
             self.network.tracer = Tracer(self.kernel)
-        self.master = DirectoryMaster(self.network, seed=config.seed)
+        # The counter registry of every entity this cluster ever
+        # created, kept past the entity's departure or crash: a total
+        # is a plain sum over it (:meth:`totals`).
+        self.registries: List[PerfCounters] = []
+        self.master = self._keep(DirectoryMaster(self.network, seed=config.seed))
         self.directories: List[Directory] = []
         for i in range(config.n_directories):
-            directory = Directory(self.network, config, i)
+            directory = self._keep(Directory(self.network, config, i))
             self.directories.append(directory)
             self.master.register_directory(directory.address)
         lead = self.directories[0]
@@ -77,11 +80,6 @@ class ElGACluster:
 
         self.agents: Dict[int, Agent] = {}
         self._departing: List[Agent] = []
-        # Counters of agents that are gone for good (drained and
-        # detached, or crashed).  Totals read straight off the cluster
-        # add these in, so they stay monotone across a scale-down.
-        self.retired_metrics: Dict[str, int] = {}
-        self.retired_perf = PerfCounters()
         self._next_agent_id = 0
         self._next_streamer_id = 0
         self._next_client_id = 0
@@ -101,6 +99,15 @@ class ElGACluster:
         for i in range(config.total_agents):
             self.add_agent(node=i // config.agents_per_node, settle=False)
         self.settle()
+
+    def _keep(self, entity):
+        self.registries.append(entity.perf)
+        return entity
+
+    def totals(self) -> Dict[str, int]:
+        """Every counter summed over every entity this cluster ever
+        created: monotone across departures and crashes."""
+        return aggregate_counters(self.registries).snapshot()
 
     # ------------------------------------------------------------------
     # membership / elasticity
@@ -239,7 +246,7 @@ class ElGACluster:
         operator updating a service address), but no registry state is
         handed over.
         """
-        self.master = DirectoryMaster(self.network, seed=self.config.seed)
+        self.master = self._keep(DirectoryMaster(self.network, seed=self.config.seed))
         for d in self.directories:
             d.master_address = self.master.address
         for participant in [*self.agents.values(), *self.streamers, *self.clients]:
@@ -281,7 +288,7 @@ class ElGACluster:
             node = agent_id // self.config.agents_per_node
         self.rehome_orphans(settle)
         directory = self.directory_for(agent_id)
-        agent = Agent(
+        agent = self._keep(Agent(
             self.network,
             self.config,
             agent_id,
@@ -293,7 +300,7 @@ class ElGACluster:
             restore_checkpoint=restore_checkpoint,
             incarnation=self._incarnation,
             master_address=self.master.address,
-        )
+        ))
         self.agents[agent_id] = agent
         if settle:
             self.settle()
@@ -314,23 +321,11 @@ class ElGACluster:
         if settle:
             self.settle()
 
-    def _retire(self, agent: Agent) -> None:
-        """Fold a gone agent's counters into the retired accumulators."""
-        self.retired_metrics = combine_metrics([self.retired_metrics, agent.metrics_snapshot()])
-        self.retired_perf.merge(agent.perf)
-
     def departing_agents(self) -> List[Agent]:
         """Graceful leavers not yet detached (waiting to be unlisted,
-        draining, or in their grace period); the ones that have since
-        detached are retired first."""
-        still = []
-        for agent in self._departing:
-            if agent.status == "detached":
-                self._retire(agent)
-            else:
-                still.append(agent)
-        self._departing = still
-        return still
+        draining, or in their grace period)."""
+        self._departing = [agent for agent in self._departing if agent.status != "detached"]
+        return self._departing
 
     def crash_agent(self, agent_id: Optional[int] = None) -> int:
         """Abruptly kill one Agent (no drain, no goodbye — §fault model).
@@ -352,7 +347,6 @@ class ElGACluster:
         agent.crashed = True
         self.network.detach_abrupt(agent.address)
         self._crashed[agent_id] = agent
-        self._retire(agent)
         self.recovery_log.append(
             {"event": "crash", "agent_id": agent_id, "time": round(self.kernel.now, 9)}
         )
@@ -397,7 +391,7 @@ class ElGACluster:
                 "crashed": crashed_id,
                 "replacement": agent.agent_id,
                 "restored_step": step,
-                "wal_replayed": agent.metrics.wal_records_replayed,
+                "wal_replayed": agent.perf.counts["wal_records_replayed"],
                 "edges_restored": agent.total_edges,
             }
         )
@@ -456,28 +450,28 @@ class ElGACluster:
     # ------------------------------------------------------------------
 
     def new_streamer(self, node: int = 0) -> Streamer:
-        streamer = Streamer(
+        streamer = self._keep(Streamer(
             self.network,
             self.config,
             self._next_streamer_id,
             node,
             self.directory_for(self._next_streamer_id).address,
             master_address=self.master.address,
-        )
+        ))
         self._next_streamer_id += 1
         self.streamers.append(streamer)
         self.settle()  # pick up the current directory state
         return streamer
 
     def new_client(self, node: int = 0) -> ClientProxy:
-        client = ClientProxy(
+        client = self._keep(ClientProxy(
             self.network,
             self.config,
             self._next_client_id,
             node,
             self.directory_for(self._next_client_id).address,
             master_address=self.master.address,
-        )
+        ))
         self._next_client_id += 1
         self.clients.append(client)
         self.settle()

@@ -150,6 +150,8 @@ class DirectoryMaster(Entity):
     retry-after hint so participants back off and re-query.
     """
 
+    KIND = "master"
+
     def __init__(self, network, seed: int = 0, retry_after: float = 1e-3):
         super().__init__(network, "directory-master", seed)
         self.push = PushSocket(self)
@@ -223,6 +225,8 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
     index:
         Directory index; index 0 is the bootstrap lead.
     """
+
+    KIND = "directory"
 
     def __init__(self, network, config: ClusterConfig, index: int):
         super().__init__(network, f"directory-{index}", config.seed)
@@ -408,7 +412,7 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
         if merged == lead.weights:
             return
         lead.weights = merged
-        self.network.stats.rebalance_adoptions += 1
+        self.perf.add("rebalance_plans_adopted")
         self._trace(
             "rebalance_adopt",
             "control",

@@ -37,7 +37,7 @@ class FailoverMixin:
         if term is None:
             return True
         if term < self.term:
-            self.network.stats.stale_term_drops += 1
+            self.perf.add("stale_term_drops")
             return False
         if term > self.term:
             self.term = term
@@ -197,7 +197,7 @@ class FailoverMixin:
         """
         self.term += 1
         self.lead_state = LeadState.from_mirror(self.state, self.tail)
-        self.network.stats.lead_elections += 1
+        self.perf.add("lead_elections")
         self._trace("lead_elected", "control", term=self.term, index=self.index)
         self.peers = [
             addr

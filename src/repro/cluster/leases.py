@@ -85,10 +85,10 @@ class LeaseMixin:
         self.lead_state.move_lease(agent_id, "suspected", self.now)
         self._trace("suspect", "failure", agent_id=agent_id, overdue=overdue, resend=resend)
         if not resend:
-            self.network.stats.lease_expirations += 1
+            self.perf.add("lease_expirations")
             interval = self.config.heartbeat_interval
-            self.network.stats.heartbeats_missed += (
-                max(1, int(overdue / interval)) if interval > 0 else 1
+            self.perf.add(
+                "heartbeats_missed", max(1, int(overdue / interval)) if interval > 0 else 1
             )
         self.push.push(
             self.master_address,

@@ -122,7 +122,7 @@ class MigrationMixin:
             # A re-weight landed (planner adoption or heterogeneous
             # join): the ring shifted arcs, and _migrate_misplaced
             # re-homes whatever this agent no longer owns.
-            self.metrics.rebalance_adoptions += 1
+            self.perf.add("rebalance_adoptions")
         listed = self.agent_id in state.agents
         held = self._pre_state_buffer
         if held is not None:
@@ -201,11 +201,11 @@ class MigrationMixin:
         self.charge(costs.elga_migrate_check * total_edges)
         stores = (("out", self.shard.out_store), ("in", self.shard.in_store))
         if moved is not None and len(moved) == 0:
-            self.metrics.migrate_rechecks_skipped += 1
+            self.perf.add("migrate_rechecks_skipped")
             stores = ()
         for role, store in stores:
             rows, owners = self._resident_owners(store, moved)
-            self.metrics.migrate_rows_rechecked += len(owners)
+            self.perf.add("migrate_rows_rechecked", len(owners))
             wrong = owners != self.agent_id
             if not wrong.any():
                 continue
@@ -214,7 +214,7 @@ class MigrationMixin:
             wrong_k = keys[wrong_rows]
             wrong_o = others[wrong_rows]
             self.charge(costs.elga_migrate_op * len(wrong_rows))
-            self.metrics.edges_migrated += len(wrong_rows)
+            self.perf.add("edges_migrated", len(wrong_rows))
             # Remove locally, one vectorized pass over the store.  The
             # WAL removal is NOT logged here: it enters the ledger per
             # destination batch below and hits the log only when that

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.bench.counters import PerfCounters
 from repro.cluster.config import ClusterConfig
 from repro.cluster.directory import DirectoryState
 from repro.hashing.ring import shared_ring
@@ -118,7 +117,6 @@ class Participant(Entity):
         # Highest control-plane term witnessed.
         self.term = 0
         self.push = PushSocket(self)
-        self.perf = PerfCounters()
         self.dstate: Optional[DirectoryState] = None
         self.placer: Optional[PlacementCache] = None
         self._master_req = ReqRepSocket(self)
@@ -157,7 +155,7 @@ class Participant(Entity):
         newer = False
         if term is not None:
             if term < self.term:
-                self.network.stats.stale_term_drops += 1
+                self.perf.add("stale_term_drops")
                 return
             newer = term > self.term
         try:

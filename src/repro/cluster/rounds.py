@@ -274,7 +274,7 @@ class RoundMixin:
         for owner, start, end in segments:
             rows = order[start:end]
             self.charge(len(rows) * costs.elga_edge_op)
-            self.metrics.edges_processed += len(rows)
+            self.perf.add("edges_processed", len(rows))
             run.buffers.add(owner, PacketType.VERTEX_MSG, {"dst": dst[rows], "val": val[rows]})
 
     # ------------------------------------------------------------------
@@ -331,7 +331,7 @@ class RoundMixin:
         run = self.run
         for primary, payload in run.replicas.begin(run.table, run.program.identity):
             run.buffers.add(primary, PacketType.REPLICA_SYNC, payload)
-            self.metrics.replica_syncs += 1
+            self.perf.add("replica_syncs")
         self._maybe_apply_split()
 
     def _ingest_replica_sync(self, payload: dict) -> None:
@@ -437,7 +437,7 @@ class RoundMixin:
         for agent_id, count, dst, val in scatter_segments(run, rows, values):
             # Per-edge work: hash-map access + lookup + buffer write.
             self.charge(count * (costs.elga_edge_op + cached))
-            self.metrics.edges_processed += count
+            self.perf.add("edges_processed", count)
             self.perf.add("dataplane_pairs_emitted", count)
             run.buffers.add(agent_id, PacketType.VERTEX_MSG, {"dst": dst, "val": val})
         self.charge(costs.elga_vertex_op * len(active_rows))
@@ -541,9 +541,9 @@ class RoundMixin:
             return
         tracer = self.network.tracer
         trace_from = self.available_at() if tracer is not None else 0.0
-        sent_before = self.metrics.messages_sent
+        sent_before = self.perf.counts["messages_sent"]
         self._ship_round_packets(run)
-        shipped = self.metrics.messages_sent - sent_before
+        shipped = self.perf.counts["messages_sent"] - sent_before
         if tracer is not None and shipped:
             tracer.complete(
                 self.name,
@@ -559,19 +559,19 @@ class RoundMixin:
         for agent_id, n_emits, payload in buffers.drain_replica(
             PacketType.REPLICA_SYNC, run.step, run.round
         ):
-            self.metrics.packets_coalesced += n_emits - 1
+            self.perf.add("packets_coalesced", n_emits - 1)
             self._send_data(agent_id, PacketType.REPLICA_SYNC, payload)
         if run.replicas.expected_syncs:
             return
         for agent_id, n_emits, payload in buffers.drain_replica(
             PacketType.REPLICA_VALUE, run.step, run.round
         ):
-            self.metrics.packets_coalesced += n_emits - 1
+            self.perf.add("packets_coalesced", n_emits - 1)
             self._send_data(agent_id, PacketType.REPLICA_VALUE, payload)
         if run.replicas.expected_values or not buffers.pending(PacketType.VERTEX_MSG):
             return
         for agent_id, n_emits, payload in buffers.drain_vertex_msgs(run.step, run.round):
-            self.metrics.packets_coalesced += n_emits - 1
+            self.perf.add("packets_coalesced", n_emits - 1)
             self._combine(run.program, payload)
             if agent_id == self.agent_id:
                 self._aggregate(payload)
@@ -590,12 +590,12 @@ class RoundMixin:
         self.charge(self.config.costs.combine_cost(pairs_in))
         self.perf.add("combine_pairs_in", pairs_in)
         self.perf.add("combine_pairs_out", len(payload["dst"]))
-        self.metrics.pairs_combined += pairs_in - len(payload["dst"])
+        self.perf.add("pairs_combined", pairs_in - len(payload["dst"]))
 
     def _send_data(self, agent_id: int, ptype: PacketType, payload: dict) -> None:
         payload["inc"] = self._data_inc
         self.run.outstanding_acks += 1
-        self.metrics.messages_sent += 1
+        self.perf.add("messages_sent")
         self.push.push(self._agent_address(agent_id), ptype, payload)
 
     def _on_data_ack(self, payload: dict) -> None:
@@ -615,7 +615,7 @@ class RoundMixin:
         replicas = run.replicas
         if run.outstanding_acks > 0 or replicas.expected_syncs or replicas.expected_values:
             return
-        self.metrics.supersteps += 1
+        self.perf.add("supersteps")
         stats = dict(run.round_stats)
         split = replicas.applied_rows()
         if split is not None:
@@ -624,7 +624,7 @@ class RoundMixin:
         # Area under the frontier curve: how many locally-hosted vertices
         # end this round active (collapses fast in a converging delta
         # run; ~|V| every round in a scratch run).
-        self.metrics.frontier_size += int(run.table.active.sum())
+        self.perf.add("frontier_size", int(run.table.active.sum()))
         # The local state for this round is complete right here (all
         # messages folded, all replica values applied): publish it as
         # the snapshot client queries read until the next READY.
@@ -712,7 +712,7 @@ class RoundMixin:
             # Halt checkpoint: the post-run state becomes the durable
             # restore base (and truncates the WAL).
             self._recovery_store.snapshot_agent(self)
-            self.metrics.checkpoints_taken += 1
+            self.perf.add("checkpoints_taken")
         self._end_run()
         buffered, self._buffered_updates = self._buffered_updates, []
         for payload in buffered:
@@ -765,7 +765,7 @@ class RoundMixin:
             for replica in my_split.get(v, ()):
                 if replica == self.agent_id:
                     continue
-                self.metrics.replica_syncs += 1
+                self.perf.add("replica_syncs")
                 self._async_send(
                     replica, np.array([v], dtype=np.int64), np.array([float(table.values[p])])
                 )
@@ -788,7 +788,7 @@ class RoundMixin:
         )
         for agent_id, count, dst, val in scatter_segments(run, positions, values):
             self.charge(count * self.config.costs.elga_edge_op)
-            self.metrics.edges_processed += count
+            self.perf.add("edges_processed", count)
             if agent_id != self.agent_id:
-                self.metrics.messages_sent += 1
+                self.perf.add("messages_sent")
             self._async_send(agent_id, dst, val)

@@ -31,6 +31,8 @@ class Streamer(Participant):
     has been acknowledged by its final applier.
     """
 
+    KIND = "streamer"
+
     def __init__(
         self,
         network,

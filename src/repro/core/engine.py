@@ -570,27 +570,6 @@ class ElGA:
 
         return render_engine_metrics(self)
 
-    def placement_counters(self):
-        """Cluster-wide placement fast-path counters.
-
-        Sums every participant's (agents, streamers, clients)
-        :class:`~repro.bench.counters.PerfCounters` — cache hit/miss
-        totals, epoch invalidations, vectorized-batch sizes — into one
-        fresh ``PerfCounters`` for the bench runner and tests.  Agents
-        that left or crashed stay counted (``cluster.retired_perf``),
-        so the totals never step backwards across a scale-down.
-        """
-        from repro.bench.counters import aggregate_counters
-
-        cluster = self.cluster
-        participants = cluster.departing_agents() + sorted_agents(cluster.agents)
-        participants += list(cluster.streamers)
-        participants += list(cluster.clients)
-        return aggregate_counters(
-            [cluster.retired_perf]
-            + [p.perf for p in participants if getattr(p, "perf", None) is not None]
-        )
-
     def validate_against_reference(self) -> bool:
         """Check the distributed edge stores against the mirror graph.
 

@@ -32,6 +32,7 @@ DESIGN.md, "Delivery semantics and the fault model"):
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -63,6 +64,9 @@ class NetworkStats:
     retry counters — ``messages_sent``/``by_type_count`` stay original
     sends, so traffic-derived figures (e.g. Figure 16) are unaffected
     by reliability being switched on.
+
+    Only what happens on the fabric is counted here; what an entity
+    does is counted in its own registry (``entity.perf``).
     """
 
     messages_sent: int = 0
@@ -80,35 +84,12 @@ class NetworkStats:
     retries_abandoned: int = 0
     duplicates_suppressed: int = 0
     acks_sent: int = 0
-    # Crash-recovery observability, recorded by the directory's failure
-    # detector (the fabric is the shared observability plane): lease
-    # checks that found an agent overdue, and leases that expired all
-    # the way to a confirmed eviction.
-    heartbeats_missed: int = 0
-    lease_expirations: int = 0
-    # Control-plane fault tolerance: lead-directory elections completed
-    # and term-fenced control packets dropped by receivers as stale.
-    lead_elections: int = 0
-    stale_term_drops: int = 0
-    # Load-adaptive repartitioning: ring re-weight plans the lead
-    # directory actually adopted (no-op plans are not counted).
-    rebalance_adoptions: int = 0
-    # Data-plane fast path observability: total packets a cumulative
-    # VERTEX_MSG_ACK acknowledged (its ``count`` field), and how many
-    # of those acks covered more than one packet.
-    data_ack_credits: int = 0
-    data_acks_batched: int = 0
 
     def record(self, message: Message) -> None:
         self.messages_sent += 1
         self.bytes_sent += message.size_bytes
         self.by_type_count[message.ptype] += 1
         self.by_type_bytes[message.ptype] += message.size_bytes
-        if message.ptype == PacketType.VERTEX_MSG_ACK:
-            count = int(message.payload["count"])
-            self.data_ack_credits += count
-            if count > 1:
-                self.data_acks_batched += 1
 
     def record_drop(self, message: Message, cause: str) -> None:
         """Count one dropped delivery under its cause and packet type."""
@@ -125,31 +106,7 @@ class NetworkStats:
 
     def snapshot(self) -> "NetworkStats":
         """A deep copy usable for interval deltas."""
-        copy = NetworkStats(
-            messages_sent=self.messages_sent,
-            bytes_sent=self.bytes_sent,
-            messages_dropped=self.messages_dropped,
-            drops_detached=self.drops_detached,
-            drops_chaos=self.drops_chaos,
-            drops_partition=self.drops_partition,
-            messages_duplicated=self.messages_duplicated,
-            messages_retried=self.messages_retried,
-            retries_abandoned=self.retries_abandoned,
-            duplicates_suppressed=self.duplicates_suppressed,
-            acks_sent=self.acks_sent,
-            heartbeats_missed=self.heartbeats_missed,
-            lease_expirations=self.lease_expirations,
-            lead_elections=self.lead_elections,
-            stale_term_drops=self.stale_term_drops,
-            rebalance_adoptions=self.rebalance_adoptions,
-            data_ack_credits=self.data_ack_credits,
-            data_acks_batched=self.data_acks_batched,
-        )
-        copy.by_type_count = defaultdict(int, self.by_type_count)
-        copy.by_type_bytes = defaultdict(int, self.by_type_bytes)
-        copy.dropped_by_type = defaultdict(int, self.dropped_by_type)
-        copy.retries_by_type = defaultdict(int, self.retries_by_type)
-        return copy
+        return copy.deepcopy(self)
 
 
 class _Pending:
@@ -417,9 +374,7 @@ class Network:
                 (message.dst, message.src), _DedupWindow()
             ).accept(message.seq):
                 self.stats.duplicates_suppressed += 1
-                perf = getattr(entity, "perf", None)
-                if perf is not None:
-                    perf.add("transport_dups_suppressed")
+                entity.perf.add("transport_dups_suppressed")
                 if tracer is not None:
                     tracer.message_event(
                         "dup_suppressed",
@@ -495,9 +450,8 @@ class Network:
                 self.name_of(message.dst),
             )
         sender = self._entities.get(message.src)
-        perf = getattr(sender, "perf", None)
-        if perf is not None:
-            perf.add("transport_retries")
+        if sender is not None:  # gone: only the fabric-wide count sees it
+            sender.perf.add("transport_retries")
         timeout = min(RETRY_TIMEOUT * RETRY_BACKOFF**entry.attempt, RETRY_TIMEOUT_CAP)
         entry.handle = self.kernel.schedule(timeout, self._retransmit, key)
         self._transmit(message)

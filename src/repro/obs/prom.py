@@ -1,10 +1,12 @@
 """Prometheus text exposition for cluster metrics.
 
-Renders the in-protocol metric view (§3.4.3's ``METRIC_REPORT`` path via
-``combine_metrics``), the fabric's :class:`NetworkStats`, and cost-model
+Renders every entity's counter registry (live agents through the
+in-protocol view, §3.4.3's ``METRIC_REPORT`` path), the fabric's
+:class:`NetworkStats`, a few gauges read at scrape time, and cost-model
 charges (per-entity charged simulated seconds) as labeled counter/gauge
 lines in the Prometheus text format — ``# HELP`` / ``# TYPE`` headers,
-``metric{label="value"} number`` samples.
+``metric{label="value"} number`` samples.  A counter's name ends in
+``_total`` and a gauge's does not.
 
 No HTTP server is simulated: the exposition *text* is the contract (a
 real deployment would serve it from ``/metrics``), and it is what the
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+from repro.bench.counters import COUNTERS, PerfCounters
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -47,6 +51,8 @@ def render(families: List[MetricFamily]) -> str:
             raise ValueError(f"invalid metric name {fam.name!r}")
         if fam.kind not in ("counter", "gauge"):
             raise ValueError(f"invalid metric type {fam.kind!r} for {fam.name}")
+        if (fam.kind == "counter") != fam.name.endswith("_total"):
+            raise ValueError(f"a {fam.kind} named {fam.name}: only counters end in _total")
         lines.append(f"# HELP {fam.name} {fam.help}")
         lines.append(f"# TYPE {fam.name} {fam.kind}")
         for labels, value in fam.samples:
@@ -75,30 +81,49 @@ def _format_value(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def agent_metric_families(
-    per_agent: Dict[int, dict], retired: Optional[Dict[str, int]] = None
-) -> List[MetricFamily]:
-    """Families from per-agent metric snapshots (one family per counter,
-    one labeled sample per agent), matching ``combine_metrics`` totals
-    by construction (Prometheus sums label values).  ``retired`` holds
-    the summed counters of agents that left or crashed; it is exposed
-    as one more sample (``agent="retired"``), so a family's sum never
-    steps backwards when membership shrinks."""
-    snapshots = list(per_agent.values()) + ([retired] if retired else [])
-    keys = sorted({key for snap in snapshots for key in snap})
+Sample = Tuple[Dict[str, str], Dict[str, int]]  # (labels, counts)
+
+
+def counter_families(samples: List[Sample]) -> List[MetricFamily]:
+    """One counter family per declared name any sample carries, one
+    labeled sample per ``(labels, counts)`` that carries it.  A family's
+    sum is the cluster-wide total (Prometheus sums label values)."""
     families = []
-    for key in keys:
-        fam = MetricFamily(
-            name=f"elga_{key}_total",
-            kind="counter",
-            help=f"Agent counter {key} (METRIC_REPORT snapshot).",
-        )
-        for agent_id in sorted(per_agent):
-            fam.add({"agent": str(agent_id)}, per_agent[agent_id].get(key, 0))
-        if retired:
-            fam.add({"agent": "retired"}, retired.get(key, 0))
+    for name in sorted({name for _, counts in samples for name in counts}):
+        fam = MetricFamily(f"elga_{name}_total", "counter", COUNTERS[name].meaning + ".")
+        for labels, counts in samples:
+            if name in counts:
+                fam.add(labels, counts[name])
         families.append(fam)
     return families
+
+
+def registry_samples(cluster, per_agent: Dict[int, dict]) -> List[Sample]:
+    """``(labels, counts)`` covering every registry the cluster keeps.
+
+    A live agent that reported is sampled from its METRIC_REPORT (the
+    §3.4.3 in-protocol view); every other live entity from its registry,
+    labeled ``{kind: id}``; the registries of entities gone for good
+    (agents that left or crashed, a replaced master) are summed per kind
+    under ``{kind: "retired"}``, so no family steps backwards.
+    """
+    live = [("agent", agent_id, agent) for agent_id, agent in sorted(cluster.agents.items())]
+    live += [("streamer", s.streamer_id, s) for s in cluster.streamers]
+    live += [("client", c.client_id, c) for c in cluster.clients]
+    live += [("directory", d.index, d) for d in cluster.directories]
+    live.append(("master", 0, cluster.master))
+    samples = []
+    for kind, ident, entity in live:
+        reported = per_agent.get(ident) if kind == "agent" else None
+        counts = reported if reported is not None else entity.perf.counts
+        samples.append(({kind: str(ident)}, counts))
+    kept = {id(entity.perf) for _, _, entity in live}
+    retired: Dict[str, PerfCounters] = {}
+    for perf in cluster.registries:
+        if id(perf) not in kept:
+            retired.setdefault(perf.kind, PerfCounters()).merge(perf)
+    samples += [({kind: "retired"}, total.counts) for kind, total in sorted(retired.items())]
+    return samples
 
 
 def network_families(stats) -> List[MetricFamily]:
@@ -138,18 +163,6 @@ def network_families(stats) -> List[MetricFamily]:
          "Duplicate deliveries suppressed by receiver dedup.",
          stats.duplicates_suppressed),
         ("elga_net_acks_total", "Transport DELIVERY_ACKs sent.", stats.acks_sent),
-        ("elga_net_heartbeats_missed_total",
-         "Heartbeats found overdue by the failure detector.",
-         stats.heartbeats_missed),
-        ("elga_net_lease_expirations_total",
-         "Liveness leases that expired into suspicion.",
-         stats.lease_expirations),
-        ("elga_net_lead_elections_total",
-         "Lead-directory elections (control-plane failovers).",
-         stats.lead_elections),
-        ("elga_net_stale_term_drops_total",
-         "Control packets dropped for carrying a superseded term.",
-         stats.stale_term_drops),
     ]
     for name, help_text, value in scalars:
         families.append(MetricFamily(name, "counter", help_text).add({}, value))
@@ -170,33 +183,20 @@ def charge_families(entities) -> List[MetricFamily]:
     return [fam]
 
 
-def serving_families(clients) -> List[MetricFamily]:
-    """Serving-plane families: one per proxy counter, labeled by client.
-
-    Counter names come from :meth:`ClientProxy.serving_metrics`
-    (``client_*`` and ``serving_cache_*`` keys); ``client_inflight`` is
-    the only gauge — everything else is monotone.
-    """
-    clients = list(clients)
-    keys = sorted({key for c in clients for key in c.serving_metrics()})
+def serving_gauges(clients) -> List[MetricFamily]:
+    """What each proxy holds now: open queries and result-cache entries."""
+    held = {client.client_id: client.serving_metrics() for client in clients}
     families = []
-    for key in keys:
-        if key == "client_inflight":
-            fam = MetricFamily(
-                "elga_client_inflight", "gauge", "Open queries held per proxy."
-            )
-        else:
-            fam = MetricFamily(
-                name=f"elga_{key}_total",
-                kind="counter",
-                help=f"Serving-plane counter {key}.",
-            )
-        for client in clients:
-            fam.add(
-                {"client": str(client.client_id)},
-                client.serving_metrics().get(key, 0),
-            )
-        families.append(fam)
+    for key, help_text in (
+        ("client_inflight", "Open queries held per proxy."),
+        ("serving_cache_entries", "Entries in the proxy's result cache."),
+    ):
+        fam = MetricFamily(f"elga_{key}", "gauge", help_text)
+        for client_id, now in held.items():
+            if key in now:
+                fam.add({"client": str(client_id)}, now[key])
+        if fam.samples:
+            families.append(fam)
     return families
 
 
@@ -219,8 +219,9 @@ def kernels_backend_family() -> MetricFamily:
 def engine_families(engine) -> List[MetricFamily]:
     """The full exposition for one :class:`~repro.core.engine.ElGA`.
 
-    Collects metrics through the in-protocol path (METRIC_REPORT →
-    directory stores), so calling this settles the simulator.
+    Collects live agents' metrics through the in-protocol path
+    (METRIC_REPORT → directory stores), so calling this settles the
+    simulator.
     """
     cluster = engine.cluster
     per_agent = cluster.collect_metrics()
@@ -240,13 +241,9 @@ def engine_families(engine) -> List[MetricFamily]:
         ).add({}, cluster.kernel.now),
         kernels_backend_family(),
     ]
-    # collect_metrics() settled the simulator, so every leaver that
-    # finished draining has detached and is counted as retired.
-    cluster.departing_agents()
-    families += agent_metric_families(per_agent, cluster.retired_metrics)
+    families += counter_families(registry_samples(cluster, per_agent))
     families += network_families(cluster.network.stats)
-    if cluster.clients:
-        families += serving_families(cluster.clients)
+    families += serving_gauges(cluster.clients)
     participants = [cluster.agents[k] for k in sorted(cluster.agents)]
     participants += list(cluster.directories) + list(cluster.streamers)
     participants += list(cluster.clients)

@@ -8,22 +8,19 @@ into a serving tier:
 * :class:`ResultCache` — a TTL'd result cache fenced by the directory's
   placement-epoch token and a per-program result version, so a stale
   read is structurally impossible rather than probabilistically rare.
-* :class:`LatencyRecorder` / :class:`ServingStats` — bounded latency
-  reservoirs and percentile summaries on the simulated clock.
+* :func:`percentile` — latency percentiles on the simulated clock.
 * :class:`OpenLoopWorkload` — a synthetic open-loop generator (Zipf
   keys, diurnal arrivals, up to ~10⁶ simulated clients multiplexed over
   proxy entities) for the tail-latency benchmarks.
 """
 
 from repro.serving.cache import CacheEntry, ResultCache
-from repro.serving.stats import LatencyRecorder, ServingStats, percentile
+from repro.serving.stats import percentile
 from repro.serving.workload import OpenLoopWorkload, zipf_keys
 
 __all__ = [
     "CacheEntry",
     "ResultCache",
-    "LatencyRecorder",
-    "ServingStats",
     "percentile",
     "OpenLoopWorkload",
     "zipf_keys",

@@ -27,6 +27,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
+from repro.bench.counters import PerfCounters
+
 
 @dataclass
 class CacheEntry:
@@ -44,10 +46,12 @@ class ResultCache:
 
     ``capacity`` bounds the entry count; when full, the oldest entry by
     insertion order is evicted (hot keys are re-inserted on refill, so
-    a Zipf mix keeps its head resident).
+    a Zipf mix keeps its head resident).  Hits, misses and why an entry
+    went are counted into ``perf``, the owner's registry when it hands
+    one in (the ``serving_cache_*`` counters).
     """
 
-    def __init__(self, ttl: float, capacity: int):
+    def __init__(self, ttl: float, capacity: int, perf: Optional[PerfCounters] = None):
         if ttl <= 0:
             raise ValueError("ResultCache needs a positive TTL; gate it off upstream")
         if capacity < 1:
@@ -55,13 +59,7 @@ class ResultCache:
         self.ttl = float(ttl)
         self.capacity = int(capacity)
         self._entries: "OrderedDict[Tuple[str, int], CacheEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.expirations = 0          # TTL lapsed
-        self.version_invalidations = 0  # result version moved on
-        self.epoch_invalidations = 0    # membership/sketch/split churn
-        self.negative_invalidations = 0  # negative entries dropped on ingest signals
-        self.evictions = 0
+        self.perf = perf if perf is not None else PerfCounters()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,26 +76,22 @@ class ResultCache:
         why it could not be served."""
         key = (program, int(vertex))
         entry = self._entries.get(key)
+        perf = self.perf
         if entry is None:
-            self.misses += 1
+            perf.add("serving_cache_misses")
             return None
         if entry.version != version:
-            self.version_invalidations += 1
-            self.misses += 1
-            del self._entries[key]
-            return None
-        if entry.epoch != epoch:
-            self.epoch_invalidations += 1
-            self.misses += 1
-            del self._entries[key]
-            return None
-        if now >= entry.expires_at:
-            self.expirations += 1
-            self.misses += 1
-            del self._entries[key]
-            return None
-        self.hits += 1
-        return entry
+            perf.add("serving_cache_version_invalidations")
+        elif entry.epoch != epoch:
+            perf.add("serving_cache_epoch_invalidations")
+        elif now >= entry.expires_at:
+            perf.add("serving_cache_expirations")
+        else:
+            perf.add("serving_cache_hits")
+            return entry
+        perf.add("serving_cache_misses")
+        del self._entries[key]
+        return None
 
     def put(
         self,
@@ -115,7 +109,7 @@ class ResultCache:
             del self._entries[key]
         elif len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self.perf.add("serving_cache_evictions")
         self._entries[key] = CacheEntry(
             value=value,
             version=version,
@@ -157,7 +151,7 @@ class ResultCache:
         ]
         for key in stale:
             del self._entries[key]
-        self.negative_invalidations += len(stale)
+        self.perf.add("serving_cache_negative_invalidations", len(stale))
         return len(stale)
 
     def clear(self) -> int:
@@ -170,14 +164,7 @@ class ResultCache:
         return dropped
 
     def counters(self) -> dict:
-        """A plain-dict snapshot of the cache counters."""
-        return {
-            "serving_cache_hits": self.hits,
-            "serving_cache_misses": self.misses,
-            "serving_cache_expirations": self.expirations,
-            "serving_cache_version_invalidations": self.version_invalidations,
-            "serving_cache_epoch_invalidations": self.epoch_invalidations,
-            "serving_cache_negative_invalidations": self.negative_invalidations,
-            "serving_cache_evictions": self.evictions,
-            "serving_cache_entries": len(self._entries),
-        }
+        """The cache's counts and its current size (a gauge)."""
+        out = {k: v for k, v in self.perf.counts.items() if k.startswith("serving_cache_")}
+        out["serving_cache_entries"] = len(self._entries)
+        return out

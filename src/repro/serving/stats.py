@@ -1,20 +1,15 @@
-"""Latency accounting for the serving plane.
+"""Latency percentiles for the serving plane.
 
 Latencies are *simulated* seconds, so the percentiles are exact
 properties of the modelled system rather than noisy wall-clock
-artifacts — the sim clock makes honest tail measurement cheap.
-
-:class:`LatencyRecorder` is a bounded ring: proxies record one sample
-per delivered query and the ring keeps the most recent ``maxlen``.  It
-supports ``len()``, indexing, and ``append`` so it is a drop-in for the
-unbounded list the old ClientProxy grew without bound.
+artifacts — the sim clock makes honest tail measurement cheap.  A
+proxy keeps its most recent samples in a bounded deque
+(``ClientProxy.latencies``) and counts every delivery in its registry.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Iterable
 
 import numpy as np
 
@@ -25,69 +20,3 @@ def percentile(samples: Iterable[float], q: float) -> float:
     if arr.size == 0:
         return float("nan")
     return float(np.percentile(arr, q))
-
-
-class LatencyRecorder(deque):
-    """A bounded deque of latency samples with percentile helpers."""
-
-    def __init__(self, maxlen: int = 65536):
-        super().__init__(maxlen=maxlen)
-        # Total samples ever recorded, beyond the ring's retention.
-        self.total_recorded = 0
-
-    def append(self, sample: float) -> None:  # type: ignore[override]
-        self.total_recorded += 1
-        super().append(sample)
-
-    def percentiles(self, qs=(50.0, 99.0, 99.9)) -> Dict[str, float]:
-        """{"p50": ..., "p99": ..., "p999": ...} over the retained ring."""
-        out: Dict[str, float] = {}
-        for q in qs:
-            label = f"p{q:g}".replace(".", "")
-            out[label] = percentile(self, q)
-        return out
-
-
-@dataclass
-class ServingStats:
-    """One aggregated view of a serving interval (bench reporting)."""
-
-    queries: int = 0
-    delivered: int = 0
-    shed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    coalesced: int = 0
-    fanouts: int = 0
-    snapshot_retries: int = 0
-    retried: int = 0
-    latencies: List[float] = field(default_factory=list)
-
-    @property
-    def hit_rate(self) -> float:
-        probes = self.cache_hits + self.cache_misses
-        return self.cache_hits / probes if probes else 0.0
-
-    @property
-    def shed_fraction(self) -> float:
-        return self.shed / self.queries if self.queries else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        lat = LatencyRecorder(maxlen=max(1, len(self.latencies) or 1))
-        for s in self.latencies:
-            lat.append(s)
-        out: Dict[str, float] = {
-            "queries": self.queries,
-            "delivered": self.delivered,
-            "shed": self.shed,
-            "shed_fraction": self.shed_fraction,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "coalesced": self.coalesced,
-            "fanouts": self.fanouts,
-            "snapshot_retries": self.snapshot_retries,
-            "retried": self.retried,
-        }
-        out.update(lat.percentiles())
-        return out

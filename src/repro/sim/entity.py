@@ -9,7 +9,7 @@ kernel, but never touches another entity's state directly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -35,8 +35,18 @@ class Entity:
         Experiment root seed for the random stream derivation.
     """
 
+    #: The kind of counter registry (``perf``) this entity carries; see
+    #: :data:`repro.bench.counters.COUNTERS`.  None takes any declared name.
+    KIND: Optional[str] = None
+
     def __init__(self, network: "Network", name: str, seed: int = 0):
+        # Imported here: ``repro.bench`` pulls in the chaos harness, which
+        # imports the fabric this module sits under.
+        from repro.bench.counters import PerfCounters
+
         self.name = name
+        # Everything this entity counts, and the only place it counts it.
+        self.perf = PerfCounters(self.KIND)
         self.network = network
         self.rng: np.random.Generator = entity_rng(seed, name)
         self.address: int = network.attach(self)

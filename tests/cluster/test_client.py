@@ -64,4 +64,4 @@ def test_concurrent_queries_all_answered(served_engine):
         client.query(v, "wcc", answers.append)
     served_engine.cluster.settle()
     assert len(answers) == 3
-    assert client.replies_received >= 3
+    assert client.perf.counts["client_replies_received"] >= 3

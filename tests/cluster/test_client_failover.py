@@ -48,14 +48,14 @@ def test_pending_query_reissued_after_eviction():
     # The target is dead: no reply, the query is parked in-flight.
     assert out == []
     assert client._pending
-    assert client.queries_retried == 0
+    assert client.perf.counts["client_queries_retried"] == 0
 
     # The failure detector's verdict, distilled: the lead evicts the
     # victim and broadcasts the shrunken membership.
     cluster.lead.confirm_eviction({"agent_id": victim, "evict": True})
     cluster.settle()
 
-    assert client.queries_retried == 1
+    assert client.perf.counts["client_queries_retried"] == 1
     assert len(out) == 1  # the re-issued query got answered
     assert not client._pending
 
@@ -77,7 +77,7 @@ def test_queries_to_live_agents_are_not_retried():
     cluster.lead.confirm_eviction({"agent_id": victim, "evict": True})
     cluster.settle()
     # Nothing was pending at the epoch change: no retries.
-    assert client.queries_retried == 0
+    assert client.perf.counts["client_queries_retried"] == 0
 
 
 def test_fresh_queries_after_eviction_route_to_new_owner():
@@ -95,5 +95,5 @@ def test_fresh_queries_after_eviction_route_to_new_owner():
     client.query(vertex, "pagerank", out.append)
     cluster.settle()
     assert len(out) == 1  # new ring, live owner, prompt answer
-    assert client.queries_retried == 0  # first try hit a live agent
+    assert client.perf.counts["client_queries_retried"] == 0  # first try hit a live agent
     assert client.placer.owner_of_vertex(vertex, rng=client.rng) != victim

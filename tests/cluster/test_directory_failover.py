@@ -336,9 +336,9 @@ def test_agent_drops_stale_term_control_traffic():
     agent = c.agents[0]
     agent.term = 2
     before_version = agent.dstate.version
-    drops = c.network.stats.stale_term_drops
+    drops = c.totals()["stale_term_drops"]
     agent.handle_message(_stale_update(agent.dstate, term=1))
-    assert c.network.stats.stale_term_drops == drops + 1
+    assert c.totals()["stale_term_drops"] == drops + 1
     assert agent.dstate.version == before_version
     assert agent.term == 2
 
@@ -347,9 +347,9 @@ def test_client_drops_stale_term_control_traffic():
     c = make_cluster(**FAILOVER)
     client = c.new_client()
     client.term = 2
-    drops = c.network.stats.stale_term_drops
+    drops = c.totals()["stale_term_drops"]
     client.handle_message(_stale_update(c.lead.state, term=1))
-    assert c.network.stats.stale_term_drops == drops + 1
+    assert c.totals()["stale_term_drops"] == drops + 1
     assert client.term == 2
 
 

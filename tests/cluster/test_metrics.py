@@ -1,15 +1,18 @@
-"""Agent metrics collection."""
+"""Agent metrics: the agent's counter registry, METRIC_REPORT, and
+cluster totals that outlive the entities that counted them."""
 
 import numpy as np
+import pytest
 
-from repro.cluster.metrics import AgentMetrics, combine_metrics
+from repro.bench.counters import KIND_COUNTERS, PerfCounters
+from repro.cluster.metrics import combine_metrics
 from repro.core import ElGA, PageRank
 
 
 def test_snapshot_round_trip():
-    m = AgentMetrics()
-    m.edges_processed = 10
-    m.queries_served = 3
+    m = PerfCounters("agent")
+    m.add("edges_processed", 10)
+    m.add("queries_served", 3)
     snap = m.snapshot()
     assert snap["edges_processed"] == 10
     assert snap["queries_served"] == 3
@@ -17,10 +20,9 @@ def test_snapshot_round_trip():
 
 
 def test_combine_sums():
-    a = AgentMetrics()
-    a.messages_sent = 5
-    b = AgentMetrics()
-    b.messages_sent = 7
+    a, b = PerfCounters("agent"), PerfCounters("agent")
+    a.add("messages_sent", 5)
+    b.add("messages_sent", 7)
     total = combine_metrics([a.snapshot(), b.snapshot()])
     assert total["messages_sent"] == 12
 
@@ -31,10 +33,13 @@ def test_metrics_populated_by_real_run():
     vs = (np.arange(30) + 1) % 30
     elga.ingest_edges(us, vs)
     elga.run(PageRank(max_iters=3, tol=1e-15))
-    total = combine_metrics(a.metrics.snapshot() for a in elga.cluster.agents.values())
+    total = combine_metrics(a.perf.snapshot() for a in elga.cluster.agents.values())
     assert total["updates_applied"] == 60  # both copies
     assert total["edges_processed"] > 0
     assert total["supersteps"] > 0
+    # Callers hand ``add`` Python ints: no numpy scalar leaks into a count.
+    registries = elga.cluster.registries
+    assert {type(v) for perf in registries for v in perf.counts.values()} == {int}
 
 
 def test_metric_report_protocol_reaches_directory():
@@ -59,31 +64,35 @@ def test_metric_reports_refresh():
     )
 
 
-def test_snapshot_covers_every_dataclass_field():
-    """Field-drift guard: a counter added to AgentMetrics must appear in
-    snapshot() (and hence in METRIC_REPORTs and combine_metrics) without
-    anyone remembering to update an export list."""
-    from dataclasses import fields
-
-    m = AgentMetrics()
-    field_names = {f.name for f in fields(AgentMetrics)}
-    assert set(m.snapshot()) == field_names
-    # Every exported value tracks its attribute, not a stale copy.
-    for name in field_names:
-        setattr(m, name, 41)
+def test_snapshot_covers_every_declared_counter():
+    """Shape guard: an agent's snapshot (what a METRIC_REPORT carries)
+    holds every counter declared for agents from the start, and every
+    value tracks the registry, not a stale copy."""
+    m = PerfCounters("agent")
+    assert list(m.snapshot()) == list(KIND_COUNTERS["agent"])
+    for name in KIND_COUNTERS["agent"]:
+        m.add(name, 41)
     assert all(v == 41 for v in m.snapshot().values())
 
 
-def test_combine_covers_every_dataclass_field():
-    from dataclasses import fields
-
-    a, b = AgentMetrics(), AgentMetrics()
-    for f in fields(AgentMetrics):
-        setattr(a, f.name, 1)
-        setattr(b, f.name, 2)
+def test_combine_covers_every_declared_counter():
+    a, b = PerfCounters("agent"), PerfCounters("agent")
+    for name in KIND_COUNTERS["agent"]:
+        a.add(name, 1)
+        b.add(name, 2)
     total = combine_metrics([a.snapshot(), b.snapshot()])
-    assert set(total) == {f.name for f in fields(AgentMetrics)}
+    assert set(total) == set(KIND_COUNTERS["agent"])
     assert all(v == 3 for v in total.values())
+
+
+def test_agent_metrics_is_its_registry():
+    elga = ElGA(nodes=1, agents_per_node=2, seed=14)
+    elga.ingest_edges(np.arange(10), (np.arange(10) + 1) % 10)
+    agent = elga.cluster.agents[0]
+    assert agent.metrics is agent.perf
+    assert agent.metrics.updates_applied == agent.perf.counts["updates_applied"] > 0
+    with pytest.raises(AttributeError):
+        agent.metrics.no_such_counter
 
 
 def _exposed_total(elga, metric):
@@ -98,41 +107,66 @@ def test_counters_do_not_leave_with_departing_agents():
     """A scale-down used to take the leavers' counters with them:
     summed over the live agents, ``edges_migrated`` read *negative*
     across a 24 -> 16 ``scale_to`` although every leaver had just
-    migrated its whole shard.  Departed and crashed agents fold into the
-    cluster's retired accumulators, which every reader that does not go
-    through ``collect_metrics`` adds in."""
+    migrated its whole shard.  The cluster keeps every registry it
+    created, so its totals and the exposition count the leavers too."""
     elga = ElGA(nodes=2, agents_per_node=3, seed=15)
     rng = np.random.default_rng(15)
     elga.ingest_edges(rng.integers(0, 200, 600), rng.integers(200, 400, 600))
+    cluster = elga.cluster
     migrated = [_exposed_total(elga, "edges_migrated")]
     applied = [_exposed_total(elga, "updates_applied")]
-    hits = [elga.placement_counters().counts["placement_cache_hits"]]
+    hits = [cluster.totals()["placement_cache_hits"]]
     for target in (9, 4, 2, 5):
         elga.scale_to(target)
         migrated.append(_exposed_total(elga, "edges_migrated"))
         applied.append(_exposed_total(elga, "updates_applied"))
-        hits.append(elga.placement_counters().counts["placement_cache_hits"])
+        hits.append(cluster.totals()["placement_cache_hits"])
     assert migrated == sorted(migrated) and migrated[-1] > migrated[0]
     assert applied == sorted(applied)
     assert hits == sorted(hits)
     # The scale-downs moved at least every edge the leavers held.
     assert migrated[2] - migrated[1] > 0 and migrated[3] - migrated[2] > 0
-    cluster = elga.cluster
-    live = combine_metrics(a.metrics.snapshot() for a in cluster.agents.values())
-    assert cluster.retired_metrics["edges_migrated"] > 0
-    assert (
-        live["edges_migrated"] + cluster.retired_metrics["edges_migrated"] == migrated[-1]
-    )
+    live = combine_metrics(a.perf.snapshot() for a in cluster.agents.values())
+    assert cluster.totals()["edges_migrated"] == migrated[-1] > live["edges_migrated"]
     assert 'elga_edges_migrated_total{agent="retired"}' in elga.prometheus_text()
 
 
 def test_crashed_agent_counters_are_retired():
     elga = ElGA(nodes=2, agents_per_node=2, seed=16)
     elga.ingest_edges(np.arange(40), (np.arange(40) + 1) % 40)
-    victim = elga.cluster.agents[1]
-    applied = victim.metrics.updates_applied
-    assert applied > 0
-    elga.cluster.crash_agent(1)
-    assert elga.cluster.retired_metrics["updates_applied"] == applied
-    counts = elga.cluster.retired_perf.counts
-    assert counts["placement_cache_misses"] == victim.perf.counts["placement_cache_misses"]
+    cluster = elga.cluster
+    victim = cluster.agents[1]
+    assert victim.perf.counts["updates_applied"] > 0
+    before = cluster.totals()
+    cluster.crash_agent(1)
+    # Nothing is merged at the crash: the victim's registry stays kept.
+    assert any(perf is victim.perf for perf in cluster.registries)
+    assert cluster.totals() == before
+
+
+def test_totals_stay_monotone_across_departures_and_crashes(monkeypatch):
+    elga = ElGA(
+        nodes=2, agents_per_node=3, seed=15, n_directories=2,
+        dir_lease_interval=2e-3, dir_lease_timeout=6e-3,
+    )
+    cluster = elga.cluster
+    rng = np.random.default_rng(15)
+    elga.ingest_edges(rng.integers(0, 200, 600), rng.integers(200, 400, 600))
+
+    def unused():
+        raise AssertionError("totals must not depend on departing_agents()")
+
+    monkeypatch.setattr(cluster, "departing_agents", unused)
+    seen = [cluster.totals()]
+    cluster.scale_to(3)
+    seen.append(cluster.totals())
+    cluster.crash_agent()
+    seen.append(cluster.totals())
+    cluster.crash_directory()  # the lead
+    assert cluster.lead.index == 1  # reading the lead pays the succession
+    seen.append(cluster.totals())
+    for before, after in zip(seen, seen[1:]):
+        assert set(before) <= set(after)
+        assert all(after[name] >= count for name, count in before.items())
+    assert seen[1]["edges_migrated"] > seen[0]["edges_migrated"]
+    assert seen[3]["lead_elections"] == seen[2]["lead_elections"] + 1

@@ -61,12 +61,11 @@ def test_membership_change_invalidates():
 
 def test_placement_counters_surface():
     elga = build()
-    counters = elga.placement_counters()
-    counts = counters.counts
-    assert counts.get("placement_cache_misses", 0) > 0
+    counts = elga.cluster.totals()
+    assert counts["placement_cache_misses"] > 0
     # Ingest resolves each edge at the streamer and again at the agent;
     # repeats within the same epoch must produce hits somewhere.
-    assert counts.get("placement_cache_hits", 0) > 0
+    assert counts["placement_cache_hits"] > 0
 
 
 def test_metrics_report_includes_cache_counters():
@@ -120,7 +119,7 @@ def test_sketch_flush_keeps_the_ring_and_its_memo():
     epochs = {aid: a.dstate.epoch for aid, a in cluster.agents.items()}
     rng = np.random.default_rng(3)
     elga.ingest_edges(rng.integers(0, 300, 200), rng.integers(300, 600, 200))
-    hits = elga.placement_counters().counts["placement_ring_memo_hits"]
+    hits = elga.cluster.totals()["placement_ring_memo_hits"]
     for aid, agent in cluster.agents.items():
         assert agent.dstate.epoch != epochs[aid], "the flush must have bumped the epoch"
         assert agent.dstate.ring_epoch == epochs[aid][:2]
@@ -128,7 +127,7 @@ def test_sketch_flush_keeps_the_ring_and_its_memo():
     assert cluster.streamers[0].placer.ring is streamer_ring
     # Re-ingesting known vertices after the flush is answered by the memo.
     elga.ingest_edges(rng.integers(0, 300, 200), rng.integers(300, 600, 200))
-    assert elga.placement_counters().counts["placement_ring_memo_hits"] > hits
+    assert elga.cluster.totals()["placement_ring_memo_hits"] > hits
 
 
 def test_membership_change_rechecks_every_resident_row_once():

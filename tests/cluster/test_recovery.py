@@ -11,7 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.cluster.edgestore import EdgeStore, IdSet, ValueColumn
-from repro.cluster.metrics import AgentMetrics, combine_metrics
+from repro.bench.counters import PerfCounters
+from repro.cluster.metrics import combine_metrics
 from repro.cluster.recovery import Checkpoint, CheckpointStore, EdgeWAL, RecoveryStore
 from repro.cluster.shard import ProgramState, ShardState
 from repro.sketch.countmin import CountMinSketch
@@ -250,15 +251,15 @@ def test_checkpoint_plus_wal_rebuilds_every_agent_store():
 
 
 def test_recovery_counters_survive_snapshot_and_combine():
-    a = AgentMetrics()
-    a.heartbeats_sent = 3
-    a.checkpoints_taken = 2
-    a.checkpoints_restored = 1
-    a.wal_records_logged = 40
-    a.wal_records_replayed = 7
-    a.recoveries_participated = 1
-    b = AgentMetrics()
-    b.heartbeats_sent = 5
+    a = PerfCounters("agent")
+    a.add("heartbeats_sent", 3)
+    a.add("checkpoints_taken", 2)
+    a.add("checkpoints_restored", 1)
+    a.add("wal_records_logged", 40)
+    a.add("wal_records_replayed", 7)
+    a.add("recoveries_participated", 1)
+    b = PerfCounters("agent")
+    b.add("heartbeats_sent", 5)
     snap = a.snapshot()
     for key in (
         "heartbeats_sent",
@@ -274,12 +275,11 @@ def test_recovery_counters_survive_snapshot_and_combine():
     assert total["wal_records_logged"] == 40
 
 
-def test_network_stats_track_failure_detection():
-    from repro.net.network import NetworkStats
-
-    stats = NetworkStats()
-    stats.heartbeats_missed += 2
-    stats.lease_expirations += 1
-    snap = stats.snapshot()
-    assert snap.heartbeats_missed == 2
-    assert snap.lease_expirations == 1
+def test_directory_registry_tracks_failure_detection():
+    d = PerfCounters("directory")
+    assert d.counts["heartbeats_missed"] == d.counts["lease_expirations"] == 0
+    d.add("heartbeats_missed", 2)
+    d.add("lease_expirations")
+    snap = d.snapshot()
+    assert snap["heartbeats_missed"] == 2
+    assert snap["lease_expirations"] == 1

@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.cluster.metrics import combine_metrics
 from repro.core import ElGA, PageRank, WCC
 from repro.gen import powerlaw_graph
 from repro.graph import EdgeBatch
@@ -116,15 +115,6 @@ EXPECTED_FAILOVER = {
 
 def _phases(result):
     return [phase for phase, _, _ in result.round_durations]
-
-
-def _summed_metrics(cluster):
-    """Counters of every agent that ever lived: the retired
-    accumulators plus whoever is still attached."""
-    agents = cluster.departing_agents() + list(cluster.agents.values())
-    return combine_metrics(
-        [cluster.retired_metrics] + [agent.metrics.snapshot() for agent in agents]
-    )
 
 
 def _scenario():
@@ -248,7 +238,7 @@ def _failover_scenario():
 def _observe(scenario):
     elga, runs = scenario()
     cluster = elga.cluster
-    metrics = _summed_metrics(cluster)
+    metrics = cluster.totals()  # every entity that ever lived
     stats = cluster.network.stats
     return {
         "events_processed": cluster.kernel.events_processed,
@@ -294,6 +284,7 @@ def test_fingerprint_of_control_plane_failover():
     elga, runs, terms = _failover_scenario()
     cluster = elga.cluster
     stats = cluster.network.stats
+    totals = cluster.totals()
     assert [entry["event"] for entry in cluster.recovery_log] == [
         "directory_crash", "lead_elected", "master_crash", "master_restart",
     ]
@@ -306,9 +297,9 @@ def test_fingerprint_of_control_plane_failover():
         "now": cluster.kernel.now,
         "runs": [(r.strategy, r.steps, _phases(r)) for r in runs],
         "terms": terms,
-        "lead_elections": stats.lead_elections,
-        "stale_term_drops": stats.stale_term_drops,
-        "rebalance_adoptions": stats.rebalance_adoptions,
+        "lead_elections": totals["lead_elections"],
+        "stale_term_drops": totals["stale_term_drops"],
+        "rebalance_adoptions": totals["rebalance_plans_adopted"],
     }
     _assert_pinned(seen, EXPECTED_FAILOVER)
 

@@ -164,6 +164,34 @@ def test_stats_accounting():
     assert net.stats.messages_sent - snap.messages_sent == 1
 
 
+def test_snapshot_keeps_every_field_and_shares_nothing():
+    from dataclasses import fields
+
+    from repro.net.network import NetworkStats
+
+    stats = NetworkStats()
+    for i, f in enumerate(fields(NetworkStats), start=1):
+        value = getattr(stats, f.name)
+        if isinstance(value, int):
+            setattr(stats, f.name, i)
+        else:
+            value[PacketType.VERTEX_MSG] = i
+    snap = stats.snapshot()
+    assert snap == stats
+    for f in fields(NetworkStats):
+        value = getattr(stats, f.name)
+        if isinstance(value, int):
+            setattr(stats, f.name, value + 100)
+        else:
+            value[PacketType.VERTEX_MSG] += 100
+            value[PacketType.EDGE_UPDATE] += 1
+    for i, f in enumerate(fields(NetworkStats), start=1):
+        kept = getattr(snap, f.name)
+        assert (kept if isinstance(kept, int) else dict(kept)) == (
+            i if isinstance(kept, int) else {PacketType.VERTEX_MSG: i}
+        ), f.name
+
+
 def test_missing_destination_rejected():
     _, net = make_net()
     a = Recorder(net, "a")

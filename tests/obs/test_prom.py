@@ -4,7 +4,7 @@ import pytest
 
 from repro import kernels
 from repro.obs import MetricFamily, render
-from repro.obs.prom import agent_metric_families, kernels_backend_family
+from repro.obs.prom import counter_families, kernels_backend_family
 
 pytestmark = pytest.mark.obs
 
@@ -34,6 +34,8 @@ def test_render_unlabeled_and_escaping():
         ("has space", "gauge", {}),
         ("ok_total", "histogram", {}),
         ("ok_total", "counter", {"0bad": "x"}),
+        ("elga_entries", "counter", {}),
+        ("elga_entries_total", "gauge", {}),
     ],
 )
 def test_render_rejects_invalid(name, kind, labels):
@@ -43,10 +45,30 @@ def test_render_rejects_invalid(name, kind, labels):
 
 
 def test_agent_families_match_combine_totals():
-    per_agent = {0: {"edges_processed": 3}, 1: {"edges_processed": 5}}
-    fams = agent_metric_families(per_agent)
+    samples = [({"agent": "0"}, {"edges_processed": 3}), ({"agent": "1"}, {"edges_processed": 5})]
+    fams = counter_families(samples)
     assert [f.name for f in fams] == ["elga_edges_processed_total"]
     assert sum(v for _, v in fams[0].samples) == 8
+
+
+def test_serving_cache_entries_is_a_gauge():
+    """The entry count falls on every invalidation and on a term bump's
+    clear(), so it must not be exposed as a counter."""
+    import numpy as np
+
+    from repro.core import ElGA, PageRank
+
+    elga = ElGA(nodes=1, agents_per_node=2, seed=3, serving_cache_ttl=1.0)
+    elga.ingest_edges(np.arange(10), (np.arange(10) + 1) % 10)
+    elga.run(PageRank(max_iters=2))
+    for vertex in range(4):
+        elga.query(vertex, "pagerank")
+    text = elga.prometheus_text()
+    assert "# TYPE elga_serving_cache_entries gauge" in text
+    assert 'elga_serving_cache_entries{client="0"} 4' in text
+    assert "elga_serving_cache_entries_total" not in text
+    elga.cluster.clients[0].cache.clear()
+    assert 'elga_serving_cache_entries{client="0"} 0' in elga.prometheus_text()
 
 
 def test_engine_exposition_end_to_end(traced_run):
@@ -60,8 +82,8 @@ def test_engine_exposition_end_to_end(traced_run):
     assert 'elga_charged_seconds_total{entity="agent-0"}' in text
     # Control-plane fault-tolerance counters are always exposed (zero in
     # a healthy run), so failover dashboards need no conditional panels.
-    assert "elga_net_lead_elections_total 0" in text
-    assert "elga_net_stale_term_drops_total 0" in text
+    assert 'elga_lead_elections_total{directory="0"} 0' in text
+    assert 'elga_stale_term_drops_total{directory="0"} 0' in text
     assert "# TYPE elga_control_term gauge" in text
     assert "elga_control_term 0" in text
     # Every line is either a comment or "name[{labels}] value".

@@ -33,7 +33,7 @@ def test_ttl_expiry_on_sim_clock():
     hit = cache.get("pr", 7, now=5e-4, epoch=EPOCH, version=1)
     assert hit is not None and hit.value == 0.5 and hit.snapshot == (1, 3)
     assert cache.get("pr", 7, now=2e-3, epoch=EPOCH, version=1) is None
-    assert cache.expirations == 1
+    assert cache.counters()["serving_cache_expirations"] == 1
     # The expired entry was dropped, not resurrected.
     assert cache.get("pr", 7, now=6e-4, epoch=EPOCH, version=1) is None
 
@@ -42,21 +42,21 @@ def test_epoch_token_invalidation():
     cache = ResultCache(ttl=10.0, capacity=8)
     cache.put("pr", 7, 0.5, now=0.0, epoch=EPOCH, version=1, snapshot=(1, 3))
     assert cache.get("pr", 7, now=0.1, epoch=("e", 2), version=1) is None
-    assert cache.epoch_invalidations == 1
+    assert cache.counters()["serving_cache_epoch_invalidations"] == 1
 
 
 def test_result_version_invalidation():
     cache = ResultCache(ttl=10.0, capacity=8)
     cache.put("pr", 7, 0.5, now=0.0, epoch=EPOCH, version=1, snapshot=(1, 3))
     assert cache.get("pr", 7, now=0.1, epoch=EPOCH, version=2) is None
-    assert cache.version_invalidations == 1
+    assert cache.counters()["serving_cache_version_invalidations"] == 1
 
 
 def test_capacity_bound_evicts_oldest():
     cache = ResultCache(ttl=10.0, capacity=2)
     for v in range(3):
         cache.put("pr", v, float(v), now=0.0, epoch=EPOCH, version=1, snapshot=(1, 1))
-    assert cache.evictions == 1
+    assert cache.counters()["serving_cache_evictions"] == 1
     assert cache.get("pr", 0, now=0.1, epoch=EPOCH, version=1) is None  # oldest out
     assert cache.get("pr", 2, now=0.1, epoch=EPOCH, version=1) is not None
 
@@ -76,14 +76,14 @@ def test_invalidate_negative_drops_only_negative_entries():
     cache.put("pr", 2, None, now=0.0, epoch=EPOCH, version=1, snapshot=(1, 1))
     cache.put("wcc", 3, None, now=0.0, epoch=EPOCH, version=1, snapshot=(1, 1))
     assert cache.invalidate_negative("pr") == 1
-    assert cache.negative_invalidations == 1
+    assert cache.counters()["serving_cache_negative_invalidations"] == 1
     # The positive entry and the other program's negative both survive.
     assert cache.get("pr", 1, now=0.1, epoch=EPOCH, version=1) is not None
     assert cache.get("pr", 2, now=0.1, epoch=EPOCH, version=1) is None
     assert cache.get("wcc", 3, now=0.1, epoch=EPOCH, version=1) is not None
     # No program filter sweeps every remaining negative.
     assert cache.invalidate_negative() == 1
-    assert cache.negative_invalidations == 2
+    assert cache.counters()["serving_cache_negative_invalidations"] == 2
 
 
 def test_zero_ttl_is_rejected():
@@ -129,7 +129,7 @@ def test_version_notice_invalidates_after_incremental_run():
     second = elga.query(3, "pagerank")
     assert second == result.values[3]
     assert second != first  # the degree changes moved vertex 3's rank
-    assert client.cache.hits == 0  # nothing was served across the bump
+    assert client.perf.counts["serving_cache_hits"] == 0  # nothing was served across the bump
 
 
 def test_flushless_ingest_invalidates_negative_entries():
@@ -141,19 +141,19 @@ def test_flushless_ingest_invalidates_negative_entries():
     elga.run(WCC())
     client = elga.cluster.new_client()
     assert elga.query(42, "wcc") is None  # vertex not ingested yet
-    fanouts = client.fanouts_dispatched
+    fanouts = client.perf.counts["client_fanouts_dispatched"]
     assert elga.query(42, "wcc") is None  # replayed from cache
-    assert client.fanouts_dispatched == fanouts
-    assert client.cache.hits >= 1
+    assert client.perf.counts["client_fanouts_dispatched"] == fanouts
+    assert client.perf.counts["serving_cache_hits"] >= 1
     # Flush-less insert of vertex 42: the batch clock moves, the
     # placement epoch does not.
     epoch_before = client.dstate.epoch_token
     elga.ingest_edges(np.array([42]), np.array([0]), flush=False)
     assert client.dstate.epoch_token == epoch_before
-    assert client.cache.negative_invalidations == 1
+    assert client.perf.counts["serving_cache_negative_invalidations"] == 1
     # The re-query goes back to the agents instead of the stale negative.
     elga.query(42, "wcc")
-    assert client.fanouts_dispatched == fanouts + 1
+    assert client.perf.counts["client_fanouts_dispatched"] == fanouts + 1
 
 
 def test_ttl_expiry_through_proxy_sim_clock():
@@ -162,13 +162,13 @@ def test_ttl_expiry_through_proxy_sim_clock():
     elga.run(WCC())
     client = elga.cluster.new_client()
     assert elga.query(2, "wcc") == 0.0
-    fanouts = client.fanouts_dispatched
+    fanouts = client.perf.counts["client_fanouts_dispatched"]
     # Idle settling does not advance the sim clock; push it past the TTL.
     elga.cluster.kernel.schedule(1e-3, lambda: None)
     elga.cluster.settle()
     assert elga.query(2, "wcc") == 0.0
-    assert client.fanouts_dispatched == fanouts + 1
-    assert client.cache.expirations >= 1
+    assert client.perf.counts["client_fanouts_dispatched"] == fanouts + 1
+    assert client.perf.counts["serving_cache_expirations"] >= 1
 
 
 @functools.lru_cache(maxsize=1)

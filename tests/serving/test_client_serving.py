@@ -36,8 +36,8 @@ def test_same_key_burst_coalesces_into_one_fanout():
         assert client.query(3, "wcc", out.append) == 0.0
     elga.cluster.settle()
     assert len(out) == 20 and set(out) == {0.0}
-    assert client.queries_coalesced == 19
-    assert client.fanouts_dispatched == 1
+    assert client.perf.counts["client_queries_coalesced"] == 19
+    assert client.perf.counts["client_fanouts_dispatched"] == 1
     # One wire message for the whole burst (vertex 3 is unsplit).
     assert stats.by_type_count[PacketType.CLIENT_QUERY] - queries_before == 1
     # Every waiter got its own latency sample.
@@ -54,8 +54,8 @@ def test_coalescing_disabled_sends_one_fanout_per_query():
         client.query(3, "wcc", out.append)
     elga.cluster.settle()
     assert len(out) == 5
-    assert client.queries_coalesced == 0
-    assert client.fanouts_dispatched == 5
+    assert client.perf.counts["client_queries_coalesced"] == 0
+    assert client.perf.counts["client_fanouts_dispatched"] == 5
     assert stats.by_type_count[PacketType.CLIENT_QUERY] - queries_before == 5
 
 
@@ -68,7 +68,7 @@ def test_admission_control_sheds_with_retry_after():
     shed = [v for v in verdicts if v > 0.0]
     assert len(accepted) == 4 and len(shed) == 4
     assert all(v == SHED_RETRY_AFTER for v in shed)
-    assert client.queries_shed == 4
+    assert client.perf.counts["client_queries_shed"] == 4
     elga.cluster.settle()
     assert len(out) == 4  # shed queries never deliver
     # Capacity freed: a resubmit is admitted and answered.
@@ -86,7 +86,7 @@ def test_latency_buffer_is_bounded():
         elga.cluster.settle()
     assert len(out) == 20
     assert len(client.latencies) == 8          # ring bounded
-    assert client.latencies.total_recorded == 20  # nothing lost to accounting
+    assert client.perf.counts["client_queries_delivered"] == 20  # nothing lost to accounting
     assert client.latencies.maxlen == 8
 
 
@@ -131,7 +131,7 @@ def test_failover_retry_records_one_latency_sample():
     cluster.lead.confirm_eviction({"agent_id": victim, "evict": True})
     cluster.settle()
     assert len(out) == 1
-    assert client.queries_retried == 1
+    assert client.perf.counts["client_queries_retried"] == 1
     assert len(client.latencies) == samples_before + 1  # exactly one sample
     # The sample spans the whole failover, not just the retry leg.
     assert client.latencies[-1] >= elga.cluster.kernel.now - accepted_at - 1e-9

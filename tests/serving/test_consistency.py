@@ -42,7 +42,7 @@ def test_split_vertex_fanout_targets_all_replicas():
     elga.cluster.settle()
     assert out == [0.0]
     # The fan-out asked every replica, not a random one.
-    assert client.replies_received >= len(replicas)
+    assert client.perf.counts["client_replies_received"] >= len(replicas)
 
 
 def test_torn_reply_pair_is_retried_not_delivered():
@@ -69,7 +69,7 @@ def test_torn_reply_pair_is_retried_not_delivered():
              "inc": 0, "agent_id": agent_id}
         )
     assert out == []                      # torn pair never delivered
-    assert client.snapshot_retries == 1   # caught and counted
+    assert client.perf.counts["client_snapshot_retries"] == 1   # caught and counted
     elga.cluster.settle()                 # backoff elapses, re-fan-out
     assert out == [0.0]                   # consistent answer wins in the end
     assert not client._flights
@@ -93,8 +93,8 @@ def test_mixed_tags_equal_values_merge_cleanly():
              "inc": 0, "agent_id": agent_id}
         )
     assert out == [5.0]
-    assert client.snapshot_retries == 0
-    assert client.snapshot_value_merges == 1
+    assert client.perf.counts["client_snapshot_retries"] == 0
+    assert client.perf.counts["client_snapshot_value_merges"] == 1
 
 
 def test_queries_during_supersteps_never_torn():

@@ -8,6 +8,7 @@ import doctest
 
 import pytest
 
+import repro.bench.counters
 import repro.bench.stats
 import repro.cluster.cluster
 import repro.core.algorithms.pagerank
@@ -31,6 +32,7 @@ import repro.sketch.countmin
 import repro.sketch.countsketch
 
 MODULES = [
+    repro.bench.counters,
     repro.bench.stats,
     repro.cluster.cluster,
     repro.core.algorithms.pagerank,
