@@ -2,10 +2,10 @@
 
 Four layers, matching the raw-speed push:
 
-* **Microbenches** — the four hot kernels (placement hash, the CSR
+* **Microbenches** — the five hot kernels (placement hash, the CSR
   ``scatter_rows``, canonical ``combine_pairs``, the receive-side
-  PageRank fold) timed head-to-head against the pure-numpy reference on
-  realistic RMAT-derived batches.
+  PageRank fold, the placement memo's id-table probe) timed head-to-head
+  against the pure-numpy reference on realistic RMAT-derived batches.
   Results must be *bit-identical* between backends (the reference path
   is the determinism oracle), and the full run gates a >= 5x wall-clock
   speedup per kernel.
@@ -213,6 +213,36 @@ def micro_scatter(rows: int) -> dict:
     }
 
 
+def micro_table_probe(rows: int) -> dict:
+    """A warm placement memo's lookup: ``rows`` unsorted vertex ids,
+    about one in eight unknown, probed in a memo of a scale-14 RMAT's
+    vertices — the sorted reference's ``searchsorted`` against the open-
+    addressed table's hash and probe."""
+    rng = np.random.default_rng(SEED)
+    us, vs, _ = rmat_graph(14, edge_factor=4, seed=SEED)
+    known = np.unique(np.concatenate([us, vs]).astype(np.int64))
+    memo = known[rng.random(len(known)) < 0.875]
+    owners = rng.integers(0, 64, size=len(memo))
+    query = known[rng.integers(0, len(known), size=rows)]
+    ref_table, c_table = reference.IdTable(), kernels.CIdTable()
+    ref_table.put(memo, owners)
+    c_table.put(memo, owners)
+    ref, acc = ref_table.get(query), c_table.get(query)
+    assert np.array_equal(ref[0], acc[0]) and np.array_equal(ref[1], acc[1]), (
+        "id table backends diverged"
+    )
+    t_ref = _best_of(lambda: ref_table.get(query))
+    t_acc = _best_of(lambda: c_table.get(query))
+    return {
+        "rows": rows,
+        "memo_entries": len(memo),
+        "ref_seconds": t_ref,
+        "accel_seconds": t_acc,
+        "speedup": t_ref / t_acc,
+        "bit_identical": True,
+    }
+
+
 CROSSOVER_SIZES = (16, 32, 64, 128, 192, 256, 512, 1024, 2048, 4096)
 CROSSOVER_CALLS = 200
 CROSSOVER_ROUNDS = 9
@@ -291,6 +321,7 @@ MICROS = {
     "scatter_rows": micro_scatter,
     "combine_pairs": micro_combine,
     "pagerank_fold": micro_fold,
+    "table_probe": micro_table_probe,
 }
 
 

@@ -745,7 +745,8 @@ class Agent(MigrationMixin, RoundMixin, Participant):
             self.run.program.name == program_name
         ):
             table = self.run.table
-            return {int(v): float(x) for v, x in zip(table.ids, table.values)}
+            # tolist() boxes each id / value once, as int / float.
+            return dict(zip(table.ids.tolist(), table.values.astype(float, copy=False).tolist()))
         hosted, _ = hosted_vertex_ids(
             self.shard,
             self.placer,
@@ -754,7 +755,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         )
         state = self.shard.programs.get(program_name, ProgramState())
         ids, vals = state.values.select(hosted)
-        return {int(v): float(x) for v, x in zip(ids, vals)}
+        return dict(zip(ids.tolist(), vals.tolist()))
 
     @property
     def n_out_edges(self) -> int:

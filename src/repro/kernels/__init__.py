@@ -1,10 +1,12 @@
 """The compiled kernels under the hottest array paths.
 
-The data plane bottoms out in four kernels: the placement hash
+The data plane bottoms out in five kernels: the placement hash
 (``wang64``), the scatter of a round's sending rows along their edges
-(``scatter_rows``), the canonical pair combine (``combine_pairs``), and
-the receive-side fold (``fold_pairs``).  This package provides a C
-backend for them (compiled at first use with the system compiler — see
+(``scatter_rows``), the canonical pair combine (``combine_pairs``), the
+receive-side fold (``fold_pairs``), and the id table behind every
+placement memo (:func:`id_table`: one hash and a short probe per key,
+where the reference searches a sorted column).  This package provides a
+C backend for them (compiled at first use with the system compiler — see
 :mod:`repro.kernels.csrc`) plus the pure-numpy reference
 (:mod:`repro.kernels.reference`) that *defines* correct behaviour.
 
@@ -35,6 +37,7 @@ and length.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Tuple
 
 import numpy as np
@@ -53,10 +56,12 @@ __all__ = [
     "fold_pairs",
     "scatter_rows",
     "pagerank_apply",
+    "id_table",
     "c_wang64_u64",
     "c_combine_pairs",
     "c_fold_pairs",
     "c_scatter_rows",
+    "CIdTable",
     "MIN_FOLD",
 ]
 
@@ -228,6 +233,102 @@ def c_scatter_rows(
     return out_dst, out_val, c[:-1], counts
 
 
+def _address(arr: np.ndarray) -> int:
+    """The data address of a non-empty contiguous array: through the
+    buffer protocol (a third of what ``.ctypes.data`` costs) unless the
+    array is read-only, which that protocol will not export."""
+    if arr.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
+
+
+def _max_load(capacity: int) -> int:
+    """Entries a table of ``capacity`` slots may hold: 2/3 of them.  At
+    1/2, the e2e ``bulk-static`` workload's peak RSS was ~3 % above the
+    sorted memos' (EXPERIMENTS.md); at 2/3 a hit still probes ~2 slots
+    on average, within one or two cache lines."""
+    return capacity * 2 // 3
+
+
+class CIdTable:
+    """The open-addressed id table: :class:`reference.IdTable`'s answers
+    at one hash and a short probe per key.
+
+    Capacity is a power of two at least 3/2 of the entries (load <= 2/3,
+    as in a Python dict), doubling as entries arrive; a slot is an int64
+    key and an int32 value, empty while the value is
+    :data:`reference.EMPTY`.  ``items()`` lists the entries in slot
+    order.  Nothing is ever removed: a caller that drops entries builds
+    a new table from the kept ``items()``.
+    """
+
+    _MIN_CAPACITY = 16
+
+    def __init__(self):
+        self._lib = _require()
+        self._size = np.zeros(1, dtype=np.int64)
+        self._size_at = _address(self._size)
+        # No slots until the first entry: many memos are reset and never
+        # filled.  ``arr.ctypes.data`` costs microseconds a call, so the
+        # slot columns' addresses are taken once per allocation.
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._vals = np.zeros(0, dtype=np.int32)
+        self._slot_args = (0, 0, 0)
+
+    def __len__(self) -> int:
+        return int(self._size[0])
+
+    def get(self, keys) -> Tuple[np.ndarray, np.ndarray]:
+        q = np.ascontiguousarray(keys, dtype=np.int64)
+        if not (q.size and self._size[0]):
+            return np.full(q.size, reference.EMPTY), np.zeros(q.size, dtype=bool)
+        out = np.empty(q.size, dtype=np.int64)
+        found = np.empty(q.size, dtype=bool)
+        self._lib.repro_table_get(
+            *self._slot_args, _address(q), q.size, _address(out), _address(found)
+        )
+        return out, found
+
+    def put(self, keys, values) -> None:
+        k = np.ascontiguousarray(keys, dtype=np.int64)
+        v = np.ascontiguousarray(values, dtype=np.int64)
+        if k.ndim != 1 or k.shape != v.shape:
+            raise ValueError("an id table needs 1-d keys and values of one length")
+        if not k.size:
+            return
+        if not self._slot_args[2]:
+            self._grow(k.size)
+        done = 0
+        k_at, v_at = _address(k), _address(v)
+        while True:
+            rows = self._lib.repro_table_put(
+                *self._slot_args, self._size_at, _max_load(len(self._keys)),
+                k_at + 8 * done, v_at + 8 * done, k.size - done,
+            )
+            if rows < 0:
+                raise ValueError("id table values must be 32-bit and above INT32_MIN")
+            done += rows
+            if done == k.size:
+                return
+            self._grow(len(self) + k.size - done)
+
+    def _grow(self, entries: int) -> None:
+        """Rehash into the least doubling that holds ``entries``."""
+        capacity = max(2 * len(self._keys), self._MIN_CAPACITY)
+        while _max_load(capacity) < entries:
+            capacity *= 2
+        old_keys, old_vals = self._keys, self._vals  # alive until rehashed
+        old = self._slot_args
+        self._keys = np.zeros(capacity, dtype=np.int64)
+        self._vals = np.full(capacity, reference.EMPTY, dtype=np.int32)
+        self._slot_args = (_address(self._keys), _address(self._vals), capacity)
+        self._lib.repro_table_rehash(*old, *self._slot_args)
+
+    def items(self) -> Tuple[np.ndarray, np.ndarray]:
+        held = self._vals != reference.EMPTY
+        return self._keys[held], self._vals[held].astype(np.int64)
+
+
 # ----------------------------------------------------------------------
 # dispatchers — what production code calls
 # ----------------------------------------------------------------------
@@ -282,6 +383,13 @@ def scatter_rows(
     if _library() is not None:
         return c_scatter_rows(rows, vals, off, others, owner, cap)
     return reference.scatter_rows(rows, vals, off, others, owner, cap)
+
+
+def id_table():
+    """A new, empty int64 -> int32 id table: the open-addressed
+    :class:`CIdTable`, or :class:`reference.IdTable` on the reference.
+    The backend is fixed when the table is made."""
+    return CIdTable() if _library() is not None else reference.IdTable()
 
 
 #: ``base + damping * agg``.  One numpy expression on both backends: a C

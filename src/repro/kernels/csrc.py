@@ -44,6 +44,12 @@ bits.  No shipped vertex program emits -0.0 or NaN.
 
 ``repro_scatter_rows`` moves no float: it copies each sending row's
 value onto that row's edges, grouped by destination agent.
+
+``repro_table_get`` / ``repro_table_put`` / ``repro_table_rehash`` are
+the id table's probe, insert and growth loops
+(:class:`repro.kernels.CIdTable`): integer only, and what they answer
+is the sorted reference's answer — only where an entry sits (and so the
+order ``items()`` lists them in) differs.
 """
 
 from __future__ import annotations
@@ -415,6 +421,85 @@ void repro_scatter_rows(const int64_t* restrict rows, const double* restrict val
         }
     }
 }
+
+/* ---- id table: open-addressed int64 -> int32 map ---- */
+
+/* A power-of-two array of slots probed linearly from mix(key); a slot
+ * is empty while its value is TABLE_EMPTY, so any key (INT64_MIN and
+ * INT64_MAX included) can be stored.  Values are 32-bit — agent ids,
+ * replication factors — which keeps a slot at 12 bytes.  The mixer is
+ * murmur3's fmix64, its own: the placement hash is a counted seam. */
+#define TABLE_EMPTY INT32_MIN
+
+static uint64_t table_mix(uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    x ^= x >> 33;
+    return x;
+}
+
+/* The slot holding key, or the empty slot ending its probe run. */
+static uint64_t table_slot(const int64_t* skeys, const int32_t* svals,
+                           uint64_t mask, int64_t key) {
+    uint64_t s = table_mix((uint64_t)key) & mask;
+    while (svals[s] != TABLE_EMPTY && skeys[s] != key) s = (s + 1) & mask;
+    return s;
+}
+
+/* Each key's value (TABLE_EMPTY where absent), widened, and whether it
+ * was found. */
+void repro_table_get(const int64_t* restrict skeys, const int32_t* restrict svals,
+                     int64_t cap, const int64_t* restrict keys, int64_t n,
+                     int64_t* restrict out, uint8_t* restrict found) {
+    const uint64_t mask = (uint64_t)cap - 1;
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t v = svals[table_slot(skeys, svals, mask, keys[i])];
+        out[i] = v;
+        found[i] = v != TABLE_EMPTY;
+    }
+}
+
+/* Insert keys[i] -> vals[i] in row order where the key is absent: a
+ * stored entry wins, and so does the first row of a key the batch
+ * repeats.  Returns -1, inserting nothing, if a value is not a 32-bit
+ * integer above TABLE_EMPTY; else stops before the insert that would
+ * take *size past limit and returns the rows consumed (the caller grows
+ * the table and resumes). */
+int64_t repro_table_put(int64_t* restrict skeys, int32_t* restrict svals, int64_t cap,
+                        int64_t* restrict size, int64_t limit,
+                        const int64_t* restrict keys, const int64_t* restrict vals,
+                        int64_t n) {
+    for (int64_t i = 0; i < n; i++)
+        if (vals[i] <= TABLE_EMPTY || vals[i] > INT32_MAX) return -1;
+    const uint64_t mask = (uint64_t)cap - 1;
+    int64_t filled = *size, i = 0;
+    for (; i < n; i++) {
+        const uint64_t s = table_slot(skeys, svals, mask, keys[i]);
+        if (svals[s] != TABLE_EMPTY) continue;
+        if (filled >= limit) break;
+        skeys[s] = keys[i];
+        svals[s] = (int32_t)vals[i];
+        filled++;
+    }
+    *size = filled;
+    return i;
+}
+
+/* Move every entry of the old slot columns into the new, larger ones
+ * (all empty; the keys are distinct, so no probe finds a match). */
+void repro_table_rehash(const int64_t* restrict okeys, const int32_t* restrict ovals,
+                        int64_t ocap, int64_t* restrict skeys, int32_t* restrict svals,
+                        int64_t cap) {
+    const uint64_t mask = (uint64_t)cap - 1;
+    for (int64_t i = 0; i < ocap; i++) {
+        if (ovals[i] == TABLE_EMPTY) continue;
+        const uint64_t s = table_slot(skeys, svals, mask, okeys[i]);
+        skeys[s] = okeys[i];
+        svals[s] = ovals[i];
+    }
+}
 """
 
 #: Compile command; -ffp-contract=off keeps float folds bit-identical
@@ -492,6 +577,12 @@ def _build() -> ctypes.CDLL:
     lib.repro_fold_pairs.restype = ctypes.c_int
     lib.repro_scatter_rows.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.repro_scatter_rows.restype = None
+    lib.repro_table_get.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr]
+    lib.repro_table_get.restype = None
+    lib.repro_table_put.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, i64]
+    lib.repro_table_put.restype = i64
+    lib.repro_table_rehash.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
+    lib.repro_table_rehash.restype = None
     return lib
 
 

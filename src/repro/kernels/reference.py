@@ -108,6 +108,57 @@ def scatter_rows(
     return others[edge], val, np.cumsum(counts) - counts, counts
 
 
+#: The one 32-bit value no entry may hold: the C table marks its empty
+#: slots with it, and ``get`` answers it for an absent key on both
+#: backends.
+EMPTY = np.int64(np.iinfo(np.int32).min)
+_I32_MAX = np.iinfo(np.int32).max
+
+
+class IdTable:
+    """int64 -> int32 map as two sorted parallel columns: the reference
+    the open-addressed :class:`repro.kernels.CIdTable` must equal.
+
+    ``get(keys) -> (values, found)`` answers int64 values, :data:`EMPTY`
+    where a key is absent.  ``put(keys, values)`` learns the absent keys:
+    a stored entry wins, and so does the first row of a key the batch
+    repeats; a value that is not 32-bit, or is :data:`EMPTY`, is refused
+    with ``ValueError`` (nothing learned), never truncated.  ``items()``
+    lists the entries in key order.
+    """
+
+    def __init__(self):
+        self._keys = np.empty(0, dtype=np.int64)
+        self._vals = np.empty(0, dtype=np.int32)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def get(self, keys) -> Tuple[np.ndarray, np.ndarray]:
+        q = np.atleast_1d(np.asarray(keys, dtype=np.int64))
+        if not len(self._keys):
+            return np.full(q.size, EMPTY), np.zeros(q.size, dtype=bool)
+        pos = np.minimum(np.searchsorted(self._keys, q), len(self._keys) - 1)
+        found = self._keys[pos] == q
+        return np.where(found, self._vals[pos], EMPTY), found
+
+    def put(self, keys, values) -> None:
+        k = np.ascontiguousarray(keys, dtype=np.int64)
+        v = np.ascontiguousarray(values, dtype=np.int64)
+        if k.ndim != 1 or k.shape != v.shape:
+            raise ValueError("an id table needs 1-d keys and values of one length")
+        if v.size and (v.min() <= EMPTY or v.max() > _I32_MAX):
+            raise ValueError("id table values must be 32-bit and above INT32_MIN")
+        k, first = np.unique(k, return_index=True)
+        fresh = ~self.get(k)[1]
+        at = np.searchsorted(self._keys, k[fresh])
+        self._keys = np.insert(self._keys, at, k[fresh])
+        self._vals = np.insert(self._vals, at, v[first][fresh].astype(np.int32))
+
+    def items(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._keys.copy(), self._vals.astype(np.int64)
+
+
 def pagerank_apply(agg: np.ndarray, base: float, damping: float) -> np.ndarray:
     """The PageRank apply formula, elementwise: ``base + damping*agg``."""
     return base + damping * agg

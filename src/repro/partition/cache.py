@@ -26,6 +26,14 @@ A cache bound to a fresh :class:`~repro.partition.placer.EdgePlacer`
 with an unchanged epoch keeps all its memos — this is what lets routing
 survive batch-clock-only broadcasts.
 
+Every memo is an id table (:func:`repro.kernels.id_table`): a lookup is
+one hash and a short probe per row, and learning inserts the fresh rows
+only.  The table answers and learns exactly what a sorted memo probed by
+``searchsorted`` did — same hits, same admissions — so every hit/miss
+split, and every second the cost model bills by it, is unchanged.  The
+split tier stores one 32-bit code per vertex: its ring owner where
+``k == 1``, else ``-k``.
+
 The cache is a drop-in stand-in for the placer: it implements the same
 lookup API and delegates anything else (``ring``, ``sketch``, …) to the
 wrapped placer, so Agents, Streamers, and ClientProxies use it without
@@ -38,13 +46,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.bench.counters import PerfCounters
-from repro.cluster.edgestore import distinct, increasing, members, merge_rows
+from repro.cluster.edgestore import distinct
 from repro.partition.placer import EdgePlacer
 
 _U32_LIMIT = np.int64(1) << np.int64(32)
 _SHIFT32 = np.uint64(32)
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 class PlacementCache:
@@ -56,9 +64,11 @@ class PlacementCache:
         Optional shared :class:`~repro.bench.counters.PerfCounters`;
         a private one is created otherwise.
     max_vertices, max_edges:
-        Memo capacity bounds.  The vertex memos stop admitting new
-        entries when full; the edge memo restarts from the latest batch
-        (split edges are few, so either limit is rarely reached).
+        Memo capacity bounds.  The vertex memos admit a batch's fresh
+        vertices all or none, and stop admitting when full; the edge
+        memo restarts from the latest batch (split edges are few, so
+        either limit is rarely reached).  A memo's storage grows with
+        its entries, never to the bound.
 
     Examples
     --------
@@ -136,33 +146,30 @@ class PlacementCache:
         """The sketch or the registry moved under a standing ring: an
         edge of a split vertex changes owner only if that vertex's
         replication factor did, so re-derive the (few) memoized factors
-        and forget exactly the vertices that moved."""
+        and forget exactly the vertices that moved (a table drops
+        entries by being rebuilt from the ones it keeps)."""
         self._replica_sets = {}
-        if self._k_ids.size == 0:
+        ids, coded = self._split_memo.items()
+        if ids.size == 0:
             return
-        same = placer.replication_factor(self._k_ids) == self._k
+        same = placer.replication_factor(ids) == np.maximum(-coded, 1)
         if same.all():
             return
-        moved = self._k_ids[~same]
-        self._k_ids = self._k_ids[same]
-        self._k = self._k[same]
-        self._k_owner = self._k_owner[same]
-        if self._e_keys.size:
-            keep = ~members(moved, (self._e_keys >> _SHIFT32).astype(np.int64))
-            self._e_keys = self._e_keys[keep]
-            self._e_owner = self._e_owner[keep]
+        self._split_memo = _table(ids[same], coded[same])
+        keys, owners = self._edge_memo.items()
+        if keys.size:
+            own = (keys.view(np.uint64) >> _SHIFT32).astype(np.int64)
+            keep = ~np.isin(own, ids[~same])
+            self._edge_memo = _table(keys[keep], owners[keep])
 
     def _reset_ring_tier(self) -> None:
-        self._r_ids = _EMPTY_I64
-        self._r_owner = _EMPTY_I64
+        self._ring_memo = _table()  # vertex -> ring owner
         self._r_scalar: Dict[int, int] = {}
 
     def _reset_split_tier(self) -> None:
-        self._k_ids = _EMPTY_I64
-        self._k = _EMPTY_I64
-        self._k_owner = _EMPTY_I64  # ring owner where k == 1, else -1
-        self._e_keys = np.empty(0, dtype=np.uint64)
-        self._e_owner = _EMPTY_I64
+        # vertex -> its ring owner where k == 1, else -k
+        self._split_memo = _table()
+        self._edge_memo = _table()  # packed (own, other) -> owner
         self._replica_sets: Dict[int, List[int]] = {}
 
     def _require_placer(self) -> EdgePlacer:
@@ -276,22 +283,17 @@ class PlacementCache:
 
     def _ring_lookup(self, verts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(ring owners, served-from-memo mask) for ``verts``."""
-        pos, hit = _probe(self._r_ids, verts)
-        self.counters.add("placement_ring_memo_hits", int(np.count_nonzero(hit)))
-        if hit.all():
-            return self._r_owner[pos], hit
-        owners = np.empty(verts.size, dtype=np.int64)
-        owners[hit] = self._r_owner[pos[hit]]
+        owners, hit = self._ring_memo.get(verts)
+        n_hit = int(np.count_nonzero(hit))
+        self.counters.add("placement_ring_memo_hits", n_hit)
+        if n_hit == verts.size:
+            return owners, hit
         miss = ~hit
         fresh, inverse = distinct(verts[miss], return_inverse=True)
         fresh_owner = self._require_placer().ring_owners(fresh)
         owners[miss] = fresh_owner[inverse]
-        if self._r_ids.size + fresh.size <= self.max_vertices:
-            self._r_ids, self._r_owner = merge_rows(
-                np.searchsorted(self._r_ids, fresh),
-                (self._r_ids, fresh),
-                (self._r_owner, fresh_owner),
-            )
+        if len(self._ring_memo) + fresh.size <= self.max_vertices:
+            self._ring_memo.put(fresh, fresh_owner)
         return owners, hit
 
     def _candidates(
@@ -299,28 +301,17 @@ class PlacementCache:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(replication factor, ring owner where the factor is 1,
         served-from-memo mask) for vertices the registry lets replicate."""
-        pos, known = _probe(self._k_ids, verts)
-        if known.all():
-            return self._k[pos], self._k_owner[pos], known
-        placer = self._require_placer()
-        k = np.empty(verts.size, dtype=np.int64)
-        owner = np.empty(verts.size, dtype=np.int64)
-        k[known] = self._k[pos[known]]
-        owner[known] = self._k_owner[pos[known]]
-        unknown = ~known
-        fresh, inverse = distinct(verts[unknown], return_inverse=True)
-        fresh_k = placer.replication_factor(fresh)
-        fresh_owner = np.where(fresh_k == 1, placer.ring_owners(fresh), -1)
-        k[unknown] = fresh_k[inverse]
-        owner[unknown] = fresh_owner[inverse]
-        if self._k_ids.size + fresh.size <= self.max_vertices:
-            self._k_ids, self._k, self._k_owner = merge_rows(
-                np.searchsorted(self._k_ids, fresh),
-                (self._k_ids, fresh),
-                (self._k, fresh_k),
-                (self._k_owner, fresh_owner),
-            )
-        return k, owner, known
+        coded, known = self._split_memo.get(verts)
+        if not known.all():
+            placer = self._require_placer()
+            unknown = ~known
+            fresh, inverse = distinct(verts[unknown], return_inverse=True)
+            fresh_k = placer.replication_factor(fresh)
+            fresh_coded = np.where(fresh_k == 1, placer.ring_owners(fresh), -fresh_k)
+            coded[unknown] = fresh_coded[inverse]
+            if len(self._split_memo) + fresh.size <= self.max_vertices:
+                self._split_memo.put(fresh, fresh_coded)
+        return np.maximum(-coded, 1), np.maximum(coded, -1), known
 
     def _split_lookup(
         self, own: np.ndarray, other: np.ndarray
@@ -341,47 +332,39 @@ class PlacementCache:
         owners = np.empty(own.size, dtype=np.int64)
         hit = np.zeros(own.size, dtype=bool)
         packable = _packable(own, other)
-        if self._e_keys.size and packable.any():
+        if len(self._edge_memo) and packable.any():
             rows = np.flatnonzero(packable)
-            pos, found = _probe(self._e_keys, _pack(own[rows], other[rows]))
-            owners[rows[found]] = self._e_owner[pos[found]]
+            memo, found = self._edge_memo.get(_pack(own[rows], other[rows]))
+            owners[rows[found]] = memo[found]
             hit[rows[found]] = True
         if not hit.all():
             miss = ~hit
             owners[miss] = self._require_placer().owner_of_edges(own[miss], other[miss])
             learn = miss & packable
             if learn.any():
-                self._insert_edges(_pack(own[learn], other[learn]), owners[learn])
+                self._learn_edges(_pack(own[learn], other[learn]), owners[learn])
         return owners, hit
 
-    def _insert_edges(self, keys: np.ndarray, owners: np.ndarray) -> None:
-        """Learn packed edge keys and their owners: the first row of each
-        distinct key, merged in where the memo lacks it (a memoised
-        entry wins)."""
-        if increasing(keys):
-            batch_keys, batch_owners = keys, owners
-        else:
-            batch_keys, first = np.unique(keys, return_index=True)
-            batch_owners = owners[first]
-        fresh = ~members(self._e_keys, batch_keys)
-        if self._e_keys.size + np.count_nonzero(fresh) > self.max_edges:
-            # Restart from the newest batch rather than evict piecemeal.
-            if batch_keys.size <= self.max_edges:
-                self._e_keys, self._e_owner = batch_keys, batch_owners
+    def _learn_edges(self, keys: np.ndarray, owners: np.ndarray) -> None:
+        """Learn packed edge keys the memo lacks, the first row of a
+        repeated key winning; a batch that would overfill the memo
+        restarts it instead (rather than evict piecemeal), unless it
+        alone is too large."""
+        n_new = distinct(keys).size
+        if len(self._edge_memo) + n_new > self.max_edges:
+            if n_new <= self.max_edges:
+                self._edge_memo = _table(keys, owners)
             return
-        self._e_keys, self._e_owner = merge_rows(
-            np.searchsorted(self._e_keys, batch_keys[fresh]),
-            (self._e_keys, batch_keys[fresh]),
-            (self._e_owner, batch_owners[fresh]),
-        )
+        self._edge_memo.put(keys, owners)
 
 
-def _probe(ids: np.ndarray, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(clamped positions, found mask) of ``query`` in sorted ``ids``."""
-    if ids.size == 0:
-        return np.zeros(query.size, dtype=np.int64), np.zeros(query.size, dtype=bool)
-    pos = np.minimum(np.searchsorted(ids, query), ids.size - 1)
-    return pos, ids[pos] == query
+def _table(keys=None, values=None):
+    """A new id table (:func:`repro.kernels.id_table`), holding
+    ``keys -> values`` if given."""
+    table = kernels.id_table()
+    if keys is not None:
+        table.put(keys, values)
+    return table
 
 
 def _packable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -390,4 +373,5 @@ def _packable(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint64) << _SHIFT32) | b.astype(np.uint64)
+    """One int64 edge key per row (``a`` high, ``b`` low 32 bits)."""
+    return ((a.astype(np.uint64) << _SHIFT32) | b.astype(np.uint64)).view(np.int64)

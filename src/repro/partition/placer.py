@@ -31,6 +31,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro import kernels
 from repro.hashing.hashes import as_u64_keys, wang64
 from repro.hashing.ring import ConsistentHashRing
 from repro.sketch.countmin import CountMinSketch
@@ -88,24 +89,24 @@ class EdgePlacer:
         # all copies on one Agent (correct, just unbalanced) until the
         # registry broadcast flips both at once.
         self.split_gate = split_gate
-        self._gate_array = (
-            None
-            if split_gate is None
-            else np.fromiter(sorted(split_gate), dtype=np.int64, count=len(split_gate))
-        )
+        self._gate = None
+        if split_gate:
+            self._gate = kernels.id_table()
+            self._gate.put(
+                np.fromiter(split_gate, dtype=np.int64, count=len(split_gate)),
+                np.zeros(len(split_gate), dtype=np.int64),
+            )
 
     # -- replication ---------------------------------------------------------
 
     def gated(self, vertices: np.ndarray) -> np.ndarray:
         """Which of ``vertices`` may replicate at all: the registered
         split vertices, or every vertex when there is no registry."""
-        gate = self._gate_array
-        if gate is None:
+        if self.split_gate is None:
             return np.ones(len(vertices), dtype=bool)
-        if len(gate) == 0:
+        if self._gate is None:
             return np.zeros(len(vertices), dtype=bool)
-        at = np.minimum(np.searchsorted(gate, vertices), len(gate) - 1)
-        return gate[at] == vertices
+        return self._gate.get(vertices)[1]
 
     def replication_factor(self, vertices) -> np.ndarray:
         """Number of Agents sharing each vertex's edges (k >= 1).

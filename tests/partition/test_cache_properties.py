@@ -11,11 +11,14 @@ Along the way the two memo tiers must drop exactly when their token
 moves: the ring tier answers every unsplit row straight after a sketch
 flush or a split registration, and nothing after a ring change.
 
-The memos learn by merge (no ``np.unique`` for a miss batch already in
-order, one splice for every column).  What they learn must be exactly
-what the earlier learner — ``np.unique`` plus one ``np.insert`` per
-column — learned: same tier arrays, same hit/miss split per call, same
-counters, since the cost model bills every lookup by that split.
+The memos are open-addressed id tables (``repro.kernels.id_table``).
+What they learn must be exactly what the sorted-array learner —
+``np.unique`` plus one ``np.insert`` per column, probed by
+``searchsorted`` — learned: the same key -> value entries in every
+tier, the same hit/miss split per call, the same counters, since the
+cost model bills every lookup by that split.  The ids cover what the
+tables must handle: negative ids, ids at and past 2**32 (where edge
+keys stop being packable) and the int64 extremes.
 """
 
 import numpy as np
@@ -24,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.hashing import ConsistentHashRing
 from repro.partition import EdgePlacer, PlacementCache
-from repro.partition.cache import _probe
 from repro.sketch import CountMinSketch
 
 ops = st.lists(
@@ -116,11 +118,42 @@ def test_cached_placement_identical_under_churn(ops, seed):
         check(ring_stands)
 
 
+def _probe(ids, query):
+    """(clamped positions, found mask) of ``query`` in sorted ``ids``."""
+    if ids.size == 0:
+        return np.zeros(query.size, dtype=np.int64), np.zeros(query.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(ids, query), ids.size - 1)
+    return pos, ids[pos] == query
+
+
 class ParentLearner(PlacementCache):
-    """The memo learner as it was before it learned by merge: one
-    ``np.unique`` per miss batch and one ``np.insert`` per column, and a
-    re-``unique`` of the whole edge memo.  The reference the merge
-    learner must equal entry for entry."""
+    """The sorted-array learner: each tier is sorted parallel columns
+    probed by ``searchsorted``, learning by one ``np.unique`` per miss
+    batch and one ``np.insert`` per column, and the edge memo by a
+    re-``unique`` of memo plus batch.  The reference the table learner
+    must equal entry for entry."""
+
+    def _reset_ring_tier(self):
+        self._r_ids = self._r_owner = np.empty(0, dtype=np.int64)
+        self._r_scalar = {}
+
+    def _reset_split_tier(self):
+        self._k_ids = self._k = self._k_owner = np.empty(0, dtype=np.int64)
+        self._e_keys = np.empty(0, dtype=np.uint64)
+        self._e_owner = np.empty(0, dtype=np.int64)
+        self._replica_sets = {}
+
+    def _revalidate_split_tier(self, placer):
+        self._replica_sets = {}
+        if self._k_ids.size == 0:
+            return
+        same = placer.replication_factor(self._k_ids) == self._k
+        moved = self._k_ids[~same]
+        self._k_ids, self._k, self._k_owner = (
+            self._k_ids[same], self._k[same], self._k_owner[same]
+        )
+        keep = ~np.isin((self._e_keys >> np.uint64(32)).astype(np.int64), moved)
+        self._e_keys, self._e_owner = self._e_keys[keep], self._e_owner[keep]
 
     def _ring_lookup(self, verts):
         pos, hit = _probe(self._r_ids, verts)
@@ -161,7 +194,25 @@ class ParentLearner(PlacementCache):
             self._k_owner = np.insert(self._k_owner, at, fresh_owner)
         return k, owner, known
 
-    def _insert_edges(self, keys, owners):
+    def _split_owners(self, own, other):
+        owners = np.empty(own.size, dtype=np.int64)
+        hit = np.zeros(own.size, dtype=bool)
+        packable = (own >= 0) & (own < 2**32) & (other >= 0) & (other < 2**32)
+        keys = (own.astype(np.uint64) << np.uint64(32)) | other.astype(np.uint64)
+        if self._e_keys.size and packable.any():
+            rows = np.flatnonzero(packable)
+            pos, found = _probe(self._e_keys, keys[rows])
+            owners[rows[found]] = self._e_owner[pos[found]]
+            hit[rows[found]] = True
+        if not hit.all():
+            miss = ~hit
+            owners[miss] = self._require_placer().owner_of_edges(own[miss], other[miss])
+            learn = miss & packable
+            if learn.any():
+                self._learn_edges(keys[learn], owners[learn])
+        return owners, hit
+
+    def _learn_edges(self, keys, owners):
         merged_keys = np.concatenate([self._e_keys, keys])
         merged_owners = np.concatenate([self._e_owner, owners])
         uniq, first = np.unique(merged_keys, return_index=True)
@@ -173,16 +224,42 @@ class ParentLearner(PlacementCache):
         self._e_keys = uniq
         self._e_owner = merged_owners[first]
 
+    def learned(self):
+        return {
+            "ring": dict(zip(self._r_ids.tolist(), self._r_owner.tolist())),
+            "split": dict(zip(self._k_ids.tolist(), zip(self._k.tolist(), self._k_owner.tolist()))),
+            "edges": dict(zip(self._e_keys.tolist(), self._e_owner.tolist())),
+        }
 
-MEMO = ("_r_ids", "_r_owner", "_k_ids", "_k", "_k_owner", "_e_keys", "_e_owner")
+
+def learned(cache):
+    """What each tier of a table-backed cache holds, key -> value, in the
+    reference learner's terms: (k, owner) per split vertex, edge keys as
+    unsigned packed pairs."""
+    ring = dict(zip(*(col.tolist() for col in cache._ring_memo.items())))
+    ids, coded = cache._split_memo.items()  # ring owner where k == 1, else -k
+    keys, owners = cache._edge_memo.items()
+    return {
+        "ring": ring,
+        "split": dict(zip(ids.tolist(), zip(np.maximum(-coded, 1).tolist(),
+                                            np.maximum(coded, -1).tolist()))),
+        "edges": dict(zip(keys.view(np.uint64).tolist(), owners.tolist())),
+    }
+
+
+#: Ids the memos must tell apart: negatives, zero, the packable edge
+#: key's 32-bit boundary on both sides, and the int64 extremes.
+EDGE_IDS = [-(2**63), -(2**32), -1, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**63 - 1]
 
 
 @st.composite
 def lookup_batches(draw):
     """Vertex batches as the cluster hands them over: a store's sorted
     unique keys, sorted runs with repeats, arbitrary order, and repeats
-    of what an earlier batch already taught."""
-    verts = draw(st.lists(st.integers(min_value=0, max_value=60), max_size=40))
+    of what an earlier batch already taught — mostly small ids, some
+    from the edges of the id range."""
+    ids = st.one_of(st.integers(min_value=0, max_value=60), st.sampled_from(EDGE_IDS))
+    verts = draw(st.lists(ids, max_size=40))
     shape = draw(st.sampled_from(["distinct", "sorted", "unsorted"]))
     if shape == "distinct":
         verts = sorted(set(verts))
@@ -202,12 +279,12 @@ def lookup_batches(draw):
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_merge_learner_learns_exactly_what_the_parent_learner_did(
+def test_table_learner_learns_exactly_what_the_sorted_learner_did(
     steps, max_vertices, max_edges, seed
 ):
     rng = np.random.default_rng(seed)
     sizes = dict(max_vertices=max_vertices, max_edges=max_edges)
-    merged, parent = PlacementCache(**sizes), ParentLearner(**sizes)
+    tables, parent = PlacementCache(**sizes), ParentLearner(**sizes)
     members = {0: 1.0, 1: 1.0, 2: 1.0}
     sketch = CountMinSketch(width=64, depth=3)
     split = set()
@@ -224,7 +301,7 @@ def test_merge_learner_learns_exactly_what_the_parent_learner_did(
                 split.add(hub)
         ring = ConsistentHashRing(sorted(members), virtual_factor=4, seed=3)
         epoch = (ring_version, sketch_version, len(split))
-        for cache in (merged, parent):
+        for cache in (tables, parent):
             placer = EdgePlacer(ring, sketch.copy(), replication_threshold=20,
                                 split_gate=frozenset(split))
             cache.bind(epoch, placer, ring_epoch=epoch[:1])
@@ -235,9 +312,7 @@ def test_merge_learner_learns_exactly_what_the_parent_learner_did(
             lambda c: c.replication_factor(own),
             lambda c: c.owner_of_edges(own, other),
         ):
-            assert np.array_equal(call(merged), call(parent))
-            assert (merged.last_hits, merged.last_misses) == (parent.last_hits, parent.last_misses)
-        for name in MEMO:
-            assert np.array_equal(getattr(merged, name), getattr(parent, name)), name
-            assert getattr(merged, name).dtype == getattr(parent, name).dtype, name
-        assert merged.counters.counts == parent.counters.counts
+            assert np.array_equal(call(tables), call(parent))
+            assert (tables.last_hits, tables.last_misses) == (parent.last_hits, parent.last_misses)
+        assert learned(tables) == parent.learned()
+        assert tables.counters.counts == parent.counters.counts
