@@ -33,8 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.net.faults import CrashEvent, FaultPlan
+from repro.core import WCC, ElGA, PageRank
+from repro.net.faults import DATA_PTYPES, CrashEvent, FaultPlan
 from repro.net.message import Message, PacketType
+from repro.serving import OpenLoopWorkload
 
 
 class InvariantViolation(AssertionError):
@@ -138,8 +140,6 @@ def build_engine_pair(
     Everything else — seed, hash, sketch dimensions — is shared, so any
     divergence between the two is the fault plan's doing.
     """
-    from repro.core.engine import ElGA
-
     reference = ElGA(
         nodes=nodes, agents_per_node=agents_per_node, seed=seed, **config_overrides
     )
@@ -272,9 +272,6 @@ def run_chaos_scenario(
     sensitivity).  Crash-free plans can run PageRank: both engines then
     share the same partition timeline.
     """
-    from repro.core import PageRank
-    from repro.core.algorithms import WCC
-
     if programs is None:
         programs = [PageRank(max_iters=15), WCC()]
     _control_plane_defaults(plan, config_overrides)
@@ -409,8 +406,6 @@ def serving_chaos_plan(
     selects the mid-run victim — ``"directory"`` makes this the
     zero-stale-reads-across-lead-failover scenario.
     """
-    from repro.net.faults import DATA_PTYPES
-
     return FaultPlan.data_plane_chaos(
         seed=seed,
         drop_p=drop_p,
@@ -447,9 +442,6 @@ def run_serving_chaos_scenario(
     bit-identical (queries are read-only — they must not perturb the
     run).
     """
-    from repro.core import PageRank
-    from repro.serving import OpenLoopWorkload
-
     if program is None:
         program = PageRank(max_iters=12)
     _control_plane_defaults(plan, config_overrides)

@@ -1,4 +1,9 @@
-"""Trial statistics: 5 trials, mean, 95% t-distribution CI (§4)."""
+"""Trial statistics: 5 trials, mean, 95% t-distribution CI (§4).
+
+``scipy.stats`` is imported by the two functions that compute with it:
+the runtime imports this package for its counter registry, and no
+entity process should pay for scipy to get it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ def t_confidence_interval(samples: Sequence[float], confidence: float = 0.95) ->
     mean = float(arr.mean())
     if arr.size == 1 or np.allclose(arr, arr[0]):
         return TrialStats(mean, mean, mean, int(arr.size), tuple(arr.tolist()))
+    from scipy import stats as scipy_stats
+
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
     return TrialStats(
@@ -76,6 +82,8 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> float:
     """p-value that the two systems' means differ (the Figure 11/12
     t-tests); one-sided in favor of mean(a) < mean(b)."""
     import warnings
+
+    from scipy import stats as scipy_stats
 
     a, b = list(a), list(b)
     if np.allclose(a, np.mean(a)) and np.allclose(b, np.mean(b)):

@@ -41,6 +41,8 @@ from repro.bench.runner import Table
 from repro.core import ElGA, PageRank, PersonalizedPageRank, SSSP, WCC
 from repro.gen import DATASETS, load_dataset
 from repro.graph.stream import EdgeBatch
+from repro.obs import TraceSummary, write_chrome_trace, write_jsonl
+from repro.serving import OpenLoopWorkload, percentile
 
 
 def _build_algorithm(name: str, source: Optional[int], max_iters: int):
@@ -148,8 +150,6 @@ def _run_churn_stream(elga: ElGA, program, mode: str, args) -> None:
 
 
 def cmd_trace(args) -> int:
-    from repro.obs import TraceSummary, write_chrome_trace, write_jsonl
-
     program, default_mode = _build_algorithm(args.algorithm, args.source, args.max_iters)
     elga = _build_engine(args, tracing=True)
     result = elga.run(program, mode=args.mode or default_mode)
@@ -177,8 +177,6 @@ def cmd_metrics(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run an algorithm, then serve an open-loop Zipf query stream."""
-    from repro.serving import OpenLoopWorkload, percentile
-
     program, default_mode = _build_algorithm(args.algorithm, args.source, args.max_iters)
     elga = _build_engine(args, keep_reference=True)
     elga.run(program, mode=args.mode or default_mode)

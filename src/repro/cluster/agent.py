@@ -56,13 +56,13 @@ from repro.cluster.config import ClusterConfig
 # tracing wrapper reaches ``repro.cluster.agent.combine_pairs``.
 from repro.cluster.dataplane import ACK_BATCH_WINDOW, combine_pairs, segments_by  # noqa: F401
 from repro.cluster.directory import DirectoryState
-from repro.cluster.edgestore import distinct
 from repro.cluster.migration import MigrationMixin
 from repro.cluster.participant import Participant
 from repro.cluster.recovery import Checkpoint, RecoveryStore, Rows
 from repro.cluster.rounds import RoundMixin
 from repro.cluster.shard import ProgramState, ShardState, StateSlice, copy_programs
 from repro.cluster.vertextable import _RunState, hosted_vertex_ids, persist_table
+from repro.graph.sortedids import distinct
 from repro.net.message import Message, PacketType
 from repro.sketch.countmin import CountMinSketch
 

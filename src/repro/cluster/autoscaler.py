@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.rebalance import inverse_load_weights
+
 
 @dataclass
 class ReactiveAutoscaler:
@@ -194,8 +196,6 @@ class PartitionAwareAutoscaler(ReactiveAutoscaler):
         donors = [a for a in ranked[:n_donors] if loads[a] > mean]
         if not donors and ranked:
             donors = ranked[:1]
-        from repro.rebalance import inverse_load_weights
-
         weights = inverse_load_weights(loads)
         verb = "scale-up" if tgt > current else "scale-down"
         reason = (

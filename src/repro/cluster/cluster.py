@@ -21,6 +21,7 @@ from repro.cluster.recovery import RecoveryStore
 from repro.cluster.streamer import Streamer
 from repro.graph.stream import EdgeBatch
 from repro.net.network import Network
+from repro.obs.trace import Tracer
 from repro.sim.kernel import SimKernel
 from repro.sim.random import entity_rng
 
@@ -51,8 +52,6 @@ class ElGACluster:
             max_retries=config.max_retries,
         )
         if config.tracing:
-            from repro.obs.trace import Tracer
-
             self.network.tracer = Tracer(self.kernel)
         # The counter registry of every entity this cluster ever
         # created, kept past the entity's departure or crash: a total

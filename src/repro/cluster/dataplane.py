@@ -35,6 +35,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.net.message import PacketType
 
 # Data-plane packet types subject to round coalescing, in the order
@@ -62,8 +63,6 @@ def combine_pairs(
     so sender-side and receive-side reduction are bit-identical.
     Returns (sorted unique dsts, folded values).
     """
-    from repro import kernels
-
     return kernels.combine_pairs(dst, val, ufunc, identity)
 
 

@@ -27,13 +27,8 @@ tests and result inspection.
 
 Every id column here — ``ValueColumn.ids``, ``IdSet.ids``, an
 ``EdgeStore``'s ``unique_keys`` — is sorted ascending with no
-duplicates, and so are the :class:`~repro.partition.cache.PlacementCache`
-memos.  Joining two of them is therefore a merge, and the module-level
-merge operations are the one implementation of it: :func:`members`
-(one ``searchsorted``), :func:`union` (two sorted runs),
-:func:`merge_rows` (splice absent rows in), and :func:`distinct`
-(``np.unique`` that skips the sort for a batch already in order).  None
-of them re-sorts what is already sorted.
+duplicates, so joining two of them is a merge:
+:mod:`repro.graph.sortedids` holds the operations.
 
 Sorting uses signed int64 comparison throughout, so negative vertex
 ids order consistently everywhere; when both columns fit in 31 bits
@@ -46,6 +41,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
+
+from repro.graph.sortedids import distinct, found_at, increasing, members, merge_rows, union
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_I64.flags.writeable = False
@@ -107,82 +104,6 @@ def _unpack_pairs(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if packed.dtype == _PAIR_DT:
         return np.ascontiguousarray(packed["k"]), np.ascontiguousarray(packed["o"])
     return packed >> np.int64(31), packed & (_PACK_LIMIT - 1)
-
-
-def _found(column: np.ndarray, at: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Whether ``column[at] == query``, for ``at`` from a left
-    ``searchsorted`` of ``query`` against the sorted ``column``."""
-    if len(column) == 0:
-        return np.zeros(len(query), dtype=bool)
-    return column[np.minimum(at, len(column) - 1)] == query
-
-
-def _splice(old_rows: np.ndarray, slots: np.ndarray, base: np.ndarray, added: np.ndarray):
-    out = np.empty(len(old_rows), dtype=base.dtype)
-    out[slots] = added
-    out[old_rows] = base
-    return out
-
-
-# -- merge operations over sorted id columns ---------------------------
-
-
-def increasing(ids: np.ndarray) -> bool:
-    """Whether ``ids`` is strictly increasing: sorted, no duplicates."""
-    return len(ids) < 2 or bool((ids[1:] > ids[:-1]).all())
-
-
-def distinct(ids: np.ndarray, return_inverse: bool = False):
-    """``np.unique(ids, return_inverse=...)`` over a 1-d integer array.
-
-    A non-decreasing batch is deduplicated by one mask instead of a
-    sort, and a strictly increasing one is returned as is — the caller's
-    own array, so copy it before keeping it."""
-    first = np.ones(len(ids), dtype=bool)
-    np.greater(ids[1:], ids[:-1], out=first[1:])
-    if first.all():
-        out = ids
-    elif (ids[1:] >= ids[:-1]).all():
-        out = ids[first]
-    else:
-        return np.unique(ids, return_inverse=return_inverse)
-    return (out, np.cumsum(first) - 1) if return_inverse else out
-
-
-def members(column: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Whether each ``query`` id is in the sorted, distinct ``column``:
-    one ``searchsorted``, no sort of either side."""
-    return _found(column, np.searchsorted(column, query), query)
-
-
-def union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sorted union of two sorted, distinct id runs, as a new array.
-
-    A stable sort of the concatenation is a timsort, which finds the two
-    runs and merges them in one linear pass; one mask then drops the ids
-    both runs hold."""
-    both = np.concatenate((a, b))
-    if len(both) < 2:
-        return both
-    both.sort(kind="stable")
-    keep = np.empty(len(both), dtype=bool)
-    keep[0] = True
-    np.not_equal(both[1:], both[:-1], out=keep[1:])
-    return both[keep]
-
-
-def merge_rows(at: np.ndarray, *columns: Tuple[np.ndarray, np.ndarray]) -> List[np.ndarray]:
-    """Splice rows into sorted parallel columns without a sort.
-
-    Each of ``columns`` is a ``(base, added)`` pair; ``at`` holds, for
-    each added row in order, the base row it goes before (a left
-    ``searchsorted`` of ids absent from the base, so non-decreasing).
-    Returns the merged columns, new arrays sharing no memory with either
-    side."""
-    slots = at + np.arange(len(at))
-    old_rows = np.ones(len(columns[0][0]) + len(at), dtype=bool)
-    old_rows[slots] = False
-    return [_splice(old_rows, slots, base, added) for base, added in columns]
 
 
 def _ro(view: np.ndarray) -> np.ndarray:
@@ -393,7 +314,7 @@ class EdgeStore:
     def contains_pairs(self, keys: np.ndarray, others: np.ndarray) -> np.ndarray:
         """Vectorized membership test for (key, other) pairs."""
         store, query = self._columns(_as_i64(keys), _as_i64(others))
-        return _found(store, np.searchsorted(store, query), query)
+        return found_at(store, np.searchsorted(store, query), query)
 
     def apply(
         self, keys: np.ndarray, others: np.ndarray, actions: np.ndarray
@@ -420,13 +341,13 @@ class EdgeStore:
         ins = actions > 0
         adds = _distinct_pairs(batch[ins])
         dels = _distinct_pairs(batch[~ins])
-        if len(adds) and len(dels) and _found(dels, np.searchsorted(dels, adds), adds).any():
+        if len(adds) and len(dels) and found_at(dels, np.searchsorted(dels, adds), adds).any():
             return self._apply_sequential(keys, others, actions)
         add_at = np.searchsorted(store, adds)
-        fresh = ~_found(store, add_at, adds)
+        fresh = ~found_at(store, add_at, adds)
         adds, add_at = adds[fresh], add_at[fresh]
         del_at = np.searchsorted(store, dels)
-        present = _found(store, del_at, dels)
+        present = found_at(store, del_at, dels)
         dels, del_at = dels[present], del_at[present]
         add_k, add_o = _unpack_pairs(adds)
         del_k, del_o = _unpack_pairs(dels)
@@ -501,7 +422,7 @@ class EdgeStore:
         store, query = self._columns(_as_i64(keys), _as_i64(others))
         query = _distinct_pairs(query)
         at = np.searchsorted(store, query)
-        at = at[_found(store, at, query)]
+        at = at[found_at(store, at, query)]
         if len(at):
             self._merge(store, query[:0], _EMPTY_I64, _EMPTY_I64, at[:0], at)
         return len(at)
@@ -621,7 +542,7 @@ class ValueColumn:
             self.ids, self.vals = ids.copy(), vals.copy()
             return
         at = np.searchsorted(self.ids, ids)
-        hit = _found(self.ids, at, ids)
+        hit = found_at(self.ids, at, ids)
         if hit.any():
             self.vals[at[hit]] = vals[hit]
         if not hit.all():

@@ -40,8 +40,9 @@ import numpy as np
 
 from repro.cluster.dataplane import segments_by
 from repro.cluster.directory import DirectoryState
-from repro.cluster.edgestore import EdgeStore, distinct
+from repro.cluster.edgestore import EdgeStore
 from repro.cluster.vertextable import keyed_vertices
+from repro.graph.sortedids import distinct
 from repro.net.message import PacketType
 from repro.partition.placer import EdgePlacer
 

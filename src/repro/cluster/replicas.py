@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.cluster.dataplane import segments_by
-from repro.cluster.edgestore import members
+from repro.graph.sortedids import members
 
 #: Replica partials as parallel arrays: (vertices, partial aggregates,
 #: got-a-message flags, local out-degrees).

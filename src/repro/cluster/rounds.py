@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import kernels
 from repro.cluster.dataplane import combine_pairs, segments_by
-from repro.cluster.edgestore import ValueColumn, members
+from repro.cluster.edgestore import ValueColumn
 from repro.cluster.shard import ProgramState
 from repro.cluster.vertextable import (
     _RunState,
@@ -44,6 +44,7 @@ from repro.cluster.vertextable import (
     persist_table,
     scatter_segments,
 )
+from repro.graph.sortedids import members
 from repro.net.message import PacketType
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle

@@ -35,7 +35,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn, members
+from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
+from repro.graph.sortedids import members
 from repro.sketch.countmin import CountMinSketch
 
 #: Wire form of a slice of one program's state, as plain containers

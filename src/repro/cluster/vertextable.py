@@ -19,9 +19,9 @@ import numpy as np
 
 from repro import kernels
 from repro.cluster.dataplane import RoundBuffers
-from repro.cluster.edgestore import members, union
 from repro.cluster.replicas import ReplicaRound
 from repro.cluster.shard import ProgramState, ShardState
+from repro.graph.sortedids import members, union
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.core.program import RunSpec

@@ -24,6 +24,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.program import VertexProgram
 
 
@@ -95,8 +96,6 @@ class PageRank(VertexProgram):
     def apply(
         self, old: np.ndarray, agg: np.ndarray, got: np.ndarray, ctx: Dict[str, Any]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        from repro import kernels
-
         n = max(int(ctx["global_n"]), 1)
         new = kernels.pagerank_apply(
             np.asarray(agg, dtype=np.float64), (1.0 - self.damping) / n, self.damping

@@ -31,6 +31,10 @@ from repro.core.superstep import RunResult, SyncRunController, step_plan
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.stream import EdgeBatch, REMOVE
 from repro.net.message import PacketType
+from repro.obs.prom import render_engine_metrics
+from repro.obs.summary import TraceSummary
+from repro.obs.trace import Trace
+from repro.rebalance import RebalancePlanner, normalize_loads
 
 
 class ElGA:
@@ -479,8 +483,6 @@ class ElGA:
         to the data plane's partition-dependent float grouping: the
         persistent fixpoint moves with the edges.
         """
-        from repro.rebalance import RebalancePlanner, normalize_loads
-
         planner = RebalancePlanner(skew_threshold=self.config.rebalance_skew_threshold)
         if summary is None and self.tracer is not None:
             summary = self.trace_summary_window()
@@ -535,8 +537,6 @@ class ElGA:
 
     def trace_summary(self):
         """Per-superstep compute/wait/comms timeline of the trace."""
-        from repro.obs.summary import TraceSummary
-
         return TraceSummary.from_trace(self.trace())
 
     def trace_summary_window(self):
@@ -551,9 +551,6 @@ class ElGA:
         pass sees current load, and by benchmarks to score runs
         individually.
         """
-        from repro.obs.summary import TraceSummary
-        from repro.obs.trace import Trace
-
         trace = self.trace()
         spans_mark, events_mark = self._rebalance_trace_mark
         self._rebalance_trace_mark = (len(trace.spans), len(trace.events))
@@ -566,8 +563,6 @@ class ElGA:
         """Prometheus text exposition of cluster metrics, fabric stats
         and cost-model charges.  Works with tracing on or off (the
         metric sources are always live)."""
-        from repro.obs.prom import render_engine_metrics
-
         return render_engine_metrics(self)
 
     def validate_against_reference(self) -> bool:

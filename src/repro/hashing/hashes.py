@@ -18,6 +18,8 @@ from typing import Callable, Dict, Union
 
 import numpy as np
 
+from repro import kernels
+
 U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
@@ -68,8 +70,6 @@ def wang64(x: HashInput) -> HashInput:
     >>> out.dtype
     dtype('uint64')
     """
-    from repro import kernels
-
     key = _as_u64(x)
     # Any C-contiguous array — the sketch's 2-d (depth, n) row batches
     # too — goes through the kernel seam; scalars stay off it.

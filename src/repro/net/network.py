@@ -39,11 +39,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.net.latency import TransportModel
 from repro.net.message import Message, PacketType
+from repro.sim.kernel import EventHandle, SimKernel, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.faults import FaultPlan
     from repro.sim.entity import Entity
-    from repro.sim.kernel import EventHandle, SimKernel
 
 #: Reliable-mode retransmission policy: the first retransmit fires after
 #: ``RETRY_TIMEOUT`` simulated seconds, each further one after
@@ -430,8 +430,6 @@ class Network:
                 self.kernel.schedule(0.0, lambda: handler(message))
             return
         if entry.attempt >= self.max_retries:
-            from repro.sim.kernel import SimulationError
-
             raise SimulationError(
                 f"reliable delivery failed: {message.ptype.name} "
                 f"{message.src}->{message.dst} seq={message.seq} gave up "

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro import kernels
 from repro.bench.counters import COUNTERS, PerfCounters
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -204,8 +205,6 @@ def kernels_backend_family() -> MetricFamily:
     """Which kernel backend this process computes on; a numpy fallback
     the machine forced (no compiler, failed build, foreign cache
     directory) carries the build error as ``reason``."""
-    from repro import kernels
-
     labels = {"backend": kernels.backend()}
     reason = kernels.build_error()
     if labels["backend"] == "numpy" and reason:

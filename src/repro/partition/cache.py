@@ -48,7 +48,7 @@ import numpy as np
 
 from repro import kernels
 from repro.bench.counters import PerfCounters
-from repro.cluster.edgestore import distinct
+from repro.graph.sortedids import distinct
 from repro.partition.placer import EdgePlacer
 
 _U32_LIMIT = np.int64(1) << np.int64(32)

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.bench.counters import PerfCounters
 from repro.sim.random import entity_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -40,10 +41,6 @@ class Entity:
     KIND: Optional[str] = None
 
     def __init__(self, network: "Network", name: str, seed: int = 0):
-        # Imported here: ``repro.bench`` pulls in the chaos harness, which
-        # imports the fabric this module sits under.
-        from repro.bench.counters import PerfCounters
-
         self.name = name
         # Everything this entity counts, and the only place it counts it.
         self.perf = PerfCounters(self.KIND)

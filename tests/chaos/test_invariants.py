@@ -9,7 +9,7 @@ Seeds are fixed so a CI failure replays locally from the test name.
 
 import pytest
 
-from repro.bench import fault_matrix
+from repro.bench.chaos import fault_matrix
 from repro.net import CrashEvent, FaultPlan, PartitionWindow
 
 from tests.chaos.harness import assert_chaos_survives, chaos_graph

@@ -22,17 +22,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.edgestore import (
-    EdgeStore,
-    IdSet,
-    ValueColumn,
-    distinct,
-    increasing,
-    members,
-    union,
-)
+from repro.cluster.edgestore import EdgeStore, IdSet, ValueColumn
 from repro.cluster.recovery import EdgeWAL
 from repro.cluster.shard import ProgramState, ShardState
+from repro.graph.sortedids import distinct, increasing, members, union
 from repro.sketch.countmin import CountMinSketch
 
 NARROW = list(range(6))

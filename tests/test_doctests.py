@@ -23,6 +23,7 @@ import repro.gen.powerlaw
 import repro.graph.csr
 import repro.graph.dynamic
 import repro.graph.io
+import repro.graph.sortedids
 import repro.hashing.hashes
 import repro.hashing.ring
 import repro.partition.placer
@@ -47,6 +48,7 @@ MODULES = [
     repro.graph.csr,
     repro.graph.dynamic,
     repro.graph.io,
+    repro.graph.sortedids,
     repro.hashing.hashes,
     repro.hashing.ring,
     repro.partition.placer,
