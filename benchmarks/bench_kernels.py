@@ -8,12 +8,16 @@ Four layers, matching the raw-speed push:
   against the pure-numpy reference on realistic RMAT-derived batches.
   Results must be *bit-identical* between backends (the reference path
   is the determinism oracle), and the full run gates a >= 5x wall-clock
-  speedup per kernel.
-* **Crossover** — the hash, combine and fold through the dispatchers production
-  calls, both backends, at the batch sizes the cluster actually sends
-  (n = 16 … 4,096).  The dispatch floors in ``repro.kernels`` are read
-  from this table: the smallest n from which C never loses again
-  (0: it never does, no floor).
+  speedup per kernel.  The three ingest kernels (the count-min sketch's
+  query with ``plus=`` and its add, edge placement with split rows, the
+  edge store's merge of a batch) get the same bit-identity rows, timed
+  but not gated.
+* **Crossover** — the hash, combine, fold, sketch query, placement and
+  edge merge through the dispatchers production calls, both backends,
+  at the batch sizes the cluster actually sends (n = 16 … 4,096).  The
+  dispatch floors in ``repro.kernels`` are read from this table: the
+  smallest n from which C never loses again (0: it never does, no
+  floor).
 * **Million-edge end-to-end** — a scale-17 RMAT (~10^6 edges) ingested
   into the cluster and run through PageRank, wall-clock and simulated
   seconds both reported.  This is the "routine" scale the storage
@@ -42,7 +46,9 @@ from repro.bench import Table, print_experiment_header
 from repro.core import ElGA, PageRank
 from repro.core.algorithms import KCore, LabelPropagation
 from repro.gen.rmat import rmat_graph
+from repro.hashing.ring import ConsistentHashRing
 from repro.kernels import reference
+from repro.sketch.countmin import CountMinSketch
 from repro.sketch.triangles import triangle_count_exact, triangle_count_sketch
 
 try:
@@ -243,7 +249,114 @@ def micro_table_probe(rows: int) -> dict:
     }
 
 
+def _cell(ref_fn, acc_fn, same, rows: int, **extra) -> dict:
+    """One bit-identity row: both backends' outputs must be ``same``,
+    then each is timed."""
+    assert same(ref_fn(), acc_fn()), "backends diverged"
+    t_ref, t_acc = _best_of(ref_fn), _best_of(acc_fn)
+    return {
+        "rows": rows,
+        **extra,
+        "ref_seconds": t_ref,
+        "accel_seconds": t_acc,
+        "speedup": t_ref / t_acc,
+        "bit_identical": True,
+    }
+
+
+def _sketch_workload(rows: int) -> tuple:
+    """A cluster-sized sketch (4,096 x 8) holding a scale-14 RMAT's
+    degrees, a delta beside it, and ``rows`` vertex keys to look up."""
+    us, vs, _ = rmat_graph(14, edge_factor=4, seed=SEED)
+    table, delta = CountMinSketch(4096, 8, seed=SEED), CountMinSketch(4096, 8, seed=SEED)
+    table.add(us)
+    delta.add(vs[: len(vs) // 8])
+    rng = np.random.default_rng(SEED)
+    keys = us[rng.integers(0, len(us), size=rows)].astype(np.int64).view(np.uint64)
+    return table._row_salts, keys, table.table, delta.table
+
+
+def micro_sketch_query(rows: int) -> dict:
+    salts, keys, table, plus = _sketch_workload(rows)
+    return _cell(
+        lambda: reference.sketch_query(salts, keys, table, plus),
+        lambda: kernels.c_sketch_query(salts, keys, table, plus),
+        np.array_equal, rows,
+    )
+
+
+def micro_sketch_add(rows: int) -> dict:
+    salts, keys, table, _ = _sketch_workload(rows)
+    counts = np.arange(rows, dtype=np.int64) % 7 - 3
+
+    def run(add):
+        out = table.copy()
+        add(salts, keys, out, counts)
+        return out
+
+    return _cell(
+        lambda: run(reference.sketch_add), lambda: run(kernels.c_sketch_add),
+        np.array_equal, rows,
+    )
+
+
+def _placement_workload(rows: int) -> tuple:
+    """A 16-member ring and ``rows`` RMAT edges, ~30 % of them keyed by
+    hubs split 2-6 ways."""
+    us, vs, _ = rmat_graph(14, edge_factor=4, seed=SEED)
+    rng = np.random.default_rng(SEED)
+    pick = rng.integers(0, len(us), size=rows)
+    own, other = us[pick].astype(np.int64), vs[pick].astype(np.int64)
+    k = np.where(rng.random(rows) < 0.3, 2 + own % 5, 1).astype(np.int64)
+    return ConsistentHashRing(range(16)), own, other, k
+
+
+def micro_place_edges(rows: int) -> dict:
+    ring, own, other, k = _placement_workload(rows)
+    return _cell(
+        lambda: reference.place_edges(ring, reference.wang64_u64, own, other, k),
+        lambda: kernels.c_place_edges(ring, own, other, k),
+        np.array_equal, rows,
+    )
+
+
+def _merge_workload(rows: int, held: int) -> tuple:
+    """A store of ``held`` RMAT edge copies (packed pairs) and a batch of
+    ``rows`` rows, one in eight a removal of a held pair, the rest
+    inserts with repeats."""
+    us, vs, _ = rmat_graph(16, edge_factor=4, seed=SEED)
+    pairs = np.unique((us.astype(np.int64) << 31) | vs.astype(np.int64))
+    rng = np.random.default_rng(SEED)
+    store = np.sort(rng.choice(pairs, size=min(held, len(pairs)), replace=False))
+    batch = np.where(
+        rng.random(rows) < 0.125, store[rng.integers(0, len(store), size=rows)],
+        pairs[rng.integers(0, len(pairs), size=rows)],
+    )
+    ins = ~np.isin(batch, store)
+    store.flags.writeable = False
+    return store >> 31, store & ((1 << 31) - 1), store, batch >> 31, batch & ((1 << 31) - 1), ins
+
+
+def _same_merge(a, b) -> bool:
+    return (
+        all(np.array_equal(x, y) for x, y in zip(a[:2], b[:2]))
+        and a[2] == b[2]
+        and all(np.array_equal(x, y) for x, y in zip(a[3], b[3]))
+    )
+
+
+def micro_merge_edges(rows: int) -> dict:
+    held = 4 * rows
+    args = _merge_workload(rows // 8, held)
+    return _cell(
+        lambda: reference.merge_edges(*args), lambda: kernels.c_merge_edges(*args),
+        _same_merge, rows // 8, store_rows=held,
+    )
+
+
 CROSSOVER_SIZES = (16, 32, 64, 128, 192, 256, 512, 1024, 2048, 4096)
+#: Edge copies in the store the crossover's merges go into.
+CROSSOVER_STORE = 1 << 16
 CROSSOVER_CALLS = 200
 CROSSOVER_ROUNDS = 9
 
@@ -257,10 +370,16 @@ def _dispatcher_calls(n: int) -> dict:
     ids = np.unique(dst)
     accum, got = np.zeros(len(ids)), np.zeros(len(ids), dtype=bool)
     keys = rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
+    salts, sketch_keys, table, plus = _sketch_workload(n)
+    ring, own, other, k = _placement_workload(n)
+    merge = _merge_workload(n, CROSSOVER_STORE)
     return {
         "wang64": lambda: kernels.wang64_u64(keys),
         "combine_pairs": lambda: kernels.combine_pairs(dst, val, np.add, 0.0),
         "fold_pairs": lambda: kernels.fold_pairs(accum, got, ids, dst, val, np.add),
+        "sketch_query": lambda: kernels.sketch_query(salts, sketch_keys, table, plus),
+        "place_edges": lambda: kernels.place_edges(ring, own, other, k),
+        "merge_edges": lambda: kernels.merge_edges(*merge),
     }
 
 
@@ -325,8 +444,21 @@ MICROS = {
 }
 
 
+#: Bit-identity rows of the ingest kernels: timed, not gated.
+INGEST_MICROS = {
+    "sketch_query": micro_sketch_query,
+    "sketch_add": micro_sketch_add,
+    "place_edges": micro_place_edges,
+    "merge_edges": micro_merge_edges,
+}
+
+
 def run_micros(rows: int) -> dict:
     return {name: fn(rows) for name, fn in MICROS.items()}
+
+
+def run_ingest_micros(rows: int) -> dict:
+    return {name: fn(rows) for name, fn in INGEST_MICROS.items()}
 
 
 def _build_engine(us, vs, seed=SEED, threshold=4096) -> ElGA:
@@ -430,6 +562,7 @@ def run_experiment(smoke: bool = False) -> dict:
     payload: dict = {
         "micro_rows": rows,
         "micro": run_micros(rows),
+        "ingest_micro": run_ingest_micros(rows),
     }
     if not smoke:
         payload["crossover"] = run_crossover()
@@ -445,7 +578,7 @@ def show(payload: dict) -> None:
         "C backend vs numpy reference (bit-identical by construction)",
     )
     table = Table(["kernel", "rows", "ref ms", "accel ms", "speedup"])
-    for name, cell in payload["micro"].items():
+    for name, cell in [*payload["micro"].items(), *payload["ingest_micro"].items()]:
         table.add_row(
             name,
             cell["rows"],
@@ -492,6 +625,8 @@ def show(payload: dict) -> None:
 
 
 def _assert_bar(payload: dict, bar: float) -> None:
+    for name, cell in payload["ingest_micro"].items():
+        assert cell["bit_identical"], f"{name}: backends diverged"
     for name, cell in payload["micro"].items():
         assert cell["bit_identical"], f"{name}: backends diverged"
         assert cell["speedup"] >= bar, (

@@ -319,9 +319,10 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         # the final owner keeps it (a forwarding hop that merged values
         # for edges passing through would hoard stale state).
         merged: Dict[str, StateSlice] = {}
-        if len(rows):
+        state = payload.get("state")
+        if state and len(rows):
             kept = distinct(own[rows])
-            for prog, pairs in payload.get("state", {}).items():
+            for prog, pairs in state.items():
                 part = shard.programs.setdefault(prog, ProgramState()).absorb(pairs, kept)
                 if part:
                     merged[prog] = part

@@ -12,9 +12,10 @@ tests and result inspection.
   ``(keys, others)`` int64 arrays in (key asc, other asc) lexicographic
   order.  ``arrays()`` returns zero-copy read-only views of the storage
   itself, and ``version`` is the mutation counter callers can key
-  caches on.  ``apply`` ingests a whole mutation batch at once and
-  reports the *effective* rows (duplicates and no-ops dropped) in
-  deterministic inserts-then-removes, (key, other)-sorted order.
+  caches on.  ``apply`` ingests a whole mutation batch at once — one
+  pass of :func:`repro.kernels.merge_edges` — and reports the
+  *effective* rows (duplicates and no-ops dropped) in deterministic
+  inserts-then-removes, (key, other)-sorted order.
   Every change *replaces* the columns, and they are read-only
   (``writeable=False``), so ``copy()`` shares them in O(1).
 * :class:`ValueColumn` — a ``{vertex: float}`` mapping as id-indexed
@@ -33,7 +34,8 @@ duplicates, so joining two of them is a merge:
 Sorting uses signed int64 comparison throughout, so negative vertex
 ids order consistently everywhere; when both columns fit in 31 bits
 (the overwhelmingly common case) pair operations pack into a single
-int64 key, falling back to structured dtypes otherwise.
+int64 key, falling back to structured dtypes otherwise
+(:func:`~repro.graph.sortedids.pair_column`).
 """
 
 from __future__ import annotations
@@ -42,13 +44,23 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.graph.sortedids import distinct, found_at, increasing, members, merge_rows, union
+from repro import kernels
+from repro.graph.sortedids import (
+    PAIR_DTYPE,
+    distinct,
+    distinct_pairs,
+    found_at,
+    increasing,
+    members,
+    merge_rows,
+    packable,
+    pair_column,
+    union,
+)
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_I64.flags.writeable = False
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
-_PAIR_DT = np.dtype([("k", np.int64), ("o", np.int64)])
-_PACK_LIMIT = np.int64(1) << np.int64(31)
 
 
 def _as_i64(arr) -> np.ndarray:
@@ -69,41 +81,6 @@ def _owned(arr) -> np.ndarray:
     needs another dtype or layout)."""
     arr = _as_i64(arr)
     return _frozen(arr if arr.flags.owndata else arr.copy())
-
-
-def _as_records(keys: np.ndarray, others: np.ndarray) -> np.ndarray:
-    rec = np.empty(len(keys), dtype=_PAIR_DT)
-    rec["k"] = keys
-    rec["o"] = others
-    return rec
-
-
-def _pack_pairs(keys: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """A 1-D representation of (key, other) pairs whose scalar order
-    equals (key asc, other asc): a packed int64 when both columns fit
-    in 31 unsigned bits, a structured array otherwise."""
-    if len(keys) and (
-        keys.min(initial=0) < 0
-        or others.min(initial=0) < 0
-        or keys.max(initial=0) >= _PACK_LIMIT
-        or others.max(initial=0) >= _PACK_LIMIT
-    ):
-        return _as_records(keys, others)
-    return (keys << np.int64(31)) | others
-
-
-def _distinct_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Sorted distinct pairs of a :func:`_pack_pairs` column; a packed
-    batch already in store order (a migration's rows are) is not
-    re-sorted."""
-    return np.unique(pairs) if pairs.dtype == _PAIR_DT else distinct(pairs)
-
-
-def _unpack_pairs(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`_pack_pairs`: contiguous (keys, others)."""
-    if packed.dtype == _PAIR_DT:
-        return np.ascontiguousarray(packed["k"]), np.ascontiguousarray(packed["o"])
-    return packed >> np.int64(31), packed & (_PACK_LIMIT - 1)
 
 
 def _ro(view: np.ndarray) -> np.ndarray:
@@ -296,20 +273,24 @@ class EdgeStore:
         self._starts = None
         self._packed = None if packed is None else _frozen(packed)
 
+    def _pairs(self, keys: np.ndarray, others: np.ndarray) -> np.ndarray:
+        """The store's pairs as one sorted column
+        (:func:`~repro.graph.sortedids.pair_column`) in a regime that
+        holds ``(keys, others)`` too: the packed column, cached per
+        version, or records when an id on either side is wide or
+        negative."""
+        if self._packed is None:
+            records = not packable(self._keys, self._others)
+            self._packed = _frozen(pair_column(self._keys, self._others, records))
+        if self._packed.dtype != PAIR_DTYPE and not packable(keys, others):
+            return pair_column(self._keys, self._others, True)
+        return self._packed
+
     def _columns(self, keys: np.ndarray, others: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(store pairs, query pairs) as sorted-comparable 1-D columns
-        in one packing regime (see :func:`_pack_pairs`).  The store's
-        column is cached per version; only a wide or negative id on
-        either side pays the structured-dtype form."""
-        if self._packed is None:
-            self._packed = _frozen(_pack_pairs(self._keys, self._others))
-        store, query = self._packed, _pack_pairs(keys, others)
-        if store.dtype != query.dtype:
-            if query.dtype == _PAIR_DT:
-                store = _as_records(self._keys, self._others)
-            else:
-                query = _as_records(keys, others)
-        return store, query
+        in one regime (see :meth:`_pairs`)."""
+        store = self._pairs(keys, others)
+        return store, pair_column(keys, others, store.dtype == PAIR_DTYPE)
 
     def contains_pairs(self, keys: np.ndarray, others: np.ndarray) -> np.ndarray:
         """Vectorized membership test for (key, other) pairs."""
@@ -328,62 +309,26 @@ class EdgeStore:
         the same pair is the one case routed through the sequential
         fallback, preserving strict batch order.
 
-        Only the batch is sorted: one ``searchsorted`` against the
-        store's packed column finds where each pair is or belongs, and
-        the new columns are spliced together in a single O(S + b) pass.
+        Only the batch is sorted: :func:`repro.kernels.merge_edges`
+        locates each pair in the sorted store and writes the new
+        columns in a single O(S + b) pass.
         """
         keys = _as_i64(keys)
         others = _as_i64(others)
         actions = np.asarray(actions)
         if len(keys) == 0:
             return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
-        store, batch = self._columns(keys, others)
-        ins = actions > 0
-        adds = _distinct_pairs(batch[ins])
-        dels = _distinct_pairs(batch[~ins])
-        if len(adds) and len(dels) and found_at(dels, np.searchsorted(dels, adds), adds).any():
-            return self._apply_sequential(keys, others, actions)
-        add_at = np.searchsorted(store, adds)
-        fresh = ~found_at(store, add_at, adds)
-        adds, add_at = adds[fresh], add_at[fresh]
-        del_at = np.searchsorted(store, dels)
-        present = found_at(store, del_at, dels)
-        dels, del_at = dels[present], del_at[present]
-        add_k, add_o = _unpack_pairs(adds)
-        del_k, del_o = _unpack_pairs(dels)
-        if len(adds) or len(dels):
-            self._merge(store, adds, add_k, add_o, add_at, del_at)
-        return (
-            np.concatenate([add_k, del_k]),
-            np.concatenate([add_o, del_o]),
-            np.concatenate(
-                [np.ones(len(adds), dtype=np.int64), np.full(len(dels), -1, dtype=np.int64)]
-            ),
+        merged = kernels.merge_edges(
+            self._keys, self._others, self._pairs(keys, others), keys, others, actions > 0
         )
-
-    def _merge(
-        self,
-        store: np.ndarray,
-        adds: np.ndarray,
-        add_k: np.ndarray,
-        add_o: np.ndarray,
-        add_at: np.ndarray,
-        del_at: np.ndarray,
-    ) -> None:
-        """Drop rows ``del_at`` and insert the sorted, absent pairs
-        ``adds`` before rows ``add_at`` (both row indices into the
-        current columns) — masks and scatters, no re-sort."""
-        keys, others = self._keys, self._others
-        if len(del_at):
-            keep = np.ones(len(store), dtype=bool)
-            keep[del_at] = False
-            keys, others, store = keys[keep], others[keep], store[keep]
-            add_at = add_at - np.searchsorted(del_at, add_at)
-        if len(adds):
-            keys, others, store = merge_rows(
-                add_at, (keys, add_k), (others, add_o), (store, adds)
-            )
-        self._set(keys, others, store)
+        if merged is None:
+            return self._apply_sequential(keys, others, actions)
+        eff_k, eff_o, n_adds, columns = merged
+        if columns is not None:
+            self._set(*columns)
+        eff_a = np.ones(len(eff_k), dtype=np.int64)
+        eff_a[n_adds:] = -1
+        return eff_k, eff_o, eff_a
 
     def _apply_sequential(
         self, keys: np.ndarray, others: np.ndarray, actions: np.ndarray
@@ -420,11 +365,13 @@ class EdgeStore:
         if len(keys) == 0:
             return 0
         store, query = self._columns(_as_i64(keys), _as_i64(others))
-        query = _distinct_pairs(query)
+        query = distinct_pairs(query)
         at = np.searchsorted(store, query)
         at = at[found_at(store, at, query)]
         if len(at):
-            self._merge(store, query[:0], _EMPTY_I64, _EMPTY_I64, at[:0], at)
+            self._set(*kernels.reference.splice_edges(
+                self._keys, self._others, store, query[:0], at[:0], at
+            ))
         return len(at)
 
 

@@ -14,6 +14,7 @@ modulo 2^64, matching C semantics.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Dict, Union
 
 import numpy as np
@@ -76,6 +77,20 @@ def wang64(x: HashInput) -> HashInput:
     if key.ndim and key.flags.c_contiguous:
         return _restore(kernels.wang64_u64(key), x)
     return _restore(kernels.reference.wang64_u64(key), x)
+
+
+def is_wang64(fn: Callable) -> bool:
+    """Whether ``fn`` is :func:`wang64`, or a wrapper of it that names it
+    as ``__wrapped__`` (:func:`functools.wraps`, as a tracing seam does):
+    the compiled placement kernels mix keys with wang64 themselves, so
+    they stand in for this hash only.
+
+    Examples
+    --------
+    >>> is_wang64(wang64), is_wang64(HASH_FUNCTIONS["wang"]), is_wang64(mult64)
+    (True, True, False)
+    """
+    return inspect.unwrap(fn) is inspect.unwrap(wang64)
 
 
 def mult64(x: HashInput) -> HashInput:

@@ -306,6 +306,15 @@ class ConsistentHashRing:
 
     # -- introspection ---------------------------------------------------------
 
+    def slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ring's own sorted ``(positions, owners)`` columns as
+        read-only views: what a compiled lookup walks.
+        :meth:`position_vector` is the copy to keep."""
+        self._ensure_built()
+        positions, owners = self._positions.view(), self._owners.view()
+        positions.flags.writeable = owners.flags.writeable = False
+        return positions, owners
+
     def position_vector(self) -> Tuple[np.ndarray, np.ndarray]:
         """(positions, owners) arrays — the broadcastable ring state."""
         self._ensure_built()

@@ -5,8 +5,14 @@ The data plane bottoms out in five kernels: the placement hash
 (``scatter_rows``), the canonical pair combine (``combine_pairs``), the
 receive-side fold (``fold_pairs``), and the id table behind every
 placement memo (:func:`id_table`: one hash and a short probe per key,
-where the reference searches a sorted column).  This package provides a
-C backend for them (compiled at first use with the system compiler — see
+where the reference searches a sorted column).  Ingest bottoms out in
+three more, each one pass per batch: the count-min sketch's estimates
+and updates (:func:`sketch_query`, :func:`sketch_add`), edge placement
+on the ring with its second-level rendezvous pick (:func:`place_edges`,
+for the wang64 hash only: a placer with another hash keeps the numpy
+body), and the edge store's sorted merge of a mutation batch
+(:func:`merge_edges`).  This package provides a C backend for them
+(compiled at first use with the system compiler — see
 :mod:`repro.kernels.csrc`) plus the pure-numpy reference
 (:mod:`repro.kernels.reference`) that *defines* correct behaviour.
 
@@ -26,8 +32,9 @@ bit-identical either way:
 
 Dispatch floors come from the measured crossover table in
 ``BENCH_kernels.json`` (``bench_kernels.py``, n = 16 … 4,096 through
-these dispatchers): C never loses on ``wang64`` and ``combine_pairs``,
-so they have none; ``fold_pairs`` keeps :data:`MIN_FOLD`;
+these dispatchers): C never loses on ``wang64``, ``combine_pairs`` and
+the three ingest kernels, so they have none; ``fold_pairs`` keeps
+:data:`MIN_FOLD`;
 ``scatter_rows`` walks a whole round's sending rows per call and has
 none either; and the PageRank apply lost at every size the cluster
 calls it with, so it has no C version at all.  The raw-pointer calls
@@ -38,7 +45,7 @@ and length.
 from __future__ import annotations
 
 import ctypes
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,17 +64,25 @@ __all__ = [
     "scatter_rows",
     "pagerank_apply",
     "id_table",
+    "sketch_query",
+    "sketch_add",
+    "place_edges",
+    "merge_edges",
     "c_wang64_u64",
     "c_combine_pairs",
     "c_fold_pairs",
     "c_scatter_rows",
+    "c_sketch_query",
+    "c_sketch_add",
+    "c_place_edges",
+    "c_merge_edges",
     "CIdTable",
     "MIN_FOLD",
 ]
 
 #: Rows below which ``fold_pairs`` stays on the reference: the measured
 #: crossover (``BENCH_kernels.json: crossover.floors.fold_pairs``).
-MIN_FOLD = 128
+MIN_FOLD = 64
 
 _OPCODES = {np.add: 0, np.minimum: 1, np.maximum: 2}
 
@@ -233,6 +248,133 @@ def c_scatter_rows(
     return out_dst, out_val, c[:-1], counts
 
 
+def _sketchable(salts: np.ndarray, keys: np.ndarray, table: Optional[np.ndarray]) -> bool:
+    """Whether the C sketch kernels may read (and write) this table: a
+    contiguous int64 ``(depth, width)`` table, one uint64 salt per row,
+    a 1-d uint64 key batch."""
+    return table is None or (
+        table.dtype == np.int64
+        and table.ndim == 2
+        and table.flags.c_contiguous
+        and table.shape[0] == len(salts)
+        and salts.dtype == np.uint64
+        and keys.dtype == np.uint64
+        and keys.ndim == 1
+    )
+
+
+def c_sketch_query(
+    salts: np.ndarray, keys: np.ndarray, table: np.ndarray, plus: Optional[np.ndarray] = None
+) -> np.ndarray:
+    lib = _require()
+    if not (_sketchable(salts, keys, table) and _sketchable(salts, keys, plus)):
+        raise TypeError("sketch kernels need contiguous int64 (depth, width) tables")
+    if plus is not None and plus.shape != table.shape:
+        raise ValueError("a sketch and its plus table differ in shape")
+    k = np.ascontiguousarray(keys)
+    s = np.ascontiguousarray(salts)
+    out = np.empty(len(k), dtype=np.int64)
+    lib.repro_sketch_query(
+        k.ctypes.data, len(k), s.ctypes.data, table.shape[0], table.shape[1],
+        table.ctypes.data, None if plus is None else plus.ctypes.data, out.ctypes.data,
+    )
+    return out
+
+
+def c_sketch_add(salts: np.ndarray, keys: np.ndarray, table: np.ndarray, counts) -> None:
+    lib = _require()
+    if not (_sketchable(salts, keys, table) and table.flags.writeable):
+        raise TypeError("sketch kernels need a writable contiguous int64 (depth, width) table")
+    k = np.ascontiguousarray(keys)
+    s = np.ascontiguousarray(salts)
+    c = np.asarray(counts, dtype=np.int64)
+    if c.ndim == 0 or c.strides == (0,):  # one count for every key
+        c, step = np.ascontiguousarray(c.reshape(-1)[:1]), 0
+    elif c.shape == k.shape:
+        c, step = np.ascontiguousarray(c), 1
+    else:
+        raise ValueError("sketch counts need one value, or one per key")
+    if len(k) and len(c):
+        lib.repro_sketch_add(
+            k.ctypes.data, len(k), s.ctypes.data, table.shape[0], table.shape[1],
+            table.ctypes.data, c.ctypes.data, step,
+        )
+
+
+def c_place_edges(
+    ring, own: np.ndarray, other: Optional[np.ndarray] = None, k: Optional[np.ndarray] = None
+) -> np.ndarray:
+    lib = _require()
+    pos, owners = ring.slots()
+    if not len(pos):
+        raise LookupError("ring has no members")
+    o = np.ascontiguousarray(own, dtype=np.int64)
+    out = np.empty(len(o), dtype=np.int64)
+    if k is None:
+        lib.repro_place_edges(
+            o.ctypes.data, None, None, len(o), pos.ctypes.data, owners.ctypes.data,
+            len(pos), len(ring), None, out.ctypes.data,
+        )
+        return out
+    t = np.ascontiguousarray(other, dtype=np.int64)
+    kk = np.ascontiguousarray(k, dtype=np.int64)
+    if o.ndim != 1 or o.shape != t.shape or o.shape != kk.shape:
+        raise ValueError("place_edges needs one other endpoint and one k per row")
+    reps = np.empty(len(ring), dtype=np.int64)
+    lib.repro_place_edges(
+        o.ctypes.data, t.ctypes.data, kk.ctypes.data, len(o), pos.ctypes.data,
+        owners.ctypes.data, len(pos), len(ring), reps.ctypes.data, out.ctypes.data,
+    )
+    return out
+
+
+def c_merge_edges(
+    store_keys: np.ndarray,
+    store_others: np.ndarray,
+    store: np.ndarray,
+    keys: np.ndarray,
+    others: np.ndarray,
+    ins: np.ndarray,
+):
+    lib = _require()
+    sk = np.ascontiguousarray(store_keys, dtype=np.int64)
+    so = np.ascontiguousarray(store_others, dtype=np.int64)
+    bk = np.ascontiguousarray(keys, dtype=np.int64)
+    bo = np.ascontiguousarray(others, dtype=np.int64)
+    flags = np.ascontiguousarray(ins, dtype=np.bool_)
+    n = len(bk)
+    if not (len(sk) == len(so) == len(store) and n == len(bo) == len(flags)):
+        raise ValueError("merge_edges needs parallel store columns and batch rows")
+    eff_k = np.empty(n, dtype=np.int64)
+    eff_o = np.empty(n, dtype=np.int64)
+    at = np.empty(n, dtype=np.int64)
+    n_adds = np.zeros(1, dtype=np.int64)
+    m = lib.repro_edge_classify(
+        sk.ctypes.data, so.ctypes.data, len(sk), bk.ctypes.data, bo.ctypes.data,
+        flags.ctypes.data, n, eff_k.ctypes.data, eff_o.ctypes.data, at.ctypes.data,
+        n_adds.ctypes.data,
+    )
+    if m == -2:
+        return None
+    if m < 0:  # pragma: no cover - allocation failure
+        raise MemoryError("merge_edges C kernel allocation failed")
+    na = int(n_adds[0])
+    if m < n:  # exact-size arrays: the dirty log and the WAL keep them
+        eff_k, eff_o = eff_k[:m].copy(), eff_o[:m].copy()
+    if not m:
+        return eff_k, eff_o, 0, None
+    size = len(sk) + 2 * na - m
+    new_k = np.empty(size, dtype=np.int64)
+    new_o = np.empty(size, dtype=np.int64)
+    new_pairs = np.empty(size, dtype=store.dtype)
+    lib.repro_edge_splice(
+        sk.ctypes.data, so.ctypes.data, len(sk), eff_k.ctypes.data, eff_o.ctypes.data,
+        at.ctypes.data, na, at.ctypes.data + 8 * na, m - na, new_k.ctypes.data,
+        new_o.ctypes.data, new_pairs.ctypes.data, int(store.dtype != np.int64),
+    )
+    return eff_k, eff_o, na, (new_k, new_o, new_pairs)
+
+
 def _address(arr: np.ndarray) -> int:
     """The data address of a non-empty contiguous array: through the
     buffer protocol (a third of what ``.ctypes.data`` costs) unless the
@@ -390,6 +532,55 @@ def id_table():
     :class:`CIdTable`, or :class:`reference.IdTable` on the reference.
     The backend is fixed when the table is made."""
     return CIdTable() if _library() is not None else reference.IdTable()
+
+
+def sketch_query(
+    salts: np.ndarray, keys: np.ndarray, table: np.ndarray, plus: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Count-min estimates of uint64 ``keys`` (see
+    :func:`reference.sketch_query`)."""
+    if (
+        _library() is not None
+        and _sketchable(salts, keys, table)
+        and _sketchable(salts, keys, plus)
+    ):
+        return c_sketch_query(salts, keys, table, plus)
+    return reference.sketch_query(salts, keys, table, plus)
+
+
+def sketch_add(salts: np.ndarray, keys: np.ndarray, table: np.ndarray, counts) -> None:
+    """Count uint64 ``keys`` into ``table`` in place (see
+    :func:`reference.sketch_add`)."""
+    if _library() is not None and _sketchable(salts, keys, table) and table.flags.writeable:
+        c_sketch_add(salts, keys, table, counts)
+        return
+    reference.sketch_add(salts, keys, table, counts)
+
+
+def place_edges(
+    ring, own: np.ndarray, other: Optional[np.ndarray] = None, k: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Owners of int64 ``own`` vertices on ``ring`` under the wang64
+    mix, second-level placed by ``other`` where ``k > 1`` (see
+    :func:`reference.place_edges`)."""
+    if _library() is not None:
+        return c_place_edges(ring, own, other, k)
+    return reference.place_edges(ring, reference.wang64_u64, own, other, k)
+
+
+def merge_edges(
+    store_keys: np.ndarray,
+    store_others: np.ndarray,
+    store: np.ndarray,
+    keys: np.ndarray,
+    others: np.ndarray,
+    ins: np.ndarray,
+):
+    """One mutation batch against an edge store's sorted columns (see
+    :func:`reference.merge_edges`)."""
+    if _library() is not None:
+        return c_merge_edges(store_keys, store_others, store, keys, others, ins)
+    return reference.merge_edges(store_keys, store_others, store, keys, others, ins)
 
 
 #: ``base + damping * agg``.  One numpy expression on both backends: a C

@@ -17,8 +17,11 @@ the call.
 Determinism contract (see DESIGN.md §6j): every C kernel reproduces the
 numpy reference *bit for bit* on finite inputs.
 
-* Integer kernels (``wang64``) are exact by construction — the same
-  64-bit wrapping ops in the same order.
+* Integer kernels (``wang64``, the id table, and the ingest kernels of
+  :mod:`repro.kernels.csrc_ingest`: the sketch, placement and the edge
+  merge) are exact by construction — the same 64-bit wrapping ops,
+  remainders and comparisons as numpy's, on no float, so no visiting
+  order can change a result.
 * Float folds replicate numpy's evaluation order: pairs are sorted by
   ``np.lexsort((val, dst))``-equivalent order, then folded strictly
   left to right per destination, which is exactly what ``ufunc.at``
@@ -65,7 +68,9 @@ from contextlib import suppress
 from shutil import which
 from typing import Optional
 
-C_SOURCE = r"""
+from repro.kernels import csrc_ingest
+
+_DATA_PLANE_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -502,6 +507,10 @@ void repro_table_rehash(const int64_t* restrict okeys, const int32_t* restrict o
 }
 """
 
+#: The one translation unit: the data-plane kernels, then the ingest
+#: kernels of :mod:`repro.kernels.csrc_ingest`, which use its mixer.
+C_SOURCE = _DATA_PLANE_SOURCE + csrc_ingest.C_SOURCE
+
 #: Compile command; -ffp-contract=off keeps float folds bit-identical
 #: to numpy (no FMA), and no -march flags keeps codegen portable.
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-strict-aliasing"]
@@ -583,6 +592,7 @@ def _build() -> ctypes.CDLL:
     lib.repro_table_put.restype = i64
     lib.repro_table_rehash.argtypes = [ptr, ptr, i64, ptr, ptr, i64]
     lib.repro_table_rehash.restype = None
+    csrc_ingest.declare(lib)
     return lib
 
 

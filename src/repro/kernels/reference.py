@@ -4,15 +4,35 @@ These are the *definitions* of what the C backend must reproduce bit
 for bit.  They are also the production path wherever the C library
 cannot be built, so they must match the historical agent/dataplane
 code exactly (same lexsort, same ``ufunc.at`` fold, same dtypes).
+
+The ingest kernels — the count-min sketch's :func:`sketch_query` and
+:func:`sketch_add`, the edge placement of :func:`place_edges`, and the
+edge-store merge of :func:`merge_edges` — are the numpy bodies those
+classes' methods had, over the arrays the methods hold.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.sortedids import (
+    PAIR_DTYPE,
+    distinct_pairs,
+    found_at,
+    members,
+    merge_rows,
+    pair_column,
+    unpack_pairs,
+)
+
 U64 = np.uint64
+
+#: Second-level (rendezvous) hash constants: a replica's salt is
+#: ``wang64(replica * HRW_STEP ^ HRW_SALT)``.
+HRW_STEP = U64(0x9E3779B97F4A7C15)
+HRW_SALT = U64(0xC2B2AE3D27D4EB4F)
 
 
 def wang64_u64(key: np.ndarray) -> np.ndarray:
@@ -157,6 +177,156 @@ class IdTable:
 
     def items(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._keys.copy(), self._vals.astype(np.int64)
+
+
+def sketch_columns(salts: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
+    """(depth, n) counter columns of uint64 ``keys``: row ``r`` hashes
+    ``key ^ salts[r]`` and takes it modulo ``width``."""
+    with np.errstate(over="ignore"):
+        mixed = wang64_u64(keys[None, :] ^ salts[:, None])
+    return (mixed % U64(width)).astype(np.int64)
+
+
+def sketch_query(
+    salts: np.ndarray, keys: np.ndarray, table: np.ndarray, plus: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Count-min estimates of ``keys``: the least counter of each key's
+    columns in ``table``, plus the same in ``plus`` (a table of the same
+    shape and salts) if given, as int64."""
+    idx = sketch_columns(salts, keys, table.shape[1])
+    rows = np.arange(len(salts))[:, None]
+    estimates = table[rows, idx].min(axis=0).astype(np.int64)
+    if plus is not None:
+        estimates += plus[rows, idx].min(axis=0).astype(np.int64)
+    return estimates
+
+
+def sketch_add(salts: np.ndarray, keys: np.ndarray, table: np.ndarray, counts: np.ndarray) -> None:
+    """Add ``counts`` (one per key) to every row's counter of each key,
+    in place; a key the batch repeats adds each of its counts."""
+    idx = sketch_columns(salts, keys, table.shape[1])
+    for row in range(len(salts)):
+        np.add.at(table[row], idx[row], counts)
+
+
+def place_edges(
+    ring,
+    hash_fn: Callable,
+    own: np.ndarray,
+    other: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Owning member of each int64 ``own`` vertex on ``ring`` (a
+    :class:`~repro.hashing.ring.ConsistentHashRing`), keyed by
+    ``hash_fn``: the first position at or after the vertex's hash.
+
+    With replication factors ``k`` (capped at the member count), a row
+    whose ``k > 1`` is placed among the ``k`` distinct members from that
+    position on by the highest rendezvous weight of its ``other``
+    endpoint (:func:`rendezvous_pick`).
+    """
+    own_hash = np.asarray(hash_fn(own.view(U64)))
+    owners = ring.lookup_hash(own_hash)
+    if k is None:
+        return owners
+    k = np.minimum(k, len(ring))
+    split = np.nonzero(k > 1)[0]
+    if len(split):
+        owners = owners.copy()
+        # Split vertices are few (only hubs); the replica walk is
+        # amortized per unique vertex, then the second-level
+        # rendezvous pick runs in matrix form over all split rows.
+        other_hash = np.asarray(hash_fn(other[split].view(U64)))
+        uniq, first, inverse = np.unique(own[split], return_index=True, return_inverse=True)
+        k_uniq = k[split][first]
+        replicas = ring.successors_hash_batch(own_hash[split][first], k_uniq)
+        owners[split] = rendezvous_pick(replicas[inverse], k_uniq[inverse], other_hash)
+    return owners
+
+
+def rendezvous_pick(
+    replica_rows: np.ndarray, ks: np.ndarray, other_hashes: np.ndarray
+) -> np.ndarray:
+    """Second-level consistent hash over per-row replica sets.
+
+    ``replica_rows`` is ``(n, k_max)`` right-padded with ``-1``; row
+    ``i`` holds ``ks[i]`` valid replicas.  Each replica's weight for an
+    edge is ``wang64(salt(replica) ^ other_hash)``; the highest wins,
+    the first of equal ones (padding weighs 0).  Adding a replica only
+    claims the keys it now wins — minimal movement.
+    """
+    reps = replica_rows.astype(np.uint64)
+    with np.errstate(over="ignore"):
+        salted = wang64_u64(reps * HRW_STEP ^ HRW_SALT)
+        weights = wang64_u64(salted ^ other_hashes[:, None].astype(np.uint64))
+    k_max = replica_rows.shape[1]
+    valid = np.arange(k_max, dtype=np.int64)[None, :] < ks[:, None]
+    weights = np.where(valid, weights, U64(0))
+    pick = np.argmax(weights, axis=1)
+    return replica_rows[np.arange(len(replica_rows)), pick]
+
+
+def merge_edges(
+    store_keys: np.ndarray,
+    store_others: np.ndarray,
+    store: np.ndarray,
+    keys: np.ndarray,
+    others: np.ndarray,
+    ins: np.ndarray,
+):
+    """One mutation batch against an edge store's sorted columns.
+
+    ``store`` is the store's pairs as a :func:`~repro.graph.sortedids.pair_column`
+    in a regime that also holds the batch; row ``i`` of the batch
+    inserts ``(keys[i], others[i])`` where ``ins[i]``, else removes it.
+    Returns None when the batch inserts and removes one pair (only a
+    replay in batch order says what that means), else ``(keys, others,
+    n_adds, columns)``: the effective rows — the distinct absent pairs
+    inserted, sorted, then the distinct present pairs removed, sorted —
+    with the first ``n_adds`` inserts, and the store's new ``(keys,
+    others, pairs)`` columns (None if nothing changed).
+    """
+    batch = pair_column(keys, others, store.dtype == PAIR_DTYPE)
+    adds = distinct_pairs(batch[ins])
+    dels = distinct_pairs(batch[~ins])
+    if len(adds) and len(dels) and members(dels, adds).any():
+        return None
+    add_at = np.searchsorted(store, adds)
+    fresh = ~found_at(store, add_at, adds)
+    adds, add_at = adds[fresh], add_at[fresh]
+    del_at = np.searchsorted(store, dels)
+    present = found_at(store, del_at, dels)
+    dels, del_at = dels[present], del_at[present]
+    add_k, add_o = unpack_pairs(adds)
+    del_k, del_o = unpack_pairs(dels)
+    columns = None
+    if len(adds) or len(dels):
+        columns = splice_edges(store_keys, store_others, store, adds, add_at, del_at)
+    return np.concatenate([add_k, del_k]), np.concatenate([add_o, del_o]), len(adds), columns
+
+
+def splice_edges(
+    store_keys: np.ndarray,
+    store_others: np.ndarray,
+    store: np.ndarray,
+    adds: np.ndarray,
+    add_at: np.ndarray,
+    del_at: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New ``(keys, others, pairs)`` columns: rows ``del_at`` dropped and
+    the sorted, absent pairs ``adds`` inserted before rows ``add_at``
+    (both row indices into the given columns) — masks and scatters, no
+    re-sort."""
+    keys, others = store_keys, store_others
+    if len(del_at):
+        keep = np.ones(len(store), dtype=bool)
+        keep[del_at] = False
+        keys, others, store = keys[keep], others[keep], store[keep]
+        add_at = add_at - np.searchsorted(del_at, add_at)
+    if len(adds):
+        add_k, add_o = unpack_pairs(adds)
+        keys, others, store = merge_rows(add_at, (keys, add_k), (others, add_o), (store, adds))
+    return keys, others, store
 
 
 def pagerank_apply(agg: np.ndarray, base: float, damping: float) -> np.ndarray:

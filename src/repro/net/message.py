@@ -57,7 +57,6 @@ class PacketType(enum.IntEnum):
 
     # Metrics / autoscaling
     METRIC_REPORT = 50        # agent -> directory: metric sample
-    SCALE_COMMAND = 51        # autoscaler -> cluster: target agent count
     REBALANCE_PLAN = 52       # planner -> directory: ring re-weight adoption
 
     # Failure detection / crash recovery

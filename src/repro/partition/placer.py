@@ -32,13 +32,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro import kernels
-from repro.hashing.hashes import as_u64_keys, wang64
+from repro.hashing.hashes import as_u64_keys, is_wang64, wang64
 from repro.hashing.ring import ConsistentHashRing
 from repro.sketch.countmin import CountMinSketch
-
-U64 = np.uint64
-
-_LEVEL2_SALT = U64(0xC2B2AE3D27D4EB4F)
 
 
 class EdgePlacer:
@@ -82,6 +78,9 @@ class EdgePlacer:
         self.sketch = sketch
         self.replication_threshold = int(replication_threshold)
         self.hash_fn = hash_fn
+        # Placement under wang64 is one compiled pass per batch
+        # (``kernels.place_edges``); any other hash keeps the numpy body.
+        self._compiled = is_wang64(hash_fn)
         # When a gate is supplied (the directory's split-vertex
         # registry), only registered vertices replicate.  This makes the
         # placement switch and the replica-sync protocol change
@@ -159,7 +158,7 @@ class EdgePlacer:
         verts = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
         if verts.size == 0:
             return np.empty(0, dtype=np.int64)
-        return self.ring.lookup_hash(np.asarray(self.hash_fn(as_u64_keys(verts))))
+        return self._place(verts)
 
     # -- edge placement ----------------------------------------------------------
 
@@ -177,25 +176,15 @@ class EdgePlacer:
             raise ValueError(f"ragged edge arrays: {own.shape} vs {other.shape}")
         if own.size == 0:
             return np.empty(0, dtype=np.int64)
-        k = self.replication_factor(own)
-        own_hash = np.asarray(self.hash_fn(as_u64_keys(own)))
-        owners = self.ring.lookup_hash(own_hash)
-        split = np.nonzero(k > 1)[0]
-        if len(split):
-            owners = owners.copy()
-            # Split vertices are few (only hubs); the replica walk is
-            # amortized per unique vertex, then the second-level
-            # rendezvous pick runs in matrix form over all split rows.
-            other_hash = np.asarray(self.hash_fn(as_u64_keys(other[split])))
-            uniq, first, inverse = np.unique(
-                own[split], return_index=True, return_inverse=True
-            )
-            k_uniq = k[split][first]
-            replicas = self.ring.successors_hash_batch(own_hash[split][first], k_uniq)
-            owners[split] = _rendezvous_pick_matrix(
-                replicas[inverse], k_uniq[inverse], other_hash
-            )
-        return owners
+        return self._place(own, other, self.replication_factor(own))
+
+    def _place(self, own: np.ndarray, other=None, k=None) -> np.ndarray:
+        """Ring owners of ``own``, second-level placed by ``other`` where
+        the replication factor ``k`` exceeds 1 (see
+        :func:`repro.kernels.reference.place_edges`)."""
+        if self._compiled:
+            return kernels.place_edges(self.ring, own, other, k)
+        return kernels.reference.place_edges(self.ring, self.hash_fn, own, other, k)
 
     def owner_of_vertex(self, vertex: int, rng: Optional[np.random.Generator] = None) -> int:
         """Some Agent holding ``vertex`` — the query fast path.
@@ -227,28 +216,7 @@ def _rendezvous_pick(replicas: List[int], other_hashes: np.ndarray) -> np.ndarra
     """
     reps = np.asarray(replicas, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        salted = wang64(reps * U64(0x9E3779B97F4A7C15) ^ _LEVEL2_SALT)
+        salted = wang64(reps * kernels.reference.HRW_STEP ^ kernels.reference.HRW_SALT)
         weights = wang64(salted[:, None] ^ other_hashes[None, :].astype(np.uint64))
     pick = np.argmax(weights, axis=0)
     return np.asarray(replicas, dtype=np.int64)[pick]
-
-
-def _rendezvous_pick_matrix(
-    replica_rows: np.ndarray, ks: np.ndarray, other_hashes: np.ndarray
-) -> np.ndarray:
-    """Matrix form of :func:`_rendezvous_pick` over per-row replica sets.
-
-    ``replica_rows`` is ``(n, k_max)`` right-padded with ``-1``; row
-    ``i`` holds ``ks[i]`` valid replicas.  Picks the same winner as the
-    scalar version: padding columns are masked to weight 0, and argmax's
-    first-maximum tie-break matches the replica-order tie-break.
-    """
-    reps = replica_rows.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        salted = wang64(reps * U64(0x9E3779B97F4A7C15) ^ _LEVEL2_SALT)
-        weights = wang64(salted ^ other_hashes[:, None].astype(np.uint64))
-    k_max = replica_rows.shape[1]
-    valid = np.arange(k_max, dtype=np.int64)[None, :] < ks[:, None]
-    weights = np.where(valid, weights, U64(0))
-    pick = np.argmax(weights, axis=1)
-    return replica_rows[np.arange(len(replica_rows)), pick]

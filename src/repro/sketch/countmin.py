@@ -1,8 +1,10 @@
-"""CountMinSketch (Cormode & Muthukrishnan), numpy-vectorized.
+"""CountMinSketch (Cormode & Muthukrishnan), batch-vectorized.
 
 The sketch is a ``depth × width`` counter table.  Each update hashes the
 key once per row (row-salted Wang hashes) and increments one cell per
-row; a query takes the minimum across rows.  For width ``w = ceil(e/ε)``
+row; a query takes the minimum across rows.  A batch of keys is one
+pass of :func:`repro.kernels.sketch_query` / :func:`~repro.kernels.sketch_add`
+(compiled, or their numpy reference).  For width ``w = ceil(e/ε)``
 and depth ``d = ceil(ln(1/δ))`` the estimate after ``m`` total count is
 within ``+ε·m`` of the truth with probability ``1 − δ`` (§3.3.1).
 
@@ -24,7 +26,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.hashing.hashes import wang64
+from repro import kernels
+from repro.hashing.hashes import as_u64_keys, wang64
 
 U64 = np.uint64
 
@@ -103,26 +106,19 @@ class CountMinSketch:
 
     # -- updates -----------------------------------------------------------------
 
-    def _indices(self, keys: np.ndarray) -> np.ndarray:
-        """(depth, n) column indices for the given keys."""
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-        with np.errstate(over="ignore"):
-            mixed = wang64(keys[None, :] ^ self._row_salts[:, None])
-        return (mixed % U64(self.width)).astype(np.int64)
-
     def add(self, keys, counts=1) -> None:
         """Increment counters for ``keys`` (vectorized).
 
         ``counts`` may be a scalar applied to every key or a per-key
-        array.  Duplicate keys in one call accumulate correctly.
+        array.  Duplicate keys in one call accumulate correctly.  Keys
+        are ids: a negative one counts as its two's-complement uint64
+        (:func:`~repro.hashing.hashes.as_u64_keys`).
         """
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+        keys = as_u64_keys(keys)
         if keys.size == 0:
             return
         counts_arr = np.broadcast_to(np.asarray(counts, dtype=self.table.dtype), keys.shape)
-        idx = self._indices(keys)
-        for row in range(self.depth):
-            np.add.at(self.table[row], idx[row], counts_arr)
+        kernels.sketch_add(self._row_salts, keys, self.table, counts_arr)
         self.total += int(counts_arr.sum())
 
     def remove(self, keys, counts=1) -> None:
@@ -142,14 +138,12 @@ class CountMinSketch:
         if plus is not None and not self.compatible_with(plus):
             raise ValueError("cannot combine sketches with different dimensions or seeds")
         scalar = np.ndim(keys) == 0
-        keys_arr = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+        keys_arr = as_u64_keys(keys)
         if keys_arr.size == 0:
             return np.empty(0, dtype=np.int64)
-        idx = self._indices(keys_arr)
-        rows = np.arange(self.depth)[:, None]
-        estimates = self.table[rows, idx].min(axis=0).astype(np.int64)
-        if plus is not None:
-            estimates += plus.table[rows, idx].min(axis=0).astype(np.int64)
+        estimates = kernels.sketch_query(
+            self._row_salts, keys_arr, self.table, None if plus is None else plus.table
+        )
         return int(estimates[0]) if scalar else estimates
 
     # -- merging / serialization ---------------------------------------------------

@@ -80,7 +80,14 @@ def test_floors_are_the_committed_crossover():
     (bench_kernels.py), and the kernels without a floor have none there."""
     bench = Path(__file__).resolve().parents[2] / "BENCH_kernels.json"
     floors = json.loads(bench.read_text())["crossover"]["floors"]
-    assert floors == {"wang64": 0, "combine_pairs": 0, "fold_pairs": kernels.MIN_FOLD}
+    assert floors == {
+        "wang64": 0,
+        "combine_pairs": 0,
+        "fold_pairs": kernels.MIN_FOLD,
+        "sketch_query": 0,
+        "place_edges": 0,
+        "merge_edges": 0,
+    }
 
 
 def _dispatch_all(dst, val, ids, keys):

@@ -135,7 +135,8 @@ def test_put_rules_first_row_then_stored_entry_win(backend):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_a_warm_placement_lookup_hashes_nothing(monkeypatch, enabled):
     """A memo hit costs a probe, not a placement hash: the counted seams
-    (``hashing.wang64`` and the ``wang64_u64`` kernel) see no row."""
+    (``hashing.wang64`` and the ``wang64_u64`` kernel) and the compiled
+    placement and sketch kernels, which mix keys themselves, see no call."""
     was = kernels.enabled()
     kernels.set_enabled(enabled)
     try:
@@ -152,12 +153,14 @@ def test_a_warm_placement_lookup_hashes_nothing(monkeypatch, enabled):
         assert cache.last_misses > 0 and (cache.replication_factor(hubs) > 1).all()
 
         rows = []
+
+        def spy(real, name):
+            return lambda *args: rows.append(name) or real(*args)
+
         for module, name in ((kernels, "wang64_u64"), (reference, "wang64_u64"),
-                             (hashes, "wang64")):
-            real = getattr(module, name)
-            monkeypatch.setattr(
-                module, name, lambda key, real=real: rows.append(np.size(key)) or real(key)
-            )
+                             (hashes, "wang64"), (kernels, "place_edges"),
+                             (kernels, "sketch_query")):
+            monkeypatch.setattr(module, name, spy(getattr(module, name), name))
         warm = cache.owner_of_edges(own, other)
         assert np.array_equal(warm, cold)
         assert cache.last_misses == 0
