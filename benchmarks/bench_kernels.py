@@ -14,10 +14,13 @@ Four layers, matching the raw-speed push:
   but not gated.
 * **Crossover** — the hash, combine, fold, sketch query, placement and
   edge merge through the dispatchers production calls, both backends,
-  at the batch sizes the cluster actually sends (n = 16 … 4,096).  The
-  dispatch floors in ``repro.kernels`` are read from this table: the
-  smallest n from which C never loses again (0: it never does, no
-  floor).
+  at the batch sizes the cluster actually sends (n = 16 … 4,096) and in
+  the shape it sends them, in alternating pairs.  The dispatch floors in
+  ``repro.kernels`` are read from this table: the smallest n from which
+  C never *loses* again (0: it never does, no floor), where C loses at
+  an n only if it is slower than numpy by more than :data:`LOSS_MARGIN`
+  in at least :data:`LOSS_PAIRS` of :data:`CROSSOVER_PAIRS` pairs — a
+  tie that noise decides is no floor.
 * **Million-edge end-to-end** — a scale-17 RMAT (~10^6 edges) ingested
   into the cluster and run through PageRank, wall-clock and simulated
   seconds both reported.  This is the "routine" scale the storage
@@ -321,9 +324,9 @@ def micro_place_edges(rows: int) -> dict:
 
 
 def _merge_workload(rows: int, held: int) -> tuple:
-    """A store of ``held`` RMAT edge copies (packed pairs) and a batch of
-    ``rows`` rows, one in eight a removal of a held pair, the rest
-    inserts with repeats."""
+    """A store of ``held`` RMAT edge copies (its ``(keys, others)``
+    columns) and a batch of ``rows`` rows, one in eight a removal of a
+    held pair, the rest inserts with repeats."""
     us, vs, _ = rmat_graph(16, edge_factor=4, seed=SEED)
     pairs = np.unique((us.astype(np.int64) << 31) | vs.astype(np.int64))
     rng = np.random.default_rng(SEED)
@@ -333,8 +336,9 @@ def _merge_workload(rows: int, held: int) -> tuple:
         pairs[rng.integers(0, len(pairs), size=rows)],
     )
     ins = ~np.isin(batch, store)
-    store.flags.writeable = False
-    return store >> 31, store & ((1 << 31) - 1), store, batch >> 31, batch & ((1 << 31) - 1), ins
+    skeys, sothers = store >> 31, store & ((1 << 31) - 1)
+    skeys.flags.writeable = sothers.flags.writeable = False
+    return skeys, sothers, batch >> 31, batch & ((1 << 31) - 1), ins
 
 
 def _same_merge(a, b) -> bool:
@@ -357,17 +361,30 @@ def micro_merge_edges(rows: int) -> dict:
 CROSSOVER_SIZES = (16, 32, 64, 128, 192, 256, 512, 1024, 2048, 4096)
 #: Edge copies in the store the crossover's merges go into.
 CROSSOVER_STORE = 1 << 16
-CROSSOVER_CALLS = 200
-CROSSOVER_ROUNDS = 9
+#: Calls per timing: at 200 a 16-row cell lasted ~2 ms, and the fold's
+#: 16- and 32-row cells read C losing in 8 and 7 of 10 pairs on one run,
+#: 8 and 9 on the next; at 600 they read 10 and 9.
+CROSSOVER_CALLS = 600
+#: Alternating (numpy, C) pairs per cell; a cell's times are its best.
+CROSSOVER_PAIRS = 10
+#: C loses a pair when its time exceeds numpy's by more than this share,
+#: and loses the cell when it loses at least LOSS_PAIRS of the pairs.
+LOSS_MARGIN = 0.10
+LOSS_PAIRS = 9
 
 
 def _dispatcher_calls(n: int) -> dict:
     """One closure per kernel over the dispatcher production calls, on
-    an n-row batch with ~2 pairs per destination."""
+    an n-row batch.  The combine's and fold's pairs are shaped as a round
+    sends them: ~2 per destination, destinations drawn from a scale-14
+    RMAT's vertex ids (so a small batch spans far more ids than it has
+    rows), and the fold folds into the table of all of them, as an agent
+    folds into its hosted vertices."""
     rng = np.random.default_rng(SEED)
-    dst = rng.integers(0, max(n // 2, 4), size=n).astype(np.int64)
+    ids = np.unique(rmat_graph(14, edge_factor=4, seed=SEED)[1].astype(np.int64))
+    pool = ids[rng.integers(0, len(ids), size=max(n // 2, 4))]
+    dst = pool[rng.integers(0, len(pool), size=n)]
     val = rng.standard_normal(n)
-    ids = np.unique(dst)
     accum, got = np.zeros(len(ids)), np.zeros(len(ids), dtype=bool)
     keys = rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
     salts, sketch_keys, table, plus = _sketch_workload(n)
@@ -384,9 +401,10 @@ def _dispatcher_calls(n: int) -> dict:
 
 
 def crossover_floor(rows: list):
-    """Smallest measured n from which C never loses again: 0 if it
-    never loses, None if it loses at the largest (delete the kernel)."""
-    losing = [i for i, row in enumerate(rows) if row["c_us"] >= row["numpy_us"]]
+    """Smallest measured n from which C never loses again (in at least
+    LOSS_PAIRS pairs): 0 if it never loses, None if it loses at the
+    largest (delete the kernel)."""
+    losing = [i for i, row in enumerate(rows) if row["c_losses"] >= LOSS_PAIRS]
     if not losing:
         return 0
     if losing[-1] == len(rows) - 1:
@@ -397,39 +415,53 @@ def crossover_floor(rows: list):
 def run_crossover() -> dict:
     """µs per call, numpy vs C, for each kernel at each batch size.
 
-    Rounds are the outer loop and each visits every (size, kernel,
-    backend) cell, so a change of the box's clock speed mid-table falls
-    on every cell alike; a cell's value is its best round."""
+    Pairs are the outer loop and each times every (size, kernel) cell on
+    both backends back to back, numpy first in even pairs and C first in
+    odd ones, so a change of the box's clock speed mid-table falls on
+    every cell alike and on neither backend's side.  A cell reports each
+    backend's best time and ``c_losses``: the pairs in which C was slower
+    than numpy by more than LOSS_MARGIN."""
     calls = {n: _dispatcher_calls(n) for n in CROSSOVER_SIZES}
     best: dict = {}
+    losses: dict = {}
     was = kernels.enabled()
     floor, kernels.MIN_FOLD = kernels.MIN_FOLD, 0  # time C below the floor too
     gc.collect()
     gc.disable()
     try:
-        for _ in range(CROSSOVER_ROUNDS):
+        for pair in range(CROSSOVER_PAIRS):
+            order = ("numpy", "c") if pair % 2 == 0 else ("c", "numpy")
             for n, by_kernel in calls.items():
                 for name, call in by_kernel.items():
-                    for backend in ("numpy", "c"):
+                    took = {}
+                    for backend in order:
                         kernels.set_enabled(backend == "c")
                         start = time.perf_counter()
                         for _ in range(CROSSOVER_CALLS):
                             call()
-                        took = 1e6 * (time.perf_counter() - start) / CROSSOVER_CALLS
+                        took[backend] = 1e6 * (time.perf_counter() - start) / CROSSOVER_CALLS
                         cell = (name, n, backend)
-                        best[cell] = min(best.get(cell, took), took)
+                        best[cell] = min(best.get(cell, took[backend]), took[backend])
+                    lost = took["c"] > (1 + LOSS_MARGIN) * took["numpy"]
+                    losses[name, n] = losses.get((name, n), 0) + lost
     finally:
         gc.enable()
         kernels.MIN_FOLD = floor
         kernels.set_enabled(was)
     table = {
         name: [
-            {"n": n, "numpy_us": best[name, n, "numpy"], "c_us": best[name, n, "c"]}
+            {
+                "n": n,
+                "numpy_us": best[name, n, "numpy"],
+                "c_us": best[name, n, "c"],
+                "c_losses": losses[name, n],
+            }
             for n in CROSSOVER_SIZES
         ]
         for name in calls[CROSSOVER_SIZES[0]]
     }
     return {
+        "rule": {"pairs": CROSSOVER_PAIRS, "loss_margin": LOSS_MARGIN, "loss_pairs": LOSS_PAIRS},
         "table": table,
         "floors": {name: crossover_floor(rows) for name, rows in table.items()},
     }
@@ -590,15 +622,17 @@ def show(payload: dict) -> None:
     cross = payload.get("crossover")
     if cross:
         names = list(cross["table"])
-        table = Table(["n", *[f"{name} numpy/C us" for name in names]])
+        table = Table(["n", *[f"{name} numpy/C us (C lost)" for name in names]])
         for cells in zip(*cross["table"].values()):
             table.add_row(
-                cells[0]["n"], *[f"{c['numpy_us']:.1f} / {c['c_us']:.1f}" for c in cells]
+                cells[0]["n"],
+                *[f"{c['numpy_us']:.1f} / {c['c_us']:.1f} ({c['c_losses']})" for c in cells],
             )
         table.show()
         print(
-            f"[crossover] floors {cross['floors']} "
-            f"(kernels.MIN_FOLD = {kernels.MIN_FOLD})"
+            f"[crossover] floors {cross['floors']} (C loses a cell: slower by more than "
+            f"{LOSS_MARGIN:.0%} in >= {LOSS_PAIRS} of {CROSSOVER_PAIRS} pairs; "
+            f"kernels.MIN_FOLD = {kernels.MIN_FOLD})"
         )
     e2e = payload.get("end_to_end")
     if e2e:

@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
-
-from repro.rebalance import inverse_load_weights
+from typing import Deque, Optional, Tuple
 
 
 @dataclass
@@ -126,80 +124,3 @@ class ReactiveAutoscaler:
             return None
         self._last_scale_time = now
         return tgt
-
-
-@dataclass(frozen=True)
-class ScaleDecision:
-    """A partition-aware scaling action: how many agents *and* what to
-    move.
-
-    Attributes
-    ----------
-    target:
-        Desired agent count (same meaning as ``desired()``'s return).
-    donors:
-        Agent ids carrying above-mean load, hottest first — the
-        partitions a scale-up should relieve (or a scale-down must not
-        evict the peers of).
-    weights:
-        Suggested post-scale ring weights for the surviving members:
-        inverse-load, normalized so the mean weight is unchanged.  The
-        directory adopts these through the same fenced re-weight path
-        the rebalance planner uses.
-    reason:
-        Human-readable decision summary for logs/benchmarks.
-    """
-
-    target: int
-    donors: List[int]
-    weights: Dict[int, float]
-    reason: str
-
-
-@dataclass
-class PartitionAwareAutoscaler(ReactiveAutoscaler):
-    """A :class:`ReactiveAutoscaler` whose decisions name what to move.
-
-    The reactive policy answers *how many* agents; this subclass also
-    consumes the per-agent load map (edge counts or per-round compute
-    charges) and attaches the hottest partitions as migration donors
-    plus an inverse-load weight suggestion, so the control plane can
-    re-home load in the same stroke as the membership change rather
-    than waiting for hash placement to even things out by luck.
-
-    ``donor_fraction`` bounds how many donors a decision names (top
-    fraction of members by load, at least one).
-    """
-
-    donor_fraction: float = 0.25
-
-    def plan(
-        self, loads: Dict[int, float], now: float
-    ) -> Optional[ScaleDecision]:
-        """Scaling decision from the load map, or None to hold.
-
-        ``loads`` maps agent id -> load measure (edges held, or summed
-        compute charges from the trace).  Cooldown/deadband semantics
-        are exactly :meth:`desired`'s.
-        """
-        if not 0.0 < self.donor_fraction <= 1.0:
-            raise ValueError(
-                f"donor_fraction must be in (0, 1], got {self.donor_fraction}"
-            )
-        current = len(loads)
-        tgt = self.desired(current, now)
-        if tgt is None:
-            return None
-        mean = sum(loads.values()) / max(len(loads), 1)
-        ranked = sorted(loads, key=lambda a: (-loads[a], a))
-        n_donors = max(1, math.ceil(len(ranked) * self.donor_fraction))
-        donors = [a for a in ranked[:n_donors] if loads[a] > mean]
-        if not donors and ranked:
-            donors = ranked[:1]
-        weights = inverse_load_weights(loads)
-        verb = "scale-up" if tgt > current else "scale-down"
-        reason = (
-            f"{verb} {current}->{tgt} (ema={self.ema:.3f}); "
-            f"relieve agents {donors} (mean load {mean:.1f})"
-        )
-        return ScaleDecision(target=tgt, donors=donors, weights=weights, reason=reason)

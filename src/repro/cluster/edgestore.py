@@ -32,10 +32,10 @@ duplicates, so joining two of them is a merge:
 :mod:`repro.graph.sortedids` holds the operations.
 
 Sorting uses signed int64 comparison throughout, so negative vertex
-ids order consistently everywhere; when both columns fit in 31 bits
-(the overwhelmingly common case) pair operations pack into a single
-int64 key, falling back to structured dtypes otherwise
-(:func:`~repro.graph.sortedids.pair_column`).
+ids order consistently everywhere.  An ``EdgeStore`` is its two columns
+and nothing else; the one reader of a pairs-as-one-column regime is the
+numpy reference of the merge, which builds it per call
+(:func:`repro.kernels.reference.pair_columns`).
 """
 
 from __future__ import annotations
@@ -45,18 +45,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.graph.sortedids import (
-    PAIR_DTYPE,
-    distinct,
-    distinct_pairs,
-    found_at,
-    increasing,
-    members,
-    merge_rows,
-    packable,
-    pair_column,
-    union,
-)
+from repro.graph.sortedids import distinct, found_at, increasing, members, merge_rows, union
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_I64.flags.writeable = False
@@ -94,11 +83,11 @@ class EdgeStore:
 
     Invariants: ``keys``/``others`` are same-length int64 arrays sorted
     by (key, other) with no duplicate pairs; a vertex with no edges has
-    no rows.  The columns (and the cached packed column) are read-only:
-    a change builds new ones, never edits them, so copies share them.
+    no rows.  The two columns are read-only: a change builds new ones,
+    never edits them, so copies share them.
     """
 
-    __slots__ = ("_keys", "_others", "_version", "_unique_keys", "_starts", "_packed")
+    __slots__ = ("_keys", "_others", "_version", "_unique_keys", "_starts")
 
     def __init__(self, keys: Optional[np.ndarray] = None, others: Optional[np.ndarray] = None):
         # The caller keeps its arrays writable: the store freezes copies.
@@ -107,7 +96,6 @@ class EdgeStore:
         self._version = 0
         self._unique_keys: Optional[np.ndarray] = None
         self._starts: Optional[np.ndarray] = None
-        self._packed: Optional[np.ndarray] = None
 
     # -- construction / conversion -------------------------------------
 
@@ -263,38 +251,18 @@ class EdgeStore:
 
     # -- mutation -------------------------------------------------------
 
-    def _set(
-        self, keys: np.ndarray, others: np.ndarray, packed: Optional[np.ndarray] = None
-    ) -> None:
+    def _set(self, keys: np.ndarray, others: np.ndarray) -> None:
         self._keys = _frozen(keys)
         self._others = _frozen(others)
         self._version += 1
         self._unique_keys = None
         self._starts = None
-        self._packed = None if packed is None else _frozen(packed)
-
-    def _pairs(self, keys: np.ndarray, others: np.ndarray) -> np.ndarray:
-        """The store's pairs as one sorted column
-        (:func:`~repro.graph.sortedids.pair_column`) in a regime that
-        holds ``(keys, others)`` too: the packed column, cached per
-        version, or records when an id on either side is wide or
-        negative."""
-        if self._packed is None:
-            records = not packable(self._keys, self._others)
-            self._packed = _frozen(pair_column(self._keys, self._others, records))
-        if self._packed.dtype != PAIR_DTYPE and not packable(keys, others):
-            return pair_column(self._keys, self._others, True)
-        return self._packed
-
-    def _columns(self, keys: np.ndarray, others: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(store pairs, query pairs) as sorted-comparable 1-D columns
-        in one regime (see :meth:`_pairs`)."""
-        store = self._pairs(keys, others)
-        return store, pair_column(keys, others, store.dtype == PAIR_DTYPE)
 
     def contains_pairs(self, keys: np.ndarray, others: np.ndarray) -> np.ndarray:
         """Vectorized membership test for (key, other) pairs."""
-        store, query = self._columns(_as_i64(keys), _as_i64(others))
+        store, query = kernels.reference.pair_columns(
+            self._keys, self._others, _as_i64(keys), _as_i64(others)
+        )
         return found_at(store, np.searchsorted(store, query), query)
 
     def apply(
@@ -318,9 +286,7 @@ class EdgeStore:
         actions = np.asarray(actions)
         if len(keys) == 0:
             return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
-        merged = kernels.merge_edges(
-            self._keys, self._others, self._pairs(keys, others), keys, others, actions > 0
-        )
+        merged = kernels.merge_edges(self._keys, self._others, keys, others, actions > 0)
         if merged is None:
             return self._apply_sequential(keys, others, actions)
         eff_k, eff_o, n_adds, columns = merged
@@ -361,18 +327,17 @@ class EdgeStore:
         return arr[:, 0], arr[:, 1], arr[:, 2]
 
     def remove_pairs(self, keys: np.ndarray, others: np.ndarray) -> int:
-        """Drop the given pairs (all assumed present); returns count."""
+        """Drop the given pairs: the same merge as :meth:`apply` with
+        every row a removal.  Returns how many were present."""
         if len(keys) == 0:
             return 0
-        store, query = self._columns(_as_i64(keys), _as_i64(others))
-        query = distinct_pairs(query)
-        at = np.searchsorted(store, query)
-        at = at[found_at(store, at, query)]
-        if len(at):
-            self._set(*kernels.reference.splice_edges(
-                self._keys, self._others, store, query[:0], at[:0], at
-            ))
-        return len(at)
+        removals = np.zeros(len(keys), dtype=bool)
+        eff_k, _, _, columns = kernels.merge_edges(
+            self._keys, self._others, _as_i64(keys), _as_i64(others), removals
+        )
+        if columns is not None:
+            self._set(*columns)
+        return len(eff_k)
 
 
 class ValueColumn:

@@ -535,10 +535,6 @@ class ElGA:
             raise RuntimeError("tracing is disabled; build the engine with tracing=True")
         return tracer.trace()
 
-    def trace_summary(self):
-        """Per-superstep compute/wait/comms timeline of the trace."""
-        return TraceSummary.from_trace(self.trace())
-
     def trace_summary_window(self):
         """Summary of the trace recorded since the previous window.
 

@@ -14,7 +14,10 @@ of them re-sorts what is already sorted.
 A column of ``(key, other)`` edge pairs sorts the same way once it is
 one 1-d column (:func:`pair_column`): a packed int64 ``(key << 31) |
 other`` when both ids fit 31 unsigned bits (:func:`packable`), else
-:data:`PAIR_DTYPE` records, which numpy orders field by field.
+:data:`PAIR_DTYPE` records, which numpy orders field by field.  No store
+keeps such a column — an ``EdgeStore`` is its two ``(keys, others)``
+columns — and its one reader is the numpy reference of the edge-store
+merge (:mod:`repro.kernels.reference`), which builds one per call.
 
 >>> import numpy as np
 >>> ids = np.array([2, 5, 9])

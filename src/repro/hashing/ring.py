@@ -320,27 +320,6 @@ class ConsistentHashRing:
         self._ensure_built()
         return self._positions.copy(), self._owners.copy()
 
-    def arc_fractions(self) -> dict:
-        """Fraction of the ring owned by each member.
-
-        With a perfect hash and many virtual nodes this approaches
-        1/|members| per member; Figure 6 is the empirical version of
-        this measure over real edge placements.
-        """
-        self._ensure_built()
-        if len(self._positions) == 0:
-            return {}
-        pos = self._positions.astype(np.float64)
-        # Arc before position i is owned by owner i (next-highest rule).
-        prev = np.roll(pos, 1)
-        arcs = pos - prev
-        arcs[0] = pos[0] + (2.0**64 - prev[0])
-        total = 2.0**64
-        out: dict = {}
-        for owner, arc in zip(self._owners, arcs):
-            out[int(owner)] = out.get(int(owner), 0.0) + arc / total
-        return out
-
 
 #: Rings :func:`shared_ring` holds on to; the least recently asked-for
 #: one goes first.  A cluster needs the ring of its current membership

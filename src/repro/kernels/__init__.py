@@ -32,11 +32,13 @@ bit-identical either way:
 
 Dispatch floors come from the measured crossover table in
 ``BENCH_kernels.json`` (``bench_kernels.py``, n = 16 … 4,096 through
-these dispatchers): C never loses on ``wang64``, ``combine_pairs`` and
-the three ingest kernels, so they have none; ``fold_pairs`` keeps
-:data:`MIN_FOLD`;
-``scatter_rows`` walks a whole round's sending rows per call and has
-none either; and the PageRank apply lost at every size the cluster
+these dispatchers, on batches shaped as a round sends them): C loses at
+a size only when it is slower than numpy by more than 10 % in at least
+9 of 10 alternating pairs.  It never does on ``wang64``,
+``combine_pairs`` and the three ingest kernels, so they have no floor;
+``fold_pairs`` keeps :data:`MIN_FOLD`; ``scatter_rows`` walks a whole
+round's sending rows per call and has none either; and the PageRank
+apply lost at every size the cluster
 calls it with, so it has no C version at all.  The raw-pointer calls
 check nothing themselves: the ``c_*`` wrappers own dtype, contiguity
 and length.
@@ -82,7 +84,7 @@ __all__ = [
 
 #: Rows below which ``fold_pairs`` stays on the reference: the measured
 #: crossover (``BENCH_kernels.json: crossover.floors.fold_pairs``).
-MIN_FOLD = 64
+MIN_FOLD = 32
 
 _OPCODES = {np.add: 0, np.minimum: 1, np.maximum: 2}
 
@@ -331,7 +333,6 @@ def c_place_edges(
 def c_merge_edges(
     store_keys: np.ndarray,
     store_others: np.ndarray,
-    store: np.ndarray,
     keys: np.ndarray,
     others: np.ndarray,
     ins: np.ndarray,
@@ -343,7 +344,7 @@ def c_merge_edges(
     bo = np.ascontiguousarray(others, dtype=np.int64)
     flags = np.ascontiguousarray(ins, dtype=np.bool_)
     n = len(bk)
-    if not (len(sk) == len(so) == len(store) and n == len(bo) == len(flags)):
+    if not (len(sk) == len(so) and n == len(bo) == len(flags)):
         raise ValueError("merge_edges needs parallel store columns and batch rows")
     eff_k = np.empty(n, dtype=np.int64)
     eff_o = np.empty(n, dtype=np.int64)
@@ -366,13 +367,12 @@ def c_merge_edges(
     size = len(sk) + 2 * na - m
     new_k = np.empty(size, dtype=np.int64)
     new_o = np.empty(size, dtype=np.int64)
-    new_pairs = np.empty(size, dtype=store.dtype)
     lib.repro_edge_splice(
         sk.ctypes.data, so.ctypes.data, len(sk), eff_k.ctypes.data, eff_o.ctypes.data,
         at.ctypes.data, na, at.ctypes.data + 8 * na, m - na, new_k.ctypes.data,
-        new_o.ctypes.data, new_pairs.ctypes.data, int(store.dtype != np.int64),
+        new_o.ctypes.data,
     )
-    return eff_k, eff_o, na, (new_k, new_o, new_pairs)
+    return eff_k, eff_o, na, (new_k, new_o)
 
 
 def _address(arr: np.ndarray) -> int:
@@ -571,16 +571,15 @@ def place_edges(
 def merge_edges(
     store_keys: np.ndarray,
     store_others: np.ndarray,
-    store: np.ndarray,
     keys: np.ndarray,
     others: np.ndarray,
     ins: np.ndarray,
 ):
-    """One mutation batch against an edge store's sorted columns (see
-    :func:`reference.merge_edges`)."""
+    """One mutation batch against an edge store's sorted ``(keys,
+    others)`` columns (see :func:`reference.merge_edges`)."""
     if _library() is not None:
-        return c_merge_edges(store_keys, store_others, store, keys, others, ins)
-    return reference.merge_edges(store_keys, store_others, store, keys, others, ins)
+        return c_merge_edges(store_keys, store_others, keys, others, ins)
+    return reference.merge_edges(store_keys, store_others, keys, others, ins)
 
 
 #: ``base + damping * agg``.  One numpy expression on both backends: a C

@@ -21,8 +21,11 @@ order a loop visits its rows in.
 * ``repro_edge_classify`` / ``repro_edge_splice``: a batch's insert and
   remove rows sorted (signed ``(key, other)`` order) and deduplicated,
   refused if one pair is in both, located in the sorted store by a
-  galloping merge walk, and the store's columns rewritten with the
-  removed rows dropped and the new ones in place, in one copy.
+  galloping merge walk, and the store's two columns, ``(keys,
+  others)``, rewritten with the removed rows dropped and the new ones in
+  place, in one copy.  No pair column is read or written: only the
+  numpy reference packs pairs, per call
+  (:func:`repro.kernels.reference.pair_columns`).
 """
 
 from __future__ import annotations
@@ -296,15 +299,12 @@ int64_t repro_edge_classify(const int64_t* restrict sk, const int64_t* restrict 
 }
 
 /* The store's new columns (S - nd + na rows): rows del_at (ascending)
- * dropped, pair a of (ak, ao) inserted before row add_at[a], and the
- * pairs column rewritten — (key << 31) | other, or interleaved
- * (key, other) records when records is set. */
+ * dropped and pair a of (ak, ao) inserted before row add_at[a]. */
 void repro_edge_splice(const int64_t* restrict sk, const int64_t* restrict so, int64_t S,
                        const int64_t* restrict ak, const int64_t* restrict ao,
                        const int64_t* restrict add_at, int64_t na,
                        const int64_t* restrict del_at, int64_t nd,
-                       int64_t* restrict out_k, int64_t* restrict out_o,
-                       int64_t* restrict out_pairs, int records) {
+                       int64_t* restrict out_k, int64_t* restrict out_o) {
     int64_t s = 0, w = 0, a = 0, d = 0;
     while (a < na || d < nd) {
         const int64_t next_a = a < na ? add_at[a] : INT64_MAX;
@@ -324,16 +324,6 @@ void repro_edge_splice(const int64_t* restrict sk, const int64_t* restrict so, i
     }
     memcpy(out_k + w, sk + s, sizeof(int64_t) * (S - s));
     memcpy(out_o + w, so + s, sizeof(int64_t) * (S - s));
-    w += S - s;
-    if (records) {
-        for (int64_t i = 0; i < w; i++) {
-            out_pairs[2 * i] = out_k[i];
-            out_pairs[2 * i + 1] = out_o[i];
-        }
-    } else {
-        for (int64_t i = 0; i < w; i++)
-            out_pairs[i] = (int64_t)(((uint64_t)out_k[i] << 31) | (uint64_t)out_o[i]);
-    }
 }
 """
 
@@ -349,7 +339,5 @@ def declare(lib: ctypes.CDLL) -> None:
     lib.repro_place_edges.restype = None
     lib.repro_edge_classify.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr]
     lib.repro_edge_classify.restype = i64
-    lib.repro_edge_splice.argtypes = [
-        ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ctypes.c_int,
-    ]
+    lib.repro_edge_splice.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr]
     lib.repro_edge_splice.restype = None

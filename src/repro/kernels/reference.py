@@ -8,7 +8,11 @@ code exactly (same lexsort, same ``ufunc.at`` fold, same dtypes).
 The ingest kernels — the count-min sketch's :func:`sketch_query` and
 :func:`sketch_add`, the edge placement of :func:`place_edges`, and the
 edge-store merge of :func:`merge_edges` — are the numpy bodies those
-classes' methods had, over the arrays the methods hold.
+classes' methods had, over the arrays the methods hold.  This module is
+the one reader of the packed/records pair regime
+(:func:`~repro.graph.sortedids.pair_column`): the edge store holds
+``(keys, others)`` only, and :func:`pair_columns` builds its pair column
+per call.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.graph.sortedids import (
-    PAIR_DTYPE,
     distinct_pairs,
     found_at,
     members,
     merge_rows,
+    packable,
     pair_column,
     unpack_pairs,
 )
@@ -266,27 +270,37 @@ def rendezvous_pick(
     return replica_rows[np.arange(len(replica_rows)), pick]
 
 
+def pair_columns(
+    store_keys: np.ndarray, store_others: np.ndarray, keys: np.ndarray, others: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(store pairs, query pairs) as sorted-comparable 1-d
+    :func:`~repro.graph.sortedids.pair_column` columns in one regime:
+    packed int64s when every id on both sides is :func:`packable`, else
+    records."""
+    records = not (packable(store_keys, store_others) and packable(keys, others))
+    return pair_column(store_keys, store_others, records), pair_column(keys, others, records)
+
+
 def merge_edges(
     store_keys: np.ndarray,
     store_others: np.ndarray,
-    store: np.ndarray,
     keys: np.ndarray,
     others: np.ndarray,
     ins: np.ndarray,
 ):
-    """One mutation batch against an edge store's sorted columns.
+    """One mutation batch against an edge store's sorted ``(keys,
+    others)`` columns.
 
-    ``store`` is the store's pairs as a :func:`~repro.graph.sortedids.pair_column`
-    in a regime that also holds the batch; row ``i`` of the batch
-    inserts ``(keys[i], others[i])`` where ``ins[i]``, else removes it.
-    Returns None when the batch inserts and removes one pair (only a
-    replay in batch order says what that means), else ``(keys, others,
-    n_adds, columns)``: the effective rows — the distinct absent pairs
-    inserted, sorted, then the distinct present pairs removed, sorted —
-    with the first ``n_adds`` inserts, and the store's new ``(keys,
-    others, pairs)`` columns (None if nothing changed).
+    Row ``i`` of the batch inserts ``(keys[i], others[i])`` where
+    ``ins[i]``, else removes it.  Returns None when the batch inserts
+    and removes one pair (only a replay in batch order says what that
+    means), else ``(keys, others, n_adds, columns)``: the effective rows
+    — the distinct absent pairs inserted, sorted, then the distinct
+    present pairs removed, sorted — with the first ``n_adds`` inserts,
+    and the store's new ``(keys, others)`` columns (None if nothing
+    changed).
     """
-    batch = pair_column(keys, others, store.dtype == PAIR_DTYPE)
+    store, batch = pair_columns(store_keys, store_others, keys, others)
     adds = distinct_pairs(batch[ins])
     dels = distinct_pairs(batch[~ins])
     if len(adds) and len(dels) and members(dels, adds).any():
@@ -301,32 +315,31 @@ def merge_edges(
     del_k, del_o = unpack_pairs(dels)
     columns = None
     if len(adds) or len(dels):
-        columns = splice_edges(store_keys, store_others, store, adds, add_at, del_at)
+        columns = splice_edges(store_keys, store_others, add_k, add_o, add_at, del_at)
     return np.concatenate([add_k, del_k]), np.concatenate([add_o, del_o]), len(adds), columns
 
 
 def splice_edges(
     store_keys: np.ndarray,
     store_others: np.ndarray,
-    store: np.ndarray,
-    adds: np.ndarray,
+    add_k: np.ndarray,
+    add_o: np.ndarray,
     add_at: np.ndarray,
     del_at: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New ``(keys, others, pairs)`` columns: rows ``del_at`` dropped and
-    the sorted, absent pairs ``adds`` inserted before rows ``add_at``
-    (both row indices into the given columns) — masks and scatters, no
-    re-sort."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """New ``(keys, others)`` columns: rows ``del_at`` dropped and the
+    sorted, absent pairs ``(add_k, add_o)`` inserted before rows
+    ``add_at`` (both row indices into the given columns) — masks and
+    scatters, no re-sort."""
     keys, others = store_keys, store_others
     if len(del_at):
-        keep = np.ones(len(store), dtype=bool)
+        keep = np.ones(len(keys), dtype=bool)
         keep[del_at] = False
-        keys, others, store = keys[keep], others[keep], store[keep]
+        keys, others = keys[keep], others[keep]
         add_at = add_at - np.searchsorted(del_at, add_at)
-    if len(adds):
-        add_k, add_o = unpack_pairs(adds)
-        keys, others, store = merge_rows(add_at, (keys, add_k), (others, add_o), (store, adds))
-    return keys, others, store
+    if len(add_k):
+        keys, others = merge_rows(add_at, (keys, add_k), (others, add_o))
+    return keys, others
 
 
 def pagerank_apply(agg: np.ndarray, base: float, damping: float) -> np.ndarray:

@@ -238,10 +238,6 @@ class Network:
     def is_attached(self, address: int) -> bool:
         return address in self._entities
 
-    @property
-    def attached_count(self) -> int:
-        return len(self._entities)
-
     # -- test/diagnostic hooks ----------------------------------------------
 
     def add_tap(self, tap: Callable[[Message], None]) -> None:

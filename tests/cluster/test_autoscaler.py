@@ -204,34 +204,6 @@ def test_deadband_validated():
 
 
 # ---------------------------------------------------------------------------
-# Partition-aware decisions
-# ---------------------------------------------------------------------------
-
-
-def test_partition_aware_plan_names_donors_and_weights():
-    from repro.cluster.autoscaler import PartitionAwareAutoscaler
-
-    a = PartitionAwareAutoscaler(scaling_factor=10.0, cooldown=0.0)
-    a.observe(75.0, 0.0)  # raw=7.5 -> target 8 from 4 members
-    loads = {0: 100.0, 1: 10.0, 2: 10.0, 3: 10.0}
-    decision = a.plan(loads, now=0.0)
-    assert decision is not None and decision.target == 8
-    assert decision.donors == [0]  # only the above-mean agent
-    # Inverse-load weights: the hot agent sheds, the idle ones gain.
-    assert decision.weights[0] < 1.0 < decision.weights[1]
-    assert decision.weights[1] == decision.weights[2] == decision.weights[3]
-    assert "scale-up 4->8" in decision.reason
-
-
-def test_partition_aware_plan_holds_like_desired():
-    from repro.cluster.autoscaler import PartitionAwareAutoscaler
-
-    a = PartitionAwareAutoscaler(scaling_factor=10.0, cooldown=0.0)
-    a.observe(40.0, 0.0)  # raw=4.0 == current: no action
-    assert a.plan({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}, now=0.0) is None
-
-
-# ---------------------------------------------------------------------------
 # Load-snapshot hygiene under failures
 # ---------------------------------------------------------------------------
 

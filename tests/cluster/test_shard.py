@@ -305,8 +305,7 @@ def test_a_checkpoint_keeps_its_columns_while_the_live_shard_moves_on():
 def shared_arrays(shard):
     """Every ndarray a checkpoint shares with the live shard."""
     for store in (shard.out_store, shard.in_store):
-        store.contains_pairs(i64(1), i64(2))  # caches the packed column
-        yield from (store._keys, store._others, store._packed, *store.arrays())
+        yield from (store._keys, store._others, *store.arrays())
     for batch in shard.dirty_log._batches:
         yield from batch[1:]
 
@@ -314,7 +313,7 @@ def shared_arrays(shard):
 def test_every_shared_array_is_read_only():
     shard = make_shard()
     arrays = list(shared_arrays(shard))
-    assert len(arrays) == 13
+    assert len(arrays) == 11
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

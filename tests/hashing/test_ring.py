@@ -142,13 +142,6 @@ def test_successors_capped_at_member_count():
     assert sorted(ring.successors(7, 10)) == [1, 2, 3]
 
 
-def test_arc_fractions_sum_to_one():
-    ring = ConsistentHashRing(range(5), virtual_factor=40)
-    fracs = ring.arc_fractions()
-    assert sum(fracs.values()) == pytest.approx(1.0)
-    assert set(fracs) == set(range(5))
-
-
 def test_ring_is_deterministic_across_participants():
     """All participants build identical rings from the same member list
     — placement must be a pure function of broadcast state."""

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.cluster.edgestore import EdgeStore
-from repro.graph.sortedids import PAIR_DTYPE
 from repro.hashing.hashes import HASH_FUNCTIONS, wang64
 from repro.hashing.ring import ConsistentHashRing
 from repro.kernels import reference
@@ -246,9 +245,7 @@ def _store(pairs) -> EdgeStore:
 
 
 def _merge_both(store: EdgeStore, keys, others, ins):
-    columns = store._pairs(keys, others)
-    skeys, sothers = store.arrays()
-    args = (skeys, sothers, columns, keys, others, ins)
+    args = (*store.arrays(), keys, others, ins)
     return reference.merge_edges(*args), kernels.c_merge_edges(*args)
 
 
@@ -262,6 +259,7 @@ def _same_merge(want, got):
     if wcols is None or gcols is None:
         assert wcols is None and gcols is None
         return
+    assert len(wcols) == len(gcols) == 2
     for w, g in zip(wcols, gcols):
         assert w.dtype == g.dtype and np.array_equal(w, g)
 
@@ -284,17 +282,13 @@ def test_merge_edges_equals_the_reference(pairs, rows):
 )
 @settings(max_examples=80, deadline=None)
 def test_merge_edges_equals_the_reference_in_the_records_regime(pairs, rows):
-    """Ids of 2**31 and up, or negative, on either side: the pairs column
-    is records, and the C kernel writes it interleaved."""
+    """Ids of 2**31 and up, or negative, on either side: the reference
+    compares pairs as records, the C kernel as two int64 columns."""
     store = _store(pairs)
     keys = np.array([r[0] for r in rows], dtype=np.int64)
     others = np.array([r[1] for r in rows], dtype=np.int64)
     ins = np.array([r[2] for r in rows], dtype=bool)
-    want, got = _merge_both(store, keys, others, ins)
-    _same_merge(want, got)
-    if got is not None and got[3] is not None and len(rows):
-        regime = store._pairs(keys, others).dtype
-        assert got[3][2].dtype == regime
+    _same_merge(*_merge_both(store, keys, others, ins))
 
 
 def test_merge_edges_on_a_long_shuffled_batch_takes_the_radix_sort():
@@ -313,8 +307,9 @@ def test_merge_edges_on_a_long_shuffled_batch_takes_the_radix_sort():
 @given(pairs=store_pairs, batches=st.lists(batch_rows, min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_edge_store_apply_agrees_across_backends(pairs, batches):
-    """The public ``apply``: the same effective rows, columns, packed
-    column and version after each batch, sequential fallback included."""
+    """The public ``apply``: the same effective rows, columns, version
+    and membership answers after each batch, sequential fallback
+    included."""
 
     def run():
         store = _store(pairs)
@@ -334,19 +329,29 @@ def test_edge_store_apply_agrees_across_backends(pairs, batches):
     assert ref == acc
 
 
-def test_apply_keeps_the_packed_regime_sticky_on_both_backends():
-    """A store that once held a wide id keeps a records pairs column, and
-    a packed one switches to records for a wide batch, on both backends."""
+#: A wide pair, a held one and an absent one: what ``_remove_wide`` drops.
+DROP_K, DROP_O = np.array([2**40, 1, 7]), np.array([-5, 3, 7])
 
-    def run():
-        store = EdgeStore()
-        store.apply(np.array([1, 2]), np.array([3, 4]), np.array([1, 1]))
-        packed = store._packed.dtype
-        store.apply(np.array([2**40]), np.array([-5]), np.array([1]))
-        wide = store._packed.dtype
-        store.apply(np.array([2**40]), np.array([-5]), np.array([-1]))
-        return packed, wide, store._packed.dtype, store.arrays()[0].tolist()
 
-    ref, acc = on_both_backends(run)
-    assert ref == acc
-    assert ref[0] == np.int64 and ref[1] == PAIR_DTYPE == ref[2]
+def _remove_wide(remove):
+    """Effective rows, columns and version of a store that took a wide
+    pair and then lost it to ``remove(store)``."""
+    store = EdgeStore()
+    seen = [store.apply(np.array([1, 2]), np.array([3, 4]), np.array([1, 1]))]
+    seen.append(store.apply(DROP_K[:1], DROP_O[:1], np.array([1])))
+    removed = remove(store)
+    bits = [(x.dtype.str, x.tobytes()) for x in (*seen[0], *seen[1], *store.arrays())]
+    return bits, removed, store.version
+
+
+def test_remove_pairs_is_the_merge_of_apply_on_both_backends():
+    """``remove_pairs`` of a ``(2**40, -5)`` pair gives the same bits on
+    both backends, and leaves the store ``apply(k, o, -1)`` leaves."""
+    by_pairs = on_both_backends(lambda: _remove_wide(lambda s: s.remove_pairs(DROP_K, DROP_O)))
+    by_apply = on_both_backends(
+        lambda: _remove_wide(lambda s: len(s.apply(DROP_K, DROP_O, -np.ones(3, dtype=np.int8))[0]))
+    )
+    assert by_pairs[0] == by_pairs[1] == by_apply[0] == by_apply[1]
+    bits, removed, version = by_pairs[0]
+    assert removed == 2 and version == 3
+    assert [np.frombuffer(b, dtype=d).tolist() for d, b in bits[-2:]] == [[2], [4]]

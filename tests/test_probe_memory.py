@@ -1,4 +1,5 @@
-"""``tools/probe_memory.py`` as CI runs it, at a size tier-1 can afford."""
+"""``tools/probe_memory.py`` as CI runs it: its report at a size tier-1 can
+afford, and CI's scale-12 ceiling."""
 
 import json
 import os
@@ -10,12 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "probe_memory.py"
 
 
-def run(*args):
+def run(*args, scale="10"):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     ))
     return subprocess.run(
-        [sys.executable, str(TOOL), "--scale", "10", *args],
+        [sys.executable, str(TOOL), "--scale", scale, *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
 
@@ -32,3 +33,10 @@ def test_probe_reports_bytes_per_resident_edge_copy_and_gates_on_a_ceiling():
     over = run("--max-held", "1")
     assert over.returncode == 1
     assert "exceeds 1 B" in over.stderr
+
+
+def test_a_scale_12_ingest_holds_at_most_75_bytes_per_copy():
+    """CI's ceiling: the edge store is two columns (71.5 B at scale 12;
+    a third, cached pair column made it 79.6 B)."""
+    done = run("--max-held", "75", scale="12")
+    assert done.returncode == 0, done.stderr
