@@ -15,12 +15,13 @@ Four layers, matching the raw-speed push:
 * **Crossover** — the hash, combine, fold, sketch query, placement and
   edge merge through the dispatchers production calls, both backends,
   at the batch sizes the cluster actually sends (n = 16 … 4,096) and in
-  the shape it sends them, in alternating pairs.  The dispatch floors in
-  ``repro.kernels`` are read from this table: the smallest n from which
+  the shape it sends them, in alternating pairs.  A dispatch floor in
+  ``repro.kernels`` is read from this table: the smallest n from which
   C never *loses* again (0: it never does, no floor), where C loses at
   an n only if it is slower than numpy by more than :data:`LOSS_MARGIN`
   in at least :data:`LOSS_PAIRS` of :data:`CROSSOVER_PAIRS` pairs — a
-  tie that noise decides is no floor.
+  tie that noise decides is no floor.  Every kernel reads 0 today, so
+  the dispatchers have no floor.
 * **Million-edge end-to-end** — a scale-17 RMAT (~10^6 edges) ingested
   into the cluster and run through PageRank, wall-clock and simulated
   seconds both reported.  This is the "routine" scale the storage
@@ -49,6 +50,7 @@ from repro.bench import Table, print_experiment_header
 from repro.core import ElGA, PageRank
 from repro.core.algorithms import KCore, LabelPropagation
 from repro.gen.rmat import rmat_graph
+from repro.graph.sortedids import segments
 from repro.hashing.ring import ConsistentHashRing
 from repro.kernels import reference
 from repro.sketch.countmin import CountMinSketch
@@ -324,9 +326,9 @@ def micro_place_edges(rows: int) -> dict:
 
 
 def _merge_workload(rows: int, held: int) -> tuple:
-    """A store of ``held`` RMAT edge copies (its ``(keys, others)``
-    columns) and a batch of ``rows`` rows, one in eight a removal of a
-    held pair, the rest inserts with repeats."""
+    """A store of ``held`` RMAT edge copies (its CSR, ``(unique_keys,
+    starts, others)``) and a batch of ``rows`` rows, one in eight a
+    removal of a held pair, the rest inserts with repeats."""
     us, vs, _ = rmat_graph(16, edge_factor=4, seed=SEED)
     pairs = np.unique((us.astype(np.int64) << 31) | vs.astype(np.int64))
     rng = np.random.default_rng(SEED)
@@ -336,9 +338,10 @@ def _merge_workload(rows: int, held: int) -> tuple:
         pairs[rng.integers(0, len(pairs), size=rows)],
     )
     ins = ~np.isin(batch, store)
-    skeys, sothers = store >> 31, store & ((1 << 31) - 1)
-    skeys.flags.writeable = sothers.flags.writeable = False
-    return skeys, sothers, batch >> 31, batch & ((1 << 31) - 1), ins
+    csr = (*segments(store >> 31), store & ((1 << 31) - 1))
+    for column in csr:
+        column.flags.writeable = False
+    return (*csr, batch >> 31, batch & ((1 << 31) - 1), ins)
 
 
 def _same_merge(a, b) -> bool:
@@ -425,7 +428,6 @@ def run_crossover() -> dict:
     best: dict = {}
     losses: dict = {}
     was = kernels.enabled()
-    floor, kernels.MIN_FOLD = kernels.MIN_FOLD, 0  # time C below the floor too
     gc.collect()
     gc.disable()
     try:
@@ -446,7 +448,6 @@ def run_crossover() -> dict:
                     losses[name, n] = losses.get((name, n), 0) + lost
     finally:
         gc.enable()
-        kernels.MIN_FOLD = floor
         kernels.set_enabled(was)
     table = {
         name: [
@@ -631,8 +632,7 @@ def show(payload: dict) -> None:
         table.show()
         print(
             f"[crossover] floors {cross['floors']} (C loses a cell: slower by more than "
-            f"{LOSS_MARGIN:.0%} in >= {LOSS_PAIRS} of {CROSSOVER_PAIRS} pairs; "
-            f"kernels.MIN_FOLD = {kernels.MIN_FOLD})"
+            f"{LOSS_MARGIN:.0%} in >= {LOSS_PAIRS} of {CROSSOVER_PAIRS} pairs)"
         )
     e2e = payload.get("end_to_end")
     if e2e:

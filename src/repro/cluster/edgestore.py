@@ -8,15 +8,20 @@ batched; a read-only dict/set surface (``in``, iteration, ``items``,
 ``to_dict``/``from_dict``, ``==`` against plain dicts) remains for
 tests and result inspection.
 
-* :class:`EdgeStore` — one shard role's edge copies as parallel
-  ``(keys, others)`` int64 arrays in (key asc, other asc) lexicographic
-  order.  ``arrays()`` returns zero-copy read-only views of the storage
-  itself, and ``version`` is the mutation counter callers can key
-  caches on.  ``apply`` ingests a whole mutation batch at once — one
-  pass of :func:`repro.kernels.merge_edges` — and reports the
-  *effective* rows (duplicates and no-ops dropped) in deterministic
-  inserts-then-removes, (key, other)-sorted order.
-  Every change *replaces* the columns, and they are read-only
+* :class:`EdgeStore` — one shard role's edge copies as a CSR:
+  ``unique_keys`` (the keyed vertices, ascending), ``starts`` (each
+  key's first row, then the row count) and ``others`` (each row's other
+  endpoint, ascending within a key), all int64, and nothing beside them.
+  A key's lookups (``degree``, ``neighbors``, ``rows_keyed_by``, ``in``)
+  are one search into ``unique_keys`` and a slice of ``starts``; the
+  per-row key column exists only on demand (``arrays()``, a
+  ``np.repeat``, and ``keys_of(rows)``, a search into ``starts``).
+  ``version`` is the mutation counter callers can key caches on.
+  ``apply`` ingests a whole mutation batch at once — one pass of
+  :func:`repro.kernels.merge_edges`, which takes and returns the CSR —
+  and reports the *effective* rows (duplicates and no-ops dropped) in
+  deterministic inserts-then-removes, (key, other)-sorted order.
+  Every change *replaces* the three columns, and they are read-only
   (``writeable=False``), so ``copy()`` shares them in O(1).
 * :class:`ValueColumn` — a ``{vertex: float}`` mapping as id-indexed
   ndarray columns with vectorized ``lookup``/``set_many``/``select``
@@ -32,10 +37,7 @@ duplicates, so joining two of them is a merge:
 :mod:`repro.graph.sortedids` holds the operations.
 
 Sorting uses signed int64 comparison throughout, so negative vertex
-ids order consistently everywhere.  An ``EdgeStore`` is its two columns
-and nothing else; the one reader of a pairs-as-one-column regime is the
-numpy reference of the merge, which builds it per call
-(:func:`repro.kernels.reference.pair_columns`).
+ids order consistently everywhere.
 """
 
 from __future__ import annotations
@@ -45,7 +47,15 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.graph.sortedids import distinct, found_at, increasing, members, merge_rows, union
+from repro.graph.sortedids import (
+    distinct,
+    found_at,
+    increasing,
+    members,
+    merge_rows,
+    segments,
+    union,
+)
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_I64.flags.writeable = False
@@ -79,23 +89,25 @@ def _ro(view: np.ndarray) -> np.ndarray:
 
 
 class EdgeStore:
-    """One adjacency role's edges as lexsorted parallel arrays.
+    """One adjacency role's edges as a CSR.
 
-    Invariants: ``keys``/``others`` are same-length int64 arrays sorted
-    by (key, other) with no duplicate pairs; a vertex with no edges has
-    no rows.  The two columns are read-only: a change builds new ones,
-    never edits them, so copies share them.
+    Invariants: ``unique_keys`` is strictly increasing; ``starts`` holds
+    one offset per key and a last one, ``n_edges``, strictly increasing
+    from 0, so no key has an empty segment; key ``i``'s others are
+    ``others[starts[i]:starts[i + 1]]``, strictly increasing.  The three
+    columns are int64 and read-only: a change builds new ones, never
+    edits them, so copies share them.
     """
 
-    __slots__ = ("_keys", "_others", "_version", "_unique_keys", "_starts")
+    __slots__ = ("_unique_keys", "_starts", "_others", "_version")
 
     def __init__(self, keys: Optional[np.ndarray] = None, others: Optional[np.ndarray] = None):
-        # The caller keeps its arrays writable: the store freezes copies.
-        self._keys = _EMPTY_I64 if keys is None else _frozen(np.array(keys, dtype=np.int64))
-        self._others = _EMPTY_I64 if others is None else _frozen(np.array(others, dtype=np.int64))
+        # ``(keys, others)`` rows in (key, other) order.  The caller
+        # keeps its arrays writable: the store freezes copies.
+        keys = _EMPTY_I64 if keys is None else _as_i64(keys)
+        self._unique_keys, self._starts = map(_frozen, segments(keys))
+        self._others = _frozen(np.array(_EMPTY_I64 if others is None else others, dtype=np.int64))
         self._version = 0
-        self._unique_keys: Optional[np.ndarray] = None
-        self._starts: Optional[np.ndarray] = None
 
     # -- construction / conversion -------------------------------------
 
@@ -119,7 +131,7 @@ class EdgeStore:
         """An independent store in O(1): it shares the frozen columns,
         which a change to either store replaces rather than edits."""
         out = EdgeStore()
-        out._keys, out._others = self._keys, self._others
+        out._unique_keys, out._starts, out._others = self._csr()
         return out
 
     # -- array access ---------------------------------------------------
@@ -132,70 +144,71 @@ class EdgeStore:
 
     @property
     def n_edges(self) -> int:
-        return len(self._keys)
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Zero-copy read-only (keys, others) views, keys ascending and
-        others ascending within each key — O(1), this *is* the store."""
-        return _ro(self._keys), _ro(self._others)
-
-    def _index(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(unique keys, row start of each key's segment), cached per
-        version."""
-        if self._unique_keys is None:
-            if len(self._keys):
-                boundaries = np.empty(len(self._keys), dtype=bool)
-                boundaries[0] = True
-                np.not_equal(self._keys[1:], self._keys[:-1], out=boundaries[1:])
-                self._unique_keys = self._keys[boundaries]
-                self._starts = np.flatnonzero(boundaries)
-            else:
-                self._unique_keys = _EMPTY_I64
-                self._starts = _EMPTY_I64
-        return self._unique_keys, self._starts
+        return len(self._others)
 
     @property
     def unique_keys(self) -> np.ndarray:
         """Sorted distinct keyed vertices (read-only view)."""
-        return _ro(self._index()[0])
+        return _ro(self._unique_keys)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Row offset of each key's segment, and ``n_edges`` last
+        (read-only view)."""
+        return _ro(self._starts)
+
+    @property
+    def others(self) -> np.ndarray:
+        """Every row's other endpoint, in row order (read-only view)."""
+        return _ro(self._others)
 
     @property
     def key_counts(self) -> np.ndarray:
         """Rows per distinct key, aligned with :attr:`unique_keys`."""
-        return np.diff(self._index()[1], append=len(self._keys))
+        return np.diff(self._starts)
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(keys, others)`` rows, keys ascending and others
+        ascending within each key.  The key column is built per call
+        (one ``np.repeat``); ``others`` is the store's own."""
+        return _frozen(np.repeat(self._unique_keys, self.key_counts)), _ro(self._others)
+
+    def keys_of(self, rows: np.ndarray) -> np.ndarray:
+        """The key of each of the given rows."""
+        return self._unique_keys[np.searchsorted(self._starts, rows, side="right") - 1]
+
+    def _bounds(self, vertices) -> Tuple[np.ndarray, np.ndarray]:
+        """(first row, end row) of each vertex's segment (one vertex or
+        an array of them); both the row its segment would start at when
+        the vertex keys no row."""
+        at = np.searchsorted(self._unique_keys, vertices)
+        found = found_at(self._unique_keys, at, vertices)
+        return self._starts[at], self._starts[at + found]
 
     def rows_keyed_by(self, vertices: np.ndarray) -> np.ndarray:
         """Ascending row indices of every edge keyed by one of the
         (sorted, distinct) ``vertices``."""
-        vertices = _as_i64(vertices)
-        lo = np.searchsorted(self._keys, vertices, side="left")
-        counts = np.searchsorted(self._keys, vertices, side="right") - lo
+        lo, hi = self._bounds(_as_i64(vertices))
+        counts = hi - lo
         before = np.cumsum(counts) - counts
         return np.repeat(lo - before, counts) + np.arange(int(counts.sum()))
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """The sorted adjacency of ``vertex`` (read-only view; empty if
         absent)."""
-        lo = np.searchsorted(self._keys, vertex, side="left")
-        hi = np.searchsorted(self._keys, vertex, side="right")
-        return _ro(self._others[lo:hi])
+        lo, hi = self._bounds(vertex)
+        return self._others[lo:hi]
 
     def get(self, vertex: int, default=None):
         nbrs = self.neighbors(vertex)
-        if len(nbrs) == 0 and vertex not in self:
-            return default if default is not None else nbrs
-        return nbrs
+        return default if default is not None and not len(nbrs) else nbrs
 
     def degree(self, vertex: int) -> int:
-        lo = np.searchsorted(self._keys, vertex, side="left")
-        hi = np.searchsorted(self._keys, vertex, side="right")
-        return int(hi - lo)
+        return len(self.neighbors(vertex))
 
     def degrees(self, vertices: np.ndarray) -> np.ndarray:
         """Vectorized per-vertex degree lookup."""
-        vertices = _as_i64(vertices)
-        lo = np.searchsorted(self._keys, vertices, side="left")
-        hi = np.searchsorted(self._keys, vertices, side="right")
+        lo, hi = self._bounds(_as_i64(vertices))
         return hi - lo
 
     # -- read-only dict surface ---------------------------------------
@@ -204,13 +217,13 @@ class EdgeStore:
         return self.degree(int(vertex)) > 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter(map(int, self._index()[0]))
+        return iter(map(int, self._unique_keys))
 
     def __len__(self) -> int:
-        return len(self._index()[0])
+        return len(self._unique_keys)
 
     def __bool__(self) -> bool:
-        return len(self._keys) > 0
+        return len(self._others) > 0
 
     def __getitem__(self, vertex: int) -> np.ndarray:
         nbrs = self.neighbors(int(vertex))
@@ -219,23 +232,16 @@ class EdgeStore:
         return nbrs
 
     def items(self) -> Iterator[Tuple[int, np.ndarray]]:
-        uniq, starts = self._index()
-        ends = np.append(starts[1:], len(self._keys))
-        for key, s, e in zip(uniq, starts, ends):
-            yield int(key), _ro(self._others[int(s):int(e)])
-
-    def values(self) -> Iterator[np.ndarray]:
-        for _, nbrs in self.items():
-            yield nbrs
+        starts = self._starts.tolist()
+        for i, key in enumerate(self._unique_keys.tolist()):
+            yield key, self._others[starts[i]:starts[i + 1]]
 
     def keys(self) -> Iterator[int]:
         return iter(self)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EdgeStore):
-            return np.array_equal(self._keys, other._keys) and np.array_equal(
-                self._others, other._others
-            )
+            return all(map(np.array_equal, self._csr(), other._csr()))
         if isinstance(other, dict):
             mine = {k for k, _ in self.items()}
             theirs = {int(k) for k, v in other.items() if len(v)}
@@ -251,19 +257,16 @@ class EdgeStore:
 
     # -- mutation -------------------------------------------------------
 
-    def _set(self, keys: np.ndarray, others: np.ndarray) -> None:
-        self._keys = _frozen(keys)
-        self._others = _frozen(others)
+    def _csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._unique_keys, self._starts, self._others
+
+    def _set(self, csr: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        self._unique_keys, self._starts, self._others = map(_frozen, csr)
         self._version += 1
-        self._unique_keys = None
-        self._starts = None
 
     def contains_pairs(self, keys: np.ndarray, others: np.ndarray) -> np.ndarray:
         """Vectorized membership test for (key, other) pairs."""
-        store, query = kernels.reference.pair_columns(
-            self._keys, self._others, _as_i64(keys), _as_i64(others)
-        )
-        return found_at(store, np.searchsorted(store, query), query)
+        return kernels.reference.locate_pairs(*self._csr(), _as_i64(keys), _as_i64(others))[1]
 
     def apply(
         self, keys: np.ndarray, others: np.ndarray, actions: np.ndarray
@@ -278,20 +281,20 @@ class EdgeStore:
         fallback, preserving strict batch order.
 
         Only the batch is sorted: :func:`repro.kernels.merge_edges`
-        locates each pair in the sorted store and writes the new
-        columns in a single O(S + b) pass.
+        locates each pair in the CSR and writes the new one in a
+        single O(S + b) pass.
         """
         keys = _as_i64(keys)
         others = _as_i64(others)
         actions = np.asarray(actions)
         if len(keys) == 0:
             return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
-        merged = kernels.merge_edges(self._keys, self._others, keys, others, actions > 0)
+        merged = kernels.merge_edges(*self._csr(), keys, others, actions > 0)
         if merged is None:
             return self._apply_sequential(keys, others, actions)
-        eff_k, eff_o, n_adds, columns = merged
-        if columns is not None:
-            self._set(*columns)
+        eff_k, eff_o, n_adds, csr = merged
+        if csr is not None:
+            self._set(csr)
         eff_a = np.ones(len(eff_k), dtype=np.int64)
         eff_a[n_adds:] = -1
         return eff_k, eff_o, eff_a
@@ -319,8 +322,7 @@ class EdgeStore:
                     eff.append((key, val, -1))
                     if not bucket:
                         del store[key]
-        rebuilt = EdgeStore.from_dict(store)
-        self._set(rebuilt._keys, rebuilt._others)
+        self._set(EdgeStore.from_dict(store)._csr())
         if not eff:
             return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
         arr = np.asarray(eff, dtype=np.int64)
@@ -332,11 +334,11 @@ class EdgeStore:
         if len(keys) == 0:
             return 0
         removals = np.zeros(len(keys), dtype=bool)
-        eff_k, _, _, columns = kernels.merge_edges(
-            self._keys, self._others, _as_i64(keys), _as_i64(others), removals
+        eff_k, _, _, csr = kernels.merge_edges(
+            *self._csr(), _as_i64(keys), _as_i64(others), removals
         )
-        if columns is not None:
-            self._set(*columns)
+        if csr is not None:
+            self._set(csr)
         return len(eff_k)
 
 

@@ -210,10 +210,9 @@ class MigrationMixin:
             wrong = owners != self.agent_id
             if not wrong.any():
                 continue
-            keys, others = store.arrays()
             wrong_rows = np.flatnonzero(wrong) if rows is None else rows[wrong]
-            wrong_k = keys[wrong_rows]
-            wrong_o = others[wrong_rows]
+            wrong_k = store.keys_of(wrong_rows)
+            wrong_o = store.others[wrong_rows]
             self.charge(costs.elga_migrate_op * len(wrong_rows))
             self.perf.add("edges_migrated", len(wrong_rows))
             # Remove locally, one vectorized pass over the store.  The
@@ -266,16 +265,15 @@ class MigrationMixin:
         repeats them over each key's segment; only rows of split
         vertices are resolved edge by edge.
         """
-        keys, others = store.arrays()
         if moved is not None:
             rows = store.rows_keyed_by(moved)
-            return rows, self.placer.owner_of_edges(keys[rows], others[rows])
+            return rows, self.placer.owner_of_edges(store.keys_of(rows), store.others[rows])
         distinct = store.unique_keys
         owners = np.repeat(self.placer.ring_owners(distinct), store.key_counts)
         split = distinct[self.placer.replication_factor(distinct) > 1]
         if len(split):
             rows = store.rows_keyed_by(split)
-            owners[rows] = self.placer.owner_of_edges(keys[rows], others[rows])
+            owners[rows] = self.placer.owner_of_edges(store.keys_of(rows), store.others[rows])
         return None, owners
 
     # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro import kernels
 from repro.cluster.dataplane import RoundBuffers
+from repro.cluster.edgestore import EdgeStore
 from repro.cluster.replicas import ReplicaRound
 from repro.cluster.shard import ProgramState, ShardState
 from repro.graph.sortedids import members, union
@@ -208,8 +209,7 @@ def build_table(
     state = shard.programs.get(program.name, ProgramState())
 
     # Local out-degree: the out-copies held here, per row of the CSR.
-    out_keys, out_others = shard.out_store.arrays()
-    out_off = _offsets(ids, out_keys)
+    out_off = _offsets(ids, shard.out_store)
     table.out_deg_local = np.diff(out_off).astype(np.float64)
     table.out_deg_total = table.out_deg_local.copy()
 
@@ -270,18 +270,20 @@ def build_table(
     # cost accrues in _scatter_positions on first touch).
     lookups: List[Tuple[int, int]] = []
     run.out_routing = run.in_routing = None
-    if len(out_keys):
+    # The placer resolves edges by their rows' keys: ``arrays()``
+    # expands them from the CSR, once per direction and run.
+    if shard.out_store:
+        out_keys, out_others = shard.out_store.arrays()
         dest = placer.owner_of_edges(out_others, out_keys)
         lookups.append((placer.last_misses, placer.last_hits))
         run.out_routing = _routing(out_off, out_others, dest)
-    if program.needs_in_and_out:
+    if program.needs_in_and_out and shard.in_store:
+        # In-copy (u, v) is stored keyed by v; the reverse message
+        # (v -> u) goes to the holder of the out-copy.
         in_keys, in_others = shard.in_store.arrays()
-        if len(in_keys):
-            # In-copy (u, v) is stored keyed by v; the reverse
-            # message (v -> u) goes to the holder of the out-copy.
-            dest = placer.owner_of_edges(in_others, in_keys)
-            lookups.append((placer.last_misses, placer.last_hits))
-            run.in_routing = _routing(_offsets(ids, in_keys), in_others, dest)
+        dest = placer.owner_of_edges(in_others, in_keys)
+        lookups.append((placer.last_misses, placer.last_hits))
+        run.in_routing = _routing(_offsets(ids, shard.in_store), in_others, dest)
     if run.is_delta and len(table):
         counts = np.zeros(len(table), dtype=np.int64)
         for routing in (run.out_routing, run.in_routing):
@@ -304,14 +306,11 @@ def persist_table(
         state.scatter.set_many(table.ids[known], baselines[known])
 
 
-def _offsets(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """CSR offsets of a store's key-sorted edge copies per table row:
-    every key is a table id, so row ``i``'s edges start where
-    ``ids[i]`` sorts into ``keys``."""
-    off = np.empty(len(ids) + 1, dtype=np.int64)
-    off[:-1] = np.searchsorted(keys, ids)
-    off[-1] = len(keys)
-    return off
+def _offsets(ids: np.ndarray, store: EdgeStore) -> np.ndarray:
+    """CSR offsets of a store's edge copies per table row: every key is
+    a table id, so row ``i``'s edges start where its key's segment does
+    (where the next key's does when ``ids[i]`` keys no copy)."""
+    return np.append(store.starts[np.searchsorted(store.unique_keys, ids)], store.n_edges)
 
 
 def _routing(off: np.ndarray, dst: np.ndarray, owners: np.ndarray) -> Routing:

@@ -9,15 +9,9 @@ it: :func:`members` (one ``searchsorted``), :func:`union` (two sorted
 runs), :func:`merge_rows` (splice absent rows in), and :func:`distinct`
 (``np.unique`` that skips the sort for a batch already in order; the
 placement cache uses it to deduplicate a lookup batch's misses).  None
-of them re-sorts what is already sorted.
-
-A column of ``(key, other)`` edge pairs sorts the same way once it is
-one 1-d column (:func:`pair_column`): a packed int64 ``(key << 31) |
-other`` when both ids fit 31 unsigned bits (:func:`packable`), else
-:data:`PAIR_DTYPE` records, which numpy orders field by field.  No store
-keeps such a column — an ``EdgeStore`` is its two ``(keys, others)``
-columns — and its one reader is the numpy reference of the edge-store
-merge (:mod:`repro.kernels.reference`), which builds one per call.
+of them re-sorts what is already sorted.  :func:`segments` turns a
+non-decreasing key column into that id column plus the offsets of each
+key's run: the CSR index an ``EdgeStore`` is built around.
 
 >>> import numpy as np
 >>> ids = np.array([2, 5, 9])
@@ -33,17 +27,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-#: A (key, other) pair for ids that do not pack: ordered by key, then
-#: other, as signed int64s.
-PAIR_DTYPE = np.dtype([("k", np.int64), ("o", np.int64)])
-_PACK_LIMIT = np.int64(1) << np.int64(31)
-
 
 def found_at(column: np.ndarray, at: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Whether ``column[at] == query``, for ``at`` from a left
     ``searchsorted`` of ``query`` against the sorted ``column``."""
     if len(column) == 0:
-        return np.zeros(len(query), dtype=bool)
+        return np.zeros(np.shape(query), dtype=bool)
     return column[np.minimum(at, len(column) - 1)] == query
 
 
@@ -74,6 +63,15 @@ def distinct(ids: np.ndarray, return_inverse: bool = False):
     else:
         return np.unique(ids, return_inverse=return_inverse)
     return (out, np.cumsum(first) - 1) if return_inverse else out
+
+
+def segments(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct keys, offsets) of a non-decreasing key column: key
+    ``i``'s rows are ``offsets[i]:offsets[i + 1]``, and the offsets hold
+    one entry more than the keys (``[0]`` for no rows)."""
+    first = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+    return keys[first[:-1]], np.flatnonzero(first)
 
 
 def members(column: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -110,38 +108,3 @@ def merge_rows(at: np.ndarray, *columns: Tuple[np.ndarray, np.ndarray]) -> List[
     old_rows = np.ones(len(columns[0][0]) + len(at), dtype=bool)
     old_rows[slots] = False
     return [_splice(old_rows, slots, base, added) for base, added in columns]
-
-
-def packable(keys: np.ndarray, others: np.ndarray) -> bool:
-    """Whether every id of both columns fits 31 unsigned bits, so that
-    ``(key << 31) | other`` orders as the pair does."""
-    return not len(keys) or (
-        keys.min() >= 0
-        and others.min() >= 0
-        and keys.max() < _PACK_LIMIT
-        and others.max() < _PACK_LIMIT
-    )
-
-
-def pair_column(keys: np.ndarray, others: np.ndarray, records: bool) -> np.ndarray:
-    """(key, other) pairs as one sortable 1-d column: :data:`PAIR_DTYPE`
-    records, or packed int64s (the caller has checked :func:`packable`)."""
-    if records:
-        rec = np.empty(len(keys), dtype=PAIR_DTYPE)
-        rec["k"] = keys
-        rec["o"] = others
-        return rec
-    return (keys << np.int64(31)) | others
-
-
-def unpack_pairs(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pair_column`: contiguous (keys, others)."""
-    if pairs.dtype == PAIR_DTYPE:
-        return np.ascontiguousarray(pairs["k"]), np.ascontiguousarray(pairs["o"])
-    return pairs >> np.int64(31), pairs & (_PACK_LIMIT - 1)
-
-
-def distinct_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Sorted distinct pairs of a :func:`pair_column`; a packed batch
-    already in order is not re-sorted."""
-    return np.unique(pairs) if pairs.dtype == PAIR_DTYPE else distinct(pairs)

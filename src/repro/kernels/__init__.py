@@ -10,11 +10,12 @@ three more, each one pass per batch: the count-min sketch's estimates
 and updates (:func:`sketch_query`, :func:`sketch_add`), edge placement
 on the ring with its second-level rendezvous pick (:func:`place_edges`,
 for the wang64 hash only: a placer with another hash keeps the numpy
-body), and the edge store's sorted merge of a mutation batch
-(:func:`merge_edges`).  This package provides a C backend for them
-(compiled at first use with the system compiler — see
-:mod:`repro.kernels.csrc`) plus the pure-numpy reference
-(:mod:`repro.kernels.reference`) that *defines* correct behaviour.
+body), and the merge of a mutation batch into the edge store's CSR
+(:func:`merge_edges`: the CSR in, the new CSR out).  This package
+provides a C backend for them (compiled at first use with the system
+compiler — see :mod:`repro.kernels.csrc`) plus the pure-numpy
+reference (:mod:`repro.kernels.reference`) that *defines* correct
+behaviour.
 
 The backend is selected from what the machine has, and is strictly
 bit-identical either way:
@@ -35,13 +36,12 @@ Dispatch floors come from the measured crossover table in
 these dispatchers, on batches shaped as a round sends them): C loses at
 a size only when it is slower than numpy by more than 10 % in at least
 9 of 10 alternating pairs.  It never does on ``wang64``,
-``combine_pairs`` and the three ingest kernels, so they have no floor;
-``fold_pairs`` keeps :data:`MIN_FOLD`; ``scatter_rows`` walks a whole
-round's sending rows per call and has none either; and the PageRank
-apply lost at every size the cluster
-calls it with, so it has no C version at all.  The raw-pointer calls
+``combine_pairs``, ``fold_pairs`` and the three ingest kernels, so no
+kernel has a floor; ``scatter_rows`` walks a whole round's sending rows
+per call and has none either; and the PageRank apply lost at every size
+the cluster calls it with, so it has no C version at all.  The raw-pointer calls
 check nothing themselves: the ``c_*`` wrappers own dtype, contiguity
-and length.
+and length, and pass every pointer through :func:`_address`.
 """
 
 from __future__ import annotations
@@ -79,12 +79,7 @@ __all__ = [
     "c_place_edges",
     "c_merge_edges",
     "CIdTable",
-    "MIN_FOLD",
 ]
-
-#: Rows below which ``fold_pairs`` stays on the reference: the measured
-#: crossover (``BENCH_kernels.json: crossover.floors.fold_pairs``).
-MIN_FOLD = 32
 
 _OPCODES = {np.add: 0, np.minimum: 1, np.maximum: 2}
 
@@ -143,7 +138,7 @@ def c_wang64_u64(key: np.ndarray) -> np.ndarray:
     lib = _require()
     key = np.ascontiguousarray(key, dtype=np.uint64)
     out = np.empty_like(key)
-    lib.repro_wang64(key.ctypes.data, out.ctypes.data, key.size)
+    lib.repro_wang64(_address(key), _address(out), key.size)
     return out
 
 
@@ -167,8 +162,8 @@ def c_combine_pairs(
     out_dst = np.empty(len(d), dtype=np.int64)
     out_val = np.empty(len(d), dtype=np.float64)
     m = lib.repro_combine_pairs(
-        d.ctypes.data, v.ctypes.data, len(d), op, float(identity),
-        out_dst.ctypes.data, out_val.ctypes.data,
+        _address(d), _address(v), len(d), op, float(identity),
+        _address(out_dst), _address(out_val),
     )
     if m < 0:  # pragma: no cover - allocation failure
         raise MemoryError("combine_pairs C kernel allocation failed")
@@ -209,8 +204,8 @@ def c_fold_pairs(
     d, v = _pairs(dst, val)
     ids_c = np.ascontiguousarray(ids, dtype=np.int64)
     rc = lib.repro_fold_pairs(
-        d.ctypes.data, v.ctypes.data, len(d), ids_c.ctypes.data, len(ids_c), op,
-        accum.ctypes.data, got.ctypes.data,
+        _address(d), _address(v), len(d), _address(ids_c), len(ids_c), op,
+        _address(accum), _address(got),
     )
     if rc == -2:
         raise KeyError("fold_pairs: destination not hosted in ids table")
@@ -243,9 +238,9 @@ def c_scatter_rows(
     out_dst = np.empty(len(d), dtype=np.int64)
     out_val = np.empty(len(d), dtype=np.float64)
     lib.repro_scatter_rows(
-        r.ctypes.data, x.ctypes.data, len(r), o.ctypes.data, d.ctypes.data,
-        a.ctypes.data, c.ctypes.data, counts.ctypes.data, out_dst.ctypes.data,
-        out_val.ctypes.data,
+        _address(r), _address(x), len(r), _address(o), _address(d),
+        _address(a), _address(c), _address(counts), _address(out_dst),
+        _address(out_val),
     )
     return out_dst, out_val, c[:-1], counts
 
@@ -277,8 +272,8 @@ def c_sketch_query(
     s = np.ascontiguousarray(salts)
     out = np.empty(len(k), dtype=np.int64)
     lib.repro_sketch_query(
-        k.ctypes.data, len(k), s.ctypes.data, table.shape[0], table.shape[1],
-        table.ctypes.data, None if plus is None else plus.ctypes.data, out.ctypes.data,
+        _address(k), len(k), _address(s), table.shape[0], table.shape[1],
+        _address(table), None if plus is None else _address(plus), _address(out),
     )
     return out
 
@@ -298,8 +293,8 @@ def c_sketch_add(salts: np.ndarray, keys: np.ndarray, table: np.ndarray, counts)
         raise ValueError("sketch counts need one value, or one per key")
     if len(k) and len(c):
         lib.repro_sketch_add(
-            k.ctypes.data, len(k), s.ctypes.data, table.shape[0], table.shape[1],
-            table.ctypes.data, c.ctypes.data, step,
+            _address(k), len(k), _address(s), table.shape[0], table.shape[1],
+            _address(table), _address(c), step,
         )
 
 
@@ -314,8 +309,8 @@ def c_place_edges(
     out = np.empty(len(o), dtype=np.int64)
     if k is None:
         lib.repro_place_edges(
-            o.ctypes.data, None, None, len(o), pos.ctypes.data, owners.ctypes.data,
-            len(pos), len(ring), None, out.ctypes.data,
+            _address(o), None, None, len(o), _address(pos), _address(owners),
+            len(pos), len(ring), None, _address(out),
         )
         return out
     t = np.ascontiguousarray(other, dtype=np.int64)
@@ -324,36 +319,36 @@ def c_place_edges(
         raise ValueError("place_edges needs one other endpoint and one k per row")
     reps = np.empty(len(ring), dtype=np.int64)
     lib.repro_place_edges(
-        o.ctypes.data, t.ctypes.data, kk.ctypes.data, len(o), pos.ctypes.data,
-        owners.ctypes.data, len(pos), len(ring), reps.ctypes.data, out.ctypes.data,
+        _address(o), _address(t), _address(kk), len(o), _address(pos),
+        _address(owners), len(pos), len(ring), _address(reps), _address(out),
     )
     return out
 
 
 def c_merge_edges(
-    store_keys: np.ndarray,
+    unique_keys: np.ndarray,
+    starts: np.ndarray,
     store_others: np.ndarray,
     keys: np.ndarray,
     others: np.ndarray,
     ins: np.ndarray,
 ):
     lib = _require()
-    sk = np.ascontiguousarray(store_keys, dtype=np.int64)
+    uk = np.ascontiguousarray(unique_keys, dtype=np.int64)
+    st = np.ascontiguousarray(starts, dtype=np.int64)
     so = np.ascontiguousarray(store_others, dtype=np.int64)
     bk = np.ascontiguousarray(keys, dtype=np.int64)
     bo = np.ascontiguousarray(others, dtype=np.int64)
     flags = np.ascontiguousarray(ins, dtype=np.bool_)
     n = len(bk)
-    if not (len(sk) == len(so) and n == len(bo) == len(flags)):
-        raise ValueError("merge_edges needs parallel store columns and batch rows")
-    eff_k = np.empty(n, dtype=np.int64)
-    eff_o = np.empty(n, dtype=np.int64)
-    at = np.empty(n, dtype=np.int64)
+    if not (len(st) == len(uk) + 1 and st[-1] == len(so) and n == len(bo) == len(flags)):
+        raise ValueError("merge_edges needs a CSR store and parallel batch rows")
+    eff_k, eff_o, at = (np.empty(n, dtype=np.int64) for _ in range(3))
     n_adds = np.zeros(1, dtype=np.int64)
+    store = (_address(uk), _address(st), len(uk), _address(so))
     m = lib.repro_edge_classify(
-        sk.ctypes.data, so.ctypes.data, len(sk), bk.ctypes.data, bo.ctypes.data,
-        flags.ctypes.data, n, eff_k.ctypes.data, eff_o.ctypes.data, at.ctypes.data,
-        n_adds.ctypes.data,
+        *store, _address(bk), _address(bo), _address(flags), n, _address(eff_k),
+        _address(eff_o), _address(at), _address(n_adds),
     )
     if m == -2:
         return None
@@ -364,22 +359,25 @@ def c_merge_edges(
         eff_k, eff_o = eff_k[:m].copy(), eff_o[:m].copy()
     if not m:
         return eff_k, eff_o, 0, None
-    size = len(sk) + 2 * na - m
-    new_k = np.empty(size, dtype=np.int64)
-    new_o = np.empty(size, dtype=np.int64)
-    lib.repro_edge_splice(
-        sk.ctypes.data, so.ctypes.data, len(sk), eff_k.ctypes.data, eff_o.ctypes.data,
-        at.ctypes.data, na, at.ctypes.data + 8 * na, m - na, new_k.ctypes.data,
-        new_o.ctypes.data,
+    room = len(uk) + na
+    new_uk = np.empty(room, dtype=np.int64)
+    new_st = np.empty(room + 1, dtype=np.int64)
+    new_o = np.empty(len(so) + 2 * na - m, dtype=np.int64)
+    k_at, at_at = _address(eff_k), _address(at)
+    n_keys = lib.repro_edge_splice(
+        *store, k_at, _address(eff_o), at_at, na, k_at + 8 * na, at_at + 8 * na, m - na,
+        _address(new_uk), _address(new_st), _address(new_o),
     )
-    return eff_k, eff_o, na, (new_k, new_o)
+    new_uk.resize(n_keys, refcheck=False)  # exact-size columns, shrunk in place:
+    new_st.resize(n_keys + 1, refcheck=False)  # checkpoints keep them
+    return eff_k, eff_o, na, (new_uk, new_st, new_o)
 
 
 def _address(arr: np.ndarray) -> int:
-    """The data address of a non-empty contiguous array: through the
-    buffer protocol (a third of what ``.ctypes.data`` costs) unless the
-    array is read-only, which that protocol will not export."""
-    if arr.flags.writeable:
+    """The data address of a contiguous array: through the buffer
+    protocol (a third of what ``.ctypes.data`` costs) unless the array
+    is read-only or empty, which that protocol will not export."""
+    if arr.flags.writeable and arr.size:
         return ctypes.addressof(ctypes.c_char.from_buffer(arr))
     return arr.ctypes.data
 
@@ -500,12 +498,7 @@ def fold_pairs(
     val: np.ndarray,
     ufunc: np.ufunc,
 ) -> None:
-    if (
-        _library() is not None
-        and len(dst) >= MIN_FOLD
-        and ufunc in _OPCODES
-        and _foldable(accum, got, ids)
-    ):
+    if _library() is not None and ufunc in _OPCODES and _foldable(accum, got, ids):
         c_fold_pairs(accum, got, ids, dst, val, ufunc)
         return
     reference.fold_pairs(accum, got, ids, dst, val, ufunc)
@@ -569,17 +562,18 @@ def place_edges(
 
 
 def merge_edges(
-    store_keys: np.ndarray,
+    unique_keys: np.ndarray,
+    starts: np.ndarray,
     store_others: np.ndarray,
     keys: np.ndarray,
     others: np.ndarray,
     ins: np.ndarray,
 ):
-    """One mutation batch against an edge store's sorted ``(keys,
-    others)`` columns (see :func:`reference.merge_edges`)."""
+    """One mutation batch against an edge store's CSR ``(unique_keys,
+    starts, others)`` (see :func:`reference.merge_edges`)."""
     if _library() is not None:
-        return c_merge_edges(store_keys, store_others, keys, others, ins)
-    return reference.merge_edges(store_keys, store_others, keys, others, ins)
+        return c_merge_edges(unique_keys, starts, store_others, keys, others, ins)
+    return reference.merge_edges(unique_keys, starts, store_others, keys, others, ins)
 
 
 #: ``base + damping * agg``.  One numpy expression on both backends: a C

@@ -2,13 +2,13 @@
 and the edge-store merge.
 
 :mod:`repro.kernels.csrc` compiles this text into the same translation
-unit as the data-plane kernels (after them: ``wang_mix`` and ``ikey``
-are theirs), and :func:`declare` gives the loaded library's new entry
-points their ctypes signatures.  Each kernel is integer arithmetic only
-— 64-bit wrapping mixes, remainders, comparisons and copies — so it
-gives the bits of its numpy reference (:mod:`repro.kernels.reference`)
-by construction: no float is computed, and no result depends on the
-order a loop visits its rows in.
+unit as the data-plane kernels (after them: ``wang_mix``, ``ikey`` and
+``seek`` are theirs), and :func:`declare` gives the loaded library's
+new entry points their ctypes signatures.  Each kernel is integer
+arithmetic only — 64-bit wrapping mixes, remainders, comparisons and
+copies — so it gives the bits of its numpy reference
+(:mod:`repro.kernels.reference`) by construction: no float is computed,
+and no result depends on the order a loop visits its rows in.
 
 * ``repro_sketch_query`` / ``repro_sketch_add``: every key hashed for
   every row (``wang_mix(key ^ salt) % width``, a mask when the width is
@@ -20,12 +20,13 @@ order a loop visits its rows in.
   ``wang_mix(other)``, the first of equal weights.
 * ``repro_edge_classify`` / ``repro_edge_splice``: a batch's insert and
   remove rows sorted (signed ``(key, other)`` order) and deduplicated,
-  refused if one pair is in both, located in the sorted store by a
-  galloping merge walk, and the store's two columns, ``(keys,
-  others)``, rewritten with the removed rows dropped and the new ones in
-  place, in one copy.  No pair column is read or written: only the
-  numpy reference packs pairs, per call
-  (:func:`repro.kernels.reference.pair_columns`).
+  refused if one pair is in both, and located in the store's CSR,
+  ``(unique_keys, starts, others)``, by a galloping walk over the keys
+  and then within the key's segment; the splice writes the new
+  ``others`` column, removed rows dropped and new ones in place, in one
+  copy, and the new key index beside it in one walk over the keys.  No
+  per-row key column is read or written: only the numpy reference
+  expands one, per call (:func:`repro.kernels.reference.merge_edges`).
 """
 
 from __future__ import annotations
@@ -218,33 +219,32 @@ static int64_t dedupe_pairs(int64_t* k, int64_t* o, int64_t n) {
     return m;
 }
 
-/* The first row at or after from whose pair is >= (key, oth): gallop,
- * then bisect. */
-static int64_t seek_pair(const int64_t* sk, const int64_t* so, int64_t n, int64_t from,
-                         int64_t key, int64_t oth) {
-    int64_t lo = from, hi = from, step = 1;
-    while (hi < n && pair_lt(sk[hi], so[hi], key, oth)) {
-        lo = hi + 1;
-        hi += step;
-        step <<= 1;
+/* Whether the CSR store (uk, U keys; st, U + 1 offsets; so) holds the
+ * pair (key, oth), with *p set to its row, or to the row it would go
+ * before.  Pairs are visited in ascending order: *j (key index) and *p
+ * are cursors that start at 0 and only move forward. */
+static int locate_pair(const int64_t* uk, const int64_t* st, int64_t U, const int64_t* so,
+                       int64_t key, int64_t oth, int64_t* j, int64_t* p) {
+    *j = seek(uk, U, *j, key);
+    if (*j == U || uk[*j] != key) {
+        *p = st[*j];
+        return 0;
     }
-    if (hi > n) hi = n;
-    while (lo < hi) {
-        int64_t mid = lo + ((hi - lo) >> 1);
-        if (pair_lt(sk[mid], so[mid], key, oth)) lo = mid + 1; else hi = mid;
-    }
-    return lo;
+    const int64_t end = st[*j + 1];
+    *p = seek(so, end, *p > st[*j] ? *p : st[*j], oth);
+    return *p < end && so[*p] == oth;
 }
 
 /* Classify a batch (row i inserts (bk[i], bo[i]) where ins[i], else
- * removes it) against the sorted store (sk, so; S rows).  Writes the
+ * removes it) against the CSR store (uk, st, U, so).  Writes the
  * effective rows to eff_k / eff_o (room for n) — the distinct absent
  * pairs inserted, ascending, then the distinct present pairs removed,
  * ascending — and each one's store row to at: where an insert goes
  * before, which row a removal drops.  Returns the effective row count
  * with the inserts' in *n_adds; -2 (nothing written) when one pair is
  * both inserted and removed; -1 on allocation failure. */
-int64_t repro_edge_classify(const int64_t* restrict sk, const int64_t* restrict so, int64_t S,
+int64_t repro_edge_classify(const int64_t* restrict uk, const int64_t* restrict st, int64_t U,
+                            const int64_t* restrict so,
                             const int64_t* restrict bk, const int64_t* restrict bo,
                             const uint8_t* restrict ins, int64_t n,
                             int64_t* restrict eff_k, int64_t* restrict eff_o,
@@ -277,19 +277,17 @@ int64_t repro_edge_classify(const int64_t* restrict sk, const int64_t* restrict 
             return -2;
         }
     }
-    int64_t m = 0, p = 0;
+    int64_t m = 0, key = 0, p = 0;
     for (int64_t i = 0; i < na; i++) {
-        p = seek_pair(sk, so, S, p, k[i], o[i]);
-        if (p < S && sk[p] == k[i] && so[p] == o[i]) continue;
+        if (locate_pair(uk, st, U, so, k[i], o[i], &key, &p)) continue;
         eff_k[m] = k[i];
         eff_o[m] = o[i];
         at[m++] = p;
     }
     *n_adds = m;
-    p = 0;
+    key = p = 0;
     for (int64_t j = 0; j < nd; j++) {
-        p = seek_pair(sk, so, S, p, dk[j], dO[j]);
-        if (!(p < S && sk[p] == dk[j] && so[p] == dO[j])) continue;
+        if (!locate_pair(uk, st, U, so, dk[j], dO[j], &key, &p)) continue;
         eff_k[m] = dk[j];
         eff_o[m] = dO[j];
         at[m++] = p;
@@ -298,32 +296,53 @@ int64_t repro_edge_classify(const int64_t* restrict sk, const int64_t* restrict 
     return m;
 }
 
-/* The store's new columns (S - nd + na rows): rows del_at (ascending)
- * dropped and pair a of (ak, ao) inserted before row add_at[a]. */
-void repro_edge_splice(const int64_t* restrict sk, const int64_t* restrict so, int64_t S,
-                       const int64_t* restrict ak, const int64_t* restrict ao,
-                       const int64_t* restrict add_at, int64_t na,
-                       const int64_t* restrict del_at, int64_t nd,
-                       int64_t* restrict out_k, int64_t* restrict out_o) {
+/* The store's new CSR after repro_edge_classify: rows del_at (ascending,
+ * keyed del_k) dropped and pair a of (ak, ao) inserted before row
+ * add_at[a].  Writes out_o (S - nd + na rows), out_uk and out_st (room
+ * for U + na keys and one offset more) and returns the new key count:
+ * an old key keeps its entry while rows remain, and a key the inserts
+ * bring in enters before the first old key above it. */
+int64_t repro_edge_splice(const int64_t* restrict uk, const int64_t* restrict st, int64_t U,
+                          const int64_t* restrict so,
+                          const int64_t* restrict ak, const int64_t* restrict ao,
+                          const int64_t* restrict add_at, int64_t na,
+                          const int64_t* restrict del_k, const int64_t* restrict del_at,
+                          int64_t nd, int64_t* restrict out_uk, int64_t* restrict out_st,
+                          int64_t* restrict out_o) {
+    const int64_t S = st[U];
     int64_t s = 0, w = 0, a = 0, d = 0;
     while (a < na || d < nd) {
         const int64_t next_a = a < na ? add_at[a] : INT64_MAX;
         const int64_t next_d = d < nd ? del_at[d] : INT64_MAX;
         const int64_t p = next_a <= next_d ? next_a : next_d;
-        memcpy(out_k + w, sk + s, sizeof(int64_t) * (p - s));
         memcpy(out_o + w, so + s, sizeof(int64_t) * (p - s));
         w += p - s;
         s = p;
         if (next_a <= next_d) {
-            out_k[w] = ak[a];
             out_o[w++] = ao[a++];
         } else {
             s = p + 1;
             d++;
         }
     }
-    memcpy(out_k + w, sk + s, sizeof(int64_t) * (S - s));
     memcpy(out_o + w, so + s, sizeof(int64_t) * (S - s));
+    int64_t nu = 0;
+    w = a = d = 0;
+    for (int64_t j = 0; j < U || a < na;) {
+        const int fresh = j == U || (a < na && ak[a] < uk[j]);
+        const int64_t key = fresh ? ak[a] : uk[j];
+        int64_t rows = fresh ? 0 : st[j + 1] - st[j];
+        j += !fresh;
+        while (a < na && ak[a] == key) { a++; rows++; }
+        while (d < nd && del_k[d] == key) { d++; rows--; }
+        if (rows) {
+            out_uk[nu] = key;
+            out_st[nu++] = w;
+            w += rows;
+        }
+    }
+    out_st[nu] = w;
+    return nu;
 }
 """
 
@@ -337,7 +356,9 @@ def declare(lib: ctypes.CDLL) -> None:
     lib.repro_sketch_add.restype = None
     lib.repro_place_edges.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, i64, i64, ptr, ptr]
     lib.repro_place_edges.restype = None
-    lib.repro_edge_classify.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr]
+    lib.repro_edge_classify.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr]
     lib.repro_edge_classify.restype = i64
-    lib.repro_edge_splice.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, ptr]
-    lib.repro_edge_splice.restype = None
+    lib.repro_edge_splice.argtypes = [
+        ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr
+    ]
+    lib.repro_edge_splice.restype = i64

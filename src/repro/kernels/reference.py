@@ -8,11 +8,11 @@ code exactly (same lexsort, same ``ufunc.at`` fold, same dtypes).
 The ingest kernels — the count-min sketch's :func:`sketch_query` and
 :func:`sketch_add`, the edge placement of :func:`place_edges`, and the
 edge-store merge of :func:`merge_edges` — are the numpy bodies those
-classes' methods had, over the arrays the methods hold.  This module is
-the one reader of the packed/records pair regime
-(:func:`~repro.graph.sortedids.pair_column`): the edge store holds
-``(keys, others)`` only, and :func:`pair_columns` builds its pair column
-per call.
+classes' methods had, over the arrays the methods hold.  The edge store
+is a CSR, ``(unique_keys, starts, others)``: :func:`locate_pairs` finds
+pairs in it by one search into the keys and a bisection of each pair's
+segment, and the merge expands the key column to splice, per call, as
+an oracle may; the C merge walks the CSR as it is.
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.sortedids import (
-    distinct_pairs,
-    found_at,
-    members,
-    merge_rows,
-    packable,
-    pair_column,
-    unpack_pairs,
-)
+from repro.graph.sortedids import found_at, merge_rows, segments
 
 U64 = np.uint64
 
@@ -270,53 +262,70 @@ def rendezvous_pick(
     return replica_rows[np.arange(len(replica_rows)), pick]
 
 
-def pair_columns(
-    store_keys: np.ndarray, store_others: np.ndarray, keys: np.ndarray, others: np.ndarray
+def sorted_pairs(keys: np.ndarray, others: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(key, other)`` pairs of a batch, in (key, other)
+    order."""
+    order = np.lexsort((others, keys))
+    keys, others = keys[order], others[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (others[1:] != others[:-1])
+    return keys[first], others[first]
+
+
+def locate_pairs(
+    unique_keys: np.ndarray,
+    starts: np.ndarray,
+    store_others: np.ndarray,
+    keys: np.ndarray,
+    others: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(store pairs, query pairs) as sorted-comparable 1-d
-    :func:`~repro.graph.sortedids.pair_column` columns in one regime:
-    packed int64s when every id on both sides is :func:`packable`, else
-    records."""
-    records = not (packable(store_keys, store_others) and packable(keys, others))
-    return pair_column(store_keys, store_others, records), pair_column(keys, others, records)
+    """(row, held) of each ``(key, other)`` pair in a CSR: the row that
+    holds it, else the row it would go before.  One search into
+    ``unique_keys``, then a bisection of every pair's segment at once."""
+    at = np.searchsorted(unique_keys, keys)
+    lo = starts[at]
+    end = hi = starts[at + found_at(unique_keys, at, keys)]
+    while (live := lo < hi).any():
+        mid = (lo + hi) >> 1
+        below = live & (store_others.take(mid, mode="clip") < others)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(live & ~below, mid, hi)
+    return lo, (lo < end) & found_at(store_others, lo, others)
 
 
 def merge_edges(
-    store_keys: np.ndarray,
+    unique_keys: np.ndarray,
+    starts: np.ndarray,
     store_others: np.ndarray,
     keys: np.ndarray,
     others: np.ndarray,
     ins: np.ndarray,
 ):
-    """One mutation batch against an edge store's sorted ``(keys,
-    others)`` columns.
+    """One mutation batch against an edge store's CSR ``(unique_keys,
+    starts, others)``.
 
     Row ``i`` of the batch inserts ``(keys[i], others[i])`` where
     ``ins[i]``, else removes it.  Returns None when the batch inserts
     and removes one pair (only a replay in batch order says what that
-    means), else ``(keys, others, n_adds, columns)``: the effective rows
-    — the distinct absent pairs inserted, sorted, then the distinct
+    means), else ``(keys, others, n_adds, csr)``: the effective rows —
+    the distinct absent pairs inserted, sorted, then the distinct
     present pairs removed, sorted — with the first ``n_adds`` inserts,
-    and the store's new ``(keys, others)`` columns (None if nothing
-    changed).
+    and the store's new CSR (None if nothing changed).  The oracle
+    expands the store's key column to splice; the C kernel never does.
     """
-    store, batch = pair_columns(store_keys, store_others, keys, others)
-    adds = distinct_pairs(batch[ins])
-    dels = distinct_pairs(batch[~ins])
-    if len(adds) and len(dels) and members(dels, adds).any():
+    add_k, add_o = sorted_pairs(keys[ins], others[ins])
+    del_k, del_o = sorted_pairs(keys[~ins], others[~ins])
+    if len(add_k) and locate_pairs(*segments(add_k), add_o, del_k, del_o)[1].any():
         return None
-    add_at = np.searchsorted(store, adds)
-    fresh = ~found_at(store, add_at, adds)
-    adds, add_at = adds[fresh], add_at[fresh]
-    del_at = np.searchsorted(store, dels)
-    present = found_at(store, del_at, dels)
-    dels, del_at = dels[present], del_at[present]
-    add_k, add_o = unpack_pairs(adds)
-    del_k, del_o = unpack_pairs(dels)
-    columns = None
-    if len(adds) or len(dels):
-        columns = splice_edges(store_keys, store_others, add_k, add_o, add_at, del_at)
-    return np.concatenate([add_k, del_k]), np.concatenate([add_o, del_o]), len(adds), columns
+    add_at, held = locate_pairs(unique_keys, starts, store_others, add_k, add_o)
+    add_k, add_o, add_at = add_k[~held], add_o[~held], add_at[~held]
+    del_at, held = locate_pairs(unique_keys, starts, store_others, del_k, del_o)
+    del_k, del_o, del_at = del_k[held], del_o[held], del_at[held]
+    csr = None
+    if len(add_k) or len(del_k):
+        store_keys = np.repeat(unique_keys, np.diff(starts))
+        csr = splice_edges(store_keys, store_others, add_k, add_o, add_at, del_at)
+    return np.concatenate([add_k, del_k]), np.concatenate([add_o, del_o]), len(add_k), csr
 
 
 def splice_edges(
@@ -326,10 +335,11 @@ def splice_edges(
     add_o: np.ndarray,
     add_at: np.ndarray,
     del_at: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """New ``(keys, others)`` columns: rows ``del_at`` dropped and the
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The new CSR ``(unique_keys, starts, others)`` of the rows
+    ``(store_keys, store_others)`` with rows ``del_at`` dropped and the
     sorted, absent pairs ``(add_k, add_o)`` inserted before rows
-    ``add_at`` (both row indices into the given columns) — masks and
+    ``add_at`` (both row indices into the given rows) — masks and
     scatters, no re-sort."""
     keys, others = store_keys, store_others
     if len(del_at):
@@ -339,7 +349,7 @@ def splice_edges(
         add_at = add_at - np.searchsorted(del_at, add_at)
     if len(add_k):
         keys, others = merge_rows(add_at, (keys, add_k), (others, add_o))
-    return keys, others
+    return (*segments(keys), others)
 
 
 def pagerank_apply(agg: np.ndarray, base: float, damping: float) -> np.ndarray:

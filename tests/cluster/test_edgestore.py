@@ -5,7 +5,7 @@ mutation is batched over sorted parallel arrays, and a read-only
 dict/set surface remains for inspection.  The units here pin the contract
 edges the integration suites only exercise implicitly: effective-row
 semantics of batched apply, the insert+remove same-pair fallback, the
-wide/negative id packing fallback, version-counter cache invalidation,
+wide and negative ids, version-counter cache invalidation,
 and the dict-compat equality both directions.
 """
 
@@ -63,8 +63,8 @@ class TestEdgeStore:
         assert s == {3: {4}}
 
     def test_wide_and_negative_ids_use_structured_fallback(self):
-        # Packing is (key << 31) | other, which needs 0 <= id < 2^31;
-        # ids outside that range must route to the structured dtype.
+        # Ids past 31 bits or below 0 are plain int64s to the CSR: no
+        # packed pair could hold them, and none is made.
         big = 2**40
         s = store_of([(big, 1), (-5, 7), (2, big)])
         assert big in s and -5 in s
@@ -85,15 +85,15 @@ class TestEdgeStore:
     def test_version_bumps_only_on_change(self):
         s = store_of([(1, 2)])
         v = s.version
-        k, o = s.arrays()
+        csr = (s.unique_keys, s.starts, s.others)
         s.apply(
             np.asarray([1], dtype=np.int64),
             np.asarray([2], dtype=np.int64),
             np.asarray([True]),
         )  # no-op insert
         assert s.version == v  # no-op: derived caches keyed on version hold
-        k2, o2 = s.arrays()
-        assert np.shares_memory(k2, k) and np.shares_memory(o2, o)  # zero-copy
+        # A no-op keeps the CSR itself, not a copy of it.
+        assert all(map(np.shares_memory, (s.unique_keys, s.starts, s.others), csr))
         s.apply(
             np.asarray([5], dtype=np.int64),
             np.asarray([6], dtype=np.int64),

@@ -6,9 +6,12 @@ same batch one row at a time over ``{key: {other, ...}}``.  Store
 contents, the effective rows and their order must agree for batches with
 in-batch duplicates, inserts of present pairs, removes of absent pairs,
 mixed batches, the same pair inserted *and* removed (the strict-order
-fallback), and ids that leave the packed 31-bit regime (>= 2**31,
-negative).  Replaying the produced rows through the WAL onto an empty
-store must rebuild the same store.
+fallback), and wide (>= 2**31) and negative ids.  On both kernel
+backends, the store stays one CSR (strictly increasing keys and segment
+offsets, no empty segment, others ascending within a segment) whose
+expanded rows are the dict's, lexsorted.
+Replaying the produced rows through the WAL onto an empty store must
+rebuild the same store.
 
 The merge operations over sorted id columns (membership, union,
 distinct, the sorted upsert) and everything built on them —
@@ -22,6 +25,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.cluster.edgestore import EdgeStore, IdSet, ValueColumn
 from repro.cluster.recovery import EdgeWAL
 from repro.cluster.shard import ProgramState, ShardState
@@ -72,9 +76,40 @@ def columns(rows):
     return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
+def assert_csr(store):
+    """The store is one CSR: strictly increasing keys and offsets from 0
+    to its row count (so no empty segment), int64 throughout, and each
+    segment's others strictly increasing."""
+    unique_keys, starts, others = store.unique_keys, store.starts, store.others
+    assert unique_keys.dtype == starts.dtype == others.dtype == np.int64
+    assert len(starts) == len(unique_keys) + 1
+    assert starts[0] == 0 and starts[-1] == len(others) == store.n_edges
+    assert (unique_keys[1:] > unique_keys[:-1]).all()
+    assert (starts[1:] > starts[:-1]).all()
+    same_key = np.repeat(np.arange(len(unique_keys)), np.diff(starts))
+    same_key = same_key[1:] == same_key[:-1]
+    assert (others[1:][same_key] > others[:-1][same_key]).all()
+
+
+def on_each_backend(fn):
+    """``fn()`` on the numpy reference, then on the C kernels where they
+    build."""
+    before = kernels.enabled()
+    try:
+        for c_kernels in (False, True):
+            if kernels.set_enabled(c_kernels) == c_kernels:
+                fn()
+    finally:
+        kernels.set_enabled(before)
+
+
 @given(batches=batch_sequences())
 @settings(max_examples=150, deadline=None)
 def test_apply_matches_dict_of_sets_walk(batches):
+    on_each_backend(lambda: walk_against_dict_of_sets(batches))
+
+
+def walk_against_dict_of_sets(batches):
     store = EdgeStore()
     reference = {}
     wal = EdgeWAL()
@@ -85,14 +120,16 @@ def test_apply_matches_dict_of_sets_walk(batches):
         assert list(zip(*(col.tolist() for col in got))) == expected
         assert store == reference
         assert (store.version > version) == bool(expected)
+        assert_csr(store)
         keys, others = store.arrays()
         pairs = list(zip(keys.tolist(), others.tolist()))
-        assert pairs == sorted(set(pairs))
+        assert pairs == sorted((k, o) for k, held in reference.items() for o in held)
         assert store.contains_pairs(keys, others).all()
         wal.append("out", got, sketched=True)
     rebuilt = ShardState(CountMinSketch(8, 1))
     wal.replay(rebuilt)
     assert rebuilt.out_store == store
+    assert_csr(rebuilt.out_store)
 
 
 @given(batches=batch_sequences(), data=st.data())
@@ -105,6 +142,7 @@ def test_remove_pairs_and_row_selection(batches, data):
     chosen = data.draw(st.lists(st.sampled_from(sorted(set(keys.tolist())) or [0]), unique=True))
     rows = store.rows_keyed_by(np.asarray(sorted(chosen), dtype=np.int64))
     assert rows.tolist() == [i for i, k in enumerate(keys.tolist()) if k in set(chosen)]
+    assert store.keys_of(rows).tolist() == keys[rows].tolist()
     assert np.repeat(store.unique_keys, store.key_counts).tolist() == keys.tolist()
     expected = store.to_dict()
     for k, o in zip(keys[rows].tolist(), others[rows].tolist()):

@@ -16,6 +16,7 @@ shard and on every checkpoint ever taken.
 
 import copy
 import dataclasses
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -288,7 +289,7 @@ def test_checkpoints_by_reference_equal_a_deep_copy_model(steps):
 def test_a_checkpoint_keeps_its_columns_while_the_live_shard_moves_on():
     shard = make_shard()
     checkpoint = shard.copy()
-    assert checkpoint.out_store._keys is shard.out_store._keys
+    assert all(map(operator.is_, checkpoint.out_store._csr(), shard.out_store._csr()))
     assert checkpoint.dirty_log._batches[0][1] is shard.dirty_log._batches[0][1]
     before = picture(checkpoint)
     ones = np.ones(2, dtype=np.int8)
@@ -299,13 +300,14 @@ def test_a_checkpoint_keeps_its_columns_while_the_live_shard_moves_on():
     shard.dirty_log.trim(2)
     shard.programs["pagerank"].values.set_many(i64(1, 2), np.array([7.0, 8.0]))
     assert picture(checkpoint) == before
-    assert checkpoint.out_store._keys is not shard.out_store._keys
+    assert checkpoint.out_store._others is not shard.out_store._others
 
 
 def shared_arrays(shard):
-    """Every ndarray a checkpoint shares with the live shard."""
+    """Every ndarray a checkpoint shares with the live shard: each
+    store's three CSR columns and the dirty log's batches."""
     for store in (shard.out_store, shard.in_store):
-        yield from (store._keys, store._others, *store.arrays())
+        yield from store._csr()
     for batch in shard.dirty_log._batches:
         yield from batch[1:]
 
@@ -313,8 +315,15 @@ def shared_arrays(shard):
 def test_every_shared_array_is_read_only():
     shard = make_shard()
     arrays = list(shared_arrays(shard))
-    assert len(arrays) == 11
-    for arr in arrays:
+    assert len(arrays) == 9
+    # A checkpoint holds these very arrays: nothing is copied or rebuilt.
+    assert all(map(operator.is_, shared_arrays(shard.copy()), arrays))
+    views = [
+        view
+        for store in (shard.out_store, shard.in_store)
+        for view in (*store.arrays(), store.unique_keys, store.starts, store.others)
+    ]
+    for arr in arrays + views:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0

@@ -51,10 +51,10 @@ def test_dispatcher_results_identical_across_backends():
     ), f"dispatcher diverged (accel effective: {on_state})"
 
 
-def test_tiny_batches_stay_on_reference_path(monkeypatch):
-    """The floors are the measured crossover: the hash and the combine
-    have none (a 4-key hash is an array on both backends, the None
-    convention is gone), the fold keeps MIN_FOLD."""
+def test_tiny_batches_take_the_c_kernels(monkeypatch):
+    """No kernel has a floor (the measured crossover): a 4-key hash and
+    a 1-row fold go to C wherever it builds, and a 4-key hash is an
+    array on both backends."""
     small = np.arange(4, dtype=np.uint64)
     for flag in (False, True):
         kernels.set_enabled(flag)
@@ -64,21 +64,18 @@ def test_tiny_batches_stay_on_reference_path(monkeypatch):
     monkeypatch.setattr(kernels, "c_wang64_u64", lambda key: calls.append("hash") or key)
     monkeypatch.setattr(kernels, "c_fold_pairs", lambda *args: calls.append("fold"))
     effective = kernels.set_enabled(True)
-    ids = np.arange(kernels.MIN_FOLD, dtype=np.int64)
-    val = np.ones(len(ids))
+    ids = np.arange(4, dtype=np.int64)
     accum, got = np.zeros(len(ids)), np.zeros(len(ids), dtype=bool)
     kernels.wang64_u64(small)
-    kernels.fold_pairs(accum, got, ids, ids[:-1], val[:-1], np.add)  # below the floor
-    assert got[:-1].all() and not got[-1]  # the reference did it
-    assert calls == (["hash"] if effective else [])
-    kernels.fold_pairs(accum, got, ids, ids, val, np.add)  # at the floor
+    kernels.fold_pairs(accum, got, ids, ids[:1], np.ones(1), np.add)
     assert calls == (["hash", "fold"] if effective else [])
+    assert got[0] != effective  # the reference folded only where C is off
 
 
 def test_floors_are_the_committed_crossover():
-    """``MIN_FOLD`` is read off ``BENCH_kernels.json``'s crossover table
-    (bench_kernels.py), and the kernels without a floor have none there.
-    The table gives a kernel a floor only where C loses to numpy by more
+    """The dispatchers have no floor, and neither has any kernel in
+    ``BENCH_kernels.json``'s crossover table (bench_kernels.py).  The
+    table gives a kernel a floor only where C loses to numpy by more
     than 10 % in at least 9 of 10 alternating pairs, so a tie that noise
     decides is no floor."""
     bench = Path(__file__).resolve().parents[2] / "BENCH_kernels.json"
@@ -88,7 +85,7 @@ def test_floors_are_the_committed_crossover():
     assert floors == {
         "wang64": 0,
         "combine_pairs": 0,
-        "fold_pairs": kernels.MIN_FOLD,
+        "fold_pairs": 0,
         "sketch_query": 0,
         "place_edges": 0,
         "merge_edges": 0,

@@ -245,7 +245,7 @@ def _store(pairs) -> EdgeStore:
 
 
 def _merge_both(store: EdgeStore, keys, others, ins):
-    args = (*store.arrays(), keys, others, ins)
+    args = (store.unique_keys, store.starts, store.others, keys, others, ins)
     return reference.merge_edges(*args), kernels.c_merge_edges(*args)
 
 
@@ -259,9 +259,12 @@ def _same_merge(want, got):
     if wcols is None or gcols is None:
         assert wcols is None and gcols is None
         return
-    assert len(wcols) == len(gcols) == 2
+    assert len(wcols) == len(gcols) == 3
     for w, g in zip(wcols, gcols):
-        assert w.dtype == g.dtype and np.array_equal(w, g)
+        assert w.dtype == g.dtype == np.int64 and np.array_equal(w, g)
+    unique_keys, starts, others = gcols
+    assert len(starts) == len(unique_keys) + 1 and starts[0] == 0 and starts[-1] == len(others)
+    assert (unique_keys[1:] > unique_keys[:-1]).all() and (np.diff(starts) > 0).all()
 
 
 @given(pairs=store_pairs, rows=batch_rows)
@@ -282,8 +285,8 @@ def test_merge_edges_equals_the_reference(pairs, rows):
 )
 @settings(max_examples=80, deadline=None)
 def test_merge_edges_equals_the_reference_in_the_records_regime(pairs, rows):
-    """Ids of 2**31 and up, or negative, on either side: the reference
-    compares pairs as records, the C kernel as two int64 columns."""
+    """Ids of 2**31 and up, or negative, on either side: ids no packed
+    pair could hold, plain int64s to both merges."""
     store = _store(pairs)
     keys = np.array([r[0] for r in rows], dtype=np.int64)
     others = np.array([r[1] for r in rows], dtype=np.int64)
@@ -307,7 +310,7 @@ def test_merge_edges_on_a_long_shuffled_batch_takes_the_radix_sort():
 @given(pairs=store_pairs, batches=st.lists(batch_rows, min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_edge_store_apply_agrees_across_backends(pairs, batches):
-    """The public ``apply``: the same effective rows, columns, version
+    """The public ``apply``: the same effective rows, CSR, version
     and membership answers after each batch, sequential fallback
     included."""
 
@@ -320,7 +323,7 @@ def test_edge_store_apply_agrees_across_backends(pairs, batches):
             a = np.array([1 if r[2] else -1 for r in rows], dtype=np.int8)
             eff = store.apply(k, o, a)
             out.append([x.tolist() for x in eff])
-            out.append([x.tolist() for x in store.arrays()])
+            out.append([x.tolist() for x in (store.unique_keys, store.starts, store.others)])
             out.append(store.version)
             out.append(store.contains_pairs(k, o).tolist())
         return out
@@ -334,13 +337,14 @@ DROP_K, DROP_O = np.array([2**40, 1, 7]), np.array([-5, 3, 7])
 
 
 def _remove_wide(remove):
-    """Effective rows, columns and version of a store that took a wide
+    """Effective rows, CSR and version of a store that took a wide
     pair and then lost it to ``remove(store)``."""
     store = EdgeStore()
     seen = [store.apply(np.array([1, 2]), np.array([3, 4]), np.array([1, 1]))]
     seen.append(store.apply(DROP_K[:1], DROP_O[:1], np.array([1])))
     removed = remove(store)
-    bits = [(x.dtype.str, x.tobytes()) for x in (*seen[0], *seen[1], *store.arrays())]
+    csr = (store.unique_keys, store.starts, store.others)
+    bits = [(x.dtype.str, x.tobytes()) for x in (*seen[0], *seen[1], *csr)]
     return bits, removed, store.version
 
 
@@ -354,4 +358,4 @@ def test_remove_pairs_is_the_merge_of_apply_on_both_backends():
     assert by_pairs[0] == by_pairs[1] == by_apply[0] == by_apply[1]
     bits, removed, version = by_pairs[0]
     assert removed == 2 and version == 3
-    assert [np.frombuffer(b, dtype=d).tolist() for d, b in bits[-2:]] == [[2], [4]]
+    assert [np.frombuffer(b, dtype=d).tolist() for d, b in bits[-3:]] == [[2], [0, 1], [4]]
