@@ -7,6 +7,7 @@ transport model and reports the measured one-way latencies — the
 constants every other experiment's communication costs are built on.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench import Table, print_experiment_header
@@ -24,12 +25,17 @@ class Ping(Entity):
         self.received_at.append(self.now)
 
 
+def packet(size_bytes: int) -> Message:
+    """A ``size_bytes`` packet: the type byte plus a byte array."""
+    return Message(ptype=PacketType.SPLIT_REPORT, payload=np.zeros(size_bytes - 1, dtype=np.uint8))
+
+
 def one_way_latency(transport: TransportModel, size_bytes: int = 64) -> float:
     kernel = SimKernel()
     network = Network(kernel, transport=transport)
     a = Ping(network, "a", node=0)
     b = Ping(network, "b", node=1)
-    msg = Message(ptype=PacketType.VERTEX_MSG, payload=None, size_bytes=size_bytes)
+    msg = packet(size_bytes)
     msg.src = a.address
     msg.dst = b.address
     start = kernel.now
@@ -52,7 +58,7 @@ def one_way_latency_intra() -> float:
     network = Network(kernel, transport=TransportModel.zeromq())
     a = Ping(network, "a", node=0)
     b = Ping(network, "b", node=0)  # same node: ipc:// path
-    msg = Message(ptype=PacketType.VERTEX_MSG, payload=None, size_bytes=64)
+    msg = packet(64)
     msg.src = a.address
     msg.dst = b.address
     network.send(msg)

@@ -224,11 +224,9 @@ def _watch_directory_versions(network) -> List[Tuple[int, int, int]]:
     versions: List[Tuple[int, int, int]] = []
 
     def tap(message: Message) -> None:
-        if message.ptype == PacketType.DIRECTORY_UPDATE:
-            version = getattr(message.payload, "version", None)
-            if version is not None:
-                term = int(getattr(message.payload, "term", 0) or 0)
-                versions.append((int(message.src), term, int(version)))
+        if message.ptype == PacketType.DIRECTORY_UPDATE:  # payload: a DirectoryState
+            state = message.payload
+            versions.append((int(message.src), int(state.term), int(state.version)))
 
     network.add_tap(tap)
     return versions

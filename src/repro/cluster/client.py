@@ -390,12 +390,10 @@ class ClientProxy(Participant):
         snapshot; otherwise retry the whole fan-out after a backoff."""
         self._by_token.pop(flight.token, None)
         replies = [flight.targets[a] for a in sorted(flight.targets)]
-        incs = {reply.get("inc", 0) for reply in replies}
-        tags = {
-            (reply.get("run_id", -1), reply.get("step", -1)) for reply in replies
-        }
-        first = replies[0].get("value")
-        values_equal = all(reply.get("value") == first for reply in replies[1:])
+        incs = {reply["inc"] for reply in replies}
+        tags = {(reply["run_id"], reply["step"]) for reply in replies}
+        first = replies[0]["value"]
+        values_equal = all(reply["value"] == first for reply in replies[1:])
         if len(incs) == 1 and (len(tags) == 1 or values_equal):
             if len(tags) > 1:
                 # Tag skew with identical values: replica READY skew or

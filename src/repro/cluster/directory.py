@@ -38,7 +38,7 @@ from repro.cluster.failover import FailoverMixin
 from repro.cluster.leadstate import ControlTail, LeadState
 from repro.cluster.leases import LeaseMixin
 from repro.net.message import Message, PacketType
-from repro.net.sockets import PubSubSocket, PushSocket, ReqRepSocket
+from repro.net.sockets import PubSubSocket, PushSocket
 from repro.sim.entity import Entity
 from repro.sketch.countmin import CountMinSketch
 
@@ -181,16 +181,13 @@ class DirectoryMaster(Entity):
                 # directory is dead): tell the requester when to retry
                 # instead of crashing the sim (registration heartbeats
                 # will repopulate the registry).
-                ReqRepSocket.reply_to(
-                    self.network,
-                    message,
-                    PacketType.DIRECTORY_ASSIGN,
-                    {"retry_after": self.retry_after},
+                self.network.send(
+                    message.reply(PacketType.DIRECTORY_ASSIGN, {"retry_after": self.retry_after})
                 )
                 return
             address = live[self._next % len(live)]
             self._next += 1
-            ReqRepSocket.reply_to(self.network, message, PacketType.DIRECTORY_ASSIGN, address)
+            self.network.send(message.reply(PacketType.DIRECTORY_ASSIGN, address))
         elif message.ptype == PacketType.DIRECTORY_REGISTER:
             self.register_directory(int(message.payload["address"]))
         elif message.ptype == PacketType.AGENT_SUSPECT:

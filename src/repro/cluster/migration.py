@@ -41,6 +41,7 @@ import numpy as np
 from repro.cluster.dataplane import segments_by
 from repro.cluster.directory import DirectoryState
 from repro.cluster.edgestore import EdgeStore
+from repro.cluster.shard import StateSlices
 from repro.cluster.vertextable import keyed_vertices
 from repro.graph.sortedids import distinct
 from repro.net.message import PacketType
@@ -238,10 +239,9 @@ class MigrationMixin:
                     "vs": batch_others if role == "out" else batch_keys,
                     # Vectorized state join: the owned ids' rows of each
                     # program's columns, shipped as plain arrays.
-                    "state": {
-                        prog: state.select(owned)
-                        for prog, state in self.shard.programs.items()
-                    },
+                    "state": StateSlices(
+                        (prog, state.select(owned)) for prog, state in self.shard.programs.items()
+                    ),
                 }
                 self._send_hop(target, payload, (role, batch_keys, batch_others))
         keyed = keyed_vertices(self.shard)

@@ -28,7 +28,7 @@ Asynchronous mode (monotone programs, no rounds) lives at the bottom.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -147,7 +147,7 @@ class RoundMixin:
         run = self.run = _RunState(spec)
         if run.status == "async":
             self._build_table(run, resume=False)
-            self._async_scatter(np.flatnonzero(run.table.active))
+            self._async_drive(self._async_scatter(np.flatnonzero(run.table.active)))
             return
         self._begin_round(run, run.phase, 0, 0)
 
@@ -215,11 +215,7 @@ class RoundMixin:
         # the accumulators with this round's local messages.
         self._split_round_begin()
         if row.scatters:
-            if (
-                run.delta_msgs
-                and self.config.checkpoint_every > 0
-                and table.last_sent is not None
-            ):
+            if run.delta_msgs and self.config.checkpoint_every > 0 and table.last_sent is not None:
                 # Stash the pre-scatter residual baselines so a
                 # coordinated checkpoint can record baselines that still
                 # precede this round's sends — see
@@ -457,7 +453,7 @@ class RoundMixin:
             return
         run = self.run
         if run is not None and run.status == "async":
-            self._async_on_msg(payload)
+            self._async_drive(self._async_relax(payload))
             return
         if run is None or run.status == "waiting" or payload["round"] != run.round:
             # "If it is for an iteration in the future, the packet is
@@ -723,7 +719,25 @@ class RoundMixin:
     # asynchronous mode (monotone programs)
     # ------------------------------------------------------------------
 
-    def _async_on_msg(self, payload: dict) -> None:
+    def _async_drive(self, sends: Iterator[tuple]) -> None:
+        """Send the ``(agent, dst, val)`` vertex messages ``sends``
+        yields.  One to this agent itself is relaxed at once, depth first
+        (the order a recursion would take), from an explicit stack: a
+        chain of local hops as long as the graph grows no Python frame."""
+        stack = [sends]
+        while stack:
+            send = next(stack[-1], None)
+            if send is None:
+                stack.pop()
+                continue
+            agent_id, dst, val = send
+            payload = {"step": 0, "round": 0, "inc": self._data_inc, "dst": dst, "val": val}
+            if agent_id == self.agent_id:
+                stack.append(self._async_relax(payload))
+            else:
+                self.push.push(self._agent_address(agent_id), PacketType.VERTEX_MSG, payload)
+
+    def _async_relax(self, payload: dict) -> Iterator[tuple]:
         """Asynchronous processing: relax on arrival, re-scatter changes.
 
         Only monotone (min/max) programs run here, so ordering does not
@@ -736,18 +750,17 @@ class RoundMixin:
         pos = table.pos(np.asarray(payload["dst"], dtype=np.int64))
         proposed = table.values.copy()
         run.program.ufunc.at(proposed, pos, payload["val"])
-        changed = np.flatnonzero(proposed < table.values)
-        if run.program.aggregator == "max":
-            changed = np.flatnonzero(proposed > table.values)
+        maximizes = run.program.aggregator == "max"
+        changed = np.flatnonzero(proposed > table.values if maximizes else proposed < table.values)
         self.charge(self.config.costs.elga_vertex_op * len(pos))
         if len(changed) == 0:
             return
         table.values[changed] = proposed[changed]
         table.active[changed] = True
-        self._async_gossip_split(changed)
-        self._async_scatter(changed)
+        yield from self._async_gossip_split(changed)
+        yield from self._async_scatter(changed)
 
-    def _async_gossip_split(self, positions: np.ndarray) -> None:
+    def _async_gossip_split(self, positions: np.ndarray) -> Iterator[tuple]:
         """Propagate improved split-vertex values to sibling replicas.
 
         Asynchronous mode has no barrier to hang a replica-sync round
@@ -767,19 +780,9 @@ class RoundMixin:
                 if replica == self.agent_id:
                     continue
                 self.perf.add("replica_syncs")
-                self._async_send(
-                    replica, np.array([v], dtype=np.int64), np.array([float(table.values[p])])
-                )
+                yield replica, np.array([v], dtype=np.int64), np.array([float(table.values[p])])
 
-    def _async_send(self, agent_id: int, dst: np.ndarray, val: np.ndarray) -> None:
-        payload = {"step": 0, "round": 0, "inc": self._data_inc, "dst": dst, "val": val}
-        if agent_id == self.agent_id:
-            # Recurse locally without a network hop.
-            self._async_on_msg(payload)
-        else:
-            self.push.push(self._agent_address(agent_id), PacketType.VERTEX_MSG, payload)
-
-    def _async_scatter(self, positions: np.ndarray) -> None:
+    def _async_scatter(self, positions: np.ndarray) -> Iterator[tuple]:
         run = self.run
         table = run.table
         if len(positions) == 0:
@@ -792,4 +795,4 @@ class RoundMixin:
             self.perf.add("edges_processed", count)
             if agent_id != self.agent_id:
                 self.perf.add("messages_sent")
-            self._async_send(agent_id, dst, val)
+            yield agent_id, dst, val

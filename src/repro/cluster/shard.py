@@ -19,9 +19,9 @@ half by reference — edge-store columns and dirty-log batches are frozen
 arrays that every change replaces — and copies only the O(n/P) state:
 the sketch delta, the watermarks and each :class:`ProgramState`, all
 written in place.  The WAL replays onto a copy; migration ships
-:meth:`ProgramState.select` and the receiver merges it with
-:meth:`ProgramState.absorb`.  A new durable field is added here and
-nowhere else.
+:meth:`ProgramState.select` (a hop carries one :class:`StateSlices`)
+and the receiver merges it with :meth:`ProgramState.absorb`.  A new
+durable field is added here and nowhere else.
 
 Dirty rows are kept only while some program holds a watermark
 (:meth:`ShardState.log_dirty`); a delta run reads them through
@@ -44,6 +44,17 @@ from repro.sketch.countmin import CountMinSketch
 #: vals), "active": ids, "scatter": (ids, vals)}``; an absent key is
 #: an empty slice.
 StateSlice = Dict[str, object]
+
+
+class StateSlices(Dict[str, StateSlice]):
+    """Program name -> :meth:`ProgramState.select` slice: the vertex
+    state one EDGE_MIGRATE hop carries, on the wire every array of it."""
+
+    @property
+    def nbytes(self) -> int:
+        parts = [(*s["values"], s["active"], *s["scatter"]) for s in self.values()]
+        return sum(array.nbytes for part in parts for array in part)
+
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_PAIRS: Tuple[np.ndarray, np.ndarray] = (_NO_IDS, np.empty(0))

@@ -21,7 +21,7 @@ from repro.net.faults import (
     PartitionWindow,
 )
 from repro.net.latency import TransportModel
-from repro.net.message import Message, PacketType, payload_nbytes
+from repro.net.message import Message, PacketType
 from repro.net.network import Network, NetworkStats
 from repro.net.sockets import PubSubSocket, PushSocket, ReqRepSocket
 
@@ -40,5 +40,4 @@ __all__ = [
     "PushSocket",
     "ReqRepSocket",
     "TransportModel",
-    "payload_nbytes",
 ]

@@ -28,12 +28,13 @@ Examples
 --------
 >>> from repro.net.message import Message, PacketType
 >>> plan = FaultPlan(seed=1, rules=[FaultRule(drop_p=1.0)])
->>> plan.decide(Message(PacketType.VERTEX_MSG, src=0, dst=1), now=0.0)
+>>> ack = Message(PacketType.VERTEX_MSG_ACK, {"inc": 0, "count": 1}, src=0, dst=1)
+>>> plan.decide(ack, now=0.0)
 []
 >>> plan.injected["drops"]
 1
 >>> keep = FaultPlan(seed=1)  # no rules: every message passes untouched
->>> keep.decide(Message(PacketType.VERTEX_MSG, src=0, dst=1), now=0.0)
+>>> keep.decide(ack, now=0.0)
 [0.0]
 """
 

@@ -275,15 +275,8 @@ class Network:
         self.stats.record(message)
         for tap in self._taps:
             tap(message)
-        tracer = self.tracer
-        if tracer is not None and message.ptype != PacketType.DELIVERY_ACK:
-            tracer.message_event(
-                "send",
-                message,
-                self.name_of(message.src),
-                self.name_of(message.src),
-                self.name_of(message.dst),
-            )
+        if self.tracer is not None and message.ptype != PacketType.DELIVERY_ACK:
+            self._trace("send", message, at_sender=True)
         if (
             self.reliable
             and message.ptype != PacketType.DELIVERY_ACK
@@ -306,16 +299,8 @@ class Network:
             if not extra_delays:
                 cause = "partition" if self._partitioned(message) else "chaos"
                 self.stats.record_drop(message, cause)
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.message_event(
-                        "drop",
-                        message,
-                        self.name_of(message.dst),
-                        self.name_of(message.src),
-                        self.name_of(message.dst),
-                        cause=cause,
-                    )
+                if self.tracer is not None:
+                    self._trace("drop", message, at_sender=False, cause=cause)
                 return
             if len(extra_delays) > 1:
                 self.stats.messages_duplicated += len(extra_delays) - 1
@@ -352,14 +337,7 @@ class Network:
         if entity is None:
             self.stats.record_drop(message, "detached")
             if tracer is not None:
-                tracer.message_event(
-                    "drop",
-                    message,
-                    self.name_of(message.dst),
-                    self.name_of(message.src),
-                    self.name_of(message.dst),
-                    cause="detached",
-                )
+                self._trace("drop", message, at_sender=False, cause="detached")
             return
         if message.seq is not None:
             # Idempotent ack: every arrival is (re-)acknowledged — the
@@ -372,19 +350,18 @@ class Network:
                 self.stats.duplicates_suppressed += 1
                 entity.perf.add("transport_dups_suppressed")
                 if tracer is not None:
-                    tracer.message_event(
-                        "dup_suppressed",
-                        message,
-                        entity.name,
-                        self.name_of(message.src),
-                        entity.name,
-                    )
+                    self._trace("dup_suppressed", message, at_sender=False)
                 return
         if tracer is not None:
-            tracer.message_event(
-                "deliver", message, entity.name, self.name_of(message.src), entity.name
-            )
+            self._trace("deliver", message, at_sender=False)
         entity.handle_message(message)
+
+    def _trace(
+        self, kind: str, message: Message, at_sender: bool, cause: Optional[str] = None
+    ) -> None:
+        """One message event, on the sender's or the receiver's timeline."""
+        src, dst = self.name_of(message.src), self.name_of(message.dst)
+        self.tracer.message_event(kind, message, src if at_sender else dst, src, dst, cause=cause)
 
     # -- reliable-delivery plumbing -----------------------------------------
 
@@ -434,15 +411,8 @@ class Network:
         entry.attempt += 1
         self.stats.messages_retried += 1
         self.stats.retries_by_type[message.ptype] += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.message_event(
-                "retransmit",
-                message,
-                self.name_of(message.src),
-                self.name_of(message.src),
-                self.name_of(message.dst),
-            )
+        if self.tracer is not None:
+            self._trace("retransmit", message, at_sender=True)
         sender = self._entities.get(message.src)
         if sender is not None:  # gone: only the fabric-wide count sees it
             sender.perf.add("transport_retries")

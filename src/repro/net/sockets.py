@@ -5,7 +5,8 @@ ElGA uses three patterns, by latency class:
 * **REQ/REP** for low-latency blocking exchanges (client queries,
   directory bootstrap): :class:`ReqRepSocket` enforces the
   one-outstanding-request-per-socket discipline of a ZeroMQ REQ socket
-  and correlates replies by request id.
+  and correlates replies by request id; the REP side answers with
+  :meth:`~repro.net.message.Message.reply`.
 * **PUSH** for medium-latency non-blocking sends (graph updates, vertex
   messages): :class:`PushSocket`; when an explicit acknowledgement is
   required a second PUSH travels back, which protocol code implements by
@@ -13,6 +14,10 @@ ElGA uses three patterns, by latency class:
 * **PUB/SUB** for high-latency broadcast (directory updates, barriers):
   :class:`PubSubSocket` filters on the single packet-type byte, exactly
   like ElGA's one-byte subscription prefixes.
+
+Every send builds a :class:`~repro.net.message.Message`, which sizes
+its payload from the packet type's declared shape (and refuses an
+undeclared one); no socket takes a size of its own.
 """
 
 from __future__ import annotations
@@ -45,19 +50,11 @@ class PushSocket:
         self.owner = owner
         self.network: "Network" = owner.network
 
-    def push(
-        self,
-        dst: int,
-        ptype: PacketType,
-        payload=None,
-        size_bytes: int = -1,
-        term: Optional[int] = None,
-    ) -> None:
+    def push(self, dst: int, ptype: PacketType, payload=None, term: Optional[int] = None) -> None:
         """Send one message to ``dst`` without blocking."""
-        message = Message(ptype=ptype, payload=payload, size_bytes=size_bytes, term=term)
-        message.src = self.owner.address
-        message.dst = dst
-        self.network.send(message)
+        self.network.send(
+            Message(ptype=ptype, payload=payload, src=self.owner.address, dst=dst, term=term)
+        )
 
 
 class ReqRepSocket:
@@ -98,10 +95,9 @@ class ReqRepSocket:
         request_id = next(_request_ids)
         self._pending_id = request_id
         self._callback = on_reply
-        message = Message(ptype=ptype, payload=payload, request_id=request_id)
-        message.src = self.owner.address
-        message.dst = dst
-        self.network.send(message)
+        self.network.send(
+            Message(ptype, payload, src=self.owner.address, dst=dst, request_id=request_id)
+        )
         return request_id
 
     def cancel(self) -> None:
@@ -128,14 +124,6 @@ class ReqRepSocket:
         if callback is not None:
             callback(message)
         return True
-
-    @staticmethod
-    def reply_to(network: "Network", request: Message, ptype: PacketType, payload=None) -> None:
-        """REP side: answer ``request`` with a correlated reply."""
-        response = request.reply(ptype, payload)
-        response.src = request.dst
-        response.dst = request.src
-        network.send(response)
 
 
 class PubSubSocket:
@@ -167,18 +155,12 @@ class PubSubSocket:
         """Current subscribers for one packet type (sorted, for determinism)."""
         return sorted(self._subscribers[ptype])
 
-    def publish(
-        self,
-        ptype: PacketType,
-        payload=None,
-        size_bytes: int = -1,
-        term: Optional[int] = None,
-    ) -> int:
-        """Send to every subscriber of ``ptype``; returns the fan-out."""
+    def publish(self, ptype: PacketType, payload=None, term: Optional[int] = None) -> int:
+        """Send to every subscriber of ``ptype``; returns the fan-out.
+        The payload is sized once, into one message copied per
+        subscriber."""
+        message = Message(ptype=ptype, payload=payload, src=self.owner.address, term=term)
         targets = self.subscribers_of(ptype)
         for dst in targets:
-            message = Message(ptype=ptype, payload=payload, size_bytes=size_bytes, term=term)
-            message.src = self.owner.address
-            message.dst = dst
-            self.network.send(message)
+            self.network.send(message.to(dst))
         return len(targets)

@@ -44,13 +44,6 @@ DATA_PACKET_TYPES = frozenset(
     {PacketType.VERTEX_MSG, PacketType.REPLICA_SYNC, PacketType.REPLICA_VALUE}
 )
 
-#: Packet types belonging to the query-serving plane (client proxies).
-#: Kept out of :data:`DATA_PACKET_TYPES` — queries are read-only and
-#: must not perturb the run's algorithm-content digests.
-SERVING_PACKET_TYPES = frozenset(
-    {PacketType.CLIENT_QUERY, PacketType.CLIENT_REPLY, PacketType.RESULT_NOTICE}
-)
-
 #: Payload keys that are delivery bookkeeping, not algorithm content
 #: (the incarnation fence differs between a recovered and a never-
 #: crashed run even when the values are bit-identical).
@@ -97,38 +90,25 @@ class Trace:
         return sorted(names)
 
 
-def _digest_update(h, value) -> None:
-    if isinstance(value, np.ndarray):
-        h.update(b"a")
-        h.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, dict):
-        h.update(b"d")
-        for key in sorted(value):
-            if key in _DIGEST_EXCLUDED_KEYS:
-                continue
-            h.update(str(key).encode())
-            _digest_update(h, value[key])
-    elif isinstance(value, (list, tuple)):
-        h.update(b"l")
-        for item in value:
-            _digest_update(h, item)
-    elif isinstance(value, (set, frozenset)):
-        h.update(b"s")
-        for item in sorted(value):
-            _digest_update(h, item)
-    else:
-        h.update(repr(value).encode())
-
-
-def payload_digest(payload) -> str:
-    """A stable content hash of a data-plane payload.
+def payload_digest(payload: Dict[str, Any]) -> str:
+    """A stable content hash of a data-plane payload: a record of
+    scalar and array fields (its packet type's declared shape).
 
     Bit-identical payloads hash identically regardless of which run (or
-    engine) produced them; dict iteration order and the incarnation
-    fence are canonicalized away.
+    engine) produced them; field order and the incarnation fence are
+    canonicalized away.
     """
     h = hashlib.blake2b(digest_size=8)
-    _digest_update(h, payload)
+    h.update(b"d")
+    for key in sorted(payload):
+        if key not in _DIGEST_EXCLUDED_KEYS:
+            value = payload[key]
+            h.update(key.encode())
+            if isinstance(value, np.ndarray):
+                h.update(b"a")
+                h.update(np.ascontiguousarray(value).tobytes())
+            else:
+                h.update(repr(value).encode())
     return h.hexdigest()
 
 
@@ -200,11 +180,9 @@ class Tracer:
         if cause is not None:
             args["cause"] = cause
         payload = message.payload
-        if message.ptype in DATA_PACKET_TYPES and isinstance(payload, dict):
-            if "step" in payload:
-                args["step"] = int(payload["step"])
-            if "round" in payload:
-                args["round"] = int(payload["round"])
+        if message.ptype in DATA_PACKET_TYPES:
+            args["step"] = int(payload["step"])
+            args["round"] = int(payload["round"])
             if kind == "send":
                 args["digest"] = payload_digest(payload)
         self.events.append(

@@ -35,7 +35,7 @@ def test_non_lead_rejects_ready_rebroadcast_delivery():
 
 def test_unexpected_packet_rejected():
     c = make_cluster()
-    msg = Message(ptype=PacketType.CLIENT_QUERY, payload={})
+    msg = Message(ptype=PacketType.CLIENT_QUERY, payload={"vertex": 0, "program": "wcc", "token": 1})
     msg.src = 0
     msg.dst = c.lead.address
     with pytest.raises(ValueError):
@@ -44,7 +44,9 @@ def test_unexpected_packet_rejected():
 
 def test_master_rejects_unexpected_packets():
     c = make_cluster()
-    msg = Message(ptype=PacketType.AGENT_READY, payload={})
+    msg = Message(
+        ptype=PacketType.AGENT_READY, payload={"agent_id": 0, "round": 0, "step": 0, "stats": {}}
+    )
     msg.src = 0
     msg.dst = c.master.address
     with pytest.raises(ValueError):

@@ -23,12 +23,14 @@ import pytest
 from repro.cluster import ClusterConfig, ElGACluster
 from repro.cluster.directory import Directory, DirectoryState
 from repro.cluster.leadstate import LEASES, ControlTail, LeadState
+from repro.cluster.shard import StateSlices
 from repro.core import ElGA, PageRank
 from repro.core.program import RunSpec
 from repro.core.superstep import SyncRunController
 from repro.gen import powerlaw_graph
 from repro.net.message import Message, PacketType
 from repro.sketch import CountMinSketch
+from tests.net.test_wire_sizes import CASES, UPDATE
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -229,8 +231,10 @@ def test_a_crash_walks_the_lease_table_and_an_unknown_move_raises(monkeypatch):
 
 def test_unknown_packet_type_still_raises():
     c = make_cluster()
+    payloads = {PacketType[name]: payload for name, payload, _ in CASES}
+    payloads[PacketType.EDGE_MIGRATE] = dict(UPDATE, state=StateSlices(), reply_to=7, token=-1)
     for ptype in set(PacketType) - set(Directory._DISPATCH):
-        message = Message(ptype=ptype, payload={})
+        message = Message(ptype=ptype, payload=payloads[ptype])
         message.src, message.dst = 0, c.lead.address
         with pytest.raises(ValueError):
             c.lead.handle_message(message)

@@ -118,7 +118,7 @@ def test_dead_home_is_left_through_the_master_even_if_it_is_down_too(kind):
 def test_unknown_packet_type_raises(kind):
     _, p = make(kind)
     with pytest.raises(ValueError, match="unexpected HEARTBEAT"):
-        p.handle_message(Message(ptype=PacketType.HEARTBEAT))
+        p.handle_message(Message(ptype=PacketType.HEARTBEAT, payload={"agent_id": 0}))
 
 
 def test_dispatch_tables_are_exactly_what_each_kind_is_sent(monkeypatch):

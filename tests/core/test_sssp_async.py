@@ -57,6 +57,17 @@ def test_sssp_through_split_vertices(skewed_engine, skewed_graph):
         assert result.values[v] == d
 
 
+def test_a_long_local_path_relaxes_on_a_flat_stack():
+    """One agent holds a 5,000-vertex path, so every hop of the
+    relaxation chain is local and the chain is as long as the path: it
+    must run on an explicit stack, not one Python frame per hop."""
+    n = 5_000
+    elga = ElGA(nodes=1, agents_per_node=1, seed=3)
+    elga.ingest_edges(np.arange(n - 1), np.arange(1, n))
+    result = elga.run(SSSP(source=0), mode="async")
+    assert [result.values[v] for v in range(n)] == list(range(n))
+
+
 def test_async_rejects_non_monotone_programs(engine):
     with pytest.raises(ValueError):
         engine.run(PageRank(), mode="async")

@@ -101,7 +101,10 @@ def test_ingest_concurrent_with_queries():
 def test_unexpected_packet_type_raises():
     elga = ElGA(nodes=1, agents_per_node=1, seed=77)
     agent = elga.cluster.agents[0]
-    bogus = Message(ptype=PacketType.READY_REBROADCAST, payload={})
+    bogus = Message(
+        ptype=PacketType.READY_REBROADCAST,
+        payload={"agent_id": 0, "round": 0, "step": 0, "stats": {}},
+    )
     bogus.src = agent.address
     bogus.dst = agent.address
     with pytest.raises(ValueError):

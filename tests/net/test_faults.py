@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.core import WCC, RunSpec
 from repro.net import (
     CONTROL_PTYPES,
     DATA_PTYPES,
@@ -15,9 +17,18 @@ from repro.net import (
     PartitionWindow,
 )
 
+#: One declared payload for each packet type these tests send.
+PAYLOADS = {
+    PacketType.VERTEX_MSG: {"step": 0, "round": 0, "inc": 0, "dst": np.zeros(1, dtype=np.int64),
+                            "val": np.zeros(1)},
+    PacketType.AGENT_READY: {"agent_id": 0, "step": 0, "round": 0, "stats": {}},
+    PacketType.RUN_START: RunSpec(run_id=1, program=WCC()),
+    PacketType.DELIVERY_ACK: 1,
+}
+
 
 def msg(ptype=PacketType.VERTEX_MSG, src=0, dst=1):
-    return Message(ptype=ptype, src=src, dst=dst)
+    return Message(ptype=ptype, payload=PAYLOADS[ptype], src=src, dst=dst)
 
 
 # ---------------------------------------------------------------------------

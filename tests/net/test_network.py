@@ -22,12 +22,29 @@ def make_net(transport=None):
     return kernel, Network(kernel, transport=transport)
 
 
+def vertex_msg(tag=0, n=1):
+    """A VERTEX_MSG payload of ``n`` values; ``tag`` rides in the step
+    field so a test can tell messages apart."""
+    return {"step": tag, "round": 0, "inc": 0, "dst": np.arange(n, dtype=np.int64),
+            "val": np.zeros(n)}
+
+
+UPDATE = {"role": "out", "actions": np.ones(1, dtype=np.int8), "us": np.zeros(1, dtype=np.int64),
+          "vs": np.ones(1, dtype=np.int64), "reply_to": -1, "token": 0}
+
+
 def send(net, src, dst, ptype=PacketType.VERTEX_MSG, payload=None):
+    if payload is None:
+        payload = vertex_msg() if ptype == PacketType.VERTEX_MSG else UPDATE
     msg = Message(ptype=ptype, payload=payload)
     msg.src = src.address
     msg.dst = dst.address
     net.send(msg)
     return msg
+
+
+def tags(recorder):
+    return [m.payload["step"] for _, m in recorder.received]
 
 
 def test_delivery_and_latency():
@@ -56,8 +73,8 @@ def test_size_affects_delay():
     kernel, net = make_net()
     a = Recorder(net, "a", node=0)
     b = Recorder(net, "b", node=1)
-    send(net, a, b, payload=np.zeros(1, dtype=np.int64))
-    send(net, a, b, payload=np.zeros(1_000_000, dtype=np.int64))
+    send(net, a, b, payload=vertex_msg(n=1))
+    send(net, a, b, payload=vertex_msg(n=500_000))
     kernel.run()
     small_at, big_at = b.received[0][0], b.received[1][0]
     assert big_at > small_at
@@ -78,9 +95,9 @@ def test_pairwise_ordering_preserved():
     a = Recorder(net, "a")
     b = Recorder(net, "b", node=1)
     for i in range(10):
-        send(net, a, b, payload=i)
+        send(net, a, b, payload=vertex_msg(i))
     kernel.run()
-    assert [m.payload for _, m in b.received] == list(range(10))
+    assert tags(b) == list(range(10))
 
 
 def test_messages_to_detached_address_are_dropped():
@@ -145,19 +162,21 @@ def test_record_drop_rejects_unknown_cause():
 
     stats = NetworkStats()
     with pytest.raises(ValueError):
-        stats.record_drop(Message(ptype=PacketType.VERTEX_MSG, src=0, dst=1), "gremlin")
+        stats.record_drop(
+            Message(ptype=PacketType.VERTEX_MSG, payload=vertex_msg(), src=0, dst=1), "gremlin"
+        )
 
 
 def test_stats_accounting():
     kernel, net = make_net()
     a = Recorder(net, "a")
     b = Recorder(net, "b")
-    send(net, a, b, ptype=PacketType.VERTEX_MSG, payload=np.zeros(4, dtype=np.int64))
+    send(net, a, b, ptype=PacketType.VERTEX_MSG, payload=vertex_msg(n=2))
     send(net, a, b, ptype=PacketType.EDGE_UPDATE)
     kernel.run()
     assert net.stats.messages_sent == 2
     assert net.stats.by_type_count[PacketType.VERTEX_MSG] == 1
-    assert net.stats.by_type_bytes[PacketType.VERTEX_MSG] == 1 + 32
+    assert net.stats.by_type_bytes[PacketType.VERTEX_MSG] == 1 + 3 * 8 + 2 * 16
     snap = net.stats.snapshot()
     send(net, a, b)
     kernel.run()
@@ -195,7 +214,7 @@ def test_snapshot_keeps_every_field_and_shares_nothing():
 def test_missing_destination_rejected():
     _, net = make_net()
     a = Recorder(net, "a")
-    msg = Message(ptype=PacketType.VERTEX_MSG)
+    msg = Message(ptype=PacketType.VERTEX_MSG, payload=vertex_msg())
     msg.src = a.address
     with pytest.raises(ValueError):
         net.send(msg)
@@ -242,9 +261,9 @@ def test_reliable_mode_recovers_dropped_message():
     kernel, net = make_reliable_net(first_window_drop_plan())
     a = Recorder(net, "a")
     b = Recorder(net, "b")
-    send(net, a, b, payload="precious")
+    send(net, a, b, payload=vertex_msg(7))
     kernel.run()
-    assert [m.payload for _, m in b.received] == ["precious"]
+    assert tags(b) == [7]
     assert net.stats.messages_retried >= 1
     assert net.stats.retries_by_type[PacketType.VERTEX_MSG] >= 1
     assert net.pending_reliable == 0
@@ -277,10 +296,10 @@ def test_duplicate_deliveries_suppressed():
     a = Recorder(net, "a")
     b = Recorder(net, "b")
     for i in range(5):
-        send(net, a, b, payload=i)
+        send(net, a, b, payload=vertex_msg(i))
     kernel.run()
     # Every message duplicated in flight, yet each dispatched only once.
-    assert [m.payload for _, m in b.received] == [0, 1, 2, 3, 4]
+    assert tags(b) == [0, 1, 2, 3, 4]
     assert net.stats.messages_duplicated == 5
     assert net.stats.duplicates_suppressed == 5
 
@@ -293,11 +312,11 @@ def test_per_destination_pending_keys_do_not_collide():
     a = Recorder(net, "a")
     b = Recorder(net, "b")
     c = Recorder(net, "c")
-    send(net, a, b, payload="to-b")  # seq 1 on link a->b
-    send(net, a, c, payload="to-c")  # seq 1 on link a->c
+    send(net, a, b, payload=vertex_msg(1))  # seq 1 on link a->b
+    send(net, a, c, payload=vertex_msg(2))  # seq 1 on link a->c
     kernel.run()
-    assert [m.payload for _, m in b.received] == ["to-b"]
-    assert [m.payload for _, m in c.received] == ["to-c"]
+    assert tags(b) == [1]
+    assert tags(c) == [2]
     assert net.pending_reliable == 0
 
 
@@ -319,10 +338,9 @@ def test_reordered_messages_each_delivered_once():
     b = Recorder(net, "b")
     n = 30
     for i in range(n):
-        send(net, a, b, payload=i)
+        send(net, a, b, payload=vertex_msg(i))
     kernel.run()
-    payloads = [m.payload for _, m in b.received]
-    assert sorted(payloads) == list(range(n))  # exactly once each
+    assert sorted(tags(b)) == list(range(n))  # exactly once each
     assert net.pending_reliable == 0
 
 
@@ -370,8 +388,8 @@ def test_reliable_mode_fault_free_delivers_in_order():
     a = Recorder(net, "a")
     b = Recorder(net, "b")
     for i in range(10):
-        send(net, a, b, payload=i)
+        send(net, a, b, payload=vertex_msg(i))
     kernel.run()
-    assert [m.payload for _, m in b.received] == list(range(10))
+    assert tags(b) == list(range(10))
     assert net.stats.messages_retried == 0
     assert net.stats.duplicates_suppressed == 0
