@@ -390,6 +390,9 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         delta = self.shard.sketch_delta
         if delta.is_empty():
             return
+        # The message takes the table (the copy shares it, the clear
+        # drops this side's reference): O(1), and no table is held
+        # here until the next count.
         self.push.push(self.directory_address, PacketType.SKETCH_DELTA, delta.copy())
         delta.clear()
         self._delta_count = 0

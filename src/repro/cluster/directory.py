@@ -122,6 +122,13 @@ class DirectoryState:
     def agent_ids(self) -> List[int]:
         return sorted(self.agents)
 
+    def with_own_sketch(self) -> "DirectoryState":
+        """A shallow copy holding its own sketch object (O(1): the
+        sketch copy shares the table until either side writes)."""
+        dup = copy.copy(self)
+        dup.sketch = self.sketch.copy()
+        return dup
+
     @property
     def fence(self) -> Tuple[int, int]:
         """The adoption fence: states order by (term, version).
@@ -519,9 +526,10 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
     def _snapshot_state(self) -> DirectoryState:
         """The lead's current state with a copy of the sketch and the
         epoch describing its contents *right now* (the live sketch may
-        have merged deltas since ``self.state`` was built)."""
-        snapshot = copy.copy(self.state)
-        snapshot.sketch = self.state.sketch.copy()
+        have merged deltas since ``self.state`` was built).  The copy
+        shares the lead's table, frozen: the lead's next merge copies
+        it once, however many snapshots were taken in between."""
+        snapshot = self.state.with_own_sketch()
         snapshot.epoch = self._epoch(len(snapshot.split_vertices))
         return snapshot
 

@@ -196,6 +196,10 @@ class FailoverMixin:
         partially-delivered broadcast left behind.
         """
         self.term += 1
+        # The mirrored state is the object the old lead broadcast, held
+        # by every participant that adopted it: the live master sketch
+        # the new lead merges deltas into must be its own.
+        self.state = self.state.with_own_sketch()
         self.lead_state = LeadState.from_mirror(self.state, self.tail)
         self.perf.add("lead_elections")
         self._trace("lead_elected", "control", term=self.term, index=self.index)

@@ -354,3 +354,6 @@ class MigrationMixin:
             self.push.push(self.directory_address, PacketType.SUBSCRIBE, {"remove": True})
             self.detach()
             self._to("detached")
+            # Nothing restores a graceful leaver: its durable slot goes.
+            self._recovery_store.release(self.agent_id)
+            self._recovery = None

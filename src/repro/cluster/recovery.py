@@ -206,6 +206,11 @@ class RecoveryStore:
             self._slots[agent_id] = AgentRecoverySlot()
         return self._slots[agent_id]
 
+    def release(self, agent_id: int) -> None:
+        """Forget a graceful leaver's slot: it drained every edge away,
+        and no replacement will ever restore it."""
+        self._slots.pop(agent_id, None)
+
     def prune_run(self, run_id: int) -> None:
         """Drop every agent's per-step checkpoints for a finished run."""
         for slot in self._slots.values():

@@ -14,11 +14,12 @@ that unit for a whole shard, in two halves:
   programs) the last-sent scatter baselines.  This is what a rollback
   rewinds, and what rides along with migrating edges.
 
-A checkpoint is a :meth:`ShardState.copy`, which holds the O(m/P) graph
-half by reference — edge-store columns and dirty-log batches are frozen
-arrays that every change replaces — and copies only the O(n/P) state:
-the sketch delta, the watermarks and each :class:`ProgramState`, all
-written in place.  The WAL replays onto a copy; migration ships
+A checkpoint is a :meth:`ShardState.copy`, which holds the graph half
+by reference — edge-store columns and dirty-log batches are frozen
+arrays that every change replaces, and the sketch delta shares its
+table copy-on-write (none is held between a flush and the next count)
+— and copies only the O(n/P) state written in place: the watermarks
+and each :class:`ProgramState`.  The WAL replays onto a copy; migration ships
 :meth:`ProgramState.select` (a hop carries one :class:`StateSlices`)
 and the receiver merges it with :meth:`ProgramState.absorb`.  A new
 durable field is added here and nowhere else.
@@ -142,9 +143,10 @@ class ShardState:
     programs: Dict[str, ProgramState] = field(default_factory=dict)
 
     def copy(self) -> "ShardState":
-        """An independent shard: the edge stores and the dirty log share
-        their frozen arrays with this one (O(1) and O(batches)); the
-        sketch delta, the watermarks and the program half are copied."""
+        """An independent shard: the edge stores, the dirty log and the
+        sketch delta share their frozen arrays with this one (O(1),
+        O(batches) and O(1)); the watermarks and the program half are
+        copied."""
         return ShardState(
             sketch_delta=self.sketch_delta.copy(),
             out_store=self.out_store.copy(),

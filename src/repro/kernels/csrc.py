@@ -60,6 +60,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import stat
 import subprocess
 import tempfile
@@ -547,6 +548,21 @@ def _cache_dir() -> str:
     return path
 
 
+#: A built pair in the cache: ``repro_kernels_<16 hex digits>.{c,so}``.
+_BUILT = re.compile(r"repro_kernels_([0-9a-f]{16})\.(?:c|so)")
+
+
+def _remove_stale(libdir: str, digest: str) -> None:
+    """Delete the sources and libraries of any other digest from this
+    user's private cache: no build of this source loads them again (a
+    process that already has one loaded keeps its mapping)."""
+    for entry in os.scandir(libdir):
+        built = _BUILT.fullmatch(entry.name)
+        if built and built.group(1) != digest:
+            with suppress(FileNotFoundError):  # a concurrent builder's cleanup
+                os.unlink(entry.path)
+
+
 def _build() -> ctypes.CDLL:
     cc = _compiler()
     if cc is None:
@@ -572,6 +588,7 @@ def _build() -> ctypes.CDLL:
         finally:
             with suppress(FileNotFoundError):  # a failed compile's leftover
                 os.unlink(tmp)
+        _remove_stale(libdir, digest)
     if os.stat(libpath).st_uid != os.getuid():
         raise PermissionError(f"{libpath} is not owned by uid {os.getuid()}")
     lib = ctypes.CDLL(libpath)

@@ -199,7 +199,11 @@ def sketch_query(
 
 def sketch_add(salts: np.ndarray, keys: np.ndarray, table: np.ndarray, counts: np.ndarray) -> None:
     """Add ``counts`` (one per key) to every row's counter of each key,
-    in place; a key the batch repeats adds each of its counts."""
+    in place; a key the batch repeats adds each of its counts.  A
+    read-only table (one shared copy-on-write) is refused: ``np.add.at``
+    would write through its flag."""
+    if not table.flags.writeable:
+        raise ValueError("sketch table is read-only")
     idx = sketch_columns(salts, keys, table.shape[1])
     for row in range(len(salts)):
         np.add.at(table[row], idx[row], counts)

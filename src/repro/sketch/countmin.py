@@ -17,6 +17,17 @@ Deletions are supported (the dynamic graph is a turnstile stream); the
 one-direction-only guarantee (never underestimate) holds as long as the
 stream never deletes an edge that was not previously inserted, which the
 graph layer enforces.
+
+A sketch holds its table by reference.  A new or cleared sketch holds
+none (all counters zero) and allocates one at its first count;
+:meth:`~CountMinSketch.copy` shares the table, frozen
+(``writeable=False``), in O(1), and whichever side writes first
+(``add``, ``remove``, ``merge``) copies it privately.  So an agent's
+sketch delta, its checkpoints and the flushed SKETCH_DELTA cost a table
+only between a first count and the flush, and a directory's snapshots
+share the lead's.  :attr:`~CountMinSketch.nbytes` is the declared
+``depth × width × itemsize`` whether or not a table is held: it is the
+wire size, not the memory.
 """
 
 from __future__ import annotations
@@ -59,7 +70,11 @@ class CountMinSketch:
         self.width = int(width)
         self.depth = int(depth)
         self.seed = int(seed)
-        self.table = np.zeros((self.depth, self.width), dtype=dtype)
+        self.dtype = np.dtype(dtype)
+        # The counters, or None while every one is zero.  A frozen
+        # (read-only) table may be shared with copies; writers go
+        # through _writable.
+        self._table: Optional[np.ndarray] = None
         self.total = 0  # net count of all updates (m in the error bound)
         # One salt per row; derived deterministically from the seed.
         base = np.arange(1, self.depth + 1, dtype=np.uint64)
@@ -101,8 +116,36 @@ class CountMinSketch:
 
     @property
     def nbytes(self) -> int:
-        """Size of the broadcastable table in bytes."""
-        return int(self.table.nbytes)
+        """Size of the broadcastable table in bytes, held or not."""
+        return self.depth * self.width * self.dtype.itemsize
+
+    @property
+    def holds_table(self) -> bool:
+        """Whether a counter table is allocated (else every counter is 0)."""
+        return self._table is not None
+
+    @property
+    def table(self) -> np.ndarray:
+        """The ``depth × width`` counters, read-only unless privately
+        held; a sketch that holds no table reads as a zero-strided view
+        of one zero."""
+        if self._table is None:
+            return np.broadcast_to(self.dtype.type(0), (self.depth, self.width))
+        return self._table
+
+    def _writable(self) -> np.ndarray:
+        """This sketch's own table, allocated or unshared first."""
+        if self._table is None:
+            self._table = np.zeros((self.depth, self.width), dtype=self.dtype)
+        elif not self._table.flags.writeable:
+            self._table = self._table.copy()
+        return self._table
+
+    def _shared(self) -> Optional[np.ndarray]:
+        """The held table, frozen so that it can be shared."""
+        if self._table is not None:
+            self._table.flags.writeable = False
+        return self._table
 
     # -- updates -----------------------------------------------------------------
 
@@ -117,8 +160,8 @@ class CountMinSketch:
         keys = as_u64_keys(keys)
         if keys.size == 0:
             return
-        counts_arr = np.broadcast_to(np.asarray(counts, dtype=self.table.dtype), keys.shape)
-        kernels.sketch_add(self._row_salts, keys, self.table, counts_arr)
+        counts_arr = np.broadcast_to(np.asarray(counts, dtype=self.dtype), keys.shape)
+        kernels.sketch_add(self._row_salts, keys, self._writable(), counts_arr)
         self.total += int(counts_arr.sum())
 
     def remove(self, keys, counts=1) -> None:
@@ -141,9 +184,11 @@ class CountMinSketch:
         keys_arr = as_u64_keys(keys)
         if keys_arr.size == 0:
             return np.empty(0, dtype=np.int64)
-        estimates = kernels.sketch_query(
-            self._row_salts, keys_arr, self.table, None if plus is None else plus.table
-        )
+        tables = [t for t in (self._table, None if plus is None else plus._table) if t is not None]
+        if tables:
+            estimates = kernels.sketch_query(self._row_salts, keys_arr, *tables)
+        else:
+            estimates = np.zeros(keys_arr.size, dtype=np.int64)
         return int(estimates[0]) if scalar else estimates
 
     # -- merging / serialization ---------------------------------------------------
@@ -164,23 +209,30 @@ class CountMinSketch:
         """
         if not self.compatible_with(other):
             raise ValueError("cannot merge sketches with different dimensions or seeds")
-        self.table += other.table
+        if other._table is not None:
+            if self._table is None and other.dtype == self.dtype:
+                self._table = other._shared()
+            else:
+                table = self._writable()
+                table += other._table
         self.total += other.total
 
     def copy(self) -> "CountMinSketch":
-        """An independent deep copy (what a directory broadcast carries)."""
-        dup = CountMinSketch(self.width, self.depth, self.seed, dtype=self.table.dtype)
-        dup.table[:] = self.table
+        """An independent copy (what a directory broadcast carries): it
+        shares this sketch's table, frozen, until either side writes."""
+        dup = CountMinSketch(self.width, self.depth, self.seed, dtype=self.dtype)
+        dup._table = self._shared()
         dup.total = self.total
         return dup
 
     def clear(self) -> None:
-        """Reset all counters (used for per-interval delta sketches)."""
-        self.table[:] = 0
+        """Reset all counters (used for per-interval delta sketches):
+        the table is dropped, not zeroed."""
+        self._table = None
         self.total = 0
 
     def is_empty(self) -> bool:
-        return self.total == 0 and not self.table.any()
+        return self.total == 0 and (self._table is None or not self._table.any())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountMinSketch):

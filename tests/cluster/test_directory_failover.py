@@ -229,6 +229,30 @@ def test_lead_lost_between_runs_is_succeeded_by_the_next_operation():
     assert cluster.lead.term == 1  # no second election
 
 
+def test_an_elected_lead_merges_into_its_own_sketch():
+    """A successor's state is the one the dead lead broadcast, adopted
+    by every agent and mirrored by the other replica.  The deltas it
+    merges after the election must go into a sketch of its own: a
+    published state never changes under the fence it was adopted at."""
+    us, vs, _ = powerlaw_graph(300, 1500, seed=3)
+    elga = ElGA(nodes=2, agents_per_node=2, seed=1, **ENGINE_FAILOVER)
+    cluster = elga.cluster
+    elga.ingest_edges(us[:1200], vs[:1200])
+    cluster.crash_directory()
+    cluster.settle()
+    held = [agent.dstate for agent in cluster.agents.values()]
+    held += [d.state for d in cluster.directories if not d.crashed]
+    pictures = [(state.fence, state.sketch.table.copy(), state.sketch.total) for state in held]
+    elga.ingest_edges(us[1200:], vs[1200:])
+    lead = cluster.lead
+    assert (lead.index, lead.term) == (1, 1)
+    assert lead.state.sketch.total > max(total for _, _, total in pictures)
+    for state, (fence, table, total) in zip(held, pictures):
+        assert state.fence == fence
+        assert state.sketch.total == total
+        assert np.array_equal(state.sketch.table, table)
+
+
 def test_run_right_after_a_lead_crash_reaches_every_agent():
     """No ingest in the gap, so nothing flushed: the run start itself
     re-homes the agents the dead directory orphaned — a RUN_START they

@@ -54,6 +54,30 @@ def test_leaving_agent_fully_drains_and_detaches():
     assert not c.network.is_attached(address)
 
 
+def test_a_graceful_leaver_releases_its_recovery_slot():
+    """Nothing restores an agent that drained away: after a scale-down
+    no slot is left for a departed id, and the leaver holds none.  A
+    crashed member's slot still carries over to its replacement."""
+    c, total = loaded_cluster()
+    agents = dict(c.agents)
+    slots = c.recovery._slots
+    assert set(slots) == set(agents)
+    c.scale_to(2)
+    departed = sorted(set(agents) - set(c.agents))
+    assert len(departed) == 2
+    for agent_id in departed:
+        assert agents[agent_id].status == "detached"
+        assert agents[agent_id]._recovery is None
+    assert set(slots) == set(c.agents)
+    victim = c.crash_agent(sorted(c.agents)[0])
+    assert victim in slots
+    c.replace_crashed_agent(victim)
+    c.settle()
+    assert c.agents[victim].total_edges > 0
+    assert c.total_resident_edges() == total
+    assert c.consistent()
+
+
 def test_join_moves_only_a_fraction():
     """Consistent hashing: one new agent out of P+1 should move roughly
     1/(P+1) of edges, not reshuffle everything (Figure 16)."""

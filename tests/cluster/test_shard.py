@@ -305,17 +305,21 @@ def test_a_checkpoint_keeps_its_columns_while_the_live_shard_moves_on():
 
 def shared_arrays(shard):
     """Every ndarray a checkpoint shares with the live shard: each
-    store's three CSR columns and the dirty log's batches."""
+    store's three CSR columns, the dirty log's batches and the sketch
+    delta's table, when one is held."""
     for store in (shard.out_store, shard.in_store):
         yield from store._csr()
     for batch in shard.dirty_log._batches:
         yield from batch[1:]
+    if shard.sketch_delta.holds_table:
+        yield shard.sketch_delta.table
 
 
 def test_every_shared_array_is_read_only():
     shard = make_shard()
+    assert shard.sketch_delta.holds_table
     arrays = list(shared_arrays(shard))
-    assert len(arrays) == 9
+    assert len(arrays) == 10
     # A checkpoint holds these very arrays: nothing is copied or rebuilt.
     assert all(map(operator.is_, shared_arrays(shard.copy()), arrays))
     views = [

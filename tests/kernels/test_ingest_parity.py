@@ -127,15 +127,28 @@ def test_negative_python_int_keys_count_as_their_uint64_view():
 
 def test_sketch_tables_the_kernel_cannot_write_go_to_the_reference():
     """An int32 table takes the reference from the dispatcher and is
-    refused by the bare C entry point."""
+    refused by the bare C entry point.  A sketch allocates its table at
+    its first count, so the write goes through ``add``; a table shared
+    copy-on-write is read-only, and the reference refuses to write it
+    (``np.add.at`` alone would ignore the flag)."""
     sketch = CountMinSketch(64, 3, dtype=np.int32)
     keys = np.arange(10, dtype=np.uint64)
-    kernels.sketch_add(sketch._row_salts, keys, sketch.table, np.ones(10, dtype=np.int32))
+    table = np.zeros((3, 64), dtype=np.int32)
+    kernels.sketch_add(sketch._row_salts, keys, table, np.ones(10, dtype=np.int32))
+    sketch.add(keys, np.ones(10, dtype=np.int32))
+    assert sketch.table.dtype == np.int32 and np.array_equal(sketch.table, table)
     assert sketch.query(np.arange(10)).min() >= 1
     with pytest.raises(TypeError):
         kernels.c_sketch_add(sketch._row_salts, keys, sketch.table, 1)
     with pytest.raises(TypeError):
         kernels.c_sketch_query(sketch._row_salts, keys, sketch.table)
+    shared = CountMinSketch(64, 3)
+    shared.add(keys)
+    before = shared.table.copy()
+    shared.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        kernels.sketch_add(shared._row_salts, keys, shared.table, np.ones(10, dtype=np.int64))
+    assert np.array_equal(shared.table, before)
 
 
 # ----------------------------------------------------------------------

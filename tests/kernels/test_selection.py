@@ -111,3 +111,23 @@ def test_a_failed_compile_leaves_no_partial_library(tmp_path, on_numpy):
     assert seen["digest"] == on_numpy["digest"]
     left = sorted(p.name for p in (tmp_path / f"repro-kernels-{os.getuid()}").iterdir())
     assert [name for name in left if not name.endswith(".c")] == []
+
+
+@needs_compiler
+def test_a_build_removes_the_libraries_of_older_sources(tmp_path):
+    """Each source revision is built under its own digest; the build of
+    the current one deletes this user's pairs of any other digest and
+    leaves everything else in the cache alone."""
+    cache = tmp_path / f"repro-kernels-{os.getuid()}"
+    cache.mkdir(mode=0o700)
+    stale = [f"repro_kernels_{digest}.{ext}"
+             for digest in ("0123456789abcdef", "fedcba9876543210") for ext in ("c", "so")]
+    kept = ["notes.txt", "repro_kernels_0123.so", "repro_kernels_0123456789abcdef.so.tmp7"]
+    for name in stale + kept:
+        (cache / name).write_text("x")
+    assert probe(TMPDIR=str(tmp_path))["backend"] == "c"
+    left = sorted(p.name for p in cache.iterdir())
+    built = [name for name in left if name not in kept]
+    assert sorted(kept) == [name for name in left if name in kept]
+    assert len(built) == 2 and not set(built) & set(stale)
+    assert {name.rsplit(".", 1)[1] for name in built} == {"c", "so"}
