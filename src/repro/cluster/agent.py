@@ -64,7 +64,11 @@ from repro.cluster.shard import ProgramState, ShardState, StateSlice, copy_progr
 from repro.cluster.vertextable import _RunState, hosted_vertex_ids, persist_table
 from repro.graph.sortedids import distinct
 from repro.net.message import Message, PacketType
+from repro.sim.entity import Periodic
 from repro.sketch.countmin import CountMinSketch
+
+#: The run statuses (``rounds.RUN_STATUS``) in which an Agent heartbeats.
+HEARTBEAT_STATUSES = frozenset({"open", "ready"})
 
 
 class Agent(MigrationMixin, RoundMixin, Participant):
@@ -165,7 +169,9 @@ class Agent(MigrationMixin, RoundMixin, Participant):
         # received since the last cumulative VERTEX_MSG_ACK flush.
         self._ack_credits: Dict[Tuple[int, int], int] = {}
         self._ack_flush_scheduled = False
-        self._heartbeat_pending = False
+        # The one timer chain: HEARTBEAT to the Directory while a
+        # synchronous round is live (``_heartbeat_tick``).
+        self._heartbeat = Periodic(self.kernel, config.heartbeat_interval, self._heartbeat_tick)
         self.recover_epoch = incarnation
         self._data_inc = incarnation
         # Tracing: when this agent last went quiet waiting on a barrier
@@ -509,23 +515,14 @@ class Agent(MigrationMixin, RoundMixin, Participant):
     # crash tolerance: heartbeats, WAL, checkpoints, recovery
     # ------------------------------------------------------------------
 
-    def _start_heartbeats(self) -> None:
-        """(Re)arm the periodic HEARTBEAT push to this agent's Directory.
-
-        The chain is tied to synchronous-run liveness: each tick
-        re-schedules itself only while the run is live, so an idle (or
-        suspended, or crashed) agent leaves the simulator quiescent.
-        """
-        if self.config.heartbeat_interval <= 0 or self._heartbeat_pending:
-            return
-        self._heartbeat_pending = True
-        self.kernel.schedule(self.config.heartbeat_interval, self._heartbeat_tick)
-
     def _heartbeat_tick(self) -> None:
-        self._heartbeat_pending = False
+        """Push a HEARTBEAT to this agent's Directory while a synchronous
+        round is live.  An idle, suspended or crashed agent ends the
+        chain, so the simulator goes quiescent; a round start re-arms it.
+        """
         run = self.run
-        if self.crashed or run is None or run.status not in ("open", "ready"):
-            return  # chain ends; the next run start / resume re-arms it
+        if self.crashed or run is None or run.status not in HEARTBEAT_STATUSES:
+            return
         # If this agent's directory died, re-home through the master
         # instead of heartbeating into the void.  The chain keeps
         # ticking so a failed re-home attempt is retried.
@@ -536,8 +533,7 @@ class Agent(MigrationMixin, RoundMixin, Participant):
                 PacketType.HEARTBEAT,
                 {"agent_id": self.agent_id},
             )
-        self._heartbeat_pending = True
-        self.kernel.schedule(self.config.heartbeat_interval, self._heartbeat_tick)
+        self._heartbeat.arm()
 
     def _on_rehomed(self) -> None:
         super()._on_rehomed()

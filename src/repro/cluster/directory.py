@@ -39,7 +39,7 @@ from repro.cluster.leadstate import ControlTail, LeadState
 from repro.cluster.leases import LeaseMixin
 from repro.net.message import Message, PacketType
 from repro.net.sockets import PubSubSocket, PushSocket
-from repro.sim.entity import Entity
+from repro.sim.entity import Entity, Periodic
 from repro.sketch.countmin import CountMinSketch
 
 
@@ -171,15 +171,6 @@ class DirectoryMaster(Entity):
         if address not in self._directories:
             self._directories.append(address)
 
-    def unregister_directory(self, address: int) -> None:
-        self._directories = [a for a in self._directories if a != address]
-        # Clamp the round-robin cursor: stale modulo state over a shorter
-        # list would skew assignment toward the survivors after the gap.
-        if self._directories:
-            self._next %= len(self._directories)
-        else:
-            self._next = 0
-
     def handle_message(self, message: Message) -> None:
         if message.ptype == PacketType.DIRECTORY_QUERY:
             live = [a for a in self._directories if self.network.is_attached(a)]
@@ -281,11 +272,14 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
         # handles messages nor fires its timer chains (the kernel still
         # runs already-scheduled callbacks; they must no-op).
         self.crashed = False
-        # One flag per timer chain: a tick is sitting in the kernel.
-        self._lease_pending = False
-        self._dir_lease_pending = False
-        self._election_pending = False
-        self._register_pending = False
+        # The timer chains (DESIGN §6n "Timer chains"), each ticking only
+        # while a synchronous run is live (``_run_live``): the lead's
+        # agent leases and DIR_LEASE renewal, a peer's election watch,
+        # and every directory's DIRECTORY_REGISTER to the master.
+        self._lease_chain = Periodic(self.kernel, config.lease_timeout / 2.0, self._lease_tick)
+        self._dir_lease = Periodic(self.kernel, config.dir_lease_interval, self._dir_lease_tick)
+        self._election = Periodic(self.kernel, config.dir_lease_timeout / 2.0, self._election_tick)
+        self._register = Periodic(self.kernel, config.dir_lease_interval, self._master_register_tick)
 
     @property
     def is_lead(self) -> bool:
@@ -606,7 +600,7 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
         self.note_results_changed(spec.program.name)
         self._control_broadcast(PacketType.RUN_START, spec)
         self._ensure_dir_lease()
-        self._ensure_master_register()
+        self._register.arm()
 
     # -- serving plane: result versions (lead only) -----------------------
 

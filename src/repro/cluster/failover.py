@@ -62,7 +62,7 @@ class FailoverMixin:
         self.tail.mirror(ptype, payload)
         if ptype == PacketType.RUN_START:
             self._ensure_election_watch()
-            self._ensure_master_register()
+            self._register.arm()
 
     def _on_lead_control(self, message: Message) -> None:
         """Lead-originated RUN_START / SUPERSTEP_ADVANCE / RECOVER,
@@ -90,13 +90,10 @@ class FailoverMixin:
 
     def _ensure_dir_lease(self) -> None:
         """Arm the lead's DIR_LEASE renewal chain (idempotent)."""
-        if not self.is_lead or not self._failover_on or self._dir_lease_pending:
-            return
-        self._dir_lease_pending = True
-        self.kernel.schedule(self.config.dir_lease_interval, self._dir_lease_tick)
+        if self.is_lead and self._failover_on:
+            self._dir_lease.arm()
 
     def _dir_lease_tick(self) -> None:
-        self._dir_lease_pending = False
         if self.crashed or not self.is_lead or not self._failover_on or not self._run_live():
             return  # chain ends with the run; send_run_start re-arms it
         # Prune peers whose endpoint is gone: broadcasts to them would
@@ -109,8 +106,7 @@ class FailoverMixin:
                 {"term": self.term, "version": self.state.version},
                 term=self.term,
             )
-        self._dir_lease_pending = True
-        self.kernel.schedule(self.config.dir_lease_interval, self._dir_lease_tick)
+        self._dir_lease.arm()
 
     def _on_dir_lease(self, message: Message) -> None:
         """The lead's lease renewal.  Hearing it is the renewal
@@ -121,14 +117,11 @@ class FailoverMixin:
 
     def _ensure_election_watch(self) -> None:
         """Arm a peer's lead-liveness watchdog (idempotent)."""
-        if self.is_lead or not self._failover_on or self._election_pending:
-            return
-        self._election_pending = True
-        self.kernel.schedule(self.config.dir_lease_timeout / 2.0, self._election_tick)
+        if not self.is_lead and self._failover_on:
+            self._election.arm()
 
     def _election_tick(self) -> None:
-        self._election_pending = False
-        if self.crashed or self.is_lead or not self._failover_on or not self.tail.run_live:
+        if self.crashed or self.is_lead or not self._failover_on or not self._run_live():
             return
         lead_addr = self.peers[0] if self.peers else None
         if lead_addr is None:
@@ -145,7 +138,7 @@ class FailoverMixin:
                 return
             # else: a lower-index live peer will take the term; keep
             # watching in case it dies before it does.
-        self._ensure_election_watch()
+        self._election.arm()
 
     def _successor_address(self) -> int:
         """Deterministic succession: lowest-index live directory wins.
@@ -233,21 +226,12 @@ class FailoverMixin:
 
     # -- master re-registration ---------------------------------------------------
 
-    def _ensure_master_register(self) -> None:
-        """Arm the periodic DIRECTORY_REGISTER heartbeat (idempotent).
-
-        Every directory re-registers on a cadence so a restarted master
-        rebuilds its registry as soft state; needs only the lease knob,
-        not a peer (single-directory clusters still re-register).
-        """
-        if self.config.dir_lease_interval <= 0 or self._register_pending:
-            return
-        self._register_pending = True
-        self.kernel.schedule(self.config.dir_lease_interval, self._master_register_tick)
-
     def _master_register_tick(self) -> None:
-        self._register_pending = False
-        if self.crashed or self.config.dir_lease_interval <= 0 or not self._run_live():
+        """Re-register with the master while a run is live, so a
+        restarted master rebuilds its registry as soft state.  Needs
+        only the lease knob, not a peer: a single-directory cluster
+        still re-registers."""
+        if self.crashed or not self._run_live():
             return
         master = self.master_address
         if master is not None and self.network.is_attached(master):
@@ -256,5 +240,4 @@ class FailoverMixin:
                 PacketType.DIRECTORY_REGISTER,
                 {"index": self.index, "address": self.address},
             )
-        self._register_pending = True
-        self.kernel.schedule(self.config.dir_lease_interval, self._master_register_tick)
+        self._register.arm()

@@ -10,9 +10,9 @@ bootstrap lead starts it at — that no reset site can forget.  :class:`ControlT
 *every* directory mirrors of the lead's run control, and therefore what
 a successor rebuilds its lead state from.
 
-Timer-chain flags (``_lease_pending`` and friends) are not here: they
-say a callback sits in the kernel's queue, which stays true of the
-process whatever role it holds.
+The Directory's timer chains (``_lease_chain`` and friends,
+:class:`~repro.sim.entity.Periodic`) are not here: whether a tick sits
+in the kernel's queue stays true of the process whatever role it holds.
 """
 
 from __future__ import annotations

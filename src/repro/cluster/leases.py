@@ -32,9 +32,7 @@ class LeaseMixin:
             agent_id: ("live", now) if lead.is_live(agent_id) else lead.leases[agent_id]
             for agent_id in self.state.agents
         }
-        if not self._lease_pending:
-            self._lease_pending = True
-            self.kernel.schedule(self.config.lease_timeout / 2.0, self._lease_tick)
+        self._lease_chain.arm()
 
     def _lead_heartbeat(self, message: Message) -> None:
         agent_id = int(message.payload["agent_id"])
@@ -42,17 +40,9 @@ class LeaseMixin:
             self.lead_state.move_lease(agent_id, "live", self.now)
 
     def _lease_tick(self) -> None:
-        self._lease_pending = False
-        lead, controller = self.lead_state, self.run_controller
-        if (
-            self.crashed
-            or lead is None
-            or controller is None
-            or controller.done
-            or self.config.heartbeat_interval <= 0
-        ):
+        if self.crashed or not self.is_lead or not self._run_live():
             return  # chain ends with the run; the next run re-arms it
-        now = self.now
+        lead, controller, now = self.lead_state, self.run_controller, self.now
         # While recovery reshapes the cluster — or an apply-only drain /
         # suspension holds the barrier — agents legitimately go quiet;
         # refresh instead of suspecting.  But only for endpoints that
@@ -76,8 +66,7 @@ class LeaseMixin:
             # master for a full lease (master crash/restart window) is
             # asked for again.
             self._suspect(agent_id, now - since, resend=status == "suspected")
-        self._lease_pending = True
-        self.kernel.schedule(self.config.lease_timeout / 2.0, self._lease_tick)
+        self._lease_chain.arm()
 
     def _suspect(self, agent_id: int, overdue: float, resend: bool = False) -> None:
         if self.master_address is None:

@@ -203,7 +203,7 @@ class RoundMixin:
         tracer = self.network.tracer
         trace_from = self.available_at() if tracer is not None else 0.0
         if row.table is not None:
-            self._start_heartbeats()
+            self._heartbeat.arm()
             self._build_table(run, resume=row.table == RESUMED)
         table = run.table
         if row.applies:

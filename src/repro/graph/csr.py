@@ -47,10 +47,6 @@ class CSR:
         """Neighbor ids of one vertex."""
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
-    def row_sources(self) -> np.ndarray:
-        """Expand back to a per-edge source array (inverse of build)."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-
 
 def build_csr(us: np.ndarray, vs: np.ndarray, n: Optional[int] = None) -> CSR:
     """Build a CSR from parallel edge arrays.

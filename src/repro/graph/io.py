@@ -2,10 +2,10 @@
 
 The paper's cluster reads edge lists from a distributed filesystem
 (Ceph) and the artifact ships scripts that feed them to ElGA.  This
-module is the library equivalent: plain-text edge lists (the format
-SNAP/LAW datasets use), a compact ``.npz`` binary form, and a chunked
-reader that streams a file into :class:`~repro.graph.stream.EdgeBatch`
-batches the way a Streamer consumes them.
+module is the library equivalent: a reader for plain-text edge lists
+(the format SNAP/LAW datasets use), and a chunked reader that streams a
+file into :class:`~repro.graph.stream.EdgeBatch` batches the way a
+Streamer consumes them.
 """
 
 from __future__ import annotations
@@ -15,24 +15,6 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.graph.stream import EdgeBatch
-
-
-def write_edge_list(path: str, us: np.ndarray, vs: np.ndarray, comment: str = "") -> None:
-    """Write a whitespace-separated edge list (SNAP-style).
-
-    Lines beginning with ``#`` are comments; each data line is
-    ``src dst``.
-    """
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    if len(us) != len(vs):
-        raise ValueError(f"ragged edge arrays: {len(us)} vs {len(vs)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write(f"# edges: {len(us)}\n")
-        np.savetxt(fh, np.stack([us, vs], axis=1), fmt="%d")
 
 
 def read_edge_list(path: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -61,22 +43,6 @@ def read_edge_list(path: str) -> Tuple[np.ndarray, np.ndarray]:
     if data.shape[1] < 2:
         raise ValueError(f"{path}: expected 'src dst' per line, got {data.shape[1]} columns")
     return data[:, 0].copy(), data[:, 1].copy()
-
-
-def save_npz(path: str, us: np.ndarray, vs: np.ndarray, n: int) -> None:
-    """Save a graph compactly (compressed int64 arrays + vertex count)."""
-    np.savez_compressed(
-        path,
-        us=np.asarray(us, dtype=np.int64),
-        vs=np.asarray(vs, dtype=np.int64),
-        n=np.int64(n),
-    )
-
-
-def load_npz(path: str) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Load a graph saved by :func:`save_npz`."""
-    with np.load(path) as data:
-        return data["us"].copy(), data["vs"].copy(), int(data["n"])
 
 
 def stream_edge_list(path: str, chunk: int = 8192) -> Iterator[EdgeBatch]:

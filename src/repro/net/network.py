@@ -231,10 +231,6 @@ class Network:
             entry.handle.cancel()
             self.stats.retries_abandoned += 1
 
-    def entity_at(self, address: int) -> Optional["Entity"]:
-        """The entity registered at ``address``, or None if detached."""
-        return self._entities.get(address)
-
     def is_attached(self, address: int) -> bool:
         return address in self._entities
 

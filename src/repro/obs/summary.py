@@ -168,9 +168,6 @@ class TraceSummary:
     def total_wait(self) -> float:
         return sum(r.wait for r in self.rows)
 
-    def total_bytes(self) -> int:
-        return sum(r.comms_bytes for r in self.rows)
-
     def format(self) -> str:
         """A fixed-width text table of the per-round timeline."""
         header = (

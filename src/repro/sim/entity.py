@@ -4,12 +4,13 @@ ElGA follows a shared-nothing design (§3.1): each entity is single
 threaded and only communicates via message passing.  :class:`Entity`
 models exactly that — an entity owns private state, receives messages
 through :meth:`handle_message`, and may schedule future work on the
-kernel, but never touches another entity's state directly.
+kernel, but never touches another entity's state directly.  Work an
+entity repeats on a cadence is a :class:`Periodic` chain of its own.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from repro.sim.random import entity_rng
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.net.message import Message
     from repro.net.network import Network
+    from repro.sim.kernel import EventHandle, SimKernel
 
 
 class Entity:
@@ -91,10 +93,6 @@ class Entity:
         """Earliest simulated time this entity is free to act."""
         return max(self._busy_until, self.now)
 
-    def busy_backlog(self) -> float:
-        """Seconds of already-charged work not yet elapsed."""
-        return max(0.0, self._busy_until - self.now)
-
     # -- lifecycle ---------------------------------------------------------
 
     def detach(self) -> None:
@@ -103,3 +101,35 @@ class Entity:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r} @{self.address}>"
+
+
+class Periodic:
+    """One timer chain of an entity: ``tick`` every ``interval`` seconds
+    for as long as the tick re-arms it.
+
+    ``tick`` is the owner's own bound method, scheduled as is, so the
+    work it does is billed to the owner's class.  Each tick runs a
+    guard (does the chain still have a reason to run?), its body, and
+    then :meth:`arm`; a tick that returns without arming ends the chain
+    until something arms it again.  Armed means the tick's event is
+    still queued, so nothing has to be reset when it fires.  An
+    ``interval`` of 0 switches the chain off: :meth:`arm` does nothing.
+    """
+
+    __slots__ = ("kernel", "interval", "tick", "_handle")
+
+    def __init__(self, kernel: "SimKernel", interval: float, tick: Callable[[], None]):
+        self.kernel = kernel
+        self.interval = interval
+        self.tick = tick
+        self._handle: Optional["EventHandle"] = None
+
+    @property
+    def armed(self) -> bool:
+        """Whether a tick is waiting to fire."""
+        return self._handle is not None and self._handle.queued
+
+    def arm(self) -> None:
+        """Schedule the next tick ``interval`` from now (idempotent)."""
+        if self.interval > 0 and not self.armed:
+            self._handle = self.kernel.schedule(self.interval, self.tick)

@@ -70,6 +70,14 @@ class EventHandle:
         """Whether the event has been cancelled."""
         return self._event.cancelled
 
+    @property
+    def queued(self) -> bool:
+        """Whether the event is still waiting to fire: not yet popped
+        (an event is popped just before its callback runs) and not
+        cancelled."""
+        event = self._event
+        return event.in_queue and not event.cancelled
+
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if already fired)."""
         event = self._event

@@ -102,18 +102,6 @@ class CountMinSketch:
         depth = math.ceil(math.log(1.0 / delta))
         return width, depth
 
-    def error_bound(self, confidence: bool = False):
-        """Additive error ε·m for the current stream length.
-
-        With ``confidence=True`` also returns the probability the bound
-        holds (``1 − exp(-depth)``).
-        """
-        eps = math.e / self.width
-        bound = eps * max(self.total, 0)
-        if confidence:
-            return bound, 1.0 - math.exp(-self.depth)
-        return bound
-
     @property
     def nbytes(self) -> int:
         """Size of the broadcastable table in bytes, held or not."""

@@ -53,12 +53,6 @@ def test_master_rejects_unexpected_packets():
         c.master.handle_message(msg)
 
 
-def test_master_unregister():
-    c = make_cluster(n_directories=2)
-    c.master.unregister_directory(c.directories[1].address)
-    assert c.master._directories == [c.lead.address]
-
-
 def test_master_with_no_directories_replies_retry_after():
     """An empty registry is a bootstrap race, not a crash: the master
     answers DIRECTORY_ASSIGN with a retry hint instead of raising."""

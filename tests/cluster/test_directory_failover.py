@@ -87,20 +87,6 @@ def test_master_skips_dead_directories():
     assert set(probe.replies) == live  # still round-robins the survivors
 
 
-def test_unregister_clamps_round_robin_cursor():
-    c = make_cluster(**FAILOVER)
-    m = c.master
-    addrs = list(m._directories)
-    assert len(addrs) == 3
-    m._next = 5
-    m.unregister_directory(addrs[2])
-    assert m._next == 5 % 2
-    m.unregister_directory(addrs[1])
-    assert m._next == 0
-    m.unregister_directory(addrs[0])
-    assert m._next == 0 and m._directories == []
-
-
 def test_master_restart_rewires_and_rebuilds_from_registration():
     """A restarted master starts with an *empty* registry at a new
     endpoint; the cluster rewires the well-known address everywhere and

@@ -156,7 +156,7 @@ def test_stepped_down_lead_ignores_its_armed_timers():
     assert old.lead_state.broadcast_scheduled and old.lead_state.sketch_dirty
     old.run_controller = lambda *a: None
     old._reseed_leases()
-    assert old._lease_pending
+    assert old._lease_chain.armed
 
     old._step_down(c.directories[1].address)
     assert old.lead_state is None and not old.is_lead
@@ -166,7 +166,7 @@ def test_stepped_down_lead_ignores_its_armed_timers():
     c.settle()  # both timers fire on a peer
     assert old.state.version == version
     assert sent == []
-    assert not old._lease_pending
+    assert not old._lease_chain.armed
     with pytest.raises(RuntimeError):
         old.flush_sketch_broadcast()
 

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import EdgeBatch
-from repro.graph.io import (
-    load_npz,
-    read_edge_list,
-    save_npz,
-    stream_edge_list,
-    write_edge_list,
-)
+from repro.graph.io import read_edge_list, stream_edge_list
 
 
 @pytest.fixture()
@@ -19,28 +13,18 @@ def edges():
     return rng.integers(0, 100, 500), rng.integers(0, 100, 500)
 
 
+def write_text(path, us, vs, comment=""):
+    """A SNAP-style edge list: ``#`` comment lines, then ``src dst``."""
+    np.savetxt(path, np.stack([us, vs], axis=1), fmt="%d", header=comment)
+
+
 def test_text_round_trip(tmp_path, edges):
     us, vs = edges
     path = str(tmp_path / "g.el")
-    write_edge_list(path, us, vs, comment="test graph")
+    write_text(path, us, vs, comment="test graph")
     got_us, got_vs = read_edge_list(path)
     assert np.array_equal(got_us, us)
     assert np.array_equal(got_vs, vs)
-
-
-def test_text_comments_preserved_in_file(tmp_path, edges):
-    us, vs = edges
-    path = str(tmp_path / "g.el")
-    write_edge_list(path, us, vs, comment="line one\nline two")
-    with open(path) as fh:
-        head = fh.read().splitlines()[:3]
-    assert head[0] == "# line one"
-    assert head[1] == "# line two"
-
-
-def test_text_ragged_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_edge_list(str(tmp_path / "g.el"), np.arange(3), np.arange(4))
 
 
 def test_read_empty_file(tmp_path):
@@ -57,20 +41,10 @@ def test_read_malformed_single_column(tmp_path):
         read_edge_list(str(path))
 
 
-def test_npz_round_trip(tmp_path, edges):
-    us, vs = edges
-    path = str(tmp_path / "g.npz")
-    save_npz(path, us, vs, n=100)
-    got_us, got_vs, n = load_npz(path)
-    assert np.array_equal(got_us, us)
-    assert np.array_equal(got_vs, vs)
-    assert n == 100
-
-
 def test_stream_chunks_cover_file(tmp_path, edges):
     us, vs = edges
     path = str(tmp_path / "g.el")
-    write_edge_list(path, us, vs)
+    write_text(path, us, vs)
     batches = list(stream_edge_list(path, chunk=64))
     assert all(len(b) <= 64 for b in batches)
     rejoined = EdgeBatch.concat(batches)
@@ -107,7 +81,7 @@ def test_stream_feeds_engine(tmp_path, edges):
     us, vs = edges
     keep = us != vs
     path = str(tmp_path / "g.el")
-    write_edge_list(path, us[keep], vs[keep])
+    write_text(path, us[keep], vs[keep])
     elga = ElGA(nodes=1, agents_per_node=2, seed=33)
     for batch in stream_edge_list(path, chunk=128):
         elga.apply_batch(batch, flush=False)
