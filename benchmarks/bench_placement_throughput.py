@@ -98,7 +98,7 @@ def run_experiment() -> dict:
         assert np.array_equal(placer.owner_of_edges(own, other), expected), (
             "vectorized path diverged from the scalar reference"
         )
-        cache = PlacementCache().bind((1, 0, 0), build_placer())
+        cache = PlacementCache().bind((0, 1, 0, 0), build_placer(), ring_epoch=(0, 1))
         assert np.array_equal(cache.owner_of_edges(own, other), expected)
 
         scalar = best_rate(scalar_owner_of_edges, placer, own, other)

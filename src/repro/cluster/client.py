@@ -41,7 +41,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.directory import DirectoryState
 from repro.cluster.participant import Participant
 from repro.net.message import Message, PacketType
-from repro.partition.placer import EdgePlacer
 from repro.serving import ResultCache
 
 #: Snapshot tag agents answer with when no run ever produced a value
@@ -159,13 +158,13 @@ class ClientProxy(Participant):
     # wraps ``vars(ClientProxy)["handle_message"]``.
     handle_message = Participant.handle_message
 
-    def _adopted(self, previous: Optional[DirectoryState], before: Optional[EdgePlacer]) -> None:
+    def _adopted(self, previous: Optional[DirectoryState]) -> None:
         state = self.dstate
         if previous is not None:
             self._failover_pending(state)
             if self.cache is not None and (
                 state.batch_id > previous.batch_id
-                or state.epoch_token != previous.epoch_token
+                or state.epoch != previous.epoch
             ):
                 # Ingest progressed (the batch clock moved — including
                 # flush-less batches, which bump no epoch and emit no
@@ -291,7 +290,7 @@ class ClientProxy(Participant):
                 program,
                 vertex,
                 self.now,
-                self.dstate.epoch_token,
+                self.dstate.epoch,
                 self.known_versions.get(program, 0),
             )
             if entry is not None:
@@ -344,12 +343,11 @@ class ClientProxy(Participant):
                 self._dispatch(flight)
 
     def _targets_for(self, vertex: int) -> List[int]:
-        """Replica fan-out targets: every replica for a split vertex
-        (their tags must agree for a consistent read — and hot-key read
-        load spreads across all of them), the single owner otherwise."""
-        if self.dstate is not None and vertex in self.dstate.split_vertices:
-            return sorted(set(self.placer.replica_set(vertex)))
-        return [self.placer.owner_of_vertex(vertex, rng=self.rng)]
+        """Replica fan-out targets: every replica of the vertex (their
+        tags must agree for a consistent read — and hot-key read load
+        spreads across all of them); a vertex the split registry does
+        not list has one, its ring owner."""
+        return sorted(set(self.placer.replica_set(vertex)))
 
     def _dispatch(self, flight: _Flight) -> None:
         flight.token = self._next_token
@@ -445,7 +443,7 @@ class ClientProxy(Participant):
                 flight.vertex,
                 value,
                 self.now,
-                self.dstate.epoch_token,
+                self.dstate.epoch,
                 self.known_versions.get(flight.program, 0),
                 snapshot,
             )

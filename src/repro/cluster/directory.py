@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.failover import FailoverMixin
-from repro.cluster.leadstate import ControlTail, LeadState
+from repro.cluster.leadstate import ControlTail, LeadState, fold_stats
 from repro.cluster.leases import LeaseMixin
 from repro.net.message import Message, PacketType
 from repro.net.sockets import PubSubSocket, PushSocket
@@ -46,7 +46,8 @@ from repro.sketch.countmin import CountMinSketch
 class DirectoryState:
     """One version of the broadcast directory state.
 
-    Treated as immutable by recipients; the lead directory builds a new
+    Treated as immutable by recipients, but for ``ring``, which the
+    first to adopt it fills in; the lead directory builds a new
     instance for every broadcast.
     """
 
@@ -59,6 +60,7 @@ class DirectoryState:
         "weights",
         "epoch",
         "term",
+        "ring",
     )
 
     def __init__(
@@ -69,7 +71,8 @@ class DirectoryState:
         sketch: CountMinSketch,
         split_vertices: frozenset,
         weights: Optional[Dict[int, float]] = None,
-        epoch: Optional[tuple] = None,
+        *,
+        epoch: tuple,
         term: int = 0,
     ):
         self.term = term
@@ -87,26 +90,20 @@ class DirectoryState:
         # invalidate exactly when it changes — a batch-clock-only
         # broadcast bumps ``version`` but not the epoch, and caches
         # survive it.  The first two fields are the ring's own epoch.
+        # Only a directory's never-sent version-0 state holds the
+        # bootstrap ``(0, 0, 0, 0)``.
         self.epoch = epoch
+        # The ring participants place this state by (set by
+        # ``bind_placement``), held so that it stays shared while the
+        # state is still on its way to the participants further away.
+        self.ring = None
 
     @property
-    def epoch_token(self) -> tuple:
-        """The placement-invalidation key for this state.
-
-        Falls back to the broadcast version (invalidate-per-broadcast,
-        always safe) for states built without an explicit epoch.
-        """
-        if self.epoch is not None:
-            return self.epoch
-        return ("v", self.version)
-
-    @property
-    def ring_epoch(self) -> Optional[tuple]:
+    def ring_epoch(self) -> tuple:
         """What the consistent-hash ring depends on: (term, membership
         version) — joins, leaves, evictions and re-weights bump it,
-        sketch flushes and split registrations do not.  ``None`` for
-        states built without an explicit epoch (rebuild every time)."""
-        return None if self.epoch is None else self.epoch[:2]
+        sketch flushes and split registrations do not."""
+        return self.epoch[:2]
 
     @property
     def nbytes(self) -> int:
@@ -236,6 +233,7 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
             agents={},
             sketch=CountMinSketch(config.sketch_width, config.sketch_depth, seed=config.seed),
             split_vertices=frozenset(),
+            epoch=(0, 0, 0, 0),
         )
         # What only a lead owns (None on a peer), and what every
         # directory mirrors of the lead's run control.
@@ -560,7 +558,9 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
         if set(bucket) >= set(self.state.agents):
             # Merge in agent-id order: float sums must not depend on the
             # order READY messages happened to arrive in.
-            stats = _merge_stats(bucket[k] for k in sorted(bucket))
+            stats: dict = {}
+            for agent_id in sorted(bucket):
+                fold_stats(stats, bucket[agent_id])
             del lead.ready[round_id]
             lead.ready_done = round_id
             # Every agent has published its step-``step`` serving view:
@@ -656,19 +656,3 @@ class Directory(LeaseMixin, FailoverMixin, Entity):
 #: Lead control broadcasts every directory mirrors in its control tail.
 _RUN_CONTROL = (PacketType.RUN_START, PacketType.SUPERSTEP_ADVANCE, PacketType.RECOVER)
 
-
-def _merge_stats(stat_dicts) -> dict:
-    """Aggregate per-agent stats (residuals, active counts, ...).
-
-    Keys prefixed ``max_`` fold by maximum (e.g. the worst per-vertex
-    residual of a delta run); everything else sums.  Both reductions are
-    order-insensitive, so merged stats stay deterministic.
-    """
-    merged: dict = {}
-    for stats in stat_dicts:
-        for key, value in stats.items():
-            if key.startswith("max_"):
-                merged[key] = max(merged.get(key, value), value)
-            else:
-                merged[key] = merged.get(key, 0) + value
-    return merged

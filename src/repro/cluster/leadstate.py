@@ -8,7 +8,9 @@ election (:meth:`LeadState.from_mirror`) and on demotion (back to
 ``None``), so a new lead-only field is a one-place edit — what a
 bootstrap lead starts it at — that no reset site can forget.  :class:`ControlTail` is the other half of that pair: what
 *every* directory mirrors of the lead's run control, and therefore what
-a successor rebuilds its lead state from.
+a successor rebuilds its lead state from.  :func:`fold_stats` is how
+a barrier round's statistics combine, both where an agent folds its
+rows' contributions and where the lead folds its agents'.
 
 The Directory's timer chains (``_lease_chain`` and friends,
 :class:`~repro.sim.entity.Periodic`) are not here: whether a tick sits
@@ -18,7 +20,7 @@ in the kernel's queue stays true of the process whatever role it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
 from repro.net.message import PacketType
 
@@ -142,7 +144,7 @@ class LeadState:
         lead's and is re-driven: agents re-report READY on the term
         bump and the caller reseeds the leases.
         """
-        _, membership_version, sketch_version, _ = state.epoch or (0, 0, 0, 0)
+        _, membership_version, sketch_version, _ = state.epoch
         return replace(
             cls.fresh(),
             weights=dict(state.weights),
@@ -183,3 +185,16 @@ class LeadState:
         READY bucket must not auto-complete against the smaller set."""
         self.recovering = True
         self.ready.clear()
+
+
+def fold_stats(into: Dict[str, float], stats: Mapping[str, float]) -> None:
+    """Fold one contribution of round statistics into ``into``:
+    ``max_``-prefixed keys reduce by maximum (e.g. the worst per-vertex
+    residual of a delta run), every other key sums.  Float sums depend
+    on the order they are taken in, so callers fold in a fixed one (the
+    lead: by agent id)."""
+    for key, value in stats.items():
+        if key.startswith("max_"):
+            into[key] = max(into.get(key, value), value)
+        else:
+            into[key] = into.get(key, 0.0) + value

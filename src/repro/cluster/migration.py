@@ -45,7 +45,6 @@ from repro.cluster.shard import StateSlices
 from repro.cluster.vertextable import keyed_vertices
 from repro.graph.sortedids import distinct
 from repro.net.message import PacketType
-from repro.partition.placer import EdgePlacer
 
 #: An agent's membership status -> the statuses it may move to.  A move
 #: without a row raises.
@@ -118,7 +117,7 @@ class MigrationMixin:
         self._pending_state = None
         super()._adopt(state)
 
-    def _adopted(self, previous: Optional[DirectoryState], before: Optional[EdgePlacer]) -> None:
+    def _adopted(self, previous: Optional[DirectoryState]) -> None:
         state = self.dstate
         if previous is not None and state.weights != previous.weights:
             # A re-weight landed (planner adoption or heterogeneous
@@ -145,44 +144,14 @@ class MigrationMixin:
             # covers a leave asked mid-run, which initiate_leave could
             # not flush.
             self.flush_sketch()
-        keyed = self._migrate_misplaced(self._moved_keys(previous, before))
-        if previous is None or state.epoch_token != previous.epoch_token:
+        keyed = self._migrate_misplaced(self.placer.last_moved)
+        if previous is None or state.epoch != previous.epoch:
             # Degrees may have crossed the split threshold between
             # sketch flushes; every new global sketch warrants a fresh
             # look at the vertices resident here.
             self._check_split_threshold(keyed_vertices(self.shard) if keyed is None else keyed)
         for payload, count_in_sketch in held or ():
             self._on_edge_update(payload, count_in_sketch)
-
-    def _moved_keys(
-        self, previous: Optional[DirectoryState], before: Optional[EdgePlacer]
-    ) -> Optional[np.ndarray]:
-        """Keyed vertices whose resident rows the just-adopted state can
-        have re-homed; ``None`` means any of them.
-
-        Every resident row was placed under ``previous`` (rows only
-        enter through a placement check against the adopted state, and
-        each adoption re-homes what it moved), so what has to be looked
-        at again is the difference between the two states: nothing for
-        a batch-clock tick, and while the ring stands, only the
-        registered split vertices whose replication factor changed
-        (``before`` is the placer ``previous`` was bound to).  A first
-        listing — which follows a restore from checkpoint + WAL — and
-        any ring or term change leave no such bound.
-        """
-        state = self.dstate
-        if (
-            previous is None
-            or state.ring_epoch is None
-            or state.ring_epoch != previous.ring_epoch
-        ):
-            return None
-        if state.epoch_token == previous.epoch_token:
-            return np.empty(0, dtype=np.int64)
-        registry = state.split_vertices | previous.split_vertices
-        gate = np.fromiter(registry, dtype=np.int64, count=len(registry))
-        gate.sort()
-        return gate[before.replication_factor(gate) != self.placer.replication_factor(gate)]
 
     def _migrate_misplaced(self, moved: Optional[np.ndarray]) -> Optional[np.ndarray]:
         """Re-home the resident edges whose owner changed; returns the
@@ -193,8 +162,17 @@ class MigrationMixin:
         destination for all current edges and forwards any that no
         longer belong here (§3.4.3); the modelled cluster is charged
         for exactly that pass.  This process only resolves what the
-        adoption can have moved (``moved``, see :meth:`_moved_keys`),
-        once per distinct keyed vertex where the key alone decides.
+        adoption can have moved, once per distinct keyed vertex where
+        the key alone decides.
+
+        Every resident row was placed under the previous state (rows
+        only enter through a placement check against the adopted state,
+        and each adoption re-homes what it moved), so ``moved`` is the
+        placement cache's :attr:`~repro.partition.cache.PlacementCache.last_moved`:
+        nothing for a batch-clock tick, the split vertices whose
+        replication factor changed while the ring stands, and ``None``
+        (every row) on a first listing — which follows a restore from
+        checkpoint + WAL — or a ring or term change.
         """
         if len(self.placer.ring) == 0:
             return None

@@ -61,14 +61,18 @@ def bind_placement(cache: PlacementCache, state: DirectoryState, config: Cluster
     the same membership holds the same object, and a broadcast that
     leaves the membership alone (sketch flush, split registration,
     batch-clock tick, a successor lead's first state) hands back the
-    ring the participant already has.  What each participant remembers
-    *about* the ring — the vertex → ring-owner memo — stays its own and
+    ring the participant already has.  The memo keeps a ring only while
+    someone holds it, so the state holds its own too: a participant
+    further from the lead adopts it after the nearer ones have moved on
+    to the next membership.  What each participant remembers *about*
+    the ring — the vertex → ring-owner memo — stays its own and
     survives, through :meth:`PlacementCache.bind`, for as long as the
     state's ring epoch does.
     """
     ring = shared_ring(
         state.agent_ids(), state.weights, config.virtual_factor, config.hash_fn, config.seed
     )
+    state.ring = ring
     placer = EdgePlacer(
         ring,
         state.sketch,
@@ -76,7 +80,7 @@ def bind_placement(cache: PlacementCache, state: DirectoryState, config: Cluster
         hash_fn=config.hash_fn,
         split_gate=state.split_vertices,
     )
-    cache.bind(state.epoch_token, placer, ring_epoch=state.ring_epoch)
+    cache.bind(state.epoch, placer, ring_epoch=state.ring_epoch)
 
 
 class Participant(Entity):
@@ -131,10 +135,10 @@ class Participant(Entity):
 
     # -- hooks ----------------------------------------------------------------
 
-    def _adopted(self, previous: Optional[DirectoryState], before: Optional[EdgePlacer]) -> None:
+    def _adopted(self, previous: Optional[DirectoryState]) -> None:
         """``dstate`` and ``placer`` now describe a newer state than
-        ``previous`` (``None`` on the first adoption), which ``before``
-        was the placer of."""
+        ``previous`` (``None`` on the first adoption); ``placer.last_moved``
+        names the vertices whose placement the adoption changed."""
 
     def _on_term_bump(self) -> None:
         """The message just handled raised :attr:`term`: a successor
@@ -181,10 +185,9 @@ class Participant(Entity):
         previous = self.dstate
         if self.placer is None:
             self.placer = PlacementCache(counters=self.perf)
-        before = self.placer.placer
         self.dstate = state
         bind_placement(self.placer, state, self.config)
-        self._adopted(previous, before)
+        self._adopted(previous)
 
     # -- re-homing ------------------------------------------------------------
 

@@ -35,6 +35,7 @@ import numpy as np
 from repro import kernels
 from repro.cluster.dataplane import combine_pairs, segments_by
 from repro.cluster.edgestore import ValueColumn
+from repro.cluster.leadstate import fold_stats
 from repro.cluster.shard import ProgramState
 from repro.cluster.vertextable import (
     _RunState,
@@ -111,15 +112,6 @@ RUN_STATUS: Dict[str, FrozenSet[str]] = {
     "parked": frozenset({"open", "waiting"}),
     "async": frozenset(),
 }
-
-
-def _fold_stat(stats: Dict[str, float], key: str, value: float) -> None:
-    """Fold one stat contribution: ``max_``-prefixed keys reduce by
-    max (mirroring the directory's cross-agent merge), others sum."""
-    if key.startswith("max_"):
-        stats[key] = max(stats.get(key, value), value)
-    else:
-        stats[key] = stats.get(key, 0.0) + value
 
 
 class RoundMixin:
@@ -297,8 +289,7 @@ class RoundMixin:
                 mask, table.ids[mask], table.accum[mask], table.got[mask]
             )
             self.charge(costs.elga_vertex_op * int(mask.sum()))
-            for key, value in run.step_stats(old, new, active).items():
-                _fold_stat(run.round_stats, key, value)
+            fold_stats(run.round_stats, run.step_stats(old, new, active))
         table.accum[normal] = run.program.identity
         table.got[normal] = False
         # Split rows are applied by their primaries once partials arrive.
@@ -616,8 +607,7 @@ class RoundMixin:
         stats = dict(run.round_stats)
         split = replicas.applied_rows()
         if split is not None:
-            for key, value in run.step_stats(*split).items():
-                _fold_stat(stats, key, value)
+            fold_stats(stats, run.step_stats(*split))
         # Area under the frontier curve: how many locally-hosted vertices
         # end this round active (collapses fast in a converging delta
         # run; ~|V| every round in a scratch run).

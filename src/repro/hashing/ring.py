@@ -14,7 +14,7 @@ owner — everything else stays put (tested property-based in
 
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
 from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -321,17 +321,13 @@ class ConsistentHashRing:
         return self._positions.copy(), self._owners.copy()
 
 
-#: Rings :func:`shared_ring` holds on to; the least recently asked-for
-#: one goes first.  A cluster needs the ring of its current membership
-#: and, while a scale event's broadcasts are in flight, the few before it.
-SHARED_RING_LIMIT = 32
-
-
-@lru_cache(maxsize=SHARED_RING_LIMIT)
-def _frozen_ring(ids: tuple, weights: tuple, virtual_factor: int, hash_fn: Callable, seed: int):
-    ring = ConsistentHashRing(ids, virtual_factor, hash_fn, seed, dict(zip(ids, weights)))
-    ring._frozen = True
-    return ring
+#: The rings :func:`shared_ring` handed out, by their inputs, for as
+#: long as something holds them — a participant, or a directory state
+#: still on its way to one — and rebuilt, equal, if a membership nobody
+#: held any more comes back.
+_SHARED: "weakref.WeakValueDictionary[tuple, ConsistentHashRing]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def shared_ring(
@@ -363,10 +359,12 @@ def shared_ring(
     """
     ids = tuple(sorted(int(m) for m in members))
     weights = weights or {}
-    return _frozen_ring(
-        ids,
-        tuple(float(weights.get(m, 1.0)) for m in ids),
-        int(virtual_factor),
-        hash_fn,
-        int(seed),
-    )
+    scales = tuple(float(weights.get(m, 1.0)) for m in ids)
+    virtual_factor, seed = int(virtual_factor), int(seed)
+    key = (ids, scales, virtual_factor, hash_fn, seed)
+    ring = _SHARED.get(key)
+    if ring is None:
+        ring = ConsistentHashRing(ids, virtual_factor, hash_fn, seed, dict(zip(ids, scales)))
+        ring._frozen = True
+        _SHARED[key] = ring
+    return ring

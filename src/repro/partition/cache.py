@@ -15,16 +15,19 @@ work.  What a lookup depends on comes in two grades, and
   registered split vertices, and recently-resolved *edge* owners for
   them, keyed by the packed ``(own, other)`` pair (a split vertex's
   owner depends on both endpoints).  It also depends on the sketch and
-  the registry, so it is keyed by the full epoch token; when that
-  moves under a standing ring, the entries of vertices whose
-  replication factor did not change are kept.
+  the registry, so it is keyed by the full epoch; when that moves
+  under a standing ring, the entries of vertices whose replication
+  factor did not change are kept.
 
 Both tokens are carried in every
 :class:`~repro.cluster.directory.DirectoryState` broadcast, so
 participants invalidate exactly what can have changed and nothing else.
 A cache bound to a fresh :class:`~repro.partition.placer.EdgePlacer`
 with an unchanged epoch keeps all its memos — this is what lets routing
-survive batch-clock-only broadcasts.
+survive batch-clock-only broadcasts.  :meth:`PlacementCache.bind` is
+also the one place that works out what a rebind moved
+(:attr:`PlacementCache.last_moved`): an Agent re-homes exactly the rows
+of those vertices.
 
 Every memo is an id table (:func:`repro.kernels.id_table`): a lookup is
 one hash and a short probe per row, and learning inserts the fresh rows
@@ -34,10 +37,9 @@ split, and every second the cost model bills by it, is unchanged.  The
 split tier stores one 32-bit code per vertex: its ring owner where
 ``k == 1``, else ``-k``.
 
-The cache is a drop-in stand-in for the placer: it implements the same
-lookup API and delegates anything else (``ring``, ``sketch``, …) to the
-wrapped placer, so Agents, Streamers, and ClientProxies use it without
-code changes at call sites.
+Agents, Streamers and ClientProxies place through the cache only; it
+answers the lookups they make (edge owners, ring owners, replication
+factors, replica sets) and exposes the bound placer's ``ring``.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class PlacementCache:
     >>> from repro.sketch import CountMinSketch
     >>> placer = EdgePlacer(ConsistentHashRing([0, 1]), CountMinSketch(64, 2),
     ...                     replication_threshold=10)
-    >>> cache = PlacementCache().bind((1, 0, 0), placer)
+    >>> cache = PlacementCache().bind((0, 1, 0, 0), placer, ring_epoch=(0, 1))
     >>> import numpy as np
     >>> a = cache.owner_of_edges(np.array([5]), np.array([9]))
     >>> b = cache.owner_of_edges(np.array([5]), np.array([9]))  # cache hit
@@ -99,6 +101,8 @@ class PlacementCache:
         # Per-call hit/miss split, read by the cost-charging layer.
         self.last_hits = 0
         self.last_misses = 0
+        # What the last bind moved (see bind()).
+        self.last_moved: Optional[np.ndarray] = None
         self._reset_ring_tier()
         self._reset_split_tier()
 
@@ -110,57 +114,83 @@ class PlacementCache:
         return self._epoch
 
     @property
-    def placer(self) -> Optional[EdgePlacer]:
-        """The wrapped (uncached) placer."""
-        return self._placer
+    def ring(self):
+        """The bound placer's consistent-hash ring."""
+        return self._require_placer().ring
 
-    def bind(self, epoch, placer: EdgePlacer, ring_epoch=None) -> "PlacementCache":
-        """Point the cache at ``placer``, valid for ``epoch``.
+    def bind(self, epoch: tuple, placer: EdgePlacer, ring_epoch: tuple) -> "PlacementCache":
+        """Point the cache at ``placer``, valid for ``epoch``, whose
+        ring depends on the ``ring_epoch`` part of it only.
 
-        ``ring_epoch`` names the part of ``epoch`` the ring depends on;
-        a caller that does not tell the two apart gets both tiers
-        invalidated together.  Memos survive a rebind with an unchanged
-        token (the broadcast that carried it changed nothing they depend
-        on — a batch-clock bump for both tiers, a sketch flush for the
-        ring tier); a changed ``epoch`` under an unchanged ring drops
-        only the split-tier entries of vertices whose replication factor
-        moved.  ``None`` always invalidates: safe for states that do not
-        carry a token.
+        Memos survive a rebind with an unchanged token (the broadcast
+        that carried it changed nothing they depend on — a batch-clock
+        bump for both tiers, a sketch flush for the ring tier); a changed
+        ``epoch`` under an unchanged ring drops only the split-tier
+        entries of vertices whose replication factor moved.
+
+        :attr:`last_moved` then says which vertices' edges can have
+        changed owner: ``None`` (any of them) on a first bind or a
+        ring-epoch change, an empty array when the epoch is unchanged,
+        and otherwise the sorted ids whose replication factor differs
+        between the replaced placer and ``placer``.
         """
-        if ring_epoch is None:
-            ring_epoch = epoch
-        if self._placer is not None:
-            if ring_epoch is None or ring_epoch != self._ring_epoch:
+        before = self._placer
+        self._placer = placer
+        if before is None or ring_epoch != self._ring_epoch:
+            if before is not None:
                 self.counters.add("placement_epoch_invalidations")
                 self._reset_ring_tier()
                 self._reset_split_tier()
-            elif epoch != self._epoch:
-                self.counters.add("placement_epoch_invalidations")
-                self._revalidate_split_tier(placer)
+            self.last_moved = None
+        elif epoch == self._epoch:
+            self.last_moved = np.empty(0, dtype=np.int64)
+        else:
+            self.counters.add("placement_epoch_invalidations")
+            self.last_moved = self._revalidate_split_tier(before)
         self._epoch = epoch
         self._ring_epoch = ring_epoch
-        self._placer = placer
         return self
 
-    def _revalidate_split_tier(self, placer: EdgePlacer) -> None:
-        """The sketch or the registry moved under a standing ring: an
-        edge of a split vertex changes owner only if that vertex's
-        replication factor did, so re-derive the (few) memoized factors
-        and forget exactly the vertices that moved (a table drops
-        entries by being rebuilt from the ones it keeps)."""
+    def _revalidate_split_tier(self, before: EdgePlacer) -> np.ndarray:
+        """The sketch or the registry moved under a standing ring, from
+        ``before`` to the bound placer; returns the sorted ids whose
+        replication factor moved.
+
+        An edge of a split vertex changes owner only if that vertex's
+        replication factor did, and only the memoised vertices and the
+        registry's members (which only grows within a term) can have
+        one other than 1.  Their factors are re-derived (the memo already
+        holds the old factor of the memoised ones), the split-tier
+        entries of the moved ones forgotten (a table drops entries by
+        being rebuilt from the ones it keeps), and the new factors of
+        the rest learned."""
         self._replica_sets = {}
-        ids, coded = self._split_memo.items()
+        placer = self._placer
+        registry = placer.split_gate or ()
+        ids = distinct(np.concatenate((
+            self._split_memo.items()[0],
+            np.fromiter(registry, dtype=np.int64, count=len(registry)),
+        )))
         if ids.size == 0:
-            return
-        same = placer.replication_factor(ids) == np.maximum(-coded, 1)
-        if same.all():
-            return
-        self._split_memo = _table(ids[same], coded[same])
-        keys, owners = self._edge_memo.items()
-        if keys.size:
-            own = (keys.view(np.uint64) >> _SHIFT32).astype(np.int64)
-            keep = ~np.isin(own, ids[~same])
-            self._edge_memo = _table(keys[keep], owners[keep])
+            return ids
+        coded, known = self._split_memo.get(ids)
+        k_old = np.maximum(-coded, 1)
+        if not known.all():
+            k_old[~known] = before.replication_factor(ids[~known])
+        k_new = placer.replication_factor(ids)
+        moved = k_old != k_new
+        if moved.any():
+            kept = known & ~moved
+            self._split_memo = _table(ids[kept], coded[kept])
+            keys, owners = self._edge_memo.items()
+            if keys.size:
+                own = (keys.view(np.uint64) >> _SHIFT32).astype(np.int64)
+                keep = ~np.isin(own, ids[moved])
+                self._edge_memo = _table(keys[keep], owners[keep])
+        fresh = ~known | moved
+        if fresh.any():
+            self._learn_split(ids[fresh], k_new[fresh])
+        return ids[moved]
 
     def _reset_ring_tier(self) -> None:
         self._ring_memo = _table()  # vertex -> ring owner
@@ -260,25 +290,6 @@ class PlacementCache:
         """Batched replica sets; delegates to the vectorized placer."""
         return self._require_placer().replica_matrix(vertices)
 
-    def primary_of(self, vertex: int) -> int:
-        return self.replica_set(int(vertex))[0]
-
-    def owner_of_vertex(self, vertex: int, rng=None) -> int:
-        """Cached :meth:`EdgePlacer.owner_of_vertex` (query fast path)."""
-        replicas = self.replica_set(int(vertex))
-        if len(replicas) == 1 or rng is None:
-            return replicas[0]
-        return replicas[int(rng.integers(0, len(replicas)))]
-
-    def lookup_cost_terms(self, n_edges: int) -> dict:
-        return self._require_placer().lookup_cost_terms(n_edges)
-
-    def __getattr__(self, name: str):
-        placer = self.__dict__.get("_placer")
-        if placer is None:
-            raise AttributeError(name)
-        return getattr(placer, name)
-
     # -- the two tiers -------------------------------------------------------
 
     def _ring_lookup(self, verts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -303,15 +314,19 @@ class PlacementCache:
         served-from-memo mask) for vertices the registry lets replicate."""
         coded, known = self._split_memo.get(verts)
         if not known.all():
-            placer = self._require_placer()
             unknown = ~known
             fresh, inverse = distinct(verts[unknown], return_inverse=True)
-            fresh_k = placer.replication_factor(fresh)
-            fresh_coded = np.where(fresh_k == 1, placer.ring_owners(fresh), -fresh_k)
-            coded[unknown] = fresh_coded[inverse]
-            if len(self._split_memo) + fresh.size <= self.max_vertices:
-                self._split_memo.put(fresh, fresh_coded)
+            fresh_k = self._require_placer().replication_factor(fresh)
+            coded[unknown] = self._learn_split(fresh, fresh_k)[inverse]
         return np.maximum(-coded, 1), np.maximum(coded, -1), known
+
+    def _learn_split(self, fresh: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The split-memo codes of the distinct vertices ``fresh``, whose
+        replication factors are ``k``; learned if they all fit."""
+        coded = np.where(k == 1, self._placer.ring_owners(fresh), -k)
+        if len(self._split_memo) + fresh.size <= self.max_vertices:
+            self._split_memo.put(fresh, coded)
+        return coded
 
     def _split_lookup(
         self, own: np.ndarray, other: np.ndarray

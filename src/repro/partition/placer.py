@@ -17,8 +17,9 @@ To find the Agent owning an edge, a participant:
    member set with the same minimal-movement property — when a vertex's
    replication factor grows, only edges claimed by the new replica move.
 
-For a plain vertex *query* (not an edge), step 4 is bypassed and one
-replica is chosen at random (§3.4.1 "for efficiency reasons").
+A vertex *query* (not an edge) bypasses step 4: the serving plane
+fans it out to every replica of the vertex, whose answers must agree
+for a snapshot-consistent read, and a vertex that is not split has one.
 
 Every participant computes placement from the same broadcast state, so
 placement is a pure function — the property tests in
@@ -185,26 +186,6 @@ class EdgePlacer:
         if self._compiled:
             return kernels.place_edges(self.ring, own, other, k)
         return kernels.reference.place_edges(self.ring, self.hash_fn, own, other, k)
-
-    def owner_of_vertex(self, vertex: int, rng: Optional[np.random.Generator] = None) -> int:
-        """Some Agent holding ``vertex`` — the query fast path.
-
-        Bypasses the second hash and picks a replica at random, spreading
-        read load across the replicas of hot vertices.
-        """
-        replicas = self.replica_set(int(vertex))
-        if len(replicas) == 1 or rng is None:
-            return replicas[0]
-        return replicas[int(rng.integers(0, len(replicas)))]
-
-    def lookup_cost_terms(self, n_edges: int) -> dict:
-        """Operation counts for the cost model: one sketch query (depth
-        rows) and up to two O(log P·V) searches per edge."""
-        return {
-            "sketch_queries": n_edges,
-            "ring_searches": n_edges,
-            "ring_size": max(1, len(self.ring) * self.ring.virtual_factor),
-        }
 
 
 def _rendezvous_pick(replicas: List[int], other_hashes: np.ndarray) -> np.ndarray:

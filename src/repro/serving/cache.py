@@ -8,7 +8,7 @@ freshness fences all hold:
    broadcast (RESULT_NOTICE).  An entry filled at version ``v`` is dead
    the moment the proxy observes ``v' > v`` for its program: results
    may have changed.
-2. **Placement epoch** — the ``DirectoryState.epoch_token`` (membership
+2. **Placement epoch** — the ``DirectoryState.epoch`` (membership
    version, sketch version, split registry size) reused from the
    :class:`~repro.partition.cache.PlacementCache`.  Membership or split
    churn re-routes queries, so entries filled under an older epoch are

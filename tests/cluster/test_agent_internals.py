@@ -40,7 +40,7 @@ def hand_placer(agents, split=(), degrees=None, threshold=10):
     placer = EdgePlacer(
         ConsistentHashRing(agents), sketch, threshold, split_gate=frozenset(split)
     )
-    return PlacementCache().bind((1, 0, 0), placer)
+    return PlacementCache().bind((0, 1, 0, 0), placer, ring_epoch=(0, 1))
 
 
 def test_vertex_table_pos_roundtrip():

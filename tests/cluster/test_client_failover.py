@@ -29,7 +29,7 @@ def _vertex_owned_by(client, victim):
     for v in range(40):
         if v in split:
             continue
-        if client.placer.owner_of_vertex(v, rng=client.rng) == victim:
+        if client.placer.replica_set(v) == [victim]:
             return v
     raise AssertionError(f"no vertex owned by agent {victim}")
 
@@ -96,4 +96,4 @@ def test_fresh_queries_after_eviction_route_to_new_owner():
     cluster.settle()
     assert len(out) == 1  # new ring, live owner, prompt answer
     assert client.perf.counts["client_queries_retried"] == 0  # first try hit a live agent
-    assert client.placer.owner_of_vertex(vertex, rng=client.rng) != victim
+    assert client.placer.replica_set(vertex) != [victim]

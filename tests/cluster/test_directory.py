@@ -122,6 +122,7 @@ def test_stale_sync_ignored():
         agents={},
         sketch=CountMinSketch(16, 2),
         split_vertices=frozenset(),
+        epoch=(0, 0, 0, 0),
     )
     msg = Message(ptype=PacketType.DIRECTORY_SYNC, payload=stale)
     msg.src = c.lead.address

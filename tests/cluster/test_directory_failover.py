@@ -369,11 +369,11 @@ def test_fence_orders_term_before_version():
     sketch = CountMinSketch(16, 2, seed=0)
     old = DirectoryState(
         version=99, batch_id=0, agents={}, sketch=sketch,
-        split_vertices=frozenset(), term=0,
+        split_vertices=frozenset(), epoch=(0, 3, 0, 0), term=0,
     )
     new = DirectoryState(
         version=2, batch_id=0, agents={}, sketch=sketch,
-        split_vertices=frozenset(), term=1,
+        split_vertices=frozenset(), epoch=(1, 3, 0, 0), term=1,
     )
     assert new.fence > old.fence
     assert old.fence < new.fence

@@ -90,7 +90,7 @@ def test_every_lead_field_is_decided_by_both_constructors():
 
 
 def test_from_mirror_of_a_never_synced_peer_is_a_fresh_lead():
-    bootstrap = mirrored_state(weights=None, epoch=None)
+    bootstrap = mirrored_state(weights=None, epoch=(0, 0, 0, 0))
     assert LeadState.from_mirror(bootstrap, ControlTail()) == LeadState.fresh()
 
 

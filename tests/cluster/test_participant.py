@@ -53,21 +53,21 @@ def update(state):
 def test_stale_term_message_is_dropped_and_counted(kind):
     cluster, p = make(kind)
     p.term = 2
-    held, bound = p.dstate, p.placer.placer
+    held, bound = p.dstate, p.placer._placer
     drops = cluster.totals()["stale_term_drops"]
     p.handle_message(update(state_like(held, version=held.version + 100, term=1)))
     assert cluster.totals()["stale_term_drops"] == drops + 1
-    assert p.dstate is held and p.placer.placer is bound
+    assert p.dstate is held and p.placer._placer is bound
     assert p.term == 2
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_state_at_or_below_the_fence_is_ignored(kind):
     cluster, p = make(kind)
-    held, bound = p.dstate, p.placer.placer
+    held, bound = p.dstate, p.placer._placer
     for version in (held.version, held.version - 1):
         p.handle_message(update(state_like(held, version=version)))
-        assert p.dstate is held and p.placer.placer is bound
+        assert p.dstate is held and p.placer._placer is bound
     assert cluster.totals()["stale_term_drops"] == 0
 
 
@@ -77,10 +77,10 @@ def test_higher_term_wins_over_a_higher_version_and_rebinds_placement(kind):
     held = p.dstate
     assert held.term == 0 and held.version >= 2
     survivors = {aid: addr for aid, addr in held.agents.items() if aid != 0}
-    elected = state_like(held, version=1, agents=survivors, epoch=None, term=1)
+    elected = state_like(held, version=1, agents=survivors, epoch=(1, 0, 0, 0), term=1)
     p.handle_message(update(elected))
     assert p.dstate is elected and p.term == 1
-    assert p.placer.epoch == elected.epoch_token
+    assert p.placer.epoch == elected.epoch
     assert p.placer.ring.members() == sorted(survivors)
     # The deposed lead's straggler loses at the door, whatever its version.
     p.handle_message(update(state_like(held, version=held.version + 100)))

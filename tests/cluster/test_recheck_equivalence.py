@@ -71,8 +71,10 @@ def _full_recheck(agent, store, moved):
 
 
 def take_full_pass(agent):
-    """Make ``agent`` re-resolve every resident row on every adoption."""
-    agent._moved_keys = lambda previous, before: None
+    """Make ``agent`` re-resolve every resident row on every adoption,
+    whatever its placement cache says the adoption moved."""
+    migrate = agent._migrate_misplaced
+    agent._migrate_misplaced = lambda moved: migrate(None)
     agent._resident_owners = types.MethodType(_full_recheck, agent)
 
 

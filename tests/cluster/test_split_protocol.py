@@ -43,7 +43,7 @@ def test_hub_edges_spread_over_replicas_only(star_engine):
 
 def test_all_participants_agree_on_primary(star_engine):
     primaries = {
-        a.placer.primary_of(0) for a in star_engine.cluster.agents.values()
+        a.placer.replica_set(0)[0] for a in star_engine.cluster.agents.values()
     }
     assert len(primaries) == 1
 

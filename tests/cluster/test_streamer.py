@@ -95,7 +95,9 @@ def test_streamer_fences_directory_states_by_term_then_version():
     held = s.dstate
     assert held.term == 0 and held.version >= 2
     survivors = {aid: addr for aid, addr in held.agents.items() if aid != 0}
-    elected = DirectoryState(1, held.batch_id, survivors, held.sketch, frozenset(), term=1)
+    elected = DirectoryState(
+        1, held.batch_id, survivors, held.sketch, frozenset(), epoch=(1, 0, 0, 0), term=1
+    )
     s._on_directory_update(elected)
     assert s.dstate is elected
     agent = c.agents[1]

@@ -1,12 +1,15 @@
 """The one-pass ring build, and the per-process memo of immutable rings."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import HASH_FUNCTIONS, ConsistentHashRing, wang64
-from repro.hashing.ring import SHARED_RING_LIMIT, _frozen_ring, shared_ring
+from repro.hashing.ring import shared_ring
 
 VIRTUAL_FACTORS = [1, 8, 100]
 
@@ -120,18 +123,20 @@ def test_shared_ring_cannot_be_mutated_and_stays_usable():
     assert own.members() == [2, 3]
 
 
-def test_memo_is_bounded_and_drops_the_least_recently_used():
-    first = shared_ring([0], None, 1, wang64, 0)
-    second = shared_ring([0, 1], None, 1, wang64, 0)
-    for n in range(2, SHARED_RING_LIMIT):
-        shared_ring(range(n + 1), None, 1, wang64, 0)
-        assert shared_ring([0], None, 1, wang64, 0) is first  # keeps it recent
-    assert _frozen_ring.cache_info().currsize == SHARED_RING_LIMIT
-    shared_ring(range(SHARED_RING_LIMIT + 1), None, 1, wang64, 0)
-    assert _frozen_ring.cache_info().currsize == SHARED_RING_LIMIT
-    assert shared_ring([0], None, 1, wang64, 0) is first
-    # [0, 1] was the least recently asked for: gone, rebuilt on demand.
-    assert shared_ring([0, 1], None, 1, wang64, 0) is not second
+def test_memo_holds_a_ring_exactly_as_long_as_a_caller_does():
+    held = shared_ring([0, 1, 2], {1: 2.0}, 8, wang64, 3)
+    for n in range(1, 40):  # however many other memberships come and go
+        shared_ring(range(n + 3), None, 8, wang64, 3)
+    assert shared_ring([2, 1, 0], {1: 2.0}, 8, wang64, 3) is held
+    dropped = shared_ring([4, 5], None, 8, wang64, 3)
+    before = dropped.lookup(KEYS)
+    gone = weakref.ref(dropped)
+    del dropped
+    gc.collect()
+    assert gone() is None  # nobody holds it: the memo let it go
+    rebuilt = shared_ring([4, 5], None, 8, wang64, 3)
+    assert np.array_equal(rebuilt.lookup(KEYS), before)
+    assert_same_ring(rebuilt, ConsistentHashRing([4, 5], 8, wang64, 3), KEYS)
 
 
 def test_rings_are_shared_only_when_every_input_is_equal():

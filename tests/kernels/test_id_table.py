@@ -145,7 +145,7 @@ def test_a_warm_placement_lookup_hashes_nothing(monkeypatch, enabled):
         sketch.add(np.repeat(hubs, 50))
         placer = EdgePlacer(ConsistentHashRing([0, 1, 2, 3]), sketch, replication_threshold=10,
                             split_gate=frozenset(hubs.tolist()))
-        cache = PlacementCache().bind((1, 0, 0), placer)
+        cache = PlacementCache().bind((0, 1, 0, 2), placer, ring_epoch=(0, 1))
         rng = np.random.default_rng(2)
         own = rng.integers(0, 40, size=500).astype(np.int64)
         other = rng.integers(0, 40, size=500).astype(np.int64)
@@ -165,7 +165,7 @@ def test_a_warm_placement_lookup_hashes_nothing(monkeypatch, enabled):
         assert np.array_equal(warm, cold)
         assert cache.last_misses == 0
         assert rows == []
-        PlacementCache().bind((1, 0, 0), placer).owner_of_edges(own, other)
+        PlacementCache().bind((0, 1, 0, 2), placer, ring_epoch=(0, 1)).owner_of_edges(own, other)
         assert rows  # the spies do see a cold lookup's hashes
     finally:
         kernels.set_enabled(was)

@@ -29,7 +29,7 @@ def edges(n=400, hot=None, hot_frac=0.1, seed=0):
 
 def test_warm_lookup_is_bit_identical_and_all_hits():
     placer = build_placer(hot=[7])
-    cache = PlacementCache().bind((1, 1, 1), placer)
+    cache = PlacementCache().bind((0, 1, 1, 1), placer, ring_epoch=(0, 1))
     own, other = edges(hot=7)
     cold = cache.owner_of_edges(own, other)
     assert np.array_equal(cold, placer.owner_of_edges(own, other))
@@ -41,33 +41,27 @@ def test_warm_lookup_is_bit_identical_and_all_hits():
 
 def test_same_epoch_rebind_keeps_memos():
     placer = build_placer()
-    cache = PlacementCache().bind((3, 0, 0), placer)
+    cache = PlacementCache().bind((0, 3, 0, 0), placer, ring_epoch=(0, 3))
     own, other = edges()
     cache.owner_of_edges(own, other)
     # Same epoch, fresh placer object (what a batch-clock broadcast does).
-    cache.bind((3, 0, 0), build_placer())
+    cache.bind((0, 3, 0, 0), build_placer(), ring_epoch=(0, 3))
+    assert cache.last_moved is not None and cache.last_moved.size == 0
     cache.owner_of_edges(own, other)
     assert cache.last_misses == 0
 
 
 def test_epoch_change_invalidates():
     counters = PerfCounters()
-    cache = PlacementCache(counters=counters).bind((1, 0, 0), build_placer())
+    cache = PlacementCache(counters=counters).bind((0, 1, 0, 0), build_placer(), ring_epoch=(0, 1))
+    assert cache.last_moved is None  # a first bind: nothing to compare with
     own, other = edges()
     cache.owner_of_edges(own, other)
-    cache.bind((2, 0, 0), build_placer())
+    cache.bind((0, 2, 0, 0), build_placer(), ring_epoch=(0, 2))
+    assert cache.last_moved is None  # a new ring: anything may have moved
     cache.owner_of_edges(own, other)
     assert cache.last_misses == len(own)
     assert counters.counts["placement_epoch_invalidations"] == 1
-
-
-def test_none_epoch_always_invalidates():
-    cache = PlacementCache().bind(None, build_placer())
-    own, other = edges()
-    cache.owner_of_edges(own, other)
-    cache.bind(None, build_placer())
-    cache.owner_of_edges(own, other)
-    assert cache.last_misses == len(own)
 
 
 def test_unbound_cache_raises():
@@ -78,7 +72,7 @@ def test_unbound_cache_raises():
 def test_negative_ids_bypass_edge_memo_but_stay_correct():
     hot = -3
     placer = build_placer(hot=[hot])
-    cache = PlacementCache().bind((1, 0, 0), placer)
+    cache = PlacementCache().bind((0, 1, 0, 0), placer, ring_epoch=(0, 1))
     own = np.full(64, hot, dtype=np.int64)
     other = np.arange(-32, 32, dtype=np.int64)
     for _ in range(2):  # cold then warm
@@ -89,7 +83,7 @@ def test_negative_ids_bypass_edge_memo_but_stay_correct():
 
 def test_replication_factor_and_replica_set_cached():
     placer = build_placer(hot=[9])
-    cache = PlacementCache().bind((1, 0, 0), placer)
+    cache = PlacementCache().bind((0, 1, 0, 0), placer, ring_epoch=(0, 1))
     verts = np.array([9, 1, 2, 9], dtype=np.int64)
     assert np.array_equal(
         cache.replication_factor(verts), placer.replication_factor(verts)
@@ -97,30 +91,20 @@ def test_replication_factor_and_replica_set_cached():
     assert cache.replica_set(9) == placer.replica_set(9)
     # Second call must come from the memo (placer result already equal).
     assert cache.replica_set(9) == placer.replica_set(9)
-    assert cache.primary_of(9) == placer.replica_set(9)[0]
+    assert cache.replica_set(1) == [placer.primary_of(1)]
 
 
-def test_owner_of_vertex_rng_parity():
-    placer = build_placer(hot=[9])
-    cache = PlacementCache().bind((1, 0, 0), placer)
-    rng_a = np.random.default_rng(5)
-    rng_b = np.random.default_rng(5)
-    for v in (9, 1, 2, 9, 9):
-        assert cache.owner_of_vertex(v, rng=rng_a) == placer.owner_of_vertex(
-            v, rng=rng_b
-        )
-
-
-def test_delegates_unknown_attributes_to_placer():
+def test_ring_is_the_bound_placers_and_nothing_else_is_delegated():
     placer = build_placer()
-    cache = PlacementCache().bind((1, 0, 0), placer)
+    cache = PlacementCache().bind((0, 1, 0, 0), placer, ring_epoch=(0, 1))
     assert cache.ring is placer.ring
-    assert cache.sketch is placer.sketch
+    with pytest.raises(AttributeError):
+        cache.sketch
 
 
 def test_edge_memo_capacity_restarts_from_newest():
     placer = build_placer(hot=[7], threshold=5)
-    cache = PlacementCache(max_edges=32).bind((1, 0, 0), placer)
+    cache = PlacementCache(max_edges=32).bind((0, 1, 0, 0), placer, ring_epoch=(0, 1))
     own = np.full(128, 7, dtype=np.int64)
     other = np.arange(128, dtype=np.int64)
     a = cache.owner_of_edges(own, other)
@@ -153,6 +137,7 @@ def test_ring_tier_survives_a_sketch_only_epoch():
     # (100 -> 105 rows, threshold 20: k = 6 both times).
     after = gated_placer(ring, hot=7, hot_rows=105)
     cache.bind((0, 1, 1, 1), after, ring_epoch=(0, 1))
+    assert cache.last_moved.tolist() == []
     assert np.array_equal(cache.owner_of_edges(own, other), first)
     assert cache.last_misses == 0
     unsplit = int((own != 7).sum())
@@ -169,6 +154,7 @@ def test_split_tier_drops_the_vertices_whose_factor_moved():
     # 40 -> 100 rows: k goes 3 -> 6, every edge of the hub is suspect.
     after = gated_placer(ring, hot=7, hot_rows=100)
     cache.bind((0, 1, 1, 1), after, ring_epoch=(0, 1))
+    assert cache.last_moved.tolist() == [7]
     got = cache.owner_of_edges(own, other)
     assert np.array_equal(got, after.owner_of_edges(own, other))
     assert cache.last_misses == int((own == 7).sum())

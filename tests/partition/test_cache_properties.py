@@ -9,7 +9,9 @@ epoch + ring epoch, ring object reused while the ring epoch stands),
 comparing every lookup (cold and warm) to a freshly built EdgePlacer.
 Along the way the two memo tiers must drop exactly when their token
 moves: the ring tier answers every unsplit row straight after a sketch
-flush or a split registration, and nothing after a ring change.
+flush or a split registration, and nothing after a ring change.  What
+a rebind reports as moved (``last_moved``) must be exactly the
+vertices on which two fresh placers, one per state, disagree.
 
 The memos are open-addressed id tables (``repro.kernels.id_table``).
 What they learn must be exactly what the sorted-array learner —
@@ -62,7 +64,7 @@ def test_cached_placement_identical_under_churn(ops, seed):
 
     def check(ring_stands):
         epoch = (term, membership_version, sketch_version, len(split))
-        ring = cache.placer.ring if ring_stands else fresh_ring()
+        ring = cache.ring if ring_stands else fresh_ring()
         gate = frozenset(split)
         cache.bind(
             epoch,
@@ -118,6 +120,68 @@ def test_cached_placement_identical_under_churn(ops, seed):
         check(ring_stands)
 
 
+@given(ops=ops, seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=40, deadline=None)
+def test_last_moved_is_what_two_fresh_placers_disagree_on(ops, seed):
+    """Under a standing ring, ``last_moved`` is the brute-force set
+    {v in memo ids | registry : k_old(v) != k_new(v)}, k_old and k_new
+    from two fresh uncached placers; ``None`` after a first bind or a
+    ring or term change; empty after a rebind that moved no epoch."""
+    rng = np.random.default_rng(seed)
+    own = rng.integers(0, 200, size=120).astype(np.int64)
+    other = rng.integers(0, 200, size=120).astype(np.int64)
+    members = {0: 1.0, 1: 1.0}
+    sketch = CountMinSketch(width=128, depth=4)
+    split = set()
+    term = membership_version = sketch_version = 0
+    cache = PlacementCache()
+
+    def fresh_placer(state):
+        members, sketch, split = state
+        ring = ConsistentHashRing(sorted(members), virtual_factor=8, seed=2, weights=members)
+        return EdgePlacer(ring, sketch, replication_threshold=15, split_gate=frozenset(split))
+
+    def bind():
+        """Bind the current state, then look up through it (which
+        teaches the split memo); returns the state."""
+        epoch = (term, membership_version, sketch_version, len(split))
+        state = (dict(members), sketch.copy(), set(split))
+        cache.bind(epoch, fresh_placer(state), ring_epoch=epoch[:2])
+        cache.owner_of_edges(own, other)
+        return state
+
+    previous = bind()
+    assert cache.last_moved is None
+    for op, arg in ops:
+        ring_epoch = (term, membership_version)
+        if op == "join":
+            members.setdefault(arg, 1.0)
+        elif op == "leave" and arg in members and len(members) > 1:
+            del members[arg]
+        elif op == "weight" and arg in members:
+            members[arg] = 3.0 - members[arg]  # 1.0 <-> 2.0
+        elif op == "term":
+            term += 1
+        elif op in ("sketch", "split"):
+            sketch.add(np.full(20, arg, dtype=np.int64))
+            sketch_version += 1
+            if op == "split":
+                split.add(arg)
+        if members != previous[0]:
+            membership_version += 1
+        memo_ids = cache._split_memo.items()[0]
+        state = bind()
+        if (term, membership_version) != ring_epoch:
+            assert cache.last_moved is None
+        else:
+            registry = np.fromiter(split, dtype=np.int64, count=len(split))
+            candidates = np.union1d(memo_ids, registry)
+            k_old = fresh_placer(previous).replication_factor(candidates)
+            k_new = fresh_placer(state).replication_factor(candidates)
+            assert np.array_equal(cache.last_moved, candidates[k_old != k_new])
+        previous = state
+
+
 def _probe(ids, query):
     """(clamped positions, found mask) of ``query`` in sorted ``ids``."""
     if ids.size == 0:
@@ -143,17 +207,22 @@ class ParentLearner(PlacementCache):
         self._e_owner = np.empty(0, dtype=np.int64)
         self._replica_sets = {}
 
-    def _revalidate_split_tier(self, placer):
+    def _revalidate_split_tier(self, before):
         self._replica_sets = {}
-        if self._k_ids.size == 0:
-            return
-        same = placer.replication_factor(self._k_ids) == self._k
-        moved = self._k_ids[~same]
+        placer = self._require_placer()
+        registry = placer.split_gate or ()
+        ids = np.union1d(
+            self._k_ids, np.fromiter(registry, dtype=np.int64, count=len(registry))
+        )
+        moved = ids[before.replication_factor(ids) != placer.replication_factor(ids)]
+        same = ~np.isin(self._k_ids, moved)
         self._k_ids, self._k, self._k_owner = (
             self._k_ids[same], self._k[same], self._k_owner[same]
         )
         keep = ~np.isin((self._e_keys >> np.uint64(32)).astype(np.int64), moved)
         self._e_keys, self._e_owner = self._e_keys[keep], self._e_owner[keep]
+        self._candidates(ids)  # learn the new factors the ordinary way
+        return moved
 
     def _ring_lookup(self, verts):
         pos, hit = _probe(self._r_ids, verts)

@@ -87,20 +87,6 @@ def test_primary_is_first_replica():
     assert placer.primary_of(4) == placer.replica_set(4)[0]
 
 
-def test_query_shortcut_spreads_over_replicas():
-    placer, sketch, _ = make_placer(threshold=50)
-    sketch.add([4] * 500)
-    rng = np.random.default_rng(0)
-    answers = {placer.owner_of_vertex(4, rng=rng) for _ in range(200)}
-    assert answers == set(placer.replica_set(4))
-
-
-def test_query_without_rng_returns_primary():
-    placer, sketch, _ = make_placer(threshold=50)
-    sketch.add([4] * 500)
-    assert placer.owner_of_vertex(4) == placer.primary_of(4)
-
-
 def test_split_gate_blocks_unregistered():
     placer, sketch, _ = make_placer(threshold=50, split_gate=frozenset())
     sketch.add([4] * 500)
@@ -156,10 +142,3 @@ def test_splitting_improves_balance_on_skewed_load():
     bal_split = imbalance_factor(edge_loads(split.owner_of_edges(us, vs), 16))
     bal_unsplit = imbalance_factor(edge_loads(unsplit.owner_of_edges(us, vs), 16))
     assert bal_split < bal_unsplit
-
-
-def test_lookup_cost_terms():
-    placer, _, _ = make_placer(agents=8, virtual=50)
-    terms = placer.lookup_cost_terms(100)
-    assert terms["sketch_queries"] == 100
-    assert terms["ring_size"] == 8 * 50

@@ -28,7 +28,7 @@ def test_adoption_bumps_epoch_once_and_is_idempotent():
     state_before = c.lead.state
     c.rebalance({0: 2.0, 1: 0.5})
     state_after = c.lead.state
-    assert state_after.epoch_token != state_before.epoch_token
+    assert state_after.epoch != state_before.epoch
     assert state_after.version > state_before.version
     # Batch clock is ingest's, not the control plane's.
     assert state_after.batch_id == state_before.batch_id
@@ -37,7 +37,7 @@ def test_adoption_bumps_epoch_once_and_is_idempotent():
     # Duplicate delivery (controller replay, at-least-once transport):
     # no second epoch bump, no re-broadcast, no stat increment.
     c.rebalance({0: 2.0, 1: 0.5})
-    assert c.lead.state.epoch_token == state_after.epoch_token
+    assert c.lead.state.epoch == state_after.epoch
     assert c.lead.state.version == state_after.version
     assert c.totals()["rebalance_plans_adopted"] == 1
 
@@ -57,7 +57,7 @@ def test_departed_members_in_plan_are_ignored():
     state_before = c.lead.state
     c.rebalance({99: 3.0})  # stale plan naming a never-joined agent
     assert c.lead.state.weights == {}
-    assert c.lead.state.epoch_token == state_before.epoch_token
+    assert c.lead.state.epoch == state_before.epoch
 
 
 def test_nonpositive_weight_rejected():

@@ -147,9 +147,9 @@ def test_flushless_ingest_invalidates_negative_entries():
     assert client.perf.counts["serving_cache_hits"] >= 1
     # Flush-less insert of vertex 42: the batch clock moves, the
     # placement epoch does not.
-    epoch_before = client.dstate.epoch_token
+    epoch_before = client.dstate.epoch
     elga.ingest_edges(np.array([42]), np.array([0]), flush=False)
-    assert client.dstate.epoch_token == epoch_before
+    assert client.dstate.epoch == epoch_before
     assert client.perf.counts["serving_cache_negative_invalidations"] == 1
     # The re-query goes back to the agents instead of the stale negative.
     elga.query(42, "wcc")

@@ -117,7 +117,7 @@ def test_failover_retry_records_one_latency_sample():
     for v in range(8):
         if v in state.split_vertices:
             continue
-        victim = client.placer.owner_of_vertex(v, rng=client.rng)
+        (victim,) = client.placer.replica_set(v)
         vertex = v
         break
     assert victim is not None

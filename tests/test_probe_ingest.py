@@ -28,3 +28,7 @@ def test_probe_reports_both_clocks_rates_and_bytes_per_copy():
     assert report["edges_per_wall_s"] == report["edges"] / report["ingest_wall_s"]
     assert report["edges_per_sim_s"] == report["edges"] / report["ingest_sim_s"]
     assert "held_per_copy" in report and "peak_per_copy" in report
+    # What the ingest's adoptions cost the agents, summed over them.
+    assert report["placement_epoch_invalidations"] > 0
+    assert report["migrate_rows_rechecked"] >= report["edges_migrated"] >= 0
+    assert report["migrate_rechecks_skipped"] >= 0

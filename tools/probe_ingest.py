@@ -7,9 +7,12 @@ default 2-node x 2-agent cluster, eight ``apply_batch`` chunks over two
 streamers — then runs 20 PageRank supersteps and WCC on the result.  It
 prints one JSON object per scale: wall and simulated seconds of the
 ingest, the PageRank and the WCC; ingested edges per wall second and per
-simulated second; and the process's resident memory after the ingest and
-at its peak, above what it held before the cluster was built, divided by
-the resident edge copies (every edge is stored twice, as an out- and an
+simulated second; what the ingest's directory adoptions made the agents
+do, as their counters summed at the ingest's end (:data:`ADOPTION_COUNTERS`:
+placement-cache invalidations, rows re-checked, re-checks skipped, edges
+migrated); and the process's resident memory after the ingest and at its
+peak, above what it held before the cluster was built, divided by the
+resident edge copies (every edge is stored twice, as an out- and an
 in-copy).
 
 Each scale runs in this one process, smallest first, so a later scale's
@@ -45,6 +48,13 @@ from repro.graph.stream import EdgeBatch  # noqa: E402
 EDGE_FACTOR = 8
 CHUNKS = 8
 PAGERANK_STEPS = 20
+#: Agent counters that say what adopting a new directory state cost.
+ADOPTION_COUNTERS = (
+    "placement_epoch_invalidations",
+    "migrate_rows_rechecked",
+    "migrate_rechecks_skipped",
+    "edges_migrated",
+)
 
 
 def _rss_bytes() -> int:
@@ -75,6 +85,11 @@ def probe(scale: int, seed: int = 12) -> Dict[str, float]:
         ingest_sim += report["sim_seconds"]
     ingest_wall = time.perf_counter() - start
     held = _rss_bytes() - before
+    agents = engine.cluster.agents.values()
+    adoption = {
+        name: sum(agent.perf.counts.get(name, 0) for agent in agents)
+        for name in ADOPTION_COUNTERS
+    }
     copies = engine.cluster.total_resident_edges()
 
     start = time.perf_counter()
@@ -92,6 +107,7 @@ def probe(scale: int, seed: int = 12) -> Dict[str, float]:
         "ingest_sim_s": ingest_sim,
         "edges_per_wall_s": len(us) / ingest_wall,
         "edges_per_sim_s": len(us) / ingest_sim if ingest_sim else 0.0,
+        **adoption,
         "pagerank_steps": pagerank.steps,
         "pagerank_wall_s": pagerank_wall,
         "pagerank_sim_s": pagerank.sim_seconds,
